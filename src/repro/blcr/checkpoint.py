@@ -7,7 +7,7 @@ the :class:`CheckpointSink` protocol:
 
 * :class:`FileSink` — per-process checkpoint files on a local or parallel
   filesystem, optionally fsync'd (the CR strategy);
-* :class:`MemorySink` — collect everything in memory (tests, and the
+* :class:`MemorySink` — reassemble the image in memory (tests, and the
   memory-based restart extension);
 * the migration buffer-pool sink lives in :mod:`repro.core.buffer_manager`
   (it *is* the paper's contribution).
@@ -16,18 +16,26 @@ The engine charges the per-process quiesce overhead, then streams the image
 in chunks: each chunk's generation crosses the per-process scan limit and
 the node's shared memory bus, then is handed to the sink (which applies its
 own costs: disk, network, pool backpressure).
+
+The stream is copy-light, as in BLCR writing a frozen process's pages
+straight to its file descriptor: a chunk is a read-only view of the frozen
+process's segments (only a chunk spanning a segment boundary is
+concatenated), and the engine keeps no payload.  A sink that retains bytes
+copies what it receives; the process stays frozen until the stream ends,
+so the views are stable while a sink holds them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Protocol
+import copy
+from typing import Dict, Generator, Iterator, List, Optional, Protocol
 
 import numpy as np
 
 from ..params import BLCRParams
 from ..simulate.core import Simulator
 from ..network.fluid import FluidNetwork, Link
-from ..cluster.osproc import OSProcess
+from ..cluster.osproc import MemorySegment, OSProcess
 from .image import CheckpointImage
 
 __all__ = ["CheckpointSink", "FileSink", "MemorySink", "CheckpointEngine"]
@@ -47,25 +55,41 @@ class CheckpointSink(Protocol):
 
 
 class MemorySink:
-    """Reassembles the stream in memory and exposes the received images."""
+    """Reassembles the stream in memory and exposes the received images.
+
+    Each image's bytes are copied into one buffer preallocated at its
+    first chunk; ``finalize`` publishes a payload-bearing image (a
+    header-only one when the stream carried no bytes).
+    """
 
     def __init__(self, sim: Simulator):
         self.sim = sim
-        self.chunks: Dict[int, List] = {}
+        self._buffers: Dict[int, bytearray] = {}
+        self._received: Dict[int, int] = {}
         self.images: Dict[str, CheckpointImage] = {}
         self.bytes_received = 0
 
     def write(self, image: CheckpointImage, offset: int, nbytes: int,
               data: Optional[np.ndarray]) -> Generator:
-        self.chunks.setdefault(image.image_id, []).append((offset, nbytes, data))
+        key = image.image_id
+        if data is not None:
+            buf = self._buffers.get(key)
+            if buf is None:
+                buf = self._buffers[key] = bytearray(image.nbytes)
+            buf[offset:offset + nbytes] = memoryview(data)
+        self._received[key] = self._received.get(key, 0) + nbytes
         self.bytes_received += nbytes
         yield self.sim.timeout(0)
 
     def finalize(self, image: CheckpointImage) -> Generator:
-        got = sum(n for _, n, _ in self.chunks.get(image.image_id, []))
+        got = self._received.pop(image.image_id, 0)
+        buf = self._buffers.pop(image.image_id, None)
         if got != image.nbytes:
             raise RuntimeError(
                 f"incomplete stream for {image!r}: {got}/{image.nbytes}")
+        if buf is not None:
+            image = CheckpointImage(image.proc_name, image.origin_node,
+                                    image.layout, image.app_state, buf)
         self.images[image.proc_name] = image
         yield self.sim.timeout(0)
 
@@ -124,6 +148,36 @@ class FileSink:
         del self._handles[image.image_id]
 
 
+def _frozen_pages(segments: List[MemorySegment],
+                  chunk_bytes: int) -> Iterator[np.ndarray]:
+    """Successive ``chunk_bytes`` windows of the segments' bytes, in order.
+
+    Each window is a read-only view of one segment; only a window that
+    spans a segment boundary is concatenated (a chunk-sized copy).  A
+    segment without bytes reads as zero pages.
+    """
+    parts: List[np.ndarray] = []
+    have = 0
+    for seg in segments:
+        if seg.data is None:
+            pages = np.zeros(seg.nbytes, dtype=np.uint8)
+        else:
+            pages = seg.data.view()
+        pages.flags.writeable = False
+        pos = 0
+        while pos < seg.nbytes:
+            take = min(chunk_bytes - have, seg.nbytes - pos)
+            parts.append(pages[pos:pos + take])
+            have += take
+            pos += take
+            if have == chunk_bytes:
+                yield parts[0] if len(parts) == 1 else np.concatenate(parts)
+                parts = []
+                have = 0
+    if parts:
+        yield parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 class CheckpointEngine:
     """Drives BLCR checkpoints for the processes of one node."""
 
@@ -141,7 +195,9 @@ class CheckpointEngine:
     def checkpoint(self, proc: OSProcess, sink: CheckpointSink,
                    chunk_bytes: int = 1 << 20,
                    incremental: bool = False) -> Generator:
-        """Generator: checkpoint ``proc`` into ``sink``; returns the image.
+        """Generator: checkpoint ``proc`` into ``sink``; returns the image
+        header (layout and app state, no payload: the bytes went to the
+        sink).
 
         The stream is emitted in ``chunk_bytes`` windows; each window pays
         scan time (per-process rate, node bus shared) before the sink's own
@@ -164,7 +220,15 @@ class CheckpointEngine:
                                   node=self.node_name,
                                   incremental=incremental) as sp:
             yield self.sim.timeout(self.params.checkpoint_proc_overhead)
-            image = CheckpointImage.snapshot(proc, dirty_only=incremental)
+            segments = [seg for seg in proc.segments
+                        if not incremental or seg.dirty]
+            image = CheckpointImage(
+                proc.name, proc.node,
+                [(seg.name, seg.nbytes) for seg in segments],
+                copy.deepcopy(proc.app_state), payload=None)
+            pages = None
+            if any(seg.data is not None for seg in proc.segments):
+                pages = _frozen_pages(segments, chunk_bytes)
             proc.mark_clean()
             scan_limit = Link(f"blcr.{self.node_name}.{proc.pid}.scan",
                               self.params.image_scan_bandwidth)
@@ -174,7 +238,8 @@ class CheckpointEngine:
                 yield self.net.transfer([scan_limit, self.membus], n,
                                         label=f"blcr-scan:{proc.name}")
                 m_scanned.inc(n)
-                yield from sink.write(image, offset, n, image.slice(offset, n))
+                data = None if pages is None else next(pages)
+                yield from sink.write(image, offset, n, data)
                 offset += n
             yield from sink.finalize(image)
             sp.annotate(nbytes=image.nbytes)

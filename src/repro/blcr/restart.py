@@ -11,7 +11,7 @@ recovers.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Dict, Generator, List, Optional, Tuple
 
 
 from ..params import BLCRParams
@@ -35,8 +35,11 @@ class RestartEngine:
         self.params = params or BLCRParams()
 
     def _read_image(self, fs, path: str, metadata: CheckpointImage,
-                    client: Optional[str], chunk_bytes: int) -> Generator:
-        """Generator: cold-read one checkpoint file; returns its image."""
+                    client: Optional[str], chunk_bytes: int,
+                    places: List[Tuple[int, int, memoryview]]) -> Generator:
+        """Generator: cold-read one checkpoint file, copying each
+        ``(file offset, length, destination)`` window of ``places`` out
+        of the chunks as they arrive."""
         if not fs.exists(path):
             raise RestartError(f"checkpoint file {path!r} missing on "
                                f"{self.node_name}")
@@ -49,20 +52,58 @@ class RestartEngine:
             raise RestartError(
                 f"{path!r} truncated: {size} bytes, header says "
                 f"{metadata.nbytes}")
-        collected = [] if handle.file.data is not None else None
         offset = 0
         while offset < size:
             n = min(chunk_bytes, size - offset)
             data = yield from fs.read(handle, nbytes=n)
-            if collected is not None:
-                collected.append(data)
+            if data is not None:
+                chunk = memoryview(data)
+                for start, length, dest in places:
+                    lo = max(offset, start)
+                    hi = min(offset + n, start + length)
+                    if lo < hi:
+                        dest[lo - start:hi - start] = \
+                            chunk[lo - offset:hi - offset]
             offset += n
         yield from fs.close(handle)
-        if collected is None:
-            return metadata
-        payload = b"".join(c.tobytes() for c in collected)
-        return CheckpointImage(metadata.proc_name, metadata.origin_node,
-                               metadata.layout, metadata.app_state, payload)
+
+    def _restore(self, fs, chain, client: Optional[str],
+                 chunk_bytes: int) -> Generator:
+        """Generator: rebuild the process a chain of ``(path, metadata)``
+        links folds to (a full image, then deltas); returns it.
+
+        The headers are folded first, so the restored address space is
+        one freshly allocated buffer; every file is read in full (and
+        paid for), and each segment's bytes are copied from the last link
+        that holds it straight to their place in that buffer.
+        """
+        folded = chain[0][1]
+        for _, meta in chain[1:]:
+            folded = CheckpointImage.merge(folded, meta)
+        buf = bytearray(folded.nbytes) if fs.record_data else None
+        final: Dict[str, int] = {}
+        offset = 0
+        for name, nbytes in folded.layout:
+            final[name] = offset
+            offset += nbytes
+        owner = {name: i for i, (_, meta) in enumerate(chain)
+                 for name, _ in meta.layout}
+        for i, (path, meta) in enumerate(chain):
+            places = []
+            if buf is not None:
+                view = memoryview(buf)
+                offset = 0
+                for name, nbytes in meta.layout:
+                    if owner[name] == i:
+                        at = final[name]
+                        places.append((offset, nbytes,
+                                       view[at:at + nbytes]))
+                    offset += nbytes
+            yield from self._read_image(fs, path, meta, client, chunk_bytes,
+                                        places)
+        if buf is None:  # sized-only filesystem: the header is the image
+            return folded.materialize(self.node_name)
+        return folded.rebuild(self.node_name, buf)
 
     def restart_from_file(self, fs, path: str,
                           metadata: Optional[CheckpointImage] = None,
@@ -70,9 +111,9 @@ class RestartEngine:
                           chunk_bytes: int = 4 << 20) -> Generator:
         """Generator: rebuild a process from a checkpoint file.
 
-        ``metadata`` supplies the image header when the filesystem is in
-        sized-only mode (no recorded bytes); with recorded bytes the payload
-        read back from the file is verified against the header layout.
+        ``metadata`` supplies the image header (layout and app state);
+        with recorded bytes the file is read into one buffer, which
+        becomes the restarted process's address space.
         Returns the restarted :class:`OSProcess`.
         """
         if metadata is None:
@@ -81,12 +122,12 @@ class RestartEngine:
                                   proc=metadata.proc_name,
                                   node=self.node_name) as sp:
             yield self.sim.timeout(self.params.restart_proc_overhead)
-            image = yield from self._read_image(fs, path, metadata, client,
-                                                chunk_bytes)
-            sp.annotate(nbytes=image.nbytes)
+            proc = yield from self._restore(fs, [(path, metadata)], client,
+                                            chunk_bytes)
+            sp.annotate(nbytes=metadata.nbytes)
             self.sim.metrics.counter("blcr.restart.bytes_read",
-                                     unit="bytes").inc(image.nbytes)
-        return image.materialize(self.node_name)
+                                     unit="bytes").inc(metadata.nbytes)
+        return proc
 
     def restart_from_chain(self, fs, chain, client: Optional[str] = None,
                            chunk_bytes: int = 4 << 20) -> Generator:
@@ -102,15 +143,9 @@ class RestartEngine:
                                   proc=chain[0][1].proc_name,
                                   node=self.node_name) as sp:
             yield self.sim.timeout(self.params.restart_proc_overhead)
-            path0, meta0 = chain[0]
-            folded = yield from self._read_image(fs, path0, meta0, client,
-                                                 chunk_bytes)
-            for path, meta in chain[1:]:
-                delta = yield from self._read_image(fs, path, meta, client,
-                                                    chunk_bytes)
-                folded = CheckpointImage.merge(folded, delta)
-            sp.annotate(links=len(chain), nbytes=folded.nbytes)
-        return folded.materialize(self.node_name)
+            proc = yield from self._restore(fs, chain, client, chunk_bytes)
+            sp.annotate(links=len(chain), nbytes=proc.image_bytes)
+        return proc
 
     def restart_from_memory(self, image: CheckpointImage) -> Generator:
         """Generator: restore directly from a resident image (future work

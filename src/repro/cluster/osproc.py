@@ -101,7 +101,12 @@ class OSProcess:
                 seg.dirty = True
 
     def kill(self) -> None:
+        """Terminate the process.  A dead process has no address space:
+        its segment bytes are released (the layout stays for accounting).
+        """
         self.alive = False
+        for seg in self.segments:
+            seg.data = None
 
     @classmethod
     def synthetic(cls, name: str, node: str, image_bytes: int,

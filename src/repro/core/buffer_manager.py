@@ -309,9 +309,11 @@ class RDMAMigrationSession:
             data = None
             if self.dst_pool is not None:
                 data = self.dst_pool[desc.pool_offset:
-                                     desc.pool_offset + desc.nbytes].copy()
+                                     desc.pool_offset + desc.nbytes]
             # Reassemble: hand the chunk to the sink stage, keyed exactly
-            # as in the paper — (process, stream offset, size).
+            # as in the paper — (process, stream offset, size).  ``data``
+            # is a view of the pinned pool; the slot is released only after
+            # the sink has copied it.
             yield from self.target_sink.write(desc.proc_name,
                                               desc.stream_offset,
                                               desc.nbytes, data)

@@ -148,6 +148,11 @@ class CheckpointRestartStrategy:
         report = RestartReport(destination=self.destination,
                                n_ranks=self.job.nprocs)
         t0 = self.sim.now
+        # The relaunched processes replace the job's current ones, which
+        # terminate first: their address spaces are released before the
+        # images are read back.
+        for rank in self.job.ranks:
+            rank.osproc.kill()
         # Relaunch processes via the NLAs (parallel across nodes).
         per_node: Dict[str, int] = {}
         for rank in self.job.ranks:

@@ -216,6 +216,10 @@ class JobMigrationFramework:
                 source_nla = self.jm.nla(source)
                 yield from source_nla.ftb.publish(
                     FTB_MIGRATE_PIIC, {"source": source, "target": target})
+                # The images are in place at the target: the source
+                # processes terminate and release their address spaces.
+                for rank in victims:
+                    rank.osproc.kill()
                 source_nla.to_inactive()
                 p2.annotate(bytes=pipeline.bytes_pulled)
             t2 = self.sim.now

@@ -37,7 +37,9 @@ class ProgressReporter:
         self.stream = stream if stream is not None else sys.stderr
         self.started = time.monotonic()
         self.lines_written = 0
-        self._last = 0.0  # monotonic stamp of the last emitted line
+        #: Monotonic stamp of the last emitted line; None until the first,
+        #: which always goes out (``time.monotonic()`` may start near 0).
+        self._last: Optional[float] = None
 
     # -- probe hook ---------------------------------------------------------
     def on_sample(self, probe: Any, now: float) -> None:
@@ -51,7 +53,7 @@ class ProgressReporter:
              detail: str = "") -> bool:
         """Maybe emit one heartbeat line; True if a line was written."""
         wall = time.monotonic()
-        if wall - self._last < self.interval:
+        if self._last is not None and wall - self._last < self.interval:
             return False
         self._last = wall
         elapsed = wall - self.started

@@ -8,7 +8,7 @@ the target does with them.  Two implementations:
   concatenated into a per-process temporary checkpoint file that Phase 3
   cold-reads back (``RestartEngine.restart_from_file``);
 * :class:`MemoryReassemblySink` — the Sec. VI future-work extension: the
-  chunks stay resident and are stitched into a :class:`CheckpointImage`
+  chunks stay resident and are sealed into a :class:`CheckpointImage`
   the instant the last one lands, so the restart stage can begin for one
   process while others are still checkpointing (pipelined restart).
 
@@ -18,7 +18,7 @@ session never knows which one it is feeding.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Protocol, Tuple
+from typing import Dict, Generator, Optional, Protocol
 
 from ..simulate.core import Event, Simulator
 from ..blcr.image import CheckpointImage
@@ -114,10 +114,13 @@ class FileReassemblySink:
 
 
 class MemoryReassemblySink:
-    """Chunks stay resident; ``finish`` stitches them into a payload-
-    bearing :class:`CheckpointImage` (or just validates byte counts in
-    sized-only mode).  No file ever exists, so the restart stage pays
-    memcpy bandwidth instead of a cold disk read."""
+    """Chunks stay resident; ``finish`` seals them into a payload-bearing
+    :class:`CheckpointImage` (or just validates byte counts in sized-only
+    mode).  No file ever exists, so the restart stage pays memcpy
+    bandwidth instead of a cold disk read.
+
+    Each chunk is copied once, at its stream offset, into one per-process
+    buffer, which becomes the image's payload as is."""
 
     kind = "memory"
 
@@ -126,30 +129,30 @@ class MemoryReassemblySink:
         self.images: Dict[str, Optional[CheckpointImage]] = {}
         #: Present for interface parity; a memory sink never has paths.
         self.paths: Dict[str, str] = {}
-        self._chunks: Dict[str, List[Tuple[int, int, object]]] = {}
+        self._buffers: Dict[str, bytearray] = {}
         self._received: Dict[str, int] = {}
 
     def write(self, proc_name: str, offset: int, nbytes: int,
               data) -> Generator:
-        self._chunks.setdefault(proc_name, []).append((offset, nbytes, data))
+        if data is not None:
+            buf = self._buffers.setdefault(proc_name, bytearray())
+            if len(buf) < offset:  # out-of-order arrival: pad the gap
+                buf.extend(bytes(offset - len(buf)))
+            buf[offset:offset + nbytes] = memoryview(data)
         self._received[proc_name] = self._received.get(proc_name, 0) + nbytes
         yield self.sim.timeout(0)
 
     def finish(self, proc_name: str, meta: Optional[CheckpointImage],
                total: int) -> Generator:
         got = self._received.pop(proc_name, 0)
+        buf = self._buffers.pop(proc_name, None)
         if got != total:
             raise ReassemblyError(
                 f"memory reassembly of {proc_name!r} incomplete: received "
                 f"{got} of {total} bytes")
-        chunks = sorted(self._chunks.pop(proc_name, []), key=lambda c: c[0])
         image = meta
-        if meta is not None and chunks \
-                and all(c[2] is not None for c in chunks):
-            payload = b"".join(
-                c[2].tobytes() if hasattr(c[2], "tobytes") else bytes(c[2])
-                for c in chunks)
+        if meta is not None and buf is not None:
             image = CheckpointImage(meta.proc_name, meta.origin_node,
-                                    meta.layout, meta.app_state, payload)
+                                    meta.layout, meta.app_state, buf)
         self.images[proc_name] = image
         yield self.sim.timeout(0)

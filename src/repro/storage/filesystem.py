@@ -15,7 +15,8 @@ it off and only track sizes.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional
+import mmap
+from typing import Dict, Generator, List, Optional
 
 import numpy as np
 
@@ -35,39 +36,81 @@ class FileExists(Exception):
     """create() on a path that already exists."""
 
 
-class SimFile:
-    """Metadata (and optionally contents) of one simulated file."""
+#: Allocation unit of recorded file contents.  A file holds whole blocks,
+#: so it over-allocates by under one block, where one growing buffer
+#: over-allocates by up to an eighth of its size.  Blocks are anonymous
+#: page mappings: they never fragment the heap, and a deleted file's
+#: blocks go straight back to the OS.
+_BLOCK = 1 << 20
 
-    __slots__ = ("path", "size", "data")
+
+class SimFile:
+    """Metadata (and optionally contents) of one simulated file.
+
+    Recorded contents live in fixed-size blocks, allocated on first write
+    (a hole reads as zeros).  A write copies the caller's buffer into the
+    blocks once, and a read returns one fresh copy.
+    """
+
+    __slots__ = ("path", "size", "_blocks")
 
     def __init__(self, path: str, record_data: bool):
         self.path = path
         self.size = 0
-        self.data: Optional[bytearray] = bytearray() if record_data else None
+        self._blocks: Optional[List[Optional[mmap.mmap]]] = \
+            [] if record_data else None
 
-    def append(self, nbytes: int, payload: Optional[np.ndarray]) -> None:
-        self.size += nbytes
-        if self.data is not None:
-            if payload is not None:
-                self.data.extend(payload.tobytes())
-            else:
-                self.data.extend(b"\x00" * nbytes)
+    @property
+    def allocated(self) -> int:
+        """Bytes of storage the recorded contents hold (0 when sized-only)."""
+        if self._blocks is None:
+            return 0
+        return _BLOCK * sum(block is not None for block in self._blocks)
+
+    @property
+    def data(self) -> Optional[bytes]:
+        """A copy of the whole recorded contents (None in sized-only mode)."""
+        if self._blocks is None:
+            return None
+        return self.read_at(0, self.size).tobytes()
 
     def write_at(self, offset: int, nbytes: int,
                  payload: Optional[np.ndarray]) -> None:
         end = offset + nbytes
         self.size = max(self.size, end)
-        if self.data is not None:
-            if len(self.data) < end:
-                self.data.extend(b"\x00" * (end - len(self.data)))
-            if payload is not None:
-                self.data[offset:end] = payload.tobytes()
+        blocks = self._blocks
+        if blocks is None or payload is None:
+            return
+        src = memoryview(payload)
+        pos = offset
+        while pos < end:
+            index, at = divmod(pos, _BLOCK)
+            n = min(_BLOCK - at, end - pos)
+            if index >= len(blocks):
+                blocks.extend([None] * (index + 1 - len(blocks)))
+            block = blocks[index]
+            if block is None:
+                block = blocks[index] = mmap.mmap(-1, _BLOCK)
+            block[at:at + n] = src[pos - offset:pos - offset + n]
+            pos += n
 
     def read_at(self, offset: int, nbytes: int) -> Optional[np.ndarray]:
-        if self.data is None:
+        blocks = self._blocks
+        if blocks is None:
             return None
-        return np.frombuffer(bytes(self.data[offset:offset + nbytes]),
-                             dtype=np.uint8).copy()
+        out = np.zeros(nbytes, dtype=np.uint8)
+        dst = memoryview(out)
+        pos = offset
+        end = offset + nbytes
+        while pos < end:
+            index, at = divmod(pos, _BLOCK)
+            n = min(_BLOCK - at, end - pos)
+            block = blocks[index] if index < len(blocks) else None
+            if block is not None:
+                dst[pos - offset:pos - offset + n] = \
+                    memoryview(block)[at:at + n]
+            pos += n
+        return out
 
 
 class FileHandle:

@@ -65,6 +65,16 @@ def test_osprocess_segments_and_image_size():
     assert not proc.alive
 
 
+def test_killed_process_holds_no_segment_bytes():
+    proc = OSProcess.synthetic("rank0", "node0", image_bytes=100_000,
+                               record_data=True)
+    assert all(seg.data is not None for seg in proc.segments)
+    proc.kill()
+    assert all(seg.data is None for seg in proc.segments)
+    # The layout survives for accounting.
+    assert proc.image_bytes == 100_000
+
+
 def test_osprocess_synthetic_layout():
     proc = OSProcess.synthetic("rank0", "node0", image_bytes=21_300_000)
     assert proc.image_bytes == 21_300_000

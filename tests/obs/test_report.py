@@ -1,6 +1,7 @@
 """Run reports: sparklines, section assembly, HTML wrapping."""
 
 import io
+import time
 
 from repro.obs import (
     ProgressReporter,
@@ -82,7 +83,6 @@ def test_html_wrapper_is_self_contained_and_escaped():
 def test_progress_reporter_rate_limits_and_done_always_writes():
     buf = io.StringIO()
     rep = ProgressReporter(interval=1000.0, label="test", stream=buf)
-    rep._last = 0.0  # allow the first tick through
     assert rep.tick(sim_time=1.0, detail="warm")
     # Immediately after, the wall-clock gate drops further ticks.
     assert not rep.tick(sim_time=2.0)
@@ -92,6 +92,19 @@ def test_progress_reporter_rate_limits_and_done_always_writes():
     assert rep.lines_written == 2
     assert "[test" in out and "sim=1.00s" in out and "warm" in out
     assert "done in" in out and "finished" in out
+
+
+def test_progress_reporter_first_tick_emits_on_freshly_booted_host(
+        monkeypatch):
+    """The monotonic clock counts from boot: a host up for less than
+    ``interval`` seconds must still get its first heartbeat."""
+    monkeypatch.setattr(time, "monotonic", lambda: 0.5)
+    buf = io.StringIO()
+    rep = ProgressReporter(interval=1.0, label="boot", stream=buf)
+    assert rep.tick(sim_time=0.0)
+    assert not rep.tick(sim_time=1.0)
+    assert rep.lines_written == 1
+    assert "[boot" in buf.getvalue()
 
 
 def test_progress_reporter_hooks_probe_samples():
