@@ -21,6 +21,8 @@ exists to absorb float-accumulation drift across platforms, not noise.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import os
 import time
@@ -71,6 +73,47 @@ def default_baselines_path() -> str:
 
 # -- building blocks ---------------------------------------------------------
 
+#: Results of the scenarios simulated so far in one :func:`run_benches` call,
+#: keyed by function name and bound arguments; ``None`` outside a call.
+#: The benches share scenarios (LU.C.64 file mode alone feeds fig4, fig6
+#: ppn8, fig7, table1 and pipeline) and a seeded run is deterministic, so
+#: each distinct scenario is simulated once per call.
+_memo: Optional[Dict[tuple, Any]] = None
+
+
+def _memoizing(fn: Callable) -> Callable:
+    """Cache :func:`_memoized` scenarios while ``fn`` runs; drop them after."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        global _memo
+        _memo = {}
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _memo = None
+
+    return wrapper
+
+
+def _memoized(fn: Callable) -> Callable:
+    signature = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        if _memo is None:
+            return fn(*args, **kwargs)
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        key = (fn.__name__,) + tuple(bound.arguments.values())
+        if key not in _memo:
+            _memo[key] = fn(*args, **kwargs)
+        return _memo[key]
+
+    return wrapper
+
+
+@_memoized
 def _traced_migration(app: str, nprocs: int = 64, n_compute: int = 8,
                       seed: int = 0,
                       restart_mode: str = "file") -> Tuple[Any, Tracer]:
@@ -82,6 +125,7 @@ def _traced_migration(app: str, nprocs: int = 64, n_compute: int = 8,
     return report, tracer
 
 
+@_memoized
 def _cr_cycle(app: str, dest: str, seed: int = 0):
     sc = Scenario.build(app=app, nprocs=64, n_compute=8, n_spare=1,
                         iterations=40, seed=seed, with_pvfs=True)
@@ -248,8 +292,8 @@ def bench_pipeline(restart_mode: str = "file") -> Dict[str, Any]:
             "dominant": dominants}
 
 
-def _kernel_sweep(scheduler: str) -> Tuple[Dict[str, float], float]:
-    """Untraced Fig. 6 ranks/node sweep under one scheduler.
+def _kernel_sweep() -> Tuple[Dict[str, float], float]:
+    """Untraced Fig. 6 ranks/node sweep.
 
     Returns deterministic kernel counters (pinnable) and the wall time of
     the simulation runs alone (build excluded — scenario assembly is not
@@ -260,8 +304,7 @@ def _kernel_sweep(scheduler: str) -> Tuple[Dict[str, float], float]:
     wall = 0.0
     for ppn in (1, 2, 4, 8):
         sc = Scenario.build(app="LU.C", nprocs=8 * ppn, n_compute=8,
-                            n_spare=1, iterations=40, seed=0,
-                            scheduler=scheduler)
+                            n_spare=1, iterations=40, seed=0)
         t0 = time.perf_counter()
         sc.run_migration("node3", at=5.0)
         wall += time.perf_counter() - t0
@@ -273,8 +316,8 @@ def _kernel_sweep(scheduler: str) -> Tuple[Dict[str, float], float]:
              "final_time": round(final_time, 6)}, wall)
 
 
-def _kernel_churn(scheduler: str) -> Tuple[Dict[str, float], float]:
-    """Synthetic scheduler-churn workload: timer races + store ping-pong.
+def _kernel_churn() -> Tuple[Dict[str, float], float]:
+    """Synthetic kernel-churn workload: timer races + store ping-pong.
 
     Every ``fast | slow`` race leaves a losing timeout that the kernel
     must drop as a cancelled straggler, so this workload pins the lazy
@@ -284,7 +327,7 @@ def _kernel_churn(scheduler: str) -> Tuple[Dict[str, float], float]:
     from repro.simulate.core import Simulator
     from repro.simulate.resources import Store
 
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     n_workers, n_rounds = 64, 40
 
     def racer(i: int):
@@ -321,30 +364,26 @@ def _kernel_churn(scheduler: str) -> Tuple[Dict[str, float], float]:
 
 
 def bench_events_per_sec(restart_mode: str = "file") -> Dict[str, Any]:
-    """Kernel throughput family: Fig. 6 sweep + synthetic churn, per scheduler.
+    """Kernel throughput family: Fig. 6 sweep + synthetic churn.
 
     The deterministic counters (events processed / cancelled, final sim
-    time) go under ``results`` and are pinned in the baselines — for both
-    schedulers, so the baseline diff doubles as a cross-scheduler identity
-    gate.  Wall-clock throughput goes under ``throughput`` (outside the
-    diffed section: wall time is hardware-dependent, not a regression).
+    time) go under ``results`` and are pinned in the baselines.
+    Wall-clock throughput goes under ``throughput`` (outside the diffed
+    section: wall time is hardware-dependent, not a regression).
     """
     del restart_mode
     results: Dict[str, Any] = {}
     throughput: Dict[str, Any] = {}
     for workload, runner in (("fig6_sweep", _kernel_sweep),
                              ("churn", _kernel_churn)):
-        results[workload] = {}
-        throughput[workload] = {}
-        for scheduler in ("heap", "calendar"):
-            counts, wall = runner(scheduler)
-            results[workload][scheduler] = counts
-            throughput[workload][scheduler] = {
-                "wall_seconds": round(wall, 4),
-                "events_per_sec": round(counts["events_processed"]
-                                        / max(wall, 1e-9)),
-            }
-    return {"title": "Kernel throughput — events/sec by scheduler",
+        counts, wall = runner()
+        results[workload] = counts
+        throughput[workload] = {
+            "wall_seconds": round(wall, 4),
+            "events_per_sec": round(counts["events_processed"]
+                                    / max(wall, 1e-9)),
+        }
+    return {"title": "Kernel throughput — events/sec",
             "results": results, "throughput": throughput}
 
 
@@ -570,6 +609,7 @@ def compare_to_baselines(measured: Dict[str, Dict[str, float]],
     return problems
 
 
+@_memoizing
 def run_benches(names: Optional[List[str]] = None, out_dir: str = ".",
                 baselines_path: Optional[str] = None,
                 update_baselines: bool = False,

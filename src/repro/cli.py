@@ -76,10 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def kernel_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--scheduler", default=None,
-                       choices=["heap", "calendar"],
-                       help="kernel event-queue implementation "
-                            "(default: heap; results are identical)")
         p.add_argument("--shards", type=int, default=1,
                        help="kernel partitions (default 1; the paper "
                             "testbed is one tightly coupled partition — "
@@ -383,12 +379,11 @@ def _build_scenario(args, **kwargs):
     Returns ``(scenario, error)``; ``--shards`` other than 1 (or any
     other rejected combination) surfaces as the error string instead of
     a traceback.  The flags ride into the run manifest through
-    :func:`_run_config`, so a recorded run states which scheduler and
-    shard count produced it.
+    :func:`_run_config`, so a recorded run states which shard count
+    produced it.
     """
     try:
-        return Scenario.build(scheduler=getattr(args, "scheduler", None),
-                              shards=getattr(args, "shards", 1),
+        return Scenario.build(shards=getattr(args, "shards", 1),
                               **kwargs), None
     except ValueError as exc:
         return None, f"error: {exc}"

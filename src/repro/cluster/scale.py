@@ -40,7 +40,7 @@ Model summary
 
 Everything is deterministic: named RNG streams per job, static
 placement, and the conservative window loop make ``results()``
-byte-stable run to run — the shards=4 determinism matrix and the
+byte-stable run to run — the shards=4 determinism suite and the
 ``cluster_scale`` bench family both pin it.
 """
 
@@ -191,7 +191,7 @@ class ClusterScale:
     shards:
         Kernel partitions.  Racks map to shards round-robin; ``shards``
         must not exceed the rack count.  ``shards=1`` runs the identical
-        model on one loop (the determinism matrix compares both).
+        model on one loop (the determinism suite compares both).
     node_mtbf:
         Per-node MTBF in seconds.  The default (2 h) is deliberately
         compressed relative to production hardware so a sub-hour run
@@ -214,8 +214,7 @@ class ClusterScale:
                  uplink_bw: float = 1e9, store_bw: float = 2e9,
                  remote_migration_penalty: float = 4.0,
                  job_specs: Optional[List[BatchJobSpec]] = None,
-                 trace: Any = None, metrics: Any = None,
-                 scheduler: Optional[str] = None):
+                 trace: Any = None, metrics: Any = None):
         if n_nodes < nodes_per_rack:
             raise ValueError("need at least one full rack of nodes")
         n_racks = n_nodes // nodes_per_rack
@@ -244,8 +243,7 @@ class ClusterScale:
         else:
             lookahead = None
         self.kernel = ShardedSimulator(shards=shards, lookahead=lookahead,
-                                       trace=trace, metrics=metrics,
-                                       scheduler=scheduler)
+                                       trace=trace, metrics=metrics)
 
         # -- per-shard substrate: fluid net, eth fabric, racks, FTB tree --
         self.nets: List[FluidNetwork] = [

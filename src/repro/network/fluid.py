@@ -44,38 +44,15 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
-import numpy as np
-
 from ..simulate.core import Event, Simulator
 
 __all__ = ["Link", "Flow", "FluidNetwork", "FluidEngineStats",
-           "stream_efficiency", "DEFAULT_SOLVER", "SOLVERS"]
+           "stream_efficiency"]
 
 #: Residual bytes below which a flow counts as finished (absorbs FP error).
 _EPS_BYTES = 1e-3
 #: Residual capacity below which a link counts as saturated.
 _EPS_RATE = 1e-9
-
-#: Solver used when ``FluidNetwork(solver=None)``.  ``"scalar"`` is the
-#: original per-link dict loop, ``"vector"`` the numpy matrix pass, and
-#: ``"auto"`` picks per component: numpy's fixed call overhead beats the
-#: dict loop only once a component is big enough.  All three produce
-#: byte-identical rates (the parity suite asserts it): the vector pass
-#: performs the same IEEE additions/divisions in the same per-flow order.
-DEFAULT_SOLVER = "auto"
-
-SOLVERS = ("auto", "scalar", "vector")
-
-#: ``"auto"`` switches to the vectorized fill at this component size.
-#: Measured crossover (see docs/performance.md): because every transfer
-#: start/completion perturbs component membership, the incidence matrix is
-#: rebuilt per recompute, and numpy's per-call overhead keeps the matrix
-#: pass *slower* than the dict loop on every tested shape up to 512 flows
-#: (0.4-0.9x).  The threshold is therefore set beyond any component the
-#: migration scenarios produce; ``solver="vector"`` remains available as
-#: the parity-checked opt-in for genuinely huge components.
-_VECTOR_MIN_FLOWS = 4096
-
 
 def stream_efficiency(per_stream: float, floor: float) -> Callable[[int], float]:
     """Linear-decay efficiency curve: ``max(floor, 1 - per_stream*(n-1))``.
@@ -269,12 +246,8 @@ class FluidNetwork:
     total number of active flows.
     """
 
-    def __init__(self, sim: Simulator, solver: Optional[str] = None):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.solver = solver if solver is not None else DEFAULT_SOLVER
-        if self.solver not in SOLVERS:
-            raise ValueError(
-                f"unknown solver {self.solver!r}; expected one of {SOLVERS}")
         self._flows: Set[Flow] = set()
         self._components: Set[_Component] = set()
         self._flow_seq = count()
@@ -391,17 +364,15 @@ class FluidNetwork:
             flow.rate = 0.0
         if not comp.flows:
             return
-        if self.solver == "vector" or (self.solver == "auto"
-                                       and len(comp.flows) >= _VECTOR_MIN_FLOWS):
-            self._fill_vector(comp)
-        else:
-            self._fill_scalar(comp)
+        self._fill(comp)
         if self._metrics_on:
             self._m_util.set(max((link.utilization for link in comp.links),
                                  default=0.0))
 
-    def _fill_scalar(self, comp: _Component) -> None:
-        """The original per-link dict loop of the progressive fill."""
+    def _fill(self, comp: _Component) -> None:
+        """Progressive fill: raise every unfrozen flow's rate by the
+        smallest increment that saturates a link, freeze the flows on the
+        saturated links, repeat."""
         links: Dict[Link, float] = {}
         unfrozen_on: Dict[Link, int] = {}
         for flow in comp.flows:
@@ -436,63 +407,6 @@ class FluidNetwork:
             for flow in frozen_now:
                 for link in flow.path:
                     unfrozen_on[link] -= 1
-
-    def _fill_vector(self, comp: _Component) -> None:
-        """Progressive fill as numpy matrix passes over the whole component.
-
-        Bit-for-bit equivalent to :meth:`_fill_scalar`: the same IEEE
-        double additions, subtractions and divisions happen with the same
-        operands in the same per-element order — only the Python-level
-        iteration is replaced by array ops.  Path *occurrences* (a path
-        crossing a link twice) are counted, matching the scalar loop.
-        """
-        flow_list = list(comp.flows)
-        nflows = len(flow_list)
-        link_index: Dict[Link, int] = {}
-        link_list: List[Link] = []
-        rows: List[int] = []
-        cols: List[int] = []
-        for fi, flow in enumerate(flow_list):
-            for link in flow.path:
-                li = link_index.get(link)
-                if li is None:
-                    li = link_index[link] = len(link_list)
-                    link_list.append(link)
-                rows.append(fi)
-                cols.append(li)
-        nlinks = len(link_list)
-        # usage[f, l]: how many times flow f's path crosses link l.
-        flat = np.asarray(rows, dtype=np.intp) * nlinks \
-            + np.asarray(cols, dtype=np.intp)
-        usage = np.bincount(flat, minlength=nflows * nlinks) \
-            .astype(np.float64).reshape(nflows, nlinks)
-        residual = np.array([link.effective_capacity() for link in link_list])
-        thresh = np.array([_EPS_RATE * link.capacity + _EPS_RATE
-                           for link in link_list])
-        counts = usage.sum(axis=0)  # unfrozen path-occurrences per link
-        rates = np.zeros(nflows)
-        # Masks are kept as 0.0/1.0 floats so the per-round updates are
-        # mask-multiplies and BLAS matvecs instead of fancy indexing.
-        # Adding ``inc * 0.0`` to a frozen rate and subtracting ``inc *
-        # 0.0`` from an idle link's residual are IEEE no-ops, so this
-        # stays bit-identical to the masked scalar updates.
-        unfrozen = np.ones(nflows)
-        while unfrozen.any():
-            active = counts > 0.0
-            if not active.any():
-                break
-            inc = (residual[active] / counts[active]).min()
-            rates += inc * unfrozen
-            residual -= inc * counts
-            saturated = active & (residual <= thresh)
-            if not saturated.any():
-                break  # mirrors the scalar loop's impossible-headroom guard
-            crossing = usage @ saturated.astype(np.float64)
-            frozen_now = unfrozen * (crossing > 0.0)
-            unfrozen -= frozen_now
-            counts -= frozen_now @ usage
-        for fi, flow in enumerate(flow_list):
-            flow.rate = float(rates[fi])
 
     def _reschedule(self, comp: _Component) -> None:
         """Recompute the component's rates and arm its completion guard."""

@@ -42,7 +42,7 @@ __all__ = ["check_shards"]
 
 #: Calls that schedule events or mutate kernel state on the receiver.
 _MUTATORS = frozenset({
-    "spawn", "timeout", "event", "step", "run", "schedule", "_schedule",
+    "spawn", "timeout", "event", "run", "schedule", "_schedule",
     "succeed", "fail", "interrupt", "attach_probe",
 })
 

@@ -54,17 +54,13 @@ class Scenario:
               iterations: Optional[int] = None,
               testbed: Testbed = DEFAULT_TESTBED,
               start_app: bool = True, trace=None,
-              metrics=None, scheduler: Optional[str] = None,
-              shards: int = 1) -> "Scenario":
+              metrics=None, shards: int = 1) -> "Scenario":
         """Assemble the paper's testbed (8 compute + 1 spare by default).
 
         Pass a :class:`repro.simulate.Tracer` as ``trace`` to record phase
         boundaries and protocol events for timeline analysis, and a
         :class:`repro.simulate.MetricsRegistry` as ``metrics`` to collect
         counters/gauges/histograms from every instrumented layer.
-        ``scheduler`` selects the kernel's event queue (``"heap"`` or
-        ``"calendar"``); results are identical either way — the
-        determinism suite and the events_per_sec bench both assert it.
 
         ``shards`` must be 1 here: the paper testbed is one tightly
         coupled partition (every rank shares the fluid fabric, the FTB
@@ -82,8 +78,7 @@ class Scenario:
                 f"coupled partition and cannot be sharded — use "
                 f"repro.cluster.scale.ClusterScale (the cluster_scale "
                 f"bench family) for multi-shard runs")
-        kernel = ShardedSimulator(shards=1, metrics=metrics,
-                                  scheduler=scheduler)
+        kernel = ShardedSimulator(shards=1, metrics=metrics)
         sim = kernel.shard(0)
         cluster = Cluster(sim, n_compute=n_compute, n_spare=n_spare,
                           testbed=testbed, with_pvfs=with_pvfs,

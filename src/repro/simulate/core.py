@@ -43,20 +43,7 @@ __all__ = [
     "PENDING",
     "URGENT",
     "NORMAL",
-    "DEFAULT_SCHEDULER",
-    "SCHEDULERS",
 ]
-
-#: Scheduler used when ``Simulator(scheduler=None)``.  ``"heap"`` is the
-#: classic binary-heap calendar; ``"calendar"`` is the bucketed calendar
-#: queue from :mod:`repro.simulate.calendar`.  Both produce identical event
-#: order (the determinism suite asserts byte-identical traces); the heap is
-#: the default because CPython's C-implemented ``heapq`` wins at the queue
-#: sizes our scenarios reach — see docs/performance.md for measurements and
-#: when the calendar queue pays off.
-DEFAULT_SCHEDULER = "heap"
-
-SCHEDULERS = ("heap", "calendar")
 
 # Event priorities: URGENT events at the same timestamp fire before NORMAL
 # ones.  Interrupts are URGENT so that an interrupted process observes the
@@ -171,7 +158,7 @@ class Event:
         self._ok = True
         self._value = value
         sim = self.sim
-        sim._queue.push((sim._now, NORMAL, next(sim._seq), self))
+        heapq.heappush(sim._queue, (sim._now, NORMAL, next(sim._seq), self))
         return self
 
     def succeed_later(self, value: Any = None, delay: float = 0.0) -> "Event":
@@ -402,33 +389,6 @@ class Process(Event):
             self._wait_attached = (result, cb)
 
 
-class _HeapQueue:
-    """The classic binary-heap calendar behind the pluggable queue surface.
-
-    Thin adapter over :mod:`heapq`; entries are ``(time, priority, seq,
-    event)`` tuples, identical to :class:`repro.simulate.calendar.
-    CalendarQueue` so the two are drop-in interchangeable.
-    """
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: list = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, entry: tuple) -> None:
-        heapq.heappush(self._heap, entry)
-
-    def peek_entry(self) -> Optional[tuple]:
-        heap = self._heap
-        return heap[0] if heap else None
-
-    def pop(self) -> Optional[tuple]:
-        return heapq.heappop(self._heap) if self._heap else None
-
-
 class Simulator:
     """The event loop: a calendar of triggered events and the clock.
 
@@ -446,10 +406,6 @@ class Simulator:
         components create instruments through ``sim.metrics``.  When
         omitted, the shared inert registry keeps instrumented hot paths
         at no-op cost.
-    scheduler:
-        ``"heap"`` (binary heap) or ``"calendar"`` (bucketed calendar
-        queue); ``None`` uses :data:`DEFAULT_SCHEDULER`.  Event order is
-        identical either way.
     """
 
     #: Which partition-local event loop this simulator is.  A plain
@@ -460,19 +416,11 @@ class Simulator:
     shard_id: int = 0
 
     def __init__(self, start: float = 0.0, trace: Any = None,
-                 metrics: Any = None, scheduler: Optional[str] = None):
+                 metrics: Any = None):
         self._now = float(start)
-        name = scheduler if scheduler is not None else DEFAULT_SCHEDULER
-        if name == "heap":
-            self._queue: Any = _HeapQueue()
-        elif name == "calendar":
-            from .calendar import CalendarQueue
-
-            self._queue = CalendarQueue(start=self._now)
-        else:
-            raise ValueError(
-                f"unknown scheduler {name!r}; expected one of {SCHEDULERS}")
-        self.scheduler = name
+        #: The calendar: a :mod:`heapq` list of ``(time, priority, seq,
+        #: event)`` entries.
+        self._queue: list = []
         #: Events whose callbacks ran / cancelled entries dropped unpopped.
         #: Plain counters, cheap enough to keep on the hot path; the
         #: events_per_sec bench family pins them as deterministic results.
@@ -606,32 +554,25 @@ class Simulator:
 
     # -- scheduling -------------------------------------------------------------
     def _schedule(self, event: Event, priority: int, delay: float) -> None:
-        self._queue.push((self._now + delay, priority, next(self._seq), event))
+        heapq.heappush(self._queue,
+                       (self._now + delay, priority, next(self._seq), event))
 
-    def _peek_live(self) -> Optional[tuple]:
-        """Head entry of the calendar, dropping cancelled stragglers.
+    def peek(self) -> float:
+        """Time of the next scheduled event, or ``inf`` if the calendar is empty.
 
-        A cancelled entry with no callbacks is removed without running
-        anything; it is marked processed so a late waiter that ``yield``\\ s
-        it afterwards still resumes through the already-processed bridge.
+        Cancelled stragglers at the head are dropped on the way, exactly as
+        :meth:`run` drops them.
         """
         queue = self._queue
-        while True:
-            entry = queue.peek_entry()
-            if entry is None:
-                return None
-            event = entry[3]
+        while queue:
+            event = queue[0][3]
             if event._cancelled and not event.callbacks:
-                queue.pop()
+                heapq.heappop(queue)
                 event.callbacks = None
                 self.events_cancelled += 1
                 continue
-            return entry
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if the calendar is empty."""
-        entry = self._peek_live()
-        return entry[0] if entry is not None else float("inf")
+            return queue[0][0]
+        return float("inf")
 
     def queue_depth(self) -> int:
         """Entries currently in the calendar (cancelled stragglers included).
@@ -642,32 +583,6 @@ class Simulator:
         behind the same surface.
         """
         return len(self._queue)
-
-    def step(self) -> None:
-        """Process exactly one event."""
-        entry = self._peek_live()
-        if entry is None:
-            raise SimulationError("step() on an empty calendar")
-        self._queue.pop()
-        when, _prio, _seq, event = entry
-        if when < self._now:
-            raise SimulationError(f"time went backwards: {when} < {self._now}")
-        self._now = when
-        probe = self._probe
-        if probe is not None and when >= probe.next_time:
-            probe.on_advance(when)
-        callbacks = event.callbacks
-        if callbacks is None:
-            raise SimulationError(
-                f"{event!r} popped with callbacks already consumed — the "
-                "event was processed once and re-scheduled; an event may "
-                "only be scheduled once")
-        event.callbacks = None
-        self.events_processed += 1
-        for cb in callbacks:
-            cb(event)
-        if not event._ok and not event._defused:
-            self._unhandled.append(event)
 
     def run(self, until: Any = None) -> Any:
         """Run until the calendar drains, ``until`` (a time or an Event) is
@@ -692,34 +607,31 @@ class Simulator:
             if stop_at < self._now:
                 raise ValueError(f"until={stop_at} is in the past (now={self._now})")
 
-        # The loop below is step() open-coded with the queue methods bound
-        # to locals: one dispatch per event instead of three nested calls
-        # (peek, step, peek again).  Any semantic change here must be
-        # mirrored in step() — the kernel contract tests run both paths.
         queue = self._queue
-        peek_entry = queue.peek_entry
-        queue_pop = queue.pop
+        heappop = heapq.heappop
         unhandled = self._unhandled
         # Telemetry: one float compare per event when no probe is attached
         # (probe_next stays +inf).  Sampling happens after the clock
-        # advance and before the event's callbacks, same as step().
+        # advance and before the event's callbacks.
         probe = self._probe
         probe_next = probe.next_time if probe is not None else float("inf")
         try:
-            while True:
-                entry = peek_entry()
-                if entry is None:
-                    break
+            while queue:
+                entry = queue[0]
                 event = entry[3]
+                # A cancelled entry with no callbacks is dropped without
+                # running anything; it is marked processed so a late waiter
+                # that yields it afterwards still resumes through the
+                # already-processed bridge.
                 if event._cancelled and not event.callbacks:
-                    queue_pop()
+                    heappop(queue)
                     event.callbacks = None
                     self.events_cancelled += 1
                     continue
                 when = entry[0]
                 if when > stop_at:
                     break
-                queue_pop()
+                heappop(queue)
                 if when < self._now:
                     raise SimulationError(
                         f"time went backwards: {when} < {self._now}")

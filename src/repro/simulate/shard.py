@@ -9,9 +9,9 @@ checkpoint traffic never shares a link with another rack's — so this
 module lifts the fluid engine's connected-component idea (PR 1) into the
 kernel itself:
 
-* an :class:`EventShard` is a full ``Simulator`` (same heap/calendar
-  scheduler surface, same spawn/schedule/run/step semantics) owning one
-  *partition* of the topology;
+* an :class:`EventShard` is a full ``Simulator`` (same event queue,
+  same spawn/schedule/run semantics) owning one *partition* of the
+  topology;
 * a :class:`ShardedSimulator` owns N shards and coordinates them with the
   classic conservative (Chandy–Misra–Bryant-style) window: the next
   window covers ``[t, t + lookahead)`` where ``t`` is the earliest
@@ -222,7 +222,7 @@ class ShardedSimulator:
         Synchronization window width — the minimum cross-partition link
         latency, usually from :func:`derive_lookahead`.  Required (and
         must be positive) when ``shards > 1``.
-    start, scheduler:
+    start:
         Forwarded to every shard's :class:`Simulator`.
     trace:
         Shared tracer.  All shards record into it; within a window the
@@ -235,8 +235,7 @@ class ShardedSimulator:
     """
 
     def __init__(self, shards: int = 1, lookahead: Optional[float] = None,
-                 start: float = 0.0, trace: Any = None, metrics: Any = None,
-                 scheduler: Optional[str] = None):
+                 start: float = 0.0, trace: Any = None, metrics: Any = None):
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         if shards > 1:
@@ -249,8 +248,8 @@ class ShardedSimulator:
                     f"lookahead must be > 0, got {lookahead}")
         self.lookahead = float(lookahead) if lookahead is not None else 0.0
         self.shards: List[EventShard] = [
-            EventShard(self, i, start=start, scheduler=scheduler,
-                       trace=trace, metrics=metrics if i == 0 else None)
+            EventShard(self, i, start=start, trace=trace,
+                       metrics=metrics if i == 0 else None)
             for i in range(shards)
         ]
         self._trace = trace
@@ -259,7 +258,6 @@ class ShardedSimulator:
             # settle it on shard 0.  Sharded scenarios should emit point
             # records (explicit times), not spans.
             trace.bind(self.shards[0])
-        self.scheduler = self.shards[0].scheduler
         self._mail: List[ShardMessage] = []
         self._mail_seq = count()
         self.mail_delivered = 0
@@ -348,15 +346,6 @@ class ShardedSimulator:
             if msg.deliver_time < t:
                 t = msg.deliver_time
         return t
-
-    def step(self) -> None:
-        """Process one event (single shard only — a windowed kernel has no
-        meaningful single-event step across partitions)."""
-        if len(self.shards) != 1:
-            raise SimulationError(
-                "step() requires shards=1; a sharded kernel advances one "
-                "synchronization window at a time via run()")
-        self.shards[0].step()
 
     # -- mailbox ------------------------------------------------------------
     def _post(self, src: EventShard, dst: int, topic: str, data: Any,

@@ -26,8 +26,8 @@ The probe must not perturb the schedule.  It therefore schedules
 *nothing*: the kernel's run loop checks ``now >= probe.next_time`` after
 each clock advance and calls :meth:`TelemetryProbe.on_advance` — a pure
 observation, no events pushed, no callbacks attached, no sequence
-numbers consumed.  The determinism matrix runs byte-identical with the
-probe on, and with no probe attached the run loop pays one float
+numbers consumed.  The determinism suite pins the trace byte-identical with
+the probe on, and with no probe attached the run loop pays one float
 comparison per event.
 
 :data:`NULL_PROBE` is the inert counterpart for code written against the

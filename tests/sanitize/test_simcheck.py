@@ -23,11 +23,11 @@ DRIVER_SRC = '''
 from repro.simulate.core import Simulator
 
 class Worker:
-    def step(self, sim):
+    def tick(self, sim):
         yield sim.timeout(1.0)
 
     def run(self, sim):
-        yield from self.step(sim)
+        yield from self.tick(sim)
 
 def main():
     sim = Simulator()
@@ -50,7 +50,7 @@ def graph_of(source, path="fixture.py"):
 def test_callgraph_finds_generators_and_spawn_sites():
     graph = graph_of(DRIVER_SRC)
     gens = {fn.name for fn in graph.generators()}
-    assert gens == {"step", "run"}
+    assert gens == {"tick", "run"}
     spawned = {q for q, fn in graph.functions.items() if fn.spawned}
     assert any(q.endswith("Worker.run") for q in spawned)
 
@@ -58,9 +58,9 @@ def test_callgraph_finds_generators_and_spawn_sites():
 def test_process_functions_follow_yield_from_chains():
     graph = graph_of(DRIVER_SRC)
     procs = graph.process_functions()
-    # ``run`` is spawned; ``step`` is reached through ``yield from``.
+    # ``run`` is spawned; ``tick`` is reached through ``yield from``.
     assert any(q.endswith("Worker.run") for q in procs)
-    assert any(q.endswith("Worker.step") for q in procs)
+    assert any(q.endswith("Worker.tick") for q in procs)
 
 
 def test_production_tree_identifies_sim_processes():

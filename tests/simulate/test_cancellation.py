@@ -10,7 +10,7 @@ already-processed event must raise a *typed* kernel error.
 
 import pytest
 
-from repro.simulate.core import NORMAL, Event, SimulationError, Simulator
+from repro.simulate.core import NORMAL, SimulationError, Simulator
 
 
 def test_cancelled_event_is_dropped_not_processed():
@@ -108,16 +108,6 @@ def test_rescheduling_a_processed_event_raises_typed_error():
     sim._schedule(ev, NORMAL, 0.0)     # corrupt: second calendar entry
     with pytest.raises(SimulationError, match="callbacks already consumed"):
         sim.run()
-
-
-def test_step_on_rescheduled_event_raises_typed_error():
-    sim = Simulator()
-    ev = Event(sim, name="twice")
-    ev.succeed()
-    sim.step()
-    sim._schedule(ev, NORMAL, 0.0)
-    with pytest.raises(SimulationError, match="only be scheduled once"):
-        sim.step()
 
 
 def test_counters_exposed_and_consistent():

@@ -393,12 +393,6 @@ def test_peek_next_event_time():
     assert sim.peek() == 7
 
 
-def test_step_on_empty_calendar_raises():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.step()
-
-
 def test_is_alive_transitions():
     sim = Simulator()
 

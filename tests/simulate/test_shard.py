@@ -4,7 +4,7 @@ The conservative-sync invariants each get a direct check here: the
 lookahead bounds (derive + post-time enforcement), the fixed
 (deliver_time, dst, seq) drain order, same-shard mail staying in-band,
 and the window loop committing time monotonically.  The determinism
-matrix in ``tests/test_determinism.py`` covers the byte-level claims;
+suite in ``tests/test_determinism.py`` covers the byte-level claims;
 this file covers the mechanism.
 """
 
@@ -66,7 +66,7 @@ def test_sharded_requires_lookahead():
 
 # -- shards=1: the compatibility path -----------------------------------------
 
-def test_single_shard_delegates_run_and_step():
+def test_single_shard_delegates_run():
     sim = ShardedSimulator()
     done = []
 
@@ -75,7 +75,6 @@ def test_single_shard_delegates_run_and_step():
         done.append(sim.now)
 
     sim.spawn(body())
-    sim.step()  # legal with one shard
     sim.run()
     assert done == [2.0]
     assert sim.now == 2.0
@@ -102,10 +101,8 @@ def _two_shards(lookahead=0.5, trace=None):
     return ShardedSimulator(shards=2, lookahead=lookahead, trace=trace)
 
 
-def test_step_and_until_event_require_single_shard():
+def test_until_event_requires_single_shard():
     sim = _two_shards()
-    with pytest.raises(SimulationError, match="requires shards=1"):
-        sim.step()
     ev = sim.event(shard=0)
     with pytest.raises(SimulationError, match="requires shards=1"):
         sim.run(until=ev)

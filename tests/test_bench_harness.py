@@ -186,6 +186,28 @@ def test_regression_without_pinned_trace_notes_gap(tmp_path):
     assert not [p for p in paths if "EXPLAIN" in p]
 
 
+def test_run_benches_simulates_each_scenario_once(tmp_path, monkeypatch):
+    """fig4 and pipeline both read the LU.C.64 file-mode migration: one
+    ``run_benches`` call simulates it once and drops it on return."""
+    import benchmarks.harness as harness
+    from repro.scenario import Scenario
+
+    builds = []
+    real_build = Scenario.build.__func__
+
+    def counting_build(cls, **kwargs):
+        builds.append((kwargs["app"], kwargs["nprocs"],
+                       kwargs.get("restart_mode")))
+        return real_build(cls, **kwargs)
+
+    monkeypatch.setattr(Scenario, "build", classmethod(counting_build))
+    _, regressions, _ = run_benches(["fig4", "pipeline"],
+                                    out_dir=str(tmp_path))
+    assert regressions == []
+    assert builds.count(("LU.C", 64, "file")) == 1
+    assert harness._memo is None
+
+
 def test_committed_baselines_cover_every_bench():
     """The committed baselines.json must have an entry per bench, so the
     CI job actually guards all four artifacts."""

@@ -1,25 +1,25 @@
-"""Cross-implementation determinism: one scenario, three kernel axes.
+"""Determinism: the simulated outcome is a function of the seed alone.
 
-The heap and calendar schedulers must produce *byte-identical* traces, and
-so must the scalar and vectorized fluid solvers — same seed, same JSONL,
-down to the last bit of every float.  This is the contract that makes the
-alternative implementations safe to swap: any divergence, however small,
-fails here before it can silently skew a benchmark.
+The Fig. 4 LU.C migration must replay the committed baseline trace
+(``benchmarks/baseline_traces/migration_LU.C_file.jsonl.gz``) record for
+record, down to the last bit of every float — with or without a
+telemetry probe attached.  That pin catches a trace change across
+commits, not only between two runs of the same tree.
 
-The third axis is the shard count.  ``shards=1`` is the compatibility
+The second axis is the shard count.  ``shards=1`` is the compatibility
 path: ``Scenario.build`` runs the paper testbed on a single
-``EventShard`` and must replay the pre-refactor Fig. 4 trace
-byte-for-byte (the fig4 matrix below *is* that check — every run goes
-through ``ShardedSimulator(shards=1)``).  ``shards>1`` cannot promise
+``EventShard``, so the Fig. 4 pin above goes through
+``ShardedSimulator(shards=1)``.  ``shards>1`` cannot promise
 byte-equality *against* the single-shard trace (mailbox crossings pay
-the lookahead), so its contract is run-to-run stability: the same
-seed replays the same JSONL and the same counters on every run, across
-the scheduler x solver matrix, in a scenario that exercises the two
-cross-shard paths — FTB alarms bridged between backplanes and a spare
-restart landing in a different shard than the failure.
+the lookahead), so its contract is run-to-run stability: the same seed
+replays the same JSONL and the same counters on every run, in a
+scenario that exercises the two cross-shard paths — FTB alarms bridged
+between backplanes and a spare restart landing in a different shard
+than the failure.
 """
 
 import json
+import os
 from itertools import count
 
 import pytest
@@ -29,10 +29,19 @@ import repro.cluster.osproc as osproc
 import repro.core.buffer_manager as buffer_manager
 import repro.ftb.events as ftb_events
 import repro.mpi.transport as transport
-import repro.network.fluid as fluid
 import repro.network.qp as qp
+from repro.analysis import open_trace_text
 from repro.scenario import Scenario
 from repro.simulate import Tracer
+
+#: The pinned Fig. 4 trace (LU.C, 64 ranks, file restart), as written by
+#: ``repro bench --update-baselines``.
+PINNED_FIG4_TRACE = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "benchmarks", "baseline_traces", "migration_LU.C_file.jsonl.gz")
+
+#: The Fig. 4 cycle the pinned trace records.
+FIG4_TOTAL_S = 6.092014
 
 
 def _reset_global_counters(monkeypatch):
@@ -49,81 +58,71 @@ def _reset_global_counters(monkeypatch):
     monkeypatch.setattr(buffer_manager, "_chunk_seq", count())
 
 
-def _trace_jsonl(scheduler, solver, monkeypatch, telemetry=False):
+def _fig4_records(monkeypatch, telemetry=False):
+    """Run Fig. 4 LU.C file mode -> (total seconds, JSON-normalised records).
+
+    Records go through a JSON round trip (tuples become lists) so they
+    compare equal to rows read back from the pinned ``.jsonl.gz``.
+    """
     _reset_global_counters(monkeypatch)
-    monkeypatch.setattr(fluid, "DEFAULT_SOLVER", solver)
     tracer = Tracer()
     sc = Scenario.build(app="LU.C", nprocs=64, n_compute=8, n_spare=1,
-                        iterations=40, seed=0, trace=tracer,
-                        scheduler=scheduler)
+                        iterations=40, seed=0, trace=tracer)
     if telemetry:
         from repro.simulate import TelemetryProbe
         sc.sim.attach_probe(TelemetryProbe())
     report = sc.run_migration("node3", at=5.0)
-    lines = "\n".join(json.dumps(rec.as_dict(), sort_keys=True)
-                      for rec in tracer.records)
-    return report.total_seconds, lines
+    records = [json.loads(json.dumps(rec.as_dict(), default=str))
+               for rec in tracer.records]
+    return report.total_seconds, records
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-@pytest.mark.parametrize("solver", ["scalar", "vector"])
-def test_fig4_trace_is_identical_across_kernel_configs(
-        scheduler, solver, monkeypatch):
-    """Every (scheduler, solver) combination replays the Fig. 4 LU.C
-    migration to the same byte-exact trace as the reference config."""
-    ref_total, ref_lines = _trace_jsonl("heap", "scalar", monkeypatch)
-    total, lines = _trace_jsonl(scheduler, solver, monkeypatch)
-    assert total == ref_total
-    if lines != ref_lines:
-        got = lines.splitlines()
-        want = ref_lines.splitlines()
-        for i, (a, b) in enumerate(zip(got, want)):
-            assert a == b, f"trace diverges at record {i}"
-        assert len(got) == len(want)
-    assert lines == ref_lines
+def _assert_matches_pin(records):
+    with open_trace_text(PINNED_FIG4_TRACE) as fh:
+        pinned = [json.loads(line) for line in fh if line.strip()]
+    for i, (got, want) in enumerate(zip(records, pinned)):
+        assert got == want, f"trace diverges from the pin at record {i}"
+    assert len(records) == len(pinned)
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-def test_trace_is_identical_with_telemetry_enabled(scheduler, monkeypatch):
-    """The telemetry probe is pure observation: with it attached the
-    matrix still replays byte-identically, and stripping its own records
-    recovers the probe-less trace exactly."""
-    ref_total, ref_lines = _trace_jsonl("heap", "scalar", monkeypatch)
-    total, lines = _trace_jsonl(scheduler, "scalar", monkeypatch,
-                                telemetry=True)
-    assert total == ref_total
-    kept = "\n".join(line for line in lines.splitlines()
-                     if '"kind": "telemetry.sample"' not in line)
-    assert kept == ref_lines
-    assert len(kept) < len(lines), "probe must actually have sampled"
+def test_fig4_trace_matches_pinned_artifact(monkeypatch):
+    """The Fig. 4 LU.C migration replays the committed baseline trace
+    record for record."""
+    total, records = _fig4_records(monkeypatch)
+    assert round(total, 6) == FIG4_TOTAL_S
+    _assert_matches_pin(records)
 
 
-def _cluster_trace_jsonl(scheduler, solver, shards, monkeypatch):
+def test_trace_is_identical_with_telemetry_enabled(monkeypatch):
+    """The telemetry probe is pure observation: stripping its own records
+    recovers the pinned probe-less trace exactly."""
+    total, records = _fig4_records(monkeypatch, telemetry=True)
+    assert round(total, 6) == FIG4_TOTAL_S
+    kept = [rec for rec in records if rec["kind"] != "telemetry.sample"]
+    assert len(kept) < len(records), "probe must actually have sampled"
+    _assert_matches_pin(kept)
+
+
+def _cluster_trace_jsonl(shards, monkeypatch):
     """One seeded cluster-scale run -> (results dict, trace JSONL)."""
     from repro.cluster import ClusterScale
 
     _reset_global_counters(monkeypatch)
-    monkeypatch.setattr(fluid, "DEFAULT_SOLVER", solver)
     tracer = Tracer()
     cs = ClusterScale(n_nodes=256, n_jobs=16, shards=shards, seed=0,
-                      trace=tracer, scheduler=scheduler)
+                      trace=tracer)
     results = cs.run()
     lines = "\n".join(json.dumps(rec.as_dict(), sort_keys=True)
                       for rec in tracer.records)
     return results, lines
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-@pytest.mark.parametrize("solver", ["scalar", "vector"])
 @pytest.mark.parametrize("shards", [1, 4])
-def test_cluster_trace_is_stable_across_runs(scheduler, solver, shards,
-                                             monkeypatch):
+def test_cluster_trace_is_stable_across_runs(shards, monkeypatch):
     """Back-to-back sharded cluster runs replay identically: same
-    counters, same trace bytes — on every cell of the matrix."""
-    res_a, lines_a = _cluster_trace_jsonl(scheduler, solver, shards,
-                                          monkeypatch)
-    res_b, lines_b = _cluster_trace_jsonl(scheduler, solver, shards,
-                                          monkeypatch)
+    counters, same trace bytes."""
+    res_a, lines_a = _cluster_trace_jsonl(shards, monkeypatch)
+    res_b, lines_b = _cluster_trace_jsonl(shards, monkeypatch)
     assert res_a == res_b
     assert lines_a == lines_b
     assert res_a["jobs_completed"] == 16
@@ -138,14 +137,12 @@ def test_cluster_trace_is_stable_across_runs(scheduler, solver, shards,
         assert res_a["mail_delivered"] > 0
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-def test_cluster_shard_counts_agree_on_failure_schedule(scheduler,
-                                                        monkeypatch):
+def test_cluster_shard_counts_agree_on_failure_schedule(monkeypatch):
     """Sharding changes event-loop mechanics, not the modelled cluster:
     the per-job RNG streams draw identically, so 1-shard and 4-shard
     runs see the same failures and finish the same jobs."""
-    res_1, _ = _cluster_trace_jsonl(scheduler, "scalar", 1, monkeypatch)
-    res_4, _ = _cluster_trace_jsonl(scheduler, "scalar", 4, monkeypatch)
+    res_1, _ = _cluster_trace_jsonl(1, monkeypatch)
+    res_4, _ = _cluster_trace_jsonl(4, monkeypatch)
     assert res_1["failures"] == res_4["failures"]
     assert res_1["jobs_completed"] == res_4["jobs_completed"] == 16
     assert res_1["checkpoints"] == res_4["checkpoints"]
