@@ -19,7 +19,7 @@ links (two flows are connected when their paths share a link).  Each
 component carries its own sync clock, rate allocation, generation counter
 and next-completion guard event:
 
-* starting a flow syncs and merges only the components its path touches;
+* starting flows syncs and merges only the components their paths touch;
 * a completion syncs, re-partitions and re-fills only its own component;
 * all other components keep draining linearly at their unchanged rates.
 
@@ -32,6 +32,20 @@ counts the work actually done (recomputes, flows visited, peak component
 size) and what a global engine would have visited, so benchmarks and
 :func:`repro.analysis.metrics.fluid_engine_stats` can quantify the win.
 
+**Water-level fill.**  The fill walks the component's links, not every
+flow's path: a link's flow count is ``len(link.flows)``, one water level
+rises by the smallest increment that saturates a live link, and each flow
+takes the level at which its first link saturates.  Each round visits only
+links that still carry unfrozen flows.  The level is the same running sum
+of increments a per-flow ``rate += inc`` fill computes, so the rates are
+bit-identical to it.
+
+**Batched starts.**  :meth:`FluidNetwork.transfer_many` starts several
+flows at one instant with one sync, merge, refill and completion guard per
+component they touch; :meth:`FluidNetwork.transfer` is the one-spec case.
+A PVFS write or read starts its stripes this way, so its shared component
+is refilled once per call instead of once per stripe.
+
 A :class:`Link` may declare an *efficiency curve*: a multiplier on its raw
 capacity as a function of the number of flows crossing it.  Disks use this
 to model seek thrash between interleaved streams (efficiency drops toward a
@@ -42,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..simulate.core import Event, Simulator
 
@@ -273,47 +287,64 @@ class FluidNetwork:
         Returns an event that succeeds with the :class:`Flow` once the last
         byte has drained *and* ``latency`` has elapsed on top.
         """
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        if not path:
-            raise ValueError("path must contain at least one link")
-        ev = Event(self.sim, name=f"transfer({label or nbytes})")
-        if nbytes == 0:
-            ev.succeed_later(None, latency)
-            return ev
-        flow = Flow(path, nbytes, ev, latency, self.sim.now, label,
-                    seq=next(self._flow_seq))
+        return self.transfer_many([(path, nbytes, label)], latency)[0]
 
-        # Components whose rate allocation the new flow perturbs: exactly
-        # those reachable through the path's links.  Everything else keeps
-        # draining untouched.
-        touched: List[_Component] = []
-        seen: Set[int] = set()
-        for link in flow.path:
-            comp = link.component
-            if comp is not None and id(comp) not in seen:
-                seen.add(id(comp))
-                touched.append(comp)
-        for comp in touched:
-            self._sync(comp)
+    def transfer_many(self, specs: Sequence[Tuple[Sequence[Link], float, str]],
+                      latency: float = 0.0) -> List[Event]:
+        """Start one transfer per ``(path, nbytes, label)`` spec at once.
 
-        if not touched:
-            merged = _Component(self.sim.now)
-        else:
-            merged = max(touched, key=lambda c: len(c.flows))
+        Returns one :meth:`transfer` event per spec, with the same rates
+        and completion times as one :meth:`transfer` call per spec, but
+        each component the batch touches is synced, merged and refilled
+        once.  Every spec is validated before any flow starts; a path may
+        not repeat a link.
+        """
+        for path, nbytes, _label in specs:
+            if nbytes < 0:
+                raise ValueError("nbytes must be non-negative")
+            if not path or len(set(path)) != len(path):
+                raise ValueError("path must hold at least one link, each once")
+        now = self.sim.now
+        events: List[Event] = []
+        # Components to refill, ordered by the last flow joining each, so
+        # their guards are armed in the order per-spec calls would leave.
+        joined: Dict[_Component, None] = {}
+        for path, nbytes, label in specs:
+            ev = Event(self.sim, name=f"transfer({label or nbytes})")
+            events.append(ev)
+            if nbytes == 0:
+                ev.succeed_later(None, latency)
+                continue
+            flow = Flow(path, nbytes, ev, latency, now, label,
+                        seq=next(self._flow_seq))
+
+            # Components whose rate allocation the new flow perturbs:
+            # exactly those reachable through the path's links.  Everything
+            # else keeps draining untouched.
+            touched: List[_Component] = []
+            for link in flow.path:
+                comp = link.component
+                if comp is not None and comp not in touched:
+                    self._sync(comp)
+                    touched.append(comp)
+            merged = max(touched, key=lambda c: len(c.flows),
+                         default=None) or _Component(now)
             for comp in touched:
                 if comp is not merged:
                     merged.absorb(comp)
                     self._components.discard(comp)
                     self.stats.merges += 1
-        merged.last_sync = self.sim.now
-        merged.add_flow(flow)
-        merged.claim_links()
-        self._components.add(merged)
-        self._flows.add(flow)
-        self._m_started.inc()
-        self._reschedule(merged)
-        return ev
+            merged.add_flow(flow)
+            merged.claim_links()
+            self._components.add(merged)
+            self._flows.add(flow)
+            self._m_started.inc()
+            joined.pop(merged, None)
+            joined[merged] = None
+        for comp in joined:
+            if comp.alive:
+                self._reschedule(comp)
+        return events
 
     @property
     def active_flows(self) -> int:
@@ -360,8 +391,6 @@ class FluidNetwork:
             trace.record(self.sim.now, "fluid.recompute",
                          flows=len(comp.flows), links=len(comp.links),
                          components=len(self._components))
-        for flow in comp.flows:
-            flow.rate = 0.0
         if not comp.flows:
             return
         self._fill(comp)
@@ -370,43 +399,46 @@ class FluidNetwork:
                                  default=0.0))
 
     def _fill(self, comp: _Component) -> None:
-        """Progressive fill: raise every unfrozen flow's rate by the
-        smallest increment that saturates a link, freeze the flows on the
-        saturated links, repeat."""
-        links: Dict[Link, float] = {}
-        unfrozen_on: Dict[Link, int] = {}
-        for flow in comp.flows:
-            for link in flow.path:
-                if link not in links:
-                    links[link] = link.effective_capacity()
-                    unfrozen_on[link] = 0
-                unfrozen_on[link] += 1
-        unfrozen: Set[Flow] = set(comp.flows)
-        while unfrozen:
+        """Water-level fill over the component's links: raise one level by
+        the smallest increment that saturates a link, freeze the flows on
+        the saturated links at that level, repeat.
+
+        Every flow on a link belongs to the link's component, so the
+        per-link count is ``len(link.flows)``.  A flow's rate is the level
+        at which it freezes: the same float additions, in the same order,
+        as raising every unfrozen flow's rate by each increment.
+        """
+        headroom = {link: link.effective_capacity() for link in comp.links}
+        unfrozen_on = {link: len(link.flows) for link in comp.links}
+        live = list(comp.links)  # links still carrying unfrozen flows
+        frozen: Set[Flow] = set()
+        level = 0.0
+        while True:
             # Smallest equal increment that saturates some link.
-            inc = min(
-                links[link] / unfrozen_on[link]
-                for link in links
-                if unfrozen_on[link] > 0
-            )
-            for flow in unfrozen:
-                flow.rate += inc
-            saturated: List[Link] = []
-            for link in links:
-                n = unfrozen_on[link]
-                if n > 0:
-                    links[link] -= inc * n
-                    if links[link] <= _EPS_RATE * link.capacity + _EPS_RATE:
-                        saturated.append(link)
-            if not saturated:
+            inc = min(headroom[link] / unfrozen_on[link] for link in live)
+            level += inc
+            frozen_now: List[Flow] = []
+            for link in live:
+                headroom[link] = left = headroom[link] - inc * unfrozen_on[link]
+                if left <= _EPS_RATE * link.capacity + _EPS_RATE:
+                    for flow in link.flows:
+                        if flow not in frozen:
+                            frozen.add(flow)
+                            flow.rate = level
+                            frozen_now.append(flow)
+            if not frozen_now:
                 # All remaining links have infinite headroom relative to the
                 # computed increment — cannot happen with finite capacities.
                 break
-            frozen_now = {f for l in saturated for f in l.flows if f in unfrozen}
-            unfrozen -= frozen_now
+            if len(frozen) == len(comp.flows):
+                return
             for flow in frozen_now:
                 for link in flow.path:
                     unfrozen_on[link] -= 1
+            live = [link for link in live if unfrozen_on[link]]
+        for flow in comp.flows:
+            if flow not in frozen:
+                flow.rate = level
 
     def _reschedule(self, comp: _Component) -> None:
         """Recompute the component's rates and arm its completion guard."""
@@ -459,28 +491,21 @@ class FluidNetwork:
             comp.flows.discard(flow)
             for link in flow.path:
                 link.flows.discard(flow)
+                if not link.flows:
+                    # An idle link keeping a stale pointer would glue
+                    # future flows to this component for no reason.
+                    link.component = None
             self._m_completed.inc()
             self._m_bytes.inc(flow.size)
             flow.event.succeed_later(flow, flow.latency)
         if not comp.flows:
             comp.alive = False
             self._components.discard(comp)
-            for link in comp.links:
-                if link.component is comp:
-                    link.component = None
             return
         # Removing flows may have disconnected the component; re-partition
         # and refill each piece independently (work stays linear in the old
         # component's size, and smaller pieces decouple future events).
         pieces = self._partition(comp)
-        live_links: Set[Link] = set()
-        for _flows, links in pieces:
-            live_links |= links
-        for link in comp.links - live_links:
-            # Links used only by the finished flows go idle; leaving a stale
-            # pointer would glue future flows to this component for no reason.
-            if link.component is comp:
-                link.component = None
         if len(pieces) == 1:
             comp.flows, comp.links = pieces[0]
             comp.claim_links()

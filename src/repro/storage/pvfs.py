@@ -7,7 +7,9 @@ Model:
 
 * a client write is striped evenly across the data servers; each stripe
   stream crosses ``client.hca.tx → server.hca.rx → server disk`` so both
-  the wire and the server disks are shared fluid resources;
+  the wire and the server disks are shared fluid resources; a write's (or
+  read's) stripes start as one batch, so the fluid engine refills the
+  shared component once per call, not once per stripe;
 * server disks degrade with concurrent streams (``efficiency`` curves) —
   with 64 checkpoint writers the aggregate collapses to roughly half the
   raw rate, reproducing the contention the paper attributes to
@@ -153,16 +155,16 @@ class PVFS:
         if data is not None and data.nbytes != nbytes:
             raise ValueError(f"data has {data.nbytes} bytes, expected {nbytes}")
         client_hca = self.fabric.hca(handle.client)
-        flows = []
+        stripes = []
         for server, part in zip(self.servers, self._stripe_sizes(nbytes)):
             if part == 0:
                 continue
             server.bytes_written += part
-            flows.append(self.fabric.net.transfer(
-                [handle.stream_cap, client_hca.tx, server.hca.rx,
-                 server.write_link], part,
-                latency=self.fabric.params.latency,
-                label=f"pvfs:w:{handle.file.path}@{server.node}"))
+            stripes.append(([handle.stream_cap, client_hca.tx, server.hca.rx,
+                             server.write_link], part,
+                            f"pvfs:w:{handle.file.path}@{server.node}"))
+        flows = self.fabric.net.transfer_many(
+            stripes, latency=self.fabric.params.latency)
         self._sample_servers()
         if flows:
             yield self.sim.all_of(flows)
@@ -186,16 +188,16 @@ class PVFS:
             raise ValueError(
                 f"read past EOF: [{pos}, {pos + n}) of {handle.file.size}")
         client_hca = self.fabric.hca(handle.client)
-        flows = []
+        stripes = []
         for server, part in zip(self.servers, self._stripe_sizes(n)):
             if part == 0:
                 continue
             server.bytes_read += part
-            flows.append(self.fabric.net.transfer(
-                [server.read_link, server.hca.tx, client_hca.rx,
-                 handle.stream_cap], part,
-                latency=self.fabric.params.latency,
-                label=f"pvfs:r:{handle.file.path}@{server.node}"))
+            stripes.append(([server.read_link, server.hca.tx, client_hca.rx,
+                             handle.stream_cap], part,
+                            f"pvfs:r:{handle.file.path}@{server.node}"))
+        flows = self.fabric.net.transfer_many(
+            stripes, latency=self.fabric.params.latency)
         self._sample_servers()
         if flows:
             yield self.sim.all_of(flows)

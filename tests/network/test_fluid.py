@@ -162,6 +162,8 @@ def test_invalid_inputs():
         net.transfer([link], -1.0)
     with pytest.raises(ValueError):
         net.transfer([], 10.0)
+    with pytest.raises(ValueError):
+        net.transfer([link, Link("m", 100.0), link], 10.0)
 
 
 def test_transfer_event_value_is_flow():
@@ -181,6 +183,74 @@ def test_many_concurrent_flows_conservation():
     sim.run(until=sim.all_of(events))
     assert link.bytes_carried == pytest.approx(sum(sizes), rel=1e-6)
     assert net.active_flows == 0
+
+
+# -- batched starts ---------------------------------------------------------
+
+def _start_population(batched):
+    """One flow already running, then four specs started at t=1: two that
+    join its component, one zero-byte, one on a disjoint island.
+    -> (net, per-spec completion times, rates after the starts,
+    recomputes the starts cost)."""
+    sim, net = make()
+    a, c = Link("a", 100.0), Link("c", 80.0)
+    b = Link("b", 60.0, efficiency=stream_efficiency(0.1, 0.5))
+    island = Link("island", 40.0)
+    net.transfer([a], 500.0)
+    specs = [([a, b], 300.0, "x"), ([island], 200.0, "i"),
+             ([c], 0.0, "z"), ([b, c], 700.0, "y")]
+    done = {}
+
+    def waiter(sim, ev, label):
+        flow = yield ev
+        done[label] = (sim.now.hex(), flow is None)
+
+    def starter(sim):
+        yield sim.timeout(1.0)
+        before = net.stats.recomputes
+        if batched:
+            events = net.transfer_many(specs, latency=0.25)
+        else:
+            events = [net.transfer(path, n, latency=0.25, label=label)
+                      for path, n, label in specs]
+        starts.append(net.stats.recomputes - before)
+        rates.extend(f.rate.hex() for f in
+                     sorted(net._flows, key=lambda f: f.seq))
+        for ev, (_path, _n, label) in zip(events, specs):
+            sim.spawn(waiter(sim, ev, label))
+
+    starts, rates = [], []
+    sim.spawn(starter(sim))
+    sim.run()
+    return net, done, rates, starts[0]
+
+
+def test_transfer_many_matches_sequential_transfers():
+    """A batch gives bit-identical rates and completion times to one
+    transfer() per spec, with one refill per touched component."""
+    net_seq, done_seq, rates_seq, starts_seq = _start_population(False)
+    net_bat, done_bat, rates_bat, starts_bat = _start_population(True)
+    assert rates_bat == rates_seq and len(rates_bat) == 4
+    assert done_bat == done_seq
+    assert starts_seq == 3  # one refill per non-empty spec
+    assert starts_bat == 2  # one per component: a/b/c and the island
+    # The zero-byte spec is latency-only and carries no flow.
+    assert done_bat["z"] == ((1.0 + 0.25).hex(), True)
+    assert net_bat.active_flows == 0 and net_bat.active_components == 0
+
+
+def test_transfer_many_validates_every_spec_before_starting():
+    """A bad spec anywhere in the batch raises before any flow starts."""
+    sim, net = make()
+    a, b = Link("a", 100.0), Link("b", 100.0)
+    for bad in (([b, b], 10.0, "repeat"), ([], 10.0, "empty"),
+                ([b], -1.0, "negative")):
+        with pytest.raises(ValueError):
+            net.transfer_many([([a], 10.0, "ok"), bad])
+    assert net.active_flows == 0 and net.stats.recomputes == 0
+    assert not a.flows and a.component is None
+    assert not sim._queue
+    assert net.transfer_many([]) == []
 
 
 # -- component scoping ------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.fluid import FluidNetwork, Link
+from repro.network.fluid import FluidNetwork, Link, stream_efficiency
 from repro.simulate import Simulator
 
 
@@ -150,3 +150,84 @@ def test_rates_never_exceed_capacity(seed):
     sim.run()
     for link in links:
         assert not link.flows
+
+
+class _CheckedNetwork(FluidNetwork):
+    """Checks every component fill against the per-flow progressive fill.
+
+    ``reference_global_rates`` over one component's flows is the fill this
+    engine ran before the water-level rewrite: rates start at zero and
+    every unfrozen flow gains each round's increment.  The water level
+    must reproduce those floats exactly, not approximately.
+    """
+
+    def __init__(self, sim):
+        super().__init__(sim)
+        self.fills = self.multi_round = 0
+
+    def _fill(self, comp):
+        super()._fill(comp)
+        expected = reference_global_rates(comp.flows)
+        for flow, rate in expected.items():
+            assert flow.rate.hex() == rate.hex(), flow.label
+        self.fills += 1
+        if len(set(expected.values())) > 1:
+            self.multi_round += 1
+
+
+@st.composite
+def _populations(draw):
+    """Links of mixed capacity, some with efficiency curves, and flows over
+    random link subsets (each link at most once per path)."""
+    links = []
+    for i in range(draw(st.integers(min_value=2, max_value=7))):
+        capacity = draw(st.floats(min_value=10.0, max_value=1e4))
+        curve = None
+        if draw(st.booleans()):
+            curve = stream_efficiency(
+                draw(st.floats(min_value=0.01, max_value=0.3)),
+                draw(st.floats(min_value=0.2, max_value=0.9)))
+        links.append(Link(f"l{i}", capacity, efficiency=curve))
+    paths = draw(st.lists(
+        st.lists(st.sampled_from(range(len(links))), min_size=1,
+                 max_size=4, unique=True),
+        min_size=1, max_size=20))
+    sizes = draw(st.lists(st.floats(min_value=1.0, max_value=1e5),
+                          min_size=len(paths), max_size=len(paths)))
+    batched = draw(st.booleans())
+    return [([links[i] for i in p], n, f"f{k}")
+            for k, (p, n) in enumerate(zip(paths, sizes))], batched
+
+
+@given(population=_populations())
+@settings(max_examples=60, deadline=None)
+def test_water_level_fill_matches_per_flow_fill_bit_for_bit(population):
+    """Every fill of a run (starts, completions, splits) equals the
+    per-flow progressive fill in every bit."""
+    specs, batched = population
+    sim = Simulator()
+    net = _CheckedNetwork(sim)
+    if batched:
+        events = net.transfer_many(specs)
+    else:
+        events = [net.transfer(path, n, label=label)
+                  for path, n, label in specs]
+    sim.run(until=sim.all_of(events))
+    assert net.active_flows == 0
+
+
+def test_checked_fills_cover_multi_round_components():
+    """Exact on a fill that freezes flows over three rounds (b, then the
+    seek-thrashed a, then c), and on the two-round refill after b's flow
+    completes."""
+    sim = Simulator()
+    net = _CheckedNetwork(sim)
+    a = Link("a", 100.0, efficiency=stream_efficiency(0.1, 0.5))
+    b, c = Link("b", 10.0), Link("c", 500.0)
+    net.transfer_many([([a, b], 1e3, "ab"), ([a], 2e3, "a"),
+                       ([a, c], 3e3, "ac"), ([c], 4e3, "c")])
+    rates = sorted({f.rate for f in net._flows})
+    assert rates == pytest.approx([10.0, 35.0, 465.0])
+    sim.run()
+    assert net.fills >= 3
+    assert net.multi_round >= 2

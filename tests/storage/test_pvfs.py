@@ -124,6 +124,30 @@ def test_open_missing_raises():
     sim.run()
 
 
+def test_striped_write_and_read_refill_once_each():
+    """A write's (or read's) four stripes start as one batch: the shared
+    fluid component is refilled once per call, not once per stripe."""
+    sim, fab, pvfs = make()
+    net = fab.net
+    seen = []
+
+    def proc(sim):
+        h = yield from pvfs.create("/a", client="c0")
+        before = net.stats.recomputes
+        yield from pvfs.write(h, 40 * MB)
+        seen.append(net.stats.recomputes - before)
+        h2 = yield from pvfs.open("/a", client="c0")
+        before = net.stats.recomputes
+        yield from pvfs.read(h2)
+        seen.append(net.stats.recomputes - before)
+
+    sim.spawn(proc(sim))
+    sim.run()
+    # One refill when the stripes start; the four equal stripes then drain
+    # together and empty the component, which needs no refill.
+    assert seen == [1, 1]
+
+
 def test_read_accounting():
     sim, fab, pvfs = make()
 

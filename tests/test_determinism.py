@@ -4,7 +4,9 @@ The Fig. 4 LU.C migration must replay the committed baseline trace
 (``benchmarks/baseline_traces/migration_LU.C_file.jsonl.gz``) record for
 record, down to the last bit of every float — with or without a
 telemetry probe attached.  That pin catches a trace change across
-commits, not only between two runs of the same tree.
+commits, not only between two runs of the same tree.  The Fig. 7
+CR(PVFS) checkpoint+restart, where 64 writers share large max-min
+components, is pinned the same way by a digest of its trace.
 
 The second axis is the shard count.  ``shards=1`` is the compatibility
 path: ``Scenario.build`` runs the paper testbed on a single
@@ -18,6 +20,7 @@ between backplanes and a spare restart landing in a different shard
 than the failure.
 """
 
+import hashlib
 import json
 import os
 from itertools import count
@@ -42,6 +45,14 @@ PINNED_FIG4_TRACE = os.path.join(
 
 #: The Fig. 4 cycle the pinned trace records.
 FIG4_TOTAL_S = 6.092014
+
+#: SHA-256 of the Fig. 7 LU.C CR(PVFS) checkpoint+restart trace: one
+#: sorted-key JSON line per record, ``fluid.recompute`` records dropped
+#: (how many refills a run takes is solver work, not simulated outcome).
+FIG7_CR_PVFS_TRACE_SHA256 = (
+    "cab22ead057e8de42ae76e65fcb1ee539dca70a0cfd473bfb9ff27850704b7ea")
+FIG7_CR_PVFS_RECORDS = 25769
+FIG7_CR_PVFS_CYCLE_S = 26.91683
 
 
 def _reset_global_counters(monkeypatch):
@@ -101,6 +112,36 @@ def test_trace_is_identical_with_telemetry_enabled(monkeypatch):
     kept = [rec for rec in records if rec["kind"] != "telemetry.sample"]
     assert len(kept) < len(records), "probe must actually have sampled"
     _assert_matches_pin(kept)
+
+
+def test_fig7_cr_pvfs_trace_matches_pinned_digest(monkeypatch):
+    """The Fig. 7 LU.C CR(PVFS) checkpoint and restart replay the pinned
+    trace digest, with every float in its exact repr."""
+    _reset_global_counters(monkeypatch)
+    tracer = Tracer()
+    sc = Scenario.build(app="LU.C", nprocs=64, n_compute=8, n_spare=1,
+                        iterations=40, seed=0, with_pvfs=True, trace=tracer)
+    strategy = sc.cr_strategy("pvfs")
+
+    def drive(sim):
+        yield sim.timeout(5.0)
+        ckpt = yield from strategy.checkpoint()
+        restart = yield from strategy.restart()
+        return ckpt, restart
+
+    ckpt, restart = sc.sim.run(until=sc.sim.spawn(drive(sc.sim)))
+    cycle = ckpt.total_seconds + restart.restart_seconds
+    assert round(cycle, 6) == FIG7_CR_PVFS_CYCLE_S
+    digest = hashlib.sha256()
+    kept = 0
+    for rec in tracer.records:
+        if rec.kind == "fluid.recompute":
+            continue
+        kept += 1
+        digest.update(json.dumps(rec.as_dict(), sort_keys=True,
+                                 default=str).encode() + b"\n")
+    assert kept == FIG7_CR_PVFS_RECORDS
+    assert digest.hexdigest() == FIG7_CR_PVFS_TRACE_SHA256
 
 
 def _cluster_trace_jsonl(shards, monkeypatch):
