@@ -387,59 +387,38 @@ def bench_events_per_sec(restart_mode: str = "file") -> Dict[str, Any]:
             "results": results, "throughput": throughput}
 
 
-def _cluster_run(n_nodes: int, n_jobs: int, shards: int
-                 ) -> Tuple[Dict[str, float], float]:
-    """One seeded cluster-scale run; deterministic counters + sim wall."""
+def _cluster_run(n_nodes: int, n_jobs: int, title: str) -> Dict[str, Any]:
+    """One seeded cluster-scale run: every scenario counter pinned, wall
+    time under ``throughput`` (informational, never diffed)."""
     from repro.cluster.scale import ClusterScale
 
-    cs = ClusterScale(n_nodes=n_nodes, n_jobs=n_jobs, shards=shards, seed=0)
+    cs = ClusterScale(n_nodes=n_nodes, n_jobs=n_jobs, seed=0)
     t0 = time.perf_counter()
-    counters = cs.run()
+    counters = {k: float(v) for k, v in cs.run().items()}
     wall = time.perf_counter() - t0
-    return {k: float(v) for k, v in counters.items()}, wall
+    return {"title": title, "results": counters,
+            "throughput": {
+                "wall_seconds": round(wall, 4),
+                "events_per_sec": round(counters["events_processed"]
+                                        / max(wall, 1e-9)),
+            }}
 
 
 def bench_cluster_scale(restart_mode: str = "file") -> Dict[str, Any]:
-    """Cluster-scale family: 1000 nodes / 50 jobs on the sharded kernel.
-
-    Runs the failure-driven migration scenario twice — 8 shards (the
-    windowed kernel, with cross-shard spare borrowing and FTB bridging)
-    and 1 shard (the same model on one loop) — and pins every scenario
-    counter for both.  The two runs share RNG streams, so failure counts
-    agree; makespans differ only by the mailbox lookahead.  Wall time
-    goes under ``throughput`` (informational, never diffed).
-    """
+    """Cluster-scale family: 1000 nodes / 50 jobs, failure-driven
+    migration with spares borrowed around the rack ring."""
     del restart_mode
-    results: Dict[str, Any] = {}
-    throughput: Dict[str, Any] = {}
-    for shards in (8, 1):
-        key = f"shards{shards}"
-        counters, wall = _cluster_run(n_nodes=1000, n_jobs=50, shards=shards)
-        results[key] = counters
-        throughput[key] = {
-            "wall_seconds": round(wall, 4),
-            "events_per_sec": round(counters["events_processed"]
-                                    / max(wall, 1e-9)),
-        }
-    return {"title": "Cluster scale — 1000 nodes / 50 jobs, sharded kernel",
-            "results": results, "throughput": throughput}
+    return _cluster_run(1000, 50, "Cluster scale — 1000 nodes / 50 jobs")
 
 
 def bench_cluster_smoke(restart_mode: str = "file") -> Dict[str, Any]:
-    """CI-sized cluster scenario: 256 nodes / 16 jobs on 4 shards.
+    """CI-sized cluster scenario: 256 nodes / 16 jobs.
 
     The ``cluster-scale-smoke`` CI job runs exactly this family; it pins
     the same counters as ``cluster_scale`` at a fraction of the work.
     """
     del restart_mode
-    counters, wall = _cluster_run(n_nodes=256, n_jobs=16, shards=4)
-    return {"title": "Cluster smoke — 256 nodes / 16 jobs, 4 shards",
-            "results": {"shards4": counters},
-            "throughput": {"shards4": {
-                "wall_seconds": round(wall, 4),
-                "events_per_sec": round(counters["events_processed"]
-                                        / max(wall, 1e-9)),
-            }}}
+    return _cluster_run(256, 16, "Cluster smoke — 256 nodes / 16 jobs")
 
 
 BENCHES: Dict[str, Callable[..., Dict[str, Any]]] = {

@@ -144,29 +144,14 @@ def openmetrics_snapshot(metrics=None, telemetry=None,
                 lines.append(f"{name}_count{label_str} {inst.count}")
                 lines.append(f"{name}_sum{label_str} {_fmt(inst.total)}")
     if telemetry is not None:
-        # Per-shard kernel lanes share a metric name with the aggregate
-        # series and differ only in their ``shard`` label, so TYPE/UNIT/
-        # HELP headers are emitted once per name, samples once per series.
-        emitted: set = set()
         for series in telemetry:
             name = _metric_name(f"telemetry_{series.name}")
             stats = series.stats()
-            series_labels = getattr(series, "labels", None)
-            if series_labels:
-                merged = dict(labels or {})
-                merged.update({k: str(v) for k, v in series_labels.items()})
-                sample_labels = format_labels(merged)
-            else:
-                sample_labels = label_str
-            first = name not in emitted
-            if first:
-                emitted.add(name)
-                header(name, "gauge", series.unit,
-                       f"last probe sample of time-series {series.name}")
-            lines.append(f"{name}{sample_labels} {_fmt(stats['last'])}")
-            if first:
-                lines.append(f"# TYPE {name}_samples gauge")
-            lines.append(f"{name}_samples{sample_labels} {int(stats['n'])}")
+            header(name, "gauge", series.unit,
+                   f"last probe sample of time-series {series.name}")
+            lines.append(f"{name}{label_str} {_fmt(stats['last'])}")
+            lines.append(f"# TYPE {name}_samples gauge")
+            lines.append(f"{name}_samples{label_str} {int(stats['n'])}")
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
 

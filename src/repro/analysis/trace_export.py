@@ -255,14 +255,8 @@ def chrome_trace(trace, metrics=None) -> Dict[str, Any]:
             if not telemetry_pid:
                 telemetry_pid.append(pids("telemetry"))
                 seen_lanes[(telemetry_pid[0], 0)] = ("telemetry", "main")
-            metric_name = str(fields.get("metric"))
-            shard = fields.get("shard")
-            if shard is not None:
-                # Per-shard kernel samples get their own counter lane so
-                # the aggregate and each shard plot side by side.
-                metric_name = f"{metric_name} [shard {shard}]"
             events.append({
-                "name": metric_name, "cat": "telemetry",
+                "name": str(fields.get("metric")), "cat": "telemetry",
                 "ph": "C", "ts": rec.time * 1e6, "pid": telemetry_pid[0],
                 "args": {"value": fields.get("value")},
             })
@@ -381,10 +375,7 @@ def telemetry_series(trace) -> Dict[str, List[Tuple[float, float]]]:
         metric = rec.get("metric")
         if metric is None:
             continue
-        shard = rec.get("shard")
-        key = (f'{metric}{{shard="{shard}"}}' if shard is not None
-               else str(metric))
-        out.setdefault(key, []).append(
+        out.setdefault(str(metric), []).append(
             (rec.time, float(rec.get("value", 0.0))))
     return out
 

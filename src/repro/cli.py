@@ -75,20 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="RDMA-based job migration framework — reproduction CLI")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def kernel_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--shards", type=int, default=1,
-                       help="kernel partitions (default 1; the paper "
-                            "testbed is one tightly coupled partition — "
-                            "shards > 1 belongs to the cluster_scale "
-                            "bench family)")
-
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--app", default="LU.C", choices=sorted(NPB_TABLE),
                        help="NPB application (default LU.C)")
         p.add_argument("--nprocs", type=int, default=64)
         p.add_argument("--nodes", type=int, default=8)
         p.add_argument("--seed", type=int, default=0)
-        kernel_flags(p)
 
     def registry_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--runs-dir", default=None, metavar="DIR",
@@ -124,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     scale = sub.add_parser("scale", help="ranks/node sweep (Fig. 6)")
     scale.add_argument("--ppn", type=int, nargs="+", default=[1, 2, 4, 8])
     scale.add_argument("--seed", type=int, default=0)
-    kernel_flags(scale)
 
     interval = sub.add_parser(
         "interval", help="checkpoint-interval extension study (Sec. VI)")
@@ -373,22 +364,6 @@ def _run_config(args) -> dict:
             if k not in _NON_CONFIG_ARGS}
 
 
-def _build_scenario(args, **kwargs):
-    """``Scenario.build`` with the kernel flags applied.
-
-    Returns ``(scenario, error)``; ``--shards`` other than 1 (or any
-    other rejected combination) surfaces as the error string instead of
-    a traceback.  The flags ride into the run manifest through
-    :func:`_run_config`, so a recorded run states which shard count
-    produced it.
-    """
-    try:
-        return Scenario.build(shards=getattr(args, "shards", 1),
-                              **kwargs), None
-    except ValueError as exc:
-        return None, f"error: {exc}"
-
-
 def _record_run(args, command: str, results: dict,
                 artifacts: List[str], wall_seconds: float,
                 lines: List[str]) -> Optional[RunManifest]:
@@ -411,12 +386,10 @@ def _cmd_migrate(args):
         if err is not None:
             return err, 2
     tracer = Tracer()
-    sc, err = _build_scenario(args, app=args.app, nprocs=args.nprocs,
-                              n_compute=args.nodes, n_spare=1, iterations=40,
-                              seed=args.seed, transport=args.transport,
-                              restart_mode=args.restart_mode, trace=tracer)
-    if err is not None:
-        return err, 2
+    sc = Scenario.build(app=args.app, nprocs=args.nprocs,
+                        n_compute=args.nodes, n_spare=1, iterations=40,
+                        seed=args.seed, transport=args.transport,
+                        restart_mode=args.restart_mode, trace=tracer)
     reporter = None
     if args.progress:
         reporter = ProgressReporter(label="migrate")
@@ -451,12 +424,10 @@ def _cmd_migrate(args):
 def _cmd_compare(args) -> str:
     reporter = ProgressReporter(label="compare") if args.progress else None
     t0 = start_clock()
-    mig_sc, err = _build_scenario(args, app=args.app, nprocs=args.nprocs,
-                                  n_compute=args.nodes, n_spare=1,
-                                  iterations=40, seed=args.seed,
-                                  restart_mode=args.restart_mode)
-    if err is not None:
-        return err, 2
+    mig_sc = Scenario.build(app=args.app, nprocs=args.nprocs,
+                            n_compute=args.nodes, n_spare=1,
+                            iterations=40, seed=args.seed,
+                            restart_mode=args.restart_mode)
     if reporter is not None:
         mig_sc.sim.attach_probe(TelemetryProbe(on_sample=reporter.on_sample))
     source = f"node{args.nodes - 1}"
@@ -465,12 +436,10 @@ def _cmd_compare(args) -> str:
     for dest in ("ext3", "pvfs"):
         if reporter is not None:
             reporter.tick(detail=f"CR({dest})")
-        sc, err = _build_scenario(args, app=args.app, nprocs=args.nprocs,
-                                  n_compute=args.nodes, n_spare=1,
-                                  iterations=40, seed=args.seed,
-                                  with_pvfs=True)
-        if err is not None:
-            return err, 2
+        sc = Scenario.build(app=args.app, nprocs=args.nprocs,
+                            n_compute=args.nodes, n_spare=1,
+                            iterations=40, seed=args.seed,
+                            with_pvfs=True)
         strategy = sc.cr_strategy(dest)
 
         def drive(sim, strategy=strategy):
@@ -502,11 +471,9 @@ def _cmd_compare(args) -> str:
 def _cmd_scale(args) -> str:
     rows = {}
     for ppn in args.ppn:
-        sc, err = _build_scenario(args, app="LU.C", nprocs=8 * ppn,
-                                  n_compute=8, n_spare=1, iterations=40,
-                                  seed=args.seed)
-        if err is not None:
-            return err, 2
+        sc = Scenario.build(app="LU.C", nprocs=8 * ppn,
+                            n_compute=8, n_spare=1, iterations=40,
+                            seed=args.seed)
         report = sc.run_migration("node3", at=5.0)
         rows[f"{ppn} ranks/node"] = migration_phase_breakdown(report)
     return render_table("Migration scalability, LU.C on 8 nodes (Fig. 6)",
@@ -543,13 +510,11 @@ def _cmd_observe(args):
         return err, 2
     tracer = Tracer()
     registry = MetricsRegistry()
-    sc, err = _build_scenario(args, app=args.app, nprocs=args.nprocs,
-                              n_compute=args.nodes, n_spare=1, iterations=40,
-                              seed=args.seed, transport=args.transport,
-                              restart_mode=args.restart_mode, trace=tracer,
-                              metrics=registry)
-    if err is not None:
-        return err, 2
+    sc = Scenario.build(app=args.app, nprocs=args.nprocs,
+                        n_compute=args.nodes, n_spare=1, iterations=40,
+                        seed=args.seed, transport=args.transport,
+                        restart_mode=args.restart_mode, trace=tracer,
+                        metrics=registry)
     report = sc.run_migration(args.source, at=5.0)
     os.makedirs(args.out_dir, exist_ok=True)
     trace_json = os.path.join(args.out_dir, "trace.json")
@@ -580,14 +545,12 @@ def _cmd_critical_path(args):
         header = f"Critical path of {args.from_jsonl}"
     else:
         tracer = Tracer()
-        sc, err = _build_scenario(args, app=args.app, nprocs=args.nprocs,
-                                  n_compute=args.nodes, n_spare=1,
-                                  iterations=40, seed=args.seed,
-                                  transport=args.transport,
-                                  restart_mode=args.restart_mode,
-                                  trace=tracer)
-        if err is not None:
-            return err, 2
+        sc = Scenario.build(app=args.app, nprocs=args.nprocs,
+                            n_compute=args.nodes, n_spare=1,
+                            iterations=40, seed=args.seed,
+                            transport=args.transport,
+                            restart_mode=args.restart_mode,
+                            trace=tracer)
         report = sc.run_migration(args.source, at=5.0)
         header = (f"Critical path: migration {args.source} -> "
                   f"{report.target} ({args.app}.{args.nprocs}, "
@@ -864,14 +827,12 @@ def _cmd_report(args):
         probe = TelemetryProbe(
             interval=args.telemetry_interval,
             on_sample=reporter.on_sample if reporter is not None else None)
-        sc, err = _build_scenario(args, app=args.app, nprocs=args.nprocs,
-                                  n_compute=args.nodes, n_spare=1,
-                                  iterations=40, seed=args.seed,
-                                  transport=args.transport,
-                                  restart_mode=args.restart_mode,
-                                  trace=tracer, metrics=registry)
-        if err is not None:
-            return err, 2
+        sc = Scenario.build(app=args.app, nprocs=args.nprocs,
+                            n_compute=args.nodes, n_spare=1,
+                            iterations=40, seed=args.seed,
+                            transport=args.transport,
+                            restart_mode=args.restart_mode,
+                            trace=tracer, metrics=registry)
         sc.sim.attach_probe(probe)
         t0 = start_clock()
         mig = sc.run_migration(args.source, at=5.0)

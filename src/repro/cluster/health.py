@@ -160,7 +160,7 @@ class HealthMonitor:
         #: Optional polling horizon.  An unbounded monitor keeps one
         #: timeout in the calendar forever, which deadlock-proofs nothing
         #: and prevents drain-based runs (``sim.run()`` to completion —
-        #: how the sharded cluster-scale scenarios finish) from ever
+        #: how the cluster-scale scenarios finish) from ever
         #: terminating; give those a horizon and the monitor retires.
         self.until = until
         self.events: List[HealthEvent] = []

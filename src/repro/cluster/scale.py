@@ -1,20 +1,17 @@
-"""Cluster-scale failure-driven migration study on the sharded kernel.
+"""Cluster-scale failure-driven migration study on one event loop.
 
 The paper's testbed is 8+1 nodes running one job; its *argument* is about
 clusters — proactive migration beats reactive checkpoint/restart when
 failures are frequent and spares are scarce.  This module scales the
 failure/migration dynamics to that regime: hundreds of nodes in racks,
 dozens of concurrent jobs, rack-local checkpoint traffic, spare pools
-that actually run dry, and cross-rack spare borrowing when they do.
+that actually run dry, and spare borrowing around a ring of racks when
+they do.
 
-It is also the reason the sharded kernel exists.  Racks are the
-partitions: each rack's checkpoint flows ride its own store link on its
-shard's own :class:`~repro.network.fluid.FluidNetwork`, each shard runs
-its own FTB backplane over the rack-head nodes, and the *only*
-cross-shard interactions — spare borrowing and FTB fan-out — travel
-through the kernel's timestamped mailboxes
-(:meth:`~repro.simulate.shard.EventShard.post`), never by touching
-another shard's state directly (the SIM103 lint enforces that).
+Everything runs on one :class:`~repro.simulate.core.Simulator` with one
+:class:`~repro.network.fluid.FluidNetwork` (component scoping keeps each
+rack's rate fill local to its store link) and one FTB backplane spanning
+every rack head, so the Job Manager hears every alarm directly.
 
 Model summary
 -------------
@@ -27,44 +24,39 @@ Model summary
   an hour of simulated time sees real spare-pool pressure.  A driver
   process interrupts the job mid-span; with probability ``coverage`` the
   failure was *predicted* (the paper's proactive path).
-* **Predicted** failures migrate to a spare: rack pool first, then any
-  pool on the same shard, then a token-tracked request that hops shard to
-  shard through the mailbox until a pool grants or everyone denies.  A
-  remote grant restarts the migrated processes on hardware owned by
-  another shard — the ``cluster.spare.restart`` record lands over there.
+* **Spares** come from the job's own rack pool first: a local migration
+  with no latency.  Otherwise a request walks the rack ring ``r+1, r+2,
+  ...``, one ``inter_rack_latency`` per hop, checking each pool as it
+  arrives; a grant costs one hop back to the requester, and a ring that
+  closes with no spare is a denial, which also costs one hop back.  A
+  borrowed spare is a *remote* migration and pays
+  ``remote_migration_penalty``.
+* **Predicted** failures migrate to a spare; with none anywhere the job
+  checkpoints proactively and waits out the victim's repair.
 * **Unpredicted** failures roll back to the last checkpoint (losing
   ``since_checkpoint`` work) and restart on a spare, or wait out the
   victim's repair when none exists anywhere.
 * Repaired victims rejoin their rack's spare pool; borrowed spares do
   not come back — scarcity compounds, which is the point.
 
-Everything is deterministic: named RNG streams per job, static
-placement, and the conservative window loop make ``results()``
-byte-stable run to run — the shards=4 determinism suite and the
-``cluster_scale`` bench family both pin it.
+Everything is deterministic: named RNG streams per job and static
+placement make ``results()`` and the trace byte-stable run to run — the
+determinism suite and the ``cluster_scale`` bench family both pin it.
 """
 
 from __future__ import annotations
 
-from itertools import count
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..ftb.agent import FTBBackplane
-from ..ftb.bridge import FTBShardBridge
 from ..ftb.client import FTBClient
 from ..ftb.events import FTB_HEALTH_ALARM
 from ..network.ethernet import EthernetFabric
 from ..network.fluid import FluidNetwork, Link
 from ..sched.jobs import BatchJobSpec, JobRecord, JobState
 from ..sched.scheduler import failure_gap
-from ..simulate.core import Interrupt
+from ..simulate.core import Interrupt, Simulator
 from ..simulate.rng import RandomStreams
-from ..simulate.shard import (
-    PartitionMap,
-    ShardMessage,
-    ShardedSimulator,
-    derive_lookahead,
-)
 from .node import NodeState
 
 __all__ = ["ClusterScale", "Rack", "ScaleNode", "default_job_specs"]
@@ -100,17 +92,15 @@ class ScaleNode:
 class Rack:
     """One rack: compute nodes, a spare pool, and a checkpoint store link.
 
-    The rack is the sharding partition.  All its fluid links live on its
-    shard's network; checkpoint flows cross ``[node uplink, rack store]``
-    so jobs checkpointing together contend for the store head.
+    Checkpoint flows cross ``[node uplink, rack store]`` so jobs
+    checkpointing together contend for the store head.  ``index`` is the
+    rack's position on the spare-borrowing ring.
     """
 
-    def __init__(self, name: str, shard_id: int, net: FluidNetwork,
-                 n_nodes: int, n_spares: int, uplink_bw: float,
-                 store_bw: float):
+    def __init__(self, name: str, index: int, n_nodes: int, n_spares: int,
+                 uplink_bw: float, store_bw: float):
         self.name = name
-        self.shard_id = shard_id
-        self.net = net
+        self.index = index
         self.uplink_bw = uplink_bw
         self.nodes: List[ScaleNode] = [
             ScaleNode(f"{name}.n{i:02d}", self) for i in range(n_nodes)]
@@ -140,19 +130,18 @@ class Rack:
         return taken
 
     def __repr__(self) -> str:
-        return (f"<Rack {self.name} shard={self.shard_id} "
-                f"nodes={len(self.nodes)} spares={len(self.spares)}>")
+        return (f"<Rack {self.name} nodes={len(self.nodes)} "
+                f"spares={len(self.spares)}>")
 
 
 class _ScaleJob:
     """Runtime state of one placed job."""
 
-    __slots__ = ("record", "rack", "shard", "nodes", "proc", "driver", "busy")
+    __slots__ = ("record", "rack", "nodes", "proc", "driver", "busy")
 
-    def __init__(self, record: JobRecord, rack: Rack, shard):
+    def __init__(self, record: JobRecord, rack: Rack):
         self.record = record
         self.rack = rack
-        self.shard = shard
         self.nodes: List[ScaleNode] = []
         self.proc = None
         self.driver = None
@@ -181,30 +170,26 @@ def default_job_specs(n_jobs: int) -> List[BatchJobSpec]:
 
 
 class ClusterScale:
-    """Build and run one cluster-scale scenario on the sharded kernel.
+    """Build and run one cluster-scale scenario on one event loop.
 
     Parameters
     ----------
     n_nodes, n_jobs:
         Cluster size (compute nodes, racked 32 at a time by default) and
         workload size (see :func:`default_job_specs`).
-    shards:
-        Kernel partitions.  Racks map to shards round-robin; ``shards``
-        must not exceed the rack count.  ``shards=1`` runs the identical
-        model on one loop (the determinism suite compares both).
     node_mtbf:
         Per-node MTBF in seconds.  The default (2 h) is deliberately
         compressed relative to production hardware so a sub-hour run
-        exercises spare exhaustion and cross-shard borrowing.
+        exercises spare exhaustion and cross-rack borrowing.
     coverage:
         Probability a failure is predicted (the paper's proactive path).
     inter_rack_latency:
-        Latency of every rack-to-rack link; the minimum over links that
-        cross shards is the kernel's lookahead (:func:`derive_lookahead`).
+        Time of one hop between neighbouring racks on the spare-borrowing
+        ring.
     """
 
     def __init__(self, n_nodes: int = 1000, n_jobs: int = 50,
-                 shards: int = 8, seed: int = 0,
+                 seed: int = 0,
                  nodes_per_rack: int = 32, spares_per_rack: int = 1,
                  node_mtbf: float = 7200.0, coverage: float = 0.7,
                  failure_shape: Optional[float] = None,
@@ -217,72 +202,37 @@ class ClusterScale:
                  trace: Any = None, metrics: Any = None):
         if n_nodes < nodes_per_rack:
             raise ValueError("need at least one full rack of nodes")
-        n_racks = n_nodes // nodes_per_rack
-        if shards > n_racks:
-            raise ValueError(
-                f"shards={shards} exceeds the rack count {n_racks}; racks "
-                f"are the partition unit, so at most one shard per rack")
         self.seed = seed
         self.node_mtbf = node_mtbf
         self.coverage = coverage
         self.failure_shape = failure_shape
         self.repair_time = repair_time
+        self.inter_rack_latency = inter_rack_latency
         self.ckpt_bytes_per_node = ckpt_bytes_per_node
         self.remote_migration_penalty = remote_migration_penalty
         self.streams = RandomStreams(seed)
+        self.sim = Simulator(trace=trace, metrics=metrics)
 
-        rack_names = [f"rack{r:02d}" for r in range(n_racks)]
-        self.partition_map = PartitionMap.round_robin(rack_names, shards)
-        if shards > 1:
-            lookahead = derive_lookahead(
-                inter_rack_latency
-                for i, a in enumerate(rack_names)
-                for b in rack_names[i + 1:]
-                if self.partition_map.shard_of(a)
-                != self.partition_map.shard_of(b))
-        else:
-            lookahead = None
-        self.kernel = ShardedSimulator(shards=shards, lookahead=lookahead,
-                                       trace=trace, metrics=metrics)
-
-        # -- per-shard substrate: fluid net, eth fabric, racks, FTB tree --
-        self.nets: List[FluidNetwork] = [
-            FluidNetwork(self.kernel.shard(s)) for s in range(shards)]
-        self.racks: List[Rack] = []
-        self.racks_on_shard: List[List[Rack]] = [[] for _ in range(shards)]
-        for name in rack_names:
-            sid = self.partition_map.shard_of(name)
-            rack = Rack(name, sid, self.nets[sid], nodes_per_rack,
-                        spares_per_rack, uplink_bw, store_bw)
-            self.racks.append(rack)
-            self.racks_on_shard[sid].append(rack)
-        self.backplanes: Dict[int, FTBBackplane] = {}
-        for sid in range(shards):
-            shard = self.kernel.shard(sid)
-            fabric = EthernetFabric(shard, net=self.nets[sid])
-            heads = [r.head for r in self.racks_on_shard[sid]]
-            bp = FTBBackplane(shard, fabric, heads, root_node=heads[0])
-            self.backplanes[sid] = bp
-            for rack in self.racks_on_shard[sid]:
-                rack.ftb = FTBClient(bp, rack.head, f"nla.{rack.name}")
-            shard.subscribe(self._mail_handler(sid))
-        self.bridge: Optional[FTBShardBridge] = (
-            FTBShardBridge(self.kernel, self.backplanes)
-            if shards > 1 else None)
-        # The Job Manager listens on shard 0; with the bridge in place it
-        # hears alarms raised in every shard's tree.
-        self._jm = FTBClient(self.backplanes[0],
-                             self.racks_on_shard[0][0].head, "jm")
+        # -- substrate: fluid net, eth fabric, racks, one FTB tree --------
+        self.net = FluidNetwork(self.sim)
+        self.racks: List[Rack] = [
+            Rack(f"rack{r:02d}", r, nodes_per_rack, spares_per_rack,
+                 uplink_bw, store_bw)
+            for r in range(n_nodes // nodes_per_rack)]
+        heads = [r.head for r in self.racks]
+        self.backplane = FTBBackplane(
+            self.sim, EthernetFabric(self.sim, net=self.net), heads,
+            root_node=heads[0])
+        for rack in self.racks:
+            rack.ftb = FTBClient(self.backplane, rack.head,
+                                 f"nla.{rack.name}")
+        self._jm = FTBClient(self.backplane, heads[0], "jm")
         self.ftb_alarms_at_jm = 0
 
         def _count_alarm(_event) -> None:
             self.ftb_alarms_at_jm += 1
 
         self._jm.subscribe("FTB.HW.*", callback=_count_alarm)
-
-        # -- spare-borrow bookkeeping -------------------------------------
-        self._tokens = count()
-        self._pending: Dict[int, Any] = {}
 
         # -- counters -------------------------------------------------------
         self.failures = 0
@@ -304,67 +254,36 @@ class ClusterScale:
                 raise ValueError(
                     f"{spec.name}: n_nodes={spec.n_nodes} exceeds the rack "
                     f"size {nodes_per_rack}; jobs are rack-local")
-            placed = False
             for rack in self.racks:  # first fit, deterministic order
                 nodes = rack.allocate(spec.n_nodes)
                 if nodes is not None:
-                    job = _ScaleJob(JobRecord(spec=spec), rack,
-                                    self.kernel.shard(rack.shard_id))
+                    job = _ScaleJob(JobRecord(spec=spec), rack)
                     job.nodes = nodes
                     self.jobs.append(job)
-                    placed = True
                     break
-            if not placed:
+            else:
                 raise ValueError(
                     f"{spec.name}: no rack has {spec.n_nodes} free nodes — "
                     f"shrink the workload or grow the cluster")
         for job in self.jobs:
-            job.proc = job.shard.spawn(self._job_body(job),
-                                       name=f"job.{job.record.spec.name}")
+            job.proc = self.sim.spawn(self._job_body(job),
+                                      name=f"job.{job.record.spec.name}")
         self._ran = False
 
-    # -- cross-shard mail ---------------------------------------------------
-    def _mail_handler(self, sid: int):
-        """Handler for this scenario's mailbox topics on shard ``sid``.
+    @property
+    def kernel(self) -> Simulator:
+        """The event loop (``sim``), under the name shared with
+        :class:`repro.scenario.Scenario`."""
+        return self.sim
 
-        ``spare.request`` hops shard to shard until a pool grants or the
-        ring closes; ``spare.grant`` resolves the origin's wait event;
-        ``spare.restart`` emits the restart record in the shard that owns
-        the granted hardware.
-        """
-        def handle(msg: ShardMessage) -> None:
-            shard = self.kernel.shard(sid)
-            if msg.topic == "spare.request":
-                job_name, origin, token = msg.data
-                for rack in self.racks_on_shard[sid]:
-                    if rack.spares:
-                        spare = rack.spares.pop(0)
-                        shard.post(origin, "spare.grant",
-                                   (token, spare.name, sid))
-                        return
-                nxt = (sid + 1) % self.kernel.n_shards
-                if nxt == origin:  # ring closed: nobody had one
-                    shard.post(origin, "spare.grant", (token, None, sid))
-                else:
-                    shard.post(nxt, "spare.request", msg.data)
-            elif msg.topic == "spare.grant":
-                token, spare_name, src = msg.data
-                ev = self._pending.pop(token)
-                ev.succeed(None if spare_name is None
-                           else (spare_name, src))
-            elif msg.topic == "spare.restart":
-                job_name, node_name, src, dst = msg.data
-                self.remote_restarts += 1
-                trace = shard.trace
-                if trace is not None:
-                    trace.record(shard.now, "cluster.spare.restart",
-                                 job=job_name, node=node_name, src=src,
-                                 dst=dst)
-        return handle
+    @property
+    def nets(self) -> List[FluidNetwork]:
+        """Every fluid network in the scenario: the one ``net``."""
+        return [self.net]
 
     # -- job lifecycle ------------------------------------------------------
     def _job_body(self, job: _ScaleJob) -> Generator:
-        sim = job.shard
+        sim = self.sim
         rec = job.record
         spec = rec.spec
         trace = sim.trace
@@ -409,7 +328,7 @@ class ClusterScale:
 
     def _failure_driver(self, job: _ScaleJob) -> Generator:
         """Interrupt the job at drawn failure times until it completes."""
-        sim = job.shard
+        sim = self.sim
         rng = self.streams.stream(f"fail.{job.record.spec.name}")
         while True:
             gap = failure_gap(rng, self.node_mtbf, len(job.nodes),
@@ -432,7 +351,7 @@ class ClusterScale:
     def _handle_failure(self, job: _ScaleJob,
                         cause: Tuple[bool, ScaleNode]) -> Generator:
         predicted, victim = cause
-        sim = job.shard
+        sim = self.sim
         rec = job.record
         spec = rec.spec
         trace = sim.trace
@@ -442,37 +361,29 @@ class ClusterScale:
         if trace is not None:
             trace.record(sim.now, "cluster.node.fail", node=victim.name,
                          rack=job.rack.name, predicted=predicted)
-        if job.rack.ftb is not None:
-            job.rack.ftb.publish_nowait(
-                FTB_HEALTH_ALARM,
-                {"node": victim.name, "job": spec.name},
-                severity="WARN" if predicted else "ERROR")
+        job.rack.ftb.publish_nowait(
+            FTB_HEALTH_ALARM, {"node": victim.name, "job": spec.name},
+            severity="WARN" if predicted else "ERROR")
         if victim in job.nodes:
             job.nodes.remove(victim)
         sim.spawn(self._repair(job.rack, victim),
                   name=f"repair.{victim.name}")
         if predicted:
-            spare, src_shard = yield from self._acquire_spare(job)
+            spare, owner = yield from self._acquire_spare(job)
             if spare is not None:
                 # Proactive path: live migration to the spare, no lost work.
                 rec.n_migrations += 1
-                mode = "local" if src_shard == sim.shard_id else "remote"
-                if mode == "local":
-                    self.migrations_local += 1
-                    cost = spec.migration_cost
-                else:
-                    self.migrations_remote += 1
-                    cost = spec.migration_cost + self.remote_migration_penalty
+                remote = owner is not job.rack
+                cost = spec.migration_cost
+                if remote:
+                    cost += self.remote_migration_penalty
                 if trace is not None:
                     trace.record(sim.now, "cluster.job.migrate",
                                  job=spec.name, node=victim.name,
-                                 spare=spare.name, mode=mode)
+                                 spare=spare.name,
+                                 mode="remote" if remote else "local")
                 yield sim.timeout(cost)
-                job.nodes.append(spare)
-                if mode == "remote":
-                    sim.post(src_shard, "spare.restart",
-                             (spec.name, spare.name, sim.shard_id,
-                              src_shard))
+                self._place_spare(job, spare, owner)
                 job.busy = False
                 return
             # Predicted but no spare anywhere: checkpoint proactively
@@ -489,16 +400,9 @@ class ClusterScale:
         self.rollbacks += 1
         rec.useful_done -= rec.since_checkpoint
         rec.since_checkpoint = 0.0
-        spare, src_shard = yield from self._acquire_spare(job)
+        spare, owner = yield from self._acquire_spare(job)
         if spare is not None:
-            mode = "local" if src_shard == sim.shard_id else "remote"
-            job.nodes.append(spare)
-            if mode == "remote":
-                self.migrations_remote += 1
-                sim.post(src_shard, "spare.restart",
-                         (spec.name, spare.name, sim.shard_id, src_shard))
-            else:
-                self.migrations_local += 1
+            self._place_spare(job, spare, owner)
         else:
             yield sim.timeout(self.repair_time)
             victim.mark(NodeState.HEALTHY)
@@ -506,41 +410,54 @@ class ClusterScale:
         yield sim.timeout(spec.restart_cost)
         job.busy = False
 
-    def _acquire_spare(self, job: _ScaleJob) -> Generator:
-        """Find a spare: own rack, own shard, then ring the other shards.
-
-        Returns ``(node, owning_shard)`` or ``(None, own_shard)``.  A
-        remotely granted spare is modelled as relocated hardware — a fresh
-        :class:`ScaleNode` joins the job's rack; the restart record stays
-        with the granting shard (see ``spare.restart`` in the handler).
-        """
-        sim = job.shard
-        trace = sim.trace
-        if job.rack.spares:
-            return job.rack.spares.pop(0), sim.shard_id
-        for rack in self.racks_on_shard[sim.shard_id]:
-            if rack.spares:
-                return rack.spares.pop(0), sim.shard_id
-        if self.kernel.n_shards == 1:
-            return None, sim.shard_id
-        token = next(self._tokens)
-        ev = sim.event(name=f"spare.{token}")
-        self._pending[token] = ev
-        dst = (sim.shard_id + 1) % self.kernel.n_shards
-        self.spare_requests += 1
+    def _place_spare(self, job: _ScaleJob, spare: ScaleNode,
+                     owner: Rack) -> None:
+        """The job's processes restart on ``spare``, granted by ``owner``."""
+        job.nodes.append(spare)
+        if owner is job.rack:
+            self.migrations_local += 1
+            return
+        self.migrations_remote += 1
+        self.remote_restarts += 1
+        trace = self.sim.trace
         if trace is not None:
-            trace.record(sim.now, "cluster.spare.request",
-                         job=job.record.spec.name, src=sim.shard_id,
-                         dst=dst)
-        sim.post(dst, "spare.request",
-                 (job.record.spec.name, sim.shard_id, token))
-        granted = yield ev
-        if granted is None:
-            self.spare_denials += 1
-            return None, sim.shard_id
-        spare_name, src_shard = granted
-        self.remote_grants += 1
-        return ScaleNode(spare_name, job.rack), src_shard
+            trace.record(self.sim.now, "cluster.spare.restart",
+                         job=job.record.spec.name, node=spare.name,
+                         src=job.rack.name, dst=owner.name)
+
+    def _acquire_spare(self, job: _ScaleJob) -> Generator:
+        """Find a spare: the job's own rack, then around the rack ring.
+
+        Returns ``(node, granting rack)``, or ``(None, None)`` on a
+        denial.  The own-rack pool answers at once.  Otherwise the request
+        walks ``r+1, r+2, ...``, one ``inter_rack_latency`` per hop,
+        checking each pool on arrival; a grant or a denial (the ring
+        closed with no spare) costs one more hop back.  A borrowed spare
+        is modelled as relocated hardware: a fresh :class:`ScaleNode`
+        joins the job's rack.
+        """
+        sim = self.sim
+        rack = job.rack
+        if rack.spares:
+            return rack.spares.pop(0), rack
+        racks = self.racks
+        hop = self.inter_rack_latency
+        self.spare_requests += 1
+        if sim.trace is not None:
+            sim.trace.record(sim.now, "cluster.spare.request",
+                             job=job.record.spec.name, src=rack.name,
+                             dst=racks[(rack.index + 1) % len(racks)].name)
+        for k in range(1, len(racks)):
+            yield sim.timeout(hop)
+            owner = racks[(rack.index + k) % len(racks)]
+            if owner.spares:
+                spare = owner.spares.pop(0)
+                yield sim.timeout(hop)
+                self.remote_grants += 1
+                return ScaleNode(spare.name, rack), owner
+        yield sim.timeout(hop)
+        self.spare_denials += 1
+        return None, None
 
     def _checkpoint(self, job: _ScaleJob) -> Generator:
         """Per-node image writes into the rack store, then the barrier.
@@ -549,11 +466,11 @@ class ClusterScale:
         and from inside failure handling, where busy must stay raised
         until the whole recovery finishes.
         """
-        sim = job.shard
+        sim = self.sim
         rec = job.record
         spec = rec.spec
         trace = sim.trace
-        flows = [job.rack.net.transfer(
+        flows = [self.net.transfer(
                      [job.rack.uplink(node.name), job.rack.store],
                      self.ckpt_bytes_per_node, label=f"ckpt:{spec.name}")
                  for node in job.nodes]
@@ -568,8 +485,7 @@ class ClusterScale:
 
     def _repair(self, rack: Rack, node: ScaleNode) -> Generator:
         """A failed node is repaired and rejoins its rack's spare pool."""
-        sim = self.kernel.shard(rack.shard_id)
-        yield sim.timeout(self.repair_time)
+        yield self.sim.timeout(self.repair_time)
         node.mark(NodeState.HEALTHY)
         if node not in rack.spares:
             rack.spares.append(node)
@@ -579,7 +495,7 @@ class ClusterScale:
         """Drain the whole workload and return the results dict."""
         if self._ran:
             raise RuntimeError("this scenario has already run")
-        self.kernel.run()
+        self.sim.run()
         self._ran = True
         return self.results()
 
@@ -588,7 +504,7 @@ class ClusterScale:
         done = [j.record for j in self.jobs
                 if j.record.state is JobState.COMPLETED]
         makespan = max((r.completed_at for r in done), default=0.0)
-        out = {
+        return {
             "jobs_completed": self.jobs_completed,
             "failures": self.failures,
             "migrations_local": self.migrations_local,
@@ -600,12 +516,6 @@ class ClusterScale:
             "spare_denials": self.spare_denials,
             "remote_restarts": self.remote_restarts,
             "ftb_alarms_at_jm": self.ftb_alarms_at_jm,
-            "windows": self.kernel.windows,
-            "mail_delivered": self.kernel.mail_delivered,
-            "events_processed": self.kernel.events_processed,
+            "events_processed": self.sim.events_processed,
             "makespan": round(makespan, 6),
         }
-        if self.bridge is not None:
-            out["ftb_relayed"] = self.bridge.relayed_out
-            out["ftb_crossings"] = self.bridge.total_crossings()
-        return out

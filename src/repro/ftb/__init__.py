@@ -6,7 +6,6 @@ paper's Figure 1/2.
 """
 
 from .agent import FTBAgent, FTBBackplane, Subscription
-from .bridge import FTBShardBridge
 from .client import FTBClient
 from .events import (
     FTB_CKPT_BEGIN,
@@ -23,7 +22,6 @@ __all__ = [
     "FTBBackplane",
     "FTBAgent",
     "FTBClient",
-    "FTBShardBridge",
     "Subscription",
     "FTBEvent",
     "match_mask",

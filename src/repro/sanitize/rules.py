@@ -116,9 +116,6 @@ register_rule("SIM101", "yield-stale-write", "error", "simcheck",
 register_rule("SIM102", "iter-mutation-hazard", "warning", "simcheck",
               "a process iterates a shared container across a yield while "
               "another code path mutates it")
-register_rule("SIM103", "cross-shard-mutation", "error", "simcheck",
-              "simulation process schedules into or mutates another kernel "
-              "shard directly instead of using the mailbox API")
 register_rule("SIM201", "set-order-dependence", "error", "simcheck",
               "set-iteration order flows into event scheduling, trace "
               "emission, or flow completion ordering")

@@ -23,7 +23,6 @@ from ..rules import (
 from .callgraph import CallGraph, ModuleInfo, module_name_for, parse_modules
 from .determinism import check_determinism
 from .races import check_races
-from .shards import check_shards
 from .spans import check_spans
 
 __all__ = ["SimcheckResult", "simcheck_paths", "simcheck_source"]
@@ -55,7 +54,6 @@ def _run_passes(graph: CallGraph) -> List[Finding]:
     findings: List[Finding] = []
     findings.extend(check_races(graph))
     findings.extend(check_determinism(graph))
-    findings.extend(check_shards(graph))
     findings.extend(check_spans(graph))
     findings.sort(key=Finding.sort_key)
     return findings

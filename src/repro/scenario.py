@@ -15,7 +15,6 @@ from typing import Optional
 
 from .params import DEFAULT_TESTBED, MigrationParams, Testbed
 from .simulate.core import Simulator
-from .simulate.shard import ShardedSimulator
 from .cluster.node import Cluster
 from .ftb.agent import FTBBackplane
 from .launch.job_manager import JobManager
@@ -41,9 +40,12 @@ class Scenario:
     job: MPIJob
     framework: JobMigrationFramework
     trigger: MigrationTrigger
-    #: The owning sharded kernel; ``sim`` is its shard 0.  Always a
-    #: one-shard kernel for the paper testbed (see :meth:`build`).
-    kernel: Optional[ShardedSimulator] = None
+
+    @property
+    def kernel(self) -> Simulator:
+        """The scenario's event loop (``sim``), under the name shared with
+        :class:`repro.cluster.scale.ClusterScale`."""
+        return self.sim
 
     @classmethod
     def build(cls, app: str = "LU.C", nprocs: int = 64, n_compute: int = 8,
@@ -54,32 +56,15 @@ class Scenario:
               iterations: Optional[int] = None,
               testbed: Testbed = DEFAULT_TESTBED,
               start_app: bool = True, trace=None,
-              metrics=None, shards: int = 1) -> "Scenario":
+              metrics=None) -> "Scenario":
         """Assemble the paper's testbed (8 compute + 1 spare by default).
 
         Pass a :class:`repro.simulate.Tracer` as ``trace`` to record phase
         boundaries and protocol events for timeline analysis, and a
         :class:`repro.simulate.MetricsRegistry` as ``metrics`` to collect
         counters/gauges/histograms from every instrumented layer.
-
-        ``shards`` must be 1 here: the paper testbed is one tightly
-        coupled partition (every rank shares the fluid fabric, the FTB
-        tree, and the migration barrier, so there is no cross-partition
-        link to derive a lookahead from).  The scenario still runs *on*
-        the sharded kernel — its simulator is shard 0 of a one-shard
-        :class:`repro.simulate.ShardedSimulator`, byte-identical to the
-        plain loop — so the surface matches the cluster-scale scenario
-        (:class:`repro.cluster.scale.ClusterScale`), which is where
-        ``shards > 1`` belongs.
         """
-        if shards != 1:
-            raise ValueError(
-                f"shards={shards}: the paper testbed is a single tightly "
-                f"coupled partition and cannot be sharded — use "
-                f"repro.cluster.scale.ClusterScale (the cluster_scale "
-                f"bench family) for multi-shard runs")
-        kernel = ShardedSimulator(shards=1, metrics=metrics)
-        sim = kernel.shard(0)
+        sim = Simulator(metrics=metrics)
         cluster = Cluster(sim, n_compute=n_compute, n_spare=n_spare,
                           testbed=testbed, with_pvfs=with_pvfs,
                           record_data=record_data, seed=seed, trace=trace)
@@ -96,7 +81,7 @@ class Scenario:
         if start_app:
             job.start(application.rank_main)
         return cls(sim, cluster, backplane, jm, application, job,
-                   framework, trigger, kernel)
+                   framework, trigger)
 
     # -- convenience drivers --------------------------------------------------
     def run_migration(self, source: str, target: Optional[str] = None,

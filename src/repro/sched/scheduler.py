@@ -35,7 +35,7 @@ def failure_gap(rng: np.random.Generator, node_mtbf: float, n_nodes: int,
     ``shape is None`` draws exponential inter-failure gaps (Poisson
     arrivals); a float draws Weibull with that shape at the same mean
     budget (shape < 1 models the bursty failures of production logs).
-    Shared by :class:`BatchScheduler` and the sharded cluster-scale
+    Shared by :class:`BatchScheduler` and the cluster-scale
     scenario (:mod:`repro.cluster.scale`) so both studies age nodes from
     the same failure model.
     """

@@ -27,13 +27,6 @@ from .metrics import (
 )
 from .resources import Container, PriorityStore, Resource, Store
 from .rng import RandomStreams
-from .shard import (
-    EventShard,
-    PartitionMap,
-    ShardedSimulator,
-    ShardMessage,
-    derive_lookahead,
-)
 from .telemetry import (
     NULL_PROBE,
     NullTelemetryProbe,
@@ -57,11 +50,6 @@ __all__ = [
     "Interrupt",
     "SimulationError",
     "StopSimulation",
-    "EventShard",
-    "ShardedSimulator",
-    "ShardMessage",
-    "PartitionMap",
-    "derive_lookahead",
     "Condition",
     "ConditionValue",
     "AnyOf",

@@ -408,12 +408,11 @@ class Simulator:
         at no-op cost.
     """
 
-    #: Which partition-local event loop this simulator is.  A plain
-    #: ``Simulator`` is always shard 0 — the whole single-loop world is one
-    #: partition — so every consumer of the shard-aware surface (telemetry
-    #: lanes, trace labels) works unchanged on unsharded runs.
-    #: :class:`repro.simulate.shard.EventShard` overrides it per partition.
-    shard_id: int = 0
+    #: Always zero.  They exist only for the benchmark's
+    #: ``cluster.windows`` and ``cluster.mail_delivered`` count metrics,
+    #: and go when the next benchmark change drops those two metrics.
+    windows: int = 0
+    mail_delivered: int = 0
 
     def __init__(self, start: float = 0.0, trace: Any = None,
                  metrics: Any = None):
@@ -575,13 +574,7 @@ class Simulator:
         return float("inf")
 
     def queue_depth(self) -> int:
-        """Entries currently in the calendar (cancelled stragglers included).
-
-        The telemetry probe samples through this accessor rather than
-        reaching into ``_queue`` so a :class:`repro.simulate.shard.
-        ShardedSimulator` can answer with the *sum* across its shards
-        behind the same surface.
-        """
+        """Entries currently in the calendar (cancelled stragglers included)."""
         return len(self._queue)
 
     def run(self, until: Any = None) -> Any:

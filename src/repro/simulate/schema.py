@@ -144,13 +144,6 @@ _EVENT_KINDS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
                          "One cadenced probe sample: the named time-series "
                          "(kernel counter or metric instrument) observed at "
                          "this sim time."),
-    "shard.sync": ("kernel", ("window", "upto", "mail", "events"),
-                   "One committed conservative-sync window: its index, "
-                   "horizon, cross-shard messages delivered into it, and "
-                   "events processed across all shards inside it."),
-    "shard.mail": ("kernel", ("src", "dst", "sent", "topic"),
-                   "One cross-shard message dispatched in its destination "
-                   "shard at deliver time (>= sent + lookahead)."),
     "cluster.job.launch": ("cluster", ("job", "rack", "nodes"),
                           "A cluster-scale job began executing on its "
                           "rack's node allocation."),
@@ -159,8 +152,9 @@ _EVENT_KINDS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
                              "A cluster-scale job finished all its work."),
     "cluster.job.migrate": ("cluster", ("job", "node", "spare", "mode"),
                             "A predicted failure moved one of a job's "
-                            "nodes onto a spare (local rack or a remote "
-                            "shard's rack)."),
+                            "nodes onto a spare (``mode`` local: the job's "
+                            "own rack; remote: borrowed over the rack "
+                            "ring)."),
     "cluster.node.fail": ("cluster", ("node", "rack", "predicted"),
                           "A compute node failed (predicted failures give "
                           "the job a migration window first)."),
@@ -168,11 +162,13 @@ _EVENT_KINDS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
                      "One coordinated checkpoint: every job node streamed "
                      "its image to the rack store."),
     "cluster.spare.request": ("cluster", ("job", "src", "dst"),
-                              "A rack with no free spare asked another "
-                              "shard for one (mailbox hop)."),
+                              "A job whose rack pool is empty starts a "
+                              "spare walk around the rack ring: ``src`` "
+                              "is its rack, ``dst`` the first rack asked."),
     "cluster.spare.restart": ("cluster", ("job", "node", "src", "dst"),
-                              "A migrated process restarted on a borrowed "
-                              "spare in a *different* shard."),
+                              "A process restarted on a spare borrowed "
+                              "from another rack: ``src`` is the job's "
+                              "rack, ``dst`` the rack that granted it."),
 }
 
 

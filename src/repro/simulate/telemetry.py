@@ -51,20 +51,13 @@ _INF = float("inf")
 
 
 class TimeSeries:
-    """One named, unit-tagged sequence of ``(sim_time, value)`` samples.
+    """One named, unit-tagged sequence of ``(sim_time, value)`` samples."""
 
-    ``labels`` carries optional dimensions (currently only ``shard`` on
-    per-shard kernel lanes); exporters attach them as OpenMetrics labels
-    so the aggregate and per-shard series share one metric name.
-    """
+    __slots__ = ("name", "unit", "points")
 
-    __slots__ = ("name", "unit", "points", "labels")
-
-    def __init__(self, name: str, unit: str = "",
-                 labels: Optional[Dict[str, str]] = None):
+    def __init__(self, name: str, unit: str = ""):
         self.name = name
         self.unit = unit
-        self.labels = labels
         self.points: List[Tuple[float, float]] = []
 
     def append(self, t: float, v: float) -> None:
@@ -90,11 +83,8 @@ class TimeSeries:
                 "last": vals[-1]}
 
     def as_dict(self) -> Dict[str, Any]:
-        out = {"unit": self.unit,
-               "points": [[t, v] for t, v in self.points], **self.stats()}
-        if self.labels:
-            out["labels"] = dict(self.labels)
-        return out
+        return {"unit": self.unit,
+                "points": [[t, v] for t, v in self.points], **self.stats()}
 
     def __repr__(self) -> str:
         return f"<TimeSeries {self.name} n={len(self.points)}>"
@@ -157,13 +147,10 @@ class TelemetryProbe:
         return self._next
 
     # -- sampling -----------------------------------------------------------
-    def _series(self, name: str, unit: str = "",
-                labels: Optional[Dict[str, str]] = None,
-                key: Optional[str] = None) -> TimeSeries:
-        key = key if key is not None else name
-        ts = self.series.get(key)
+    def _series(self, name: str, unit: str = "") -> TimeSeries:
+        ts = self.series.get(name)
         if ts is None:
-            ts = self.series[key] = TimeSeries(name, unit, labels=labels)
+            ts = self.series[name] = TimeSeries(name, unit)
         return ts
 
     def on_advance(self, now: float) -> float:
@@ -171,27 +158,6 @@ class TelemetryProbe:
 
         Called by the kernel run loop after the clock advanced to ``now``
         with ``now >= next_time``.  Never schedules anything.
-
-        Kernel counters aggregate across shards through the simulator's
-        shard-aware surface (``queue_depth()`` / ``events_processed`` /
-        ``events_cancelled`` sum over shards on a sharded kernel), so the
-        headline series describe the whole simulation, not just shard 0:
-
-        * ``kernel.queue_depth`` — **sum** of per-shard calendar depths;
-        * ``kernel.events_processed`` / ``kernel.events_per_sec`` —
-          **sum** of per-shard counters / rate of the summed counter;
-        * ``kernel.cancelled_ratio`` — recomputed from the **summed**
-          counts (never a mean of per-shard ratios, which would weight a
-          quiet shard equal to a busy one);
-        * ``kernel.live_processes`` — **sum** over shards;
-        * ``kernel.queue_depth_max`` (sharded runs only) — **max** over
-          shards: the deepest single calendar, the load-imbalance signal
-          a sum hides.
-
-        On sharded runs each shard additionally gets per-shard lanes for
-        ``kernel.queue_depth`` and ``kernel.events_processed``, tagged
-        with a ``shard`` label (OpenMetrics label / Chrome counter lane /
-        ``shard`` field on the ``telemetry.sample`` record).
         """
         sim = self._sim
         take: List[Tuple[str, str, float]] = []
@@ -208,16 +174,6 @@ class TelemetryProbe:
                      cancelled / handled if handled else 0.0))
         take.append(("kernel.live_processes", "processes",
                      float(len(sim.live_processes()))))
-        shards = getattr(sim, "shards", None)
-        per_shard: List[Tuple[int, str, str, float]] = []
-        if shards is not None and len(shards) > 1:
-            take.append(("kernel.queue_depth_max", "events",
-                         float(max(s.queue_depth() for s in shards))))
-            for s in shards:
-                per_shard.append((s.shard_id, "kernel.queue_depth",
-                                  "events", float(s.queue_depth())))
-                per_shard.append((s.shard_id, "kernel.events_processed",
-                                  "events", float(s.events_processed)))
         metrics = sim.metrics
         if metrics is not None and getattr(metrics, "enabled", False):
             for name, unit, value in metrics.sample_values():
@@ -228,13 +184,6 @@ class TelemetryProbe:
             if trace is not None:
                 trace.record(now, "telemetry.sample", metric=name,
                              value=value)
-        for shard_id, name, unit, value in per_shard:
-            ts = self._series(name, unit, labels={"shard": str(shard_id)},
-                              key=f'{name}{{shard="{shard_id}"}}')
-            ts.append(now, value)
-            if trace is not None:
-                trace.record(now, "telemetry.sample", metric=name,
-                             value=value, shard=shard_id)
         self.samples_taken += 1
         self._last_t = now
         self._last_processed = processed

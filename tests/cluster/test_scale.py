@@ -1,80 +1,134 @@
-"""Cluster-scale scenario: racks, shards, spares, and the failure loop.
+"""Cluster-scale scenario: racks, spares, the borrowing ring, the failure loop.
 
 The heavy determinism claims live in ``tests/test_determinism.py``;
-here the model itself is checked — jobs finish under failures, the
-spare-borrow ring crosses shards, counters stay internally consistent,
-and every record a sharded run emits validates against the schema.
+here the model itself is checked — jobs finish under failures, a spare
+comes from the job's own rack at once or from the nearest rack around
+the ring after timed hops, a closed ring is a timed denial, and every
+record a run emits validates against the schema.
 """
 
 import pytest
 
 from repro.cluster import ClusterScale
+from repro.sched.jobs import BatchJobSpec
 from repro.simulate import Tracer
 from repro.simulate.schema import layers_covered, validate_trace
 
+HOP = 0.5
 
-def test_shards_cannot_exceed_racks():
-    with pytest.raises(ValueError, match="exceeds the rack count"):
-        ClusterScale(n_nodes=64, n_jobs=2, shards=4, nodes_per_rack=32)
+
+def _ring(**kw):
+    """Four racks, one idle-failure job on rack00, half-second hops."""
+    spec = BatchJobSpec(name="J000", n_nodes=4, work_seconds=600.0,
+                        submit_time=0.0)
+    cs = ClusterScale(n_nodes=128, job_specs=[spec], node_mtbf=1e12,
+                      inter_rack_latency=HOP, seed=0, **kw)
+    for rack in cs.racks:
+        rack.spares.clear()
+    return cs, cs.jobs[0]
+
+
+def _acquire(cs, job):
+    """Run one spare acquisition -> (spare, granting rack, time taken)."""
+    def body():
+        start = cs.sim.now
+        spare, owner = yield from cs._acquire_spare(job)
+        return spare, owner, cs.sim.now - start
+
+    return cs.sim.run(until=cs.sim.spawn(body()))
+
+
+def test_cluster_needs_a_full_rack():
     with pytest.raises(ValueError, match="at least one full rack"):
         ClusterScale(n_nodes=16, n_jobs=1, nodes_per_rack=32)
 
 
-def test_single_shard_run_completes_all_jobs():
-    cs = ClusterScale(n_nodes=128, n_jobs=8, shards=1, seed=0)
-    res = cs.run()
-    assert res["jobs_completed"] == 8
-    assert res["failures"] > 0
-    assert res["checkpoints"] > 0
-    assert res["makespan"] > 0
-    # One shard: no conservative windows, no cross-shard mail.
-    assert res["windows"] == 0
-    assert res["mail_delivered"] == 0
-    assert "ftb_crossings" not in res  # no bridge on a single backplane
+def test_own_rack_spare_is_local_and_immediate():
+    cs, job = _ring()
+    spare_node = cs.racks[0].nodes[-1]
+    cs.racks[0].spares.append(spare_node)
+    cs.racks[1].spares.append(cs.racks[1].nodes[-1])
+    spare, owner, took = _acquire(cs, job)
+    assert spare is spare_node
+    assert owner is job.rack
+    assert took == 0.0
+    assert cs.spare_requests == 0
+    assert cs.remote_grants == 0
 
 
-def test_sharded_run_exercises_the_cross_shard_paths():
-    cs = ClusterScale(n_nodes=256, n_jobs=16, shards=4, seed=0)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_borrowed_spare_comes_from_nearest_rack_after_k_plus_one_hops(k):
+    cs, job = _ring()
+    for rack in cs.racks[k:]:
+        rack.spares.append(rack.nodes[-1])
+    nearest = cs.racks[k]
+    spare, owner, took = _acquire(cs, job)
+    assert owner is nearest
+    assert spare.name == nearest.nodes[-1].name
+    assert spare.rack is job.rack  # relocated hardware joins the job's rack
+    assert took == pytest.approx((k + 1) * HOP)
+    assert nearest.spares == []
+    assert all(len(r.spares) == 1 for r in cs.racks[k + 1:])
+    assert (cs.spare_requests, cs.remote_grants, cs.spare_denials) == (1, 1, 0)
+
+
+def test_denial_costs_the_full_ring_plus_the_return_hop():
+    cs, job = _ring()
+    spare, owner, took = _acquire(cs, job)
+    assert spare is None and owner is None
+    # Three hops visit every other rack, one more returns the denial.
+    assert took == pytest.approx(len(cs.racks) * HOP)
+    assert (cs.spare_requests, cs.remote_grants, cs.spare_denials) == (1, 0, 1)
+
+
+def test_run_completes_all_jobs_and_borrows_across_racks():
+    cs = ClusterScale(n_nodes=256, n_jobs=16, seed=0)
     res = cs.run()
     assert res["jobs_completed"] == 16
-    assert res["windows"] > 0
-    assert res["mail_delivered"] > 0
-    # FTB alarms bridged between per-shard backplanes...
-    assert res["ftb_crossings"] > 0
+    assert res["checkpoints"] > 0
+    assert res["makespan"] > 0
+    # One backplane spans every rack head: the Job Manager hears every
+    # alarm directly.
     assert res["ftb_alarms_at_jm"] == res["failures"] > 0
-    # ...and at least one spare granted across the ring, with its
-    # restart record landing in the granting shard.
-    assert res["remote_grants"] > 0
-    assert res["remote_restarts"] == res["migrations_remote"] > 0
+    # Spares were borrowed over the ring and restarts landed remotely.
+    assert res["remote_grants"] == res["migrations_remote"] > 0
+    assert res["remote_restarts"] == res["migrations_remote"]
+    assert (res["spare_requests"]
+            == res["remote_grants"] + res["spare_denials"])
     # Both recovery styles occurred (a reactive failure that lands a
     # spare counts a rollback *and* a migration, so the counters
     # overlap rather than partitioning the failures).
     assert 0 < res["rollbacks"] <= res["failures"]
-    assert res["migrations_local"] + res["migrations_remote"] > 0
+    assert res["migrations_local"] > 0
 
 
 def test_run_is_once_only():
-    cs = ClusterScale(n_nodes=128, n_jobs=4, shards=1, seed=0)
+    cs = ClusterScale(n_nodes=128, n_jobs=4, seed=0)
     cs.run()
     with pytest.raises(RuntimeError, match="already"):
         cs.run()
 
 
-def test_sharded_trace_validates_and_covers_new_layers():
+def test_trace_validates_and_covers_cluster_layers():
     tracer = Tracer()
-    cs = ClusterScale(n_nodes=128, n_jobs=8, shards=4, nodes_per_rack=16,
-                      seed=0, trace=tracer)
-    cs.run()
+    cs = ClusterScale(n_nodes=128, n_jobs=8, nodes_per_rack=16, seed=0,
+                      trace=tracer)
+    res = cs.run()
     assert validate_trace(tracer.records) == []
-    covered = layers_covered(tracer.records)
-    assert {"kernel", "cluster", "ftb", "network"} <= covered
+    assert {"cluster", "ftb", "network"} <= layers_covered(tracer.records)
+    rack_names = {r.name for r in cs.racks}
+    restarts = list(tracer.of_kind("cluster.spare.restart"))
+    assert len(restarts) == res["remote_restarts"] > 0
+    for rec in restarts:
+        assert {rec.get("src"), rec.get("dst")} <= rack_names
+        assert rec.get("src") != rec.get("dst")
 
 
 def test_no_spares_still_completes_via_repair_wait():
     # No provisioned spares: early failures must ride out the repair
     # (or be denied by the ring); only repaired nodes ever re-enter the
     # pool.  Jobs still finish.
-    cs = ClusterScale(n_nodes=128, n_jobs=4, shards=2, nodes_per_rack=32,
+    cs = ClusterScale(n_nodes=128, n_jobs=4, nodes_per_rack=32,
                       spares_per_rack=0, seed=0, repair_time=120.0)
     res = cs.run()
     assert res["jobs_completed"] == 4

@@ -44,16 +44,15 @@ def test_trace_spans_at_least_20_kinds_across_all_layers(observed):
     tracer, _, _ = observed
     kinds = set(tracer.kinds())
     assert len(kinds) >= 20, sorted(kinds)
-    # The kernel and cluster layers only appear on sharded cluster-scale
-    # runs (shard.sync windows, cluster.* job records); a paper-testbed
-    # migration runs on one shard and covers everything else.
-    assert layers_covered(tracer) == set(LAYERS) - {"kernel", "cluster"}
+    # The cluster layer only appears on cluster-scale runs (cluster.*
+    # job records); a paper-testbed migration covers everything else.
+    assert layers_covered(tracer) == set(LAYERS) - {"cluster"}
 
 
 def test_schema_covers_only_known_layers():
     assert set(LAYERS) == {"framework", "pipeline", "buffer-pool",
                            "checkpoint", "network", "mpi", "ftb", "storage",
-                           "flow", "telemetry", "kernel", "cluster"}
+                           "flow", "telemetry", "cluster"}
     for spec in TRACE_SCHEMA.values():
         assert spec.layer in LAYERS
         assert spec.doc

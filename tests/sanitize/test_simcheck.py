@@ -175,62 +175,6 @@ def test_sim102_quiet_without_yield_in_loop():
     assert "iter-mutation-hazard" not in codes(src)
 
 
-# -- SIM103 cross-shard-mutation ---------------------------------------------
-
-# A migration process scheduling the restart directly into the spare
-# node's shard — the exact bug the mailbox API exists to prevent.
-SIM103_POS_CALL = '''
-class Migrator:
-    def body(self, job, dst):
-        yield self.sim.timeout(job.ckpt_cost)
-        self.kernel.shards[dst].spawn(job.restart())
-
-def remote_kick(kernel, dst, proc):
-    yield kernel.timeout(1.0)
-    kernel.shard(dst).timeout(5.0)
-'''
-
-SIM103_POS_ASSIGN = '''
-def rebalance(kernel):
-    kernel.shards[1].queue_depth = 0
-    yield kernel.timeout(1.0)
-'''
-
-# Build-time wiring is not a process: spawning initial work on each
-# shard before the window loop starts is the sanctioned setup idiom.
-SIM103_NEG_WIRING = '''
-def build(kernel, jobs):
-    for i, job in enumerate(jobs):
-        kernel.shards[i % 4].spawn(job.body())
-    return kernel.shard(0)
-'''
-
-# A process using the mailbox surface, or a local handle obtained at
-# build time, stays clean — post/subscribe are the crossing API.
-SIM103_NEG_MAILBOX = '''
-def body(shard, kernel):
-    shard.post(1, "spare.request", {"job": "J1"})
-    sim = kernel.shard(2)
-    yield sim.timeout(1.0)
-'''
-
-
-def test_sim103_flags_direct_cross_shard_scheduling():
-    assert codes(SIM103_POS_CALL) == ["cross-shard-mutation"] * 2
-
-
-def test_sim103_flags_cross_shard_state_assignment():
-    assert "cross-shard-mutation" in codes(SIM103_POS_ASSIGN)
-
-
-def test_sim103_build_time_wiring_is_clean():
-    assert codes(SIM103_NEG_WIRING) == []
-
-
-def test_sim103_mailbox_and_local_handle_are_clean():
-    assert codes(SIM103_NEG_MAILBOX) == []
-
-
 # -- SIM201 set-order-dependence ---------------------------------------------
 
 # The fluid-network completion handler as it looked *before* the

@@ -8,24 +8,15 @@ commits, not only between two runs of the same tree.  The Fig. 7
 CR(PVFS) checkpoint+restart, where 64 writers share large max-min
 components, is pinned the same way by a digest of its trace.
 
-The second axis is the shard count.  ``shards=1`` is the compatibility
-path: ``Scenario.build`` runs the paper testbed on a single
-``EventShard``, so the Fig. 4 pin above goes through
-``ShardedSimulator(shards=1)``.  ``shards>1`` cannot promise
-byte-equality *against* the single-shard trace (mailbox crossings pay
-the lookahead), so its contract is run-to-run stability: the same seed
-replays the same JSONL and the same counters on every run, in a
-scenario that exercises the two cross-shard paths — FTB alarms bridged
-between backplanes and a spare restart landing in a different shard
-than the failure.
+The cluster-scale scenario's contract is run-to-run stability: the same
+seed replays the same JSONL and the same counters on every run, in a
+scenario that borrows spares across racks and denies some requests.
 """
 
 import hashlib
 import json
 import os
 from itertools import count
-
-import pytest
 
 import repro.blcr.image as blcr_image
 import repro.cluster.osproc as osproc
@@ -144,46 +135,27 @@ def test_fig7_cr_pvfs_trace_matches_pinned_digest(monkeypatch):
     assert digest.hexdigest() == FIG7_CR_PVFS_TRACE_SHA256
 
 
-def _cluster_trace_jsonl(shards, monkeypatch):
+def _cluster_trace_jsonl(monkeypatch):
     """One seeded cluster-scale run -> (results dict, trace JSONL)."""
     from repro.cluster import ClusterScale
 
     _reset_global_counters(monkeypatch)
     tracer = Tracer()
-    cs = ClusterScale(n_nodes=256, n_jobs=16, shards=shards, seed=0,
-                      trace=tracer)
+    cs = ClusterScale(n_nodes=256, n_jobs=16, seed=0, trace=tracer)
     results = cs.run()
     lines = "\n".join(json.dumps(rec.as_dict(), sort_keys=True)
                       for rec in tracer.records)
     return results, lines
 
 
-@pytest.mark.parametrize("shards", [1, 4])
-def test_cluster_trace_is_stable_across_runs(shards, monkeypatch):
-    """Back-to-back sharded cluster runs replay identically: same
-    counters, same trace bytes."""
-    res_a, lines_a = _cluster_trace_jsonl(shards, monkeypatch)
-    res_b, lines_b = _cluster_trace_jsonl(shards, monkeypatch)
+def test_cluster_trace_is_stable_across_runs(monkeypatch):
+    """Back-to-back cluster runs replay identically: same counters, same
+    trace bytes, with spares borrowed over the rack ring and denied."""
+    res_a, lines_a = _cluster_trace_jsonl(monkeypatch)
+    res_b, lines_b = _cluster_trace_jsonl(monkeypatch)
     assert res_a == res_b
     assert lines_a == lines_b
     assert res_a["jobs_completed"] == 16
     assert res_a["failures"] > 0
-    if shards > 1:
-        # The stability claim must cover the cross-shard machinery:
-        # FTB alarms bridged between per-shard backplanes, and at least
-        # one spare restart granted by a different shard than the one
-        # that lost the node.
-        assert res_a["ftb_crossings"] > 0
-        assert res_a["remote_restarts"] > 0
-        assert res_a["mail_delivered"] > 0
-
-
-def test_cluster_shard_counts_agree_on_failure_schedule(monkeypatch):
-    """Sharding changes event-loop mechanics, not the modelled cluster:
-    the per-job RNG streams draw identically, so 1-shard and 4-shard
-    runs see the same failures and finish the same jobs."""
-    res_1, _ = _cluster_trace_jsonl(1, monkeypatch)
-    res_4, _ = _cluster_trace_jsonl(4, monkeypatch)
-    assert res_1["failures"] == res_4["failures"]
-    assert res_1["jobs_completed"] == res_4["jobs_completed"] == 16
-    assert res_1["checkpoints"] == res_4["checkpoints"]
+    assert res_a["remote_restarts"] > 0
+    assert res_a["spare_denials"] > 0
