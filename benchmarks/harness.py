@@ -11,59 +11,65 @@ artifact containing
   profiler, plus the dominant component,
 * ``wall_seconds`` — how long the bench itself took to run.
 
-``run_benches`` additionally diffs every numeric leaf of ``results``
-against the committed ``benchmarks/baselines.json`` and reports
-regressions beyond a relative tolerance — the contract behind the CI
-``bench-regression`` job and the ``repro bench`` subcommand.  Because
-the simulator is deterministic, the default tolerance is tight; it
-exists to absorb float-accumulation drift across platforms, not noise.
+``run_benches`` additionally compares every numeric leaf of ``results``
+with the committed ``benchmarks/baselines.json`` and reports each one that
+differs — the contract behind the CI ``bench-regression`` job and the
+``repro bench`` subcommand.  The simulator is deterministic and every
+result is rounded before it is pinned (6 decimals; 4 for speedups), so
+the comparison is exact.
+
+The runs themselves are defined in :mod:`repro.experiments`; each bench
+here is a view of their results.
 """
 
 from __future__ import annotations
 
 import functools
-import inspect
 import json
 import os
 import time
+from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.analysis import (
     atomic_write,
     build_span_dag,
     critical_path,
-    cr_cycle_breakdown,
     diff_traces,
     dominant_component,
-    migration_cycle_breakdown,
     migration_phase_breakdown,
     read_jsonl,
     render_explanation,
     speedup,
     write_jsonl,
 )
-from repro.scenario import Scenario
+from repro.experiments import (
+    FIG4,
+    FIG6,
+    FIG7,
+    PIPELINE,
+    STORES,
+    TABLE1,
+    Run,
+    fig7_row,
+)
 from repro.simulate import Tracer
 
 from .paper_reference import (
     FIG4_TOTAL_S,
     FIG6_TOTAL_S,
-    FIG7,
+    FIG7 as FIG7_PAPER,
     HEADLINE_SPEEDUP_EXT3,
     HEADLINE_SPEEDUP_PVFS,
     TABLE1_MB,
 )
 
-__all__ = ["BENCH_SCHEMA_VERSION", "ABS_TOLERANCE_FLOOR", "BENCHES",
+__all__ = ["BENCH_SCHEMA_VERSION", "BENCHES",
            "EXPLAIN_SCENARIOS", "run_bench", "run_benches",
            "compare_to_baselines", "flatten_results",
            "default_baselines_path", "baseline_trace_path"]
 
 BENCH_SCHEMA_VERSION = 1
-DEFAULT_REL_TOLERANCE = 0.05
-#: Baselines with |value| at or below this are compared by absolute delta:
-#: relative drift against a (near-)zero pin is numerically meaningless.
-ABS_TOLERANCE_FLOOR = 1e-9
 
 
 def default_baselines_path() -> str:
@@ -73,16 +79,16 @@ def default_baselines_path() -> str:
 
 # -- building blocks ---------------------------------------------------------
 
-#: Results of the scenarios simulated so far in one :func:`run_benches` call,
-#: keyed by function name and bound arguments; ``None`` outside a call.
-#: The benches share scenarios (LU.C.64 file mode alone feeds fig4, fig6
-#: ppn8, fig7, table1 and pipeline) and a seeded run is deterministic, so
-#: each distinct scenario is simulated once per call.
-_memo: Optional[Dict[tuple, Any]] = None
+#: Results of the runs simulated so far in one :func:`run_benches` call,
+#: keyed by run; ``None`` outside a call.  The benches share runs (the
+#: LU.C.64 file-mode migration alone feeds fig4, fig6 ppn8, fig7, table1
+#: and pipeline) and a seeded run is deterministic, so each distinct run
+#: is simulated once per call.
+_memo: Optional[Dict[Run, Tuple[Any, Optional[Tracer]]]] = None
 
 
 def _memoizing(fn: Callable) -> Callable:
-    """Cache :func:`_memoized` scenarios while ``fn`` runs; drop them after."""
+    """Cache :func:`_result` runs while ``fn`` runs; drop them after."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -96,48 +102,16 @@ def _memoizing(fn: Callable) -> Callable:
     return wrapper
 
 
-def _memoized(fn: Callable) -> Callable:
-    signature = inspect.signature(fn)
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        if _memo is None:
-            return fn(*args, **kwargs)
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        key = (fn.__name__,) + tuple(bound.arguments.values())
-        if key not in _memo:
-            _memo[key] = fn(*args, **kwargs)
-        return _memo[key]
-
-    return wrapper
-
-
-@_memoized
-def _traced_migration(app: str, nprocs: int = 64, n_compute: int = 8,
-                      seed: int = 0,
-                      restart_mode: str = "file") -> Tuple[Any, Tracer]:
-    tracer = Tracer()
-    sc = Scenario.build(app=app, nprocs=nprocs, n_compute=n_compute,
-                        n_spare=1, iterations=40, seed=seed, trace=tracer,
-                        restart_mode=restart_mode)
-    report = sc.run_migration("node3", at=5.0)
-    return report, tracer
-
-
-@_memoized
-def _cr_cycle(app: str, dest: str, seed: int = 0):
-    sc = Scenario.build(app=app, nprocs=64, n_compute=8, n_spare=1,
-                        iterations=40, seed=seed, with_pvfs=True)
-    strategy = sc.cr_strategy(dest)
-
-    def drive(sim):
-        yield sim.timeout(5.0)
-        ckpt = yield from strategy.checkpoint()
-        restart = yield from strategy.restart()
-        return ckpt, restart
-
-    return sc.sim.run(until=sc.sim.spawn(drive(sc.sim)))
+def _result(run: Run) -> Tuple[Any, Optional[Tracer]]:
+    """``run``'s result, and its trace if it is a migration: the
+    critical-path blame is read off migration traces only."""
+    if _memo is not None and run in _memo:
+        return _memo[run]
+    tracer = Tracer() if run.cr is None else None
+    out = (run.execute(trace=tracer), tracer)
+    if _memo is not None:
+        _memo[run] = out
+    return out
 
 
 def _blame(tracer: Tracer) -> Tuple[Dict[str, Dict[str, float]],
@@ -157,110 +131,95 @@ def _delta(measured: float, paper: float) -> Dict[str, float]:
 
 # -- the benches -------------------------------------------------------------
 
+def _artifact(title: str, rows: Dict[Any, Tuple[Dict[str, Any], Any, Tracer]],
+              paper: Optional[Dict[Any, Any]] = None) -> Dict[str, Any]:
+    """A bench body from ``{key: (results, paper deltas, migration trace)}``:
+    each key's results and deltas, and the critical-path blame of its
+    trace."""
+    blames = {key: _blame(tracer) for key, (_, _, tracer) in rows.items()}
+    body = {"title": title,
+            "results": {key: row for key, (row, _, _) in rows.items()},
+            "critical_path": {key: blame for key, (blame, _) in blames.items()},
+            "dominant": {key: dom for key, (_, dom) in blames.items()}}
+    if paper is not None:
+        body["paper_reference"] = paper
+        body["paper_deltas"] = {key: d for key, (_, d, _) in rows.items()}
+    return body
+
+
+def _phases(report) -> Dict[str, float]:
+    return {k: round(v, 6)
+            for k, v in migration_phase_breakdown(report).items()}
+
+
+def _migrations(runs: Dict[str, Run], paper_totals: Dict[str, float],
+                restart_mode: str) -> Dict[str, Tuple[Dict, Dict, Tracer]]:
+    rows = {}
+    for key, run in runs.items():
+        report, tracer = _result(replace(run, restart_mode=restart_mode))
+        rows[key] = (_phases(report),
+                     {"total": _delta(report.total_seconds,
+                                      paper_totals[key])}, tracer)
+    return rows
+
+
 def bench_fig4(restart_mode: str = "file") -> Dict[str, Any]:
     """Fig. 4: migration phase breakdown, 64 ranks on 8 nodes, per app."""
-    results: Dict[str, Any] = {}
-    deltas: Dict[str, Any] = {}
-    blames: Dict[str, Any] = {}
-    dominants: Dict[str, Any] = {}
-    for app in ("LU.C", "BT.C", "SP.C"):
-        report, tracer = _traced_migration(app, restart_mode=restart_mode)
-        results[app] = {k: round(v, 6)
-                        for k, v in migration_phase_breakdown(report).items()}
-        deltas[app] = {"total": _delta(report.total_seconds,
-                                       FIG4_TOTAL_S[app])}
-        blames[app], dominants[app] = _blame(tracer)
-    return {"title": "Fig. 4 — migration phase breakdown (64 ranks)",
-            "results": results, "paper_reference": FIG4_TOTAL_S,
-            "paper_deltas": deltas, "critical_path": blames,
-            "dominant": dominants}
+    return _artifact("Fig. 4 — migration phase breakdown (64 ranks)",
+                     _migrations(FIG4, FIG4_TOTAL_S, restart_mode),
+                     FIG4_TOTAL_S)
 
 
 def bench_fig6(restart_mode: str = "file") -> Dict[str, Any]:
     """Fig. 6: LU.C ranks/node sweep on 8 compute nodes."""
-    results: Dict[str, Any] = {}
-    deltas: Dict[str, Any] = {}
-    blames: Dict[str, Any] = {}
-    dominants: Dict[str, Any] = {}
-    for ppn, paper_total in FIG6_TOTAL_S.items():
-        report, tracer = _traced_migration("LU.C", nprocs=8 * ppn,
-                                           restart_mode=restart_mode)
-        key = f"ppn{ppn}"
-        results[key] = {k: round(v, 6)
-                        for k, v in migration_phase_breakdown(report).items()}
-        deltas[key] = {"total": _delta(report.total_seconds, paper_total)}
-        blames[key], dominants[key] = _blame(tracer)
-    return {"title": "Fig. 6 — migration scalability (LU.C, ranks/node)",
-            "results": results,
-            "paper_reference": {f"ppn{k}": v
-                                for k, v in FIG6_TOTAL_S.items()},
-            "paper_deltas": deltas, "critical_path": blames,
-            "dominant": dominants}
+    runs = {f"ppn{ppn}": run for ppn, run in FIG6.items()}
+    paper = {f"ppn{ppn}": total for ppn, total in FIG6_TOTAL_S.items()}
+    return _artifact("Fig. 6 — migration scalability (LU.C, ranks/node)",
+                     _migrations(runs, paper, restart_mode), paper)
 
 
 def bench_fig7(restart_mode: str = "file") -> Dict[str, Any]:
     """Fig. 7: one migration cycle vs full CR to ext3 and to PVFS."""
-    results: Dict[str, Any] = {}
-    deltas: Dict[str, Any] = {}
-    blames: Dict[str, Any] = {}
-    dominants: Dict[str, Any] = {}
-    for app in ("LU.C", "BT.C"):
-        report, tracer = _traced_migration(app, restart_mode=restart_mode)
-        row: Dict[str, Any] = {
-            "migration": {k: round(v, 6)
-                          for k, v in migration_cycle_breakdown(report).items()}}
-        for dest in ("ext3", "pvfs"):
-            ckpt, restart = _cr_cycle(app, dest)
-            row[f"cr_{dest}"] = {
-                k: round(v, 6)
-                for k, v in cr_cycle_breakdown(ckpt, restart).items()}
-            cycle = ckpt.total_seconds + restart.restart_seconds
-            row[f"speedup_{dest}"] = round(
-                speedup(cycle, report.total_seconds), 4)
-        results[app] = row
-        blames[app], dominants[app] = _blame(tracer)
-        app_deltas = {}
-        ref = FIG7.get(app, {})
-        if "ckpt_ext3" in ref:
-            app_deltas["ckpt_ext3"] = _delta(
-                row["cr_ext3"]["Checkpoint(Migration)"], ref["ckpt_ext3"])
-        if "ckpt_pvfs" in ref:
-            app_deltas["ckpt_pvfs"] = _delta(
-                row["cr_pvfs"]["Checkpoint(Migration)"], ref["ckpt_pvfs"])
+    rows = {}
+    for app, runs in FIG7.items():
+        runs = dict(runs, migration=replace(runs["migration"],
+                                            restart_mode=restart_mode))
+        row = fig7_row({kind: _result(run)[0] for kind, run in runs.items()})
+        # Pinning precision: speedups to 4 decimals, seconds to 6.
+        row = {k: round(v, 4) if k.startswith("speedup")
+               else {kk: round(vv, 6) for kk, vv in v.items()}
+               for k, v in row.items()}
+        ref = FIG7_PAPER.get(app, {})
+        deltas = {f"ckpt_{store}": _delta(
+                      row[f"cr_{store}"]["Checkpoint(Migration)"],
+                      ref[f"ckpt_{store}"])
+                  for store in STORES if f"ckpt_{store}" in ref}
         if app == "LU.C":
-            app_deltas["speedup_pvfs"] = _delta(row["speedup_pvfs"],
-                                                HEADLINE_SPEEDUP_PVFS)
-            app_deltas["speedup_ext3"] = _delta(row["speedup_ext3"],
-                                                HEADLINE_SPEEDUP_EXT3)
-        deltas[app] = app_deltas
-    return {"title": "Fig. 7 — migration vs checkpoint/restart",
-            "results": results, "paper_reference": FIG7,
-            "paper_deltas": deltas, "critical_path": blames,
-            "dominant": dominants}
+            deltas["speedup_pvfs"] = _delta(row["speedup_pvfs"],
+                                            HEADLINE_SPEEDUP_PVFS)
+            deltas["speedup_ext3"] = _delta(row["speedup_ext3"],
+                                            HEADLINE_SPEEDUP_EXT3)
+        rows[app] = (row, deltas, _result(runs["migration"])[1])
+    return _artifact("Fig. 7 — migration vs checkpoint/restart", rows,
+                     FIG7_PAPER)
 
 
 def bench_table1(restart_mode: str = "file") -> Dict[str, Any]:
     """Table I: MB moved by migration vs dumped by CR, per app (exact)."""
-    results: Dict[str, Any] = {}
-    deltas: Dict[str, Any] = {}
-    blames: Dict[str, Any] = {}
-    dominants: Dict[str, Any] = {}
-    for app in ("LU.C", "BT.C", "SP.C"):
-        report, tracer = _traced_migration(app, restart_mode=restart_mode)
-        ckpt, _ = _cr_cycle(app, "ext3")
+    rows = {}
+    for app, runs in TABLE1.items():
+        report, tracer = _result(replace(runs["migration"],
+                                         restart_mode=restart_mode))
+        (ckpt, _), _ = _result(runs["cr"])
         mig_mb = report.bytes_migrated / 1e6
         cr_mb = ckpt.bytes_written / 1e6
-        results[app] = {"migration_mb": round(mig_mb, 6),
-                        "cr_mb": round(cr_mb, 6)}
-        deltas[app] = {
-            "migration_mb": _delta(mig_mb, TABLE1_MB[app]["migration"]),
-            "cr_mb": _delta(cr_mb, TABLE1_MB[app]["cr"]),
-        }
-        blames[app], dominants[app] = _blame(tracer)
-    return {"title": "Table I — amount of data movement (MB)",
-            "results": results, "paper_reference": TABLE1_MB,
-            "paper_deltas": deltas, "critical_path": blames,
-            "dominant": dominants}
+        rows[app] = (
+            {"migration_mb": round(mig_mb, 6), "cr_mb": round(cr_mb, 6)},
+            {"migration_mb": _delta(mig_mb, TABLE1_MB[app]["migration"]),
+             "cr_mb": _delta(cr_mb, TABLE1_MB[app]["cr"])},
+            tracer)
+    return _artifact("Table I — amount of data movement (MB)", rows,
+                     TABLE1_MB)
 
 
 def bench_pipeline(restart_mode: str = "file") -> Dict[str, Any]:
@@ -274,22 +233,15 @@ def bench_pipeline(restart_mode: str = "file") -> Dict[str, Any]:
     both modes, that comparison *is* the measurement.
     """
     del restart_mode
-    results: Dict[str, Any] = {}
-    blames: Dict[str, Any] = {}
-    dominants: Dict[str, Any] = {}
-    totals: Dict[str, float] = {}
-    for mode in ("file", "memory"):
-        report, tracer = _traced_migration("LU.C", restart_mode=mode)
-        results[mode] = {k: round(v, 6)
-                         for k, v in migration_phase_breakdown(report).items()}
-        totals[mode] = report.total_seconds
-        blames[mode], dominants[mode] = _blame(tracer)
-    results["memory_speedup"] = round(
-        speedup(totals["file"], totals["memory"]), 4)
-    return {"title": "Pipelined restart — file barrier vs memory sink "
+    reports = {mode: _result(run) for mode, run in PIPELINE.items()}
+    body = _artifact("Pipelined restart — file barrier vs memory sink "
                      "(LU.C, 64 ranks)",
-            "results": results, "critical_path": blames,
-            "dominant": dominants}
+                     {mode: (_phases(report), None, tracer)
+                      for mode, (report, tracer) in reports.items()})
+    body["results"]["memory_speedup"] = round(
+        speedup(reports["file"][0].total_seconds,
+                reports["memory"][0].total_seconds), 4)
+    return body
 
 
 def _kernel_sweep() -> Tuple[Dict[str, float], float]:
@@ -302,11 +254,10 @@ def _kernel_sweep() -> Tuple[Dict[str, float], float]:
     processed = cancelled = 0
     final_time = 0.0
     wall = 0.0
-    for ppn in (1, 2, 4, 8):
-        sc = Scenario.build(app="LU.C", nprocs=8 * ppn, n_compute=8,
-                            n_spare=1, iterations=40, seed=0)
+    for run in FIG6.values():
+        sc = run.scenario()
         t0 = time.perf_counter()
-        sc.run_migration("node3", at=5.0)
+        run.drive(sc)
         wall += time.perf_counter() - t0
         processed += sc.sim.events_processed
         cancelled += sc.sim.events_cancelled
@@ -433,18 +384,13 @@ BENCHES: Dict[str, Callable[..., Dict[str, Any]]] = {
 }
 
 
-#: Canonical traced scenario behind each migration bench, as
-#: ``(app, restart_mode)``.  When a bench regresses, the regression
-#: explainer replays this scenario and diffs its trace against the
-#: pinned baseline trace — the kernel-throughput family has no span
-#: trace, so it is absent here and never explained.
-EXPLAIN_SCENARIOS: Dict[str, Tuple[str, str]] = {
-    "fig4": ("LU.C", "file"),
-    "fig6": ("LU.C", "file"),
-    "fig7": ("LU.C", "file"),
-    "table1": ("LU.C", "file"),
-    "pipeline": ("LU.C", "file"),
-}
+#: Canonical traced run behind each migration bench.  When a bench
+#: regresses, the regression explainer replays this run and diffs its
+#: trace against the pinned baseline trace — the kernel-throughput family
+#: has no span trace, so it is absent here and never explained.
+EXPLAIN_SCENARIOS: Dict[str, Run] = {
+    bench: FIG4["LU.C"]
+    for bench in ("fig4", "fig6", "fig7", "table1", "pipeline")}
 
 
 def baseline_trace_path(bench: str,
@@ -452,18 +398,17 @@ def baseline_trace_path(bench: str,
                         ) -> Optional[str]:
     """Where the bench's pinned baseline trace lives (``None``: no trace).
 
-    Traces are keyed by canonical scenario, not bench name — benches
-    sharing one scenario share one pinned ``.jsonl.gz`` next to the
-    baselines file, under ``baseline_traces/``.
+    Traces are keyed by canonical run, not bench name — benches sharing
+    one run share one pinned ``.jsonl.gz`` next to the baselines file,
+    under ``baseline_traces/``.
     """
-    scenario = EXPLAIN_SCENARIOS.get(bench)
-    if scenario is None:
+    run = EXPLAIN_SCENARIOS.get(bench)
+    if run is None:
         return None
-    app, mode = scenario
     root = os.path.dirname(os.path.abspath(
         baselines_path or default_baselines_path()))
     return os.path.join(root, "baseline_traces",
-                        f"migration_{app}_{mode}.jsonl.gz")
+                        f"migration_{run.app}_{run.restart_mode}.jsonl.gz")
 
 
 def _explain_headline(text: str) -> str:
@@ -479,13 +424,11 @@ def _explain_regressions(regressed: List[str], out_dir: str,
     """Render ``EXPLAIN_<bench>.md`` for each regressed bench with a
     pinned baseline trace; returns the paths written.
 
-    The canonical scenario is replayed at most once per distinct pinned
-    trace (benches sharing a scenario share the replay), and the diff's
-    headline is appended to the summary so CI logs name the guilty
-    component without opening the artifact.
+    The canonical run is replayed at most once (benches sharing a run
+    share the replay), and the diff's headline is appended to the summary
+    so CI logs name the guilty component without opening the artifact.
     """
     written: List[str] = []
-    replays: Dict[str, Any] = {}
     for bench in regressed:
         pin = baseline_trace_path(bench, baselines_path)
         if pin is None:
@@ -494,12 +437,9 @@ def _explain_regressions(regressed: List[str], out_dir: str,
             lines.append(f"  explain {bench}: no pinned baseline trace at "
                          f"{pin} (re-run with --update-baselines)")
             continue
-        if pin not in replays:
-            app, mode = EXPLAIN_SCENARIOS[bench]
-            _, tracer = _traced_migration(app, restart_mode=mode)
-            replays[pin] = tracer
+        _, tracer = _result(EXPLAIN_SCENARIOS[bench])
         try:
-            diff = diff_traces(read_jsonl(pin), replays[pin],
+            diff = diff_traces(read_jsonl(pin), tracer,
                                label_a="pinned baseline",
                                label_b="current")
         except ValueError as exc:
@@ -544,18 +484,18 @@ def flatten_results(obj: Any, prefix: str = "") -> Dict[str, float]:
 
 
 def compare_to_baselines(measured: Dict[str, Dict[str, float]],
-                         baselines: Dict[str, Any],
-                         tolerance: Optional[float] = None) -> List[str]:
+                         baselines: Dict[str, Any]) -> List[str]:
     """Regression messages (empty == clean).
 
     ``measured`` is ``{bench name: flattened results}``; ``baselines`` is
-    the parsed ``baselines.json``.  Keys present in the baseline but
-    missing from the measurement are regressions too (a silently dropped
-    result must not pass).  Extra measured keys are informational only,
-    so adding outputs does not require a lockstep baseline update.
+    the parsed ``baselines.json``.  Every pinned value must be reproduced
+    exactly: the simulator is deterministic and results are rounded
+    before they are pinned, so any difference is a change in what the
+    simulation computes.  Keys present in the baseline but missing from
+    the measurement are regressions too (a silently dropped result must
+    not pass).  Extra measured keys are informational only, so adding
+    outputs does not require a lockstep baseline update.
     """
-    tol = tolerance if tolerance is not None else baselines.get(
-        "default_rel_tolerance", DEFAULT_REL_TOLERANCE)
     problems: List[str] = []
     for bench, expected in baselines.get("benches", {}).items():
         got = measured.get(bench)
@@ -565,26 +505,10 @@ def compare_to_baselines(measured: Dict[str, Dict[str, float]],
             if key not in got:
                 problems.append(f"{bench}: baseline key {key!r} missing "
                                 f"from results")
-                continue
-            value = got[key]
-            diff = value - base
-            if abs(base) <= ABS_TOLERANCE_FLOOR:
-                # Near-zero baseline: a relative delta is meaningless —
-                # dividing by ~0 either explodes on harmless float dust or
-                # silently passes everything.  Compare absolutely instead.
-                if abs(diff) > ABS_TOLERANCE_FLOOR:
-                    problems.append(
-                        f"{bench}: {key} = {value:.6g} moved off "
-                        f"near-zero baseline {base:.6g} "
-                        f"(|delta| {abs(diff):.3g} > absolute floor "
-                        f"{ABS_TOLERANCE_FLOOR:g})")
-                continue
-            drift = diff / abs(base)
-            if abs(drift) > tol:
+            elif got[key] != base:
                 problems.append(
-                    f"{bench}: {key} = {value:.6g} drifted "
-                    f"{drift:+.1%} from baseline {base:.6g} "
-                    f"(tolerance {tol:.1%})")
+                    f"{bench}: {key} = {got[key]!r} drifted "
+                    f"{got[key] - base:+.6g} from baseline {base!r}")
     return problems
 
 
@@ -592,7 +516,6 @@ def compare_to_baselines(measured: Dict[str, Dict[str, float]],
 def run_benches(names: Optional[List[str]] = None, out_dir: str = ".",
                 baselines_path: Optional[str] = None,
                 update_baselines: bool = False,
-                tolerance: Optional[float] = None,
                 restart_mode: str = "file",
                 progress_cb: Optional[Callable[[str], None]] = None
                 ) -> Tuple[List[str], List[str], str]:
@@ -641,7 +564,6 @@ def run_benches(names: Optional[List[str]] = None, out_dir: str = ".",
         benches.update({n: {k: v for k, v in sorted(m.items())}
                         for n, m in measured.items()})
         doc = {"schema_version": BENCH_SCHEMA_VERSION,
-               "default_rel_tolerance": DEFAULT_REL_TOLERANCE,
                "benches": {k: benches[k] for k in sorted(benches)}}
         with atomic_write(baselines_path) as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
@@ -653,14 +575,13 @@ def run_benches(names: Optional[List[str]] = None, out_dir: str = ".",
             os.makedirs(os.path.dirname(pin), exist_ok=True)
             bench = next(n for n in names
                          if baseline_trace_path(n, baselines_path) == pin)
-            app, mode = EXPLAIN_SCENARIOS[bench]
-            _, tracer = _traced_migration(app, restart_mode=mode)
+            _, tracer = _result(EXPLAIN_SCENARIOS[bench])
             n_rows = write_jsonl(tracer, pin)
             lines.append(f"pinned baseline trace: {pin} ({n_rows} records)")
     elif os.path.exists(baselines_path):
         with open(baselines_path, "r", encoding="utf-8") as fh:
             baselines = json.load(fh)
-        regressions = compare_to_baselines(measured, baselines, tolerance)
+        regressions = compare_to_baselines(measured, baselines)
         if regressions:
             lines.append(f"REGRESSIONS ({len(regressions)}):")
             lines.extend(f"  {msg}" for msg in regressions)
@@ -671,7 +592,7 @@ def run_benches(names: Optional[List[str]] = None, out_dir: str = ".",
             paths.extend(_explain_regressions(regressed, out_dir,
                                               baselines_path, lines))
         else:
-            lines.append(f"all results within tolerance of {baselines_path}")
+            lines.append(f"all results match {baselines_path}")
     else:
         lines.append(f"no baselines at {baselines_path} "
                      f"(run with --update-baselines to create)")

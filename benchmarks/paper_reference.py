@@ -39,3 +39,4 @@ FIG7 = {
 }
 HEADLINE_SPEEDUP_PVFS = 4.49   # LU.C.64 (text)
 HEADLINE_SPEEDUP_EXT3 = 2.03   # LU.C.64 (text)
+CKPT_ONLY_SPEEDUP_PVFS = 2.58  # LU.C.64, vs the checkpoint alone (text)

@@ -10,20 +10,19 @@ contention relief and wave serialization.
 
 import pytest
 
-from repro import Scenario
 from repro.analysis import render_table
+from repro.experiments import FAILURE_AT, FIG7
 
 GROUPS = [8, 16, 32, 64]
 
 
 def one(group_size: int):
-    sc = Scenario.build(app="BT.C", nprocs=64, n_compute=8, n_spare=1,
-                        iterations=40, with_pvfs=True)
+    sc = FIG7["BT.C"]["cr_pvfs"].scenario()
     strategy = sc.cr_strategy("pvfs")
     strategy.group_size = group_size
 
     def drive(sim):
-        yield sim.timeout(5.0)
+        yield sim.timeout(FAILURE_AT)
         return (yield from strategy.checkpoint())
 
     return sc.sim.run(until=sc.sim.spawn(drive(sc.sim)))

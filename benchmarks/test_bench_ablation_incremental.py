@@ -13,18 +13,17 @@ measures both regimes:
 
 import pytest
 
-from repro import Scenario
 from repro.analysis import render_table
+from repro.experiments import FAILURE_AT, FIG7
 
 
 def run_epochs(incremental: bool, touch_names, n_epochs=3):
-    sc = Scenario.build(app="LU.C", nprocs=64, n_compute=8, n_spare=1,
-                        iterations=40)
+    sc = FIG7["LU.C"]["cr_ext3"].scenario()
     strat = sc.cr_strategy("ext3")
     strat.incremental = incremental
 
     def drive(sim):
-        yield sim.timeout(5.0)
+        yield sim.timeout(FAILURE_AT)
         reports = []
         for _ in range(n_epochs):
             reports.append((yield from strat.checkpoint()))

@@ -16,9 +16,9 @@ Dirty rates are per source node (8 LU.C.64 ranks re-dirty ~8 x 16.3 MB per
 
 import pytest
 
-from repro import Scenario
 from repro.analysis import render_table
 from repro.core import LiveMigrationStrategy
+from repro.experiments import FAILURE_AT, FIG4, PIPELINE
 
 DIRTY_RATES = {
     "read-mostly (10 MB/s)": 1e7,
@@ -29,22 +29,20 @@ DIRTY_RATES = {
 
 
 def run_live(dirty_rate: float, pipe_bandwidth=None):
-    sc = Scenario.build(app="LU.C", nprocs=64, n_compute=8, n_spare=1,
-                        iterations=40)
+    run = FIG4["LU.C"]
+    sc = run.scenario()
     strat = LiveMigrationStrategy(sc.framework, max_rounds=4,
                                   pipe_bandwidth=pipe_bandwidth)
 
     def drive(sim):
-        yield sim.timeout(5.0)
-        return (yield from strat.migrate("node3", dirty_rate=dirty_rate))
+        yield sim.timeout(FAILURE_AT)
+        return (yield from strat.migrate(run.source, dirty_rate=dirty_rate))
 
     return sc.sim.run(until=sc.sim.spawn(drive(sc.sim)))
 
 
 def run_stop_and_copy(restart_mode="file"):
-    sc = Scenario.build(app="LU.C", nprocs=64, n_compute=8, n_spare=1,
-                        iterations=40, restart_mode=restart_mode)
-    return sc.run_migration("node3", at=5.0)
+    return PIPELINE[restart_mode].execute()
 
 
 @pytest.fixture(scope="module")

@@ -8,16 +8,13 @@ quantifies what it buys for each application.
 
 import pytest
 
-from repro import MigrationPhase, Scenario
+from repro import MigrationPhase
 from repro.analysis import render_table
-
-APPS = ["LU.C", "BT.C", "SP.C"]
+from repro.experiments import APPS, Run
 
 
 def one(app: str, mode: str):
-    scenario = Scenario.build(app=app, nprocs=64, n_compute=8, n_spare=1,
-                              iterations=40, restart_mode=mode)
-    return scenario.run_migration("node3", at=5.0)
+    return Run(app, restart_mode=mode).execute()
 
 
 @pytest.fixture(scope="module")

@@ -8,16 +8,15 @@ under each transport for LU.C.64 and checks the claimed ordering.
 
 import pytest
 
-from repro import MigrationPhase, Scenario
+from repro import MigrationPhase
 from repro.analysis import render_table
+from repro.experiments import Run
 
 TRANSPORTS = ["rdma", "ipoib", "tcp", "staging"]
 
 
 def one(transport: str):
-    scenario = Scenario.build(app="LU.C", nprocs=64, n_compute=8, n_spare=1,
-                              iterations=40, transport=transport)
-    return scenario.run_migration("node3", at=5.0)
+    return Run(transport=transport).execute()
 
 
 @pytest.fixture(scope="module")

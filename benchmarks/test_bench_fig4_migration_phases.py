@@ -7,27 +7,20 @@ into Job Stall / Job Migration / Restart / Resume.
 
 import pytest
 
-from repro import MigrationPhase, Scenario
+from repro import MigrationPhase
 from repro.analysis import migration_phase_breakdown, render_stacked, render_table
+from repro.experiments import APPS, FIG4
 
 from .paper_reference import FIG4_PHASE2_RANGE_S, FIG4_TOTAL_S
-
-APPS = ["LU.C", "BT.C", "SP.C"]
-
-
-def one_migration(app: str):
-    scenario = Scenario.build(app=app, nprocs=64, n_compute=8, n_spare=1,
-                              iterations=40)
-    return scenario.run_migration("node3", at=5.0)
 
 
 @pytest.fixture(scope="module")
 def reports():
-    return {app: one_migration(app) for app in APPS}
+    return {app: run.execute() for app, run in FIG4.items()}
 
 
 def test_bench_fig4(benchmark, reports):
-    benchmark.pedantic(one_migration, args=("LU.C",), rounds=1, iterations=1)
+    benchmark.pedantic(FIG4["LU.C"].execute, rounds=1, iterations=1)
 
     rows = {f"{app}.64": migration_phase_breakdown(r)
             for app, r in reports.items()}

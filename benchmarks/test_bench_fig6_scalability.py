@@ -9,27 +9,20 @@ rises with task scale.
 
 import pytest
 
-from repro import MigrationPhase, Scenario
+from repro import MigrationPhase
 from repro.analysis import migration_phase_breakdown, render_table
+from repro.experiments import FIG6, PPNS
 
 from .paper_reference import FIG6_TOTAL_S
-
-PPNS = [1, 2, 4, 8]
-
-
-def one(ppn: int):
-    scenario = Scenario.build(app="LU.C", nprocs=8 * ppn, n_compute=8,
-                              n_spare=1, iterations=40)
-    return scenario.run_migration("node3", at=5.0)
 
 
 @pytest.fixture(scope="module")
 def reports():
-    return {ppn: one(ppn) for ppn in PPNS}
+    return {ppn: run.execute() for ppn, run in FIG6.items()}
 
 
 def test_bench_fig6(benchmark, reports):
-    benchmark.pedantic(one, args=(8,), rounds=1, iterations=1)
+    benchmark.pedantic(FIG6[8].execute, rounds=1, iterations=1)
 
     rows = {}
     for ppn, report in reports.items():

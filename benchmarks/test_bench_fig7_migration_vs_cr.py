@@ -8,73 +8,46 @@ LU.C.64).
 
 import pytest
 
-from repro import Scenario
-from repro.analysis import (
-    cr_cycle_breakdown,
-    migration_cycle_breakdown,
-    render_stacked,
-    render_table,
-    speedup,
-)
+from repro.analysis import render_stacked, render_table
+from repro.experiments import FIG7, fig7_row
 
 from .paper_reference import (
-    FIG7,
+    FIG7 as FIG7_PAPER,
     HEADLINE_SPEEDUP_EXT3,
     HEADLINE_SPEEDUP_PVFS,
 )
 
-APPS = ["LU.C", "BT.C", "SP.C"]
-
 
 def run_app(app: str):
-    mig_sc = Scenario.build(app=app, nprocs=64, n_compute=8, n_spare=1,
-                            iterations=40)
-    migration = mig_sc.run_migration("node3", at=5.0)
-
-    cycles = {}
-    for dest in ("ext3", "pvfs"):
-        sc = Scenario.build(app=app, nprocs=64, n_compute=8, n_spare=1,
-                            iterations=40, with_pvfs=True)
-        strategy = sc.cr_strategy(dest)
-
-        def drive(sim, strategy=strategy):
-            yield sim.timeout(5.0)
-            ckpt = yield from strategy.checkpoint()
-            restart = yield from strategy.restart()
-            return ckpt, restart
-
-        proc = sc.sim.spawn(drive(sc.sim))
-        cycles[dest] = sc.sim.run(until=proc)
-    return migration, cycles
+    """The app's Fig. 7 runs -> (their results, the Fig. 7 row)."""
+    results = {kind: run.execute() for kind, run in FIG7[app].items()}
+    return results, fig7_row(results)
 
 
 @pytest.fixture(scope="module")
 def results():
-    return {app: run_app(app) for app in APPS}
+    return {app: run_app(app) for app in FIG7}
 
 
 def test_bench_fig7(benchmark, results):
     benchmark.pedantic(run_app, args=("LU.C",), rounds=1, iterations=1)
 
-    for app in APPS:
-        migration, cycles = results[app]
-        rows = {"Migration": migration_cycle_breakdown(migration)}
-        for dest in ("ext3", "pvfs"):
-            ckpt, restart = cycles[dest]
-            rows[f"CR({dest})"] = cr_cycle_breakdown(ckpt, restart)
+    for app, (measured, row) in results.items():
+        rows = {"Migration": row["migration"],
+                "CR(ext3)": row["cr_ext3"], "CR(pvfs)": row["cr_pvfs"]}
         print()
         print(render_table(f"Figure 7 — {app}.64", rows))
         print(render_stacked(f"Figure 7 — {app}.64 stacks", {
             k: {kk: vv for kk, vv in v.items() if kk != "Total"}
             for k, v in rows.items()}))
 
-        mig_total = migration.total_seconds
+        mig_total = measured["migration"].total_seconds
         total_ext3 = rows["CR(ext3)"]["Total"]
         total_pvfs = rows["CR(pvfs)"]["Total"]
         # Ordering: migration < CR(ext3) < CR(PVFS).
         assert mig_total < total_ext3 < total_pvfs, app
         # Checkpoint phases land near the paper's text-quoted values.
-        ref = FIG7.get(app, {})
+        ref = FIG7_PAPER.get(app, {})
         ckpt_ext3 = rows["CR(ext3)"]["Checkpoint(Migration)"]
         ckpt_pvfs = rows["CR(pvfs)"]["Checkpoint(Migration)"]
         if "ckpt_ext3" in ref:
@@ -85,14 +58,9 @@ def test_bench_fig7(benchmark, results):
 
 def test_bench_fig7_headline_speedup(results):
     """LU.C.64: migration vs full CR cycles — the paper's 4.49x / 2.03x."""
-    migration, cycles = results["LU.C"]
-    ckpt_e, res_e = cycles["ext3"]
-    ckpt_p, res_p = cycles["pvfs"]
-    cycle_ext3 = ckpt_e.total_seconds + res_e.restart_seconds
-    cycle_pvfs = ckpt_p.total_seconds + res_p.restart_seconds
-
-    s_pvfs = speedup(cycle_pvfs, migration.total_seconds)
-    s_ext3 = speedup(cycle_ext3, migration.total_seconds)
+    _, row = results["LU.C"]
+    s_pvfs = row["speedup_pvfs"]
+    s_ext3 = row["speedup_ext3"]
     print(f"\nHeadline: speedup over CR(PVFS) = {s_pvfs:.2f}x "
           f"(paper {HEADLINE_SPEEDUP_PVFS}x), over CR(ext3) = {s_ext3:.2f}x "
           f"(paper {HEADLINE_SPEEDUP_EXT3}x)")
@@ -103,9 +71,10 @@ def test_bench_fig7_headline_speedup(results):
 def test_bench_fig7_ckpt_only_comparison(results):
     """Sec. IV-C: even ignoring restart, migration is comparable to
     CR(ext3) and clearly beats CR(PVFS) (paper: 2.58x for LU)."""
-    migration, cycles = results["LU.C"]
-    ckpt_e, _ = cycles["ext3"]
-    ckpt_p, _ = cycles["pvfs"]
+    measured, _ = results["LU.C"]
+    migration = measured["migration"]
+    ckpt_e, _ = measured["cr_ext3"]
+    ckpt_p, _ = measured["cr_pvfs"]
     assert migration.total_seconds < ckpt_p.total_seconds
     ratio = ckpt_p.total_seconds / migration.total_seconds
     assert 1.5 < ratio < 4.5  # paper: 2.58x

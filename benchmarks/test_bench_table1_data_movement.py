@@ -8,35 +8,23 @@ image-size model was fitted to it — this bench is the closing of that loop.
 
 import pytest
 
-from repro import Scenario
 from repro.analysis import render_table
+from repro.experiments import TABLE1
 
 from .paper_reference import TABLE1_MB
 
-APPS = ["LU.C", "BT.C", "SP.C"]
-
 
 def measure(app: str):
-    mig_sc = Scenario.build(app=app, nprocs=64, n_compute=8, n_spare=1,
-                            iterations=40)
-    migration = mig_sc.run_migration("node3", at=5.0)
-
-    cr_sc = Scenario.build(app=app, nprocs=64, n_compute=8, n_spare=1,
-                           iterations=40)
-    strategy = cr_sc.cr_strategy("ext3")
-
-    def drive(sim):
-        yield sim.timeout(5.0)
-        return (yield from strategy.checkpoint())
-
-    proc = cr_sc.sim.spawn(drive(cr_sc.sim))
-    ckpt = cr_sc.sim.run(until=proc)
+    """MB migrated by the Fig. 4 migration and dumped by the Fig. 7
+    checkpoint to ext3."""
+    migration = TABLE1[app]["migration"].execute()
+    ckpt, _ = TABLE1[app]["cr"].execute()
     return migration.bytes_migrated / 1e6, ckpt.bytes_written / 1e6
 
 
 @pytest.fixture(scope="module")
 def results():
-    return {app: measure(app) for app in APPS}
+    return {app: measure(app) for app in TABLE1}
 
 
 def test_bench_table1(benchmark, results):

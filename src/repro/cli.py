@@ -17,19 +17,13 @@ import argparse
 import os
 from typing import List, Optional
 
-import numpy as np
-
 from .analysis import (
     atomic_write,
     build_span_dag,
-    cr_cycle_breakdown,
     critical_path,
-    daly_interval,
     diff_traces,
     dominant_component,
-    effective_mtbf,
     extract_phases,
-    migration_cycle_breakdown,
     migration_phase_breakdown,
     read_jsonl,
     render_blame,
@@ -37,8 +31,6 @@ from .analysis import (
     render_table,
     render_timeline,
     render_waterfall,
-    simulate_policy,
-    speedup,
     summarize_trace,
     telemetry_series,
     write_chrome_trace,
@@ -60,8 +52,16 @@ from .obs import (
     trace_artifact,
     write_manifest,
 )
+from .experiments import (
+    FAILURE_AT,
+    STORES,
+    Run,
+    fig6_run,
+    fig7_row,
+    fig7_runs,
+    interval_study,
+)
 from .params import NPB_TABLE
-from .scenario import Scenario
 from .simulate.metrics import MetricsRegistry
 from .simulate.telemetry import TelemetryProbe
 from .simulate.trace import Tracer
@@ -173,8 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--update-baselines", action="store_true",
                        help="rewrite the baselines from this run instead "
                             "of diffing")
-    bench.add_argument("--tolerance", type=float, default=None,
-                       help="relative tolerance override")
     bench.add_argument("--restart-mode", default="file",
                        choices=["file", "memory"],
                        help="restart path for the migration benches; "
@@ -380,22 +378,26 @@ def _record_run(args, command: str, results: dict,
     return manifest
 
 
+def _run(args) -> Run:
+    """The paper-testbed run a single-migration command describes; its
+    ``--source`` names the failing node."""
+    return Run(args.app, args.nprocs, restart_mode=args.restart_mode,
+               n_compute=args.nodes, transport=args.transport)
+
+
 def _cmd_migrate(args):
     if args.trace_out:
         err = _out_path_error(args.trace_out, "--trace-out")
         if err is not None:
             return err, 2
     tracer = Tracer()
-    sc = Scenario.build(app=args.app, nprocs=args.nprocs,
-                        n_compute=args.nodes, n_spare=1, iterations=40,
-                        seed=args.seed, transport=args.transport,
-                        restart_mode=args.restart_mode, trace=tracer)
+    sc = _run(args).scenario(args.seed, trace=tracer)
     reporter = None
     if args.progress:
         reporter = ProgressReporter(label="migrate")
         sc.sim.attach_probe(TelemetryProbe(on_sample=reporter.on_sample))
     t0 = start_clock()
-    report = sc.run_migration(args.source, at=5.0)
+    report = sc.run_migration(args.source, at=FAILURE_AT)
     wall = stop_clock(t0)
     if reporter is not None:
         reporter.done(f"{sc.sim.events_processed} events")
@@ -424,83 +426,53 @@ def _cmd_migrate(args):
 def _cmd_compare(args) -> str:
     reporter = ProgressReporter(label="compare") if args.progress else None
     t0 = start_clock()
-    mig_sc = Scenario.build(app=args.app, nprocs=args.nprocs,
-                            n_compute=args.nodes, n_spare=1,
-                            iterations=40, seed=args.seed,
-                            restart_mode=args.restart_mode)
-    if reporter is not None:
-        mig_sc.sim.attach_probe(TelemetryProbe(on_sample=reporter.on_sample))
-    source = f"node{args.nodes - 1}"
-    migration = mig_sc.run_migration(source, at=5.0)
-    rows = {"Migration": migration_cycle_breakdown(migration)}
-    for dest in ("ext3", "pvfs"):
+    runs = fig7_runs(args.app, args.nprocs, args.nodes, args.restart_mode)
+    results = {}
+    for kind, run in runs.items():
+        sc = run.scenario(seed=args.seed)
         if reporter is not None:
-            reporter.tick(detail=f"CR({dest})")
-        sc = Scenario.build(app=args.app, nprocs=args.nprocs,
-                            n_compute=args.nodes, n_spare=1,
-                            iterations=40, seed=args.seed,
-                            with_pvfs=True)
-        strategy = sc.cr_strategy(dest)
-
-        def drive(sim, strategy=strategy):
-            yield sim.timeout(5.0)
-            ckpt = yield from strategy.checkpoint()
-            restart = yield from strategy.restart()
-            return ckpt, restart
-
-        ckpt, restart = sc.sim.run(until=sc.sim.spawn(drive(sc.sim)))
-        rows[f"CR({dest})"] = cr_cycle_breakdown(ckpt, restart)
+            if run.cr is None:
+                sc.sim.attach_probe(
+                    TelemetryProbe(on_sample=reporter.on_sample))
+            else:
+                reporter.tick(detail=f"CR({run.cr})")
+        results[kind] = run.drive(sc)
+    row = fig7_row(results)
     wall = stop_clock(t0)
     if reporter is not None:
         reporter.done()
+    rows = {"Migration": row["migration"]}
+    rows.update({f"CR({store})": row[f"cr_{store}"] for store in STORES})
     out = [render_table(
         f"Failure handling, {args.app}.{args.nprocs}, "
         f"restart={args.restart_mode} (Fig. 7)", rows)]
-    speedups = {}
-    for dest in ("ext3", "pvfs"):
-        s = speedup(rows[f"CR({dest})"]["Total"], migration.total_seconds)
-        speedups[dest] = s
-        out.append(f"speedup over CR({dest}): {s:.2f}x")
+    speedups = {store: row[f"speedup_{store}"] for store in STORES}
+    out.extend(f"speedup over CR({store}): {s:.2f}x"
+               for store, s in speedups.items())
     _record_run(args, "compare",
                 {"cycles": rows, "speedup": speedups,
-                 "migration_total_seconds": migration.total_seconds},
+                 "migration_total_seconds": results["migration"].total_seconds},
                 [], wall, out)
     return "\n".join(out)
 
 
 def _cmd_scale(args) -> str:
-    rows = {}
-    for ppn in args.ppn:
-        sc = Scenario.build(app="LU.C", nprocs=8 * ppn,
-                            n_compute=8, n_spare=1, iterations=40,
-                            seed=args.seed)
-        report = sc.run_migration("node3", at=5.0)
-        rows[f"{ppn} ranks/node"] = migration_phase_breakdown(report)
+    rows = {f"{ppn} ranks/node":
+            migration_phase_breakdown(fig6_run(ppn).execute(seed=args.seed))
+            for ppn in args.ppn}
     return render_table("Migration scalability, LU.C on 8 nodes (Fig. 6)",
                         rows)
 
 
 def _cmd_interval(args) -> str:
-    mtbf = args.mtbf_hours * 3600.0
-    # Fixed representative costs (LU.C.64 on PVFS, from EXPERIMENTS.md).
-    delta, restart, mig = 14.6, 11.9, 6.1
-    rows = {}
-    for cov in args.coverage:
-        tau = daly_interval(delta, effective_mtbf(mtbf, cov))
-        out = simulate_policy(args.work_days * 86400.0, delta, restart,
-                              mtbf, cov, mig,
-                              policy="cr+migration" if cov else "cr-only",
-                              rng=np.random.default_rng(42))
-        rows[f"coverage {int(cov * 100)}%"] = {
-            "interval (min)": tau / 60.0,
-            "checkpoints": float(out.n_checkpoints),
-            "rollbacks": float(out.n_rollbacks),
-            "migrations": float(out.n_migrations),
-            "efficiency %": 100 * out.efficiency,
-        }
-    return render_table(
-        f"Checkpoint-interval extension (MTBF {args.mtbf_hours:g} h, "
-        f"{args.work_days:g}-day job)", rows, unit="mixed", digits=1)
+    costs, rows = interval_study(args.coverage, args.mtbf_hours,
+                                 args.work_days)
+    return "\n".join([
+        "costs measured on the Fig. 7 LU.C.64 runs: checkpoint "
+        "{:.2f} s, restart {:.2f} s, migration {:.2f} s".format(*costs),
+        render_table(
+            f"Checkpoint-interval extension (MTBF {args.mtbf_hours:g} h, "
+            f"{args.work_days:g}-day job)", rows, unit="mixed", digits=1)])
 
 
 def _cmd_observe(args):
@@ -510,12 +482,8 @@ def _cmd_observe(args):
         return err, 2
     tracer = Tracer()
     registry = MetricsRegistry()
-    sc = Scenario.build(app=args.app, nprocs=args.nprocs,
-                        n_compute=args.nodes, n_spare=1, iterations=40,
-                        seed=args.seed, transport=args.transport,
-                        restart_mode=args.restart_mode, trace=tracer,
-                        metrics=registry)
-    report = sc.run_migration(args.source, at=5.0)
+    sc = _run(args).scenario(args.seed, trace=tracer, metrics=registry)
+    report = sc.run_migration(args.source, at=FAILURE_AT)
     os.makedirs(args.out_dir, exist_ok=True)
     trace_json = os.path.join(args.out_dir, "trace.json")
     trace_jsonl = os.path.join(args.out_dir, "trace.jsonl")
@@ -545,13 +513,8 @@ def _cmd_critical_path(args):
         header = f"Critical path of {args.from_jsonl}"
     else:
         tracer = Tracer()
-        sc = Scenario.build(app=args.app, nprocs=args.nprocs,
-                            n_compute=args.nodes, n_spare=1,
-                            iterations=40, seed=args.seed,
-                            transport=args.transport,
-                            restart_mode=args.restart_mode,
-                            trace=tracer)
-        report = sc.run_migration(args.source, at=5.0)
+        sc = _run(args).scenario(args.seed, trace=tracer)
+        report = sc.run_migration(args.source, at=FAILURE_AT)
         header = (f"Critical path: migration {args.source} -> "
                   f"{report.target} ({args.app}.{args.nprocs}, "
                   f"{args.transport}/{args.restart_mode})")
@@ -600,7 +563,6 @@ def _cmd_bench(args):
         names=args.only, out_dir=args.out_dir,
         baselines_path=args.baselines,
         update_baselines=args.update_baselines,
-        tolerance=args.tolerance,
         restart_mode=args.restart_mode,
         progress_cb=progress_cb)
     wall = stop_clock(t0)
@@ -827,15 +789,10 @@ def _cmd_report(args):
         probe = TelemetryProbe(
             interval=args.telemetry_interval,
             on_sample=reporter.on_sample if reporter is not None else None)
-        sc = Scenario.build(app=args.app, nprocs=args.nprocs,
-                            n_compute=args.nodes, n_spare=1,
-                            iterations=40, seed=args.seed,
-                            transport=args.transport,
-                            restart_mode=args.restart_mode,
-                            trace=tracer, metrics=registry)
+        sc = _run(args).scenario(args.seed, trace=tracer, metrics=registry)
         sc.sim.attach_probe(probe)
         t0 = start_clock()
-        mig = sc.run_migration(args.source, at=5.0)
+        mig = sc.run_migration(args.source, at=FAILURE_AT)
         wall = stop_clock(t0)
         if reporter is not None:
             reporter.done(f"{sc.sim.events_processed} events, "

@@ -11,7 +11,7 @@ Everything the examples, integration tests and benchmarks need repeatedly:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from .params import DEFAULT_TESTBED, MigrationParams, Testbed
 from .simulate.core import Simulator
@@ -22,7 +22,7 @@ from .mpi.job import MPIJob
 from .workloads.npb import NPBApplication
 from .core.framework import JobMigrationFramework
 from .core.checkpoint_restart import CheckpointRestartStrategy
-from .core.protocol import MigrationReport
+from .core.protocol import CheckpointReport, MigrationReport, RestartReport
 from .core.trigger import MigrationTrigger
 
 __all__ = ["Scenario"]
@@ -96,6 +96,22 @@ class Scenario:
 
         proc = self.sim.spawn(fire(self.sim), name="scenario-migration")
         return self.sim.run(until=proc)
+
+    def run_cr_cycle(self, dest: str, at: float = 5.0
+                     ) -> Tuple[CheckpointReport, RestartReport]:
+        """Checkpoint the whole job to ``dest`` at ``at``, restart it from
+        that checkpoint, and run the sim until the restart completes."""
+        strategy = self.cr_strategy(dest)
+
+        # The process takes its name from this generator, and that name is
+        # in the pinned Fig. 7 CR(PVFS) trace digest.
+        def drive(sim):
+            yield sim.timeout(at)
+            ckpt = yield from strategy.checkpoint()
+            restart = yield from strategy.restart()
+            return ckpt, restart
+
+        return self.sim.run(until=self.sim.spawn(drive(self.sim)))
 
     def run_to_completion(self) -> float:
         """Run the application to the end; returns the finish time."""

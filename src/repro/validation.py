@@ -1,19 +1,19 @@
 """Self-check: re-measure the headline quantities and diff against the paper.
 
-``python -m repro validate`` runs a condensed version of the evaluation
-(one LU.C.64 migration, one CR cycle to each storage target, the Table I
-byte accounting) and prints a PASS/FAIL row per claim with the tolerance it
-was checked at.  Useful after touching any calibrated constant — it answers
-"did I break the reproduction?" in about a minute.
+``python -m repro validate`` runs the Fig. 7 LU.C.64 runs of
+:mod:`repro.experiments` (one migration, one CR cycle to each storage
+target, with the Table I byte accounting) and prints a PASS/FAIL row per
+claim with the tolerance it was checked at.  Useful after touching any
+calibrated constant — it answers "did I break the reproduction?" in about
+a minute.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
-from .core.protocol import MigrationPhase
-from .scenario import Scenario
+from .experiments import FIG7, fig7_row
 
 __all__ = ["Check", "run_validation", "render_validation"]
 
@@ -39,55 +39,35 @@ class Check:
         return 100.0 * (self.measured - self.expected) / self.expected
 
 
-def _measure() -> Tuple:
-    mig_sc = Scenario.build(app="LU.C", nprocs=64, iterations=40,
-                            with_pvfs=True)
-    migration = mig_sc.run_migration("node3", at=5.0)
-
-    cycles = {}
-    for dest in ("ext3", "pvfs"):
-        sc = Scenario.build(app="LU.C", nprocs=64, iterations=40,
-                            with_pvfs=True)
-        strategy = sc.cr_strategy(dest)
-
-        def drive(sim, strategy=strategy):
-            yield sim.timeout(5.0)
-            ckpt = yield from strategy.checkpoint()
-            restart = yield from strategy.restart()
-            return ckpt, restart
-
-        cycles[dest] = sc.sim.run(until=sc.sim.spawn(drive(sc.sim)))
-    return migration, cycles
-
-
 def run_validation() -> List[Check]:
     """Run the condensed evaluation; returns the checks in report order."""
-    migration, cycles = _measure()
-    ckpt_e, res_e = cycles["ext3"]
-    ckpt_p, res_p = cycles["pvfs"]
-    cycle_e = ckpt_e.total_seconds + res_e.restart_seconds
-    cycle_p = ckpt_p.total_seconds + res_p.restart_seconds
+    results = {kind: run.execute() for kind, run in FIG7["LU.C"].items()}
+    row = fig7_row(results)
+    migration = results["migration"]
+    ckpt_e, _ = results["cr_ext3"]
 
     return [
-        Check("migration total (Fig.4 LU)", migration.total_seconds,
+        Check("migration total (Fig.4 LU)", row["migration"]["Total"],
               6.3, rel_tol=0.25),
         Check("phase 2 / RDMA migration",
-              migration.phase(MigrationPhase.MIGRATION), 0.4, rel_tol=0.5),
+              row["migration"]["Checkpoint(Migration)"], 0.4, rel_tol=0.5),
         Check("phase 1 / job stall (<=0.1s band)",
-              migration.phase(MigrationPhase.STALL), 0.04, rel_tol=1.5),
+              row["migration"]["Job Stall"], 0.04, rel_tol=1.5),
         Check("data migrated (Table I LU)", migration.bytes_migrated / 1e6,
               170.4, rel_tol=0.001, unit="MB"),
         Check("CR data dumped (Table I LU)", ckpt_e.bytes_written / 1e6,
               1363.2, rel_tol=0.001, unit="MB"),
-        Check("CR(ext3) checkpoint", ckpt_e.checkpoint_seconds,
+        Check("CR(ext3) checkpoint", row["cr_ext3"]["Checkpoint(Migration)"],
               6.4, rel_tol=0.30),
-        Check("CR(pvfs) checkpoint", ckpt_p.checkpoint_seconds,
+        Check("CR(pvfs) checkpoint", row["cr_pvfs"]["Checkpoint(Migration)"],
               16.3, rel_tol=0.35),
-        Check("CR(ext3) full cycle", cycle_e, 12.9, rel_tol=0.30),
-        Check("CR(pvfs) full cycle", cycle_p, 28.3, rel_tol=0.30),
-        Check("speedup vs CR(pvfs)", cycle_p / migration.total_seconds,
+        Check("CR(ext3) full cycle", row["cr_ext3"]["Total"], 12.9,
+              rel_tol=0.30),
+        Check("CR(pvfs) full cycle", row["cr_pvfs"]["Total"], 28.3,
+              rel_tol=0.30),
+        Check("speedup vs CR(pvfs)", row["speedup_pvfs"],
               4.49, rel_tol=0.30, unit="x"),
-        Check("speedup vs CR(ext3)", cycle_e / migration.total_seconds,
+        Check("speedup vs CR(ext3)", row["speedup_ext3"],
               2.03, rel_tol=0.30, unit="x"),
     ]
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import Scenario
 from repro.analysis import (
     build_span_dag,
     critical_path,
@@ -10,6 +9,7 @@ from repro.analysis import (
     render_blame,
     render_waterfall,
 )
+from repro.experiments import FIG4
 from repro.simulate import Tracer
 
 
@@ -140,9 +140,7 @@ def test_lu_c_migration_restart_dominates():
     """Fig. 4: Phase 3 (file-based restart on the spare) dominates the
     LU.C migration cycle — blcr.restart must own most critical-path time."""
     tracer = Tracer()
-    sc = Scenario.build(app="LU.C", nprocs=64, n_compute=8, iterations=40,
-                        trace=tracer)
-    report = sc.run_migration("node3", at=5.0)
+    report = FIG4["LU.C"].execute(trace=tracer)
     cp = critical_path(tracer)
     assert cp.root.name == "migration"
     assert cp.total == pytest.approx(report.total_seconds, rel=1e-6)

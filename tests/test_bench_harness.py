@@ -35,45 +35,33 @@ def test_flatten_results_dotted_numeric_leaves():
 
 
 def test_compare_to_baselines_detects_drift_and_missing_keys():
-    baselines = {"default_rel_tolerance": 0.05,
-                 "benches": {"fig4": {"a": 10.0, "b": 2.0, "gone": 1.0}}}
-    measured = {"fig4": {"a": 10.4, "b": 3.0, "extra": 99.0}}
+    baselines = {"benches": {"fig4": {"a": 10.0, "b": 2.0, "gone": 1.0},
+                             "fig7": {"z": 1.0}}}
+    measured = {"fig4": {"a": 10.0, "b": 3.0, "extra": 99.0}}
     problems = compare_to_baselines(measured, baselines)
-    # a drifted +4% (within 5%), b drifted +50%, 'gone' disappeared,
-    # 'extra' is informational only.
+    # b drifted, 'gone' disappeared, 'extra' is informational only, and
+    # fig7 was not run this invocation.
     assert len(problems) == 2
-    drift_msg = next(p for p in problems if "b = 3" in p)
-    assert "+50.0%" in drift_msg and "tolerance 5.0%" in drift_msg
+    assert "fig4: b = 3.0 drifted +1 from baseline 2.0" in problems
     assert any("baseline key 'gone' missing" in p for p in problems)
     # Negative drift keeps its sign.
     problems = compare_to_baselines({"fig4": {"a": 5.0, "b": 2.0,
                                               "gone": 1.0}}, baselines)
-    assert any("-50.0%" in p for p in problems)
+    assert problems == ["fig4: a = 5.0 drifted -5 from baseline 10.0"]
 
 
-def test_compare_to_baselines_near_zero_uses_absolute_floor():
-    """Regression: a near-zero baseline made the relative-drift division
-    meaningless (float dust read as a million-percent regression).  Values
-    whose baseline sits within the absolute floor are compared by absolute
-    delta instead."""
-    baselines = {"benches": {"fig4": {"dust": 0.0, "tiny": 1e-12}}}
-    # Float dust on a zero baseline passes.
-    assert compare_to_baselines({"fig4": {"dust": 2e-10,
-                                          "tiny": 0.0}}, baselines) == []
-    # A real move off the zero baseline still fails, with the floor named.
-    problems = compare_to_baselines({"fig4": {"dust": 0.5,
-                                              "tiny": 1e-12}}, baselines)
-    assert len(problems) == 1
-    assert "absolute floor" in problems[0] and "dust" in problems[0]
-
-
-def test_compare_to_baselines_tolerance_override_and_unrun_bench():
-    baselines = {"benches": {"fig4": {"a": 10.0}, "fig7": {"z": 1.0}}}
-    measured = {"fig4": {"a": 10.4}}  # fig7 not run this invocation: OK
-    assert compare_to_baselines(measured, baselines) == []
-    # Explicit tolerance overrides the baseline default.
-    assert len(compare_to_baselines(measured, baselines,
-                                    tolerance=0.01)) == 1
+def test_compare_to_baselines_is_exact():
+    """Pins admit no tolerance: the simulator is deterministic, so one
+    event more or less in a pinned count is a regression."""
+    doc = json.load(open(default_baselines_path()))
+    pinned = doc["benches"]["events_per_sec"]
+    key = "fig6_sweep.events_processed"
+    assert compare_to_baselines({"events_per_sec": pinned}, doc) == []
+    for delta in (-1, 1):
+        measured = dict(pinned, **{key: pinned[key] + delta})
+        assert compare_to_baselines({"events_per_sec": measured}, doc) == [
+            f"events_per_sec: {key} = {pinned[key] + delta!r} drifted "
+            f"{delta:+d} from baseline {pinned[key]!r}"]
 
 
 def test_run_benches_rejects_unknown_names(tmp_path):
@@ -105,7 +93,7 @@ def test_bench_artifact_shape_and_baseline_agreement(tmp_path):
     assert doc["dominant"]["LU.C"]["component"] == "blcr.restart"
     assert doc["dominant"]["LU.C"]["share"] > 0.5
     assert "blcr.restart" in doc["critical_path"]["LU.C"]["phase:Restart"]
-    assert "within tolerance" in summary
+    assert "all results match" in summary
 
 
 def test_update_baselines_writes_merged_doc(tmp_path):
@@ -122,7 +110,7 @@ def test_update_baselines_writes_merged_doc(tmp_path):
     assert "updated baselines" in summary
     doc = json.loads(base.read_text())
     assert doc["schema_version"] == BENCH_SCHEMA_VERSION
-    assert "default_rel_tolerance" in doc
+    assert set(doc) == {"schema_version", "benches"}
     assert doc["benches"]["fig7"] == {"keep.me": 1.0}  # untouched
     fig4 = doc["benches"]["fig4"]
     assert fig4 and all(isinstance(v, float) for v in fig4.values())

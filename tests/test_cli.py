@@ -106,7 +106,7 @@ def test_bench_command_clean_and_regressing(capsys, tmp_path):
     # Clean rerun against the fresh baselines exits 0...
     out = run_cli(capsys, "bench", "--only", "fig6", "--out-dir",
                   str(tmp_path), "--baselines", str(base))
-    assert "within tolerance" in out
+    assert "all results match" in out
     # ...and a tampered baseline makes the same run exit 1.
     doc = json.loads(base.read_text())
     assert doc["schema_version"] == BENCH_SCHEMA_VERSION

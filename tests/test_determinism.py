@@ -25,7 +25,7 @@ import repro.ftb.events as ftb_events
 import repro.mpi.transport as transport
 import repro.network.qp as qp
 from repro.analysis import open_trace_text
-from repro.scenario import Scenario
+from repro.experiments import FIG4, FIG7
 from repro.simulate import Tracer
 
 #: The pinned Fig. 4 trace (LU.C, 64 ranks, file restart), as written by
@@ -68,12 +68,12 @@ def _fig4_records(monkeypatch, telemetry=False):
     """
     _reset_global_counters(monkeypatch)
     tracer = Tracer()
-    sc = Scenario.build(app="LU.C", nprocs=64, n_compute=8, n_spare=1,
-                        iterations=40, seed=0, trace=tracer)
+    run = FIG4["LU.C"]
+    sc = run.scenario(trace=tracer)
     if telemetry:
         from repro.simulate import TelemetryProbe
         sc.sim.attach_probe(TelemetryProbe())
-    report = sc.run_migration("node3", at=5.0)
+    report = run.drive(sc)
     records = [json.loads(json.dumps(rec.as_dict(), default=str))
                for rec in tracer.records]
     return report.total_seconds, records
@@ -106,21 +106,13 @@ def test_trace_is_identical_with_telemetry_enabled(monkeypatch):
 
 
 def test_fig7_cr_pvfs_trace_matches_pinned_digest(monkeypatch):
-    """The Fig. 7 LU.C CR(PVFS) checkpoint and restart replay the pinned
-    trace digest, with every float in its exact repr."""
+    """The Fig. 7 LU.C CR(PVFS) checkpoint and restart, driven by
+    ``Scenario.run_cr_cycle``, replay the pinned trace digest, with every
+    float in its exact repr."""
     _reset_global_counters(monkeypatch)
     tracer = Tracer()
-    sc = Scenario.build(app="LU.C", nprocs=64, n_compute=8, n_spare=1,
-                        iterations=40, seed=0, with_pvfs=True, trace=tracer)
-    strategy = sc.cr_strategy("pvfs")
-
-    def drive(sim):
-        yield sim.timeout(5.0)
-        ckpt = yield from strategy.checkpoint()
-        restart = yield from strategy.restart()
-        return ckpt, restart
-
-    ckpt, restart = sc.sim.run(until=sc.sim.spawn(drive(sc.sim)))
+    run = FIG7["LU.C"]["cr_pvfs"]
+    ckpt, restart = run.scenario(trace=tracer).run_cr_cycle("pvfs")
     cycle = ckpt.total_seconds + restart.restart_seconds
     assert round(cycle, 6) == FIG7_CR_PVFS_CYCLE_S
     digest = hashlib.sha256()
