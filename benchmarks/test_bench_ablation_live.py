@@ -27,11 +27,15 @@ DIRTY_RATES = {
     "write-heavy (1 GB/s)": 1e9,
 }
 
+#: Pre-copy stops once a round leaves at most this fraction of the image.
+STOP_FRACTION = 0.05
+
 
 def run_live(dirty_rate: float, pipe_bandwidth=None):
     run = FIG4["LU.C"]
     sc = run.scenario()
     strat = LiveMigrationStrategy(sc.framework, max_rounds=4,
+                                  stop_fraction=STOP_FRACTION,
                                   pipe_bandwidth=pipe_bandwidth)
 
     def drive(sim):
@@ -106,7 +110,30 @@ def test_bench_live_vs_stop_and_copy(benchmark, results):
     assert not live["write-heavy (1 GB/s)"].converged
 
 
-def test_bench_live_downtime_monotone_in_dirty_rate(results):
-    live, _, _ = results
-    downtimes = [live[k].downtime_seconds for k in DIRTY_RATES]
+def test_bench_live_precopy_cost_and_downtime_track_the_residual(results):
+    """What pre-copy guarantees as the dirty rate rises.
+
+    Downtime is *not* monotone in the dirty rate: pre-copy stops as soon
+    as a round leaves at most ``STOP_FRACTION`` of the image dirty, so a
+    faster-dirtying app can stop after more rounds with a smaller
+    residual (100 MB/s converges after 2 rounds leaving 8.43 MB, 204 MB/s
+    after 4 rounds leaving 7.21 MB) and a shorter downtime.  The stop
+    window copies the residual, so downtime follows the residual, and
+    the pre-copy cost follows the dirty rate.
+    """
+    live, frozen, _ = results
+    runs = [live[k] for k in DIRTY_RATES]
+    precopy = [r.precopy_bytes for r in runs]
+    assert precopy == sorted(precopy) and len(set(precopy)) == len(precopy)
+    totals = [r.total_seconds for r in runs]
+    assert totals == sorted(totals)
+    image = frozen.bytes_migrated
+    for r in live.values():
+        if r.converged:
+            assert r.residual_bytes <= STOP_FRACTION * image
+    by_residual = sorted(runs, key=lambda r: r.residual_bytes)
+    downtimes = [r.downtime_seconds for r in by_residual]
     assert downtimes == sorted(downtimes)
+    heavy = live["write-heavy (1 GB/s)"]
+    assert not heavy.converged
+    assert heavy.downtime_seconds == max(r.downtime_seconds for r in runs)

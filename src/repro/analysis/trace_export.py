@@ -10,11 +10,11 @@ Two serializations of the same observability data:
   load directly.  Paired ``<name>.start``/``<name>.end`` span records
   become ``X`` (complete) events, span-less records become ``i`` (instant)
   events, ``flow.link`` causal edges become paired ``s``/``f`` flow
-  events (Perfetto draws them as arrows between slices), and
-  :class:`~repro.simulate.metrics.MetricsRegistry` counter and gauge
-  sample trails become ``C`` counter tracks.  One trace *process* per
-  cluster node, one *thread* per rank/process within it, named via
-  ``M`` metadata events.
+  events (Perfetto draws them as arrows between slices), and the
+  :class:`~repro.simulate.telemetry.TelemetryProbe`'s
+  ``telemetry.sample`` records become ``C`` counter tracks.  One trace
+  *process* per cluster node, one *thread* per rank/process within it,
+  named via ``M`` metadata events.
 
 Sim time is seconds; trace-event ``ts``/``dur`` are microseconds.
 
@@ -37,7 +37,7 @@ from typing import Any, Dict, Iterable, Iterator, List, TextIO, Tuple
 __all__ = ["atomic_write", "atomic_write_bytes", "open_trace_text",
            "write_jsonl", "read_jsonl", "chrome_trace",
            "write_chrome_trace", "metrics_payload", "write_metrics",
-           "telemetry_series", "summarize_trace"]
+           "telemetry_series"]
 
 
 @contextmanager
@@ -212,7 +212,7 @@ def _locate(fields: Dict[str, Any]) -> Tuple[str, str]:
     return str(node), "main"
 
 
-def chrome_trace(trace, metrics=None) -> Dict[str, Any]:
+def chrome_trace(trace) -> Dict[str, Any]:
     """Build a Chrome Trace Event Format document (a JSON-able dict).
 
     Span pairs are matched on their ``span`` id, so nested and concurrent
@@ -249,9 +249,8 @@ def chrome_trace(trace, metrics=None) -> Dict[str, Any]:
                                str(fields.get("edge", "flow"))))
             continue
         if rec.kind == "telemetry.sample":
-            # Probe samples become counter tracks, exactly like registry
-            # sample trails — so an archived JSONL reloads into the same
-            # Perfetto view as the live run.
+            # Probe samples become counter tracks, so an archived JSONL
+            # reloads into the same Perfetto view as the live run.
             if not telemetry_pid:
                 telemetry_pid.append(pids("telemetry"))
                 seen_lanes[(telemetry_pid[0], 0)] = ("telemetry", "main")
@@ -320,20 +319,6 @@ def chrome_trace(trace, metrics=None) -> Dict[str, Any]:
             "ts": min(max(ts_us, d0), d1), "pid": d_pid, "tid": d_tid,
         })
 
-    if metrics is not None:
-        ctr_pid = pids("metrics")
-        for inst in metrics:
-            samples = getattr(inst, "samples", None)
-            if not samples:
-                continue
-            for t, v in samples:
-                events.append({
-                    "name": inst.name, "cat": "metrics", "ph": "C",
-                    "ts": t * 1e6, "pid": ctr_pid,
-                    "args": {"value": v},
-                })
-        seen_lanes[(ctr_pid, 0)] = ("metrics", "main")
-
     meta: List[Dict[str, Any]] = []
     named_pids = set()
     for (pid, tid), (node, thread) in sorted(seen_lanes.items()):
@@ -346,9 +331,9 @@ def chrome_trace(trace, metrics=None) -> Dict[str, Any]:
     return {"traceEvents": meta + events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(trace, path: str, metrics=None) -> int:
+def write_chrome_trace(trace, path: str) -> int:
     """Write the Chrome trace JSON; returns the number of trace events."""
-    doc = chrome_trace(trace, metrics=metrics)
+    doc = chrome_trace(trace)
     with atomic_write(path) as fh:
         json.dump(doc, fh, default=str)
     return len(doc["traceEvents"])
@@ -378,31 +363,3 @@ def telemetry_series(trace) -> Dict[str, List[Tuple[float, float]]]:
         out.setdefault(str(metric), []).append(
             (rec.time, float(rec.get("value", 0.0))))
     return out
-
-
-def summarize_trace(trace, metrics=None) -> str:
-    """Human-oriented digest: phase durations, byte movement, kind counts."""
-    from .timeline import extract_phases
-
-    lines: List[str] = []
-    intervals = extract_phases(trace)
-    if intervals:
-        lines.append("phases:")
-        for iv in intervals:
-            lines.append(f"  {iv.name:<12} {iv.duration:9.3f} s "
-                         f"[{iv.start:.3f} .. {iv.end:.3f}]")
-    kinds: Dict[str, int] = {}
-    for rec in trace:
-        kinds[rec.kind] = kinds.get(rec.kind, 0) + 1
-    lines.append(f"records: {len(kinds)} kinds, "
-                 f"{sum(kinds.values())} total")
-    if metrics is not None and len(metrics):
-        lines.append("key metrics:")
-        for name in metrics.names():
-            inst = metrics.get(name)
-            if inst.kind == "counter":
-                lines.append(f"  {name:<28} {inst.value:>14.0f} {inst.unit}")
-            elif inst.kind == "histogram" and inst.count:
-                lines.append(f"  {name:<28} n={inst.count} "
-                             f"mean={inst.mean:.6g} {inst.unit}")
-    return "\n".join(lines)

@@ -2,20 +2,27 @@
 
 ::
 
-    python -m repro migrate   --app LU.C --source node3
+    python -m repro run       --app LU.C --source node3
+    python -m repro report    <run_id> --out report.md
+    python -m repro critical-path <run_id>
+    python -m repro explain   <run_a> <run_b>
     python -m repro compare   --app BT.C
     python -m repro scale     --ppn 1 2 4 8
     python -m repro interval  --mtbf-hours 6 --coverage 0.9
-    python -m repro observe   --app LU.C --out-dir ./obs
-    python -m repro critical-path --app LU.C
     python -m repro bench     --out-dir ./bench-out
+
+``run`` is the one command that records a traced migration: it writes
+a run directory (manifest, trace, Chrome trace, metrics, OpenMetrics)
+and every analysis (``report``, ``critical-path``, ``explain``,
+``sanitize --from-jsonl``) reads a recorded run or a trace file.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
-from typing import List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from .analysis import (
     atomic_write,
@@ -31,7 +38,6 @@ from .analysis import (
     render_table,
     render_timeline,
     render_waterfall,
-    summarize_trace,
     telemetry_series,
     write_chrome_trace,
     write_jsonl,
@@ -63,7 +69,7 @@ from .experiments import (
 )
 from .params import NPB_TABLE
 from .simulate.metrics import MetricsRegistry
-from .simulate.telemetry import TelemetryProbe
+from .simulate.telemetry import DEFAULT_INTERVAL, TelemetryProbe
 from .simulate.trace import Tracer
 
 __all__ = ["main", "build_parser"]
@@ -82,27 +88,41 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nodes", type=int, default=8)
         p.add_argument("--seed", type=int, default=0)
 
-    def registry_flags(p: argparse.ArgumentParser) -> None:
+    def runs_dir(p: argparse.ArgumentParser) -> None:
         p.add_argument("--runs-dir", default=None, metavar="DIR",
                        help="run-registry directory (default: "
                             "$REPRO_RUNS_DIR or ./runs)")
-        p.add_argument("--no-manifest", action="store_true",
-                       help="do not record this run in the run registry")
+
+    def progress(p: argparse.ArgumentParser) -> None:
         p.add_argument("--progress", action="store_true",
                        help="print a wall-clock heartbeat to stderr while "
                             "the run is in flight")
 
-    mig = sub.add_parser("migrate", help="one migration cycle + timeline")
-    common(mig)
-    registry_flags(mig)
-    mig.add_argument("--source", default="node3")
-    mig.add_argument("--transport", default="rdma",
+    def registry_flags(p: argparse.ArgumentParser) -> None:
+        runs_dir(p)
+        p.add_argument("--no-manifest", action="store_true",
+                       help="do not record this run in the run registry")
+        progress(p)
+
+    def run_source(p: argparse.ArgumentParser) -> None:
+        p.add_argument("run", metavar="RUN",
+                       help="a recorded run id or a trace "
+                            ".jsonl/.jsonl.gz path")
+        runs_dir(p)
+
+    run = sub.add_parser(
+        "run",
+        help="one traced migration cycle: phase table + timeline, "
+             "recorded as runs/<run_id>/ (manifest, trace.jsonl.gz, "
+             "trace.json, metrics.json, metrics.om)")
+    common(run)
+    run.add_argument("--source", default="node3")
+    run.add_argument("--transport", default="rdma",
                      choices=["rdma", "ipoib", "tcp", "staging"])
-    mig.add_argument("--restart-mode", default="file",
+    run.add_argument("--restart-mode", default="file",
                      choices=["file", "memory"])
-    mig.add_argument("--trace-out", default=None, metavar="PATH",
-                     help="also export the run's trace as JSONL (feed to "
-                          "`repro sanitize --from-jsonl`)")
+    runs_dir(run)
+    progress(run)
 
     cmp_ = sub.add_parser("compare",
                           help="migration vs CR(ext3) vs CR(PVFS) (Fig. 7)")
@@ -124,32 +144,11 @@ def build_parser() -> argparse.ArgumentParser:
                           default=[0.0, 0.5, 0.9])
     interval.add_argument("--work-days", type=float, default=7.0)
 
-    obs = sub.add_parser(
-        "observe",
-        help="run one traced migration and export trace.json / "
-             "trace.jsonl / metrics.json")
-    common(obs)
-    obs.add_argument("--source", default="node3")
-    obs.add_argument("--transport", default="rdma",
-                     choices=["rdma", "ipoib", "tcp", "staging"])
-    obs.add_argument("--restart-mode", default="file",
-                     choices=["file", "memory"])
-    obs.add_argument("--out-dir", default=".",
-                     help="directory for the exported artifacts")
-
     cp = sub.add_parser(
         "critical-path",
-        help="critical-path analysis of one traced migration "
+        help="critical-path analysis of a recorded run "
              "(waterfall + per-component blame)")
-    common(cp)
-    cp.add_argument("--source", default="node3")
-    cp.add_argument("--transport", default="rdma",
-                    choices=["rdma", "ipoib", "tcp", "staging"])
-    cp.add_argument("--restart-mode", default="file",
-                    choices=["file", "memory"])
-    cp.add_argument("--from-jsonl", default=None, metavar="PATH",
-                    help="analyze an exported trace.jsonl instead of "
-                         "running a simulation")
+    run_source(cp)
     cp.add_argument("--root", default=None,
                     help="span name to analyze (default: migration)")
     cp.add_argument("--width", type=int, default=48,
@@ -185,14 +184,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     san = sub.add_parser(
         "sanitize",
-        help="run the protocol sanitizer over a bench scenario (or an "
-             "exported trace.jsonl); non-zero exit on any violation")
+        help="run the protocol sanitizer over a bench scenario (or a "
+             "recorded run's trace); non-zero exit on any violation")
     san.add_argument("--scenario", default="fig4",
                      choices=["fig4", "fig6", "fig7", "pipeline"],
                      help="bench scenario to replay under the checker")
-    san.add_argument("--from-jsonl", default=None, metavar="PATH",
-                     help="check an exported trace.jsonl instead of "
-                          "running simulations (no live-state checks)")
+    san.add_argument("--from-jsonl", default=None, metavar="RUN|PATH",
+                     help="check a recorded run's trace (or a trace "
+                          "file) instead of running simulations (no "
+                          "live-state checks)")
     san.add_argument("--inject", default=None, metavar="FAULT",
                      help="inject a named fault into every sub-run "
                           "(see `repro sanitize --list-faults`)")
@@ -243,29 +243,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser(
         "report",
-        help="render a self-contained run report: waterfall, blame, "
-             "timeline and telemetry sparklines (markdown or HTML)")
-    common(rep)
-    registry_flags(rep)
-    rep.add_argument("--source", default="node3")
-    rep.add_argument("--transport", default="rdma",
-                     choices=["rdma", "ipoib", "tcp", "staging"])
-    rep.add_argument("--restart-mode", default="file",
-                     choices=["file", "memory"])
-    rep.add_argument("--from-run", default=None, metavar="RUN_ID",
-                     help="render from a recorded run's manifest/artifacts "
-                          "instead of simulating")
+        help="render a recorded run as one self-contained report: "
+             "waterfall, blame, timeline, telemetry sparklines and the "
+             "metrics summary (markdown or HTML)")
+    run_source(rep)
     rep.add_argument("--out", default=None, metavar="PATH",
                      help="write the markdown report here (default: stdout)")
     rep.add_argument("--html", default=None, metavar="PATH",
                      help="also write a self-contained HTML rendering")
-    rep.add_argument("--openmetrics", default=None, metavar="PATH",
-                     help="also write an OpenMetrics text snapshot of the "
-                          "final metric state")
-    rep.add_argument("--telemetry-interval", type=float, default=0.25,
-                     metavar="SECONDS",
-                     help="probe sampling cadence in sim seconds "
-                          "(default 0.25)")
 
     exp = sub.add_parser(
         "explain",
@@ -277,9 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("b", metavar="RUN_B",
                      help="candidate: a recorded run id or a trace "
                           ".jsonl/.jsonl.gz path")
-    exp.add_argument("--runs-dir", default=None, metavar="DIR",
-                     help="run-registry directory for run-id arguments "
-                          "(default: $REPRO_RUNS_DIR or ./runs)")
+    runs_dir(exp)
     exp.add_argument("--root", default=None,
                      help="cycle span to attribute end-to-end time to "
                           "(default: migration)")
@@ -296,9 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     runs.add_argument("action", choices=["list", "show", "diff"])
     runs.add_argument("ids", nargs="*", metavar="RUN_ID",
                       help="one id for show, two for diff")
-    runs.add_argument("--runs-dir", default=None, metavar="DIR",
-                      help="run-registry directory (default: "
-                           "$REPRO_RUNS_DIR or ./runs)")
+    runs_dir(runs)
 
     sub.add_parser("validate",
                    help="re-measure headline numbers and diff vs the paper")
@@ -306,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _trace_file_error(path: str) -> Optional[str]:
-    """One-line error for a missing or empty ``--from-jsonl`` file."""
+    """One-line error for a missing or empty trace file."""
     if not os.path.exists(path):
         return f"error: trace file not found: {path}"
     if os.path.getsize(path) == 0:
@@ -351,10 +332,13 @@ def _out_dir_error(path: str, flag: str) -> Optional[str]:
 #: argparse dest names that are run plumbing, not experiment configuration
 #: — excluded from the manifest's config dict (and hence its hash).
 _NON_CONFIG_ARGS = frozenset({
-    "command", "runs_dir", "no_manifest", "progress", "from_run",
-    "trace_out", "profile_out", "out", "html", "openmetrics", "out_dir",
-    "baselines", "update_baselines",
+    "command", "runs_dir", "no_manifest", "progress", "profile_out",
+    "out_dir", "baselines", "update_baselines",
 })
+
+#: What ``repro run`` writes into its run directory, next to the manifest.
+_RUN_ARTIFACTS = ("trace.jsonl.gz", "trace.json", "metrics.json",
+                  "metrics.om")
 
 
 def _run_config(args) -> dict:
@@ -362,45 +346,53 @@ def _run_config(args) -> dict:
             if k not in _NON_CONFIG_ARGS}
 
 
-def _record_run(args, command: str, results: dict,
-                artifacts: List[str], wall_seconds: float,
-                lines: List[str]) -> Optional[RunManifest]:
-    """Write this run's manifest (unless ``--no-manifest``); note it."""
+def _record_run(args, command: str, results: dict, wall_seconds: float,
+                lines: List[str], artifacts: Sequence[str] = (),
+                export: Optional[Callable[[RunManifest, str], List[str]]]
+                = None) -> None:
+    """Write this run's manifest (unless ``--no-manifest``); note it.
+
+    ``export(manifest, run_dir)`` writes the run's artifacts into its
+    freshly reserved directory and returns their paths.
+    """
     if getattr(args, "no_manifest", False):
-        return None
+        return
     manifest = RunManifest.new(command, _run_config(args),
                                seed=getattr(args, "seed", None))
     manifest.wall_seconds = wall_seconds
     manifest.results = results
     manifest.artifacts = [os.path.abspath(a) for a in artifacts]
-    path = write_manifest(manifest, getattr(args, "runs_dir", None))
-    lines.append(f"recorded run {manifest.run_id} ({path})")
-    return manifest
+    path = write_manifest(manifest, args.runs_dir)
+    run_dir = os.path.dirname(path)
+    if export is not None:
+        manifest.artifacts += [os.path.abspath(a)
+                               for a in export(manifest, run_dir)]
+        write_manifest(manifest, args.runs_dir, overwrite=True)
+    lines.append(f"recorded run {manifest.run_id} ({run_dir})")
 
 
-def _run(args) -> Run:
-    """The paper-testbed run a single-migration command describes; its
-    ``--source`` names the failing node."""
-    return Run(args.app, args.nprocs, restart_mode=args.restart_mode,
-               n_compute=args.nodes, transport=args.transport)
-
-
-def _cmd_migrate(args):
-    if args.trace_out:
-        err = _out_path_error(args.trace_out, "--trace-out")
-        if err is not None:
-            return err, 2
+def _cmd_run(args):
+    """One traced migration, recorded as the run directory every
+    analysis command reads."""
+    err = _out_dir_error(resolve_runs_dir(args.runs_dir), "--runs-dir")
+    if err is not None:
+        return err, 2
     tracer = Tracer()
-    sc = _run(args).scenario(args.seed, trace=tracer)
-    reporter = None
-    if args.progress:
-        reporter = ProgressReporter(label="migrate")
-        sc.sim.attach_probe(TelemetryProbe(on_sample=reporter.on_sample))
+    registry = MetricsRegistry()
+    reporter = ProgressReporter(label="run") if args.progress else None
+    probe = TelemetryProbe(
+        DEFAULT_INTERVAL,
+        on_sample=reporter.on_sample if reporter is not None else None)
+    sc = Run(args.app, args.nprocs, restart_mode=args.restart_mode,
+             n_compute=args.nodes, transport=args.transport,
+             ).scenario(args.seed, trace=tracer, metrics=registry)
+    sc.sim.attach_probe(probe)
     t0 = start_clock()
     report = sc.run_migration(args.source, at=FAILURE_AT)
     wall = stop_clock(t0)
     if reporter is not None:
-        reporter.done(f"{sc.sim.events_processed} events")
+        reporter.done(f"{sc.sim.events_processed} events, "
+                      f"{probe.samples_taken} samples")
     phases = migration_phase_breakdown(report)
     lines = [render_table(
         f"Migration {args.source} -> {report.target} ({args.app}.{args.nprocs}, "
@@ -409,17 +401,24 @@ def _cmd_migrate(args):
     lines.append(render_timeline(extract_phases(tracer), title="phase timeline"))
     lines.append(f"data migrated: {report.bytes_migrated / 1e6:.1f} MB in "
                  f"{report.chunks_transferred} chunks")
-    artifacts: List[str] = []
-    if args.trace_out:
-        n_rows = write_jsonl(tracer, args.trace_out)
-        lines.append(f"wrote {args.trace_out} ({n_rows} records)")
-        artifacts.append(args.trace_out)
-    _record_run(args, "migrate",
+
+    def export(manifest: RunManifest, run_dir: str) -> List[str]:
+        trace_jsonl, trace_json, metrics_json, metrics_om = (
+            os.path.join(run_dir, name) for name in _RUN_ARTIFACTS)
+        write_jsonl(tracer, trace_jsonl)
+        write_chrome_trace(tracer, trace_json)
+        write_metrics(registry, metrics_json)
+        write_openmetrics(metrics_om, metrics=registry, telemetry=probe,
+                          labels={"run_id": manifest.run_id})
+        return [trace_jsonl, trace_json, metrics_json, metrics_om]
+
+    _record_run(args, "run",
                 {"phases": phases,
                  "total_seconds": report.total_seconds,
                  "bytes_migrated": report.bytes_migrated,
-                 "chunks_transferred": report.chunks_transferred},
-                artifacts, wall, lines)
+                 "chunks_transferred": report.chunks_transferred,
+                 "telemetry_samples": probe.samples_taken},
+                wall, lines, export=export)
     return "\n".join(lines)
 
 
@@ -452,7 +451,7 @@ def _cmd_compare(args) -> str:
     _record_run(args, "compare",
                 {"cycles": rows, "speedup": speedups,
                  "migration_total_seconds": results["migration"].total_seconds},
-                [], wall, out)
+                wall, out)
     return "\n".join(out)
 
 
@@ -475,53 +474,14 @@ def _cmd_interval(args) -> str:
             f"{args.work_days:g}-day job)", rows, unit="mixed", digits=1)])
 
 
-def _cmd_observe(args):
-    """One fully observed migration: spans + metrics, exported to disk."""
-    err = _out_dir_error(args.out_dir, "--out-dir")
+def _cmd_critical_path(args):
+    """Causal profile of a recorded run: waterfall + blame + dominant."""
+    err, _, path = _resolve_trace_source(args.run, args.runs_dir)
     if err is not None:
         return err, 2
-    tracer = Tracer()
-    registry = MetricsRegistry()
-    sc = _run(args).scenario(args.seed, trace=tracer, metrics=registry)
-    report = sc.run_migration(args.source, at=FAILURE_AT)
-    os.makedirs(args.out_dir, exist_ok=True)
-    trace_json = os.path.join(args.out_dir, "trace.json")
-    trace_jsonl = os.path.join(args.out_dir, "trace.jsonl")
-    metrics_json = os.path.join(args.out_dir, "metrics.json")
-    n_events = write_chrome_trace(tracer, trace_json, metrics=registry)
-    n_rows = write_jsonl(tracer, trace_jsonl)
-    n_metrics = write_metrics(registry, metrics_json)
-    lines = [
-        f"Observed migration {args.source} -> {report.target} "
-        f"({args.app}.{args.nprocs}, {args.transport}/{args.restart_mode})",
-        summarize_trace(tracer, registry),
-        f"wrote {trace_json} ({n_events} events, load in "
-        f"ui.perfetto.dev or chrome://tracing)",
-        f"wrote {trace_jsonl} ({n_rows} records)",
-        f"wrote {metrics_json} ({n_metrics} instruments)",
-    ]
-    return "\n".join(lines)
-
-
-def _cmd_critical_path(args):
-    """Causal profile of one migration: waterfall + blame + dominant."""
-    if args.from_jsonl:
-        err = _trace_file_error(args.from_jsonl)
-        if err is not None:
-            return err, 2
-        tracer = read_jsonl(args.from_jsonl)
-        header = f"Critical path of {args.from_jsonl}"
-    else:
-        tracer = Tracer()
-        sc = _run(args).scenario(args.seed, trace=tracer)
-        report = sc.run_migration(args.source, at=FAILURE_AT)
-        header = (f"Critical path: migration {args.source} -> "
-                  f"{report.target} ({args.app}.{args.nprocs}, "
-                  f"{args.transport}/{args.restart_mode})")
-    cp = critical_path(build_span_dag(tracer), root=args.root)
+    cp = critical_path(build_span_dag(read_jsonl(path)), root=args.root)
     name, seconds = dominant_component(cp)
     return "\n".join([
-        header,
         render_waterfall(cp, width=args.width),
         "",
         render_blame(cp.blame()),
@@ -583,16 +543,14 @@ def _cmd_bench(args):
     _record_run(args, "bench",
                 {"regressions": len(regressions),
                  "benches": len(paths)},
-                list(paths), wall, extra)
+                wall, extra, artifacts=paths)
     if extra:
         text += "\n" + "\n".join(extra)
     return text, (1 if regressions else 0)
 
 
 def _cmd_sanitize(args):
-    """Protocol sanitizer: run a scenario (or replay a JSONL) checked."""
-    import json as _json
-
+    """Protocol sanitizer: run a scenario (or replay a recorded trace)."""
     from .sanitize import FAULTS, check_jsonl, sanitize_scenario
 
     if args.list_faults:
@@ -602,10 +560,10 @@ def _cmd_sanitize(args):
         return (f"unknown fault {args.inject!r}; choose from "
                 f"{sorted(FAULTS)}"), 2
     if args.from_jsonl:
-        err = _trace_file_error(args.from_jsonl)
+        err, _, path = _resolve_trace_source(args.from_jsonl, None)
         if err is not None:
             return err, 2
-        result = check_jsonl(args.from_jsonl)
+        result = check_jsonl(path)
     else:
         result = sanitize_scenario(args.scenario, seed=args.seed,
                                    fault=args.inject)
@@ -626,7 +584,7 @@ def _cmd_sanitize(args):
                             else None)}
                 for v in violations],
         }
-        return _json.dumps(payload, indent=2, default=str), code
+        return json.dumps(payload, indent=2, default=str), code
     lines = [f"sanitize {result.scenario}: {len(result.runs)} run(s), "
              f"{result.n_records} records checked"]
     for run in result.runs:
@@ -644,8 +602,6 @@ def _cmd_sanitize(args):
 
 def _cmd_lint(args):
     """Static AST lint of emit sites, wall-clock calls, unused imports."""
-    import json as _json
-
     from .sanitize import lint_paths, sarif_json
 
     paths = args.paths or [os.path.dirname(os.path.abspath(__file__))]
@@ -655,7 +611,7 @@ def _cmd_lint(args):
     if args.format == "sarif":
         return sarif_json(findings, "repro-lint"), code
     if args.format == "json":
-        return _json.dumps({"paths": paths, "clean": not findings,
+        return json.dumps({"paths": paths, "clean": not findings,
                             "findings": [f.as_dict() for f in findings]},
                            indent=2), code
     lines = [f.render() for f in findings]
@@ -670,10 +626,12 @@ _DEFAULT_SIMCHECK_BASELINE = os.path.join("benchmarks",
 
 def _cmd_simcheck(args):
     """Interprocedural determinism / yield-point race analysis."""
-    import json as _json
-
     from .sanitize import sarif_json, simcheck_paths, write_baseline
 
+    if args.sarif_out:
+        err = _out_path_error(args.sarif_out, "--sarif-out")
+        if err is not None:
+            return err, 2
     paths = args.paths or [os.path.dirname(os.path.abspath(__file__))]
     baseline_path = None
     if not args.no_baseline and not args.write_baseline:
@@ -692,16 +650,13 @@ def _cmd_simcheck(args):
         return f"wrote {target} ({n} grandfathered finding(s))", 0
     code = 0 if result.clean else 1
     if args.sarif_out:
-        err = _out_path_error(args.sarif_out, "--sarif-out")
-        if err is not None:
-            return err, 2
         with open(args.sarif_out, "w", encoding="utf-8") as fh:
             fh.write(sarif_json(result.findings, "repro-simcheck"))
             fh.write("\n")
     if args.format == "sarif":
         return sarif_json(result.findings, "repro-simcheck"), code
     if args.format == "json":
-        return _json.dumps({
+        return json.dumps({
             "paths": paths,
             "baseline": baseline_path,
             "clean": result.clean,
@@ -743,87 +698,37 @@ def _cmd_validate(args) -> str:
 
 
 def _cmd_report(args):
-    """Self-contained run report: live simulation or a recorded run."""
-    for path, flag in ((args.out, "--out"), (args.html, "--html"),
-                       (args.openmetrics, "--openmetrics")):
+    """Self-contained report of a recorded run (or a bare trace file)."""
+    for path, flag in ((args.out, "--out"), (args.html, "--html")):
         if path:
             err = _out_path_error(path, flag)
             if err is not None:
                 return err, 2
-
-    if args.from_run:
-        if args.openmetrics:
-            return ("error: --openmetrics needs a live run (a recorded "
-                    "manifest has no metrics registry to snapshot)"), 2
-        try:
-            manifest = load_manifest(args.from_run, args.runs_dir)
-        except (OSError, ValueError, TypeError) as exc:
-            return f"error: cannot load run {args.from_run!r}: {exc}", 2
-        records: list = []
-        series = None
-        trace_path = trace_artifact(manifest)
-        if trace_path is not None:
-            replay = read_jsonl(trace_path)
-            records = list(replay)
-            series = telemetry_series(replay)
-        extra_sections = []
-        for a in manifest.artifacts:
-            base = os.path.basename(a)
-            if base.startswith("EXPLAIN_") and base.endswith(".md") \
-                    and os.path.exists(a):
-                with open(a, encoding="utf-8") as fh:
-                    extra_sections.append(
-                        (f"Regression explanation — "
-                         f"{base[len('EXPLAIN_'):-len('.md')]}",
-                         fh.read()))
-        text = render_run_report(
-            manifest=manifest, records=records, telemetry=series,
-            title=f"Run report — {manifest.run_id}",
-            extra_sections=extra_sections)
-        registry = None
-        probe = None
-    else:
-        tracer = Tracer()
-        registry = MetricsRegistry()
-        reporter = ProgressReporter(label="report") if args.progress else None
-        probe = TelemetryProbe(
-            interval=args.telemetry_interval,
-            on_sample=reporter.on_sample if reporter is not None else None)
-        sc = _run(args).scenario(args.seed, trace=tracer, metrics=registry)
-        sc.sim.attach_probe(probe)
-        t0 = start_clock()
-        mig = sc.run_migration(args.source, at=FAILURE_AT)
-        wall = stop_clock(t0)
-        if reporter is not None:
-            reporter.done(f"{sc.sim.events_processed} events, "
-                          f"{probe.samples_taken} samples")
-        manifest = None
-        if not args.no_manifest:
-            manifest = RunManifest.new("report", _run_config(args),
-                                       seed=args.seed)
-            manifest.wall_seconds = wall
-            manifest.results = {
-                "phases": migration_phase_breakdown(mig),
-                "total_seconds": mig.total_seconds,
-                "bytes_migrated": mig.bytes_migrated,
-                "telemetry_samples": probe.samples_taken,
-            }
-            path = write_manifest(manifest, args.runs_dir)
-            run_dir = os.path.dirname(path)
-            trace_path = os.path.join(run_dir, "trace.jsonl.gz")
-            write_jsonl(tracer, trace_path)
-            manifest.artifacts = [os.path.abspath(trace_path)]
-            for p in (args.out, args.html, args.openmetrics):
-                if p:
-                    manifest.artifacts.append(os.path.abspath(p))
-            write_manifest(manifest, args.runs_dir, overwrite=True)
-        text = render_run_report(
-            manifest=manifest, records=tracer, telemetry=probe,
-            metrics_summary=registry.as_dict(),
-            title=f"Run report — migration {args.source} -> {mig.target} "
-                  f"({args.app}.{args.nprocs}, "
-                  f"{args.transport}/{args.restart_mode})")
-
+    err, manifest, trace_path = _resolve_trace_source(args.run, args.runs_dir)
+    if err is not None:
+        return err, 2
+    replay = read_jsonl(trace_path)
+    metrics_summary = None
+    extra_sections = []
+    for a in manifest.artifacts if manifest is not None else ():
+        base = os.path.basename(a)
+        if base == "metrics.json" and os.path.exists(a):
+            with open(a, encoding="utf-8") as fh:
+                metrics_summary = json.load(fh)
+        elif base.startswith("EXPLAIN_") and base.endswith(".md") \
+                and os.path.exists(a):
+            with open(a, encoding="utf-8") as fh:
+                extra_sections.append(
+                    (f"Regression explanation — "
+                     f"{base[len('EXPLAIN_'):-len('.md')]}",
+                     fh.read()))
+    label = manifest.run_id if manifest is not None else args.run
+    text = render_run_report(
+        manifest=manifest, records=list(replay),
+        telemetry=telemetry_series(replay),
+        metrics_summary=metrics_summary,
+        title=f"Run report — {label}",
+        extra_sections=extra_sections)
     notes: List[str] = []
     if args.out:
         with atomic_write(args.out) as fh:
@@ -833,29 +738,20 @@ def _cmd_report(args):
         with atomic_write(args.html) as fh:
             fh.write(report_to_html(text))
         notes.append(f"wrote {args.html}")
-    if args.openmetrics and registry is not None:
-        labels = ({"run_id": manifest.run_id} if manifest is not None
-                  else None)
-        n = write_openmetrics(args.openmetrics, metrics=registry,
-                              telemetry=probe, labels=labels)
-        notes.append(f"wrote {args.openmetrics} ({n} samples)")
     if args.out:
         return "\n".join(notes)
     return text + ("\n" + "\n".join(notes) if notes else "")
 
 
 def _resolve_trace_source(value: str, runs_dir: Optional[str]):
-    """``(error, label, tracer)`` for an explain argument.
+    """``(error, manifest, trace path)`` for an analysis argument.
 
-    A path that exists on disk is read as a trace export (gzip sniffed);
-    anything else is treated as a run id whose manifest must carry an
-    archived trace artifact.
+    An existing file, or any ``.jsonl``/``.jsonl.gz`` name, is a trace
+    export (gzip sniffed) with no manifest; anything else is a run id
+    whose manifest must carry an archived trace artifact.
     """
-    if os.path.isfile(value):
-        err = _trace_file_error(value)
-        if err is not None:
-            return err, None, None
-        return None, value, read_jsonl(value)
+    if os.path.isfile(value) or value.endswith((".jsonl", ".jsonl.gz")):
+        return _trace_file_error(value), None, value
     try:
         manifest = load_manifest(value, runs_dir)
     except (OSError, ValueError, TypeError):
@@ -865,8 +761,8 @@ def _resolve_trace_source(value: str, runs_dir: Optional[str]):
     path = trace_artifact(manifest)
     if path is None:
         return (f"error: run {value!r} has no archived trace artifact "
-                f"(re-run with --trace-out or `repro report`)"), None, None
-    return None, manifest.run_id, read_jsonl(path)
+                f"(record one with `repro run`)"), None, None
+    return None, manifest, path
 
 
 def _cmd_explain(args):
@@ -877,10 +773,11 @@ def _cmd_explain(args):
             return err, 2
     sides = []
     for value in (args.a, args.b):
-        err, label, tracer = _resolve_trace_source(value, args.runs_dir)
+        err, manifest, path = _resolve_trace_source(value, args.runs_dir)
         if err is not None:
             return err, 2
-        sides.append((label, tracer))
+        sides.append((manifest.run_id if manifest is not None else value,
+                      read_jsonl(path)))
     try:
         diff = diff_traces(sides[0][1], sides[1][1], root=args.root,
                            label_a=sides[0][0], label_b=sides[1][0])
@@ -896,8 +793,6 @@ def _cmd_explain(args):
 
 def _cmd_runs(args):
     """Run registry: list / show / diff recorded manifests."""
-    import json as _json
-
     if args.action == "list":
         manifests = list_runs(args.runs_dir)
         if not manifests:
@@ -918,7 +813,7 @@ def _cmd_runs(args):
             m = load_manifest(args.ids[0], args.runs_dir)
         except (OSError, ValueError, TypeError) as exc:
             return f"error: cannot load run {args.ids[0]!r}: {exc}", 2
-        return _json.dumps(m.as_dict(), indent=2, sort_keys=True,
+        return json.dumps(m.as_dict(), indent=2, sort_keys=True,
                            default=str)
     if len(args.ids) != 2:
         return "error: `repro runs diff` takes exactly two RUN_IDs", 2
@@ -943,9 +838,9 @@ def _cmd_runs(args):
     return text
 
 
-_COMMANDS = {"migrate": _cmd_migrate, "compare": _cmd_compare,
+_COMMANDS = {"run": _cmd_run, "compare": _cmd_compare,
              "scale": _cmd_scale, "interval": _cmd_interval,
-             "observe": _cmd_observe, "validate": _cmd_validate,
+             "validate": _cmd_validate,
              "critical-path": _cmd_critical_path, "bench": _cmd_bench,
              "sanitize": _cmd_sanitize, "lint": _cmd_lint,
              "simcheck": _cmd_simcheck,

@@ -1,10 +1,13 @@
 """Run registry: a manifest per CLI run, listable and diffable.
 
-Every ``repro migrate``/``bench``/``compare``/``report`` invocation can
-drop a small JSON manifest under ``runs/<run_id>/manifest.json`` tying
-together what was run (config + hash + seed + git sha), how long it
-took (wall seconds), what it produced (metrics summary, bench deltas)
-and where the artifacts went.  ``repro runs list|show|diff`` then
+Every ``repro run``/``bench``/``compare`` invocation drops a small JSON
+manifest under ``runs/<run_id>/manifest.json`` tying together what was
+run (config + hash + seed + git sha), how long it took (wall seconds),
+what it produced (phase results, bench deltas) and where the artifacts
+went.  A ``repro run`` directory also holds the run's artifacts
+(``trace.jsonl.gz``, ``trace.json``, ``metrics.json``, ``metrics.om``),
+which ``repro report``, ``critical-path``, ``explain`` and ``sanitize
+--from-jsonl`` read instead of simulating.  ``repro runs list|show|diff``
 answers "what changed between these two runs?" without re-running
 anything.
 

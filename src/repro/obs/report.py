@@ -4,9 +4,10 @@
 one document: run identity + configuration, the critical-path phase
 waterfall, per-component blame, the phase timeline, sparkline tables of
 every sampled telemetry series, and the final metrics summary.  It
-works from a live run (records + probe in memory) or from archived
-artifacts (a manifest whose ``trace.jsonl`` is re-read), so ``repro
-report --from-run ID`` needs nothing but the runs directory.
+works from a live run (records + probe in memory) or from a recorded
+run directory (``trace.jsonl.gz`` re-read, ``metrics.json`` loaded), and
+both render the same sections, units included, so ``repro report RUN``
+needs nothing but the runs directory.
 
 Everything degrades gracefully: a trace with no spans skips the
 waterfall instead of failing, a run without telemetry skips the series
@@ -24,6 +25,7 @@ from ..analysis.critical_path import (
     render_waterfall,
 )
 from ..analysis.timeline import extract_phases, render_timeline
+from ..simulate.telemetry import KERNEL_SERIES_UNITS
 
 __all__ = ["sparkline", "render_run_report", "report_to_html"]
 
@@ -171,7 +173,9 @@ def render_run_report(manifest=None, records=None, telemetry=None,
     ``records`` is an iterable of :class:`TraceRecord` (live tracer or
     ``read_jsonl`` reload); ``telemetry`` is either a probe (iterated
     for its :class:`TimeSeries`) or a ``{name: [(t, v), ...]}`` mapping
-    as returned by :func:`repro.analysis.trace_export.telemetry_series`.
+    as returned by :func:`repro.analysis.trace_export.telemetry_series`,
+    whose units come from the kernel series table and from
+    ``metrics_summary``.
     ``extra_sections`` is ``[(heading, markdown body), ...]`` appended
     verbatim — the bench harness's regression explanations ride along
     this way.
@@ -190,6 +194,9 @@ def render_run_report(manifest=None, records=None, telemetry=None,
     if telemetry is not None:
         if isinstance(telemetry, dict):
             series = dict(telemetry)
+            units = dict(KERNEL_SERIES_UNITS)
+            units.update((name, d["unit"]) for name, d
+                         in (metrics_summary or {}).items() if "unit" in d)
         else:
             for ts in telemetry:
                 series[ts.name] = list(ts.points)

@@ -9,7 +9,7 @@ Live::
 
 Offline::
 
-    violations = TraceChecker.check_trace(read_jsonl("obs/trace.jsonl"))
+    violations = TraceChecker.check_trace(read_jsonl("runs/<run_id>/trace.jsonl.gz"))
 
 Both paths drive the identical :mod:`~repro.sanitize.invariants` state
 machines, so a violation caught in CI replay reproduces live and vice

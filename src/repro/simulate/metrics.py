@@ -11,11 +11,13 @@ component can create by name::
 
 Instruments are get-or-create by name, so the QP on every node shares one
 ``qp.wqe.posted`` counter and the registry stays a flat, exportable
-namespace.  Counters and gauges keep a ``(sim_time, value)`` sample trail
-(the Chrome-trace exporter turns it into ``C`` counter tracks); histograms
-aggregate value distributions *and* bucket their observations into fixed
-sim-time windows, yielding the per-phase time series the paper's Figure
-4/6/7 analyses need.
+namespace.  Counters and gauges hold their current value only: a
+:class:`~repro.simulate.telemetry.TelemetryProbe` samples them on a
+sim-time grid, and that probe is the one time-series source (its samples
+become the Chrome trace's ``C`` counter tracks and the run report's
+sparklines).  Histograms aggregate value distributions *and* bucket
+their observations into fixed sim-time windows, yielding the per-phase
+time series the paper's Figure 4/6/7 analyses need.
 
 The untraced fast path uses :data:`NULL_METRICS`: a shared registry whose
 instruments are inert singletons, so instrumented hot paths (the fluid
@@ -62,7 +64,7 @@ class _Instrument:
 class Counter(_Instrument):
     """Monotonically increasing count (WQEs posted, bytes moved)."""
 
-    __slots__ = ("value", "samples")
+    __slots__ = ("value",)
 
     kind = "counter"
 
@@ -70,24 +72,20 @@ class Counter(_Instrument):
                  unit: str = "", help: str = ""):
         super().__init__(registry, name, unit, help)
         self.value: float = 0.0
-        #: ``(sim_time, cumulative_value)`` after each increment.
-        self.samples: List[Tuple[float, float]] = []
 
     def inc(self, n: float = 1.0) -> None:
         if n < 0:
             raise ValueError(f"counter {self.name!r}: negative increment {n}")
         self.value += n
-        self.samples.append((self._now(), self.value))
 
     def as_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "unit": self.unit, "value": self.value,
-                "n_samples": len(self.samples)}
+        return {"kind": self.kind, "unit": self.unit, "value": self.value}
 
 
 class Gauge(_Instrument):
     """Point-in-time level (pool occupancy, queue depth, effective BW)."""
 
-    __slots__ = ("value", "samples")
+    __slots__ = ("value",)
 
     kind = "gauge"
 
@@ -95,21 +93,18 @@ class Gauge(_Instrument):
                  unit: str = "", help: str = ""):
         super().__init__(registry, name, unit, help)
         self.value: float = 0.0
-        self.samples: List[Tuple[float, float]] = []
 
     def set(self, v: float) -> None:
         self.value = v
-        self.samples.append((self._now(), self.value))
 
     def inc(self, n: float = 1.0) -> None:
-        self.set(self.value + n)
+        self.value += n
 
     def dec(self, n: float = 1.0) -> None:
-        self.set(self.value - n)
+        self.value -= n
 
     def as_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "unit": self.unit, "value": self.value,
-                "n_samples": len(self.samples)}
+        return {"kind": self.kind, "unit": self.unit, "value": self.value}
 
 
 class Histogram(_Instrument):
@@ -199,7 +194,7 @@ class MetricsRegistry:
 
     Attach to a simulation with ``Simulator(metrics=registry)`` (or
     ``Scenario.build(metrics=registry)``); the clock is bound
-    automatically so samples are stamped with sim time.
+    automatically so histogram observations land in sim-time windows.
     """
 
     enabled = True
@@ -293,7 +288,6 @@ class _NullInstrument:
     help = ""
     registry = None
     value = 0.0
-    samples: Tuple = ()
     count = 0
     total = 0.0
     mean = 0.0

@@ -1,6 +1,6 @@
 """Time-series telemetry: cadenced sampling of kernel and metric state.
 
-The tracer (PR 2) records *events* and the metrics registry aggregates
+The tracer records *events* and the metrics registry aggregates
 *instruments*, but both are driven by the component that happens to be
 executing — there is no signal at all while the simulator grinds through
 a long quiet stretch, and no uniform timeline behind the Figure 4/6/7
@@ -20,7 +20,8 @@ cadence —
 as a ``telemetry.sample`` record (one per series per tick), so the
 JSONL archive, the Chrome-trace ``C`` counter tracks, and the run-report
 sparklines are all views of the same data and survive a
-``read_jsonl()`` round trip.
+``read_jsonl()`` round trip.  The probe is the only time-series source:
+instruments hold a current value, not a history.
 
 The probe must not perturb the schedule.  It therefore schedules
 *nothing*: the kernel's run loop checks ``now >= probe.next_time`` after
@@ -40,7 +41,19 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = ["TimeSeries", "TelemetryProbe", "NullTelemetryProbe",
-           "NULL_PROBE", "DEFAULT_INTERVAL"]
+           "NULL_PROBE", "DEFAULT_INTERVAL", "KERNEL_SERIES_UNITS"]
+
+#: Unit of each kernel series, in the order :meth:`TelemetryProbe.on_advance`
+#: samples them.  ``telemetry.sample`` trace records carry no unit, so a
+#: report rendered from an archived trace reads the kernel units here (and
+#: the registry instruments' units from the run's ``metrics.json``).
+KERNEL_SERIES_UNITS: Dict[str, str] = {
+    "kernel.queue_depth": "events",
+    "kernel.events_processed": "events",
+    "kernel.events_per_sec": "events/s",
+    "kernel.cancelled_ratio": "ratio",
+    "kernel.live_processes": "processes",
+}
 
 #: Default sampling cadence in simulated seconds: fine enough to resolve
 #: the sub-second phases of a paper-scale migration, coarse enough that a
@@ -160,20 +173,18 @@ class TelemetryProbe:
         with ``now >= next_time``.  Never schedules anything.
         """
         sim = self._sim
-        take: List[Tuple[str, str, float]] = []
-        depth = float(sim.queue_depth())
         processed = sim.events_processed
         cancelled = sim.events_cancelled
         dt = now - self._last_t if self._last_t is not None else 0.0
         rate = ((processed - self._last_processed) / dt) if dt > 0 else 0.0
         handled = processed + cancelled
-        take.append(("kernel.queue_depth", "events", depth))
-        take.append(("kernel.events_processed", "events", float(processed)))
-        take.append(("kernel.events_per_sec", "events/s", rate))
-        take.append(("kernel.cancelled_ratio", "ratio",
-                     cancelled / handled if handled else 0.0))
-        take.append(("kernel.live_processes", "processes",
-                     float(len(sim.live_processes()))))
+        kernel = (float(sim.queue_depth()), float(processed), rate,
+                  cancelled / handled if handled else 0.0,
+                  float(len(sim.live_processes())))
+        take: List[Tuple[str, str, float]] = [
+            (name, unit, value)
+            for (name, unit), value in zip(KERNEL_SERIES_UNITS.items(),
+                                           kernel)]
         metrics = sim.metrics
         if metrics is not None and getattr(metrics, "enabled", False):
             for name, unit, value in metrics.sample_values():

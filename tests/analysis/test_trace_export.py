@@ -9,7 +9,6 @@ from repro.analysis import (
     chrome_trace,
     extract_phases,
     read_jsonl,
-    summarize_trace,
     write_chrome_trace,
     write_jsonl,
     write_metrics,
@@ -167,16 +166,16 @@ def test_chrome_trace_drops_flows_with_missing_slices():
 
 
 def test_chrome_trace_counter_track(tmp_path):
-    sim, t = make_trace()
-    m = MetricsRegistry(clock=lambda: 1.0)
-    m.counter("pool.fill.bytes", unit="bytes").inc(4096)
-    doc = chrome_trace(t, metrics=m)
+    _, t = make_trace()
+    t.record(1.0, "telemetry.sample", metric="pool.fill.bytes", value=4096)
+    doc = chrome_trace(t)
     cs = [e for e in doc["traceEvents"] if e["ph"] == "C"]
     assert cs and cs[0]["name"] == "pool.fill.bytes"
     assert cs[0]["args"]["value"] == 4096
+    assert cs[0]["ts"] == 1.0e6
     # And the whole document survives a JSON round trip on disk.
     path = tmp_path / "trace.json"
-    n = write_chrome_trace(t, str(path), metrics=m)
+    n = write_chrome_trace(t, str(path))
     loaded = json.load(open(path))
     assert len(loaded["traceEvents"]) == n > 0
 
@@ -200,16 +199,6 @@ def test_write_metrics_payload(tmp_path):
     assert n == 2
     assert payload["a"]["value"] == 7
     assert payload["h"]["count"] == 1
-
-
-def test_summarize_trace_mentions_phases_and_metrics():
-    _, t = make_trace()
-    m = MetricsRegistry(clock=lambda: 0.0)
-    m.counter("pool.fill.bytes", unit="bytes").inc(1024)
-    out = summarize_trace(t, m)
-    assert "Job Migration" in out
-    assert "pool.fill.bytes" in out
-    assert "records:" in out
 
 
 def test_extract_phases_concurrent_same_name():

@@ -1,8 +1,9 @@
 """Suite-wide fixtures.
 
-Every ``repro migrate/compare/bench/report`` invocation records a run
-manifest; without redirection the CLI tests would litter the repository
-with ``runs/`` directories.  The autouse fixture points the registry at
+Every ``repro run/compare/bench`` invocation records a run manifest
+(``run`` also writes its trace and metrics next to it); without
+redirection the CLI tests would litter the repository with ``runs/``
+directories.  The autouse fixture points the registry at
 a per-test temporary directory through the ``REPRO_RUNS_DIR``
 environment variable (the lowest-precedence knob, so tests that pass an
 explicit ``--runs-dir`` still win).

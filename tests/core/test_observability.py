@@ -119,13 +119,16 @@ def test_metrics_cover_every_layer(observed):
 
 def test_chrome_trace_from_scenario_round_trips(observed):
     tracer, registry, _ = observed
-    doc = chrome_trace(tracer, metrics=registry)
+    doc = chrome_trace(tracer)
     text = json.dumps(doc, default=str)
     loaded = json.loads(text)
     events = loaded["traceEvents"]
     assert events
     phs = {e["ph"] for e in events}
     assert {"X", "C", "M"} <= phs
+    # Counter tracks come from the probe's samples of the registry.
+    counters = {e["name"] for e in events if e["ph"] == "C"}
+    assert "pool.pull.bytes" in counters and registry.get("pool.pull.bytes")
     # Spans nest: every X event with a parent arg closes inside it.
     assert any(e["ph"] == "X" and e["name"].startswith("phase:")
                for e in events)

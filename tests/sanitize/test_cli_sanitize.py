@@ -56,6 +56,19 @@ def test_sanitize_clean_jsonl_exits_0(capsys, clean_jsonl):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_sanitize_recorded_run_is_clean(capsys, tmp_path, monkeypatch):
+    """``--from-jsonl`` takes a run id, resolved under the runs dir."""
+    monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
+    assert main(["run", "--app", "LU.C", "--nprocs", "8", "--nodes", "2",
+                 "--source", "node1", "--restart-mode", "memory"]) == 0
+    (run_id,) = [p.name for p in tmp_path.iterdir()]
+    capsys.readouterr()
+    assert main(["sanitize", "--from-jsonl", run_id]) == 0
+    out = capsys.readouterr().out
+    assert f"{tmp_path / run_id / 'trace.jsonl.gz'}" in out
+    assert "PASS" in out
+
+
 def test_sanitize_violating_jsonl_exits_1_naming_rule(capsys,
                                                       violating_jsonl):
     assert main(["sanitize", "--from-jsonl", violating_jsonl]) == 1

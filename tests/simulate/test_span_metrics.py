@@ -11,6 +11,7 @@ from repro.simulate import (
     NULL_TRACER,
     NullTracer,
     Simulator,
+    TelemetryProbe,
     Tracer,
 )
 
@@ -216,24 +217,46 @@ def test_null_tracer_spans_run_without_clock():
 # Metrics registry
 # ---------------------------------------------------------------------------
 
+def _probed(body):
+    """Run the process ``body(sim)`` under a 1 s telemetry probe; the
+    probe samples each boundary before that instant's events run."""
+    m = MetricsRegistry()
+    sim = Simulator(metrics=m)
+    probe = sim.attach_probe(TelemetryProbe(interval=1.0))
+    sim.run(until=sim.spawn(body(sim)))
+    return m, probe
+
+
 def test_counter_monotonic_and_sampled():
-    m = MetricsRegistry(clock=lambda: 7.0)
-    c = m.counter("bytes", unit="B")
-    c.inc(10)
-    c.inc(5)
+    def body(sim):
+        c = sim.metrics.counter("bytes", unit="B")
+        c.inc(10)
+        yield sim.timeout(1.0)
+        c.inc(5)
+        yield sim.timeout(1.0)
+
+    m, probe = _probed(body)
+    c = m.counter("bytes")
     assert c.value == 15
-    assert c.samples == [(7.0, 10.0), (7.0, 15.0)]
+    assert probe.get("bytes").points == [(1.0, 10.0), (2.0, 15.0)]
+    assert probe.get("bytes").unit == "B"
     with pytest.raises(ValueError):
         c.inc(-1)
 
 
 def test_gauge_set_inc_dec():
-    g = MetricsRegistry().gauge("depth")
-    g.set(4)
-    g.inc()
-    g.dec(2)
-    assert g.value == 3
-    assert [v for _, v in g.samples] == [4, 5, 3]
+    def body(sim):
+        g = sim.metrics.gauge("depth")
+        g.set(4)
+        yield sim.timeout(1.0)
+        g.inc()
+        yield sim.timeout(1.0)
+        g.dec(2)
+        yield sim.timeout(1.0)
+
+    m, probe = _probed(body)
+    assert m.gauge("depth").value == 3
+    assert probe.get("depth").values == [4, 5, 3]
 
 
 def test_histogram_buckets_and_time_series():
@@ -338,12 +361,17 @@ def test_simulator_binds_metrics_clock():
     sim = Simulator(metrics=m)
     assert sim.metrics is m
 
+    probe = sim.attach_probe(TelemetryProbe(interval=1.0))
+
     def run(sim):
         yield sim.timeout(3.0)
         sim.metrics.counter("ticks").inc()
+        yield sim.timeout(1.0)
 
     sim.run(until=sim.spawn(run(sim)))
-    assert m.counter("ticks").samples == [(3.0, 1.0)]
+    assert m.now() == 4.0
+    assert m.counter("ticks").value == 1.0
+    assert probe.get("ticks").points == [(4.0, 1.0)]
 
 
 def test_untraced_simulator_uses_null_registry():

@@ -12,25 +12,46 @@ def run_cli(capsys, *argv):
     return out
 
 
+SMALL = ("--app", "LU.C", "--nprocs", "8", "--nodes", "2")
+
+
+@pytest.fixture(scope="module")
+def recorded(tmp_path_factory):
+    """One file-mode and one memory-mode ``repro run`` in a shared runs
+    dir: ``{"dir", "file", "memory", "out": {mode: stdout}}``."""
+    import contextlib
+    import io
+
+    runs = tmp_path_factory.mktemp("runs")
+    out = {}
+    for mode in ("file", "memory"):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["run", *SMALL, "--source", "node1",
+                         "--restart-mode", mode,
+                         "--runs-dir", str(runs)]) == 0
+        out[mode] = buf.getvalue()
+    file_id, memory_id = sorted(p.name for p in runs.iterdir())
+    return {"dir": runs, "file": file_id, "memory": memory_id, "out": out}
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
 
 
-def test_migrate_command_small(capsys):
-    out = run_cli(capsys, "migrate", "--app", "LU.C", "--nprocs", "8",
-                  "--nodes", "2", "--source", "node1")
+def test_migrate_command_small(recorded):
+    out = recorded["out"]["file"]
     assert "Migration node1 -> spare0" in out
     assert "Job Stall" in out
     assert "phase timeline" in out
     assert "data migrated" in out
+    run_dir = recorded["dir"] / recorded["file"]
+    assert f"recorded run {recorded['file']} ({run_dir})" in out
 
 
-def test_migrate_memory_restart(capsys):
-    out = run_cli(capsys, "migrate", "--app", "LU.C", "--nprocs", "8",
-                  "--nodes", "2", "--source", "node1",
-                  "--restart-mode", "memory")
-    assert "memory" in out
+def test_migrate_memory_restart(recorded):
+    assert "rdma/memory" in recorded["out"]["memory"]
 
 
 def test_scale_command(capsys):
@@ -55,41 +76,36 @@ def test_compare_command_small(capsys):
     assert "speedup over CR(pvfs)" in out
 
 
-def test_observe_command_exports_artifacts(capsys, tmp_path):
+def test_observe_command_exports_artifacts(recorded):
+    import gzip
     import json
 
-    out = run_cli(capsys, "observe", "--app", "LU.C", "--nprocs", "8",
-                  "--nodes", "2", "--source", "node1",
-                  "--out-dir", str(tmp_path))
-    assert "Observed migration node1 -> spare0" in out
-    assert "wrote" in out
-    doc = json.load(open(tmp_path / "trace.json"))
+    run_dir = recorded["dir"] / recorded["file"]
+    doc = json.load(open(run_dir / "trace.json"))
     events = doc["traceEvents"]
     assert events, "chrome trace must be non-empty"
     assert {"X", "C", "M"} <= {e["ph"] for e in events}
-    rows = [json.loads(line)
-            for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
+    with gzip.open(run_dir / "trace.jsonl.gz", "rt") as fh:
+        rows = [json.loads(line) for line in fh]
     assert rows and all("kind" in r for r in rows)
-    metrics = json.load(open(tmp_path / "metrics.json"))
+    metrics = json.load(open(run_dir / "metrics.json"))
     assert metrics["pool.pull.bytes"]["value"] > 0
 
 
-def test_critical_path_command(capsys):
-    out = run_cli(capsys, "critical-path", "--app", "LU.C", "--nprocs", "8",
-                  "--nodes", "2", "--source", "node1")
+def test_critical_path_command(capsys, recorded):
+    out = run_cli(capsys, "critical-path", recorded["file"],
+                  "--runs-dir", str(recorded["dir"]))
     assert "critical path" in out
     assert "dominant component:" in out
     assert "blcr.restart" in out
     assert "phase:Restart" in out
 
 
-def test_critical_path_from_jsonl(capsys, tmp_path):
-    run_cli(capsys, "observe", "--app", "LU.C", "--nprocs", "8",
-            "--nodes", "2", "--source", "node1", "--out-dir", str(tmp_path))
-    out = run_cli(capsys, "critical-path", "--from-jsonl",
-                  str(tmp_path / "trace.jsonl"))
-    assert "dominant component:" in out
-    assert "blcr.restart" in out
+def test_critical_path_from_jsonl(capsys, recorded):
+    by_id = run_cli(capsys, "critical-path", recorded["file"],
+                    "--runs-dir", str(recorded["dir"]))
+    trace = recorded["dir"] / recorded["file"] / "trace.jsonl.gz"
+    assert run_cli(capsys, "critical-path", str(trace)) == by_id
 
 
 def test_bench_command_clean_and_regressing(capsys, tmp_path):
@@ -123,7 +139,19 @@ def test_bench_command_clean_and_regressing(capsys, tmp_path):
 
 def test_bad_app_rejected():
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["migrate", "--app", "FT.C"])
+        build_parser().parse_args(["run", "--app", "FT.C"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["migrate"], ["observe"],
+    ["report", "RUN", "--app", "LU.C"],
+    ["critical-path", "RUN", "--source", "node3"],
+    ["critical-path", "--from-jsonl", "t.jsonl"],
+    ["run", "--no-manifest"],
+])
+def test_only_run_simulates_a_single_migration(argv):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
 
 
 def test_compare_memory_restart_mode(capsys):
@@ -133,22 +161,29 @@ def test_compare_memory_restart_mode(capsys):
     assert "speedup over CR(ext3)" in out
 
 
-def test_migrate_trace_out_exports_jsonl(capsys, tmp_path):
+def test_migrate_trace_out_exports_jsonl(recorded):
+    import gzip
     import json
 
-    path = tmp_path / "trace.jsonl"
-    out = run_cli(capsys, "migrate", "--app", "LU.C", "--nprocs", "8",
-                  "--nodes", "2", "--source", "node1",
-                  "--restart-mode", "memory", "--trace-out", str(path))
-    assert f"wrote {path}" in out
-    rows = [json.loads(line) for line in path.read_text().splitlines()]
-    assert rows and all("kind" in r for r in rows)
+    run_dir = recorded["dir"] / recorded["memory"]
+    with gzip.open(run_dir / "trace.jsonl.gz", "rt") as fh:
+        rows = [json.loads(line) for line in fh]
     assert any(r["kind"] == "pipeline.run.start" for r in rows)
+    assert any(r["kind"] == "telemetry.sample" for r in rows)
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["artifacts"] == [
+        str(run_dir / name) for name in
+        ("trace.jsonl.gz", "trace.json", "metrics.json", "metrics.om")]
+
+
+#: How each analysis names a trace file.
+TRACE_ARGV = {"critical-path": ["critical-path"],
+              "sanitize": ["sanitize", "--from-jsonl"]}
 
 
 @pytest.mark.parametrize("command", ["critical-path", "sanitize"])
 def test_missing_trace_file_is_one_line_error(capsys, command):
-    rc = main([command, "--from-jsonl", "/no/such/trace.jsonl"])
+    rc = main(TRACE_ARGV[command] + ["/no/such/trace.jsonl"])
     out = capsys.readouterr().out
     assert rc == 2
     assert out.strip() == "error: trace file not found: /no/such/trace.jsonl"
@@ -159,7 +194,7 @@ def test_missing_trace_file_is_one_line_error(capsys, command):
 def test_empty_trace_file_is_one_line_error(capsys, tmp_path, command):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
-    rc = main([command, "--from-jsonl", str(empty)])
+    rc = main(TRACE_ARGV[command] + [str(empty)])
     out = capsys.readouterr().out
     assert rc == 2
     assert out.strip() == f"error: trace file is empty: {empty}"
@@ -174,7 +209,12 @@ def test_bench_parser_accepts_restart_mode():
 
 # -- run registry and reports ------------------------------------------------
 
-SMALL = ("--app", "LU.C", "--nprocs", "8", "--nodes", "2")
+
+def _report_body(text):
+    """Phase waterfall through the end of the metrics summary."""
+    start = text.index("## Phase waterfall")
+    end = text.find("## Recorded results")
+    return text[start:end if end >= 0 else len(text)].rstrip()
 
 
 def _run_ids(capsys, runs_dir):
@@ -182,37 +222,43 @@ def _run_ids(capsys, runs_dir):
     return [line.split()[0] for line in out.splitlines()[1:]]
 
 
-def test_migrate_records_a_manifest(capsys, tmp_path):
-    out = run_cli(capsys, "migrate", *SMALL, "--source", "node1",
-                  "--runs-dir", str(tmp_path))
-    assert "recorded run" in out
-    ids = _run_ids(capsys, tmp_path)
-    assert len(ids) == 1 and "-migrate-" in ids[0]
+def _hand_manifest(runs_dir, restart_mode):
+    """Record a manifest with no artifacts, as ``compare`` does."""
+    from repro.obs import RunManifest, write_manifest
+
+    manifest = RunManifest.new("compare", {"restart_mode": restart_mode})
+    manifest.results = {"phases": {"Restart": 4.4 if restart_mode == "file"
+                                   else 0.07}}
+    write_manifest(manifest, str(runs_dir))
+    return manifest.run_id
+
+
+def test_migrate_records_a_manifest(capsys, recorded):
+    ids = _run_ids(capsys, recorded["dir"])
+    assert ids == [recorded["file"], recorded["memory"]]
+    assert "-run-" in ids[0]
     show = run_cli(capsys, "runs", "show", ids[0],
-                   "--runs-dir", str(tmp_path))
+                   "--runs-dir", str(recorded["dir"]))
     import json
     doc = json.loads(show)
-    assert doc["command"] == "migrate"
+    assert doc["command"] == "run"
     assert doc["results"]["phases"]["Restart"] > 0
+    assert doc["results"]["chunks_transferred"] > 0
+    assert doc["results"]["telemetry_samples"] > 0
     assert doc["config"]["restart_mode"] == "file"
 
 
 def test_no_manifest_flag_skips_recording(capsys, tmp_path):
-    out = run_cli(capsys, "migrate", *SMALL, "--source", "node1",
-                  "--runs-dir", str(tmp_path), "--no-manifest")
+    out = run_cli(capsys, "compare", *SMALL, "--runs-dir", str(tmp_path),
+                  "--no-manifest")
     assert "recorded run" not in out
     out = run_cli(capsys, "runs", "list", "--runs-dir", str(tmp_path))
     assert "no runs recorded" in out
 
 
-def test_runs_diff_shows_restart_delta_without_rerunning(capsys, tmp_path):
-    run_cli(capsys, "migrate", *SMALL, "--source", "node1",
-            "--restart-mode", "file", "--runs-dir", str(tmp_path))
-    run_cli(capsys, "migrate", *SMALL, "--source", "node1",
-            "--restart-mode", "memory", "--runs-dir", str(tmp_path))
-    ids = _run_ids(capsys, tmp_path)
-    assert len(ids) == 2
-    out = run_cli(capsys, "runs", "diff", *ids, "--runs-dir", str(tmp_path))
+def test_runs_diff_shows_restart_delta_without_rerunning(capsys, recorded):
+    out = run_cli(capsys, "runs", "diff", recorded["file"],
+                  recorded["memory"], "--runs-dir", str(recorded["dir"]))
     assert "restart_mode: file -> memory" in out
     assert "phases.Restart:" in out
     assert "%" in out
@@ -229,78 +275,97 @@ def test_runs_show_and_diff_argument_validation(capsys, tmp_path):
     assert rc == 2
 
 
-def test_report_command_live_renders_sections(capsys, tmp_path):
-    out = run_cli(capsys, "report", *SMALL, "--source", "node1",
-                  "--runs-dir", str(tmp_path))
+def test_report_command_live_renders_sections(capsys, recorded):
+    out = run_cli(capsys, "report", recorded["file"],
+                  "--runs-dir", str(recorded["dir"]))
     for section in ("## Phase waterfall", "## Critical-path blame",
                     "## Telemetry time-series", "## Metrics summary"):
         assert section in out, section
-    # At least four sampled series render as sparkline rows.
+    # At least four sampled series render as sparkline rows, with units.
     assert out.count("| `kernel.") >= 4
+    assert "| `kernel.queue_depth` | events |" in out
+    assert "| `pool.pull.bytes` | bytes |" in out
 
 
-def test_report_writes_markdown_html_and_openmetrics(capsys, tmp_path):
+def test_report_matches_live_render(capsys, recorded):
+    """``report RUN`` renders what an in-process render of the same run
+    does, from the waterfall through the metrics summary."""
+    from repro.experiments import FAILURE_AT, Run
+    from repro.obs import render_run_report
+    from repro.simulate import MetricsRegistry, TelemetryProbe, Tracer
+    from repro.simulate.telemetry import DEFAULT_INTERVAL
+
+    tracer, registry = Tracer(), MetricsRegistry()
+    probe = TelemetryProbe(DEFAULT_INTERVAL)
+    sc = Run("LU.C", 8, n_compute=2).scenario(0, trace=tracer,
+                                               metrics=registry)
+    sc.sim.attach_probe(probe)
+    sc.run_migration("node1", at=FAILURE_AT)
+    live = render_run_report(records=tracer, telemetry=probe,
+                             metrics_summary=registry.as_dict())
+    out = run_cli(capsys, "report", recorded["file"],
+                  "--runs-dir", str(recorded["dir"]))
+    assert "## Metrics summary" in _report_body(out)
+    assert _report_body(out) == _report_body(live)
+
+
+def test_report_writes_markdown_html_and_openmetrics(capsys, tmp_path,
+                                                     recorded):
     from repro.analysis import parse_openmetrics
 
     md = tmp_path / "report.md"
     html = tmp_path / "report.html"
-    om = tmp_path / "metrics.om"
-    out = run_cli(capsys, "report", *SMALL, "--source", "node1",
-                  "--runs-dir", str(tmp_path / "runs"),
-                  "--out", str(md), "--html", str(html),
-                  "--openmetrics", str(om))
+    out = run_cli(capsys, "report", recorded["file"],
+                  "--runs-dir", str(recorded["dir"]),
+                  "--out", str(md), "--html", str(html))
     # With --out the report goes to the file, stdout gets only notes.
     assert f"wrote {md}" in out and "## Phase waterfall" not in out
     assert "## Phase waterfall" in md.read_text()
     assert html.read_text().startswith("<!DOCTYPE html>")
+    om = recorded["dir"] / recorded["file"] / "metrics.om"
     families = parse_openmetrics(om.read_text())
     assert any(name.startswith("telemetry_kernel_") for name in families)
+    labels, _ = families["pool_pull_bytes_total"][0]
+    assert labels == {"run_id": recorded["file"]}
 
 
-def test_report_from_run_rerenders_archived_trace(capsys, tmp_path):
-    run_cli(capsys, "report", *SMALL, "--source", "node1",
-            "--runs-dir", str(tmp_path))
-    (run_id,) = _run_ids(capsys, tmp_path)
-    out = run_cli(capsys, "report", "--from-run", run_id,
-                  "--runs-dir", str(tmp_path))
-    assert f"Run report — {run_id}" in out
-    assert "## Phase waterfall" in out
-    assert "## Telemetry time-series" in out
-
-
-def test_report_from_run_rejects_openmetrics(capsys, tmp_path):
-    rc = main(["report", "--from-run", "whatever",
-               "--runs-dir", str(tmp_path),
-               "--openmetrics", str(tmp_path / "x.om")])
-    out = capsys.readouterr().out
-    assert rc == 2
-    assert "needs a live run" in out
+def test_report_from_run_rerenders_archived_trace(capsys, recorded):
+    out = run_cli(capsys, "report", recorded["file"],
+                  "--runs-dir", str(recorded["dir"]))
+    assert f"Run report — {recorded['file']}" in out
+    assert "## Recorded results" in out
+    # A bare trace file renders the same trace evidence, without the
+    # manifest's metrics summary.
+    trace = recorded["dir"] / recorded["file"] / "trace.jsonl.gz"
+    bare = run_cli(capsys, "report", str(trace))
+    assert f"Run report — {trace}" in bare
+    assert "## Telemetry time-series" in bare
+    assert "## Metrics summary" not in bare
 
 
 def test_report_from_unknown_run_is_one_line_error(capsys, tmp_path):
-    rc = main(["report", "--from-run", "no-such-run",
-               "--runs-dir", str(tmp_path)])
+    rc = main(["report", "no-such-run", "--runs-dir", str(tmp_path)])
     out = capsys.readouterr().out
     assert rc == 2
-    assert out.startswith("error: cannot load run")
+    assert out.startswith("error: 'no-such-run' is neither a trace file")
     assert "Traceback" not in out
 
 
 @pytest.mark.parametrize("argv,fragment", [
-    (["migrate", "--trace-out", "/no/such/dir/t.jsonl"],
-     "--trace-out directory does not exist"),
-    (["report", "--out", "/no/such/dir/r.md"],
+    (["explain", "a", "b", "--out", "/no/such/dir/e.md"],
      "--out directory does not exist"),
-    (["report", "--html", "/no/such/dir/r.html"],
+    (["report", "RUN", "--out", "/no/such/dir/r.md"],
+     "--out directory does not exist"),
+    (["report", "RUN", "--html", "/no/such/dir/r.html"],
      "--html directory does not exist"),
-    (["report", "--openmetrics", "/no/such/dir/m.om"],
-     "--openmetrics directory does not exist"),
+    (["simcheck", "--sarif-out", "/no/such/dir/s.sarif"],
+     "--sarif-out directory does not exist"),
     (["bench", "--profile-out", "/no/such/dir/p.pstats"],
      "--profile-out directory does not exist"),
 ])
 def test_unwritable_output_paths_fail_fast_with_exit_2(capsys, argv,
                                                        fragment):
-    rc = main(argv + list(SMALL) if argv[0] != "bench" else argv)
+    rc = main(argv)
     out = capsys.readouterr().out
     assert rc == 2
     assert fragment in out
@@ -309,60 +374,53 @@ def test_unwritable_output_paths_fail_fast_with_exit_2(capsys, argv,
 
 
 def test_output_path_that_is_a_directory_fails_fast(capsys, tmp_path):
-    rc = main(["report", *SMALL, "--out", str(tmp_path)])
+    rc = main(["report", "RUN", "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert rc == 2
     assert "path is a directory" in out
 
 
-def test_observe_out_dir_that_is_a_file_fails_fast(capsys, tmp_path):
+def test_run_runs_dir_that_is_a_file_fails_fast(capsys, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("x")
-    rc = main(["observe", *SMALL, "--source", "node1",
-               "--out-dir", str(blocker)])
+    rc = main(["run", *SMALL, "--source", "node1",
+               "--runs-dir", str(blocker)])
     out = capsys.readouterr().out
     assert rc == 2
-    assert "path is a file, not a directory" in out
+    assert "--runs-dir path is a file, not a directory" in out
 
 
 # -- differential trace analysis (repro explain) -----------------------------
 
 
-def _two_traced_runs(capsys, tmp_path):
-    """Record one file-mode and one memory-mode migration with traces."""
-    run_cli(capsys, "migrate", *SMALL, "--source", "node1",
-            "--restart-mode", "file", "--runs-dir", str(tmp_path),
-            "--trace-out", str(tmp_path / "file.jsonl.gz"))
-    run_cli(capsys, "migrate", *SMALL, "--source", "node1",
-            "--restart-mode", "memory", "--runs-dir", str(tmp_path),
-            "--trace-out", str(tmp_path / "mem.jsonl"))
-    return _run_ids(capsys, tmp_path)
+def test_explain_from_trace_files_mixed_gzip(capsys, tmp_path, recorded):
+    import gzip
 
-
-def test_explain_from_trace_files_mixed_gzip(capsys, tmp_path):
-    _two_traced_runs(capsys, tmp_path)
-    out = run_cli(capsys, "explain", str(tmp_path / "file.jsonl.gz"),
-                  str(tmp_path / "mem.jsonl"))
+    gz = recorded["dir"] / recorded["file"] / "trace.jsonl.gz"
+    plain = tmp_path / "mem.jsonl"
+    with gzip.open(recorded["dir"] / recorded["memory"] / "trace.jsonl.gz",
+                   "rt") as fh:
+        plain.write_text(fh.read())
+    out = run_cli(capsys, "explain", str(gz), str(plain))
     assert "## Differential trace analysis" in out
     assert "dominant delta component: blcr.restart" in out
     assert "### Critical-path blame shifts" in out
     assert "`blcr.restart`" in out
 
 
-def test_explain_from_run_ids(capsys, tmp_path):
-    id_a, id_b = _two_traced_runs(capsys, tmp_path)
+def test_explain_from_run_ids(capsys, recorded):
+    id_a, id_b = recorded["file"], recorded["memory"]
     out = run_cli(capsys, "explain", id_a, id_b,
-                  "--runs-dir", str(tmp_path))
+                  "--runs-dir", str(recorded["dir"]))
     assert f"run A: `{id_a}`" in out
     assert f"run B: `{id_b}`" in out
     assert "dominant delta component: blcr.restart" in out
 
 
-def test_explain_writes_out_file(capsys, tmp_path):
-    _two_traced_runs(capsys, tmp_path)
+def test_explain_writes_out_file(capsys, tmp_path, recorded):
     dest = tmp_path / "explain.md"
-    out = run_cli(capsys, "explain", str(tmp_path / "file.jsonl.gz"),
-                  str(tmp_path / "mem.jsonl"), "--out", str(dest))
+    out = run_cli(capsys, "explain", recorded["file"], recorded["memory"],
+                  "--runs-dir", str(recorded["dir"]), "--out", str(dest))
     assert f"wrote {dest}" in out
     assert "dominant delta component" in dest.read_text()
 
@@ -377,71 +435,64 @@ def test_explain_unknown_source_is_one_line_error(capsys, tmp_path):
 
 
 def test_explain_run_without_trace_artifact_errors(capsys, tmp_path):
-    run_cli(capsys, "migrate", *SMALL, "--source", "node1",
-            "--runs-dir", str(tmp_path))  # no --trace-out
-    (run_id,) = _run_ids(capsys, tmp_path)
+    run_id = _hand_manifest(tmp_path, "file")
     rc = main(["explain", run_id, run_id, "--runs-dir", str(tmp_path)])
     out = capsys.readouterr().out
     assert rc == 2
     assert "no archived trace artifact" in out
+    assert "`repro run`" in out
 
 
-def test_runs_diff_appends_trace_explanation(capsys, tmp_path):
-    ids = _two_traced_runs(capsys, tmp_path)
-    out = run_cli(capsys, "runs", "diff", *ids, "--runs-dir", str(tmp_path))
+def test_runs_diff_appends_trace_explanation(capsys, recorded):
+    out = run_cli(capsys, "runs", "diff", recorded["file"],
+                  recorded["memory"], "--runs-dir", str(recorded["dir"]))
     assert "restart_mode: file -> memory" in out      # scalar diff intact
     assert "## Differential trace analysis" in out    # plus the explainer
     assert "dominant delta component: blcr.restart" in out
 
 
 def test_runs_diff_without_traces_skips_explanation(capsys, tmp_path):
-    run_cli(capsys, "migrate", *SMALL, "--source", "node1",
-            "--restart-mode", "file", "--runs-dir", str(tmp_path))
-    run_cli(capsys, "migrate", *SMALL, "--source", "node1",
-            "--restart-mode", "memory", "--runs-dir", str(tmp_path))
-    ids = _run_ids(capsys, tmp_path)
+    ids = [_hand_manifest(tmp_path, mode) for mode in ("file", "memory")]
     out = run_cli(capsys, "runs", "diff", *ids, "--runs-dir", str(tmp_path))
     assert "restart_mode: file -> memory" in out
     assert "Differential trace analysis" not in out
 
 
-def test_report_archives_gzip_trace_and_from_run_reads_it(capsys, tmp_path):
-    run_cli(capsys, "report", *SMALL, "--source", "node1",
-            "--runs-dir", str(tmp_path))
-    (run_id,) = _run_ids(capsys, tmp_path)
-    archived = tmp_path / run_id / "trace.jsonl.gz"
-    assert archived.exists()
+def test_report_archives_gzip_trace_and_from_run_reads_it(capsys, recorded):
+    archived = recorded["dir"] / recorded["file"] / "trace.jsonl.gz"
     assert archived.read_bytes()[:2] == b"\x1f\x8b"
-    out = run_cli(capsys, "report", "--from-run", run_id,
-                  "--runs-dir", str(tmp_path))
+    out = run_cli(capsys, "report", recorded["file"],
+                  "--runs-dir", str(recorded["dir"]))
     assert "## Phase waterfall" in out
 
 
-def test_report_from_run_includes_explain_artifacts(capsys, tmp_path):
+def test_report_from_run_includes_explain_artifacts(capsys, tmp_path,
+                                                    recorded):
     import json
+    import shutil
 
-    run_cli(capsys, "report", *SMALL, "--source", "node1",
-            "--runs-dir", str(tmp_path))
-    (run_id,) = _run_ids(capsys, tmp_path)
+    runs = tmp_path / "runs"
+    shutil.copytree(recorded["dir"] / recorded["file"],
+                    runs / recorded["file"])
     explain = tmp_path / "EXPLAIN_fig4.md"
     explain.write_text("dominant delta component: blcr.restart\n")
-    manifest_path = tmp_path / run_id / "manifest.json"
+    manifest_path = runs / recorded["file"] / "manifest.json"
     doc = json.loads(manifest_path.read_text())
     doc["artifacts"].append(str(explain))
     manifest_path.write_text(json.dumps(doc))
-    out = run_cli(capsys, "report", "--from-run", run_id,
-                  "--runs-dir", str(tmp_path))
+    out = run_cli(capsys, "report", recorded["file"],
+                  "--runs-dir", str(runs))
     assert "## Regression explanation — fig4" in out
     assert "dominant delta component: blcr.restart" in out
 
 
 def test_progress_heartbeat_goes_to_stderr(capsys, tmp_path):
-    rc = main(["report", *SMALL, "--source", "node1", "--progress",
-               "--runs-dir", str(tmp_path),
-               "--out", str(tmp_path / "r.md")])
+    rc = main(["run", *SMALL, "--source", "node1", "--progress",
+               "--runs-dir", str(tmp_path)])
     captured = capsys.readouterr()
     assert rc == 0
     assert "done in" in captured.err
-    assert "[report" in captured.err
-    # stdout stays clean for the artifact notes.
+    assert "[run" in captured.err
+    # stdout stays clean for the phase table and the run note.
     assert "done in" not in captured.out
+    assert "recorded run" in captured.out
