@@ -28,7 +28,6 @@ import functools
 import json
 import os
 import time
-from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.analysis import (
@@ -152,38 +151,36 @@ def _phases(report) -> Dict[str, float]:
             for k, v in migration_phase_breakdown(report).items()}
 
 
-def _migrations(runs: Dict[str, Run], paper_totals: Dict[str, float],
-                restart_mode: str) -> Dict[str, Tuple[Dict, Dict, Tracer]]:
+def _migrations(runs: Dict[str, Run], paper_totals: Dict[str, float]
+                ) -> Dict[str, Tuple[Dict, Dict, Tracer]]:
     rows = {}
     for key, run in runs.items():
-        report, tracer = _result(replace(run, restart_mode=restart_mode))
+        report, tracer = _result(run)
         rows[key] = (_phases(report),
                      {"total": _delta(report.total_seconds,
                                       paper_totals[key])}, tracer)
     return rows
 
 
-def bench_fig4(restart_mode: str = "file") -> Dict[str, Any]:
+def bench_fig4() -> Dict[str, Any]:
     """Fig. 4: migration phase breakdown, 64 ranks on 8 nodes, per app."""
     return _artifact("Fig. 4 — migration phase breakdown (64 ranks)",
-                     _migrations(FIG4, FIG4_TOTAL_S, restart_mode),
+                     _migrations(FIG4, FIG4_TOTAL_S),
                      FIG4_TOTAL_S)
 
 
-def bench_fig6(restart_mode: str = "file") -> Dict[str, Any]:
+def bench_fig6() -> Dict[str, Any]:
     """Fig. 6: LU.C ranks/node sweep on 8 compute nodes."""
     runs = {f"ppn{ppn}": run for ppn, run in FIG6.items()}
     paper = {f"ppn{ppn}": total for ppn, total in FIG6_TOTAL_S.items()}
     return _artifact("Fig. 6 — migration scalability (LU.C, ranks/node)",
-                     _migrations(runs, paper, restart_mode), paper)
+                     _migrations(runs, paper), paper)
 
 
-def bench_fig7(restart_mode: str = "file") -> Dict[str, Any]:
+def bench_fig7() -> Dict[str, Any]:
     """Fig. 7: one migration cycle vs full CR to ext3 and to PVFS."""
     rows = {}
     for app, runs in FIG7.items():
-        runs = dict(runs, migration=replace(runs["migration"],
-                                            restart_mode=restart_mode))
         row = fig7_row({kind: _result(run)[0] for kind, run in runs.items()})
         # Pinning precision: speedups to 4 decimals, seconds to 6.
         row = {k: round(v, 4) if k.startswith("speedup")
@@ -204,12 +201,11 @@ def bench_fig7(restart_mode: str = "file") -> Dict[str, Any]:
                      FIG7_PAPER)
 
 
-def bench_table1(restart_mode: str = "file") -> Dict[str, Any]:
+def bench_table1() -> Dict[str, Any]:
     """Table I: MB moved by migration vs dumped by CR, per app (exact)."""
     rows = {}
     for app, runs in TABLE1.items():
-        report, tracer = _result(replace(runs["migration"],
-                                         restart_mode=restart_mode))
+        report, tracer = _result(runs["migration"])
         (ckpt, _), _ = _result(runs["cr"])
         mig_mb = report.bytes_migrated / 1e6
         cr_mb = ckpt.bytes_written / 1e6
@@ -222,17 +218,14 @@ def bench_table1(restart_mode: str = "file") -> Dict[str, Any]:
                      TABLE1_MB)
 
 
-def bench_pipeline(restart_mode: str = "file") -> Dict[str, Any]:
+def bench_pipeline() -> Dict[str, Any]:
     """File-barrier vs pipelined memory restart on the Fig. 4 workload.
 
     Runs the same LU.C.64 migration twice — once with the Phase-3 file
     barrier (write every image, then restart) and once with the memory
     sink (restart each rank as soon as its image reassembles) — and
     reports the per-mode phase breakdown plus the memory-mode speedup.
-    The ``restart_mode`` argument is ignored: this bench always runs
-    both modes, that comparison *is* the measurement.
     """
-    del restart_mode
     reports = {mode: _result(run) for mode, run in PIPELINE.items()}
     body = _artifact("Pipelined restart — file barrier vs memory sink "
                      "(LU.C, 64 ranks)",
@@ -314,7 +307,7 @@ def _kernel_churn() -> Tuple[Dict[str, float], float]:
              "final_time": round(sim.now, 6)}, wall)
 
 
-def bench_events_per_sec(restart_mode: str = "file") -> Dict[str, Any]:
+def bench_events_per_sec() -> Dict[str, Any]:
     """Kernel throughput family: Fig. 6 sweep + synthetic churn.
 
     The deterministic counters (events processed / cancelled, final sim
@@ -322,7 +315,6 @@ def bench_events_per_sec(restart_mode: str = "file") -> Dict[str, Any]:
     Wall-clock throughput goes under ``throughput`` (outside the diffed
     section: wall time is hardware-dependent, not a regression).
     """
-    del restart_mode
     results: Dict[str, Any] = {}
     throughput: Dict[str, Any] = {}
     for workload, runner in (("fig6_sweep", _kernel_sweep),
@@ -355,24 +347,22 @@ def _cluster_run(n_nodes: int, n_jobs: int, title: str) -> Dict[str, Any]:
             }}
 
 
-def bench_cluster_scale(restart_mode: str = "file") -> Dict[str, Any]:
+def bench_cluster_scale() -> Dict[str, Any]:
     """Cluster-scale family: 1000 nodes / 50 jobs, failure-driven
     migration with spares borrowed around the rack ring."""
-    del restart_mode
     return _cluster_run(1000, 50, "Cluster scale — 1000 nodes / 50 jobs")
 
 
-def bench_cluster_smoke(restart_mode: str = "file") -> Dict[str, Any]:
+def bench_cluster_smoke() -> Dict[str, Any]:
     """CI-sized cluster scenario: 256 nodes / 16 jobs.
 
     The ``cluster-scale-smoke`` CI job runs exactly this family; it pins
     the same counters as ``cluster_scale`` at a fraction of the work.
     """
-    del restart_mode
     return _cluster_run(256, 16, "Cluster smoke — 256 nodes / 16 jobs")
 
 
-BENCHES: Dict[str, Callable[..., Dict[str, Any]]] = {
+BENCHES: Dict[str, Callable[[], Dict[str, Any]]] = {
     "fig4": bench_fig4,
     "fig6": bench_fig6,
     "fig7": bench_fig7,
@@ -457,13 +447,12 @@ def _explain_regressions(regressed: List[str], out_dir: str,
 
 # -- artifacts and baselines -------------------------------------------------
 
-def run_bench(name: str, restart_mode: str = "file") -> Dict[str, Any]:
+def run_bench(name: str) -> Dict[str, Any]:
     """Run one bench; returns the full artifact dict (not yet written)."""
     fn = BENCHES[name]
     t0 = time.perf_counter()
-    body = fn(restart_mode=restart_mode)
-    artifact = {"schema_version": BENCH_SCHEMA_VERSION, "name": name,
-                "restart_mode": restart_mode}
+    body = fn()
+    artifact = {"schema_version": BENCH_SCHEMA_VERSION, "name": name}
     artifact.update(body)
     artifact["wall_seconds"] = round(time.perf_counter() - t0, 3)
     return artifact
@@ -516,15 +505,11 @@ def compare_to_baselines(measured: Dict[str, Dict[str, float]],
 def run_benches(names: Optional[List[str]] = None, out_dir: str = ".",
                 baselines_path: Optional[str] = None,
                 update_baselines: bool = False,
-                restart_mode: str = "file",
                 progress_cb: Optional[Callable[[str], None]] = None
                 ) -> Tuple[List[str], List[str], str]:
     """Run benches, write ``BENCH_<name>.json``, diff against baselines.
 
     Returns ``(artifact paths, regression messages, summary text)``.
-    A ``restart_mode`` other than ``"file"`` changes what the migration
-    benches measure, so their artifacts are written but the baselines
-    diff (calibrated for file mode) is skipped with a note.
     ``progress_cb`` (if given) is called with each bench's name just
     before it runs — the CLI's ``--progress`` heartbeat.
     """
@@ -542,7 +527,7 @@ def run_benches(names: Optional[List[str]] = None, out_dir: str = ".",
     for name in names:
         if progress_cb is not None:
             progress_cb(name)
-        artifact = run_bench(name, restart_mode=restart_mode)
+        artifact = run_bench(name)
         path = os.path.join(out_dir, f"BENCH_{name}.json")
         with atomic_write(path) as fh:
             json.dump(artifact, fh, indent=2, sort_keys=True, default=str)
@@ -553,10 +538,7 @@ def run_benches(names: Optional[List[str]] = None, out_dir: str = ".",
                      f"{artifact['wall_seconds']:.1f}s wall)")
 
     regressions: List[str] = []
-    if restart_mode != "file" and not update_baselines:
-        lines.append(f"restart_mode={restart_mode}: baselines diff skipped "
-                     f"(baselines are calibrated for file mode)")
-    elif update_baselines:
+    if update_baselines:
         benches: Dict[str, Any] = {}
         if os.path.exists(baselines_path):
             with open(baselines_path, "r", encoding="utf-8") as fh:

@@ -161,21 +161,15 @@ def build_parser() -> argparse.ArgumentParser:
     registry_flags(bench)
     bench.add_argument("--out-dir", default=".",
                        help="directory for BENCH_<name>.json artifacts")
-    bench.add_argument("--only", "--family", nargs="+", default=None,
-                       metavar="NAME", dest="only",
+    bench.add_argument("--only", nargs="+", default=None, metavar="NAME",
                        help="subset of benches (fig4 fig6 fig7 table1 "
-                            "pipeline events_per_sec); --family is an "
-                            "alias")
+                            "pipeline events_per_sec)")
     bench.add_argument("--baselines", default=None, metavar="PATH",
                        help="baselines file (default: "
                             "benchmarks/baselines.json)")
     bench.add_argument("--update-baselines", action="store_true",
                        help="rewrite the baselines from this run instead "
                             "of diffing")
-    bench.add_argument("--restart-mode", default="file",
-                       choices=["file", "memory"],
-                       help="restart path for the migration benches; "
-                            "non-file runs skip the baselines diff")
     bench.add_argument("--profile-out", default=None, metavar="PATH",
                        help="also run the benches under cProfile and "
                             "write the aggregated stats (pstats dump) "
@@ -205,39 +199,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="static AST lint: emit sites vs TRACE_SCHEMA, wall-clock "
-             "calls, unused imports; non-zero exit on any finding")
+        help="static analysis, one parse per file: emit sites vs "
+             "TRACE_SCHEMA, wall-clock calls, unused imports, yield-point "
+             "races, set/id/RNG order nondeterminism, unbalanced spans; "
+             "non-zero exit on any finding")
     lint.add_argument("paths", nargs="*", default=None, metavar="PATH",
                       help="files/directories to lint (default: the "
                            "installed repro package sources)")
-    lint.add_argument("--format", default="text",
-                      choices=["text", "json", "sarif"])
-    lint.add_argument("--no-emitter-coverage", action="store_true",
-                      help="skip the schema emitter-coverage cross-check")
-
-    simc = sub.add_parser(
-        "simcheck",
-        help="interprocedural static analysis: yield-point races, "
-             "set/id/RNG order nondeterminism, unbalanced spans; "
-             "non-zero exit on non-baselined findings")
-    simc.add_argument("paths", nargs="*", default=None, metavar="PATH",
-                      help="files/directories to analyze (default: the "
-                           "installed repro package sources)")
-    simc.add_argument("--format", default="text",
-                      choices=["text", "json", "sarif"])
-    simc.add_argument("--baseline", default=None, metavar="PATH",
-                      help="findings baseline to diff against (default: "
-                           "benchmarks/simcheck_baseline.json when it "
-                           "exists)")
-    simc.add_argument("--no-baseline", action="store_true",
-                      help="report every finding, ignoring any baseline")
-    simc.add_argument("--write-baseline", action="store_true",
-                      help="rewrite the baseline from this run's findings "
-                           "and exit 0")
-    simc.add_argument("--disable", action="append", default=[],
-                      metavar="RULE",
-                      help="disable a rule by id or slug (repeatable)")
-    simc.add_argument("--sarif-out", default=None, metavar="PATH",
+    lint.add_argument("--format", default="text", choices=["text", "json"])
+    lint.add_argument("--sarif-out", default=None, metavar="PATH",
                       help="additionally write a SARIF 2.1.0 document "
                            "here (for CI code-scanning upload)")
 
@@ -523,7 +493,6 @@ def _cmd_bench(args):
         names=args.only, out_dir=args.out_dir,
         baselines_path=args.baselines,
         update_baselines=args.update_baselines,
-        restart_mode=args.restart_mode,
         progress_cb=progress_cb)
     wall = stop_clock(t0)
     if args.profile_out:
@@ -601,93 +570,37 @@ def _cmd_sanitize(args):
 
 
 def _cmd_lint(args):
-    """Static AST lint of emit sites, wall-clock calls, unused imports."""
+    """Every static-analysis rule over one parse per file."""
     from .sanitize import lint_paths, sarif_json
-
-    paths = args.paths or [os.path.dirname(os.path.abspath(__file__))]
-    findings = lint_paths(paths,
-                          check_emitter_coverage=not args.no_emitter_coverage)
-    code = 0 if not findings else 1
-    if args.format == "sarif":
-        return sarif_json(findings, "repro-lint"), code
-    if args.format == "json":
-        return json.dumps({"paths": paths, "clean": not findings,
-                            "findings": [f.as_dict() for f in findings]},
-                           indent=2), code
-    lines = [f.render() for f in findings]
-    lines.append(f"{len(findings)} finding(s) in {len(paths)} path(s)"
-                 if findings else "lint clean")
-    return "\n".join(lines), code
-
-
-_DEFAULT_SIMCHECK_BASELINE = os.path.join("benchmarks",
-                                          "simcheck_baseline.json")
-
-
-def _cmd_simcheck(args):
-    """Interprocedural determinism / yield-point race analysis."""
-    from .sanitize import sarif_json, simcheck_paths, write_baseline
 
     if args.sarif_out:
         err = _out_path_error(args.sarif_out, "--sarif-out")
         if err is not None:
             return err, 2
     paths = args.paths or [os.path.dirname(os.path.abspath(__file__))]
-    baseline_path = None
-    if not args.no_baseline and not args.write_baseline:
-        baseline_path = args.baseline
-        if baseline_path is None \
-                and os.path.exists(_DEFAULT_SIMCHECK_BASELINE):
-            baseline_path = _DEFAULT_SIMCHECK_BASELINE
-        if baseline_path is not None \
-                and not os.path.exists(baseline_path):
-            return f"error: baseline not found: {baseline_path}", 2
-    result = simcheck_paths(paths, baseline_path=baseline_path,
-                            disabled=args.disable)
-    if args.write_baseline:
-        target = args.baseline or _DEFAULT_SIMCHECK_BASELINE
-        n = write_baseline(result.findings, target)
-        return f"wrote {target} ({n} grandfathered finding(s))", 0
-    code = 0 if result.clean else 1
+    result = lint_paths(paths)
+    findings = result.findings
+    code = 0 if not findings else 1
     if args.sarif_out:
         with open(args.sarif_out, "w", encoding="utf-8") as fh:
-            fh.write(sarif_json(result.findings, "repro-simcheck"))
+            fh.write(sarif_json(findings))
             fh.write("\n")
-    if args.format == "sarif":
-        return sarif_json(result.findings, "repro-simcheck"), code
     if args.format == "json":
-        return json.dumps({
-            "paths": paths,
-            "baseline": baseline_path,
-            "clean": result.clean,
-            "stats": result.stats,
-            "findings": [f.as_dict() for f in result.findings],
-            "suppressed": len(result.suppressed),
-            "baselined": len(result.matched_baseline),
-            "expired": [e.as_dict() for e in result.expired],
-        }, indent=2), code
-    lines = [f.render() for f in result.findings]
-    for entry in result.expired:
-        lines.append(f"{entry.path}: baseline entry {entry.fingerprint} "
-                     f"({entry.rule}) no longer matches any finding — "
-                     f"remove it (baselines only shrink)")
+        return json.dumps({"paths": paths, "clean": not findings,
+                           "stats": result.stats,
+                           "findings": [f.as_dict() for f in findings],
+                           "suppressed": len(result.suppressed)},
+                          indent=2), code
     stats = result.stats
-    summary = (f"{stats.get('modules', 0)} module(s), "
-               f"{stats.get('functions', 0)} function(s), "
-               f"{stats.get('generators', 0)} generator(s), "
-               f"{stats.get('process_functions', 0)} sim process(es)")
-    if result.clean:
-        tail = []
-        if result.matched_baseline:
-            tail.append(f"{len(result.matched_baseline)} baselined")
-        if result.suppressed:
-            tail.append(f"{len(result.suppressed)} suppressed")
-        lines.append(f"simcheck clean: {summary}"
-                     + (f" ({', '.join(tail)})" if tail else ""))
-    else:
-        lines.append(f"simcheck: {len(result.findings)} finding(s), "
-                     f"{len(result.expired)} expired baseline entr(ies) — "
-                     f"{summary}")
+    summary = (f"{len(result.files)} file(s), "
+               f"{stats['functions']} function(s), "
+               f"{stats['generators']} generator(s), "
+               f"{stats['process_functions']} sim process(es)")
+    if result.suppressed:
+        summary += f", {len(result.suppressed)} suppressed"
+    lines = [f.render() for f in findings]
+    lines.append(f"{len(findings)} finding(s): {summary}" if findings
+                 else f"lint clean: {summary}")
     return "\n".join(lines), code
 
 
@@ -843,7 +756,6 @@ _COMMANDS = {"run": _cmd_run, "compare": _cmd_compare,
              "validate": _cmd_validate,
              "critical-path": _cmd_critical_path, "bench": _cmd_bench,
              "sanitize": _cmd_sanitize, "lint": _cmd_lint,
-             "simcheck": _cmd_simcheck,
              "report": _cmd_report, "runs": _cmd_runs,
              "explain": _cmd_explain}
 

@@ -15,13 +15,13 @@ in MVAPICH2 both designs share this infrastructure [14].
 from __future__ import annotations
 
 from collections import deque
-from typing import Generator, List, Optional
+from typing import Generator, List, Optional, Tuple
 
 from ..params import MigrationParams
 from ..pipeline.pipeline import MigrationPipeline
 from ..simulate.core import Simulator
 from ..simulate.resources import Resource, Store
-from ..cluster.node import Cluster, NodeState
+from ..cluster.node import Cluster, Node, NodeState
 from ..ftb.agent import FTBBackplane
 from ..ftb.client import FTBClient
 from ..ftb.events import (
@@ -160,8 +160,16 @@ class JobMigrationFramework:
             report = yield from self._migrate_locked(source, target, reason)
             return report
 
-    def _migrate_locked(self, source: str, target: Optional[str],
-                        reason: str) -> Generator:
+    def resolve_endpoints(self, source: str, target: Optional[str],
+                          ) -> Tuple[Node, List[MPIRank], str, Node]:
+        """``(source node, its ranks, target name, target node)`` for one
+        move; ``target=None`` picks a healthy spare.
+
+        Raises :class:`MigrationError` when ``source`` hosts none of the
+        job's ranks, when no healthy spare is left, or when ``target``
+        already hosts ranks.  Every migration strategy resolves its
+        endpoints here.
+        """
         source_node = self.cluster.node(source)
         victims = self.job.ranks_on(source)
         if not victims:
@@ -174,6 +182,12 @@ class JobMigrationFramework:
         target_node = self.cluster.node(target)
         if self.job.ranks_on(target):
             raise MigrationError(f"target {target} already hosts ranks")
+        return source_node, victims, target, target_node
+
+    def _migrate_locked(self, source: str, target: Optional[str],
+                        reason: str) -> Generator:
+        source_node, victims, target, target_node = \
+            self.resolve_endpoints(source, target)
 
         report = MigrationReport(
             source=source, target=target, reason=reason,

@@ -26,7 +26,7 @@ from ..simulate.core import Simulator
 from ..network.fluid import Link
 from ..ftb.events import FTB_MIGRATE
 from ..cluster.node import NodeState
-from .framework import JobMigrationFramework, MigrationError
+from .framework import JobMigrationFramework
 
 __all__ = ["LiveMigrationReport", "LiveMigrationStrategy"]
 
@@ -97,16 +97,8 @@ class LiveMigrationStrategy:
         fw = self.framework
         with fw._op_lock.request() as op:
             yield op
-            source_node = self.cluster.node(source)
-            victims = self.job.ranks_on(source)
-            if not victims:
-                raise MigrationError(f"no ranks on {source}")
-            if target is None:
-                spare = self.cluster.healthy_spare()
-                if spare is None:
-                    raise MigrationError("no healthy spare node available")
-                target = spare.name
-            target_node = self.cluster.node(target)
+            source_node, victims, target, target_node = \
+                fw.resolve_endpoints(source, target)
             report = LiveMigrationReport(source=source, target=target)
             image_total = float(sum(r.osproc.image_bytes for r in victims))
             pipe = Link(f"live.{source}.pipe", self.pipe_bandwidth)

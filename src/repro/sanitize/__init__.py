@@ -1,49 +1,35 @@
-"""SimSan: protocol sanitizer + custom lint for the migration stack.
+"""SimSan: protocol sanitizer + static analyzer for the migration stack.
 
 Two halves:
 
 * the **dynamic trace checker** (:mod:`~repro.sanitize.invariants`,
   :mod:`~repro.sanitize.checker`) — per-entity state machines enforcing
   the paper's protocol laws over a live or replayed trace;
-* the **static AST lint** (:mod:`~repro.sanitize.lint`) — cross-checks
-  emit sites in the source against ``TRACE_SCHEMA`` and bans wall-clock
-  APIs from simulation code;
-* **SimCheck** (:mod:`~repro.sanitize.simcheck`) — the interprocedural
-  determinism and yield-point race analyzer, built on the shared rule
-  framework (:mod:`~repro.sanitize.rules`) with SARIF output
+* the **static analyzer** (:mod:`~repro.sanitize.lint`) — one parse per
+  file, then every registered rule (:mod:`~repro.sanitize.rules`): emit
+  sites against ``TRACE_SCHEMA``, wall-clock and unseeded-RNG bans, and
+  the interprocedural determinism, yield-point race and span-balance
+  passes (:mod:`~repro.sanitize.simcheck`), with SARIF output
   (:mod:`~repro.sanitize.sarif`).
 
-CLI entry points: ``repro sanitize``, ``repro lint`` and
-``repro simcheck``; see ``docs/sanitizer.md`` and
-``docs/static-analysis.md``.
+CLI entry points: ``repro sanitize`` and ``repro lint``; see
+``docs/sanitizer.md`` and ``docs/static-analysis.md``.
 """
 
 from .checker import TraceChecker, live_checks
 from .faults import FAULTS, FaultInjector, make_injector
 from .invariants import Rule, Violation, default_rules
-from .lint import Finding, collect_emitted_kinds, lint_paths, lint_source
-from .rules import (
-    RULES,
-    apply_baseline,
-    apply_suppressions,
-    finding_fingerprint,
-    iter_python_files,
-    load_baseline,
-    write_baseline,
-)
+from .lint import Finding, LintResult, lint_paths, lint_source
+from .rules import RULES, apply_suppressions, iter_python_files
 from .runner import SanitizeResult, check_jsonl, sanitize_scenario
 from .sarif import sarif_json, to_sarif
-from .simcheck import SimcheckResult, simcheck_paths, simcheck_source
 
 __all__ = [
     "TraceChecker", "live_checks",
     "FAULTS", "FaultInjector", "make_injector",
     "Rule", "Violation", "default_rules",
-    "Finding", "collect_emitted_kinds", "lint_paths", "lint_source",
-    "RULES", "apply_baseline", "apply_suppressions",
-    "finding_fingerprint", "iter_python_files", "load_baseline",
-    "write_baseline",
+    "Finding", "LintResult", "lint_paths", "lint_source",
+    "RULES", "apply_suppressions", "iter_python_files",
     "SanitizeResult", "check_jsonl", "sanitize_scenario",
     "sarif_json", "to_sarif",
-    "SimcheckResult", "simcheck_paths", "simcheck_source",
 ]

@@ -1,6 +1,9 @@
-"""Static AST lint: cross-check emit sites against the schema registry.
+"""``repro lint``: every static-analysis rule over one parse per file.
 
-Five rules, all pure ``ast`` (no third-party dependencies):
+:func:`lint_paths` parses each file once
+(:func:`repro.sanitize.simcheck.callgraph.parse_modules`) and runs every
+registered rule over those trees.  The per-file rules are pure ``ast``
+visitors (no third-party dependencies):
 
 * ``unknown-kind`` — a literal ``record(t, "kind", ...)`` or
   ``span("name", ...)`` whose kind/base is not declared in
@@ -23,29 +26,43 @@ Five rules, all pure ``ast`` (no third-party dependencies):
   through the stage registry (``repro.pipeline.registry``) so the
   pipeline remains the single composition point.
 
-:func:`lint_paths` additionally folds in
-:func:`repro.simulate.schema.validate_emitters` over every collected
-emit site, so a kind declared in the schema that no code emits — or
-emitted but never declared — is a lint finding (``emitter-drift``),
-keeping the registry honest in both directions.
+The call-graph passes (:mod:`repro.sanitize.simcheck`: yield-point
+races, determinism dataflow, span balance) run over the same modules.
+When the linted modules include ``repro.simulate.schema``, the emit
+sites collected across them are folded into
+:func:`repro.simulate.schema.validate_emitters`, so a kind declared in
+the schema that no code emits — or emitted but never declared — is a
+finding (``emitter-drift``), keeping the registry honest in both
+directions.  A file that does not parse gives one ``syntax-error``
+finding and is left out of the call graph.
 
 The rules live in the shared framework (:mod:`repro.sanitize.rules`):
-each has a stable id (``LNT001``–``LNT007``), a severity, and inline
-``# repro: noqa[RULE-ID]`` suppression support, all shared with the
-``repro simcheck`` analyzer.
+each has a stable id (``LNT001``–``LNT007``, ``SIM###``, ``MET###``), a
+severity, and inline ``# repro: noqa[RULE-ID]`` suppression support,
+applied once per file to the combined findings.
 """
 
 from __future__ import annotations
 
 import ast
 import os
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..simulate.schema import SPAN_KINDS, TRACE_SCHEMA, validate_emitters
 from .rules import Finding, apply_suppressions, iter_python_files
+from .simcheck import (
+    CallGraph,
+    ModuleInfo,
+    check_determinism,
+    check_races,
+    check_spans,
+    parse_modules,
+)
+from .simcheck.callgraph import _dotted
 
-__all__ = ["Finding", "lint_source", "lint_paths", "collect_emitted_kinds",
-           "iter_python_files"]
+__all__ = ["Finding", "LintResult", "lint_source", "lint_paths"]
 
 #: Span identity fields supplied by the Span machinery, never by callers.
 _SPAN_AUTO_FIELDS = {"span", "parent", "duration", "error"}
@@ -84,18 +101,6 @@ def _wallclock_exempt(path: str) -> bool:
 def _const_str(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value
-    return None
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` -> "a.b.c" for Name/Attribute chains, else None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
     return None
 
 
@@ -281,37 +286,6 @@ class _ImportUsageVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def lint_source(source: str, path: str = "<string>",
-                check_imports: bool = True) -> Tuple[List[Finding], List[str]]:
-    """Lint one module's source; returns (findings, emitted kinds).
-
-    Inline ``# repro: noqa[RULE-ID]`` comments on a finding's line
-    suppress it; stale or unknown suppressions surface as MET-rule
-    findings (see :mod:`repro.sanitize.rules`).
-    """
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return ([Finding(path, exc.lineno or 0, exc.offset or 0,
-                         "syntax-error", str(exc.msg))], [])
-    emits = _EmitSiteVisitor(path)
-    emits.visit(tree)
-    findings = emits.findings
-    if check_imports and not path.endswith("__init__.py"):
-        usage = _ImportUsageVisitor()
-        usage.visit(tree)
-        # __all__ strings count as use: a module may import purely to
-        # re-export under its public surface.
-        exported = {s for s in _module_all(tree)}
-        for name, line, col in usage.imports:
-            if name not in usage.used and name not in exported:
-                findings.append(Finding(path, line, col, "unused-import",
-                                        f"{name!r} imported but unused"))
-    findings, _suppressed = apply_suppressions(findings, path, source,
-                                               tool="lint")
-    return findings, emits.emitted
-
-
 def _module_all(tree: ast.Module) -> List[str]:
     for node in tree.body:
         if (isinstance(node, ast.Assign)
@@ -323,35 +297,88 @@ def _module_all(tree: ast.Module) -> List[str]:
     return []
 
 
-def collect_emitted_kinds(files: Iterable[str]) -> List[str]:
-    """Every literal kind/span base emitted across ``files``."""
+#: The module whose ``TRACE_SCHEMA`` the emitter-coverage rule checks.
+_SCHEMA_MODULE = "repro.simulate.schema"
+
+
+@dataclass
+class LintResult:
+    """Outcome of one ``repro lint`` run."""
+
+    #: Actionable findings, sorted; every one fails the run.
+    findings: List[Finding] = field(default_factory=list)
+    #: Findings silenced by inline noqa suppressions.
+    suppressed: List[Finding] = field(default_factory=list)
+    #: Call-graph shape counters (modules/functions/generators/...).
+    stats: Dict[str, int] = field(default_factory=dict)
+    files: List[str] = field(default_factory=list)
+
+
+def _file_findings(mod: ModuleInfo) -> Tuple[List[Finding], List[str]]:
+    """The per-file rules over one module: (findings, emitted kinds)."""
+    emits = _EmitSiteVisitor(mod.path)
+    emits.visit(mod.tree)
+    findings = emits.findings
+    if not mod.path.endswith("__init__.py"):
+        usage = _ImportUsageVisitor()
+        usage.visit(mod.tree)
+        # __all__ strings count as use: a module may import purely to
+        # re-export under its public surface.
+        exported = set(_module_all(mod.tree))
+        for name, line, col in usage.imports:
+            if name not in usage.used and name not in exported:
+                findings.append(Finding(mod.path, line, col, "unused-import",
+                                        f"{name!r} imported but unused"))
+    return findings, emits.emitted
+
+
+def _lint(modules: List[ModuleInfo], broken: List[Finding]) -> LintResult:
+    """Every rule over parsed ``modules``, then one suppression pass per
+    file; ``broken`` carries the syntax-error findings of the rest."""
+    findings = list(broken)
     emitted: List[str] = []
-    for fname in files:
-        with open(fname, "r", encoding="utf-8") as fh:
-            _, kinds = lint_source(fh.read(), fname, check_imports=False)
-        emitted.extend(kinds)
-    return emitted
-
-
-def lint_paths(paths: Sequence[str],
-               check_emitter_coverage: bool = True) -> List[Finding]:
-    """Lint every ``.py`` file under ``paths``; sorted findings.
-
-    Emitter coverage (``emitter-drift``) is computed over the non-test,
-    non-sanitize production files, so the fault injectors' forged emits
-    cannot mask a kind that lost its real emitter.
-    """
-    files = iter_python_files(paths)
-    findings: List[Finding] = []
-    emitted: List[str] = []
-    for fname in files:
-        with open(fname, "r", encoding="utf-8") as fh:
-            file_findings, kinds = lint_source(fh.read(), fname)
+    for mod in modules:
+        file_findings, kinds = _file_findings(mod)
         findings.extend(file_findings)
-        if f"{os.sep}sanitize{os.sep}" not in fname:
+        # The fault injectors forge emits; they must not mask a kind that
+        # lost its real emitter.
+        if f"{os.sep}sanitize{os.sep}" not in mod.path:
             emitted.extend(kinds)
-    if check_emitter_coverage and emitted:
-        for problem in validate_emitters(emitted):
-            findings.append(Finding("repro/simulate/schema.py", 0, 0,
-                                    "emitter-drift", problem))
-    return sorted(findings, key=lambda f: (f.path, f.line, f.col, f.code))
+    graph = CallGraph(modules)
+    findings.extend(check_races(graph))
+    findings.extend(check_determinism(graph))
+    findings.extend(check_spans(graph))
+    for mod in modules:
+        if mod.name == _SCHEMA_MODULE:
+            findings.extend(Finding(mod.path, 0, 0, "emitter-drift", problem)
+                            for problem in validate_emitters(emitted))
+    by_path: Dict[str, List[Finding]] = {}
+    for finding in findings:
+        by_path.setdefault(finding.path, []).append(finding)
+    result = LintResult(stats=graph.stats())
+    # Every module goes through suppression bookkeeping, findings or
+    # not — a noqa comment in a clean file is an *unused* suppression.
+    for mod in modules:
+        kept, suppressed = apply_suppressions(by_path.pop(mod.path, []),
+                                              mod.path, mod.source)
+        result.findings.extend(kept)
+        result.suppressed.extend(suppressed)
+    for rest in by_path.values():  # files that did not parse
+        result.findings.extend(rest)
+    result.findings.sort(key=Finding.sort_key)
+    result.suppressed.sort(key=Finding.sort_key)
+    return result
+
+
+def lint_source(source: str, path: str = "<string>") -> List[Finding]:
+    """Every rule over one in-memory module; returns its findings."""
+    return _lint(*parse_modules([(path, source)])).findings
+
+
+def lint_paths(paths: Sequence[str]) -> LintResult:
+    """Every rule over every ``.py`` file under ``paths``."""
+    files = iter_python_files(paths)
+    result = _lint(*parse_modules(
+        (fname, Path(fname).read_text(encoding="utf-8")) for fname in files))
+    result.files = files
+    return result

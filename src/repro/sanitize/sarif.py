@@ -1,9 +1,9 @@
 """SARIF 2.1.0 serialization of static-analysis findings.
 
-One serializer shared by ``repro lint`` and ``repro simcheck`` (both
-CLIs expose ``--format sarif``), producing the minimal schema-valid
-document CI code-scanning uploads need: one run, the rule catalog under
-``tool.driver.rules``, one result per finding with a physical location.
+``repro lint --sarif-out PATH`` writes this document: the minimal
+schema-valid form CI code-scanning uploads need — one run, the rule
+catalog under ``tool.driver.rules``, one result per finding with a
+physical location.
 
 SARIF requires 1-based lines/columns; findings at line 0 (whole-file
 problems like ``emitter-drift``) are clamped to 1:1.
@@ -12,7 +12,7 @@ problems like ``emitter-drift``) are clamped to 1:1.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from .rules import RULES, Finding, RuleSpec, normalize_path
 
@@ -32,34 +32,19 @@ def _rule_descriptor(spec: RuleSpec) -> dict:
         "name": spec.code,
         "shortDescription": {"text": spec.summary},
         "defaultConfiguration": {"level": _LEVELS[spec.severity]},
-        "properties": {"tool": spec.tool},
     }
 
 
-def to_sarif(findings: Sequence[Finding], tool_name: str,
-             rules: Optional[Sequence[RuleSpec]] = None) -> dict:
+def to_sarif(findings: Sequence[Finding]) -> dict:
     """Build a SARIF 2.1.0 document for ``findings``.
 
-    ``rules`` defaults to every registered rule the findings reference
-    plus the named tool's full catalog, so an empty clean run still
-    publishes its rule metadata.
+    The full rule catalog is always published, so an empty clean run
+    still carries its rule metadata.
     """
-    tool_key = tool_name.split("-")[-1]  # "repro-lint" -> "lint"
-    if rules is None:
-        rules = [spec for spec in RULES.values()
-                 if spec.tool in (tool_key, "meta")]
-    rule_index: Dict[str, int] = {}
-    descriptors: List[dict] = []
-    for spec in rules:
-        rule_index[spec.id] = len(descriptors)
-        descriptors.append(_rule_descriptor(spec))
+    rule_index = {rule_id: i for i, rule_id in enumerate(RULES)}
     results: List[dict] = []
     for finding in findings:
-        spec = finding.rule
         rule_id = finding.rule_id
-        if rule_id not in rule_index and spec is not None:
-            rule_index[rule_id] = len(descriptors)
-            descriptors.append(_rule_descriptor(spec))
         result = {
             "ruleId": rule_id,
             "level": _LEVELS.get(finding.severity, "error"),
@@ -84,15 +69,16 @@ def to_sarif(findings: Sequence[Finding], tool_name: str,
         "version": "2.1.0",
         "runs": [{
             "tool": {"driver": {
-                "name": tool_name,
+                "name": "repro-lint",
                 "informationUri": _INFO_URI,
-                "rules": descriptors,
+                "rules": [_rule_descriptor(spec)
+                          for spec in RULES.values()],
             }},
             "results": results,
         }],
     }
 
 
-def sarif_json(findings: Sequence[Finding], tool_name: str) -> str:
+def sarif_json(findings: Sequence[Finding]) -> str:
     """:func:`to_sarif` rendered as an indented JSON string."""
-    return json.dumps(to_sarif(findings, tool_name), indent=2)
+    return json.dumps(to_sarif(findings), indent=2)

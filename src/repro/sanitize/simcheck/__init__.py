@@ -1,14 +1,15 @@
-"""SimCheck: interprocedural determinism & yield-point race analyzer.
+"""The interprocedural passes of ``repro lint``.
 
 The dynamic sanitizer (:mod:`repro.sanitize.checker`) catches protocol
-violations a run actually commits; SimCheck catches the bug *classes*
+violations a run actually commits; these passes catch the bug *classes*
 that threaten the byte-identical-trace guarantee before any run happens,
 by static analysis over the simulation sources:
 
 * a module-level **call graph** identifying simulation-process
   functions — generators handed to ``Simulator.spawn`` (directly or
   through ``yield from`` chains) — and trace/metrics emit sites
-  (:mod:`.callgraph`);
+  (:mod:`.callgraph`); :func:`parse_modules` is also the one parser
+  every ``repro lint`` rule reads;
 * a **yield-point race detector** — shared state read before a ``yield``
   and written back after it from the stale value, and shared containers
   iterated across a yield while other code mutates them (:mod:`.races`);
@@ -22,16 +23,14 @@ by static analysis over the simulation sources:
   always pair (:mod:`.spans`).
 
 Rules carry stable ``SIM###`` ids in the shared framework
-(:mod:`repro.sanitize.rules`), honor ``# repro: noqa[ID]`` suppressions,
-and diff against the committed findings baseline
-(``benchmarks/simcheck_baseline.json``).  CLI: ``repro simcheck``; docs:
-``docs/static-analysis.md``.
+(:mod:`repro.sanitize.rules`); :func:`repro.sanitize.lint.lint_paths`
+runs them with every other rule.  Docs: ``docs/static-analysis.md``.
 """
 
-from .analyzer import SimcheckResult, simcheck_paths, simcheck_source
 from .callgraph import CallGraph, FunctionInfo, ModuleInfo, parse_modules
+from .determinism import check_determinism
+from .races import check_races
+from .spans import check_spans
 
-__all__ = [
-    "SimcheckResult", "simcheck_paths", "simcheck_source",
-    "CallGraph", "FunctionInfo", "ModuleInfo", "parse_modules",
-]
+__all__ = ["CallGraph", "FunctionInfo", "ModuleInfo", "parse_modules",
+           "check_determinism", "check_races", "check_spans"]

@@ -1,4 +1,4 @@
-"""Module parsing and call-graph construction for SimCheck.
+"""Module parsing and call-graph construction for ``repro lint``.
 
 The passes need three things the raw ASTs do not give directly:
 
@@ -26,7 +26,9 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
+
+from ..rules import Finding
 
 __all__ = ["FunctionInfo", "ModuleInfo", "CallGraph", "parse_modules",
            "module_name_for"]
@@ -239,22 +241,27 @@ def _mutable_ctor(node: ast.AST) -> Optional[str]:
     return None
 
 
-def parse_modules(files: Sequence[str]) -> Dict[str, ModuleInfo]:
-    """Parse every file into a :class:`ModuleInfo`; unparsable files are
-    skipped (the lint pass owns the syntax-error finding)."""
-    modules: Dict[str, ModuleInfo] = {}
-    for path in files:
+def parse_modules(sources: Iterable[Tuple[str, str]],
+                  ) -> Tuple[List[ModuleInfo], List[Finding]]:
+    """Parse each ``(path, source)`` once into a :class:`ModuleInfo`.
+
+    A source that does not parse gives one ``syntax-error`` finding
+    instead of a module, so it stays out of the call graph.
+    """
+    modules: List[ModuleInfo] = []
+    broken: List[Finding] = []
+    for path, source in sources:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                source = fh.read()
             tree = ast.parse(source, filename=path)
-        except (OSError, SyntaxError):
+        except SyntaxError as exc:
+            broken.append(Finding(path, exc.lineno or 0, exc.offset or 0,
+                                  "syntax-error", str(exc.msg)))
             continue
         info = ModuleInfo(path=path, name=module_name_for(path),
                           tree=tree, source=source)
         _ModuleVisitor(info).visit(tree)
-        modules[info.name] = info
-    return modules
+        modules.append(info)
+    return modules, broken
 
 
 #: Call spellings that hand a generator to the event loop.
@@ -264,8 +271,9 @@ _SPAWN_NAMES = {"spawn", "process"}
 class CallGraph:
     """Resolved call edges plus spawn-reachability over the module set."""
 
-    def __init__(self, modules: Dict[str, ModuleInfo]):
-        self.modules = modules
+    def __init__(self, modules: Iterable[ModuleInfo]):
+        #: Modules by dotted name (a later file shadows a same-named one).
+        self.modules: Dict[str, ModuleInfo] = {m.name: m for m in modules}
         #: Every function by qualname.
         self.functions: Dict[str, FunctionInfo] = {}
         #: {method/function simple name -> [qualnames]} for fallback lookup.
@@ -274,7 +282,7 @@ class CallGraph:
         self.edges: Dict[str, Set[str]] = {}
         #: Attribute names known set-typed anywhere in the tree.
         self.set_attrs: Set[str] = set()
-        for mod in modules.values():
+        for mod in self.modules.values():
             self.set_attrs |= mod.set_attrs
             for qual, fn in mod.functions.items():
                 self.functions[qual] = fn

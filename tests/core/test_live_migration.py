@@ -85,3 +85,25 @@ def test_validation():
         return True
 
     assert sc.sim.run(until=sc.sim.spawn(drive(sc.sim))) is True
+
+
+def test_occupied_target_rejected_like_the_framework():
+    """A live migration onto a node that already hosts ranks fails with
+    the framework's own error, and moves nothing."""
+    sc = Scenario.build(app="LU.C", nprocs=64, n_compute=8, n_spare=1,
+                        iterations=10)
+    strat = LiveMigrationStrategy(sc.framework)
+    errors = {}
+    for name, migrate in (("live", strat.migrate),
+                          ("framework", sc.framework.migrate)):
+        def drive(sim, migrate=migrate):
+            yield sim.timeout(0.5)
+            yield from migrate("node3", target="node4")
+
+        with pytest.raises(MigrationError) as exc:
+            sc.sim.run(until=sc.sim.spawn(drive(sc.sim)))
+        errors[name] = str(exc.value)
+    assert errors["live"] == errors["framework"] == \
+        "target node4 already hosts ranks"
+    assert len(sc.job.ranks_on("node3")) == 8
+    assert len(sc.job.ranks_on("node4")) == 8

@@ -1,6 +1,7 @@
 """CLI tests for ``repro sanitize`` and ``repro lint``."""
 
 import json
+import re
 
 import pytest
 
@@ -102,8 +103,41 @@ def test_lint_flags_bad_file(capsys, tmp_path):
     bad.write_text("import os\n"
                    "def go(trace, t):\n"
                    "    trace.record(t, 'no.such.kind')\n")
-    rc = main(["lint", str(bad), "--no-emitter-coverage"])
+    rc = main(["lint", str(bad)])
     out = capsys.readouterr().out
     assert rc == 1
     assert "unknown-kind" in out
     assert "unused-import" in out
+
+
+def test_lint_reports_per_file_and_call_graph_findings_together(
+        capsys, tmp_path):
+    """One run, one exit code: an LNT and a SIM bug in one file are both
+    reported in text, JSON and the --sarif-out document."""
+    bad = tmp_path / "bad.py"
+    bad.write_text("import os\n"
+                   "def order(flows):\n"
+                   "    return sorted(flows, key=id)\n")
+    sarif = tmp_path / "lint.sarif"
+    assert main(["lint", str(bad), "--sarif-out", str(sarif)]) == 1
+    out = capsys.readouterr().out
+    assert "LNT004 [unused-import]" in out
+    assert "SIM202 [id-order-dependence]" in out
+    assert "2 finding(s)" in out
+
+    assert main(["lint", str(bad), "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["clean"] is False
+    assert [f["rule"] for f in doc["findings"]] == ["LNT004", "SIM202"]
+
+    results = json.loads(sarif.read_text())["runs"][0]["results"]
+    assert [r["ruleId"] for r in results] == ["LNT004", "SIM202"]
+
+
+def test_lint_help_lists_exactly_three_options(capsys):
+    with pytest.raises(SystemExit):
+        main(["lint", "--help"])
+    out = capsys.readouterr().out
+    assert "[--format {text,json}] [--sarif-out PATH] [PATH ...]" in out
+    assert set(re.findall(r"--[a-z][a-z-]+", out)) == {
+        "--help", "--format", "--sarif-out"}

@@ -1,19 +1,25 @@
-"""Static lint tests: emit-site schema checks, wall-clock/RNG hygiene,
-unused imports, and schema<->emitter drift."""
+"""Per-file lint rules: emit-site schema checks, wall-clock/RNG hygiene,
+unused imports, direct construction and schema<->emitter drift; plus the
+one-parse-per-file pipeline and the production-tree gate."""
 
+import ast
+import os
 import textwrap
 
-from repro.sanitize import collect_emitted_kinds, lint_paths, lint_source
+import repro
+from repro.sanitize import lint_paths, lint_source
+from repro.simulate import schema
 from repro.simulate.schema import TRACE_SCHEMA, validate_emitters
 
 
-def findings_for(source, **kw):
-    findings, _ = lint_source(textwrap.dedent(source), "mod.py", **kw)
-    return findings
+def findings_for(source):
+    """The per-file (LNT) and suppression (MET) findings of one module."""
+    return [f for f in lint_source(textwrap.dedent(source), "mod.py")
+            if f.rule_id.startswith(("LNT", "MET"))]
 
 
-def codes(source, **kw):
-    return [f.code for f in findings_for(source, **kw)]
+def codes(source):
+    return [f.code for f in findings_for(source)]
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +240,7 @@ def test_dunder_all_export_counts_as_use():
 
 
 def test_init_py_is_exempt_from_import_check():
-    findings, _ = lint_source("from foo import Bar\n",
-                              "pkg/__init__.py")
-    assert findings == []
-
-
-def test_check_imports_false_disables_rule():
-    assert codes("import os\n", check_imports=False) == []
+    assert lint_source("from foo import Bar\n", "pkg/__init__.py") == []
 
 
 def test_syntax_error_is_one_finding():
@@ -251,19 +251,6 @@ def test_syntax_error_is_one_finding():
 # ---------------------------------------------------------------------------
 # emitter coverage / schema drift
 # ---------------------------------------------------------------------------
-
-def test_collect_emitted_kinds(tmp_path):
-    mod = tmp_path / "m.py"
-    mod.write_text(textwrap.dedent("""
-        def go(trace, tracer, t):
-            trace.record(t, "qp.destroy", qp=1, node="n")
-            with tracer.span("blcr.checkpoint"):
-                pass
-            tracer.link(1, 2, "edge")
-    """))
-    kinds = collect_emitted_kinds([str(mod)])
-    assert set(kinds) == {"qp.destroy", "blcr.checkpoint", "flow.link"}
-
 
 def test_validate_emitters_flags_drift_both_ways():
     problems = validate_emitters(["qp.destroy", "totally.bogus"])
@@ -283,28 +270,51 @@ def test_validate_emitters_clean_when_all_covered():
     assert validate_emitters(sorted(span_bases | plain)) == []
 
 
-def test_lint_paths_folds_in_emitter_drift(tmp_path):
+def test_lint_paths_folds_in_emitter_drift(monkeypatch):
+    """Linting the schema module checks every declared kind has an
+    emitter among the linted modules."""
+    pkg = os.path.dirname(os.path.abspath(repro.__file__))
+    monkeypatch.setitem(TRACE_SCHEMA, "bogus.unemitted",
+                        TRACE_SCHEMA["qp.destroy"])
+    drift = [f for f in lint_paths([pkg]).findings
+             if f.code == "emitter-drift"]
+    assert [f.rule_id for f in drift] == ["LNT006"]
+    assert "'bogus.unemitted'" in drift[0].message
+    assert drift[0].path == os.path.normpath(schema.__file__)
+
+
+def test_emitter_coverage_needs_the_schema_module(tmp_path):
+    """Without repro.simulate.schema among the inputs there is no
+    coverage to judge: a lone emit site is not drift."""
     mod = tmp_path / "m.py"
     mod.write_text("def go(trace, t):\n"
                    "    trace.record(t, 'qp.destroy', qp=1, node='n')\n")
-    findings = lint_paths([str(tmp_path)])
-    assert any(f.code == "emitter-drift" for f in findings)
+    assert lint_paths([str(tmp_path)]).findings == []
 
 
-def test_lint_paths_skips_emitter_check_on_request(tmp_path):
-    mod = tmp_path / "m.py"
-    mod.write_text("def go(trace, t):\n"
-                   "    trace.record(t, 'qp.destroy', qp=1, node='n')\n")
-    assert lint_paths([str(tmp_path)], check_emitter_coverage=False) == []
+def test_lint_paths_parses_each_file_once(tmp_path, monkeypatch):
+    for name in ("a.py", "b.py", "c.py"):
+        (tmp_path / name).write_text("def go(sim):\n"
+                                     "    yield sim.timeout(1.0)\n")
+    real_parse = ast.parse
+    parsed = []
+
+    def counting_parse(source, filename="<unknown>", mode="exec", **kw):
+        if mode == "exec":
+            parsed.append(filename)
+        return real_parse(source, filename, mode, **kw)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    result = lint_paths([str(tmp_path)])
+    assert result.findings == []
+    assert sorted(parsed) == sorted(result.files)
+    assert len(parsed) == 3
 
 
 def test_production_tree_is_lint_clean():
-    """The shipped baseline: zero findings over src/repro."""
-    import repro
-
-    import os
+    """The shipped tree: zero findings over src/repro, every rule."""
     pkg = os.path.dirname(os.path.abspath(repro.__file__))
-    findings = lint_paths([pkg])
+    findings = lint_paths([pkg]).findings
     assert findings == [], "\n".join(f.render() for f in findings)
 
 
@@ -348,8 +358,8 @@ def test_construction_inside_pipeline_package_exempt():
         def go(sim):
             return RestartEngine(sim, "spare0")
     """
-    findings, _ = lint_source(textwrap.dedent(source),
-                              "src/repro/pipeline/registry.py")
+    findings = lint_source(textwrap.dedent(source),
+                           "src/repro/pipeline/registry.py")
     assert [f.code for f in findings] == []
 
 
@@ -360,6 +370,6 @@ def test_construction_inside_baselines_module_exempt():
         def go(sim, cluster, a, b):
             return RDMAMigrationSession(sim, cluster, a, b)
     """
-    findings, _ = lint_source(textwrap.dedent(source),
-                              "src/repro/core/baselines.py")
+    findings = lint_source(textwrap.dedent(source),
+                           "src/repro/core/baselines.py")
     assert [f.code for f in findings] == []

@@ -1,24 +1,16 @@
 """The shared static-analysis rule framework: registry, suppressions,
-baseline, file collection and SARIF serialization."""
+file collection and SARIF serialization."""
 
 import json
 import os
 
-import pytest
-
 from repro.sanitize.rules import (
     RULES,
-    Baseline,
-    BaselineEntry,
     Finding,
-    apply_baseline,
     apply_suppressions,
-    finding_fingerprint,
     iter_python_files,
-    load_baseline,
     parse_suppressions,
     rule_by_code,
-    write_baseline,
 )
 from repro.sanitize.sarif import sarif_json, to_sarif
 
@@ -31,17 +23,16 @@ def test_rule_ids_are_stable_and_unique():
     codes = [spec.code for spec in RULES.values()]
     assert len(codes) == len(set(codes))
     # The published catalog: renumbering any of these breaks
-    # suppressions, baselines and SARIF consumers.
-    for rule_id in ("LNT001", "LNT003", "LNT004", "SIM101", "SIM102",
-                    "SIM201", "SIM202", "SIM203", "SIM301", "MET001",
-                    "MET002"):
-        assert rule_id in RULES
+    # suppressions and SARIF consumers.
+    assert sorted(RULES) == [
+        "LNT001", "LNT002", "LNT003", "LNT004", "LNT005", "LNT006",
+        "LNT007", "MET001", "MET002", "SIM101", "SIM102", "SIM201",
+        "SIM202", "SIM203", "SIM301"]
 
 
-def test_every_rule_has_severity_and_tool():
+def test_every_rule_has_severity_and_summary():
     for spec in RULES.values():
         assert spec.severity in ("error", "warning")
-        assert spec.tool in ("lint", "simcheck", "meta")
         assert spec.summary
 
 
@@ -73,8 +64,7 @@ def test_parse_suppressions_multiple_ids():
 def test_suppression_silences_matching_finding():
     src = "x = 1  # repro: noqa[SIM201]\n"
     findings = [Finding("f.py", 1, 0, "set-order-dependence", "boom")]
-    kept, suppressed = apply_suppressions(findings, "f.py", src,
-                                          tool="simcheck")
+    kept, suppressed = apply_suppressions(findings, "f.py", src)
     assert kept == []
     assert len(suppressed) == 1
 
@@ -82,101 +72,34 @@ def test_suppression_silences_matching_finding():
 def test_suppression_by_slug_also_matches():
     src = "x = 1  # repro: noqa[set-order-dependence]\n"
     findings = [Finding("f.py", 1, 0, "set-order-dependence", "boom")]
-    kept, _ = apply_suppressions(findings, "f.py", src, tool="simcheck")
+    kept, _ = apply_suppressions(findings, "f.py", src)
     assert kept == []
 
 
 def test_unknown_suppression_is_a_finding():
     src = "x = 1  # repro: noqa[NOPE999]\n"
-    kept, _ = apply_suppressions([], "f.py", src, tool="simcheck")
+    kept, _ = apply_suppressions([], "f.py", src)
     assert [f.code for f in kept] == ["unknown-suppression"]
 
 
 def test_unused_suppression_is_a_finding():
     src = "x = 1  # repro: noqa[SIM201]\n"
-    kept, _ = apply_suppressions([], "f.py", src, tool="simcheck")
+    kept, _ = apply_suppressions([], "f.py", src)
     assert [f.code for f in kept] == ["unused-suppression"]
-
-
-def test_unused_suppression_is_tool_scoped():
-    # A simcheck noqa in a file lint also scans must not read as unused
-    # to lint — lint never evaluates SIM rules there.
-    src = "x = 1  # repro: noqa[SIM201]\n"
-    kept, _ = apply_suppressions([], "f.py", src, tool="lint")
-    assert kept == []
 
 
 def test_empty_suppression_brackets_flagged():
     src = "x = 1  # repro: noqa[]\n"
-    kept, _ = apply_suppressions([], "f.py", src, tool="simcheck")
+    kept, _ = apply_suppressions([], "f.py", src)
     assert [f.code for f in kept] == ["unused-suppression"]
 
 
 def test_suppression_on_other_line_does_not_match():
     src = "x = 1  # repro: noqa[SIM201]\ny = 2\n"
     findings = [Finding("f.py", 2, 0, "set-order-dependence", "boom")]
-    kept, _ = apply_suppressions(findings, "f.py", src, tool="simcheck")
+    kept, _ = apply_suppressions(findings, "f.py", src)
     codes = sorted(f.code for f in kept)
     assert codes == ["set-order-dependence", "unused-suppression"]
-
-
-# -- baseline ----------------------------------------------------------------
-
-def _finding(msg="stale write", line=10):
-    return Finding("src/repro/net.py", line, 4, "yield-stale-write", msg)
-
-
-def test_fingerprint_is_line_free():
-    assert finding_fingerprint(_finding(line=10)) == \
-        finding_fingerprint(_finding(line=99))
-    assert finding_fingerprint(_finding("a")) != finding_fingerprint(_finding("b"))
-
-
-def test_baseline_roundtrip_and_match(tmp_path):
-    path = str(tmp_path / "baseline.json")
-    f = _finding()
-    assert write_baseline([f], path, justification="known debt") == 1
-    baseline = load_baseline(path)
-    assert len(baseline) == 1
-    assert baseline.entries[0].justification == "known debt"
-    new, matched, expired = apply_baseline([f], baseline)
-    assert (len(new), len(matched), len(expired)) == (0, 1, 0)
-
-
-def test_new_finding_not_consumed_by_baseline(tmp_path):
-    path = str(tmp_path / "baseline.json")
-    write_baseline([_finding()], path)
-    baseline = load_baseline(path)
-    new, matched, expired = apply_baseline(
-        [_finding(), _finding("another bug")], baseline)
-    assert len(new) == 1 and new[0].message == "another bug"
-    assert len(matched) == 1 and len(expired) == 0
-
-
-def test_expired_entry_reported_when_finding_fixed(tmp_path):
-    path = str(tmp_path / "baseline.json")
-    write_baseline([_finding()], path)
-    baseline = load_baseline(path)
-    new, matched, expired = apply_baseline([], baseline)
-    assert new == [] and matched == []
-    assert len(expired) == 1
-
-
-def test_baseline_matching_is_multiset_aware():
-    f = _finding()
-    entry = BaselineEntry(rule="SIM101", path="src/repro/net.py",
-                          fingerprint=finding_fingerprint(f))
-    baseline = Baseline(entries=[entry])
-    # Two identical findings, one entry: the second stays new.
-    new, matched, _ = apply_baseline([f, f], baseline)
-    assert len(matched) == 1 and len(new) == 1
-
-
-def test_load_baseline_rejects_garbage(tmp_path):
-    path = tmp_path / "not_a_baseline.json"
-    path.write_text(json.dumps([1, 2, 3]))
-    with pytest.raises(ValueError):
-        load_baseline(str(path))
 
 
 # -- file collection ---------------------------------------------------------
@@ -211,10 +134,10 @@ def test_iter_python_files_is_stable_across_argument_order(tmp_path):
 def test_sarif_document_shape():
     findings = [Finding("src/repro/x.py", 7, 2, "set-order-dependence",
                         "order leak")]
-    doc = to_sarif(findings, "repro-simcheck")
+    doc = to_sarif(findings)
     assert doc["version"] == "2.1.0"
     run = doc["runs"][0]
-    assert run["tool"]["driver"]["name"] == "repro-simcheck"
+    assert run["tool"]["driver"]["name"] == "repro-lint"
     rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
     assert "SIM201" in rule_ids
     result = run["results"][0]
@@ -228,14 +151,14 @@ def test_sarif_document_shape():
 
 def test_sarif_clamps_whole_file_findings_to_line_one():
     findings = [Finding("x.py", 0, 0, "emitter-drift", "no emitter")]
-    doc = to_sarif(findings, "repro-lint")
+    doc = to_sarif(findings)
     region = doc["runs"][0]["results"][0]["locations"][0][
         "physicalLocation"]["region"]
     assert region["startLine"] == 1
 
 
 def test_sarif_empty_run_still_publishes_rule_catalog():
-    doc = json.loads(sarif_json([], "repro-simcheck"))
+    doc = json.loads(sarif_json([]))
     rules = doc["runs"][0]["tool"]["driver"]["rules"]
-    assert any(r["id"].startswith("SIM") for r in rules)
+    assert [r["id"] for r in rules] == list(RULES)
     assert doc["runs"][0]["results"] == []

@@ -1,20 +1,22 @@
-"""SimCheck: call graph, the three analysis passes, suppression and
-baseline integration, and the rule-id docs catalog."""
+"""The call-graph passes of ``repro lint``: call graph, the three
+analysis passes, suppressions, and the rule-id docs catalog."""
 
 import os
 import re
 
 import repro
+from repro.sanitize import lint_paths, lint_source
 from repro.sanitize.rules import RULES
-from repro.sanitize.simcheck import parse_modules, simcheck_paths, simcheck_source
-from repro.sanitize.simcheck.callgraph import CallGraph
+from repro.sanitize.simcheck import CallGraph, parse_modules
 
 REPO_ROOT = os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))))
 
 
 def codes(source):
-    return [f.code for f in simcheck_source(source)]
+    """The call-graph pass (SIM) and suppression (MET) findings."""
+    return [f.code for f in lint_source(source, "fixture.py")
+            if f.rule_id.startswith(("SIM", "MET"))]
 
 
 # -- call graph --------------------------------------------------------------
@@ -38,13 +40,9 @@ def main():
 
 
 def graph_of(source, path="fixture.py"):
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        p = os.path.join(tmp, path)
-        with open(p, "w", encoding="utf-8") as fh:
-            fh.write(source)
-        return CallGraph(parse_modules([p]))
+    modules, broken = parse_modules([(path, source)])
+    assert broken == []
+    return CallGraph(modules)
 
 
 def test_callgraph_finds_generators_and_spawn_sites():
@@ -64,7 +62,7 @@ def test_process_functions_follow_yield_from_chains():
 
 
 def test_production_tree_identifies_sim_processes():
-    result = simcheck_paths([os.path.join(REPO_ROOT, "src", "repro")])
+    result = lint_paths([os.path.join(REPO_ROOT, "src", "repro")])
     assert result.stats["generators"] > 50
     assert result.stats["process_functions"] > 5
 
@@ -390,7 +388,7 @@ class Pipeline:
 ''') == ["span-unbalanced"]
 
 
-# -- suppression / baseline integration --------------------------------------
+# -- suppressions -----------------------------------------------------------
 
 def test_simcheck_honors_inline_suppression():
     src = SIM201_PREFIX_FLOW.replace(
@@ -404,52 +402,12 @@ def test_simcheck_flags_unused_suppression():
     assert codes(src) == ["unused-suppression"]
 
 
-def test_simcheck_paths_baseline_flow(tmp_path):
-    pkg = tmp_path / "pkg"
-    pkg.mkdir()
-    (pkg / "buggy.py").write_text(SIM201_PREFIX_FLOW)
-    baseline = tmp_path / "baseline.json"
-
-    from repro.sanitize.rules import write_baseline
-
-    result = simcheck_paths([str(pkg)])
-    assert [f.code for f in result.findings] == ["set-order-dependence"]
-    write_baseline(result.findings, str(baseline))
-
-    # Grandfathered: same tree diffs clean against the baseline.
-    again = simcheck_paths([str(pkg)], baseline_path=str(baseline))
-    assert again.clean
-    assert len(again.matched_baseline) == 1
-
-    # Fixed: the stale entry expires and the run fails.
-    (pkg / "buggy.py").write_text(SIM201_FIXED_FLOW)
-    fixed = simcheck_paths([str(pkg)], baseline_path=str(baseline))
-    assert not fixed.clean
-    assert fixed.findings == [] and len(fixed.expired) == 1
-
-
-def test_disable_filters_rules(tmp_path):
-    pkg = tmp_path / "pkg"
-    pkg.mkdir()
-    (pkg / "buggy.py").write_text(SIM201_PREFIX_FLOW)
-    result = simcheck_paths([str(pkg)], disabled=["SIM201"])
-    assert result.findings == []
-
-
-# -- the production tree -----------------------------------------------------
-
 def test_production_tree_is_simcheck_clean():
-    """src/repro must stay free of non-baselined simcheck findings."""
-    baseline = os.path.join(REPO_ROOT, "benchmarks",
-                            "simcheck_baseline.json")
-    result = simcheck_paths(
-        [os.path.dirname(os.path.abspath(repro.__file__))],
-        baseline_path=baseline if os.path.exists(baseline) else None)
-    assert result.findings == [], "\n".join(
-        f.render() for f in result.findings)
-    assert result.expired == [], (
-        "baseline entries with no matching finding — delete them: "
-        + ", ".join(e.fingerprint for e in result.expired))
+    """src/repro has no call-graph (SIM) or suppression (MET) findings."""
+    pkg = os.path.dirname(os.path.abspath(repro.__file__))
+    findings = [f for f in lint_paths([pkg]).findings
+                if f.rule_id.startswith(("SIM", "MET"))]
+    assert findings == [], "\n".join(f.render() for f in findings)
 
 
 # -- docs catalog sync -------------------------------------------------------

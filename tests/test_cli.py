@@ -200,11 +200,20 @@ def test_empty_trace_file_is_one_line_error(capsys, tmp_path, command):
     assert out.strip() == f"error: trace file is empty: {empty}"
 
 
-def test_bench_parser_accepts_restart_mode():
-    args = build_parser().parse_args(["bench", "--restart-mode", "memory"])
-    assert args.restart_mode == "memory"
+@pytest.mark.parametrize("argv", [
+    ["bench", "--restart-mode", "file"],
+    ["bench", "--family", "fig4"],
+    ["simcheck"],
+    ["lint", "--format", "sarif"],
+    ["lint", "--no-emitter-coverage"],
+    ["lint", "--disable", "SIM201"],
+    ["lint", "--baseline", "b.json"],
+    ["lint", "--no-baseline"],
+    ["lint", "--write-baseline"],
+])
+def test_removed_options_are_parse_errors(argv):
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["bench", "--restart-mode", "tape"])
+        build_parser().parse_args(argv)
 
 
 # -- run registry and reports ------------------------------------------------
@@ -358,7 +367,7 @@ def test_report_from_unknown_run_is_one_line_error(capsys, tmp_path):
      "--out directory does not exist"),
     (["report", "RUN", "--html", "/no/such/dir/r.html"],
      "--html directory does not exist"),
-    (["simcheck", "--sarif-out", "/no/such/dir/s.sarif"],
+    (["lint", "--sarif-out", "/no/such/dir/s.sarif"],
      "--sarif-out directory does not exist"),
     (["bench", "--profile-out", "/no/such/dir/p.pstats"],
      "--profile-out directory does not exist"),

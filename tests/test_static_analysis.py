@@ -2,8 +2,9 @@
 
 The tools are optional locally (they are not runtime dependencies); the
 tests skip when missing and CI's ``static-analysis`` job installs and
-enforces them.  The in-tree ``repro lint`` baseline is always enforced
-(see ``tests/sanitize/test_lint.py``).
+enforces them.  The in-tree analyzer, ``repro lint``, needs nothing
+installed: every one of its rules is enforced over the production tree
+by ``tests/sanitize/test_lint.py::test_production_tree_is_lint_clean``.
 """
 
 import os
