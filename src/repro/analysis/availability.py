@@ -15,9 +15,8 @@ This module implements that study:
   them from rollbacks into ~6 s migrations, so only ``(1-p)`` of failures
   force a rollback — the effective MTBF becomes ``M / (1 - p)`` and the
   optimal interval stretches by ``~1/sqrt(1-p)``;
-* a renewal-model waste calculator and a Monte-Carlo validation harness
-  (exponential failures, optional migration rescue) used by
-  ``benchmarks/test_bench_ablation_interval.py``.
+* a Monte-Carlo policy simulator (exponential failures, optional
+  migration rescue) used by ``benchmarks/test_bench_ablation_interval.py``.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["daly_interval", "effective_mtbf", "expected_waste_fraction",
-           "PolicyOutcome", "simulate_policy"]
+__all__ = ["daly_interval", "effective_mtbf", "PolicyOutcome",
+           "simulate_policy"]
 
 
 def daly_interval(checkpoint_cost: float, mtbf: float) -> float:
@@ -58,27 +57,6 @@ def effective_mtbf(mtbf: float, prediction_coverage: float) -> float:
             return float("inf")
         raise ValueError("coverage must be in [0, 1]")
     return mtbf / (1.0 - prediction_coverage)
-
-
-def expected_waste_fraction(interval: float, checkpoint_cost: float,
-                            mtbf: float, restart_cost: float,
-                            migration_cost: float = 0.0,
-                            migration_rate: float = 0.0) -> float:
-    """First-order expected fraction of wall-clock lost to fault tolerance.
-
-    Renewal argument per checkpoint segment of useful length ``interval``:
-    checkpoint overhead ``delta / (tau + delta)``, rollback waste
-    ``(tau/2 + restart) / M_eff`` and migration overhead
-    ``migration_rate * migration_cost`` (migrations per second of
-    wall-clock times their cost).
-    """
-    if interval <= 0:
-        raise ValueError("interval must be positive")
-    seg = interval + checkpoint_cost
-    ckpt_frac = checkpoint_cost / seg
-    rollback_frac = (interval / 2 + restart_cost + checkpoint_cost / 2) / mtbf
-    mig_frac = migration_rate * migration_cost
-    return min(1.0, ckpt_frac + rollback_frac + mig_frac)
 
 
 @dataclass

@@ -9,8 +9,7 @@ from ..core.protocol import (
 )
 
 __all__ = ["migration_phase_breakdown", "cr_cycle_breakdown",
-           "migration_cycle_breakdown", "speedup", "data_movement",
-           "fluid_engine_stats"]
+           "migration_cycle_breakdown", "speedup"]
 
 
 def migration_phase_breakdown(report: MigrationReport) -> Dict[str, float]:
@@ -49,26 +48,3 @@ def speedup(baseline_seconds: float, improved_seconds: float) -> float:
         raise ValueError("improved_seconds must be positive")
     return baseline_seconds / improved_seconds
 
-
-def fluid_engine_stats(net) -> Dict[str, float]:
-    """Work counters of a :class:`~repro.network.fluid.FluidNetwork`.
-
-    Returns the engine's :class:`~repro.network.fluid.FluidEngineStats` as a
-    flat dict (recomputes run, flows/links visited, peak component size,
-    merges/splits) plus the current population gauges — the numbers behind
-    the component-scoping speedup claimed by
-    ``benchmarks/test_bench_fluid_engine.py``.
-    """
-    row = net.stats.as_dict()
-    row["active_flows"] = float(net.active_flows)
-    row["active_components"] = float(net.active_components)
-    return row
-
-
-def data_movement(migration: MigrationReport,
-                  checkpoint: CheckpointReport) -> Dict[str, float]:
-    """Table I row: MB moved by migration vs dumped by CR."""
-    return {
-        "Job Migration (MB)": migration.bytes_migrated / 1e6,
-        "CR (MB)": checkpoint.bytes_written / 1e6,
-    }

@@ -22,7 +22,7 @@ Model summary
 * **Failures** arrive per job from :func:`repro.sched.scheduler.failure_gap`
   (same model as the batch-scheduler study), compressed MTBF so a run of
   an hour of simulated time sees real spare-pool pressure.  A driver
-  process interrupts the job mid-span; with probability ``coverage`` the
+  process interrupts the job mid-span; with probability ``COVERAGE`` the
   failure was *predicted* (the paper's proactive path).
 * **Spares** come from the job's own rack pool first: a local migration
   with no latency.  Otherwise a request walks the rack ring ``r+1, r+2,
@@ -30,7 +30,7 @@ Model summary
   arrives; a grant costs one hop back to the requester, and a ring that
   closes with no spare is a denial, which also costs one hop back.  A
   borrowed spare is a *remote* migration and pays
-  ``remote_migration_penalty``.
+  ``REMOTE_MIGRATION_PENALTY``.
 * **Predicted** failures migrate to a spare; with none anywhere the job
   checkpoints proactively and waits out the victim's repair.
 * **Unpredicted** failures roll back to the last checkpoint (losing
@@ -60,6 +60,17 @@ from ..simulate.rng import RandomStreams
 from .node import NodeState
 
 __all__ = ["ClusterScale", "Rack", "ScaleNode", "default_job_specs"]
+
+#: Probability a failure is predicted (the paper's proactive path).
+COVERAGE = 0.7
+#: Checkpoint image bytes each node writes into its rack store.
+CKPT_BYTES_PER_NODE = 256e6
+#: Bandwidth of one node's link into its rack store (bytes/s).
+UPLINK_BW = 1e9
+#: Bandwidth of one rack's checkpoint store head (bytes/s).
+STORE_BW = 2e9
+#: Extra seconds a migration to a spare borrowed from another rack pays.
+REMOTE_MIGRATION_PENALTY = 4.0
 
 
 class ScaleNode:
@@ -97,17 +108,15 @@ class Rack:
     rack's position on the spare-borrowing ring.
     """
 
-    def __init__(self, name: str, index: int, n_nodes: int, n_spares: int,
-                 uplink_bw: float, store_bw: float):
+    def __init__(self, name: str, index: int, n_nodes: int, n_spares: int):
         self.name = name
         self.index = index
-        self.uplink_bw = uplink_bw
         self.nodes: List[ScaleNode] = [
             ScaleNode(f"{name}.n{i:02d}", self) for i in range(n_nodes)]
         self.spares: List[ScaleNode] = [
             ScaleNode(f"{name}.s{i}", self) for i in range(n_spares)]
         self.free: List[ScaleNode] = list(self.nodes)
-        self.store = Link(f"{name}.store", store_bw)
+        self.store = Link(f"{name}.store", STORE_BW)
         self._uplinks: Dict[str, Link] = {}
         #: Rack-head host name: runs the FTB agent for this rack.
         self.head = f"{name}.head"
@@ -119,7 +128,7 @@ class Rack:
         spares (named for a remote rack) get one in *this* rack too."""
         link = self._uplinks.get(node_name)
         if link is None:
-            link = Link(f"{node_name}.up", self.uplink_bw)
+            link = Link(f"{node_name}.up", UPLINK_BW)
             self._uplinks[node_name] = link
         return link
 
@@ -181,8 +190,6 @@ class ClusterScale:
         Per-node MTBF in seconds.  The default (2 h) is deliberately
         compressed relative to production hardware so a sub-hour run
         exercises spare exhaustion and cross-rack borrowing.
-    coverage:
-        Probability a failure is predicted (the paper's proactive path).
     inter_rack_latency:
         Time of one hop between neighbouring racks on the spare-borrowing
         ring.
@@ -191,33 +198,23 @@ class ClusterScale:
     def __init__(self, n_nodes: int = 1000, n_jobs: int = 50,
                  seed: int = 0,
                  nodes_per_rack: int = 32, spares_per_rack: int = 1,
-                 node_mtbf: float = 7200.0, coverage: float = 0.7,
-                 failure_shape: Optional[float] = None,
-                 repair_time: float = 900.0,
+                 node_mtbf: float = 7200.0, repair_time: float = 900.0,
                  inter_rack_latency: float = 5e-6,
-                 ckpt_bytes_per_node: float = 256e6,
-                 uplink_bw: float = 1e9, store_bw: float = 2e9,
-                 remote_migration_penalty: float = 4.0,
                  job_specs: Optional[List[BatchJobSpec]] = None,
                  trace: Any = None, metrics: Any = None):
         if n_nodes < nodes_per_rack:
             raise ValueError("need at least one full rack of nodes")
         self.seed = seed
         self.node_mtbf = node_mtbf
-        self.coverage = coverage
-        self.failure_shape = failure_shape
         self.repair_time = repair_time
         self.inter_rack_latency = inter_rack_latency
-        self.ckpt_bytes_per_node = ckpt_bytes_per_node
-        self.remote_migration_penalty = remote_migration_penalty
         self.streams = RandomStreams(seed)
         self.sim = Simulator(trace=trace, metrics=metrics)
 
         # -- substrate: fluid net, eth fabric, racks, one FTB tree --------
         self.net = FluidNetwork(self.sim)
         self.racks: List[Rack] = [
-            Rack(f"rack{r:02d}", r, nodes_per_rack, spares_per_rack,
-                 uplink_bw, store_bw)
+            Rack(f"rack{r:02d}", r, nodes_per_rack, spares_per_rack)
             for r in range(n_nodes // nodes_per_rack)]
         heads = [r.head for r in self.racks]
         self.backplane = FTBBackplane(
@@ -331,8 +328,7 @@ class ClusterScale:
         sim = self.sim
         rng = self.streams.stream(f"fail.{job.record.spec.name}")
         while True:
-            gap = failure_gap(rng, self.node_mtbf, len(job.nodes),
-                              self.failure_shape)
+            gap = failure_gap(rng, self.node_mtbf, len(job.nodes))
             try:
                 yield sim.timeout(gap)
             except Interrupt:
@@ -340,7 +336,7 @@ class ClusterScale:
             if job.record.remaining <= 0:
                 return
             victim = job.nodes[int(rng.integers(len(job.nodes)))]
-            predicted = bool(rng.random() < self.coverage)
+            predicted = bool(rng.random() < COVERAGE)
             if job.busy:
                 # Mid-checkpoint / mid-migration: the span timeout we would
                 # interrupt is not pending.  Skip this failure (draws stay
@@ -376,7 +372,7 @@ class ClusterScale:
                 remote = owner is not job.rack
                 cost = spec.migration_cost
                 if remote:
-                    cost += self.remote_migration_penalty
+                    cost += REMOTE_MIGRATION_PENALTY
                 if trace is not None:
                     trace.record(sim.now, "cluster.job.migrate",
                                  job=spec.name, node=victim.name,
@@ -472,7 +468,7 @@ class ClusterScale:
         trace = sim.trace
         flows = [self.net.transfer(
                      [job.rack.uplink(node.name), job.rack.store],
-                     self.ckpt_bytes_per_node, label=f"ckpt:{spec.name}")
+                     CKPT_BYTES_PER_NODE, label=f"ckpt:{spec.name}")
                  for node in job.nodes]
         yield sim.all_of(flows)
         yield sim.timeout(spec.checkpoint_cost)
@@ -481,7 +477,7 @@ class ClusterScale:
         if trace is not None:
             trace.record(sim.now, "cluster.ckpt", job=spec.name,
                          rack=job.rack.name,
-                         nbytes=self.ckpt_bytes_per_node * len(job.nodes))
+                         nbytes=CKPT_BYTES_PER_NODE * len(job.nodes))
 
     def _repair(self, rack: Rack, node: ScaleNode) -> Generator:
         """A failed node is repaired and rejoins its rack's spare pool."""

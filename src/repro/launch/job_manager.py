@@ -1,9 +1,8 @@
 """The Job Manager (mpirun_rsh equivalent).
 
 Lives on the login node; owns the spawn tree and the NLAs, performs the
-staged job launch, the PMI endpoint exchange (serialized at the root — the
-cost that makes Phase 4 scale with rank count), and the tree repair of
-Phase 3.
+PMI endpoint exchange (serialized at the root — the cost that makes
+Phase 4 scale with rank count) and the tree repair of Phase 3.
 """
 
 from __future__ import annotations
@@ -53,24 +52,7 @@ class JobManager:
         except KeyError:
             raise KeyError(f"no NLA on {node_name!r}") from None
 
-    # -- launch ------------------------------------------------------------------
-    def startup(self, ranks_per_node: Dict[str, int]) -> Generator:
-        """Generator: staged NLA bring-up, then parallel rank launch, then
-        the initial PMI exchange."""
-        # NLAs start level by level down the tree.
-        height = self.tree.height
-        yield self.sim.timeout(height * self.params.nla_startup_cost)
-
-        def launch_on(node_name: str, n: int) -> Generator:
-            yield from self.nlas[node_name].launch_processes(n)
-
-        workers = [self.sim.spawn(launch_on(name, n), name=f"launch.{name}")
-                   for name, n in ranks_per_node.items() if n > 0]
-        if workers:
-            yield self.sim.all_of(workers)
-        total = sum(ranks_per_node.values())
-        yield from self.pmi_exchange(total)
-
+    # -- PMI ---------------------------------------------------------------------
     def pmi_exchange(self, nranks: int) -> Generator:
         """Generator: endpoint-information allgather, serialized at the
         root — the dominant Phase-4 term (fitted ~20 ms/rank)."""

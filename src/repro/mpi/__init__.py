@@ -1,27 +1,20 @@
 """Simulated MPI library (MVAPICH2-style) over the InfiniBand model.
 
-Point-to-point with eager/rendezvous protocols, binomial collectives, and —
-the part the migration framework depends on — the Checkpoint/Restart channel
-machinery: suspend, drain with FLUSH markers, endpoint teardown, and
-re-establishment.
+Blocking point-to-point with eager/rendezvous protocols, a binomial-tree
+allreduce (the calls the NPB skeletons make), and — the part the migration
+framework depends on — the Checkpoint/Restart channel machinery: suspend,
+drain with FLUSH markers, endpoint teardown, and re-establishment.
 """
 
-from .api import MAX, MIN, PROD, SUM, Comm
-from .collectives import allreduce, barrier, bcast, gather, reduce_
+from .collectives import allreduce, bcast, reduce_
 from .job import MPIJob
 from .message import ANY_SOURCE, ANY_TAG, CR_FLUSH_TAG, Message
-from .rank import CRController, MPIRank, Request
+from .rank import CRController, MPIRank
 from .transport import Channel, ChannelManager, EAGER_THRESHOLD
 
 __all__ = [
-    "Comm",
-    "SUM",
-    "MAX",
-    "MIN",
-    "PROD",
     "MPIJob",
     "MPIRank",
-    "Request",
     "CRController",
     "Channel",
     "ChannelManager",
@@ -30,9 +23,7 @@ __all__ = [
     "ANY_SOURCE",
     "ANY_TAG",
     "CR_FLUSH_TAG",
-    "barrier",
     "bcast",
     "reduce_",
     "allreduce",
-    "gather",
 ]

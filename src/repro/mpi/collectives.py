@@ -2,10 +2,10 @@
 
 Algorithms are the textbook ones MVAPICH2 uses for small/medium jobs:
 binomial-tree broadcast and reduce (log2 n rounds, correct for any rank
-count), dissemination barrier, and reduce+bcast allreduce.  All rounds go
-through the suspendable pt2pt layer, so a collective in flight when a
-migration triggers simply stalls at a round boundary and finishes after
-resume — no special-casing needed.
+count) and reduce+bcast allreduce, the one collective the NPB skeletons
+call.  All rounds go through the suspendable pt2pt layer, so a collective
+in flight when a migration triggers simply stalls at a round boundary and
+finishes after resume — no special-casing needed.
 
 Tag discipline: each collective instance tags its traffic with
 ``("coll", op, seq)`` where ``seq`` is the per-rank collective sequence
@@ -14,27 +14,14 @@ number; MPI's ordering rules make these agree across ranks.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, List, TYPE_CHECKING
+from typing import Any, Callable, Generator, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from .rank import MPIRank
 
-__all__ = ["barrier", "bcast", "reduce_", "allreduce", "gather"]
+__all__ = ["bcast", "reduce_", "allreduce"]
 
 _TOKEN_BYTES = 8
-
-
-def barrier(rank: "MPIRank") -> Generator:
-    """Dissemination barrier: ceil(log2 n) rounds of shifted tokens."""
-    n = rank.job.nprocs
-    me = rank.rank
-    tag = rank.next_coll_tag("barrier")
-    k = 0
-    while (1 << k) < n:
-        step = 1 << k
-        yield from rank.send((me + step) % n, _TOKEN_BYTES, (tag, k))
-        yield from rank.recv(src=(me - step) % n, tag=(tag, k))
-        k += 1
 
 
 def bcast(rank: "MPIRank", root: int, nbytes: int,
@@ -91,17 +78,3 @@ def allreduce(rank: "MPIRank", value: Any, op: Callable[[Any, Any], Any],
     result = yield from bcast(rank, 0, nbytes, partial)
     return result
 
-
-def gather(rank: "MPIRank", root: int, value: Any, nbytes: int) -> Generator:
-    """Linear gather; returns the rank-ordered list on ``root``."""
-    n = rank.job.nprocs
-    tag = rank.next_coll_tag("gather")
-    if rank.rank == root:
-        out: List[Any] = [None] * n
-        out[root] = value
-        for _ in range(n - 1):
-            msg = yield from rank.recv(tag=tag)
-            out[msg.src] = msg.payload
-        return out
-    yield from rank.send(root, nbytes, tag, value)
-    return None

@@ -27,46 +27,7 @@ from .transport import Channel, ChannelManager
 if TYPE_CHECKING:  # pragma: no cover
     from .job import MPIJob
 
-__all__ = ["MPIRank", "CRController", "Request"]
-
-
-class Request:
-    """Handle for a non-blocking operation (mpi4py ``Request`` shape).
-
-    ``wait()`` is a generator (yield from it inside a rank program);
-    ``test()`` polls without blocking.
-    """
-
-    __slots__ = ("sim", "_proc")
-
-    def __init__(self, sim: Simulator, proc: Process):
-        self.sim = sim
-        self._proc = proc
-
-    def wait(self) -> Generator:
-        """Generator: block until the operation completes; returns its
-        result (the Message for irecv, None for isend).
-
-        Steadfast across C/R suspensions: the underlying operation handles
-        the suspension itself (its own gate), so the waiter just re-waits.
-        """
-        while True:
-            try:
-                return (yield self._proc)
-            except Interrupt:
-                continue
-
-    def test(self) -> bool:
-        """True once the operation has completed (non-blocking probe)."""
-        return self._proc.triggered
-
-    @staticmethod
-    def waitall(requests: list) -> Generator:
-        """Generator: wait for every request; returns results in order."""
-        results = []
-        for req in requests:
-            results.append((yield from req.wait()))
-        return results
+__all__ = ["MPIRank", "CRController"]
 
 
 class CRController:
@@ -235,20 +196,6 @@ class MPIRank:
                     return get_ev.value
                 self.mailbox.cancel(get_ev)
 
-    # -- non-blocking point-to-point ----------------------------------------
-    def isend(self, dst: int, nbytes: int, tag: Hashable = 0,
-              payload=None) -> "Request":
-        """Start a non-blocking send; returns a :class:`Request`."""
-        proc = self.sim.spawn(self.send(dst, nbytes, tag, payload),
-                              name=f"isend.r{self.rank}->{dst}")
-        return Request(self.sim, proc)
-
-    def irecv(self, src=ANY_SOURCE, tag=ANY_TAG) -> "Request":
-        """Start a non-blocking receive; ``wait()`` yields the Message."""
-        proc = self.sim.spawn(self.recv(src=src, tag=tag),
-                              name=f"irecv.r{self.rank}")
-        return Request(self.sim, proc)
-
     # -- compute ---------------------------------------------------------------
     def compute(self, seconds: float) -> Generator:
         """Generator: burn CPU time; freezes (and later resumes the
@@ -264,30 +211,10 @@ class MPIRank:
                 remaining -= self.sim.now - start
 
     # -- collectives (delegates) ----------------------------------------------
-    def barrier(self) -> Generator:
-        from .collectives import barrier
-
-        yield from barrier(self)
-
-    def bcast(self, root: int, nbytes: int, payload=None) -> Generator:
-        from .collectives import bcast
-
-        return (yield from bcast(self, root, nbytes, payload))
-
     def allreduce(self, value, op, nbytes: int = 8) -> Generator:
         from .collectives import allreduce
 
         return (yield from allreduce(self, value, op, nbytes))
-
-    def reduce(self, root: int, value, op, nbytes: int = 8) -> Generator:
-        from .collectives import reduce_
-
-        return (yield from reduce_(self, root, value, op, nbytes))
-
-    def gather(self, root: int, value, nbytes: int = 8) -> Generator:
-        from .collectives import gather
-
-        return (yield from gather(self, root, value, nbytes))
 
     def next_coll_tag(self, op: str):
         """Collectives are called in the same order on every rank (an MPI

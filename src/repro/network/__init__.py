@@ -14,7 +14,6 @@ from .fluid import Flow, FluidNetwork, Link, stream_efficiency
 from .infiniband import HCA, IBFabric, MemoryRegion, RemoteKeyError
 from .ipoib import IPoIBFabric
 from .qp import CompletionError, CompletionQueue, QPState, QueuePair, WorkCompletion
-from .sockets import SocketClosed, TcpConnection, TcpEndpoint
 
 __all__ = [
     "FluidNetwork",
@@ -23,9 +22,6 @@ __all__ = [
     "stream_efficiency",
     "EthernetFabric",
     "EthernetPort",
-    "TcpEndpoint",
-    "TcpConnection",
-    "SocketClosed",
     "IBFabric",
     "HCA",
     "MemoryRegion",

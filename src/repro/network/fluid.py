@@ -29,8 +29,8 @@ the per-component allocation is the same as a global recompute would give;
 only the work is reduced — linear in the size of the touched component
 rather than in the total flow population.  :class:`FluidEngineStats`
 counts the work actually done (recomputes, flows visited, peak component
-size) and what a global engine would have visited, so benchmarks and
-:func:`repro.analysis.metrics.fluid_engine_stats` can quantify the win.
+size) and what a global engine would have visited, so the benches can
+quantify the win.
 
 **Water-level fill.**  The fill walks the component's links, not every
 flow's path: a link's flow count is ``len(link.flows)``, one water level
@@ -183,21 +183,6 @@ class FluidEngineStats:
     global_flows_equiv: int = 0
     merges: int = 0
     splits: int = 0
-
-    def visits_per_recompute(self) -> float:
-        return self.flows_visited / self.recomputes if self.recomputes else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "recomputes": self.recomputes,
-            "flows_visited": self.flows_visited,
-            "links_visited": self.links_visited,
-            "peak_component_size": self.peak_component_size,
-            "global_flows_equiv": self.global_flows_equiv,
-            "merges": self.merges,
-            "splits": self.splits,
-            "visits_per_recompute": self.visits_per_recompute(),
-        }
 
 
 class _Component:

@@ -52,11 +52,6 @@ class IPoIBFabric:
         #: Extra per-port wire-share cap modelling protocol inefficiency.
         self._wire_caps: Dict[str, Link] = {}
 
-    @property
-    def params(self):
-        # Socket layers (TcpEndpoint) look up .params.latency on fabrics.
-        return self.ib.params
-
     def attach(self, node: str) -> _Port:
         port = self._ports.get(node)
         if port is None:

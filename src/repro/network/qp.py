@@ -3,9 +3,9 @@
 The work-request model follows the verbs API shape: operations are *posted*
 (non-blocking) and their outcomes arrive as :class:`WorkCompletion` entries
 on a :class:`CompletionQueue`.  Two-sided SEND consumes a posted RECV at the
-peer; one-sided RDMA READ/WRITE touch only registered memory at the peer and
-complete without involving any remote process — the property the migration
-design exploits.
+peer; one-sided RDMA READ touches only registered memory at the peer and
+completes without involving any remote process — the property the migration
+design exploits (Phase 2 pulls every image chunk with it).
 
 RC ordering is modelled by serializing each QP's send queue (hardware
 processes WQEs in order), and a QP transitions to ``ERROR`` on the first
@@ -53,7 +53,7 @@ class WorkCompletion:
     """One CQE: outcome of a posted work request."""
 
     wr_id: Any
-    opcode: str  # SEND / RECV / RDMA_READ / RDMA_WRITE
+    opcode: str  # SEND / RECV / RDMA_READ
     ok: bool
     nbytes: int = 0
     payload: Any = None
@@ -83,7 +83,6 @@ class CompletionQueue:
             "SEND": m.counter("qp.send.bytes", unit="bytes"),
             "RECV": m.counter("qp.recv.bytes", unit="bytes"),
             "RDMA_READ": m.counter("qp.rdma_read.bytes", unit="bytes"),
-            "RDMA_WRITE": m.counter("qp.rdma_write.bytes", unit="bytes"),
         }
 
     def push(self, wc: WorkCompletion) -> None:
@@ -272,34 +271,19 @@ class QueuePair:
             self._fail(wr_id, "RDMA_READ", err)
             return
         self.sim.spawn(
-            self._do_rdma(wr_id, "RDMA_READ", remote_rkey, remote_offset,
-                          nbytes, local_mr, local_offset),
+            self._do_rdma_read(wr_id, remote_rkey, remote_offset, nbytes,
+                               local_mr, local_offset),
             name=f"qp{self.qp_num}.read",
         )
 
-    def post_rdma_write(self, wr_id: Any, remote_rkey: int, remote_offset: int,
-                        nbytes: int, local_mr: Optional[MemoryRegion] = None,
-                        local_offset: int = 0) -> None:
-        """Push ``nbytes`` into the peer's registered memory (one-sided)."""
-        self._m_posted.inc()
-        err = self._require_rts("rdma_write")
-        if err is not None:
-            self._fail(wr_id, "RDMA_WRITE", err)
-            return
-        self.sim.spawn(
-            self._do_rdma(wr_id, "RDMA_WRITE", remote_rkey, remote_offset,
-                          nbytes, local_mr, local_offset),
-            name=f"qp{self.qp_num}.write",
-        )
-
-    def _do_rdma(self, wr_id: Any, opcode: str, rkey: int, roffset: int,
-                 nbytes: int, local_mr: Optional[MemoryRegion],
-                 loffset: int) -> Generator:
+    def _do_rdma_read(self, wr_id: Any, rkey: int, roffset: int, nbytes: int,
+                      local_mr: Optional[MemoryRegion],
+                      loffset: int) -> Generator:
         with self._send_lock.request() as req:
             yield req
             peer = self.peer
             if peer is None:
-                self._fail(wr_id, opcode, RuntimeError("peer gone"))
+                self._fail(wr_id, "RDMA_READ", RuntimeError("peer gone"))
                 return
             remote_hca = peer.hca
             # rkey validation happens in the remote adapter, before any data
@@ -311,22 +295,17 @@ class QueuePair:
                     local_mr.check_range(loffset, nbytes)
             except (RemoteKeyError, ValueError) as exc:
                 yield self.sim.timeout(2 * self.fabric.params.latency)  # NAK RTT
-                self._fail(wr_id, opcode, exc)
+                self._fail(wr_id, "RDMA_READ", exc)
                 return
-            if opcode == "RDMA_READ":
-                # Request goes out (latency), data flows remote -> local.
-                yield self.fabric.move(remote_hca.node, self.hca.node, nbytes,
-                                       "rdma_read",
-                                       extra_latency=self.fabric.params.latency)
-                data = remote_mr.read(roffset, nbytes)
-                if local_mr is not None:
-                    local_mr.write(loffset, data, nbytes)
-            else:
-                yield self.fabric.move(self.hca.node, remote_hca.node, nbytes,
-                                       "rdma_write")
-                data = local_mr.read(loffset, nbytes) if local_mr is not None else None
-                remote_mr.write(roffset, data, nbytes)
-            self.cq.push(WorkCompletion(wr_id, opcode, ok=True, nbytes=nbytes))
+            # Request goes out (latency), data flows remote -> local.
+            yield self.fabric.move(remote_hca.node, self.hca.node, nbytes,
+                                   "rdma_read",
+                                   extra_latency=self.fabric.params.latency)
+            data = remote_mr.read(roffset, nbytes)
+            if local_mr is not None:
+                local_mr.write(loffset, data, nbytes)
+            self.cq.push(WorkCompletion(wr_id, "RDMA_READ", ok=True,
+                                        nbytes=nbytes))
 
     def __repr__(self) -> str:
         return f"<QP {self.qp_num} {self.hca.node} {self.state.name}>"

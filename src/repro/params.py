@@ -159,8 +159,6 @@ class LaunchParams:
 
     #: Launching one process via an NLA (fork/exec + environment setup).
     proc_launch_cost: float = 0.012
-    #: NLA startup on a node.
-    nla_startup_cost: float = 0.040
     #: PMI endpoint-exchange handling per rank, serialized at the Job
     #: Manager root.  Fitted to Phase 4 ~= 1.5 s at 64 ranks
     #: (paper Sec. IV-A: resume "relatively constant" per task scale).

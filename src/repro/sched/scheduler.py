@@ -69,7 +69,7 @@ class BatchScheduler:
         self.rng = rng or np.random.default_rng(0)
         #: None -> exponential inter-failure gaps; a float -> Weibull with
         #: that shape (shape < 1 models the bursty failures of production
-        #: logs, same mean budget — see :mod:`repro.sched.traces`).
+        #: logs, same mean budget — see :func:`failure_gap`).
         if failure_shape is not None and failure_shape <= 0:
             raise ValueError("failure_shape must be positive")
         self.failure_shape = failure_shape

@@ -25,7 +25,7 @@ from .metrics import (
     NULL_METRICS,
     NullMetricsRegistry,
 )
-from .resources import Container, PriorityStore, Resource, Store
+from .resources import Container, Resource, Store
 from .rng import RandomStreams
 from .telemetry import (
     NULL_PROBE,
@@ -56,7 +56,6 @@ __all__ = [
     "AllOf",
     "Resource",
     "Store",
-    "PriorityStore",
     "Container",
     "RandomStreams",
     "Tracer",

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges and sim-time-aware histograms.
+"""Metrics registry: counters, gauges and histograms.
 
 The observability counterpart to :mod:`repro.simulate.trace`: where the
 tracer records *events*, the registry aggregates *instruments* that any
@@ -15,9 +15,7 @@ namespace.  Counters and gauges hold their current value only: a
 :class:`~repro.simulate.telemetry.TelemetryProbe` samples them on a
 sim-time grid, and that probe is the one time-series source (its samples
 become the Chrome trace's ``C`` counter tracks and the run report's
-sparklines).  Histograms aggregate value distributions *and* bucket
-their observations into fixed sim-time windows, yielding the per-phase
-time series the paper's Figure 4/6/7 analyses need.
+sparklines).  Histograms aggregate value distributions.
 
 The untraced fast path uses :data:`NULL_METRICS`: a shared registry whose
 instruments are inert singletons, so instrumented hot paths (the fluid
@@ -53,9 +51,6 @@ class _Instrument:
         self.name = name
         self.unit = unit
         self.help = help
-
-    def _now(self) -> float:
-        return self.registry.now()
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"
@@ -108,39 +103,28 @@ class Gauge(_Instrument):
 
 
 class Histogram(_Instrument):
-    """Value distribution + sim-time-bucketed series of the observations.
+    """Value distribution of the observations.
 
-    ``buckets`` are the value-range upper bounds (classic histogram);
-    ``time_bucket`` is the width (in sim seconds) of the time windows the
-    observations are additionally aggregated into, so the analysis layer
-    can ask "what was the chunk-fill latency distribution during Phase 2"
-    without keeping every raw sample.
+    ``buckets`` are the value-range upper bounds (classic histogram).
     """
 
-    __slots__ = ("bounds", "bucket_counts", "count", "total", "min", "max",
-                 "time_bucket", "_windows")
+    __slots__ = ("bounds", "bucket_counts", "count", "total", "min", "max")
 
     kind = "histogram"
 
     def __init__(self, registry: "MetricsRegistry", name: str,
                  unit: str = "", help: str = "",
-                 buckets: Optional[Tuple[float, ...]] = None,
-                 time_bucket: float = 1.0):
+                 buckets: Optional[Tuple[float, ...]] = None):
         super().__init__(registry, name, unit, help)
         self.bounds: Tuple[float, ...] = tuple(buckets) if buckets \
             else _DEFAULT_BUCKETS
         if list(self.bounds) != sorted(self.bounds):
             raise ValueError(f"histogram {name!r}: buckets must be sorted")
-        if time_bucket <= 0:
-            raise ValueError(f"histogram {name!r}: time_bucket must be > 0")
         self.bucket_counts: List[int] = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.total = 0.0
         self.min = float("inf")
         self.max = float("-inf")
-        self.time_bucket = time_bucket
-        #: window index -> [count, sum] of observations in that window.
-        self._windows: Dict[int, List[float]] = {}
 
     def observe(self, v: float) -> None:
         self.count += 1
@@ -150,26 +134,10 @@ class Histogram(_Instrument):
         if v > self.max:
             self.max = v
         self.bucket_counts[bisect_right(self.bounds, v)] += 1
-        w = int(self._now() // self.time_bucket)
-        slot = self._windows.get(w)
-        if slot is None:
-            self._windows[w] = [1, v]
-        else:
-            slot[0] += 1
-            slot[1] += v
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def series(self) -> List[Dict[str, float]]:
-        """Per-time-window aggregates, in window order."""
-        out = []
-        for w in sorted(self._windows):
-            n, s = self._windows[w]
-            out.append({"t": w * self.time_bucket, "count": n, "sum": s,
-                        "mean": s / n if n else 0.0})
-        return out
 
     def as_dict(self) -> Dict[str, Any]:
         d: Dict[str, Any] = {
@@ -185,7 +153,6 @@ class Histogram(_Instrument):
                                 self.bucket_counts)
             if n
         ]
-        d["series"] = self.series()
         return d
 
 
@@ -194,7 +161,7 @@ class MetricsRegistry:
 
     Attach to a simulation with ``Simulator(metrics=registry)`` (or
     ``Scenario.build(metrics=registry)``); the clock is bound
-    automatically so histogram observations land in sim-time windows.
+    automatically, so :meth:`now` reads the simulation's time.
     """
 
     enabled = True
@@ -234,10 +201,9 @@ class MetricsRegistry:
         return self._get(Gauge, name, unit=unit, help=help)
 
     def histogram(self, name: str, unit: str = "", help: str = "",
-                  buckets: Optional[Tuple[float, ...]] = None,
-                  time_bucket: float = 1.0) -> Histogram:
+                  buckets: Optional[Tuple[float, ...]] = None) -> Histogram:
         return self._get(Histogram, name, unit=unit, help=help,
-                         buckets=buckets, time_bucket=time_bucket)
+                         buckets=buckets)
 
     # -- introspection / export ---------------------------------------------
     def get(self, name: str) -> Optional[_Instrument]:
@@ -295,7 +261,6 @@ class _NullInstrument:
     max = 0.0
     bounds: Tuple = ()
     bucket_counts: Tuple = ()
-    time_bucket = 1.0
 
     def inc(self, n: float = 1.0) -> None:
         pass
@@ -308,9 +273,6 @@ class _NullInstrument:
 
     def observe(self, v: float) -> None:
         pass
-
-    def series(self) -> List:
-        return []
 
     def as_dict(self) -> Dict[str, Any]:
         return {"kind": self.kind}
@@ -337,8 +299,7 @@ class NullMetricsRegistry:
         return _NULL_INSTRUMENT
 
     def histogram(self, name: str, unit: str = "", help: str = "",
-                  buckets: Optional[Tuple[float, ...]] = None,
-                  time_bucket: float = 1.0) -> _NullInstrument:
+                  buckets: Optional[Tuple[float, ...]] = None) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
     def get(self, name: str) -> None:

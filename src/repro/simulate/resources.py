@@ -14,7 +14,7 @@ from typing import Any, Callable, Deque, Generic, List, Optional, TypeVar
 
 from .core import Event, Simulator
 
-__all__ = ["Resource", "Store", "Container", "PriorityStore"]
+__all__ = ["Resource", "Store", "Container"]
 
 T = TypeVar("T")
 
@@ -205,20 +205,6 @@ class Store(Generic[T]):
             ev.succeed()
         if self.items:
             self._drain_getters()
-
-
-class PriorityStore(Store[T]):
-    """Store that hands out the *smallest* item first (heap order by key)."""
-
-    def __init__(self, sim: Simulator, capacity: float = float("inf"),
-                 key: Callable[[T], Any] = lambda item: item):
-        super().__init__(sim, capacity)
-        self.key = key
-
-    def _insert(self, item: T) -> None:
-        self.items.append(item)
-        self.items.sort(key=self.key)
-        self._drain_getters()
 
 
 class Container:

@@ -1,7 +1,5 @@
-"""Workloads: NPB pseudo-applications and synthetic stress patterns."""
+"""Workloads: the NPB LU/BT/SP pseudo-applications the paper runs."""
 
 from .npb import NPBApplication, grid_shape
-from .synthetic import AllToAllChatter, ComputeOnly, HaloExchange
 
-__all__ = ["NPBApplication", "grid_shape", "ComputeOnly", "HaloExchange",
-           "AllToAllChatter"]
+__all__ = ["NPBApplication", "grid_shape"]

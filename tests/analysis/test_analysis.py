@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis import (
     cr_cycle_breakdown,
-    data_movement,
     fmt_seconds,
     migration_cycle_breakdown,
     migration_phase_breakdown,
@@ -64,14 +63,6 @@ def test_speedup():
         speedup(1.0, 0.0)
 
 
-def test_data_movement():
-    ckpt = CheckpointReport(destination="ext3", started_at=0,
-                            bytes_written=1363.2e6)
-    out = data_movement(sample_migration(), ckpt)
-    assert out["Job Migration (MB)"] == pytest.approx(170.4)
-    assert out["CR (MB)"] == pytest.approx(1363.2)
-
-
 def test_fmt_seconds():
     assert fmt_seconds(0.05) == "50 ms"
     assert fmt_seconds(6.3) == "6.30 s"
@@ -105,24 +96,3 @@ def test_migration_report_repr_and_phase_access():
     assert r.phase(MigrationPhase.RESUME) == 1.3
     assert r.phase(MigrationPhase.STALL) == 0.03
 
-
-def test_fluid_engine_stats_surface():
-    from repro.analysis import fluid_engine_stats
-    from repro.network.fluid import FluidNetwork, Link
-    from repro.simulate import Simulator
-
-    sim = Simulator()
-    net = FluidNetwork(sim)
-    l1, l2 = Link("l1", 100.0), Link("l2", 100.0)
-    net.transfer([l1], 500.0)
-    net.transfer([l2], 500.0)
-    row = fluid_engine_stats(net)
-    assert row["recomputes"] == 2
-    assert row["flows_visited"] == 2  # scoped: each recompute saw 1 flow
-    assert row["active_flows"] == 2.0
-    assert row["active_components"] == 2.0
-    assert row["peak_component_size"] == 1
-    sim.run()
-    row = fluid_engine_stats(net)
-    assert row["active_flows"] == 0.0
-    assert row["visits_per_recompute"] <= 1.0

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.analysis import (
     daly_interval,
     effective_mtbf,
-    expected_waste_fraction,
     simulate_policy,
 )
 
@@ -53,20 +52,6 @@ def test_prediction_always_stretches_optimal_interval(coverage, delta, mtbf):
     base = daly_interval(delta, mtbf)
     stretched = daly_interval(delta, effective_mtbf(mtbf, coverage))
     assert stretched >= base * 0.999
-
-
-def test_waste_fraction_minimized_near_daly_interval():
-    delta, mtbf, restart = 20.0, 50_000.0, 30.0
-    tau_star = daly_interval(delta, mtbf)
-    w_star = expected_waste_fraction(tau_star, delta, mtbf, restart)
-    for factor in (0.25, 4.0):
-        w = expected_waste_fraction(tau_star * factor, delta, mtbf, restart)
-        assert w >= w_star
-
-
-def test_waste_validation():
-    with pytest.raises(ValueError):
-        expected_waste_fraction(0, 1, 100, 1)
 
 
 # ------------------------------------------------------------- Monte Carlo

@@ -43,6 +43,16 @@ def test_cluster_needs_a_full_rack():
         ClusterScale(n_nodes=16, n_jobs=1, nodes_per_rack=32)
 
 
+@pytest.mark.parametrize("option", [
+    "coverage", "failure_shape", "ckpt_bytes_per_node", "uplink_bw",
+    "store_bw", "remote_migration_penalty"])
+def test_model_constants_are_not_options(option):
+    """Values no caller varies are module constants; failures are the
+    exponential gaps of ``failure_gap``, so no shape can break them."""
+    with pytest.raises(TypeError):
+        ClusterScale(n_nodes=64, n_jobs=2, **{option: 0.0})
+
+
 def test_own_rack_spare_is_local_and_immediate():
     cs, job = _ring()
     spare_node = cs.racks[0].nodes[-1]

@@ -1,9 +1,51 @@
 """Stress tests: migrations under hostile communication patterns."""
 
-import pytest
-
 from repro import Scenario
-from repro.workloads import AllToAllChatter, HaloExchange
+from repro.cluster import Cluster
+from repro.mpi import MPIJob
+from repro.simulate import Simulator
+
+
+class HaloExchange:
+    """1-D ring halo exchange: fixed iterations, fixed message size."""
+
+    def __init__(self, iterations, nbytes=65536, compute_seconds=0.01):
+        self.iterations = iterations
+        self.nbytes = nbytes
+        self.compute_seconds = compute_seconds
+
+    def rank_main(self, rank):
+        n = rank.job.nprocs
+        for it in range(self.iterations):
+            yield from rank.compute(self.compute_seconds)
+            if n > 1:
+                yield from rank.send((rank.rank + 1) % n, self.nbytes,
+                                     ("halo", it))
+                yield from rank.recv(src=(rank.rank - 1) % n, tag=("halo", it))
+
+
+class AllToAllChatter:
+    """Dense communication: every rank messages every other each round.
+
+    Stresses the drain protocol with many simultaneously active channels.
+    """
+
+    def __init__(self, rounds, nbytes=4096, compute_seconds=0.002):
+        self.rounds = rounds
+        self.nbytes = nbytes
+        self.compute_seconds = compute_seconds
+
+    def rank_main(self, rank):
+        n = rank.job.nprocs
+        for rnd in range(self.rounds):
+            yield from rank.compute(self.compute_seconds)
+            for peer in range(n):
+                if peer != rank.rank:
+                    yield from rank.send(peer, self.nbytes,
+                                         ("a2a", rnd, rank.rank))
+            for peer in range(n):
+                if peer != rank.rank:
+                    yield from rank.recv(src=peer, tag=("a2a", rnd, peer))
 
 
 def scenario(**kw):
@@ -11,6 +53,27 @@ def scenario(**kw):
                     start_app=False)
     defaults.update(kw)
     return Scenario.build(**defaults)
+
+
+def test_halo_exchange_completes():
+    sim = Simulator()
+    cluster = Cluster(sim, n_compute=2, n_spare=0)
+    job = MPIJob(sim, cluster, 4)
+    w = HaloExchange(iterations=6)
+    job.start(w.rank_main)
+    sim.run(until=job.completion())
+    assert all(rk.bytes_sent == 6 * w.nbytes for rk in job.ranks)
+
+
+def test_all_to_all_chatter_completes():
+    sim = Simulator()
+    cluster = Cluster(sim, n_compute=2, n_spare=0)
+    job = MPIJob(sim, cluster, 6)
+    w = AllToAllChatter(rounds=3)
+    job.start(w.rank_main)
+    sim.run(until=job.completion())
+    for rk in job.ranks:
+        assert rk.bytes_sent == 3 * 5 * w.nbytes
 
 
 def test_migration_under_all_to_all_chatter():

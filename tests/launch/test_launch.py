@@ -121,24 +121,6 @@ def test_nla_restart_mode_validation():
 
 
 # ---------------------------------------------------------------- JobManager
-def test_startup_costs_scale_with_ranks():
-    def startup_time(ppn):
-        sim, cluster, bp, jm = make()
-        ranks = {f"node{i}": ppn for i in range(4)}
-
-        def run(sim):
-            yield from jm.startup(ranks)
-
-        p = sim.spawn(run(sim))
-        sim.run(until=p)
-        return sim.now
-
-    t2, t8 = startup_time(2), startup_time(8)
-    assert t8 > t2
-    # PMI exchange dominates: 32 ranks * 20 ms = 0.64 s minimum.
-    assert t8 >= 32 * 0.020
-
-
 def test_pmi_exchange_linear_in_ranks():
     sim, cluster, bp, jm = make()
 

@@ -1,9 +1,11 @@
 """Tests for collective operations across varied rank counts."""
 
+import operator
+
 import pytest
 
 from repro.cluster import Cluster
-from repro.mpi import MPIJob
+from repro.mpi import MPIJob, bcast, reduce_
 from repro.simulate import Simulator
 
 
@@ -16,21 +18,6 @@ def run_collective(nprocs, n_compute, app_factory):
     return sim, job
 
 
-@pytest.mark.parametrize("nprocs,n_compute", [(2, 2), (4, 2), (8, 4), (6, 3)])
-def test_barrier_synchronizes(nprocs, n_compute):
-    arrive, depart = {}, {}
-
-    def app(rank):
-        yield from rank.compute(0.01 * rank.rank)  # staggered arrival
-        arrive[rank.rank] = rank.sim.now
-        yield from rank.barrier()
-        depart[rank.rank] = rank.sim.now
-
-    run_collective(nprocs, n_compute, app)
-    latest_arrival = max(arrive.values())
-    assert all(t >= latest_arrival for t in depart.values())
-
-
 @pytest.mark.parametrize("nprocs,n_compute,root", [(4, 2, 0), (8, 4, 3),
                                                    (6, 3, 5), (2, 2, 1)])
 def test_bcast_delivers_to_all(nprocs, n_compute, root):
@@ -38,7 +25,7 @@ def test_bcast_delivers_to_all(nprocs, n_compute, root):
 
     def app(rank):
         value = {"data": "blob"} if rank.rank == root else None
-        out = yield from rank.bcast(root, 4096, value)
+        out = yield from bcast(rank, root, 4096, value)
         got[rank.rank] = out
 
     run_collective(nprocs, n_compute, app)
@@ -48,7 +35,7 @@ def test_bcast_delivers_to_all(nprocs, n_compute, root):
 def test_bcast_bad_root():
     def app(rank):
         with pytest.raises(ValueError):
-            yield from rank.bcast(99, 64, None)
+            yield from bcast(rank, 99, 64, None)
         yield rank.sim.timeout(0)
 
     run_collective(2, 2, app)
@@ -67,29 +54,33 @@ def test_allreduce_sum(nprocs, n_compute):
     assert all(v == expected for v in got.values())
 
 
+@pytest.mark.parametrize("op,expected", [
+    pytest.param(lambda a, b: a + b, 6, id="SUM-6"),
+    pytest.param(max, 3, id="MAX-3"),
+    pytest.param(min, 0, id="MIN-0"),
+    pytest.param(operator.mul, 0, id="PROD-0"),
+])
+def test_allreduce_ops(op, expected):
+    got = {}
+
+    def app(rank):
+        got[rank.rank] = yield from rank.allreduce(rank.rank, op)
+
+    run_collective(4, 2, app)
+    assert all(v == expected for v in got.values())
+
+
 @pytest.mark.parametrize("root", [0, 2])
 def test_reduce_max_only_at_root(root):
     got = {}
 
     def app(rank):
-        out = yield from rank.reduce(root, rank.rank * 10, max)
+        out = yield from reduce_(rank, root, rank.rank * 10, max, 8)
         got[rank.rank] = out
 
     run_collective(4, 2, app)
     assert got[root] == 30
     assert all(got[r] is None for r in range(4) if r != root)
-
-
-def test_gather_rank_ordered():
-    got = {}
-
-    def app(rank):
-        out = yield from rank.gather(1, f"payload-{rank.rank}")
-        got[rank.rank] = out
-
-    run_collective(4, 2, app)
-    assert got[1] == [f"payload-{r}" for r in range(4)]
-    assert got[0] is None
 
 
 def test_back_to_back_collectives_do_not_cross_match():
@@ -98,25 +89,25 @@ def test_back_to_back_collectives_do_not_cross_match():
     def app(rank):
         a = yield from rank.allreduce(1, lambda x, y: x + y)
         b = yield from rank.allreduce(rank.rank, max)
-        yield from rank.barrier()
-        c = yield from rank.bcast(0, 64, "final" if rank.rank == 0 else None)
-        got[rank.rank] = (a, b, c)
+        c = yield from rank.allreduce(rank.rank, min)
+        d = yield from bcast(rank, 0, 64, "final" if rank.rank == 0 else None)
+        got[rank.rank] = (a, b, c, d)
 
     run_collective(8, 4, app)
-    assert all(v == (8, 7, "final") for v in got.values())
+    assert all(v == (8, 7, 0, "final") for v in got.values())
 
 
 def test_single_rank_collectives_trivial():
     got = {}
 
     def app(rank):
-        yield from rank.barrier()
+        c = yield from bcast(rank, 0, 64, "only")
         out = yield from rank.allreduce(5, lambda a, b: a + b)
-        got["v"] = out
+        got["v"] = (c, out)
 
     sim = Simulator()
     cluster = Cluster(sim, n_compute=1, n_spare=0)
     job = MPIJob(sim, cluster, 1)
     job.start(app)
     sim.run(until=job.completion())
-    assert got["v"] == 5
+    assert got["v"] == ("only", 5)

@@ -117,6 +117,32 @@ def test_suspension_mid_recv_does_not_lose_messages():
     assert got == list(range(50))
 
 
+def test_recv_posted_before_migration_completes_on_spare():
+    """A receive posted on a rank that then migrates completes on the
+    spare, with the message sent after the migration."""
+    from repro import Scenario
+
+    sc = Scenario.build(app="LU.C", nprocs=4, n_compute=2, n_spare=1,
+                        iterations=2, start_app=False)
+    got = {}
+
+    def app(rank):
+        if rank.rank == 0:
+            yield from rank.compute(3.0)   # past the migration window
+            yield from rank.send(2, 1024, tag="late", payload="post-mig")
+        elif rank.rank == 2:
+            msg = yield from rank.recv(src=0, tag="late")
+            got["payload"] = msg.payload
+            got["node"] = rank.node.name
+        else:
+            yield from rank.compute(0.05)
+
+    sc.job.start(app)
+    sc.run_migration("node1", at=0.5)   # rank 2 migrates while waiting
+    sc.sim.run(until=sc.job.completion())
+    assert got == {"payload": "post-mig", "node": "spare0"}
+
+
 def test_collective_in_flight_survives_suspension():
     sim, cluster, job = make_job(nprocs=8, n_compute=2)
     results = {}

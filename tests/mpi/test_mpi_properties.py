@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster
-from repro.mpi import MPIJob
+from repro.mpi import MPIJob, bcast
 from repro.simulate import Simulator
 
 
@@ -57,7 +57,7 @@ def test_bcast_reaches_everyone_from_any_root(nprocs, root):
 
     def app(rank):
         payload = ("secret", r) if rank.rank == r else None
-        out = yield from rank.bcast(r, 128, payload)
+        out = yield from bcast(rank, r, 128, payload)
         got[rank.rank] = out
 
     job.start(app)

@@ -1,10 +1,9 @@
-"""Tests for the GigE fabric and TCP-style connections."""
+"""Tests for the GigE fabric."""
 
 import pytest
 
-from repro.params import GigEParams
 from repro.simulate import Simulator
-from repro.network import EthernetFabric, SocketClosed, TcpEndpoint
+from repro.network import EthernetFabric
 
 
 def make():
@@ -58,108 +57,3 @@ def test_bytes_sent_accounting():
     sim.run(until=done)
     assert fab.bytes_sent == 12345.0
 
-
-def test_tcp_connect_and_roundtrip():
-    from repro.simulate import Store
-
-    sim, fab = make()
-    ep_a = TcpEndpoint(sim, fab, "a")
-    ep_b = TcpEndpoint(sim, fab, "b")
-    handoff = Store(sim)
-    log = []
-
-    def client(sim):
-        conn = yield from ep_a.connect(ep_b)
-        yield handoff.put(conn)
-        yield from conn.half("a").send({"op": "ping"}, nbytes=64)
-        reply = yield from conn.half("a").recv()
-        log.append(reply)
-
-    def server(sim):
-        conn = yield handoff.get()
-        msg = yield from conn.half("b").recv()
-        assert msg == {"op": "ping"}
-        yield from conn.half("b").send({"op": "pong"}, nbytes=64)
-
-    sim.spawn(client(sim))
-    sim.spawn(server(sim))
-    sim.run()
-    assert log == [{"op": "pong"}]
-
-
-def test_tcp_in_order_delivery():
-    sim, fab = make()
-    ep_a = TcpEndpoint(sim, fab, "a")
-    ep_b = TcpEndpoint(sim, fab, "b")
-    received = []
-
-    def client(sim):
-        conn = yield from ep_a.connect(ep_b)
-        # Fire off many sends without waiting in between.
-        for i in range(10):
-            sim.spawn(conn.half("a").send(i, nbytes=1000 * (10 - i)))
-        return conn
-
-    def server(sim, p_client):
-        conn = yield p_client
-        for _ in range(10):
-            received.append((yield from conn.half("b").recv()))
-
-    p = sim.spawn(client(sim))
-    sim.spawn(server(sim, p))
-    sim.run()
-    assert received == list(range(10))
-
-
-def test_tcp_close_raises_on_recv():
-    sim, fab = make()
-    ep_a = TcpEndpoint(sim, fab, "a")
-    ep_b = TcpEndpoint(sim, fab, "b")
-    outcome = []
-
-    def client(sim):
-        conn = yield from ep_a.connect(ep_b)
-        yield sim.timeout(1)
-        conn.close()
-        return conn
-
-    def server(sim, p_client):
-        conn = yield p_client
-        try:
-            yield from conn.half("b").recv()
-        except SocketClosed:
-            outcome.append("closed")
-
-    p = sim.spawn(client(sim))
-    sim.spawn(server(sim, p))
-    sim.run()
-    assert outcome == ["closed"]
-
-
-def test_tcp_send_after_close_raises():
-    sim, fab = make()
-    ep_a = TcpEndpoint(sim, fab, "a")
-    ep_b = TcpEndpoint(sim, fab, "b")
-
-    def proc(sim):
-        conn = yield from ep_a.connect(ep_b)
-        conn.close()
-        with pytest.raises(SocketClosed):
-            yield from conn.half("a").send("x", 10)
-
-    sim.spawn(proc(sim))
-    sim.run()
-
-
-def test_tcp_half_lookup_validation():
-    sim, fab = make()
-    ep_a = TcpEndpoint(sim, fab, "a")
-    ep_b = TcpEndpoint(sim, fab, "b")
-
-    def proc(sim):
-        conn = yield from ep_a.connect(ep_b)
-        with pytest.raises(KeyError):
-            conn.half("zzz")
-
-    sim.spawn(proc(sim))
-    sim.run()

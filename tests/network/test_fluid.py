@@ -311,15 +311,30 @@ def test_disjoint_recomputes_do_not_visit_other_components():
 
 def test_stats_visits_per_recompute():
     sim, net = make()
-    assert net.stats.visits_per_recompute() == 0.0
+    assert net.stats.recomputes == 0 and net.stats.flows_visited == 0
     link = Link("l", 100.0)
     net.transfer([link], 100.0)
     net.transfer([link], 100.0)
+    # One flow visited at the first recompute, both at the second.
     assert net.stats.recomputes == 2
-    assert net.stats.visits_per_recompute() == pytest.approx(1.5)
-    d = net.stats.as_dict()
-    assert d["recomputes"] == 2 and d["peak_component_size"] == 2
+    assert net.stats.flows_visited == 3
+    assert net.stats.peak_component_size == 2
     sim.run()
+
+
+def test_engine_stats_count_scoped_work():
+    sim, net = make()
+    l1, l2 = Link("l1", 100.0), Link("l2", 100.0)
+    net.transfer([l1], 500.0)
+    net.transfer([l2], 500.0)
+    assert net.stats.recomputes == 2
+    assert net.stats.flows_visited == 2  # scoped: each recompute saw 1 flow
+    assert net.active_flows == 2
+    assert net.active_components == 2
+    assert net.stats.peak_component_size == 1
+    sim.run()
+    assert net.active_flows == 0
+    assert net.stats.flows_visited <= net.stats.recomputes
 
 
 def test_idle_link_component_pointer_cleared_when_flows_finish():

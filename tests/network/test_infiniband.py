@@ -264,23 +264,6 @@ def test_rdma_read_partial_range():
     np.testing.assert_array_equal(p.value.data[5:25], src[30:50])
 
 
-def test_rdma_write_pushes_bytes():
-    sim, fab, qa, qb = make_pair()
-    connect(sim, qa, qb)
-    payload = np.full(64, 7, dtype=np.uint8)
-
-    def proc(sim):
-        rmr = yield from qb.hca.register_mr(64, data=np.zeros(64, dtype=np.uint8))
-        lmr = yield from qa.hca.register_mr(64, data=payload.copy())
-        qa.post_rdma_write("wr", rmr.rkey, 0, 64, lmr, 0)
-        yield qa.cq.poll()
-        return rmr
-
-    p = sim.spawn(proc(sim))
-    sim.run()
-    np.testing.assert_array_equal(p.value.data, payload)
-
-
 def test_rdma_read_with_revoked_rkey_fails():
     """The paper's consistency argument: cached rkeys become invalid after
     the remote endpoint tears down — using one must fault, not corrupt."""

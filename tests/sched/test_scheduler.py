@@ -128,3 +128,20 @@ def test_goodput_lower_than_busy_under_rollbacks():
                       checkpoint_cost=10.0))
     sim.run(until=500_000)
     assert sched.goodput() < sched.utilization()
+
+
+def test_scheduler_weibull_mode_runs():
+    sim = Simulator()
+    sched = BatchScheduler(sim, 8, 1, policy="proactive", coverage=0.8,
+                           node_mtbf=4 * 3600.0, failure_shape=0.7,
+                           rng=np.random.default_rng(4))
+    job = sched.submit(BatchJobSpec("w", 4, 8 * 3600.0, 0.0,
+                                    checkpoint_interval=1800.0))
+    sim.run(until=10 * 24 * 3600.0)
+    assert job.useful_done == pytest.approx(8 * 3600.0)
+
+
+def test_scheduler_failure_shape_validation():
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        BatchScheduler(sim, 4, 0, failure_shape=-1.0)

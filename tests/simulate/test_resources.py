@@ -1,8 +1,8 @@
-"""Tests for Resource / Store / PriorityStore / Container."""
+"""Tests for Resource / Store / Container."""
 
 import pytest
 
-from repro.simulate import Container, PriorityStore, Resource, Simulator, Store
+from repro.simulate import Container, Resource, Simulator, Store
 
 
 # ---------------------------------------------------------------- Resource
@@ -233,24 +233,6 @@ def test_store_invalid_capacity():
     sim = Simulator()
     with pytest.raises(ValueError):
         Store(sim, capacity=0)
-
-
-def test_priority_store_orders_items():
-    sim = Simulator()
-    store = PriorityStore(sim, key=lambda pair: pair[0])
-
-    def proc(sim):
-        yield store.put((3, "low"))
-        yield store.put((1, "high"))
-        yield store.put((2, "mid"))
-        out = []
-        for _ in range(3):
-            out.append((yield store.get())[1])
-        return out
-
-    p = sim.spawn(proc(sim))
-    sim.run()
-    assert p.value == ["high", "mid", "low"]
 
 
 # ---------------------------------------------------------------- Container

@@ -260,20 +260,17 @@ def test_gauge_set_inc_dec():
 
 
 def test_histogram_buckets_and_time_series():
-    clock = [0.0]
-    m = MetricsRegistry(clock=lambda: clock[0])
-    h = m.histogram("lat", buckets=(1.0, 10.0), time_bucket=2.0)
-    for t, v in [(0.5, 0.5), (1.0, 5.0), (3.0, 50.0)]:
-        clock[0] = t
+    m = MetricsRegistry()
+    h = m.histogram("lat", buckets=(1.0, 10.0))
+    for v in (0.5, 5.0, 50.0):
         h.observe(v)
     assert h.count == 3
     assert h.mean == pytest.approx((0.5 + 5.0 + 50.0) / 3)
     assert h.bucket_counts == [1, 1, 1]  # <=1, <=10, overflow
-    series = h.series()
-    assert series[0] == {"t": 0.0, "count": 2, "sum": 5.5, "mean": 2.75}
-    assert series[1]["t"] == 2.0 and series[1]["count"] == 1
     d = h.as_dict()
     assert d["min"] == 0.5 and d["max"] == 50.0
+    # The telemetry probe is the one time-series source.
+    assert "series" not in d
 
 
 def test_histogram_observation_on_bucket_bound():
@@ -300,30 +297,11 @@ def test_empty_histogram_summary():
     h = MetricsRegistry(clock=lambda: 0.0).histogram("empty")
     assert h.count == 0
     assert h.mean == 0.0
-    assert h.series() == []
     d = h.as_dict()
     assert d["count"] == 0 and d["sum"] == 0.0
     # min/max are omitted rather than reported as +/-inf.
     assert "min" not in d and "max" not in d
     assert d["buckets"] == []
-
-
-def test_histogram_time_window_rollover():
-    """Windows are keyed on ``now // time_bucket``; gaps stay absent."""
-    clock = [0.0]
-    h = MetricsRegistry(clock=lambda: clock[0]).histogram(
-        "lat", buckets=(100.0,), time_bucket=2.0)
-    for t, v in [(1.999, 1.0),   # window 0
-                 (2.0, 2.0),     # exactly on the boundary -> window 1
-                 (3.9, 3.0),     # still window 1
-                 (10.0, 4.0)]:   # window 5 after a long idle gap
-        clock[0] = t
-        h.observe(v)
-    series = h.series()
-    assert [w["t"] for w in series] == [0.0, 2.0, 10.0]
-    assert [w["count"] for w in series] == [1, 2, 1]
-    assert series[1]["sum"] == pytest.approx(5.0)
-    assert series[1]["mean"] == pytest.approx(2.5)
 
 
 def test_registry_get_or_create_and_kind_conflict():
@@ -340,8 +318,6 @@ def test_histogram_validation():
     m = MetricsRegistry()
     with pytest.raises(ValueError):
         m.histogram("bad", buckets=(2.0, 1.0))
-    with pytest.raises(ValueError):
-        m.histogram("bad2", time_bucket=0.0)
 
 
 def test_null_metrics_is_inert():

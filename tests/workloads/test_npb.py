@@ -1,17 +1,11 @@
-"""Tests for the NPB skeletons and synthetic workloads."""
+"""Tests for the NPB skeletons."""
 
 import pytest
 
 from repro.cluster import Cluster
 from repro.params import MB, NPB_TABLE
 from repro.simulate import Simulator
-from repro.workloads import (
-    AllToAllChatter,
-    ComputeOnly,
-    HaloExchange,
-    NPBApplication,
-    grid_shape,
-)
+from repro.workloads import NPBApplication, grid_shape
 
 
 # ---------------------------------------------------------------- sizing
@@ -116,40 +110,3 @@ def test_npb_strong_scaling():
     a64 = NPBApplication.named("SP.C", 64)
     assert a8.iteration_seconds == pytest.approx(8 * a64.iteration_seconds)
 
-
-# ---------------------------------------------------------------- synthetic
-def test_compute_only_runs_exact_duration():
-    sim = Simulator()
-    cluster = Cluster(sim, n_compute=1, n_spare=0)
-    from repro.mpi import MPIJob
-
-    job = MPIJob(sim, cluster, 2)
-    w = ComputeOnly(total_seconds=3.0)
-    job.start(w.rank_main)
-    sim.run(until=job.completion())
-    assert sim.now == pytest.approx(3.0)
-
-
-def test_halo_exchange_completes():
-    sim = Simulator()
-    cluster = Cluster(sim, n_compute=2, n_spare=0)
-    from repro.mpi import MPIJob
-
-    job = MPIJob(sim, cluster, 4)
-    w = HaloExchange(iterations=6)
-    job.start(w.rank_main)
-    sim.run(until=job.completion())
-    assert all(rk.bytes_sent == 6 * w.nbytes for rk in job.ranks)
-
-
-def test_all_to_all_chatter_completes():
-    sim = Simulator()
-    cluster = Cluster(sim, n_compute=2, n_spare=0)
-    from repro.mpi import MPIJob
-
-    job = MPIJob(sim, cluster, 6)
-    w = AllToAllChatter(rounds=3)
-    job.start(w.rank_main)
-    sim.run(until=job.completion())
-    for rk in job.ranks:
-        assert rk.bytes_sent == 3 * 5 * w.nbytes
