@@ -20,7 +20,9 @@ component carries its own sync clock, rate allocation, generation counter
 and next-completion guard event:
 
 * starting flows syncs and merges only the components their paths touch;
-* a completion syncs, re-partitions and re-fills only its own component;
+* a completion syncs and re-fills only its own component; it re-partitions
+  the component only when the finished flows' links, walked through the
+  surviving flows, no longer reach each other;
 * all other components keep draining linearly at their unchanged rates.
 
 Because the max-min fair allocation decomposes exactly over connected
@@ -98,7 +100,7 @@ class Link:
     """
 
     __slots__ = ("name", "capacity", "efficiency", "flows", "bytes_carried",
-                 "component")
+                 "component", "_headroom", "_unfrozen")
 
     def __init__(self, name: str, capacity: float,
                  efficiency: Optional[Callable[[int], float]] = None):
@@ -108,11 +110,17 @@ class Link:
         self.capacity = float(capacity)
         self.efficiency = efficiency
         self.flows: Set["Flow"] = set()
-        #: Total bytes this link has carried (for Table-I style accounting).
+        #: Total size of the finished flows that crossed this link (for
+        #: Table-I style accounting).  Each flow is credited in full when
+        #: it completes, so in-flight flows are not counted yet.
         self.bytes_carried: float = 0.0
         #: The connected component currently owning this link (engine
         #: internal; ``None`` while the link is idle).
         self.component: Optional["_Component"] = None
+        #: Working state of the component fill: capacity left and flows
+        #: not yet frozen on this link.
+        self._headroom = 0.0
+        self._unfrozen = 0
 
     def effective_capacity(self) -> float:
         if self.efficiency is None or not self.flows:
@@ -141,7 +149,7 @@ class Flow:
     """One in-progress bulk transfer across a path of links."""
 
     __slots__ = ("path", "remaining", "size", "rate", "event", "latency",
-                 "started_at", "label", "seq")
+                 "started_at", "label", "seq", "_frozen")
 
     def __init__(self, path: Sequence[Link], nbytes: float, event: Event,
                  latency: float, started_at: float, label: str,
@@ -160,6 +168,8 @@ class Flow:
         #: first) sorts by this instead — object ids vary run to run,
         #: start order never does.
         self.seq = seq
+        #: Stamp of the last fill that froze this flow's rate.
+        self._frozen = 0
 
     def __repr__(self) -> str:
         return (f"<Flow {self.label or 'anon'} {self.remaining:.0f}/{self.size:.0f}B "
@@ -211,6 +221,8 @@ class _Component:
     def absorb(self, other: "_Component") -> None:
         self.flows |= other.flows
         self.links |= other.links
+        for link in other.links:
+            link.component = self
         other.alive = False
         guard = other.guard
         if guard is not None:
@@ -224,6 +236,7 @@ class _Component:
         for link in flow.path:
             self.links.add(link)
             link.flows.add(flow)
+            link.component = self
 
     def claim_links(self) -> None:
         for link in self.links:
@@ -250,6 +263,7 @@ class FluidNetwork:
         self._flows: Set[Flow] = set()
         self._components: Set[_Component] = set()
         self._flow_seq = count()
+        self._fill_stamp = 0
         self.stats = FluidEngineStats()
         m = sim.metrics
         self._m_started = m.counter("fluid.flows.started", unit="flows")
@@ -320,7 +334,6 @@ class FluidNetwork:
                     self._components.discard(comp)
                     self.stats.merges += 1
             merged.add_flow(flow)
-            merged.claim_links()
             self._components.add(merged)
             self._flows.add(flow)
             self._m_started.inc()
@@ -345,14 +358,8 @@ class FluidNetwork:
         now = self.sim.now
         dt = now - comp.last_sync
         if dt > 0:
-            # Accumulate in flow start order: float addition is not
-            # associative, and iterating the set directly made the last
-            # ulp of ``bytes_carried`` depend on allocation addresses.
-            for flow in sorted(comp.flows, key=lambda f: f.seq):
-                moved = flow.rate * dt
-                flow.remaining -= moved
-                for link in flow.path:
-                    link.bytes_carried += moved
+            for flow in comp.flows:
+                flow.remaining -= flow.rate * dt
         comp.last_sync = now
 
     def _recompute_rates(self, comp: _Component) -> None:
@@ -391,38 +398,43 @@ class FluidNetwork:
         Every flow on a link belongs to the link's component, so the
         per-link count is ``len(link.flows)``.  A flow's rate is the level
         at which it freezes: the same float additions, in the same order,
-        as raising every unfrozen flow's rate by each increment.
+        as raising every unfrozen flow's rate by each increment.  Headroom
+        and unfrozen counts live on link slots, and a flow is frozen when
+        its stamp equals this fill's.
         """
-        headroom = {link: link.effective_capacity() for link in comp.links}
-        unfrozen_on = {link: len(link.flows) for link in comp.links}
+        self._fill_stamp = stamp = self._fill_stamp + 1
         live = list(comp.links)  # links still carrying unfrozen flows
-        frozen: Set[Flow] = set()
+        for link in live:
+            link._headroom = link.effective_capacity()
+            link._unfrozen = len(link.flows)
+        unfrozen = len(comp.flows)
         level = 0.0
         while True:
             # Smallest equal increment that saturates some link.
-            inc = min(headroom[link] / unfrozen_on[link] for link in live)
+            inc = min(link._headroom / link._unfrozen for link in live)
             level += inc
             frozen_now: List[Flow] = []
             for link in live:
-                headroom[link] = left = headroom[link] - inc * unfrozen_on[link]
+                link._headroom = left = link._headroom - inc * link._unfrozen
                 if left <= _EPS_RATE * link.capacity + _EPS_RATE:
                     for flow in link.flows:
-                        if flow not in frozen:
-                            frozen.add(flow)
+                        if flow._frozen != stamp:
+                            flow._frozen = stamp
                             flow.rate = level
                             frozen_now.append(flow)
             if not frozen_now:
                 # All remaining links have infinite headroom relative to the
                 # computed increment — cannot happen with finite capacities.
                 break
-            if len(frozen) == len(comp.flows):
+            unfrozen -= len(frozen_now)
+            if not unfrozen:
                 return
             for flow in frozen_now:
                 for link in flow.path:
-                    unfrozen_on[link] -= 1
-            live = [link for link in live if unfrozen_on[link]]
+                    link._unfrozen -= 1
+            live = [link for link in live if link._unfrozen]
         for flow in comp.flows:
-            if flow not in frozen:
+            if flow._frozen != stamp:
                 flow.rate = level
 
     def _reschedule(self, comp: _Component) -> None:
@@ -476,10 +488,12 @@ class FluidNetwork:
             comp.flows.discard(flow)
             for link in flow.path:
                 link.flows.discard(flow)
+                link.bytes_carried += flow.size
                 if not link.flows:
                     # An idle link keeping a stale pointer would glue
                     # future flows to this component for no reason.
                     link.component = None
+                    comp.links.discard(link)
             self._m_completed.inc()
             self._m_bytes.inc(flow.size)
             flow.event.succeed_later(flow, flow.latency)
@@ -487,15 +501,13 @@ class FluidNetwork:
             comp.alive = False
             self._components.discard(comp)
             return
-        # Removing flows may have disconnected the component; re-partition
-        # and refill each piece independently (work stays linear in the old
-        # component's size, and smaller pieces decouple future events).
-        pieces = self._partition(comp)
-        if len(pieces) == 1:
-            comp.flows, comp.links = pieces[0]
-            comp.claim_links()
+        if self._still_connected(done):
             self._reschedule(comp)
             return
+        # Removing flows disconnected the component; re-partition and
+        # refill each piece independently (smaller pieces decouple future
+        # events).
+        pieces = self._partition(comp)
         comp.alive = False
         self._components.discard(comp)
         self.stats.splits += len(pieces) - 1
@@ -507,6 +519,40 @@ class FluidNetwork:
             piece.claim_links()
             self._components.add(piece)
             self._reschedule(piece)
+
+    @staticmethod
+    def _still_connected(done: Sequence[Flow]) -> bool:
+        """Whether the survivors of a connected component stay connected
+        once the ``done`` flows have left every link.
+
+        Every piece the removal could leave behind holds an *anchor*: a
+        link of a finished flow's path that still carries flows (a piece
+        without one was never joined to the rest).  So the survivors are
+        connected exactly when one anchor reaches all the others through
+        link -> flows -> path links; the walk stops once it has.  Anchors
+        are read only after the whole batch has left, since a link may go
+        idle on the batch's last flow.
+        """
+        anchors = {link for flow in done for link in flow.path if link.flows}
+        if len(anchors) <= 1:
+            return True
+        start = anchors.pop()
+        seen_links = {start}
+        seen_flows: Set[Flow] = set()
+        stack = [start]
+        while stack:
+            for flow in stack.pop().flows:
+                if flow in seen_flows:
+                    continue
+                seen_flows.add(flow)
+                for link in flow.path:
+                    if link not in seen_links:
+                        seen_links.add(link)
+                        stack.append(link)
+                        anchors.discard(link)
+                        if not anchors:
+                            return True
+        return False
 
     @staticmethod
     def _partition(comp: _Component) -> List[tuple]:

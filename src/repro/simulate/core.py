@@ -495,7 +495,6 @@ class Simulator:
 
             registry = NULL_METRICS
         self._metrics = registry
-        registry.bind(lambda: self._now)
 
     # -- clock --------------------------------------------------------------
     @property

@@ -26,7 +26,7 @@ when metrics are off.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["MetricsRegistry", "Counter", "Gauge", "Histogram",
            "NullMetricsRegistry", "NULL_METRICS"]
@@ -157,30 +157,17 @@ class Histogram(_Instrument):
 
 
 class MetricsRegistry:
-    """A flat namespace of named instruments sharing one sim clock.
+    """A flat namespace of named instruments.
 
     Attach to a simulation with ``Simulator(metrics=registry)`` (or
-    ``Scenario.build(metrics=registry)``); the clock is bound
-    automatically, so :meth:`now` reads the simulation's time.
+    ``Scenario.build(metrics=registry)``); components then create their
+    instruments through ``sim.metrics``.
     """
 
     enabled = True
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None):
-        self._clock = clock
+    def __init__(self):
         self._instruments: Dict[str, _Instrument] = {}
-
-    # -- clock --------------------------------------------------------------
-    def bind(self, clock: Any) -> "MetricsRegistry":
-        """Bind the sample clock: a zero-arg callable or ``.now`` holder."""
-        if callable(clock):
-            self._clock = clock
-        else:
-            self._clock = lambda: clock.now
-        return self
-
-    def now(self) -> float:
-        return self._clock() if self._clock is not None else 0.0
 
     # -- instrument factories ------------------------------------------------
     def _get(self, cls, name: str, **kwargs) -> _Instrument:
@@ -285,12 +272,6 @@ class NullMetricsRegistry:
     """Registry whose instruments discard everything (the fast default)."""
 
     enabled = False
-
-    def bind(self, clock: Any) -> "NullMetricsRegistry":
-        return self
-
-    def now(self) -> float:
-        return 0.0
 
     def counter(self, name: str, unit: str = "", help: str = "") -> _NullInstrument:
         return _NULL_INSTRUMENT

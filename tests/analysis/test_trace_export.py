@@ -190,7 +190,7 @@ def test_chrome_trace_keeps_unclosed_spans():
 
 
 def test_write_metrics_payload(tmp_path):
-    m = MetricsRegistry(clock=lambda: 0.0)
+    m = MetricsRegistry()
     m.counter("a", unit="B").inc(7)
     m.histogram("h").observe(0.5)
     path = tmp_path / "metrics.json"

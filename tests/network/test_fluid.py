@@ -1,6 +1,8 @@
 """Tests for the fluid max-min fair bandwidth engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simulate import Simulator
 from repro.network.fluid import FluidNetwork, Link, stream_efficiency
@@ -131,7 +133,7 @@ def test_bytes_accounting_on_links():
     d1 = net.transfer([link], 300.0)
     d2 = net.transfer([link], 700.0)
     sim.run(until=sim.all_of([d1, d2]))
-    assert link.bytes_carried == pytest.approx(1000.0, rel=1e-6)
+    assert link.bytes_carried == 1000.0
 
 
 def test_efficiency_curve_degrades_capacity():
@@ -181,7 +183,7 @@ def test_many_concurrent_flows_conservation():
     sizes = [10.0 * (i + 1) for i in range(20)]
     events = [net.transfer([link], s) for s in sizes]
     sim.run(until=sim.all_of(events))
-    assert link.bytes_carried == pytest.approx(sum(sizes), rel=1e-6)
+    assert link.bytes_carried == sum(sizes)
     assert net.active_flows == 0
 
 
@@ -291,6 +293,85 @@ def test_component_splits_when_bridge_flow_finishes():
     assert net.active_components == 2
     assert net.stats.splits >= 1
     sim.run()
+
+
+def _count_partitions(net):
+    calls = []
+
+    def partition(comp):
+        calls.append(len(comp.flows))
+        return FluidNetwork._partition(comp)
+
+    net._partition = partition
+    return calls
+
+
+def test_batch_completion_reads_anchors_after_the_whole_batch():
+    """Two flows finish at one instant and link x goes idle only on the
+    second.  The long s-t flow still joins s and t, so the component stays
+    whole without a re-partition, and x leaves it."""
+    sim, net = make()
+    x, s, t = Link("x", 100.0), Link("s", 100.0), Link("t", 100.0)
+    calls = _count_partitions(net)
+    f1 = net.transfer([x, s], 100.0)
+    f2 = net.transfer([x, t], 100.0)
+    net.transfer([s, t], 10_000.0)
+    sim.run(until=sim.all_of([f1, f2]))
+    assert sim.now == 2.0  # every flow ran at 50 B/s; f1 and f2 tie
+    assert net.stats.recomputes == 4  # three starts, one completion
+    (comp,) = net._components
+    assert comp.links == {s, t} and x.component is None
+    assert calls == [] and net.stats.splits == 0
+    assert x.bytes_carried == 200.0 and s.bytes_carried == 100.0
+    sim.run()
+
+
+def test_bridge_completion_still_splits_through_partition():
+    sim, net = make()
+    a, b = Link("a", 100.0), Link("b", 100.0)
+    calls = _count_partitions(net)
+    net.transfer([a], 10_000.0)
+    net.transfer([b], 10_000.0)
+    bridge = net.transfer([a, b], 10.0)
+    sim.run(until=bridge)
+    assert calls == [2]
+    assert net.stats.splits == 1 and net.active_components == 2
+    sim.run()
+
+
+@st.composite
+def _completion_batches(draw):
+    """Flows over random subsets of a few links, and which of them finish."""
+    n_links = draw(st.integers(min_value=2, max_value=8))
+    paths = draw(st.lists(
+        st.lists(st.integers(min_value=0, max_value=n_links - 1),
+                 min_size=1, max_size=3, unique=True),
+        min_size=2, max_size=16))
+    finished = draw(st.lists(st.booleans(), min_size=len(paths),
+                             max_size=len(paths)))
+    return n_links, paths, finished
+
+
+@given(case=_completion_batches())
+@settings(max_examples=200, deadline=None)
+def test_connectivity_check_agrees_with_partition(case):
+    """Removing any batch of flows from any component: the anchor walk says
+    "connected" exactly when the full partition finds one piece."""
+    n_links, paths, finished = case
+    sim, net = make()
+    links = [Link(f"l{i}", 100.0) for i in range(n_links)]
+    net.transfer_many([([links[i] for i in path], 1e6, str(k))
+                       for k, path in enumerate(paths)])
+    for comp in list(net._components):
+        done = [f for f in comp.flows if finished[int(f.label)]]
+        if len(done) == len(comp.flows):
+            continue
+        for flow in done:
+            comp.flows.discard(flow)
+            for link in flow.path:
+                link.flows.discard(flow)
+        pieces = FluidNetwork._partition(comp)
+        assert net._still_connected(done) == (len(pieces) == 1)
 
 
 def test_disjoint_recomputes_do_not_visit_other_components():
