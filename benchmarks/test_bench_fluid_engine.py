@@ -91,6 +91,7 @@ def run_workload():
     sim = Simulator()
     net = FluidNetwork(sim)
     events = build_population(net)
+    sim.run(until=sim.now)  # end the instant: every component is filled
     # Pin the allocation while the full population is live.
     expected = reference_global_rates(net._flows)
     mismatches = [

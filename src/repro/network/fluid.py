@@ -3,7 +3,7 @@
 Bulk transfers in this reproduction (checkpoint streams, RDMA chunk pulls,
 PVFS stripe writes, disk reads) are modelled as *fluid flows*: each flow has
 a remaining byte count and traverses a path of :class:`Link` capacity pools.
-Whenever the flow population changes, per-flow rates are recomputed with the
+After the flow population changes, per-flow rates are recomputed with the
 classic progressive-filling (water-filling) algorithm, which yields the
 max-min fair allocation; the engine then schedules the next earliest flow
 completion.  This captures the first-order contention effects the paper's
@@ -20,7 +20,7 @@ component carries its own sync clock, rate allocation, generation counter
 and next-completion guard event:
 
 * starting flows syncs and merges only the components their paths touch;
-* a completion syncs and re-fills only its own component; it re-partitions
+* a completion syncs and refills only its own component; it re-partitions
   the component only when the finished flows' links, walked through the
   surviving flows, no longer reach each other;
 * all other components keep draining linearly at their unchanged rates.
@@ -42,11 +42,13 @@ links that still carry unfrozen flows.  The level is the same running sum
 of increments a per-flow ``rate += inc`` fill computes, so the rates are
 bit-identical to it.
 
-**Batched starts.**  :meth:`FluidNetwork.transfer_many` starts several
-flows at one instant with one sync, merge, refill and completion guard per
-component they touch; :meth:`FluidNetwork.transfer` is the one-spec case.
-A PVFS write or read starts its stripes this way, so its shared component
-is refilled once per call instead of once per stripe.
+**One fill per component per instant.**  A start, completion or split
+marks its component dirty (generation bumped, old guard cancelled).  At
+the end of the instant (:meth:`Simulator.at_instant_end`, not an event)
+each dirty component still alive is filled, in last-touched order, and
+gets its guard.  No simulated time passes in between, so rates and
+completion times are those of an immediate fill, but a component changed
+several times at one instant is filled once.
 
 A :class:`Link` may declare an *efficiency curve*: a multiplier on its raw
 capacity as a function of the number of flows crossing it.  Disks use this
@@ -58,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from ..simulate.core import Event, Simulator
 
@@ -188,7 +190,6 @@ class FluidEngineStats:
 
     recomputes: int = 0
     flows_visited: int = 0
-    links_visited: int = 0
     peak_component_size: int = 0
     global_flows_equiv: int = 0
     merges: int = 0
@@ -224,9 +225,14 @@ class _Component:
         for link in other.links:
             link.component = self
         other.alive = False
-        guard = other.guard
+        other.cancel_guard()
+
+    def cancel_guard(self) -> None:
+        """Let the calendar drop the pending guard unpopped (a guard that
+        already fired has ``callbacks is None``; leave it)."""
+        guard = self.guard
         if guard is not None:
-            other.guard = None
+            self.guard = None
             if guard.callbacks:
                 guard.callbacks = []
                 guard.cancel()
@@ -236,10 +242,6 @@ class _Component:
         for link in flow.path:
             self.links.add(link)
             link.flows.add(flow)
-            link.component = self
-
-    def claim_links(self) -> None:
-        for link in self.links:
             link.component = self
 
     def __repr__(self) -> str:
@@ -264,6 +266,8 @@ class FluidNetwork:
         self._components: Set[_Component] = set()
         self._flow_seq = count()
         self._fill_stamp = 0
+        #: Components awaiting their end-of-instant fill, last touched last.
+        self._dirty: Dict[_Component, None] = {}
         self.stats = FluidEngineStats()
         m = sim.metrics
         self._m_started = m.counter("fluid.flows.started", unit="flows")
@@ -284,65 +288,42 @@ class FluidNetwork:
         """Start a transfer of ``nbytes`` across ``path``.
 
         Returns an event that succeeds with the :class:`Flow` once the last
-        byte has drained *and* ``latency`` has elapsed on top.
+        byte has drained *and* ``latency`` has elapsed on top.  A path may
+        not repeat a link.  Rates are filled at the end of the instant.
         """
-        return self.transfer_many([(path, nbytes, label)], latency)[0]
-
-    def transfer_many(self, specs: Sequence[Tuple[Sequence[Link], float, str]],
-                      latency: float = 0.0) -> List[Event]:
-        """Start one transfer per ``(path, nbytes, label)`` spec at once.
-
-        Returns one :meth:`transfer` event per spec, with the same rates
-        and completion times as one :meth:`transfer` call per spec, but
-        each component the batch touches is synced, merged and refilled
-        once.  Every spec is validated before any flow starts; a path may
-        not repeat a link.
-        """
-        for path, nbytes, _label in specs:
-            if nbytes < 0:
-                raise ValueError("nbytes must be non-negative")
-            if not path or len(set(path)) != len(path):
-                raise ValueError("path must hold at least one link, each once")
+        if nbytes < 0:
+            raise ValueError("nbytes must be non-negative")
+        if not path or len(set(path)) != len(path):
+            raise ValueError("path must hold at least one link, each once")
+        ev = Event(self.sim, name=f"transfer({label or nbytes})")
+        if nbytes == 0:
+            ev.succeed_later(None, latency)
+            return ev
         now = self.sim.now
-        events: List[Event] = []
-        # Components to refill, ordered by the last flow joining each, so
-        # their guards are armed in the order per-spec calls would leave.
-        joined: Dict[_Component, None] = {}
-        for path, nbytes, label in specs:
-            ev = Event(self.sim, name=f"transfer({label or nbytes})")
-            events.append(ev)
-            if nbytes == 0:
-                ev.succeed_later(None, latency)
-                continue
-            flow = Flow(path, nbytes, ev, latency, now, label,
-                        seq=next(self._flow_seq))
-
-            # Components whose rate allocation the new flow perturbs:
-            # exactly those reachable through the path's links.  Everything
-            # else keeps draining untouched.
-            touched: List[_Component] = []
-            for link in flow.path:
-                comp = link.component
-                if comp is not None and comp not in touched:
-                    self._sync(comp)
-                    touched.append(comp)
-            merged = max(touched, key=lambda c: len(c.flows),
-                         default=None) or _Component(now)
-            for comp in touched:
-                if comp is not merged:
-                    merged.absorb(comp)
-                    self._components.discard(comp)
-                    self.stats.merges += 1
-            merged.add_flow(flow)
-            self._components.add(merged)
-            self._flows.add(flow)
-            self._m_started.inc()
-            joined.pop(merged, None)
-            joined[merged] = None
-        for comp in joined:
-            if comp.alive:
-                self._reschedule(comp)
-        return events
+        flow = Flow(path, nbytes, ev, latency, now, label,
+                    seq=next(self._flow_seq))
+        # Components whose rate allocation the new flow perturbs: exactly
+        # those reachable through the path's links.  Everything else keeps
+        # draining untouched.
+        touched: List[_Component] = []
+        for link in flow.path:
+            comp = link.component
+            if comp is not None and comp not in touched:
+                self._sync(comp)
+                touched.append(comp)
+        merged = max(touched, key=lambda c: len(c.flows),
+                     default=None) or _Component(now)
+        for comp in touched:
+            if comp is not merged:
+                merged.absorb(comp)
+                self._components.discard(comp)
+                self.stats.merges += 1
+        merged.add_flow(flow)
+        self._components.add(merged)
+        self._flows.add(flow)
+        self._m_started.inc()
+        self._mark_dirty(merged)
+        return ev
 
     @property
     def active_flows(self) -> int:
@@ -361,34 +342,6 @@ class FluidNetwork:
             for flow in comp.flows:
                 flow.remaining -= flow.rate * dt
         comp.last_sync = now
-
-    def _recompute_rates(self, comp: _Component) -> None:
-        """Progressive filling within one component: the max-min allocation.
-
-        Restricting the fill to a connected component is exact — a link
-        outside the component carries none of its flows, so it can never be
-        the saturating constraint for any of them.
-        """
-        st = self.stats
-        st.recomputes += 1
-        st.flows_visited += len(comp.flows)
-        st.links_visited += len(comp.links)
-        st.global_flows_equiv += len(self._flows)
-        if len(comp.flows) > st.peak_component_size:
-            st.peak_component_size = len(comp.flows)
-        self._m_comp_flows.observe(len(comp.flows))
-        self._m_comp_links.observe(len(comp.links))
-        trace = self.sim.trace
-        if trace is not None:
-            trace.record(self.sim.now, "fluid.recompute",
-                         flows=len(comp.flows), links=len(comp.links),
-                         components=len(self._components))
-        if not comp.flows:
-            return
-        self._fill(comp)
-        if self._metrics_on:
-            self._m_util.set(max((link.utilization for link in comp.links),
-                                 default=0.0))
 
     def _fill(self, comp: _Component) -> None:
         """Water-level fill over the component's links: raise one level by
@@ -437,24 +390,48 @@ class FluidNetwork:
             if flow._frozen != stamp:
                 flow.rate = level
 
-    def _reschedule(self, comp: _Component) -> None:
-        """Recompute the component's rates and arm its completion guard."""
-        self._recompute_rates(comp)
+    def _mark_dirty(self, comp: _Component) -> None:
+        """Drop the component's guard now and fill it at the end of the
+        instant; dirty components fill in the order last touched."""
         comp.generation += 1
+        comp.cancel_guard()
+        dirty = self._dirty
+        if not dirty:
+            self.sim.at_instant_end(self._refill_dirty)
+        dirty.pop(comp, None)
+        dirty[comp] = None
+
+    def _refill_dirty(self) -> None:
+        dirty, self._dirty = self._dirty, {}
+        for comp in dirty:
+            if comp.alive:  # not merged away or split since marked
+                self._reschedule(comp)
+
+    def _reschedule(self, comp: _Component) -> None:
+        """Fill the component (the max-min allocation) and arm its guard.
+
+        Restricting the fill to a connected component is exact — a link
+        outside the component carries none of its flows, so it can never be
+        the saturating constraint for any of them.
+        """
+        st = self.stats
+        st.recomputes += 1
+        st.flows_visited += len(comp.flows)
+        st.global_flows_equiv += len(self._flows)
+        if len(comp.flows) > st.peak_component_size:
+            st.peak_component_size = len(comp.flows)
+        self._m_comp_flows.observe(len(comp.flows))
+        self._m_comp_links.observe(len(comp.links))
+        trace = self.sim.trace
+        if trace is not None:
+            trace.record(self.sim.now, "fluid.recompute",
+                         flows=len(comp.flows), links=len(comp.links),
+                         components=len(self._components))
+        self._fill(comp)
+        if self._metrics_on:
+            self._m_util.set(max((link.utilization for link in comp.links),
+                                 default=0.0))
         gen = comp.generation
-        old_guard = comp.guard
-        if old_guard is not None:
-            # The previous guard is superseded; cancelling lets the
-            # calendar drop it unpopped instead of dispatching a no-op.
-            # A guard that already fired has callbacks == None — leave it.
-            comp.guard = None
-            if old_guard.callbacks:
-                old_guard.callbacks = []
-                old_guard.cancel()
-        if not comp.flows:
-            comp.alive = False
-            self._components.discard(comp)
-            return
         next_done = float("inf")
         for flow in comp.flows:
             if flow.rate > 0:
@@ -467,7 +444,6 @@ class FluidNetwork:
             raise RuntimeError("fluid network stalled: a flow has zero rate")
         guard = Event(self.sim, name="fluid-complete")
         guard.callbacks.append(lambda ev: self._on_completion(comp, gen))
-        guard._ok = True
         guard._value = None
         comp.guard = guard
         self.sim._schedule(guard, 1, next_done)  # NORMAL priority
@@ -502,7 +478,7 @@ class FluidNetwork:
             self._components.discard(comp)
             return
         if self._still_connected(done):
-            self._reschedule(comp)
+            self._mark_dirty(comp)
             return
         # Removing flows disconnected the component; re-partition and
         # refill each piece independently (smaller pieces decouple future
@@ -516,9 +492,10 @@ class FluidNetwork:
             piece = _Component(now)
             piece.flows = flows
             piece.links = links
-            piece.claim_links()
+            for link in links:
+                link.component = piece
             self._components.add(piece)
-            self._reschedule(piece)
+            self._mark_dirty(piece)
 
     @staticmethod
     def _still_connected(done: Sequence[Flow]) -> bool:

@@ -406,6 +406,10 @@ class Simulator:
         components create instruments through ``sim.metrics``.  When
         omitted, the shared inert registry keeps instrumented hot paths
         at no-op cost.
+
+    Callbacks passed to :meth:`at_instant_end` run once the current time
+    has no event left: before the clock advances, before a ``run(until=t)``
+    break, and when the calendar drains.  They are not events.
     """
 
     #: Always zero.  They exist only for the benchmark's
@@ -436,6 +440,8 @@ class Simulator:
         #: Optional telemetry probe; ``None`` keeps the run loop at one
         #: float comparison per event (``when >= inf`` is always false).
         self._probe: Any = None
+        #: Callbacks due at the end of the current instant.
+        self._instant_end: list = []
         self.trace = trace
         self.metrics = metrics
 
@@ -551,6 +557,11 @@ class Simulator:
         return AllOf(self, list(events))
 
     # -- scheduling -------------------------------------------------------------
+    def at_instant_end(self, callback: Any) -> None:
+        """Call ``callback()`` once the current instant's events are done;
+        it may schedule events, at the current time too."""
+        self._instant_end.append(callback)
+
     def _schedule(self, event: Event, priority: int, delay: float) -> None:
         heapq.heappush(self._queue,
                        (self._now + delay, priority, next(self._seq), event))
@@ -558,9 +569,12 @@ class Simulator:
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if the calendar is empty.
 
-        Cancelled stragglers at the head are dropped on the way, exactly as
-        :meth:`run` drops them.
+        ``now`` while end-of-instant work is pending.  Cancelled stragglers
+        at the head are dropped on the way, exactly as :meth:`run` drops
+        them.
         """
+        if self._instant_end:
+            return self._now
         queue = self._queue
         while queue:
             event = queue[0][3]
@@ -579,6 +593,10 @@ class Simulator:
     def run(self, until: Any = None) -> Any:
         """Run until the calendar drains, ``until`` (a time or an Event) is
         reached, or an un-defused failure surfaces.
+
+        End-of-instant callbacks run before the clock advances, before a
+        ``until`` time stops the run, and when the calendar drains.  A run
+        stopped by an ``until`` event leaves them to the next :meth:`run`.
 
         Returns the value of ``until`` when it is an event that triggered.
         """
@@ -607,8 +625,15 @@ class Simulator:
         # advance and before the event's callbacks.
         probe = self._probe
         probe_next = probe.next_time if probe is not None else float("inf")
+        instant_end = self._instant_end
         try:
-            while queue:
+            while True:
+                if instant_end and (not queue or queue[0][0] > self._now):
+                    while instant_end:
+                        instant_end.pop(0)()
+                    continue
+                if not queue:
+                    break
                 entry = queue[0]
                 event = entry[3]
                 # A cancelled entry with no callbacks is dropped without

@@ -155,21 +155,18 @@ class PVFS:
         if data is not None and data.nbytes != nbytes:
             raise ValueError(f"data has {data.nbytes} bytes, expected {nbytes}")
         client_hca = self.fabric.hca(handle.client)
-        stripes = []
+        net, latency = self.fabric.net, self.fabric.params.latency
+        flows = []
         for server, part in zip(self.servers, self._stripe_sizes(nbytes)):
             if part == 0:
                 continue
             server.bytes_written += part
-            stripes.append(([handle.stream_cap, client_hca.tx, server.hca.rx,
-                             server.write_link], part,
-                            f"pvfs:w:{handle.file.path}@{server.node}"))
-        flows = self.fabric.net.transfer_many(
-            stripes, latency=self.fabric.params.latency)
+            flows.append(net.transfer(
+                [handle.stream_cap, client_hca.tx, server.hca.rx,
+                 server.write_link], part, latency,
+                f"pvfs:w:{handle.file.path}@{server.node}"))
         self._sample_servers()
-        if flows:
-            yield self.sim.all_of(flows)
-        else:
-            yield self.sim.timeout(0)
+        yield self.sim.all_of(flows) if flows else self.sim.timeout(0)
         self.sim.metrics.counter("pvfs.bytes_written", unit="bytes").inc(nbytes)
         trace = self.sim.trace
         if trace is not None:
@@ -188,21 +185,18 @@ class PVFS:
             raise ValueError(
                 f"read past EOF: [{pos}, {pos + n}) of {handle.file.size}")
         client_hca = self.fabric.hca(handle.client)
-        stripes = []
+        net, latency = self.fabric.net, self.fabric.params.latency
+        flows = []
         for server, part in zip(self.servers, self._stripe_sizes(n)):
             if part == 0:
                 continue
             server.bytes_read += part
-            stripes.append(([server.read_link, server.hca.tx, client_hca.rx,
-                             handle.stream_cap], part,
-                            f"pvfs:r:{handle.file.path}@{server.node}"))
-        flows = self.fabric.net.transfer_many(
-            stripes, latency=self.fabric.params.latency)
+            flows.append(net.transfer(
+                [server.read_link, server.hca.tx, client_hca.rx,
+                 handle.stream_cap], part, latency,
+                f"pvfs:r:{handle.file.path}@{server.node}"))
         self._sample_servers()
-        if flows:
-            yield self.sim.all_of(flows)
-        else:
-            yield self.sim.timeout(0)
+        yield self.sim.all_of(flows) if flows else self.sim.timeout(0)
         self.sim.metrics.counter("pvfs.bytes_read", unit="bytes").inc(n)
         trace = self.sim.trace
         if trace is not None:

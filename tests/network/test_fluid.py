@@ -113,6 +113,7 @@ def test_water_filling_rates_snapshot():
     b = Link("b", capacity=10.0)
     net.transfer([a], 1e9)
     net.transfer([a, b], 1e9)
+    sim.run(until=sim.now)  # rates are filled at the end of the instant
     flows = sorted(net._flows, key=lambda f: len(f.path))
     assert flows[0].rate == pytest.approx(90.0, rel=1e-6)
     assert flows[1].rate == pytest.approx(10.0, rel=1e-6)
@@ -187,18 +188,20 @@ def test_many_concurrent_flows_conservation():
     assert net.active_flows == 0
 
 
-# -- batched starts ---------------------------------------------------------
+# -- one fill per component per instant ------------------------------------
 
-def _start_population(batched):
-    """One flow already running, then four specs started at t=1: two that
-    join its component, one zero-byte, one on a disjoint island.
-    -> (net, per-spec completion times, rates after the starts,
-    recomputes the starts cost)."""
+def _start_population(fill_each):
+    """One flow already running, then four transfers started at t=1: two
+    that join its component, one zero-byte, one on a disjoint island.
+    ``fill_each`` ends the instant after every start, forcing the fill an
+    immediate engine would run there.  -> (net, per-transfer completion
+    times, rates after the starts, fills the starts cost)."""
     sim, net = make()
     a, c = Link("a", 100.0), Link("c", 80.0)
     b = Link("b", 60.0, efficiency=stream_efficiency(0.1, 0.5))
     island = Link("island", 40.0)
     net.transfer([a], 500.0)
+    sim.run(until=1.0)
     specs = [([a, b], 300.0, "x"), ([island], 200.0, "i"),
              ([c], 0.0, "z"), ([b, c], 700.0, "y")]
     done = {}
@@ -207,52 +210,31 @@ def _start_population(batched):
         flow = yield ev
         done[label] = (sim.now.hex(), flow is None)
 
-    def starter(sim):
-        yield sim.timeout(1.0)
-        before = net.stats.recomputes
-        if batched:
-            events = net.transfer_many(specs, latency=0.25)
-        else:
-            events = [net.transfer(path, n, latency=0.25, label=label)
-                      for path, n, label in specs]
-        starts.append(net.stats.recomputes - before)
-        rates.extend(f.rate.hex() for f in
-                     sorted(net._flows, key=lambda f: f.seq))
-        for ev, (_path, _n, label) in zip(events, specs):
-            sim.spawn(waiter(sim, ev, label))
-
-    starts, rates = [], []
-    sim.spawn(starter(sim))
+    before = net.stats.recomputes
+    for path, n, label in specs:
+        sim.spawn(waiter(sim, net.transfer(path, n, latency=0.25,
+                                           label=label), label))
+        if fill_each:
+            sim.run(until=sim.now)
+    sim.run(until=sim.now)
+    fills = net.stats.recomputes - before
+    rates = [f.rate.hex() for f in sorted(net._flows, key=lambda f: f.seq)]
     sim.run()
-    return net, done, rates, starts[0]
+    return net, done, rates, fills
 
 
-def test_transfer_many_matches_sequential_transfers():
-    """A batch gives bit-identical rates and completion times to one
-    transfer() per spec, with one refill per touched component."""
-    net_seq, done_seq, rates_seq, starts_seq = _start_population(False)
-    net_bat, done_bat, rates_bat, starts_bat = _start_population(True)
-    assert rates_bat == rates_seq and len(rates_bat) == 4
-    assert done_bat == done_seq
-    assert starts_seq == 3  # one refill per non-empty spec
-    assert starts_bat == 2  # one per component: a/b/c and the island
-    # The zero-byte spec is latency-only and carries no flow.
-    assert done_bat["z"] == ((1.0 + 0.25).hex(), True)
-    assert net_bat.active_flows == 0 and net_bat.active_components == 0
-
-
-def test_transfer_many_validates_every_spec_before_starting():
-    """A bad spec anywhere in the batch raises before any flow starts."""
-    sim, net = make()
-    a, b = Link("a", 100.0), Link("b", 100.0)
-    for bad in (([b, b], 10.0, "repeat"), ([], 10.0, "empty"),
-                ([b], -1.0, "negative")):
-        with pytest.raises(ValueError):
-            net.transfer_many([([a], 10.0, "ok"), bad])
-    assert net.active_flows == 0 and net.stats.recomputes == 0
-    assert not a.flows and a.component is None
-    assert not sim._queue
-    assert net.transfer_many([]) == []
+def test_back_to_back_transfers_fill_each_component_once():
+    """Transfers started at one instant get one fill per touched component,
+    with bit-identical rates and completion times to a fill per start."""
+    net_each, done_each, rates_each, fills_each = _start_population(True)
+    net, done, rates, fills = _start_population(False)
+    assert rates == rates_each and len(rates) == 4
+    assert done == done_each
+    assert fills_each == 3  # one fill per non-empty transfer
+    assert fills == 2  # one per component: a/b/c and the island
+    # The zero-byte transfer is latency-only and carries no flow.
+    assert done["z"] == ((1.0 + 0.25).hex(), True)
+    assert net.active_flows == 0 and net.active_components == 0
 
 
 # -- component scoping ------------------------------------------------------
@@ -317,8 +299,9 @@ def test_batch_completion_reads_anchors_after_the_whole_batch():
     f2 = net.transfer([x, t], 100.0)
     net.transfer([s, t], 10_000.0)
     sim.run(until=sim.all_of([f1, f2]))
+    sim.run(until=sim.now)  # end the instant: the completion's refill
     assert sim.now == 2.0  # every flow ran at 50 B/s; f1 and f2 tie
-    assert net.stats.recomputes == 4  # three starts, one completion
+    assert net.stats.recomputes == 2  # the three starts, one completion
     (comp,) = net._components
     assert comp.links == {s, t} and x.component is None
     assert calls == [] and net.stats.splits == 0
@@ -360,8 +343,8 @@ def test_connectivity_check_agrees_with_partition(case):
     n_links, paths, finished = case
     sim, net = make()
     links = [Link(f"l{i}", 100.0) for i in range(n_links)]
-    net.transfer_many([([links[i] for i in path], 1e6, str(k))
-                       for k, path in enumerate(paths)])
+    for k, path in enumerate(paths):
+        net.transfer([links[i] for i in path], 1e6, label=str(k))
     for comp in list(net._components):
         done = [f for f in comp.flows if finished[int(f.label)]]
         if len(done) == len(comp.flows):
@@ -380,8 +363,10 @@ def test_disjoint_recomputes_do_not_visit_other_components():
     l1, l2 = Link("l1", 100.0), Link("l2", 100.0)
     for _ in range(8):
         net.transfer([l1], 1000.0)
+    sim.run(until=sim.now)
     baseline = net.stats.flows_visited
     net.transfer([l2], 1000.0)
+    sim.run(until=sim.now)
     # The new flow's recompute visited exactly itself, not the 8 others.
     assert net.stats.flows_visited == baseline + 1
     assert net.stats.peak_component_size == 8
@@ -396,9 +381,10 @@ def test_stats_visits_per_recompute():
     link = Link("l", 100.0)
     net.transfer([link], 100.0)
     net.transfer([link], 100.0)
-    # One flow visited at the first recompute, both at the second.
-    assert net.stats.recomputes == 2
-    assert net.stats.flows_visited == 3
+    sim.run(until=sim.now)
+    # Both starts share one end-of-instant fill, which visits both flows.
+    assert net.stats.recomputes == 1
+    assert net.stats.flows_visited == 2
     assert net.stats.peak_component_size == 2
     sim.run()
 
@@ -408,6 +394,7 @@ def test_engine_stats_count_scoped_work():
     l1, l2 = Link("l1", 100.0), Link("l2", 100.0)
     net.transfer([l1], 500.0)
     net.transfer([l2], 500.0)
+    sim.run(until=sim.now)
     assert net.stats.recomputes == 2
     assert net.stats.flows_visited == 2  # scoped: each recompute saw 1 flow
     assert net.active_flows == 2
@@ -441,9 +428,10 @@ def test_recompute_trace_records_component_size():
     link = Link("l", 100.0)
     net.transfer([link], 100.0)
     net.transfer([link], 100.0)
+    sim.run(until=sim.now)
     recs = sim.trace.of_kind("fluid.recompute")
-    assert len(recs) == 2
-    assert recs[0]["flows"] == 1 and recs[1]["flows"] == 2
+    assert len(recs) == 1  # one fill for both starts
+    assert recs[0]["flows"] == 2
     sim.run()
 
 
@@ -459,6 +447,7 @@ def test_utilization_uses_effective_capacity():
     net.transfer([link], 1000.0)
     net.transfer([link], 1000.0)
     net.transfer([link], 1000.0)
+    sim.run(until=sim.now)
     # 3 streams -> effective capacity 40, fully allocated.
     assert sum(f.rate for f in link.flows) == pytest.approx(40.0)
     assert link.utilization == pytest.approx(1.0)
@@ -469,6 +458,7 @@ def test_utilization_without_efficiency_curve():
     sim, net = make()
     link = Link("l", capacity=100.0)
     net.transfer([link], 1000.0)
+    sim.run(until=sim.now)
     assert link.utilization == pytest.approx(1.0)
     sim.run()
     assert link.utilization == 0.0

@@ -120,6 +120,7 @@ def test_component_scoped_rates_match_global_fill(seed):
             idx = sorted(rng.choice(9, size=2, replace=False))
             path = [flat[i] for i in idx]
         net.transfer(path, float(rng.uniform(100, 10_000)))
+    sim.run(until=sim.now)  # rates are filled at the end of the instant
     expected = reference_global_rates(net._flows)
     for flow, rate in expected.items():
         assert flow.rate == pytest.approx(rate, rel=1e-9), flow.label
@@ -143,7 +144,9 @@ def test_rates_never_exceed_capacity(seed):
         path = [links[i] for i in sorted(
             rng.choice(4, size=rng.integers(1, 4), replace=False))]
         net.transfer(path, float(rng.uniform(100, 10_000)))
-    # Inspect the allocation right after setup.
+    # Inspect the allocation right after setup, once it is filled.
+    sim.run(until=sim.now)
+    assert all(f.rate > 0 for f in net._flows)
     for link in links:
         allocated = sum(f.rate for f in link.flows)
         assert allocated <= link.effective_capacity() * (1 + 1e-9)
@@ -158,14 +161,19 @@ class _CheckedNetwork(FluidNetwork):
     ``reference_global_rates`` over one component's flows is the fill this
     engine ran before the water-level rewrite: rates start at zero and
     every unfrozen flow gains each round's increment.  The water level
-    must reproduce those floats exactly, not approximately.
+    must reproduce those floats exactly, not approximately.  It also
+    checks that no component is filled twice at one simulated time.
     """
 
     def __init__(self, sim):
         super().__init__(sim)
         self.fills = self.multi_round = 0
+        self.filled = set()
 
     def _fill(self, comp):
+        key = (self.sim.now, comp)
+        assert key not in self.filled, f"{comp!r} filled twice at {key[0]}"
+        self.filled.add(key)
         super()._fill(comp)
         expected = reference_global_rates(comp.flows)
         for flow, rate in expected.items():
@@ -203,16 +211,22 @@ def _populations(draw):
 @settings(max_examples=60, deadline=None)
 def test_water_level_fill_matches_per_flow_fill_bit_for_bit(population):
     """Every fill of a run (starts, completions, splits) equals the
-    per-flow progressive fill in every bit."""
+    per-flow progressive fill in every bit.  Batched populations start at
+    one instant; the others start one flow per instant, joining flows
+    that are already draining."""
     specs, batched = population
     sim = Simulator()
     net = _CheckedNetwork(sim)
-    if batched:
-        events = net.transfer_many(specs)
-    else:
-        events = [net.transfer(path, n, label=label)
-                  for path, n, label in specs]
-    sim.run(until=sim.all_of(events))
+    events = []
+
+    def starter(sim):
+        for path, n, label in specs:
+            events.append(net.transfer(path, n, label=label))
+            if not batched:
+                yield sim.timeout(0.0123)
+        yield sim.all_of(events)
+
+    sim.run(until=sim.spawn(starter(sim)))
     assert net.active_flows == 0
 
 
@@ -224,8 +238,11 @@ def test_checked_fills_cover_multi_round_components():
     net = _CheckedNetwork(sim)
     a = Link("a", 100.0, efficiency=stream_efficiency(0.1, 0.5))
     b, c = Link("b", 10.0), Link("c", 500.0)
-    net.transfer_many([([a, b], 1e3, "ab"), ([a], 2e3, "a"),
-                       ([a, c], 3e3, "ac"), ([c], 4e3, "c")])
+    for path, n, label in [([a, b], 1e3, "ab"), ([a], 2e3, "a"),
+                           ([a, c], 3e3, "ac"), ([c], 4e3, "c")]:
+        net.transfer(path, n, label=label)
+    sim.run(until=sim.now)
+    assert net.fills == 1  # the four starts share one fill
     rates = sorted({f.rate for f in net._flows})
     assert rates == pytest.approx([10.0, 35.0, 465.0])
     sim.run()

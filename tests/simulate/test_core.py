@@ -393,6 +393,92 @@ def test_peek_next_event_time():
     assert sim.peek() == 7
 
 
+# -- end of instant -----------------------------------------------------------
+
+def test_peek_is_now_while_end_of_instant_work_is_pending():
+    sim = Simulator()
+    sim.timeout(7)
+    ran = []
+    sim.at_instant_end(lambda: ran.append(sim.now))
+    assert sim.peek() == 0.0
+    sim.run()
+    assert ran == [0.0]
+    assert sim.peek() == float("inf")
+
+
+def test_instant_end_runs_after_the_instant_and_before_the_clock_advances():
+    sim = Simulator()
+    seen = []
+
+    def proc(sim):
+        yield sim.timeout(1.0)
+        sim.at_instant_end(lambda: seen.append(("end", sim.now)))
+        yield sim.timeout(0)
+        seen.append(("same instant", sim.now))
+        yield sim.timeout(1.0)
+        seen.append(("next", sim.now))
+
+    sim.spawn(proc(sim))
+    sim.run()
+    assert seen == [("same instant", 1.0), ("end", 1.0), ("next", 2.0)]
+    # Start, three timeouts and the process's end: the callback is no event.
+    assert sim.events_processed == 5
+
+
+def _fluid(sim):
+    from repro.network.fluid import FluidNetwork, Link
+
+    return FluidNetwork(sim), Link("l", 100.0)
+
+
+def _transfer_at_one_second(sim, net, link, started=None):
+    """100 B over a 100 B/s link from t=1: a fill at t=1 ends it at t=2."""
+
+    def proc(sim):
+        yield sim.timeout(1.0)
+        done = net.transfer([link], 100.0)
+        if started is not None:
+            started.succeed()
+        yield done
+        return sim.now
+
+    return sim.spawn(proc(sim))
+
+
+def test_run_until_time_fills_before_it_stops():
+    sim = Simulator()
+    net, link = _fluid(sim)
+    sim.timeout(10.0)  # keeps the calendar busy past the stop
+    p = _transfer_at_one_second(sim, net, link)
+    sim.run(until=1.5)
+    (flow,) = net._flows
+    assert flow.rate == 100.0 and flow.remaining == 100.0
+    sim.run()
+    assert p.value == 2.0
+
+
+def test_run_until_event_keeps_the_fill_for_the_next_run():
+    sim = Simulator()
+    net, link = _fluid(sim)
+    started = sim.event()
+    p = _transfer_at_one_second(sim, net, link, started)
+    sim.run(until=started)  # stops mid-instant, the fill still due
+    assert sim.now == 1.0 and sim.peek() == 1.0
+    sim.run()
+    assert p.triggered and p.value == 2.0
+
+
+def test_drained_calendar_still_runs_the_fill():
+    sim = Simulator()
+    net, link = _fluid(sim)
+    done = net.transfer([link], 100.0)  # the only pending work
+    sim.run(until=0.5)
+    (flow,) = net._flows
+    assert flow.rate == 100.0
+    sim.run()
+    assert done.processed and sim.now == 1.0
+
+
 def test_is_alive_transitions():
     sim = Simulator()
 

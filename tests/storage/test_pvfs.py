@@ -125,7 +125,7 @@ def test_open_missing_raises():
 
 
 def test_striped_write_and_read_refill_once_each():
-    """A write's (or read's) four stripes start as one batch: the shared
+    """A write's (or read's) four stripes start at one instant: the shared
     fluid component is refilled once per call, not once per stripe."""
     sim, fab, pvfs = make()
     net = fab.net
