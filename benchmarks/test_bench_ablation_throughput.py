@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import render_table
-from repro.sched import BatchJobSpec, BatchScheduler, JobState
+from repro.sched import BatchJobSpec, BatchScheduler
 from repro.simulate import Simulator
 
 HORIZON_DAYS = 14.0

@@ -200,9 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="static analysis, one parse per file: emit sites vs "
-             "TRACE_SCHEMA, wall-clock calls, unused imports, yield-point "
-             "races, set/id/RNG order nondeterminism, unbalanced spans; "
-             "non-zero exit on any finding")
+             "TRACE_SCHEMA, wall-clock and unseeded-RNG calls, unused "
+             "imports, unbalanced spans; non-zero exit on any finding")
     lint.add_argument("paths", nargs="*", default=None, metavar="PATH",
                       help="files/directories to lint (default: the "
                            "installed repro package sources)")
@@ -578,6 +577,9 @@ def _cmd_lint(args):
         if err is not None:
             return err, 2
     paths = args.paths or [os.path.dirname(os.path.abspath(__file__))]
+    missing = [p for p in paths if not os.path.exists(p)]
+    if missing:
+        return f"error: no such file or directory: {missing[0]}", 2
     result = lint_paths(paths)
     findings = result.findings
     code = 0 if not findings else 1
@@ -587,15 +589,11 @@ def _cmd_lint(args):
             fh.write("\n")
     if args.format == "json":
         return json.dumps({"paths": paths, "clean": not findings,
-                           "stats": result.stats,
+                           "files": len(result.files),
                            "findings": [f.as_dict() for f in findings],
                            "suppressed": len(result.suppressed)},
                           indent=2), code
-    stats = result.stats
-    summary = (f"{len(result.files)} file(s), "
-               f"{stats['functions']} function(s), "
-               f"{stats['generators']} generator(s), "
-               f"{stats['process_functions']} sim process(es)")
+    summary = f"{len(result.files)} file(s)"
     if result.suppressed:
         summary += f", {len(result.suppressed)} suppressed"
     lines = [f.render() for f in findings]

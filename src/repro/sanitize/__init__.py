@@ -7,10 +7,9 @@ Two halves:
   the paper's protocol laws over a live or replayed trace;
 * the **static analyzer** (:mod:`~repro.sanitize.lint`) — one parse per
   file, then every registered rule (:mod:`~repro.sanitize.rules`): emit
-  sites against ``TRACE_SCHEMA``, wall-clock and unseeded-RNG bans, and
-  the interprocedural determinism, yield-point race and span-balance
-  passes (:mod:`~repro.sanitize.simcheck`), with SARIF output
-  (:mod:`~repro.sanitize.sarif`).
+  sites against ``TRACE_SCHEMA``, wall-clock and unseeded-RNG bans,
+  unused imports, and span balance (:mod:`~repro.sanitize.spans`), with
+  SARIF output (:mod:`~repro.sanitize.sarif`).
 
 CLI entry points: ``repro sanitize`` and ``repro lint``; see
 ``docs/sanitizer.md`` and ``docs/static-analysis.md``.

@@ -1,9 +1,8 @@
 """``repro lint``: every static-analysis rule over one parse per file.
 
-:func:`lint_paths` parses each file once
-(:func:`repro.sanitize.simcheck.callgraph.parse_modules`) and runs every
-registered rule over those trees.  The per-file rules are pure ``ast``
-visitors (no third-party dependencies):
+:func:`lint_paths` parses each file once (:func:`parse_modules`) and
+runs every registered rule over those trees.  The per-file rules are
+pure ``ast`` visitors (no third-party dependencies):
 
 * ``unknown-kind`` — a literal ``record(t, "kind", ...)`` or
   ``span("name", ...)`` whose kind/base is not declared in
@@ -13,11 +12,13 @@ visitors (no third-party dependencies):
   ``**fields`` are skipped — they are checked dynamically instead);
 * ``wall-clock`` — simulation code calling a wall-clock or unseeded
   randomness API (``time.time``/``perf_counter``/``monotonic``,
-  ``datetime.now``-family, the global ``random`` module functions, or
-  ``default_rng()``/``Random()`` with no seed) — simulated time comes
-  from ``sim.now`` and randomness from a seeded generator, or runs stop
-  being reproducible (the host-side ``obs`` package — run manifests and
-  the ``--progress`` heartbeat — is exempt: its job *is* wall time);
+  ``datetime.now``-family, any function of the global ``random`` module
+  or of numpy's global ``np.random`` state, however imported, or an RNG
+  constructor — ``default_rng``, ``Random``, ``RandomState``, … — with
+  no seed or a ``None`` seed) — simulated time comes from ``sim.now``
+  and randomness from a seeded generator, or runs stop being
+  reproducible (the host-side ``obs`` package — run manifests and the
+  ``--progress`` heartbeat — is exempt: its job *is* wall time);
 * ``unused-import`` — an imported name never referenced in the module
   (``__init__.py`` re-export surfaces are exempt);
 * ``direct-construction`` — instantiating ``RDMAMigrationSession`` or
@@ -26,18 +27,22 @@ visitors (no third-party dependencies):
   through the stage registry (``repro.pipeline.registry``) so the
   pipeline remains the single composition point.
 
-The call-graph passes (:mod:`repro.sanitize.simcheck`: yield-point
-races, determinism dataflow, span balance) run over the same modules.
-When the linted modules include ``repro.simulate.schema``, the emit
-sites collected across them are folded into
-:func:`repro.simulate.schema.validate_emitters`, so a kind declared in
-the schema that no code emits — or emitted but never declared — is a
-finding (``emitter-drift``), keeping the registry honest in both
-directions.  A file that does not parse gives one ``syntax-error``
-finding and is left out of the call graph.
+The span-balance check (:mod:`repro.sanitize.spans`, SIM301) walks the
+functions each parse lists.  When the linted modules include
+``repro.simulate.schema``, the emit sites collected across them are
+folded into :func:`repro.simulate.schema.validate_emitters`, so a kind
+declared in the schema that no code emits — or emitted but never
+declared — is a finding (``emitter-drift``), keeping the registry
+honest in both directions.  A file that does not parse gives one
+``syntax-error`` finding and nothing else.
+
+Event-order determinism and yield-point races are not checked here:
+the Fig. 4 trace artifact, the Fig. 7 digest and the run-to-run tests
+catch those bugs when they change a result (see
+``docs/static-analysis.md``).
 
 The rules live in the shared framework (:mod:`repro.sanitize.rules`):
-each has a stable id (``LNT001``–``LNT007``, ``SIM###``, ``MET###``), a
+each has a stable id (``LNT001``–``LNT007``, ``SIM301``, ``MET###``), a
 severity, and inline ``# repro: noqa[RULE-ID]`` suppression support,
 applied once per file to the combined findings.
 """
@@ -48,21 +53,100 @@ import ast
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..simulate.schema import SPAN_KINDS, TRACE_SCHEMA, validate_emitters
 from .rules import Finding, apply_suppressions, iter_python_files
-from .simcheck import (
-    CallGraph,
-    ModuleInfo,
-    check_determinism,
-    check_races,
-    check_spans,
-    parse_modules,
-)
-from .simcheck.callgraph import _dotted
+from .spans import check_spans
 
 __all__ = ["Finding", "LintResult", "lint_source", "lint_paths"]
+
+
+# -- the one parse -----------------------------------------------------------
+
+def module_name_for(path: str) -> str:
+    """Dotted module name from a file path (``repro``-rooted if possible)."""
+    norm = os.path.normpath(path).replace(os.sep, "/")
+    parts = norm.split("/")
+    stem = parts[-1][:-3] if parts[-1].endswith(".py") else parts[-1]
+    dirs = parts[:-1]
+    if "repro" in dirs:
+        idx = len(dirs) - 1 - dirs[::-1].index("repro")
+        pkg = dirs[idx:]
+    else:
+        pkg = []
+    if stem == "__init__":
+        return ".".join(pkg) if pkg else stem
+    return ".".join(pkg + [stem]) if pkg else stem
+
+
+def _dotted(node: ast.AST) -> Optional[str]:
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+@dataclass
+class FunctionInfo:
+    """One module-level function or method (nested defs belong to it)."""
+
+    qualname: str                #: "mod.Class.name" / "mod.name"
+    class_name: Optional[str]
+    node: ast.AST
+
+
+@dataclass
+class ModuleInfo:
+    """One parsed module and the functions the span check walks."""
+
+    path: str
+    name: str
+    tree: ast.Module
+    source: str
+    functions: List[FunctionInfo] = field(default_factory=list)
+
+
+def _collect_functions(info: ModuleInfo, node: ast.AST,
+                       class_name: Optional[str] = None) -> None:
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{info.name}.{class_name}" if class_name else info.name
+            info.functions.append(FunctionInfo(
+                f"{owner}.{child.name}", class_name, child))
+        elif isinstance(child, ast.ClassDef):
+            _collect_functions(info, child, child.name)
+        else:
+            _collect_functions(info, child, class_name)
+
+
+def parse_modules(sources: Iterable[Tuple[str, str]],
+                  ) -> Tuple[List[ModuleInfo], List[Finding]]:
+    """Parse each ``(path, source)`` once into a :class:`ModuleInfo`.
+
+    A source that does not parse gives one ``syntax-error`` finding
+    instead of a module.
+    """
+    modules: List[ModuleInfo] = []
+    broken: List[Finding] = []
+    for path, source in sources:
+        try:
+            tree = ast.parse(source, filename=path)
+        except SyntaxError as exc:
+            broken.append(Finding(path, exc.lineno or 0, exc.offset or 0,
+                                  "syntax-error", str(exc.msg)))
+            continue
+        info = ModuleInfo(path, module_name_for(path), tree, source)
+        _collect_functions(info, tree)
+        modules.append(info)
+    return modules, broken
+
+
+# -- per-file rules ----------------------------------------------------------
 
 #: Span identity fields supplied by the Span machinery, never by callers.
 _SPAN_AUTO_FIELDS = {"span", "parent", "duration", "error"}
@@ -73,8 +157,14 @@ _WALL_CLOCK_CALLS = {
     ("datetime", "now"), ("datetime", "today"), ("datetime", "utcnow"),
 }
 
-#: Functions of the global ``random`` module (unseeded process-global RNG).
-_RANDOM_MODULE = "random"
+#: Modules whose functions draw from a process-global, unseeded RNG
+#: (``np.random`` is the spelling when numpy's import is not in view).
+_GLOBAL_RNG_MODULES = {"random", "numpy.random", "np.random"}
+
+#: Constructors in those modules: clean with a seed, findings without.
+_RNG_CONSTRUCTORS = {"Random", "default_rng", "RandomState", "SeedSequence",
+                     "Generator", "PCG64", "PCG64DXSM", "MT19937", "Philox",
+                     "SFC64"}
 
 #: Data-path classes that must be built via ``repro.pipeline.registry``.
 _REGISTRY_ONLY = {"RDMAMigrationSession", "RestartEngine"}
@@ -113,6 +203,8 @@ class _EmitSiteVisitor(ast.NodeVisitor):
         self.emitted: List[str] = []
         self._registry_exempt = _registry_exempt(path)
         self._wallclock_exempt = _wallclock_exempt(path)
+        #: {bound name: dotted target} of the imports seen so far.
+        self._imports: Dict[str, str] = {}
 
     # -- helpers ------------------------------------------------------------
     def _find(self, node: ast.AST, code: str, message: str) -> None:
@@ -133,6 +225,17 @@ class _EmitSiteVisitor(ast.NodeVisitor):
                        f"{missing} (schema: {sorted(required)})")
 
     # -- visitors -----------------------------------------------------------
+    def visit_Import(self, node: ast.Import) -> None:
+        for alias in node.names:
+            if alias.asname:
+                self._imports[alias.asname] = alias.name
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if node.module and not node.level:
+            for alias in node.names:
+                self._imports[alias.asname or alias.name] = \
+                    f"{node.module}.{alias.name}"
+
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         attr = func.attr if isinstance(func, ast.Attribute) else None
@@ -184,18 +287,22 @@ class _EmitSiteVisitor(ast.NodeVisitor):
         dotted = _dotted(node.func)
         if dotted is None:
             return
-        parts = dotted.split(".")
-        tail2 = tuple(parts[-2:]) if len(parts) >= 2 else None
-        if tail2 in _WALL_CLOCK_CALLS:
+        head, dot, rest = dotted.partition(".")
+        resolved = self._imports.get(head, head) + dot + rest
+        module, _, func = resolved.rpartition(".")
+        if (module.rpartition(".")[2], func) in _WALL_CLOCK_CALLS:
             self._find(node, "wall-clock",
                        f"call to {dotted}() — simulation code must take "
                        f"time from sim.now, not the wall clock")
-        elif len(parts) == 2 and parts[0] == _RANDOM_MODULE:
+        elif module not in _GLOBAL_RNG_MODULES:
+            return
+        elif func not in _RNG_CONSTRUCTORS:
             self._find(node, "wall-clock",
-                       f"call to {dotted}() — the process-global random "
-                       f"module is unseeded; use a seeded "
+                       f"call to {dotted}() — the process-global {module} "
+                       f"RNG is unseeded; draw from a seeded "
                        f"np.random.default_rng(seed)")
-        elif parts[-1] in ("default_rng", "Random") and not node.args:
+        elif all(isinstance(arg, ast.Constant) and arg.value is None
+                 for arg in node.args + [kw.value for kw in node.keywords]):
             self._find(node, "wall-clock",
                        f"call to {dotted}() with no seed — unseeded RNGs "
                        f"make runs irreproducible")
@@ -309,8 +416,6 @@ class LintResult:
     findings: List[Finding] = field(default_factory=list)
     #: Findings silenced by inline noqa suppressions.
     suppressed: List[Finding] = field(default_factory=list)
-    #: Call-graph shape counters (modules/functions/generators/...).
-    stats: Dict[str, int] = field(default_factory=dict)
     files: List[str] = field(default_factory=list)
 
 
@@ -344,10 +449,7 @@ def _lint(modules: List[ModuleInfo], broken: List[Finding]) -> LintResult:
         # lost its real emitter.
         if f"{os.sep}sanitize{os.sep}" not in mod.path:
             emitted.extend(kinds)
-    graph = CallGraph(modules)
-    findings.extend(check_races(graph))
-    findings.extend(check_determinism(graph))
-    findings.extend(check_spans(graph))
+    findings.extend(check_spans(modules))
     for mod in modules:
         if mod.name == _SCHEMA_MODULE:
             findings.extend(Finding(mod.path, 0, 0, "emitter-drift", problem)
@@ -355,7 +457,7 @@ def _lint(modules: List[ModuleInfo], broken: List[Finding]) -> LintResult:
     by_path: Dict[str, List[Finding]] = {}
     for finding in findings:
         by_path.setdefault(finding.path, []).append(finding)
-    result = LintResult(stats=graph.stats())
+    result = LintResult()
     # Every module goes through suppression bookkeeping, findings or
     # not — a noqa comment in a clean file is an *unused* suppression.
     for mod in modules:

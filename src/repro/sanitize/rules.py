@@ -1,7 +1,7 @@
 """The rule framework behind ``repro lint``.
 
 * a **rule registry** — every check registers a :class:`RuleSpec` with a
-  stable id (``LNT003``, ``SIM201``), a human slug (``wall-clock``), a
+  stable id (``LNT003``, ``SIM301``), a human slug (``wall-clock``), a
   severity and a one-line rationale.  Stable ids are the contract:
   suppressions, SARIF output and the docs catalog all key on them, so
   ids are never renumbered or reused;
@@ -83,21 +83,7 @@ register_rule("LNT006", "emitter-drift", "error",
               "schema kind with no emitter, or emit of an undeclared kind")
 register_rule("LNT007", "syntax-error", "error",
               "file does not parse; nothing else can be checked")
-# Call-graph passes (yield-point races, determinism, span balance).
-register_rule("SIM101", "yield-stale-write", "error",
-              "shared state read before a yield and written back after it "
-              "from the stale value (lost update across the yield point)")
-register_rule("SIM102", "iter-mutation-hazard", "warning",
-              "a process iterates a shared container across a yield while "
-              "another code path mutates it")
-register_rule("SIM201", "set-order-dependence", "error",
-              "set-iteration order flows into event scheduling, trace "
-              "emission, or flow completion ordering")
-register_rule("SIM202", "id-order-dependence", "error",
-              "id()-derived value used for ordering or emitted — object "
-              "addresses vary run to run")
-register_rule("SIM203", "unseeded-rng-flow", "error",
-              "unseeded-RNG draw flows into scheduling or trace emission")
+# Span balance (every path that starts a span ends it).
 register_rule("SIM301", "span-unbalanced", "error",
               "a started span is not closed on every code path")
 # Meta (the framework's own suppression hygiene).
@@ -152,8 +138,8 @@ _NOQA_RE = re.compile(r"#\s*repro:\s*noqa\[([^\]]*)\]")
 def parse_suppressions(source: str) -> Dict[int, List[str]]:
     """``{line: [id, ...]}`` for every ``# repro: noqa[...]`` comment.
 
-    Ids may be stable rule ids (``SIM201``) or code slugs
-    (``set-order-dependence``); empty brackets parse to no ids (and will
+    Ids may be stable rule ids (``SIM301``) or code slugs
+    (``span-unbalanced``); empty brackets parse to no ids (and will
     be reported as an unused suppression).
     """
     out: Dict[int, List[str]] = {}

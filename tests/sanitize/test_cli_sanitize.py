@@ -110,28 +110,37 @@ def test_lint_flags_bad_file(capsys, tmp_path):
     assert "unused-import" in out
 
 
-def test_lint_reports_per_file_and_call_graph_findings_together(
-        capsys, tmp_path):
+@pytest.mark.parametrize("missing", ["no/such/dir", "nope.py"])
+def test_lint_missing_path_exits_2(capsys, tmp_path, missing):
+    """A mistyped path is an input error, not a clean (or crashing) run."""
+    path = tmp_path / missing
+    assert main(["lint", str(path)]) == 2
+    assert capsys.readouterr().out.strip() == (
+        f"error: no such file or directory: {path}")
+
+
+def test_lint_reports_per_file_and_span_findings_together(capsys, tmp_path):
     """One run, one exit code: an LNT and a SIM bug in one file are both
     reported in text, JSON and the --sarif-out document."""
     bad = tmp_path / "bad.py"
     bad.write_text("import os\n"
-                   "def order(flows):\n"
-                   "    return sorted(flows, key=id)\n")
+                   "def work(tracer, name):\n"
+                   "    tracer.span(name)\n")
     sarif = tmp_path / "lint.sarif"
     assert main(["lint", str(bad), "--sarif-out", str(sarif)]) == 1
     out = capsys.readouterr().out
     assert "LNT004 [unused-import]" in out
-    assert "SIM202 [id-order-dependence]" in out
-    assert "2 finding(s)" in out
+    assert "SIM301 [span-unbalanced]" in out
+    assert out.rstrip().endswith("2 finding(s): 1 file(s)")
 
     assert main(["lint", str(bad), "--format", "json"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["clean"] is False
-    assert [f["rule"] for f in doc["findings"]] == ["LNT004", "SIM202"]
+    assert doc["files"] == 1
+    assert [f["rule"] for f in doc["findings"]] == ["LNT004", "SIM301"]
 
     results = json.loads(sarif.read_text())["runs"][0]["results"]
-    assert [r["ruleId"] for r in results] == ["LNT004", "SIM202"]
+    assert [r["ruleId"] for r in results] == ["LNT004", "SIM301"]
 
 
 def test_lint_help_lists_exactly_three_options(capsys):

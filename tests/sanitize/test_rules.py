@@ -26,8 +26,7 @@ def test_rule_ids_are_stable_and_unique():
     # suppressions and SARIF consumers.
     assert sorted(RULES) == [
         "LNT001", "LNT002", "LNT003", "LNT004", "LNT005", "LNT006",
-        "LNT007", "MET001", "MET002", "SIM101", "SIM102", "SIM201",
-        "SIM202", "SIM203", "SIM301"]
+        "LNT007", "MET001", "MET002", "SIM301"]
 
 
 def test_every_rule_has_severity_and_summary():
@@ -37,41 +36,41 @@ def test_every_rule_has_severity_and_summary():
 
 
 def test_finding_resolves_rule_metadata():
-    f = Finding("x.py", 3, 0, "set-order-dependence", "boom")
-    assert f.rule_id == "SIM201"
+    f = Finding("x.py", 3, 0, "span-unbalanced", "boom")
+    assert f.rule_id == "SIM301"
     assert f.severity == "error"
-    assert "SIM201" in f.render()
-    assert rule_by_code("set-order-dependence").id == "SIM201"
+    assert "SIM301" in f.render()
+    assert rule_by_code("span-unbalanced").id == "SIM301"
 
 
 # -- suppressions ------------------------------------------------------------
 
 def test_parse_suppressions_reads_comment_tokens():
-    src = "x = 1  # repro: noqa[SIM201]\ny = 2\n"
-    assert parse_suppressions(src) == {1: ["SIM201"]}
+    src = "x = 1  # repro: noqa[SIM301]\ny = 2\n"
+    assert parse_suppressions(src) == {1: ["SIM301"]}
 
 
 def test_parse_suppressions_ignores_docstrings():
-    src = '"""Use # repro: noqa[SIM201] to silence a finding."""\nx = 1\n'
+    src = '"""Use # repro: noqa[SIM301] to silence a finding."""\nx = 1\n'
     assert parse_suppressions(src) == {}
 
 
 def test_parse_suppressions_multiple_ids():
-    src = "x = 1  # repro: noqa[SIM201, wall-clock]\n"
-    assert parse_suppressions(src) == {1: ["SIM201", "wall-clock"]}
+    src = "x = 1  # repro: noqa[SIM301, wall-clock]\n"
+    assert parse_suppressions(src) == {1: ["SIM301", "wall-clock"]}
 
 
 def test_suppression_silences_matching_finding():
-    src = "x = 1  # repro: noqa[SIM201]\n"
-    findings = [Finding("f.py", 1, 0, "set-order-dependence", "boom")]
+    src = "x = 1  # repro: noqa[SIM301]\n"
+    findings = [Finding("f.py", 1, 0, "span-unbalanced", "boom")]
     kept, suppressed = apply_suppressions(findings, "f.py", src)
     assert kept == []
     assert len(suppressed) == 1
 
 
 def test_suppression_by_slug_also_matches():
-    src = "x = 1  # repro: noqa[set-order-dependence]\n"
-    findings = [Finding("f.py", 1, 0, "set-order-dependence", "boom")]
+    src = "x = 1  # repro: noqa[span-unbalanced]\n"
+    findings = [Finding("f.py", 1, 0, "span-unbalanced", "boom")]
     kept, _ = apply_suppressions(findings, "f.py", src)
     assert kept == []
 
@@ -83,7 +82,7 @@ def test_unknown_suppression_is_a_finding():
 
 
 def test_unused_suppression_is_a_finding():
-    src = "x = 1  # repro: noqa[SIM201]\n"
+    src = "x = 1  # repro: noqa[SIM301]\n"
     kept, _ = apply_suppressions([], "f.py", src)
     assert [f.code for f in kept] == ["unused-suppression"]
 
@@ -95,11 +94,11 @@ def test_empty_suppression_brackets_flagged():
 
 
 def test_suppression_on_other_line_does_not_match():
-    src = "x = 1  # repro: noqa[SIM201]\ny = 2\n"
-    findings = [Finding("f.py", 2, 0, "set-order-dependence", "boom")]
+    src = "x = 1  # repro: noqa[SIM301]\ny = 2\n"
+    findings = [Finding("f.py", 2, 0, "span-unbalanced", "boom")]
     kept, _ = apply_suppressions(findings, "f.py", src)
     codes = sorted(f.code for f in kept)
-    assert codes == ["set-order-dependence", "unused-suppression"]
+    assert codes == ["span-unbalanced", "unused-suppression"]
 
 
 # -- file collection ---------------------------------------------------------
@@ -132,16 +131,16 @@ def test_iter_python_files_is_stable_across_argument_order(tmp_path):
 # -- SARIF -------------------------------------------------------------------
 
 def test_sarif_document_shape():
-    findings = [Finding("src/repro/x.py", 7, 2, "set-order-dependence",
-                        "order leak")]
+    findings = [Finding("src/repro/x.py", 7, 2, "span-unbalanced",
+                        "span leak")]
     doc = to_sarif(findings)
     assert doc["version"] == "2.1.0"
     run = doc["runs"][0]
     assert run["tool"]["driver"]["name"] == "repro-lint"
     rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-    assert "SIM201" in rule_ids
+    assert "SIM301" in rule_ids
     result = run["results"][0]
-    assert result["ruleId"] == "SIM201"
+    assert result["ruleId"] == "SIM301"
     assert result["level"] == "error"
     loc = result["locations"][0]["physicalLocation"]
     assert loc["artifactLocation"]["uri"] == "src/repro/x.py"
