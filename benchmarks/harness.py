@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import json
 import os
-import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.analysis import (
@@ -52,6 +51,7 @@ from repro.experiments import (
     Run,
     fig7_row,
 )
+from repro.obs import start_clock, stop_clock
 from repro.simulate import Tracer
 
 from .paper_reference import (
@@ -249,9 +249,9 @@ def _kernel_sweep() -> Tuple[Dict[str, float], float]:
     wall = 0.0
     for run in FIG6.values():
         sc = run.scenario()
-        t0 = time.perf_counter()
+        t0 = start_clock()
         run.drive(sc)
-        wall += time.perf_counter() - t0
+        wall += stop_clock(t0)
         processed += sc.sim.events_processed
         cancelled += sc.sim.events_cancelled
         final_time += sc.sim.now
@@ -299,9 +299,9 @@ def _kernel_churn() -> Tuple[Dict[str, float], float]:
         sim.spawn(racer(i), name=f"racer-{i}")
     sim.spawn(pinger(), name="pinger")
     sim.spawn(ponger(), name="ponger")
-    t0 = time.perf_counter()
+    t0 = start_clock()
     sim.run()
-    wall = time.perf_counter() - t0
+    wall = stop_clock(t0)
     return ({"events_processed": float(sim.events_processed),
              "events_cancelled": float(sim.events_cancelled),
              "final_time": round(sim.now, 6)}, wall)
@@ -336,9 +336,9 @@ def _cluster_run(n_nodes: int, n_jobs: int, title: str) -> Dict[str, Any]:
     from repro.cluster.scale import ClusterScale
 
     cs = ClusterScale(n_nodes=n_nodes, n_jobs=n_jobs, seed=0)
-    t0 = time.perf_counter()
+    t0 = start_clock()
     counters = {k: float(v) for k, v in cs.run().items()}
-    wall = time.perf_counter() - t0
+    wall = stop_clock(t0)
     return {"title": title, "results": counters,
             "throughput": {
                 "wall_seconds": round(wall, 4),
@@ -450,11 +450,11 @@ def _explain_regressions(regressed: List[str], out_dir: str,
 def run_bench(name: str) -> Dict[str, Any]:
     """Run one bench; returns the full artifact dict (not yet written)."""
     fn = BENCHES[name]
-    t0 = time.perf_counter()
+    t0 = start_clock()
     body = fn()
     artifact = {"schema_version": BENCH_SCHEMA_VERSION, "name": name}
     artifact.update(body)
-    artifact["wall_seconds"] = round(time.perf_counter() - t0, 3)
+    artifact["wall_seconds"] = round(stop_clock(t0), 3)
     return artifact
 
 

@@ -4,7 +4,6 @@
 
     python -m repro run       --app LU.C --source node3
     python -m repro report    <run_id> --out report.md
-    python -m repro critical-path <run_id>
     python -m repro explain   <run_a> <run_b>
     python -m repro compare   --app BT.C
     python -m repro scale     --ppn 1 2 4 8
@@ -12,9 +11,10 @@
     python -m repro bench     --out-dir ./bench-out
 
 ``run`` is the one command that records a traced migration: it writes
-a run directory (manifest, trace, Chrome trace, metrics, OpenMetrics)
-and every analysis (``report``, ``critical-path``, ``explain``,
-``sanitize --from-jsonl``) reads a recorded run or a trace file.
+a run directory (manifest, trace, Chrome trace, metrics) and every
+analysis (``report``, ``explain``, ``sanitize --from-jsonl``) reads a
+recorded run or a trace file.  ``report`` answers where one run's time
+went; ``explain`` answers why two runs differ.
 """
 
 from __future__ import annotations
@@ -22,27 +22,21 @@ from __future__ import annotations
 import argparse
 import json
 import os
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from .analysis import (
     atomic_write,
-    build_span_dag,
-    critical_path,
     diff_traces,
-    dominant_component,
     extract_phases,
     migration_phase_breakdown,
     read_jsonl,
-    render_blame,
     render_explanation,
     render_table,
     render_timeline,
-    render_waterfall,
     telemetry_series,
     write_chrome_trace,
     write_jsonl,
     write_metrics,
-    write_openmetrics,
 )
 from .obs import (
     ProgressReporter,
@@ -51,7 +45,6 @@ from .obs import (
     list_runs,
     load_manifest,
     render_run_report,
-    report_to_html,
     resolve_runs_dir,
     start_clock,
     stop_clock,
@@ -67,10 +60,14 @@ from .experiments import (
     fig7_runs,
     interval_study,
 )
+from .mpi.job import MPIJob
 from .params import NPB_TABLE
+from .pipeline.registry import sink_names, transport_names
+from .sanitize.runner import SCENARIOS
 from .simulate.metrics import MetricsRegistry
 from .simulate.telemetry import DEFAULT_INTERVAL, TelemetryProbe
 from .simulate.trace import Tracer
+from .workloads import NPBApplication
 
 __all__ = ["main", "build_parser"]
 
@@ -104,23 +101,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="do not record this run in the run registry")
         progress(p)
 
-    def run_source(p: argparse.ArgumentParser) -> None:
-        p.add_argument("run", metavar="RUN",
-                       help="a recorded run id or a trace "
-                            ".jsonl/.jsonl.gz path")
-        runs_dir(p)
-
     run = sub.add_parser(
         "run",
         help="one traced migration cycle: phase table + timeline, "
              "recorded as runs/<run_id>/ (manifest, trace.jsonl.gz, "
-             "trace.json, metrics.json, metrics.om)")
+             "trace.json, metrics.json)")
     common(run)
     run.add_argument("--source", default="node3")
     run.add_argument("--transport", default="rdma",
-                     choices=["rdma", "ipoib", "tcp", "staging"])
-    run.add_argument("--restart-mode", default="file",
-                     choices=["file", "memory"])
+                     choices=transport_names())
+    run.add_argument("--restart-mode", default="file", choices=sink_names())
     runs_dir(run)
     progress(run)
 
@@ -129,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(cmp_)
     registry_flags(cmp_)
     cmp_.add_argument("--restart-mode", default="file",
-                      choices=["file", "memory"],
+                      choices=sink_names(),
                       help="migration restart path: file barrier or "
                            "pipelined memory restart")
 
@@ -144,16 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
                           default=[0.0, 0.5, 0.9])
     interval.add_argument("--work-days", type=float, default=7.0)
 
-    cp = sub.add_parser(
-        "critical-path",
-        help="critical-path analysis of a recorded run "
-             "(waterfall + per-component blame)")
-    run_source(cp)
-    cp.add_argument("--root", default=None,
-                    help="span name to analyze (default: migration)")
-    cp.add_argument("--width", type=int, default=48,
-                    help="waterfall bar width")
-
     bench = sub.add_parser(
         "bench",
         help="run the benchmark harness: write BENCH_*.json and diff "
@@ -163,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory for BENCH_<name>.json artifacts")
     bench.add_argument("--only", nargs="+", default=None, metavar="NAME",
                        help="subset of benches (fig4 fig6 fig7 table1 "
-                            "pipeline events_per_sec)")
+                            "pipeline events_per_sec cluster_scale "
+                            "cluster_smoke)")
     bench.add_argument("--baselines", default=None, metavar="PATH",
                        help="baselines file (default: "
                             "benchmarks/baselines.json)")
@@ -180,8 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sanitize",
         help="run the protocol sanitizer over a bench scenario (or a "
              "recorded run's trace); non-zero exit on any violation")
-    san.add_argument("--scenario", default="fig4",
-                     choices=["fig4", "fig6", "fig7", "pipeline"],
+    san.add_argument("--scenario", default="fig4", choices=tuple(SCENARIOS),
                      help="bench scenario to replay under the checker")
     san.add_argument("--from-jsonl", default=None, metavar="RUN|PATH",
                      help="check a recorded run's trace (or a trace "
@@ -212,14 +192,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser(
         "report",
-        help="render a recorded run as one self-contained report: "
-             "waterfall, blame, timeline, telemetry sparklines and the "
-             "metrics summary (markdown or HTML)")
-    run_source(rep)
+        help="render a recorded run as one markdown report: critical-path "
+             "waterfall, blame and dominant component, timeline, "
+             "telemetry sparklines and the metrics summary")
+    rep.add_argument("run", metavar="RUN",
+                     help="a recorded run id or a trace .jsonl/.jsonl.gz path")
+    runs_dir(rep)
     rep.add_argument("--out", default=None, metavar="PATH",
                      help="write the markdown report here (default: stdout)")
-    rep.add_argument("--html", default=None, metavar="PATH",
-                     help="also write a self-contained HTML rendering")
 
     exp = sub.add_parser(
         "explain",
@@ -243,8 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     runs = sub.add_parser(
         "runs", help="run registry: list recorded runs, show one, or diff "
-                     "two without re-running (with archived traces, adds "
-                     "the trace-level explanation)")
+                     "two manifests' config and results without re-running "
+                     "(`repro explain` diffs their traces)")
     runs.add_argument("action", choices=["list", "show", "diff"])
     runs.add_argument("ids", nargs="*", metavar="RUN_ID",
                       help="one id for show, two for diff")
@@ -298,6 +278,25 @@ def _out_dir_error(path: str, flag: str) -> Optional[str]:
     return None
 
 
+def _shape_error(runs: Iterable[Run]) -> Optional[str]:
+    """One-line error when a run's job cannot be laid out on its testbed.
+
+    Applies the rules ``Scenario.build`` does (at least one rank, ranks
+    dividing evenly over the compute nodes) to every run before any of
+    them simulates, so a bad ``--nprocs``/``--nodes``/``--ppn`` fails at
+    once with no run directory reserved.
+    """
+    for run in runs:
+        if run.n_compute < 1:
+            return f"error: --nodes must be >= 1, got {run.n_compute}"
+        try:
+            NPBApplication.named(run.app, run.nprocs)
+            MPIJob.block_placement(run.nprocs, [""] * run.n_compute)
+        except ValueError as exc:
+            return f"error: {exc}"
+    return None
+
+
 #: argparse dest names that are run plumbing, not experiment configuration
 #: — excluded from the manifest's config dict (and hence its hash).
 _NON_CONFIG_ARGS = frozenset({
@@ -306,8 +305,7 @@ _NON_CONFIG_ARGS = frozenset({
 })
 
 #: What ``repro run`` writes into its run directory, next to the manifest.
-_RUN_ARTIFACTS = ("trace.jsonl.gz", "trace.json", "metrics.json",
-                  "metrics.om")
+_RUN_ARTIFACTS = ("trace.jsonl.gz", "trace.json", "metrics.json")
 
 
 def _run_config(args) -> dict:
@@ -317,12 +315,11 @@ def _run_config(args) -> dict:
 
 def _record_run(args, command: str, results: dict, wall_seconds: float,
                 lines: List[str], artifacts: Sequence[str] = (),
-                export: Optional[Callable[[RunManifest, str], List[str]]]
-                = None) -> None:
+                export: Optional[Callable[[str], List[str]]] = None) -> None:
     """Write this run's manifest (unless ``--no-manifest``); note it.
 
-    ``export(manifest, run_dir)`` writes the run's artifacts into its
-    freshly reserved directory and returns their paths.
+    ``export(run_dir)`` writes the run's artifacts into its freshly
+    reserved directory and returns their paths.
     """
     if getattr(args, "no_manifest", False):
         return
@@ -335,7 +332,7 @@ def _record_run(args, command: str, results: dict, wall_seconds: float,
     run_dir = os.path.dirname(path)
     if export is not None:
         manifest.artifacts += [os.path.abspath(a)
-                               for a in export(manifest, run_dir)]
+                               for a in export(run_dir)]
         write_manifest(manifest, args.runs_dir, overwrite=True)
     lines.append(f"recorded run {manifest.run_id} ({run_dir})")
 
@@ -343,18 +340,19 @@ def _record_run(args, command: str, results: dict, wall_seconds: float,
 def _cmd_run(args):
     """One traced migration, recorded as the run directory every
     analysis command reads."""
-    err = _out_dir_error(resolve_runs_dir(args.runs_dir), "--runs-dir")
+    run = Run(args.app, args.nprocs, restart_mode=args.restart_mode,
+              n_compute=args.nodes, transport=args.transport)
+    err = (_out_dir_error(resolve_runs_dir(args.runs_dir), "--runs-dir")
+           or _shape_error([run]))
     if err is not None:
         return err, 2
     tracer = Tracer()
     registry = MetricsRegistry()
+    sc = run.scenario(args.seed, trace=tracer, metrics=registry)
     reporter = ProgressReporter(label="run") if args.progress else None
     probe = TelemetryProbe(
         DEFAULT_INTERVAL,
         on_sample=reporter.on_sample if reporter is not None else None)
-    sc = Run(args.app, args.nprocs, restart_mode=args.restart_mode,
-             n_compute=args.nodes, transport=args.transport,
-             ).scenario(args.seed, trace=tracer, metrics=registry)
     sc.sim.attach_probe(probe)
     t0 = start_clock()
     report = sc.run_migration(args.source, at=FAILURE_AT)
@@ -371,15 +369,13 @@ def _cmd_run(args):
     lines.append(f"data migrated: {report.bytes_migrated / 1e6:.1f} MB in "
                  f"{report.chunks_transferred} chunks")
 
-    def export(manifest: RunManifest, run_dir: str) -> List[str]:
-        trace_jsonl, trace_json, metrics_json, metrics_om = (
+    def export(run_dir: str) -> List[str]:
+        trace_jsonl, trace_json, metrics_json = (
             os.path.join(run_dir, name) for name in _RUN_ARTIFACTS)
         write_jsonl(tracer, trace_jsonl)
         write_chrome_trace(tracer, trace_json)
         write_metrics(registry, metrics_json)
-        write_openmetrics(metrics_om, metrics=registry, telemetry=probe,
-                          labels={"run_id": manifest.run_id})
-        return [trace_jsonl, trace_json, metrics_json, metrics_om]
+        return [trace_jsonl, trace_json, metrics_json]
 
     _record_run(args, "run",
                 {"phases": phases,
@@ -392,9 +388,12 @@ def _cmd_run(args):
 
 
 def _cmd_compare(args) -> str:
+    runs = fig7_runs(args.app, args.nprocs, args.nodes, args.restart_mode)
+    err = _shape_error(runs.values())
+    if err is not None:
+        return err, 2
     reporter = ProgressReporter(label="compare") if args.progress else None
     t0 = start_clock()
-    runs = fig7_runs(args.app, args.nprocs, args.nodes, args.restart_mode)
     results = {}
     for kind, run in runs.items():
         sc = run.scenario(seed=args.seed)
@@ -424,15 +423,26 @@ def _cmd_compare(args) -> str:
     return "\n".join(out)
 
 
-def _cmd_scale(args) -> str:
+def _cmd_scale(args):
+    runs = {ppn: fig6_run(ppn) for ppn in args.ppn}
+    err = _shape_error(runs.values())
+    if err is not None:
+        return err, 2
     rows = {f"{ppn} ranks/node":
-            migration_phase_breakdown(fig6_run(ppn).execute(seed=args.seed))
-            for ppn in args.ppn}
+            migration_phase_breakdown(run.execute(seed=args.seed))
+            for ppn, run in runs.items()}
     return render_table("Migration scalability, LU.C on 8 nodes (Fig. 6)",
                         rows)
 
 
-def _cmd_interval(args) -> str:
+def _cmd_interval(args):
+    for flag, value in (("--mtbf-hours", args.mtbf_hours),
+                        ("--work-days", args.work_days)):
+        if value <= 0:
+            return f"error: {flag} must be positive, got {value:g}", 2
+    bad = [c for c in args.coverage if not 0 <= c <= 1]
+    if bad:
+        return f"error: --coverage must be in [0, 1], got {bad[0]:g}", 2
     costs, rows = interval_study(args.coverage, args.mtbf_hours,
                                  args.work_days)
     return "\n".join([
@@ -443,31 +453,18 @@ def _cmd_interval(args) -> str:
             f"{args.work_days:g}-day job)", rows, unit="mixed", digits=1)])
 
 
-def _cmd_critical_path(args):
-    """Causal profile of a recorded run: waterfall + blame + dominant."""
-    err, _, path = _resolve_trace_source(args.run, args.runs_dir)
-    if err is not None:
-        return err, 2
-    cp = critical_path(build_span_dag(read_jsonl(path)), root=args.root)
-    name, seconds = dominant_component(cp)
-    return "\n".join([
-        render_waterfall(cp, width=args.width),
-        "",
-        render_blame(cp.blame()),
-        "",
-        f"dominant component: {name} ({seconds:.3f}s, "
-        f"{seconds / max(cp.total, 1e-12):.0%} of the critical path)",
-    ])
-
-
 def _cmd_bench(args):
     """Benchmark harness: BENCH_*.json artifacts + baseline diff."""
     try:
-        from benchmarks.harness import run_benches
+        from benchmarks.harness import BENCHES, run_benches
     except ImportError as exc:
         raise SystemExit(
             f"cannot import benchmarks.harness ({exc}); run from the "
             "repository root so the benchmarks/ package is importable")
+    unknown = [name for name in args.only or () if name not in BENCHES]
+    if unknown:
+        return (f"error: unknown benches {unknown}; "
+                f"available: {sorted(BENCHES)}"), 2
     if args.profile_out:
         err = _out_path_error(args.profile_out, "--profile-out")
         if err is not None:
@@ -610,48 +607,30 @@ def _cmd_validate(args) -> str:
 
 def _cmd_report(args):
     """Self-contained report of a recorded run (or a bare trace file)."""
-    for path, flag in ((args.out, "--out"), (args.html, "--html")):
-        if path:
-            err = _out_path_error(path, flag)
-            if err is not None:
-                return err, 2
+    if args.out:
+        err = _out_path_error(args.out, "--out")
+        if err is not None:
+            return err, 2
     err, manifest, trace_path = _resolve_trace_source(args.run, args.runs_dir)
     if err is not None:
         return err, 2
     replay = read_jsonl(trace_path)
     metrics_summary = None
-    extra_sections = []
     for a in manifest.artifacts if manifest is not None else ():
-        base = os.path.basename(a)
-        if base == "metrics.json" and os.path.exists(a):
+        if os.path.basename(a) == "metrics.json" and os.path.exists(a):
             with open(a, encoding="utf-8") as fh:
                 metrics_summary = json.load(fh)
-        elif base.startswith("EXPLAIN_") and base.endswith(".md") \
-                and os.path.exists(a):
-            with open(a, encoding="utf-8") as fh:
-                extra_sections.append(
-                    (f"Regression explanation — "
-                     f"{base[len('EXPLAIN_'):-len('.md')]}",
-                     fh.read()))
     label = manifest.run_id if manifest is not None else args.run
     text = render_run_report(
         manifest=manifest, records=list(replay),
         telemetry=telemetry_series(replay),
         metrics_summary=metrics_summary,
-        title=f"Run report — {label}",
-        extra_sections=extra_sections)
-    notes: List[str] = []
+        title=f"Run report — {label}")
     if args.out:
         with atomic_write(args.out) as fh:
             fh.write(text)
-        notes.append(f"wrote {args.out}")
-    if args.html:
-        with atomic_write(args.html) as fh:
-            fh.write(report_to_html(text))
-        notes.append(f"wrote {args.html}")
-    if args.out:
-        return "\n".join(notes)
-    return text + ("\n" + "\n".join(notes) if notes else "")
+        return f"wrote {args.out}"
+    return text
 
 
 def _resolve_trace_source(value: str, runs_dir: Optional[str]):
@@ -734,25 +713,12 @@ def _cmd_runs(args):
             loaded.append(load_manifest(run_id, args.runs_dir))
         except (OSError, ValueError, TypeError) as exc:
             return f"error: cannot load run {run_id!r}: {exc}", 2
-    text = diff_runs(loaded[0], loaded[1])
-    trace_a = trace_artifact(loaded[0])
-    trace_b = trace_artifact(loaded[1])
-    if trace_a and trace_b:
-        try:
-            diff = diff_traces(read_jsonl(trace_a), read_jsonl(trace_b),
-                               label_a=loaded[0].run_id,
-                               label_b=loaded[1].run_id)
-        except ValueError as exc:
-            text += f"\n\n(trace-level explanation skipped: {exc})"
-        else:
-            text += "\n\n" + render_explanation(diff)
-    return text
+    return diff_runs(loaded[0], loaded[1])
 
 
 _COMMANDS = {"run": _cmd_run, "compare": _cmd_compare,
              "scale": _cmd_scale, "interval": _cmd_interval,
-             "validate": _cmd_validate,
-             "critical-path": _cmd_critical_path, "bench": _cmd_bench,
+             "validate": _cmd_validate, "bench": _cmd_bench,
              "sanitize": _cmd_sanitize, "lint": _cmd_lint,
              "report": _cmd_report, "runs": _cmd_runs,
              "explain": _cmd_explain}

@@ -8,7 +8,7 @@ the sanitizer's wall-clock ban (see :mod:`repro.sanitize.lint`).
 
 * :mod:`repro.obs.registry` — every CLI run writes a manifest under
   ``runs/<run_id>/``; list, load and diff them without re-running.
-* :mod:`repro.obs.report` — self-contained markdown/HTML run reports
+* :mod:`repro.obs.report` — self-contained markdown run reports
   (phase waterfall, blame, telemetry sparklines).
 * :mod:`repro.obs.progress` — wall-clock heartbeat for ``--progress``.
 """
@@ -30,7 +30,7 @@ from .registry import (
     trace_artifact,
     write_manifest,
 )
-from .report import render_run_report, report_to_html, sparkline
+from .report import render_run_report, sparkline
 
 __all__ = [
     "RunManifest",
@@ -48,7 +48,6 @@ __all__ = [
     "start_clock",
     "stop_clock",
     "render_run_report",
-    "report_to_html",
     "sparkline",
     "ProgressReporter",
 ]

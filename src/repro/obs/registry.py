@@ -5,11 +5,10 @@ manifest under ``runs/<run_id>/manifest.json`` tying together what was
 run (config + hash + seed + git sha), how long it took (wall seconds),
 what it produced (phase results, bench deltas) and where the artifacts
 went.  A ``repro run`` directory also holds the run's artifacts
-(``trace.jsonl.gz``, ``trace.json``, ``metrics.json``, ``metrics.om``),
-which ``repro report``, ``critical-path``, ``explain`` and ``sanitize
---from-jsonl`` read instead of simulating.  ``repro runs list|show|diff``
-answers "what changed between these two runs?" without re-running
-anything.
+(``trace.jsonl.gz``, ``trace.json``, ``metrics.json``), which ``repro
+report``, ``explain`` and ``sanitize --from-jsonl`` read instead of
+simulating.  ``repro runs list|show|diff`` answers "what changed between
+these two runs' configs and results?" without re-running anything.
 
 The registry directory defaults to ``runs/`` under the current working
 directory and is overridable with ``--runs-dir`` or the

@@ -1,9 +1,10 @@
-"""Self-contained run reports: markdown (and a minimal HTML wrapper).
+"""Self-contained run reports in markdown.
 
 :func:`render_run_report` assembles the analysis layer's renderers into
 one document: run identity + configuration, the critical-path phase
-waterfall, per-component blame, the phase timeline, sparkline tables of
-every sampled telemetry series, and the final metrics summary.  It
+waterfall, per-component blame and the dominant component with its share
+of the path, the phase timeline, sparkline tables of every sampled
+telemetry series, and the final metrics summary.  It
 works from a live run (records + probe in memory) or from a recorded
 run directory (``trace.jsonl.gz`` re-read, ``metrics.json`` loaded), and
 both render the same sections, units included, so ``repro report RUN``
@@ -27,7 +28,7 @@ from ..analysis.critical_path import (
 from ..analysis.timeline import extract_phases, render_timeline
 from ..simulate.telemetry import KERNEL_SERIES_UNITS
 
-__all__ = ["sparkline", "render_run_report", "report_to_html"]
+__all__ = ["sparkline", "render_run_report"]
 
 _BLOCKS = "▁▂▃▄▅▆▇█"
 
@@ -95,8 +96,8 @@ def _critical_path_sections(records) -> List[str]:
     lines.extend(_code(render_blame(cp.blame())))
     try:
         comp, sec = dominant_component(cp)
-        lines.append(f"Dominant component: **{comp}** "
-                     f"({sec:.3f}s on the critical path).")
+        lines.append(f"Dominant component: **{comp}** ({sec:.3f}s, "
+                     f"{sec / max(cp.total, 1e-12):.0%} of the critical path).")
         lines.append("")
     except ValueError:
         pass
@@ -165,9 +166,7 @@ def _metrics_section(summary: Dict[str, Any]) -> List[str]:
 
 def render_run_report(manifest=None, records=None, telemetry=None,
                       metrics_summary: Optional[Dict[str, Any]] = None,
-                      title: str = "Run report",
-                      extra_sections: Optional[Sequence[Tuple[str, str]]]
-                      = None) -> str:
+                      title: str = "Run report") -> str:
     """Assemble the markdown report from whatever evidence is present.
 
     ``records`` is an iterable of :class:`TraceRecord` (live tracer or
@@ -176,9 +175,6 @@ def render_run_report(manifest=None, records=None, telemetry=None,
     as returned by :func:`repro.analysis.trace_export.telemetry_series`,
     whose units come from the kernel series table and from
     ``metrics_summary``.
-    ``extra_sections`` is ``[(heading, markdown body), ...]`` appended
-    verbatim — the bench harness's regression explanations ride along
-    this way.
     """
     lines: List[str] = [f"# {title}", ""]
     if manifest is not None:
@@ -221,32 +217,4 @@ def render_run_report(manifest=None, records=None, telemetry=None,
         for a in manifest.artifacts:
             lines.append(f"- `{a}`")
         lines.append("")
-    for heading, body in (extra_sections or ()):
-        lines.append(f"## {heading}")
-        lines.append("")
-        lines.append(body.rstrip())
-        lines.append("")
     return "\n".join(lines).rstrip() + "\n"
-
-
-def report_to_html(markdown_text: str, title: str = "Run report") -> str:
-    """Wrap the markdown in a minimal self-contained HTML page.
-
-    No client-side renderer: the markdown is shown in a ``<pre>`` with a
-    monospace stylesheet, so waterfalls, sparklines and tables line up
-    in any browser with zero dependencies.
-    """
-    escaped = (markdown_text.replace("&", "&amp;")
-               .replace("<", "&lt;").replace(">", "&gt;"))
-    return (
-        "<!DOCTYPE html>\n<html>\n<head>\n"
-        '<meta charset="utf-8">\n'
-        f"<title>{title}</title>\n"
-        "<style>\n"
-        "body { background: #0f1419; color: #d9dee4; margin: 2em; }\n"
-        "pre { font: 13px/1.45 ui-monospace, 'SF Mono', Menlo, Consolas,\n"
-        "      monospace; white-space: pre-wrap; }\n"
-        "</style>\n</head>\n<body>\n<pre>\n"
-        f"{escaped}"
-        "\n</pre>\n</body>\n</html>\n"
-    )

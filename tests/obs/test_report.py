@@ -1,4 +1,4 @@
-"""Run reports: sparklines, section assembly, HTML wrapping."""
+"""Run reports: sparklines, section assembly, progress heartbeat."""
 
 import io
 import time
@@ -7,7 +7,6 @@ from repro.obs import (
     ProgressReporter,
     RunManifest,
     render_run_report,
-    report_to_html,
     sparkline,
 )
 from repro.scenario import Scenario
@@ -69,15 +68,6 @@ def test_report_degrades_without_spans_or_telemetry():
     text = render_run_report(records=[], telemetry=None)
     assert text.startswith("# Run report")
     assert "waterfall" not in text.lower() or "skipped" in text
-
-
-def test_html_wrapper_is_self_contained_and_escaped():
-    html = report_to_html("# Title\n\nvalue <b>bold</b> & more\n",
-                          title="T")
-    assert html.startswith("<!DOCTYPE html>")
-    assert "<title>T</title>" in html
-    assert "&lt;b&gt;bold&lt;/b&gt; &amp; more" in html
-    assert "<b>bold</b>" not in html
 
 
 def test_progress_reporter_rate_limits_and_done_always_writes():

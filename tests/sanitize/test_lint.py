@@ -367,6 +367,12 @@ def test_production_tree_is_lint_clean():
     assert findings == [], "\n".join(f.render() for f in findings)
 
 
+def test_benchmarks_tree_is_lint_clean():
+    """The bench harness and paper benches: zero findings, every rule."""
+    findings = lint_paths([os.path.join(REPO_ROOT, "benchmarks")]).findings
+    assert findings == [], "\n".join(f.render() for f in findings)
+
+
 def test_production_tree_is_span_and_suppression_clean():
     """src/repro has no span (SIM) or suppression (MET) findings."""
     pkg = os.path.dirname(os.path.abspath(repro.__file__))

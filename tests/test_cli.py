@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -92,20 +94,30 @@ def test_observe_command_exports_artifacts(recorded):
     assert metrics["pool.pull.bytes"]["value"] > 0
 
 
-def test_critical_path_command(capsys, recorded):
-    out = run_cli(capsys, "critical-path", recorded["file"],
+def test_report_names_the_critical_path_and_its_dominant_share(capsys,
+                                                                  recorded):
+    out = run_cli(capsys, "report", recorded["file"],
                   "--runs-dir", str(recorded["dir"]))
-    assert "critical path" in out
-    assert "dominant component:" in out
+    assert "== critical path: migration" in out
     assert "blcr.restart" in out
     assert "phase:Restart" in out
+    assert re.search(r"Dominant component: \*\*blcr\.restart\*\* "
+                     r"\(\d+\.\d{3}s, \d+% of the critical path\)\.", out)
 
 
-def test_critical_path_from_jsonl(capsys, recorded):
-    by_id = run_cli(capsys, "critical-path", recorded["file"],
+def _sections(text, *headings):
+    """The bodies of the given ``##`` sections, in order."""
+    return [text[text.index(h):].split("\n## ", 1)[0] for h in headings]
+
+
+def test_report_from_run_id_and_trace_file_share_critical_path(capsys,
+                                                               recorded):
+    by_id = run_cli(capsys, "report", recorded["file"],
                     "--runs-dir", str(recorded["dir"]))
     trace = recorded["dir"] / recorded["file"] / "trace.jsonl.gz"
-    assert run_cli(capsys, "critical-path", str(trace)) == by_id
+    by_file = run_cli(capsys, "report", str(trace))
+    heads = ("## Phase waterfall", "## Critical-path blame")
+    assert _sections(by_id, *heads) == _sections(by_file, *heads)
 
 
 def test_bench_command_clean_and_regressing(capsys, tmp_path):
@@ -173,15 +185,15 @@ def test_migrate_trace_out_exports_jsonl(recorded):
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["artifacts"] == [
         str(run_dir / name) for name in
-        ("trace.jsonl.gz", "trace.json", "metrics.json", "metrics.om")]
+        ("trace.jsonl.gz", "trace.json", "metrics.json")]
 
 
 #: How each analysis names a trace file.
-TRACE_ARGV = {"critical-path": ["critical-path"],
+TRACE_ARGV = {"report": ["report"],
               "sanitize": ["sanitize", "--from-jsonl"]}
 
 
-@pytest.mark.parametrize("command", ["critical-path", "sanitize"])
+@pytest.mark.parametrize("command", ["report", "sanitize"])
 def test_missing_trace_file_is_one_line_error(capsys, command):
     rc = main(TRACE_ARGV[command] + ["/no/such/trace.jsonl"])
     out = capsys.readouterr().out
@@ -190,7 +202,7 @@ def test_missing_trace_file_is_one_line_error(capsys, command):
     assert "Traceback" not in out
 
 
-@pytest.mark.parametrize("command", ["critical-path", "sanitize"])
+@pytest.mark.parametrize("command", ["report", "sanitize"])
 def test_empty_trace_file_is_one_line_error(capsys, tmp_path, command):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
@@ -210,10 +222,63 @@ def test_empty_trace_file_is_one_line_error(capsys, tmp_path, command):
     ["lint", "--baseline", "b.json"],
     ["lint", "--no-baseline"],
     ["lint", "--write-baseline"],
+    ["critical-path", "RUN"],
+    ["report", "RUN", "--html", "x.html"],
 ])
 def test_removed_options_are_parse_errors(argv):
     with pytest.raises(SystemExit):
         build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["run", "--nprocs", "7", "--nodes", "2"],
+     "7 ranks do not divide evenly over 2 nodes"),
+    (["compare", "--nprocs", "8", "--nodes", "3"],
+     "8 ranks do not divide evenly over 3 nodes"),
+    (["run", "--nprocs", "0"], "nprocs must be >= 1"),
+    (["scale", "--ppn", "1", "0"], "nprocs must be >= 1"),
+    (["run", "--nodes", "0"], "--nodes must be >= 1, got 0"),
+    (["interval", "--coverage", "0.5", "1.5"],
+     "--coverage must be in [0, 1], got 1.5"),
+    (["interval", "--mtbf-hours", "0"],
+     "--mtbf-hours must be positive, got 0"),
+    (["interval", "--work-days", "-1"],
+     "--work-days must be positive, got -1"),
+    (["bench", "--only", "fig4", "nope"], "unknown benches ['nope']"),
+])
+def test_bad_scenario_arguments_are_one_line_errors(capsys, tmp_path, argv,
+                                                    message):
+    """Rejected before anything simulates, with no run directory."""
+    runs = tmp_path / "runs"
+    if argv[0] in ("run", "compare", "bench"):
+        argv = argv + ["--runs-dir", str(runs)]
+    if argv[0] == "bench":
+        argv = argv + ["--out-dir", str(tmp_path / "bench")]
+    rc = main(argv)
+    out = capsys.readouterr().out
+    assert rc == 2
+    assert out.startswith(f"error: {message}")
+    assert out.count("\n") == 1
+    assert not runs.exists()
+
+
+def test_choice_lists_come_from_their_owners():
+    from benchmarks.harness import BENCHES
+    from repro.pipeline.registry import sink_names, transport_names
+    from repro.sanitize.runner import SCENARIOS
+
+    def option(command, flag):
+        sub = next(a for a in build_parser()._actions
+                   if a.dest == "command").choices[command]
+        return next(a for a in sub._actions if flag in a.option_strings)
+
+    assert list(option("run", "--transport").choices) == \
+        list(transport_names())
+    for command in ("run", "compare"):
+        assert list(option(command, "--restart-mode").choices) == \
+            list(sink_names())
+    assert list(option("sanitize", "--scenario").choices) == list(SCENARIOS)
+    assert set(BENCHES) <= set(re.findall(r"\w+", option("bench", "--only").help))
 
 
 # -- run registry and reports ------------------------------------------------
@@ -318,24 +383,13 @@ def test_report_matches_live_render(capsys, recorded):
     assert _report_body(out) == _report_body(live)
 
 
-def test_report_writes_markdown_html_and_openmetrics(capsys, tmp_path,
-                                                     recorded):
-    from repro.analysis import parse_openmetrics
-
+def test_report_writes_markdown_to_out(capsys, tmp_path, recorded):
     md = tmp_path / "report.md"
-    html = tmp_path / "report.html"
     out = run_cli(capsys, "report", recorded["file"],
-                  "--runs-dir", str(recorded["dir"]),
-                  "--out", str(md), "--html", str(html))
-    # With --out the report goes to the file, stdout gets only notes.
-    assert f"wrote {md}" in out and "## Phase waterfall" not in out
+                  "--runs-dir", str(recorded["dir"]), "--out", str(md))
+    # With --out the report goes to the file, stdout gets only the note.
+    assert out == f"wrote {md}\n"
     assert "## Phase waterfall" in md.read_text()
-    assert html.read_text().startswith("<!DOCTYPE html>")
-    om = recorded["dir"] / recorded["file"] / "metrics.om"
-    families = parse_openmetrics(om.read_text())
-    assert any(name.startswith("telemetry_kernel_") for name in families)
-    labels, _ = families["pool_pull_bytes_total"][0]
-    assert labels == {"run_id": recorded["file"]}
 
 
 def test_report_from_run_rerenders_archived_trace(capsys, recorded):
@@ -365,8 +419,6 @@ def test_report_from_unknown_run_is_one_line_error(capsys, tmp_path):
      "--out directory does not exist"),
     (["report", "RUN", "--out", "/no/such/dir/r.md"],
      "--out directory does not exist"),
-    (["report", "RUN", "--html", "/no/such/dir/r.html"],
-     "--html directory does not exist"),
     (["lint", "--sarif-out", "/no/such/dir/s.sarif"],
      "--sarif-out directory does not exist"),
     (["bench", "--profile-out", "/no/such/dir/p.pstats"],
@@ -452,12 +504,13 @@ def test_explain_run_without_trace_artifact_errors(capsys, tmp_path):
     assert "`repro run`" in out
 
 
-def test_runs_diff_appends_trace_explanation(capsys, recorded):
+def test_runs_diff_prints_no_trace_explanation(capsys, recorded):
+    """``runs diff`` diffs manifests; ``explain`` is the one trace diff."""
     out = run_cli(capsys, "runs", "diff", recorded["file"],
                   recorded["memory"], "--runs-dir", str(recorded["dir"]))
-    assert "restart_mode: file -> memory" in out      # scalar diff intact
-    assert "## Differential trace analysis" in out    # plus the explainer
-    assert "dominant delta component: blcr.restart" in out
+    assert "restart_mode: file -> memory" in out
+    assert "Differential trace analysis" not in out
+    assert "dominant delta component" not in out
 
 
 def test_runs_diff_without_traces_skips_explanation(capsys, tmp_path):
@@ -473,26 +526,6 @@ def test_report_archives_gzip_trace_and_from_run_reads_it(capsys, recorded):
     out = run_cli(capsys, "report", recorded["file"],
                   "--runs-dir", str(recorded["dir"]))
     assert "## Phase waterfall" in out
-
-
-def test_report_from_run_includes_explain_artifacts(capsys, tmp_path,
-                                                    recorded):
-    import json
-    import shutil
-
-    runs = tmp_path / "runs"
-    shutil.copytree(recorded["dir"] / recorded["file"],
-                    runs / recorded["file"])
-    explain = tmp_path / "EXPLAIN_fig4.md"
-    explain.write_text("dominant delta component: blcr.restart\n")
-    manifest_path = runs / recorded["file"] / "manifest.json"
-    doc = json.loads(manifest_path.read_text())
-    doc["artifacts"].append(str(explain))
-    manifest_path.write_text(json.dumps(doc))
-    out = run_cli(capsys, "report", recorded["file"],
-                  "--runs-dir", str(runs))
-    assert "## Regression explanation — fig4" in out
-    assert "dominant delta component: blcr.restart" in out
 
 
 def test_progress_heartbeat_goes_to_stderr(capsys, tmp_path):
