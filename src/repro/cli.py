@@ -297,6 +297,16 @@ def _shape_error(runs: Iterable[Run]) -> Optional[str]:
     return None
 
 
+def _source_error(run: Run, source: str) -> Optional[str]:
+    """One-line error when ``--source`` is not one of the run's compute
+    nodes (checked with the shape, before anything simulates)."""
+    nodes = run.compute_nodes
+    if source not in nodes:
+        return (f"error: --source must be a compute node of the run "
+                f"({nodes[0]}..{nodes[-1]}), got {source!r}")
+    return None
+
+
 #: argparse dest names that are run plumbing, not experiment configuration
 #: — excluded from the manifest's config dict (and hence its hash).
 _NON_CONFIG_ARGS = frozenset({
@@ -343,7 +353,7 @@ def _cmd_run(args):
     run = Run(args.app, args.nprocs, restart_mode=args.restart_mode,
               n_compute=args.nodes, transport=args.transport)
     err = (_out_dir_error(resolve_runs_dir(args.runs_dir), "--runs-dir")
-           or _shape_error([run]))
+           or _shape_error([run]) or _source_error(run, args.source))
     if err is not None:
         return err, 2
     tracer = Tracer()
@@ -522,7 +532,7 @@ def _cmd_sanitize(args):
         lines = [f"{name}: {doc}" for name, doc in sorted(FAULTS.items())]
         return "\n".join(lines)
     if args.inject is not None and args.inject not in FAULTS:
-        return (f"unknown fault {args.inject!r}; choose from "
+        return (f"error: unknown fault {args.inject!r}; choose from "
                 f"{sorted(FAULTS)}"), 2
     if args.from_jsonl:
         err, _, path = _resolve_trace_source(args.from_jsonl, None)

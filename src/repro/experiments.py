@@ -58,6 +58,11 @@ class Run:
     transport: str = "rdma"
 
     @property
+    def compute_nodes(self) -> Tuple[str, ...]:
+        """Names of the testbed's compute nodes, the ones a job runs on."""
+        return tuple(f"node{i}" for i in range(self.n_compute))
+
+    @property
     def source(self) -> str:
         """The failing node: ``node3`` on the paper's 8 compute nodes, the
         last node of a smaller testbed."""

@@ -4,7 +4,7 @@ One agent runs per node.  Agents connect parent↔child over the GigE fabric
 and flood published events through the tree with per-hop routing cost and
 event-id deduplication.  Local clients (Job Manager, NLAs, MPI processes'
 C/R threads) register subscriptions with their node's agent; matched events
-are delivered into the client's queue.
+are delivered into the client's queue, or to its callback.
 
 Self-healing (paper Sec. II-B): when an agent dies, its children re-parent
 to their grandparent (or the root) after a reconnect delay, so the tree
@@ -13,10 +13,11 @@ stays connected.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional, Set
+from collections import deque
+from typing import Callable, Deque, Dict, Generator, List, Optional, Set
 
 from ..params import FTBParams
-from ..simulate.core import Simulator
+from ..simulate.core import Event, Simulator
 from ..simulate.resources import Store
 from ..network.ethernet import EthernetFabric
 from .events import FTBEvent, match_mask
@@ -25,7 +26,12 @@ __all__ = ["FTBAgent", "FTBBackplane", "Subscription"]
 
 
 class Subscription:
-    """One client subscription: a mask plus a delivery queue."""
+    """One client subscription: a mask plus a delivery queue or callback.
+
+    A subscription with a callback is push-style: events go to the
+    callback only.  Without one, events go to ``queue`` for the client
+    to poll.
+    """
 
     __slots__ = ("mask", "queue", "client_name", "callback")
 
@@ -37,13 +43,23 @@ class Subscription:
         self.callback = callback
 
     def deliver(self, event: FTBEvent) -> None:
-        self.queue.put(event)
         if self.callback is not None:
             self.callback(event)
+        else:
+            self.queue.put(event)
 
 
 class FTBAgent:
-    """The per-node daemon (client + manager + network layers fused)."""
+    """The per-node daemon (client + manager + network layers fused).
+
+    A FIFO run by callbacks, with no process and no store per event:
+    :meth:`submit` queues an event and starts it when the agent is idle.
+    Starting an event drops it if this agent has seen it, else marks it
+    seen and arms one ``route_cost`` timeout.  The timeout's callback
+    delivers to matching subscriptions, starts one fabric transfer per
+    neighbour that has not seen the event (its completion submits the
+    event to that neighbour), and starts the next queued event.
+    """
 
     def __init__(self, backplane: "FTBBackplane", node: str):
         self.backplane = backplane
@@ -54,8 +70,13 @@ class FTBAgent:
         self.subscriptions: List[Subscription] = []
         self.alive = True
         self._seen: Set[int] = set()
-        self._inbox: Store = Store(self.sim)
-        self.proc = self.sim.spawn(self._run(), name=f"ftb-agent.{node}")
+        #: Events waiting for the routing stage, oldest first.
+        self._inbox: Deque[FTBEvent] = deque()
+        #: True while an event sits in its ``route_cost`` delay.
+        self._routing = False
+        metrics = self.sim.metrics
+        self._m_deduped = metrics.counter("ftb.deduped", unit="events")
+        self._m_delivered = metrics.counter("ftb.delivered", unit="events")
 
     # -- tree maintenance ----------------------------------------------------
     def attach_child(self, child: "FTBAgent") -> None:
@@ -97,56 +118,73 @@ class FTBAgent:
     # -- event path ----------------------------------------------------------
     def submit(self, event: FTBEvent) -> None:
         """Hand an event to this agent (from a local client or a peer)."""
-        self._inbox.put(event)
+        self._inbox.append(event)
+        if not self._routing:
+            self._start_next()
 
-    def _run(self) -> Generator:
-        sim = self.sim
-        m_deduped = sim.metrics.counter("ftb.deduped", unit="events")
-        m_delivered = sim.metrics.counter("ftb.delivered", unit="events")
-        while True:
-            event: FTBEvent = yield self._inbox.get()
-            if not self.alive:
-                return
+    def _start_next(self) -> None:
+        """Start the oldest queued event this agent has not seen; a dead
+        agent drops its queue."""
+        inbox = self._inbox
+        if not self.alive:
+            inbox.clear()
+            return
+        while inbox:
+            event = inbox.popleft()
             if event.event_id in self._seen:
-                m_deduped.inc()
-                trace = sim.trace
+                self._m_deduped.inc()
+                trace = self.sim.trace
                 if trace is not None:
-                    trace.record(sim.now, "ftb.dedup", node=self.node,
+                    trace.record(self.sim.now, "ftb.dedup", node=self.node,
                                  event=event.name, event_id=event.event_id)
                 continue
             self._seen.add(event.event_id)
-            # Manager layer: match local subscriptions.
-            yield sim.timeout(self.backplane.params.route_cost)
-            for sub in self.subscriptions:
-                if match_mask(sub.mask, event.name):
-                    # Zero-duration span (not a point record) so the
-                    # publish->deliver flow edge has an endpoint slice.
-                    with sim.tracer.span("ftb.deliver", node=self.node,
-                                         event=event.name,
-                                         client=sub.client_name) as dsp:
-                        sub.deliver(event)
-                    m_delivered.inc()
-                    trace = sim.trace
-                    if trace is not None and event.src_span is not None:
-                        trace.link(event.src_span, dsp, "ftb.event")
-            # Network layer: flood to tree neighbours.
-            for peer in self.neighbours():
-                if event.event_id in peer._seen:
-                    continue
-                self.sim.spawn(self._forward(peer, event),
-                               name=f"ftb-fwd.{self.node}->{peer.node}")
+            self._routing = True
+            self.sim.timeout(self.backplane.params.route_cost,
+                             event).callbacks.append(self._route)
+            return
 
-    def _forward(self, peer: "FTBAgent", event: FTBEvent) -> Generator:
-        yield self.backplane.fabric.transfer(self.node, peer.node, event.nbytes,
-                                             label=f"ftb:{event.name}")
-        if peer.alive:
-            peer.submit(event)
-            self.sim.metrics.counter("ftb.forwarded", unit="events").inc()
-            trace = self.sim.trace
-            if trace is not None:
-                trace.record(self.sim.now, "ftb.forward", src=self.node,
-                             dst=peer.node, event=event.name,
-                             nbytes=event.nbytes)
+    def _route(self, timeout: Event) -> None:
+        """End of the routing delay: deliver locally, flood onwards, then
+        start the next queued event."""
+        sim = self.sim
+        event: FTBEvent = timeout._value
+        # Manager layer: match local subscriptions.
+        for sub in self.subscriptions:
+            if match_mask(sub.mask, event.name):
+                # Zero-duration span (not a point record) so the
+                # publish->deliver flow edge has an endpoint slice.
+                with sim.tracer.span("ftb.deliver", node=self.node,
+                                     event=event.name,
+                                     client=sub.client_name) as dsp:
+                    sub.deliver(event)
+                self._m_delivered.inc()
+                trace = sim.trace
+                if trace is not None and event.src_span is not None:
+                    trace.link(event.src_span, dsp, "ftb.event")
+        # Network layer: flood to tree neighbours.
+        fabric = self.backplane.fabric
+        for peer in self.neighbours():
+            if event.event_id in peer._seen:
+                continue
+            done = fabric.transfer(self.node, peer.node, event.nbytes,
+                                   label=f"ftb:{event.name}")
+            done.callbacks.append(
+                lambda _ev, peer=peer: self._hand_over(peer, event))
+        self._routing = False
+        self._start_next()
+
+    def _hand_over(self, peer: "FTBAgent", event: FTBEvent) -> None:
+        """A forwarded event landed at ``peer``: submit it there."""
+        if not peer.alive:
+            return
+        self.sim.metrics.counter("ftb.forwarded", unit="events").inc()
+        trace = self.sim.trace
+        if trace is not None:
+            trace.record(self.sim.now, "ftb.forward", src=self.node,
+                         dst=peer.node, event=event.name,
+                         nbytes=event.nbytes)
+        peer.submit(event)
 
     def __repr__(self) -> str:
         state = "up" if self.alive else "DOWN"

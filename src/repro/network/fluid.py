@@ -295,7 +295,7 @@ class FluidNetwork:
             raise ValueError("nbytes must be non-negative")
         if not path or len(set(path)) != len(path):
             raise ValueError("path must hold at least one link, each once")
-        ev = Event(self.sim, name=f"transfer({label or nbytes})")
+        ev = Event(self.sim, name="transfer")
         if nbytes == 0:
             ev.succeed_later(None, latency)
             return ev
@@ -311,15 +311,20 @@ class FluidNetwork:
             if comp is not None and comp not in touched:
                 self._sync(comp)
                 touched.append(comp)
-        merged = max(touched, key=lambda c: len(c.flows),
-                     default=None) or _Component(now)
-        for comp in touched:
-            if comp is not merged:
-                merged.absorb(comp)
-                self._components.discard(comp)
-                self.stats.merges += 1
+        if not touched:
+            merged = _Component(now)
+            self._components.add(merged)
+        elif len(touched) == 1:
+            merged = touched[0]
+        else:
+            # The largest component absorbs the others.
+            merged = max(touched, key=lambda c: len(c.flows))
+            for comp in touched:
+                if comp is not merged:
+                    merged.absorb(comp)
+                    self._components.discard(comp)
+                    self.stats.merges += 1
         merged.add_flow(flow)
-        self._components.add(merged)
         self._flows.add(flow)
         self._m_started.inc()
         self._mark_dirty(merged)

@@ -203,11 +203,16 @@ class QueuePair:
         self._flush_recvs()
 
     def _flush_recvs(self) -> None:
-        """Complete every posted receive with a flush error."""
-        while self._recv_queue.items:
-            posted: _PostedRecv = self._recv_queue.items.pop(0)
+        """Complete every posted receive with a flush error, and wake every
+        peer SEND parked in the RNR wait on this queue (it then completes
+        with a flush error on its own CQ)."""
+        queue = self._recv_queue
+        while queue.items:
+            posted: _PostedRecv = queue.items.pop(0)
             self.cq.push(WorkCompletion(posted.wr_id, "RECV", ok=False,
                                         error=RuntimeError("QP flushed")))
+        while queue._getters:
+            queue._getters.popleft().succeed(None)
 
     def _require_rts(self, op: str) -> Optional[BaseException]:
         if self.state is not QPState.RTS or self.peer is None:
@@ -242,9 +247,15 @@ class QueuePair:
                 self._fail(wr_id, "SEND", RuntimeError("peer gone"))
                 return
             yield self.fabric.move(self.hca.node, peer.hca.node, nbytes, "send")
-            posted_ev = peer._recv_queue.get()
-            posted = yield posted_ev  # RNR semantics: wait for a posted recv
-            posted: _PostedRecv
+            if self.peer is peer:
+                # RNR semantics: wait for a posted recv (None: flushed).
+                posted: Optional[_PostedRecv] = yield peer._recv_queue.get()
+            else:
+                posted = None  # torn down while the bytes were moving
+            if posted is None:
+                self.cq.push(WorkCompletion(wr_id, "SEND", ok=False,
+                                            error=RuntimeError("QP flushed")))
+                return
             if nbytes > posted.max_bytes:
                 exc = RuntimeError(
                     f"recv buffer too small: {nbytes} > {posted.max_bytes}")

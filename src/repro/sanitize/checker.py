@@ -99,11 +99,11 @@ class TraceChecker:
 
 #: Name prefixes of simulation processes that must have exited once the
 #: run is over — a live one is a leaked coroutine parked forever.
-#: Steady-state residents (rank mains, FTB agents, demux pumps, cr
-#: watchdog threads) legitimately outlive a migration and are exempt.
+#: Steady-state residents (rank mains, demux pumps, cr watchdog threads)
+#: legitimately outlive a migration and are exempt.
 MUST_EXIT_PREFIXES = (
     "mig-", "flush.", "reconn.", "ckpt.", "cr-ckpt.", "cr-restart.",
-    "cr-launch.", "ftb-fwd.", "ftb-reconnect.",
+    "cr-launch.", "ftb-reconnect.",
 )
 
 

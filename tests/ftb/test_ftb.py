@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simulate import Simulator
+from repro.simulate import Simulator, Tracer
 from repro.network import EthernetFabric
 from repro.ftb import (
     FTB_MIGRATE,
@@ -135,7 +135,7 @@ def test_callback_subscription():
     sim, fab, bp = make()
     hits = []
     cl = FTBClient(bp, "node1", name="cb")
-    cl.subscribe("FTB.MPI.*", callback=lambda ev: hits.append(ev.name))
+    sub = cl.subscribe("FTB.MPI.*", callback=lambda ev: hits.append(ev.name))
 
     def publisher(sim):
         jm = FTBClient(bp, "login", name="jm")
@@ -144,6 +144,7 @@ def test_callback_subscription():
     sim.spawn(publisher(sim))
     sim.run()
     assert hits == [FTB_MIGRATE]
+    assert len(sub.queue) == 0  # push-style: the queue is never filled
 
 
 def test_unsubscribe_stops_delivery():
@@ -169,6 +170,54 @@ def test_publish_nowait_from_callback_context():
     jm.publish_nowait("FTB.TEST.NOW")
     sim.run()
     assert len(sub.queue) == 1
+
+
+# ----------------------------------------------------------------- agent FIFO
+def test_same_instant_events_routed_route_cost_apart_in_order():
+    """An agent routes one event at a time: two events submitted in the
+    same instant are delivered ``route_cost`` apart, first come first."""
+    sim, fab, bp = make()
+    hits = []
+    cl = FTBClient(bp, "login", name="local")
+    cl.subscribe("*", callback=lambda ev: hits.append((ev.name, sim.now)))
+    cl.publish_nowait("FTB.TEST.FIRST")
+    cl.publish_nowait("FTB.TEST.SECOND")
+    sim.run()
+    route = bp.params.route_cost
+    assert [name for name, _ in hits] == ["FTB.TEST.FIRST", "FTB.TEST.SECOND"]
+    assert hits[0][1] == route
+    assert hits[1][1] == route + route
+
+
+def test_flood_spawns_no_process():
+    """Flooding a publish through the tree runs on callbacks: no process
+    per agent or per hop, and no ``spawn`` record."""
+    sim = Simulator(trace=Tracer())
+    fab = EthernetFabric(sim)
+    nodes = ["login"] + [f"node{i}" for i in range(6)]
+    bp = FTBBackplane(sim, fab, nodes, root_node="login", fanout=2)
+    subs = [FTBClient(bp, n, name=f"c.{n}").subscribe("*") for n in nodes]
+    FTBClient(bp, "node5", name="pub").publish_nowait("FTB.TEST.FLOOD")
+    sim.run()
+    assert all(len(sub.queue) == 1 for sub in subs)
+    assert not sim.live_processes()
+    assert not list(sim.trace.of_kind("spawn"))
+    assert len(list(sim.trace.of_kind("ftb.forward"))) == len(nodes) - 1
+
+
+def test_live_checks_flag_an_agent_holding_events():
+    from repro.sanitize.checker import live_checks
+
+    sim, fab, bp = make()
+    agent = bp.agent("node0")
+    agent._routing = True  # mid-route: a new event has to wait its turn
+    FTBClient(bp, "node0", name="x").publish_nowait("FTB.TEST.STUCK")
+    messages = [v.message for v in live_checks(sim, backplane=bp)]
+    assert messages == ["FTB agent on node0 still holds 1 undelivered "
+                        "event(s) in its inbox"]
+    agent.fail()
+    assert not [m for m in (v.message for v in live_checks(sim, backplane=bp))
+                if "inbox" in m]
 
 
 # ----------------------------------------------------------------- healing

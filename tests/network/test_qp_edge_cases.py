@@ -81,6 +81,39 @@ def test_destroy_flushes_peer_posted_receives():
     assert len(qb.cq) == 1
 
 
+def test_send_in_rnr_wait_is_flushed_when_peer_destroyed():
+    """A SEND waiting for the peer to post a receive (the RNR wait)
+    completes with a flush error on the sender's CQ once the peer is
+    destroyed, instead of parking its process forever."""
+    sim, fab, qa, qb = make_pair()
+    qa.post_send("s", 100)
+    sim.run()
+    assert len(qa.cq) == 0
+    assert any(p.name == f"qp{qa.qp_num}.send" for p in sim.live_processes())
+    qb.destroy()
+    sim.run()
+    assert len(qa.cq) == 1
+    wc = qa.cq._entries.items[0]
+    assert (wc.wr_id, wc.opcode, wc.ok) == ("s", "SEND", False)
+    assert "flushed" in str(wc.error)
+    assert not any(p.name.startswith("qp") for p in sim.live_processes())
+
+
+def test_send_in_flight_is_flushed_when_own_qp_destroyed():
+    """A SEND whose bytes are still on the wire when its own QP is torn
+    down completes with a flush error rather than waiting on a peer that
+    is gone."""
+    sim, fab, qa, qb = make_pair()
+    qb.post_recv("r")
+    qa.post_send("s", 10**9)
+    sim.run(until=sim.now + 1e-4)
+    qa.destroy()
+    sim.run()
+    wc = qa.cq._entries.items[-1]
+    assert (wc.wr_id, wc.opcode, wc.ok) == ("s", "SEND", False)
+    assert not any(p.name.startswith("qp") for p in sim.live_processes())
+
+
 def test_double_destroy_is_idempotent():
     sim, fab, qa, qb = make_pair()
     qa.destroy()

@@ -150,3 +150,10 @@ def test_lint_help_lists_exactly_three_options(capsys):
     assert "[--format {text,json}] [--sarif-out PATH] [PATH ...]" in out
     assert set(re.findall(r"--[a-z][a-z-]+", out)) == {
         "--help", "--format", "--sarif-out"}
+
+
+def test_sanitize_unknown_fault_is_one_line_error(capsys):
+    assert main(["sanitize", "--inject", "nope"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: unknown fault 'nope'; choose from [")
+    assert out.count("\n") == 1

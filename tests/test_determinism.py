@@ -41,8 +41,8 @@ FIG4_TOTAL_S = 6.092014
 #: sorted-key JSON line per record, ``fluid.recompute`` records dropped
 #: (how many refills a run takes is solver work, not simulated outcome).
 FIG7_CR_PVFS_TRACE_SHA256 = (
-    "cab22ead057e8de42ae76e65fcb1ee539dca70a0cfd473bfb9ff27850704b7ea")
-FIG7_CR_PVFS_RECORDS = 25769
+    "b58ab480d442df2679b9e542736d1cfa9341ddb6647c9b5d94b59198acaff32f")
+FIG7_CR_PVFS_RECORDS = 25741
 FIG7_CR_PVFS_CYCLE_S = 26.91683
 
 
