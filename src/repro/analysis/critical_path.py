@@ -130,7 +130,7 @@ def build_span_dag(trace) -> SpanDAG:
         if span_id is None:
             continue
         if rec.kind.endswith(".start"):
-            attrs = {k: v for k, v in rec.fields
+            attrs = {k: v for k, v in rec.fields.items()
                      if k not in ("span", "parent")}
             nodes[span_id] = SpanNode(span_id, rec.kind[: -len(".start")],
                                       rec.time, float("inf"), attrs,
@@ -140,7 +140,7 @@ def build_span_dag(trace) -> SpanDAG:
             if node is None:
                 continue  # end without start: partial trace, skip
             node.end = rec.time
-            for k, v in rec.fields:
+            for k, v in rec.fields.items():
                 if k not in ("span", "parent", "duration"):
                     node.attrs.setdefault(k, v)
     for node in nodes.values():

@@ -242,7 +242,9 @@ def chrome_trace(trace) -> Dict[str, Any]:
     flow_links: List[Tuple[float, int, int, str]] = []
     telemetry_pid: List[int] = []
     for rec in trace:
-        fields = dict(rec.fields)
+        # Read-only view of the record's own dict: every ``args`` handed
+        # out below is a copy, so the document never aliases the trace.
+        fields = rec.fields
         if rec.kind == "flow.link":
             flow_links.append((rec.time, fields.get("src"),
                                fields.get("dst"),
@@ -286,7 +288,7 @@ def chrome_trace(trace) -> Dict[str, Any]:
         events.append({
             "name": rec.kind, "cat": _category(rec.kind), "ph": "i",
             "ts": rec.time * 1e6, "s": "t",
-            "pid": pid, "tid": tid, "args": fields,
+            "pid": pid, "tid": tid, "args": dict(fields),
         })
     # Unbalanced starts (sim aborted mid-span): keep them visible.
     for span_id, (start_rec, start_fields) in open_spans.items():
@@ -295,7 +297,7 @@ def chrome_trace(trace) -> Dict[str, Any]:
             "name": start_rec.kind[: -len(".start")] + " (unclosed)",
             "cat": _category(start_rec.kind), "ph": "X",
             "ts": start_rec.time * 1e6, "dur": 0.0,
-            "pid": pid, "tid": tid, "args": start_fields,
+            "pid": pid, "tid": tid, "args": dict(start_fields),
         })
         span_slices[span_id] = (start_rec.time * 1e6, start_rec.time * 1e6,
                                 pid, tid)

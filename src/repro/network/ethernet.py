@@ -46,6 +46,8 @@ class EthernetFabric:
         self.ports: Dict[str, EthernetPort] = {}
         #: Total payload bytes accepted for transmission (accounting).
         self.bytes_sent: float = 0.0
+        self._m_bytes_sent = sim.metrics.counter("eth.bytes_sent",
+                                                 unit="bytes")
 
     def attach(self, node: str) -> EthernetPort:
         """Attach ``node`` to the fabric; idempotent."""
@@ -76,7 +78,7 @@ class EthernetFabric:
         """
         sport, dport = self._port(src), self._port(dst)
         self.bytes_sent += nbytes
-        self.sim.metrics.counter("eth.bytes_sent", unit="bytes").inc(nbytes)
+        self._m_bytes_sent.inc(nbytes)
         trace = self.sim.trace
         if trace is not None:
             trace.record(self.sim.now, "eth.transfer", src=src, dst=dst,

@@ -277,10 +277,6 @@ class FluidNetwork:
                                          unit="flows")
         self._m_comp_links = m.histogram("fluid.recompute.component_links",
                                          unit="links")
-        self._m_util = m.gauge("fluid.link.utilization.max", unit="ratio")
-        # Computing the max utilization walks the component's links, so it
-        # is skipped entirely (not just discarded) when metrics are off.
-        self._metrics_on = bool(getattr(m, "enabled", False))
 
     # -- public API ---------------------------------------------------------
     def transfer(self, path: Sequence[Link], nbytes: float,
@@ -433,9 +429,6 @@ class FluidNetwork:
                          flows=len(comp.flows), links=len(comp.links),
                          components=len(self._components))
         self._fill(comp)
-        if self._metrics_on:
-            self._m_util.set(max((link.utilization for link in comp.links),
-                                 default=0.0))
         gen = comp.generation
         next_done = float("inf")
         for flow in comp.flows:

@@ -30,6 +30,29 @@ from .fluid import FluidNetwork, Link
 __all__ = ["IBFabric", "HCA", "MemoryRegion", "RemoteKeyError"]
 
 
+class VerbsCounters:
+    """The queue-pair and completion-queue instruments of one registry.
+
+    Every QP and CQ shares one instrument per name (the registry is
+    get-or-create), so an :class:`IBFabric` resolves them once and each
+    QP and CQ it serves takes them from there.
+    """
+
+    __slots__ = ("wqe_completed", "wqe_errors", "bytes_by_opcode",
+                 "wqe_posted", "qp_live")
+
+    def __init__(self, metrics):
+        self.wqe_completed = metrics.counter("qp.wqe.completed", unit="wqes")
+        self.wqe_errors = metrics.counter("qp.wqe.errors", unit="wqes")
+        self.bytes_by_opcode = {
+            "SEND": metrics.counter("qp.send.bytes", unit="bytes"),
+            "RECV": metrics.counter("qp.recv.bytes", unit="bytes"),
+            "RDMA_READ": metrics.counter("qp.rdma_read.bytes", unit="bytes"),
+        }
+        self.wqe_posted = metrics.counter("qp.wqe.posted", unit="wqes")
+        self.qp_live = metrics.gauge("qp.live", unit="qps")
+
+
 class RemoteKeyError(Exception):
     """RDMA access attempted with an invalid or revoked rkey."""
 
@@ -158,6 +181,10 @@ class IBFabric:
         self.hcas: Dict[str, HCA] = {}
         #: Payload bytes moved over the fabric, by operation kind.
         self.bytes_moved: Dict[str, float] = {}
+        self._m_bytes_moved = sim.metrics.counter("ib.bytes_moved",
+                                                  unit="bytes")
+        #: Instruments shared by every QP and CQ on this fabric.
+        self.verbs_counters = VerbsCounters(sim.metrics)
 
     def attach(self, node: str) -> HCA:
         hca = self.hcas.get(node)
@@ -176,7 +203,7 @@ class IBFabric:
              extra_latency: float = 0.0) -> Event:
         """Raw fabric data movement (used by the QP layer)."""
         self.bytes_moved[kind] = self.bytes_moved.get(kind, 0.0) + nbytes
-        self.sim.metrics.counter("ib.bytes_moved", unit="bytes").inc(nbytes)
+        self._m_bytes_moved.inc(nbytes)
         trace = self.sim.trace
         if trace is not None:
             trace.record(self.sim.now, "ib.move", src=src, dst=dst,

@@ -21,7 +21,8 @@ from typing import Any, Generator, Optional
 
 from ..simulate.core import Event, Simulator
 from ..simulate.resources import Resource, Store
-from .infiniband import HCA, IBFabric, MemoryRegion, RemoteKeyError
+from .infiniband import (HCA, IBFabric, MemoryRegion, RemoteKeyError,
+                         VerbsCounters)
 
 __all__ = [
     "QPState",
@@ -69,21 +70,19 @@ class CompletionQueue:
     """FIFO of work completions, pollable by a sim process."""
 
     def __init__(self, sim: Simulator, name: str = "cq",
-                 owner_qp: Optional[int] = None):
+                 owner_qp: Optional[int] = None,
+                 counters: Optional[VerbsCounters] = None):
         self.sim = sim
         self.name = name
         #: qp_num of the QP this CQ serves, when dedicated to one — lets a
         #: completion be attributed to its QP (shared CQs leave it None).
         self.owner_qp = owner_qp
         self._entries: Store = Store(sim)
-        m = sim.metrics
-        self._m_completed = m.counter("qp.wqe.completed", unit="wqes")
-        self._m_errors = m.counter("qp.wqe.errors", unit="wqes")
-        self._m_bytes = {
-            "SEND": m.counter("qp.send.bytes", unit="bytes"),
-            "RECV": m.counter("qp.recv.bytes", unit="bytes"),
-            "RDMA_READ": m.counter("qp.rdma_read.bytes", unit="bytes"),
-        }
+        # A QP passes its fabric's counters; a standalone CQ resolves its own.
+        c = counters if counters is not None else VerbsCounters(sim.metrics)
+        self._m_completed = c.wqe_completed
+        self._m_errors = c.wqe_errors
+        self._m_bytes = c.bytes_by_opcode
 
     def push(self, wc: WorkCompletion) -> None:
         self._m_completed.inc()
@@ -130,15 +129,17 @@ class QueuePair:
         self.hca = hca
         self.fabric: IBFabric = hca.fabric
         self.qp_num = next(self._ids)
+        counters = self.fabric.verbs_counters
         self.cq = cq or CompletionQueue(sim, name=f"cq.{hca.node}",
-                                        owner_qp=self.qp_num)
+                                        owner_qp=self.qp_num,
+                                        counters=counters)
         self.state = QPState.RESET
         self.peer: Optional["QueuePair"] = None
         self._destroyed = False
         self._recv_queue: Store = Store(sim)
         self._send_lock = Resource(sim, capacity=1)
-        self._m_posted = sim.metrics.counter("qp.wqe.posted", unit="wqes")
-        self._m_live = sim.metrics.gauge("qp.live", unit="qps")
+        self._m_posted = counters.wqe_posted
+        self._m_live = counters.qp_live
 
     # -- connection management ------------------------------------------------
     def connect(self, peer: "QueuePair") -> Generator:

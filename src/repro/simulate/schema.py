@@ -202,8 +202,7 @@ def validate_record(rec: TraceRecord) -> List[str]:
     spec = TRACE_SCHEMA.get(rec.kind)
     if spec is None:
         return [f"undeclared kind {rec.kind!r}"]
-    present = {k for k, _ in rec.fields}
-    missing = [f for f in spec.required if f not in present]
+    missing = [f for f in spec.required if f not in rec.fields]
     return [f"{rec.kind}: missing required field {f!r}" for f in missing]
 
 

@@ -13,7 +13,7 @@ cadence —
   the live-process count;
 * every counter and gauge in the bound
   :class:`~repro.simulate.metrics.MetricsRegistry` (buffer-pool
-  occupancy, link utilization, live QPs, pinned bytes, ...) at its
+  occupancy, live QPs, pinned bytes, byte counters, ...) at its
   current value
 
 — into named :class:`TimeSeries`.  Each sample also lands in the trace

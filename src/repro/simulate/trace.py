@@ -44,16 +44,19 @@ class TraceRecord:
     """One timestamped observation.
 
     A plain ``__slots__`` class rather than a dataclass: ``record()`` is
-    the single hottest call of a traced run, and a frozen dataclass pays
-    an ``object.__setattr__`` per field on every construction.  Equality
-    and hashing still follow value semantics over ``(time, kind,
-    fields)``, like the frozen dataclass it replaced.
+    the single hottest call of a traced run.  ``fields`` is the dict that
+    ``record(**fields)`` already built (keyword unpacking always makes a
+    fresh one), so a record allocates nothing per field.  Readers treat
+    it as read-only; one that needs different fields copies it first.
+    Equality and hashing follow value semantics over ``(time, kind,
+    fields)`` with the fields compared as an ordered ``(key, value)``
+    sequence, so two records with the same fields in another order
+    differ.
     """
 
     __slots__ = ("time", "kind", "fields")
 
-    def __init__(self, time: float, kind: str,
-                 fields: Tuple[Tuple[str, Any], ...]):
+    def __init__(self, time: float, kind: str, fields: Dict[str, Any]):
         self.time = time
         self.kind = kind
         self.fields = fields
@@ -66,28 +69,35 @@ class TraceRecord:
         if not isinstance(other, TraceRecord):
             return NotImplemented
         return (self.time == other.time and self.kind == other.kind
-                and self.fields == other.fields)
+                and self.fields == other.fields
+                and list(self.fields) == list(other.fields))
 
     def __hash__(self) -> int:
-        return hash((self.time, self.kind, self.fields))
+        return hash((self.time, self.kind, tuple(self.fields.items())))
 
     def __getitem__(self, key: str) -> Any:
-        for k, v in self.fields:
-            if k == key:
-                return v
-        raise KeyError(key)
+        return self.fields[key]
 
     def get(self, key: str, default: Any = None) -> Any:
-        for k, v in self.fields:
-            if k == key:
-                return v
-        return default
+        return self.fields.get(key, default)
 
     def as_dict(self) -> Dict[str, Any]:
         """Flat ``{"t": ..., "kind": ..., **fields}`` (JSONL row shape)."""
-        out: Dict[str, Any] = {"t": self.time, "kind": self.kind}
-        out.update(self.fields)
-        return out
+        return {"t": self.time, "kind": self.kind, **self.fields}
+
+
+#: Fields a span writes itself.  An attribute or annotation under one of
+#: these names would overwrite the span's identity (breaking the
+#: ``.start``/``.end`` match), its measured duration, or its error.
+_SPAN_RESERVED = frozenset(("span", "parent", "duration", "error"))
+
+
+def _reject_reserved(name: str, fields: Dict[str, Any]) -> None:
+    if not _SPAN_RESERVED.isdisjoint(fields):
+        clash = ", ".join(repr(k) for k in fields if k in _SPAN_RESERVED)
+        raise ValueError(
+            f"span {name!r}: reserved field name {clash} (a span writes"
+            " span, parent, duration and error itself)")
 
 
 class TraceSubscription:
@@ -136,6 +146,10 @@ class Span:
     def annotate(self, **fields: Any) -> "Span":
         """Attach extra fields to the eventual ``.end`` record.
 
+        Raises :class:`ValueError` on a reserved field name (``span``,
+        ``parent``, ``duration``, ``error``), which would overwrite what
+        the span records itself.
+
         Raises once the span has closed: the ``.end`` record is already
         emitted, so a late annotation would be silently lost.  This bites
         in error paths — an exception unwinds through ``__exit__`` (which
@@ -148,6 +162,7 @@ class Span:
                 " the .end record was already emitted, late fields would be"
                 " lost. Annotate inside the with-block (before any exception"
                 " propagates), or record a separate event.")
+        _reject_reserved(self.name, fields)
         self._extra.update(fields)
         return self
 
@@ -244,7 +259,7 @@ class Tracer:
 
     # -- recording ----------------------------------------------------------
     def record(self, time: float, kind: str, **fields: Any) -> None:
-        rec = TraceRecord(time, kind, tuple(fields.items()))
+        rec = TraceRecord(time, kind, fields)
         self.records.append(rec)
         if self._subscribers:
             self._notify(rec)
@@ -263,7 +278,13 @@ class Tracer:
                 self.subscriber_errors.append((rec, sub, exc))
 
     def span(self, name: str, **attrs: Any) -> Span:
-        """A context manager emitting paired ``.start``/``.end`` records."""
+        """A context manager emitting paired ``.start``/``.end`` records.
+
+        Raises :class:`ValueError` if an attribute takes a name the span
+        writes itself (``span``, ``parent``, ``duration``, ``error``);
+        :meth:`Span.annotate` checks the same names.
+        """
+        _reject_reserved(name, attrs)
         return Span(self, name, attrs)
 
     def current_span(self) -> Optional[int]:

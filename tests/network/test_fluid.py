@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simulate import Simulator
-from repro.network.fluid import FluidNetwork, Link, stream_efficiency
+from repro.network.fluid import (_EPS_RATE, FluidNetwork, Link,
+                                 stream_efficiency)
 
 
 def make(sim=None):
@@ -462,3 +463,73 @@ def test_utilization_without_efficiency_curve():
     assert link.utilization == pytest.approx(1.0)
     sim.run()
     assert link.utilization == 0.0
+
+
+# -- max-min bottleneck property --------------------------------------------
+#
+# A max-min fill freezes every flow at the level where one of its links
+# saturates, so each flow crosses a link whose utilization is 1.  That is
+# why a "max link utilization" gauge read 1.0 after every fill and carried
+# no information; this property guards ``_fill`` instead.
+
+def _chain(eff):
+    """Three links in a row; flows over one, two and three of them."""
+    a, b, c = (Link("a", 100.0, eff), Link("b", 60.0, eff),
+               Link("c", 250.0, eff))
+    return [(0.0, [a], 4000.0), (0.0, [a, b], 900.0),
+            (0.0, [b, c], 3000.0), (0.0, [c], 5000.0),
+            (2.0, [a, b, c], 700.0), (6.0, [a, c], 1500.0)]
+
+
+def _parking_lot(eff):
+    """One long flow over every link, one short flow per link."""
+    links = [Link(f"l{i}", 80.0 + 30.0 * i, eff) for i in range(4)]
+    flows = [(0.0, links, 2000.0)]
+    flows += [(1.0 * i, [link], 500.0 + 400.0 * i)
+              for i, link in enumerate(links)]
+    return flows
+
+
+def _fan_in(eff):
+    """PVFS-like: client ports into one server port and its disk."""
+    server, disk = Link("server", 300.0), Link("disk", 200.0, eff)
+    clients = [Link(f"c{i}", 50.0 + 25.0 * i) for i in range(6)]
+    flows = [(0.0, [clients[0]], 600.0)]
+    flows += [(0.5 * i, [port, server, disk], 800.0 + 100.0 * i)
+              for i, port in enumerate(clients)]
+    flows.append((3.0, [server], 400.0))
+    return flows
+
+
+@pytest.mark.parametrize("efficiency", [
+    None, stream_efficiency(per_stream=0.15, floor=0.4)],
+    ids=["flat", "efficiency-curve"])
+@pytest.mark.parametrize("topology", [_chain, _parking_lot, _fan_in],
+                         ids=["chain", "parking-lot", "fan-in"])
+def test_every_flow_crosses_a_saturated_link_after_each_fill(topology,
+                                                             efficiency):
+    sim, net = make()
+    spec = topology(efficiency)
+    fills = []
+    fill = net._fill
+
+    def checked_fill(comp):
+        fill(comp)
+        for flow in comp.flows:
+            utils = [link.utilization for link in flow.path]
+            assert any(abs(u - 1.0) <= _EPS_RATE for u in utils), (flow, utils)
+        fills.append(comp)
+
+    net._fill = checked_fill
+
+    def starter(sim):
+        for start, path, nbytes in spec:
+            if start > sim.now:
+                yield sim.timeout(start - sim.now)
+            net.transfer(path, nbytes)
+
+    sim.spawn(starter(sim))
+    sim.run()
+    assert net.active_flows == 0
+    # Starts at several instants plus completions: many fills checked.
+    assert len(fills) >= len(spec)

@@ -72,6 +72,28 @@ def test_annotate_after_close_raises():
     assert end["ok"] == 1
 
 
+@pytest.mark.parametrize("field", ["span", "parent", "duration", "error"])
+def test_span_identity_fields_are_reserved(field):
+    """An attribute or annotation named like a field the span writes
+    itself would overwrite its id (unmatching .start/.end), forge its
+    parent, or replace its duration or error."""
+    t = Tracer(clock=lambda: 0.0)
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        t.span("b", **{field: 7})
+    with t.span("outer"):
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            t.span("nested", **{field: 7})
+        with t.span("a") as sp:
+            with pytest.raises(ValueError, match=f"'{field}'"):
+                sp.annotate(ok=1, **{field: 99})
+    end = t.of_kind("a.end")[0]
+    assert end["span"] == t.of_kind("a.start")[0]["span"]
+    assert end["parent"] == t.of_kind("outer.start")[0]["span"]
+    assert end["duration"] == 0.0
+    assert end.get("error") is None and end.get("ok") is None
+    assert not t.of_kind("b.start") and not t.of_kind("nested.start")
+
+
 def test_current_span_and_link():
     t = Tracer(clock=lambda: 0.0)
     assert t.current_span() is None

@@ -8,8 +8,10 @@ from repro.simulate import (
     Simulator,
     SimulationError,
     Store,
+    TraceRecord,
     Tracer,
 )
+from repro.analysis import read_jsonl, write_jsonl
 
 
 def test_null_tracer_is_inert():
@@ -37,6 +39,65 @@ def test_tracer_between_kind_filter():
         t.record(float(i), "tick", i=i)
     assert [r["i"] for r in t.between(1.0, 3.0, kind="tick")] == [1, 2, 3]
     assert t.between(1.0, 3.0, kind="other") == []
+
+
+def test_record_keeps_field_order_and_values():
+    t = Tracer()
+    t.record(1.5, "op", z=1, a="x", m=[2, 3], n=None)
+    rec = t.records[0]
+    assert list(rec.fields) == ["z", "a", "m", "n"]
+    assert rec.as_dict() == {"t": 1.5, "kind": "op", "z": 1, "a": "x",
+                             "m": [2, 3], "n": None}
+    assert list(rec.as_dict()) == ["t", "kind", "z", "a", "m", "n"]
+
+
+def test_record_lookups_equality_and_hash_agree():
+    t = Tracer()
+    t.record(1.0, "op", a=1, b=2)
+    t.record(1.0, "op", a=1, b=2)
+    t.record(1.0, "op", b=2, a=1)
+    t.record(1.0, "op", a=1, b=3)
+    same, twin, reordered, other = t.records
+    for key in ("a", "b"):
+        assert same[key] == same.get(key) == same.as_dict()[key]
+    assert same.get("missing") is None and same.get("missing", 5) == 5
+    with pytest.raises(KeyError):
+        same["missing"]
+    assert same == twin and hash(same) == hash(twin)
+    assert len({same, twin}) == 1
+    # Equality is over the ordered (key, value) sequence, as a tuple of
+    # items compares: the same fields in another order are another record.
+    assert same != reordered
+    assert same != other
+    assert same != TraceRecord(2.0, "op", {"a": 1, "b": 2})
+    assert same != TraceRecord(1.0, "op2", {"a": 1, "b": 2})
+
+
+def test_records_from_one_emit_site_do_not_share_fields():
+    t = Tracer()
+    for i in range(3):
+        t.record(float(i), "tick", i=i)
+    first, second, third = t.records
+    assert first.fields is not second.fields
+    assert second.fields is not third.fields
+    assert [r["i"] for r in t.records] == [0, 1, 2]
+    # An exported copy is not the record's own dict.
+    row = first.as_dict()
+    row["i"] = 99
+    assert first["i"] == 0
+
+
+@pytest.mark.parametrize("name", ["trace.jsonl", "trace.jsonl.gz"])
+def test_jsonl_round_trip_gives_equal_records(tmp_path, name):
+    t = Tracer()
+    t.record(0.0, "op", a=1, b="two", c=[1, 2], d={"k": 1.5}, e=None)
+    t.record(0.25, "op", ok=True)
+    t.record(1.0, "empty")
+    path = str(tmp_path / name)
+    assert write_jsonl(t, path) == 3
+    back = read_jsonl(path)
+    assert back.records == t.records
+    assert [list(r.fields) for r in back] == [list(r.fields) for r in t]
 
 
 def test_succeed_later_validation():
