@@ -11,6 +11,7 @@ recovers.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Generator, List, Optional, Tuple
 
 
@@ -33,6 +34,19 @@ class RestartEngine:
         self.sim = sim
         self.node_name = node_name
         self.params = params or BLCRParams()
+
+    # Each byte counter is resolved once, on the engine's first restart
+    # of its mode: resolving both here would add a zero-valued instrument
+    # of the unused mode to every run's metrics.
+    @cached_property
+    def _m_bytes_read(self):
+        return self.sim.metrics.counter("blcr.restart.bytes_read",
+                                        unit="bytes")
+
+    @cached_property
+    def _m_bytes_memory(self):
+        return self.sim.metrics.counter("blcr.restart.bytes_memory",
+                                        unit="bytes")
 
     def _read_image(self, fs, path: str, metadata: CheckpointImage,
                     client: Optional[str], chunk_bytes: int,
@@ -125,8 +139,7 @@ class RestartEngine:
             proc = yield from self._restore(fs, [(path, metadata)], client,
                                             chunk_bytes)
             sp.annotate(nbytes=metadata.nbytes)
-            self.sim.metrics.counter("blcr.restart.bytes_read",
-                                     unit="bytes").inc(metadata.nbytes)
+            self._m_bytes_read.inc(metadata.nbytes)
         return proc
 
     def restart_from_chain(self, fs, chain, client: Optional[str] = None,
@@ -172,6 +185,5 @@ class RestartEngine:
             yield self.sim.timeout(
                 image.nbytes / self.params.memory_restart_bandwidth)
             sp.annotate(nbytes=image.nbytes)
-            self.sim.metrics.counter("blcr.restart.bytes_memory",
-                                     unit="bytes").inc(image.nbytes)
+            self._m_bytes_memory.inc(image.nbytes)
         return image.materialize(self.node_name)

@@ -159,19 +159,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     san = sub.add_parser(
         "sanitize",
-        help="run the protocol sanitizer over a bench scenario (or a "
-             "recorded run's trace); non-zero exit on any violation")
+        help="check the protocol laws of docs/sanitizer.md (four trace "
+             "rules, plus no MR left pinned) over a bench scenario or a "
+             "recorded run's trace; non-zero exit on any violation")
     san.add_argument("--scenario", default="fig4", choices=tuple(SCENARIOS),
                      help="bench scenario to replay under the checker")
     san.add_argument("--from-jsonl", default=None, metavar="RUN|PATH",
                      help="check a recorded run's trace (or a trace "
-                          "file) instead of running simulations (no "
-                          "live-state checks)")
-    san.add_argument("--inject", default=None, metavar="FAULT",
-                     help="inject a named fault into every sub-run "
-                          "(see `repro sanitize --list-faults`)")
-    san.add_argument("--list-faults", action="store_true",
-                     help="list injectable faults and exit")
+                          "file) instead of running simulations (the "
+                          "pinned-MR check needs a live run)")
     san.add_argument("--seed", type=int, default=0)
     san.add_argument("--format", default="text", choices=["text", "json"])
     san.add_argument("--max-report", type=int, default=20,
@@ -526,28 +522,20 @@ def _cmd_bench(args):
 
 def _cmd_sanitize(args):
     """Protocol sanitizer: run a scenario (or replay a recorded trace)."""
-    from .sanitize import FAULTS, check_jsonl, sanitize_scenario
+    from .sanitize import check_jsonl, sanitize_scenario
 
-    if args.list_faults:
-        lines = [f"{name}: {doc}" for name, doc in sorted(FAULTS.items())]
-        return "\n".join(lines)
-    if args.inject is not None and args.inject not in FAULTS:
-        return (f"error: unknown fault {args.inject!r}; choose from "
-                f"{sorted(FAULTS)}"), 2
     if args.from_jsonl:
         err, _, path = _resolve_trace_source(args.from_jsonl, None)
         if err is not None:
             return err, 2
         result = check_jsonl(path)
     else:
-        result = sanitize_scenario(args.scenario, seed=args.seed,
-                                   fault=args.inject)
+        result = sanitize_scenario(args.scenario, seed=args.seed)
     violations = result.violations
     code = 0 if result.clean else 1
     if args.format == "json":
         payload = {
             "scenario": result.scenario,
-            "fault": args.inject,
             "records": result.n_records,
             "runs": [{"name": r.name, "records": r.n_records,
                       "violations": len(r.violations)} for r in result.runs],

@@ -77,6 +77,7 @@ class FTBAgent:
         metrics = self.sim.metrics
         self._m_deduped = metrics.counter("ftb.deduped", unit="events")
         self._m_delivered = metrics.counter("ftb.delivered", unit="events")
+        self._m_forwarded = metrics.counter("ftb.forwarded", unit="events")
 
     # -- tree maintenance ----------------------------------------------------
     def attach_child(self, child: "FTBAgent") -> None:
@@ -178,7 +179,7 @@ class FTBAgent:
         """A forwarded event landed at ``peer``: submit it there."""
         if not peer.alive:
             return
-        self.sim.metrics.counter("ftb.forwarded", unit="events").inc()
+        self._m_forwarded.inc()
         trace = self.sim.trace
         if trace is not None:
             trace.record(self.sim.now, "ftb.forward", src=self.node,

@@ -27,6 +27,8 @@ class FTBClient:
         self.node = node
         self.name = name
         self.agent: FTBAgent = backplane.agent(node)
+        self._m_published = self.sim.metrics.counter("ftb.published",
+                                                     unit="events")
 
     def _live_agent(self) -> FTBAgent:
         """Detect a dead local daemon and reconnect to a live one (clients
@@ -36,7 +38,7 @@ class FTBClient:
         return self.agent
 
     def _note_publish(self, event: FTBEvent) -> None:
-        self.sim.metrics.counter("ftb.published", unit="events").inc()
+        self._m_published.inc()
         trace = self.sim.trace
         if trace is not None:
             trace.record(self.sim.now, "ftb.publish", node=self.node,

@@ -111,6 +111,11 @@ class HCA:
         self.rx = Link(f"ib.{node}.rx", bw)
         self._mrs: Dict[int, MemoryRegion] = {}
         self._key_seq = count(start=1)
+        metrics = fabric.sim.metrics
+        self._m_registered = metrics.counter("ib.mr.registered",
+                                             unit="regions")
+        self._m_pinned_bytes = metrics.gauge("ib.mr.pinned_bytes",
+                                             unit="bytes")
 
     # -- memory registration -------------------------------------------------
     def register_mr(self, nbytes: int, data: Optional[np.ndarray] = None,
@@ -133,8 +138,8 @@ class HCA:
                           name=name or f"{self.node}.mr{key}")
         self._mrs[mr.rkey] = mr
         sim = self.fabric.sim
-        sim.metrics.counter("ib.mr.registered", unit="regions").inc()
-        sim.metrics.gauge("ib.mr.pinned_bytes", unit="bytes").inc(nbytes)
+        self._m_registered.inc()
+        self._m_pinned_bytes.inc(nbytes)
         trace = sim.trace
         if trace is not None:
             trace.record(sim.now, "mr.register", node=self.node,
@@ -145,7 +150,7 @@ class HCA:
         """Unpin the region; its rkey is revoked *immediately*."""
         if self._mrs.pop(mr.rkey, None) is not None:
             sim = self.fabric.sim
-            sim.metrics.gauge("ib.mr.pinned_bytes", unit="bytes").dec(mr.nbytes)
+            self._m_pinned_bytes.dec(mr.nbytes)
             trace = sim.trace
             if trace is not None:
                 trace.record(sim.now, "mr.deregister", node=self.node,

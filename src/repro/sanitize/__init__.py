@@ -4,11 +4,15 @@ Two halves:
 
 * the **dynamic trace checker** (:mod:`~repro.sanitize.invariants`,
   :mod:`~repro.sanitize.checker`) — per-entity state machines enforcing
-  the paper's protocol laws over a live or replayed trace;
+  the paper's protocol laws over a live or replayed trace.  Each law
+  stays only while a model bug seeded into production code breaks it
+  and no other test notices; ``tests/sanitize/test_seeded_bugs.py``
+  holds those seeds;
 * the **static analyzer** (:mod:`~repro.sanitize.lint`) — one parse per
   file, then every registered rule (:mod:`~repro.sanitize.rules`): emit
   sites against ``TRACE_SCHEMA``, wall-clock and unseeded-RNG bans,
-  unused imports, and span balance (:mod:`~repro.sanitize.spans`), with
+  unused imports, reserved span fields, and span balance
+  (:mod:`~repro.sanitize.spans`), with
   SARIF output (:mod:`~repro.sanitize.sarif`).
 
 CLI entry points: ``repro sanitize`` and ``repro lint``; see
@@ -16,7 +20,6 @@ CLI entry points: ``repro sanitize`` and ``repro lint``; see
 """
 
 from .checker import TraceChecker, live_checks
-from .faults import FAULTS, FaultInjector, make_injector
 from .invariants import Rule, Violation, default_rules
 from .lint import Finding, LintResult, lint_paths, lint_source
 from .rules import RULES, apply_suppressions, iter_python_files
@@ -25,7 +28,6 @@ from .sarif import sarif_json, to_sarif
 
 __all__ = [
     "TraceChecker", "live_checks",
-    "FAULTS", "FaultInjector", "make_injector",
     "Rule", "Violation", "default_rules",
     "Finding", "LintResult", "lint_paths", "lint_source",
     "RULES", "apply_suppressions", "iter_python_files",

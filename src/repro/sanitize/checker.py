@@ -15,13 +15,13 @@ Both paths drive the identical :mod:`~repro.sanitize.invariants` state
 machines, so a violation caught in CI replay reproduces live and vice
 versa.  :meth:`TraceChecker.feed` never raises — a rule that blows up
 is recorded as its *own* violation (``rule-internal-error``) and
-detached, because a sanitizer that crashes the simulation it watches is
-worse than no sanitizer.
+detached while the other rules run on.  Left to the ``Tracer``, the
+first exception would detach the whole checker and the run would read
+as clean.
 
-:func:`live_checks` adds the end-of-run leak laws that need the
-simulation's object graph rather than the trace: simulation processes
-that must have exited, memory regions still pinned, FTB agent inboxes
-still holding undelivered events, and a partitioned agent tree.
+:func:`live_checks` adds the one end-of-run leak law that needs the
+simulation's object graph rather than the trace: no memory region may
+still be registered on any HCA.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Iterable, List, Optional
 from ..simulate.trace import TraceRecord, TraceSubscription
 from .invariants import Rule, Violation, default_rules
 
-__all__ = ["TraceChecker", "live_checks", "MUST_EXIT_PREFIXES"]
+__all__ = ["TraceChecker", "live_checks"]
 
 
 class TraceChecker:
@@ -97,51 +97,17 @@ class TraceChecker:
         return checker.finish()
 
 
-#: Name prefixes of simulation processes that must have exited once the
-#: run is over — a live one is a leaked coroutine parked forever.
-#: Steady-state residents (rank mains, demux pumps, cr watchdog threads)
-#: legitimately outlive a migration and are exempt.
-MUST_EXIT_PREFIXES = (
-    "mig-", "flush.", "reconn.", "ckpt.", "cr-ckpt.", "cr-restart.",
-    "cr-launch.", "ftb-reconnect.",
-)
-
-
-def live_checks(sim, cluster=None, backplane=None) -> List[Violation]:
-    """End-of-run leak laws over the live object graph.
+def live_checks(sim, cluster) -> List[Violation]:
+    """End-of-run leak law over the live object graph.
 
     Call after the simulation has quiesced (e.g. after
-    ``run_to_completion``): anything here is state the trace cannot
-    prove leaked but the objects can.
+    ``run_to_completion``).  A region left pinned is only an absent
+    ``mr.deregister`` record in the trace; the HCAs hold it directly.
     """
-    violations: List[Violation] = []
-    now = sim.now
-
-    def leak(message: str) -> None:
-        violations.append(Violation(
-            "LiveStateRule",
-            "End-of-run leak checks over the live simulation objects.",
-            now, message))
-
-    for proc in sim.live_processes():
-        name = getattr(proc, "name", "") or ""
-        if name.startswith(MUST_EXIT_PREFIXES):
-            leak(f"process {name!r} still alive after the run — leaked "
-                 f"coroutine")
-
-    if cluster is not None:
-        for node in cluster.nodes.values():
-            for mr in getattr(node.hca, "_mrs", {}).values():
-                leak(f"memory region {getattr(mr, 'name', mr)!r} still "
-                     f"registered on {node.name} — unreleased pinned pool")
-
-    if backplane is not None:
-        for agent in backplane.agents.values():
-            pending = len(agent._inbox)
-            if agent.alive and pending:
-                leak(f"FTB agent on {agent.node} still holds {pending} "
-                     f"undelivered event(s) in its inbox")
-        if not backplane.is_connected():
-            leak("FTB agent tree is partitioned: not every live agent "
-                 "reaches the root")
-    return violations
+    return [Violation("LiveStateRule",
+                      "Every memory region is deregistered by the end of "
+                      "the run.", sim.now,
+                      f"memory region {mr.name!r} still registered on "
+                      f"{node.name} — unreleased pinned pool")
+            for node in cluster.nodes.values()
+            for mr in node.hca._mrs.values()]

@@ -7,29 +7,20 @@ file.  A rule that observes a contradiction emits a :class:`Violation`
 carrying the offending record, its sim-time, and the rule's own doc
 string, so a report reads as *what law was broken, by which event, when*.
 
-The laws come straight from the paper's protocol (Sec. III) and the
-verbs/FTB semantics underneath it:
+The laws come from the paper's protocol (Sec. III) and the verbs
+semantics underneath it.  Each one is here because a model bug seeded
+into production code breaks it and no other test notices (the seed table
+in ``docs/sanitizer.md``):
 
-* the four phases run STALL -> MIGRATION -> RESTART -> RESUME, and the
-  PIIC announcement precedes the restart announcement on the backplane;
-* a destroyed QP carries no further traffic (its receives flush with
-  error status, once, on both endpoints — and teardown is symmetric);
-* an RDMA pull may only name an rkey whose memory region is still
-  registered at the source — stale-handle reuse is *the* failure mode
-  transparent IB checkpointing must virtualize away;
-* every pool chunk is filled, pulled and released exactly once, and a
-  pool slot holds one chunk at a time;
-* a stalled rank is silent: between its ``rank.stall`` end and its
-  ``rank.resume`` start no MPI message may leave or reach it;
-* pipeline stages respect causality — checkpoint before image-ready,
-  image-ready before restart — and every restart inside a pipeline run
-  uses the run's declared sink (a memory-sink run never touches temp
-  checkpoint files);
-* spans are well-formed (every ``.start`` closed, ids unique, flow-edge
-  endpoints resolve) and every record matches ``TRACE_SCHEMA``.
+* ``FTB_MIGRATE_PIIC`` is published before ``FTB_RESTART``;
+* a pipelined restart begins only after its process's image is ready;
+* a destroyed QP carries no further traffic, and teardown is symmetric
+  across the pair;
+* every RDMA migration session that is set up is torn down, once.
 
-Register a new invariant by subclassing :class:`Rule` and adding it to
-:func:`default_rules` — see ``docs/sanitizer.md`` for a worked example.
+Register a new invariant by subclassing :class:`Rule`, adding it to
+:func:`default_rules`, and shipping the seeded-bug test that only it
+catches — see ``docs/sanitizer.md``.
 """
 
 from __future__ import annotations
@@ -37,16 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from ..core.protocol import PHASE_ORDER
 from ..ftb.events import FTB_MIGRATE_PIIC, FTB_RESTART
-from ..simulate.schema import validate_record
 from ..simulate.trace import TraceRecord
 
-__all__ = ["Violation", "Rule", "default_rules",
-           "PhaseOrderRule", "QPLifecycleRule", "RkeyRule",
-           "ChunkLifecycleRule", "StallSilenceRule", "SpanRule",
-           "SchemaRule", "SessionRule", "PipelineStageOrderRule",
-           "SinkExclusivityRule"]
+__all__ = ["Violation", "Rule", "default_rules", "PhaseOrderRule",
+           "PipelineStageOrderRule", "QPLifecycleRule", "SessionRule"]
 
 
 @dataclass(frozen=True)
@@ -71,7 +57,7 @@ class Rule:
 
     Subclasses override :meth:`feed` (called once per record, in trace
     order) and optionally :meth:`finish` (called once after the last
-    record, for end-of-trace laws like "every span closed").  Report
+    record, for end-of-trace laws like "every session torn down").  Report
     breaches via :meth:`report`; never raise — the checker treats a
     raising rule as its own violation so one buggy rule cannot take the
     simulation (or the other rules) down.
@@ -110,76 +96,34 @@ class Rule:
 # framework layer
 # ---------------------------------------------------------------------------
 
-_PHASE_SEQUENCE: Tuple[str, ...] = tuple(p.value for p in PHASE_ORDER)
-
-
 class PhaseOrderRule(Rule):
-    """Migration phases run STALL -> MIGRATION -> RESTART -> RESUME, and
-    FTB_MIGRATE_PIIC is published before FTB_RESTART.
+    """FTB_MIGRATE_PIIC is published before FTB_RESTART.
 
-    Phases are grouped by their parent ``migration`` span, so two
-    overlapping migrations (which the framework's op-lock forbids anyway)
-    would each be checked against their own sequence.  The MIGRATION and
-    RESTART phases are parented by the ``pipeline.run`` span the framework
-    opens between them and the migration span; phase parents resolve
-    through that indirection.  CR baseline runs emit no ``phase`` spans
-    and are untouched by this rule.
+    The process-images-in-place announcement closes Phase 2; the restart
+    announcement opens Phase 3 on the spare.  A restart announced first
+    tells the spare to restart images that are not in place yet.  (The
+    order of the ``phase`` spans themselves is checked against the
+    migration report by ``test_phase_spans_match_report``.)
     """
 
     def __init__(self) -> None:
         super().__init__()
-        self._phases_seen: Dict[Any, List[str]] = {}
-        self._migration_open: Set[Any] = set()
-        self._pipeline_owner: Dict[Any, Any] = {}
         self._piic_published = 0
         self._restart_published = 0
 
     def feed(self, rec: TraceRecord) -> None:
-        if rec.kind == "migration.start":
-            self._migration_open.add(rec.get("span"))
-        elif rec.kind == "pipeline.run.start":
-            # A pipeline run parents the phases it drives; attribute them
-            # to the migration span that owns the run.
-            self._pipeline_owner[rec.get("span")] = rec.get("parent")
-        elif rec.kind == "migration.end":
-            key = rec.get("span")
-            self._migration_open.discard(key)
-            seen = self._phases_seen.pop(key, [])
-            if seen != list(_PHASE_SEQUENCE):
+        if rec.kind != "ftb.publish":
+            return
+        event = rec.get("event")
+        if event == FTB_MIGRATE_PIIC:
+            self._piic_published += 1
+        elif event == FTB_RESTART:
+            self._restart_published += 1
+            if self._restart_published > self._piic_published:
                 self.report(
-                    f"migration span {key} closed after phases {seen!r}; "
-                    f"the protocol requires {list(_PHASE_SEQUENCE)!r}", rec)
-        elif rec.kind == "phase.start":
-            key = rec.get("parent")
-            key = self._pipeline_owner.get(key, key)
-            phase = rec.get("phase")
-            seen = self._phases_seen.setdefault(key, [])
-            expected_idx = len(seen)
-            if (expected_idx >= len(_PHASE_SEQUENCE)
-                    or _PHASE_SEQUENCE[expected_idx] != phase):
-                expected = (_PHASE_SEQUENCE[expected_idx]
-                            if expected_idx < len(_PHASE_SEQUENCE) else None)
-                self.report(
-                    f"phase {phase!r} opened out of order in migration "
-                    f"{key} (position {expected_idx}, expected "
-                    f"{expected!r})", rec)
-            seen.append(phase)
-        elif rec.kind == "ftb.publish":
-            event = rec.get("event")
-            if event == FTB_MIGRATE_PIIC:
-                self._piic_published += 1
-            elif event == FTB_RESTART:
-                self._restart_published += 1
-                if self._restart_published > self._piic_published:
-                    self.report(
-                        f"{FTB_RESTART} published before the matching "
-                        f"{FTB_MIGRATE_PIIC} (restarts={self._restart_published}, "
-                        f"piic={self._piic_published})", rec)
-
-    def finish(self) -> None:
-        for key in sorted(self._migration_open, key=repr):
-            self.report(f"migration span {key} never closed",
-                        time=float("nan"))
+                    f"{FTB_RESTART} published before the matching "
+                    f"{FTB_MIGRATE_PIIC} (restarts={self._restart_published}, "
+                    f"piic={self._piic_published})", rec)
 
 
 # ---------------------------------------------------------------------------
@@ -255,51 +199,6 @@ class PipelineStageOrderRule(Rule):
                         f"closed", run["rec"], time=run["rec"].time)
 
 
-class SinkExclusivityRule(Rule):
-    """A pipeline run's restart path matches its sink: a memory-sink run
-    never touches temp checkpoint files on the target, and every restart
-    during a run uses the run's declared sink mode.
-
-    A ``blcr.restart``/``pipeline.restart`` whose mode contradicts the
-    open run's sink, or an ``fs.create`` of a ``/tmp/migrate`` file on
-    the target of a memory-sink run, means the file barrier the memory
-    sink exists to remove snuck back in.  Restarts outside any run (the
-    CR baseline, live migration's resident restore) are not this rule's
-    business.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        #: target node -> (run span, sink kind)
-        self._open: Dict[Any, Tuple[Any, Any]] = {}
-
-    def feed(self, rec: TraceRecord) -> None:
-        if rec.kind == "pipeline.run.start":
-            self._open[rec.get("target")] = (rec.get("span"),
-                                             rec.get("sink"))
-        elif rec.kind == "pipeline.run.end":
-            for target, (span, _sink) in list(self._open.items()):
-                if span == rec.get("span"):
-                    del self._open[target]
-        elif rec.kind in ("blcr.restart.start", "pipeline.restart.start"):
-            entry = self._open.get(rec.get("node"))
-            mode = rec.get("mode")
-            if entry is not None and mode in ("file", "memory") \
-                    and mode != entry[1]:
-                self.report(
-                    f"{rec.kind[:-len('.start')]} of {rec.get('proc')!r} "
-                    f"uses mode {mode!r} inside a pipeline run whose sink "
-                    f"is {entry[1]!r}", rec)
-        elif rec.kind == "fs.create":
-            entry = self._open.get(rec.get("node"))
-            if entry is not None and entry[1] == "memory" \
-                    and str(rec.get("path", "")).startswith("/tmp/migrate"):
-                self.report(
-                    f"memory-sink pipeline run {entry[0]} created temp "
-                    f"checkpoint file {rec.get('path')!r} on its target — "
-                    f"the file barrier is supposed to be gone", rec)
-
-
 # ---------------------------------------------------------------------------
 # network layer
 # ---------------------------------------------------------------------------
@@ -363,236 +262,6 @@ class QPLifecycleRule(Rule):
                     time=self._destroyed[dead])
 
 
-class RkeyRule(Rule):
-    """An RDMA pull may only reference an rkey whose memory region is
-    still registered at the source node.
-
-    Registration state is keyed ``(node, rkey)`` — rkeys are per-HCA
-    counters, so the same integer legitimately recurs on different
-    nodes.  A ``migration.rdma_pull.start`` naming a never-registered or
-    already-deregistered key is exactly the stale-handle reuse that
-    DMTCP-IB-style virtualization exists to prevent.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._live: Dict[Tuple[Any, Any], Any] = {}
-
-    def feed(self, rec: TraceRecord) -> None:
-        if rec.kind == "mr.register":
-            self._live[(rec.get("node"), rec.get("rkey"))] = rec.get("name")
-        elif rec.kind == "mr.deregister":
-            key = (rec.get("node"), rec.get("rkey"))
-            if key not in self._live:
-                self.report(
-                    f"deregister of unknown MR rkey={rec.get('rkey')} on "
-                    f"{rec.get('node')}", rec)
-            else:
-                del self._live[key]
-        elif rec.kind == "migration.rdma_pull.start":
-            key = (rec.get("src"), rec.get("rkey"))
-            if key not in self._live:
-                self.report(
-                    f"rdma_pull (seq={rec.get('seq')}) references rkey="
-                    f"{rec.get('rkey')} on {rec.get('src')}, which is not a "
-                    f"registered MR — stale or revoked handle", rec)
-
-
-# ---------------------------------------------------------------------------
-# buffer-pool layer
-# ---------------------------------------------------------------------------
-
-class ChunkLifecycleRule(Rule):
-    """Every pool chunk is filled, pulled and released exactly once, and
-    a pool slot holds at most one live chunk.
-
-    Chunk identity is the descriptor ``seq``; slot identity is
-    ``(node, pool_offset)``.  A fill into an occupied slot, a pull of a
-    never-filled or already-pulled seq, or a release of a free slot are
-    each a double-use of the 10 MB pinned pool.  Slots still occupied at
-    ``session.teardown`` are freed wholesale with the pool (releases for
-    the final chunks may be in flight when the QPs die), so only
-    pre-teardown double-use is flagged.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._state: Dict[Any, str] = {}          # seq -> filled|pulling|pulled
-        self._slot: Dict[Tuple[Any, Any], Any] = {}  # (node, off) -> seq
-        self._completed_procs: Set[Any] = set()
-
-    def feed(self, rec: TraceRecord) -> None:
-        if rec.kind == "pool.chunk.fill":
-            seq = rec.get("seq")
-            if seq in self._state:
-                self.report(f"chunk seq={seq} filled twice "
-                            f"(state {self._state[seq]!r})", rec)
-            self._state[seq] = "filled"
-            slot = (rec.get("node"), rec.get("pool_offset"))
-            if slot in self._slot:
-                self.report(
-                    f"fill into occupied pool slot {slot} (still holds "
-                    f"seq={self._slot[slot]}) — slot reused before its "
-                    f"release", rec)
-            self._slot[slot] = seq
-        elif rec.kind == "migration.rdma_pull.start":
-            seq = rec.get("seq")
-            state = self._state.get(seq)
-            if state is None:
-                self.report(f"pull of never-filled chunk seq={seq}", rec)
-            elif state != "filled":
-                self.report(f"chunk seq={seq} pulled twice "
-                            f"(state {state!r})", rec)
-            self._state[seq] = "pulling"
-        elif rec.kind == "migration.rdma_pull.end":
-            seq = rec.get("seq")
-            if self._state.get(seq) == "pulling":
-                self._state[seq] = "failed" if rec.get("error") else "pulled"
-        elif rec.kind == "pool.chunk.release":
-            slot = (rec.get("node"), rec.get("pool_offset"))
-            seq = self._slot.pop(slot, None)
-            if seq is None:
-                self.report(
-                    f"release of already-free pool slot {slot} — double "
-                    f"free back to the pool", rec)
-        elif rec.kind == "session.teardown":
-            # The pool is unpinned wholesale; in-flight releases are moot.
-            node = rec.get("source")
-            for slot in [s for s in self._slot if s[0] == node]:
-                del self._slot[slot]
-        elif rec.kind == "pool.proc.complete":
-            proc = rec.get("proc")
-            if proc in self._completed_procs:
-                self.report(f"process {proc!r} reassembled twice", rec)
-            self._completed_procs.add(proc)
-
-    def finish(self) -> None:
-        stuck = sorted((s for s, st in self._state.items()
-                        if st in ("filled", "pulling")), key=repr)
-        for seq in stuck:
-            self.report(
-                f"chunk seq={seq} left in state {self._state[seq]!r} at end "
-                f"of trace — filled but never successfully pulled",
-                time=float("nan"))
-
-
-# ---------------------------------------------------------------------------
-# mpi layer
-# ---------------------------------------------------------------------------
-
-class StallSilenceRule(Rule):
-    """A stalled rank is silent: no MPI message leaves or reaches it
-    between its ``rank.stall`` end and its ``rank.resume`` start.
-
-    The drain protocol must have flushed every in-flight message before
-    the stall barrier reports; traffic inside the window means either
-    the drain lied or a rank bypassed its suspension gate.  FLUSH
-    markers (``flush=True``) are the drain protocol itself and exempt.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._stalled_at: Dict[Any, float] = {}
-
-    def feed(self, rec: TraceRecord) -> None:
-        if rec.kind == "rank.stall.end":
-            self._stalled_at[rec.get("rank")] = rec.time
-        elif rec.kind == "rank.resume.start":
-            rank = rec.get("rank")
-            if rank not in self._stalled_at:
-                self.report(f"rank {rank} resumed without a preceding "
-                            f"stall", rec)
-            else:
-                del self._stalled_at[rank]
-        elif rec.kind in ("msg.send", "msg.recv") and not rec.get("flush"):
-            end = "src" if rec.kind == "msg.send" else "dst"
-            rank = rec.get(end)
-            since = self._stalled_at.get(rank)
-            if since is not None:
-                verb = "sent" if rec.kind == "msg.send" else "received"
-                self.report(
-                    f"rank {rank} {verb} a {rec.get('nbytes')}-byte message "
-                    f"inside its stall window (stalled since "
-                    f"t={since:.6f}s)", rec)
-
-    def finish(self) -> None:
-        for rank, since in sorted(self._stalled_at.items(), key=repr):
-            self.report(
-                f"rank {rank} stalled at t={since:.6f}s and never resumed",
-                time=since)
-
-
-# ---------------------------------------------------------------------------
-# trace well-formedness
-# ---------------------------------------------------------------------------
-
-class SpanRule(Rule):
-    """Spans are well-formed: ids unique, every ``.start`` closed by a
-    matching ``.end``, durations non-negative, flow-edge endpoints
-    resolve to spans that exist.
-
-    An unbalanced span means a simulation task died mid-operation (or a
-    hand-rolled emit site forged half a span); a dangling flow edge
-    means a producer stamped a span id that never entered the trace.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._open: Dict[Any, Tuple[str, TraceRecord]] = {}
-        self._known: Set[Any] = set()
-
-    def feed(self, rec: TraceRecord) -> None:
-        if rec.kind == "flow.link":
-            for end in ("src", "dst"):
-                span = rec.get(end)
-                if span not in self._known:
-                    self.report(
-                        f"flow edge {rec.get('edge')!r} names {end} span "
-                        f"{span}, which never appeared in the trace", rec)
-            return
-        if rec.kind.endswith(".start"):
-            base = rec.kind[:-len(".start")]
-            span = rec.get("span")
-            if span in self._known:
-                self.report(f"span id {span} reused by {rec.kind}", rec)
-            self._known.add(span)
-            self._open[span] = (base, rec)
-        elif rec.kind.endswith(".end"):
-            base = rec.kind[:-len(".end")]
-            span = rec.get("span")
-            entry = self._open.pop(span, None)
-            if entry is None:
-                self.report(f"{rec.kind} closes span {span}, which is not "
-                            f"open", rec)
-            elif entry[0] != base:
-                self.report(
-                    f"span {span} opened as {entry[0]!r} but closed as "
-                    f"{base!r}", rec)
-            dur = rec.get("duration")
-            if dur is not None and dur < 0:
-                self.report(f"span {span} has negative duration {dur}", rec)
-
-    def finish(self) -> None:
-        for span, (base, rec) in sorted(self._open.items(), key=repr):
-            self.report(f"span {span} ({base!r}) opened at "
-                        f"t={rec.time:.6f}s and never closed", rec,
-                        time=rec.time)
-
-
-class SchemaRule(Rule):
-    """Every record matches ``TRACE_SCHEMA``: declared kind, required
-    fields present.
-
-    This is :func:`repro.simulate.schema.validate_record` running live —
-    the written observability contract enforced record by record instead
-    of once per test run.
-    """
-
-    def feed(self, rec: TraceRecord) -> None:
-        for problem in validate_record(rec):
-            self.report(problem, rec)
-
-
 # ---------------------------------------------------------------------------
 # buffer-pool session pairing
 # ---------------------------------------------------------------------------
@@ -633,7 +302,5 @@ class SessionRule(Rule):
 
 def default_rules() -> List[Rule]:
     """One fresh instance of every invariant, in reporting order."""
-    return [SchemaRule(), SpanRule(), PhaseOrderRule(),
-            PipelineStageOrderRule(), SinkExclusivityRule(),
-            QPLifecycleRule(), RkeyRule(), ChunkLifecycleRule(),
-            StallSilenceRule(), SessionRule()]
+    return [PhaseOrderRule(), PipelineStageOrderRule(), QPLifecycleRule(),
+            SessionRule()]

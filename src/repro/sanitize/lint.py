@@ -21,6 +21,10 @@ pure ``ast`` visitors (no third-party dependencies):
   ``--progress`` heartbeat — is exempt: its job *is* wall time);
 * ``unused-import`` — an imported name never referenced in the module
   (``__init__.py`` re-export surfaces are exempt);
+* ``reserved-field`` — a literal ``span``, ``parent``, ``duration`` or
+  ``error`` keyword at a ``span(...)`` or ``annotate(...)`` call: the
+  real ``Tracer`` rejects it at run time, the untraced ``NullTracer``
+  accepts it silently;
 * ``direct-construction`` — instantiating ``RDMAMigrationSession`` or
   ``RestartEngine`` outside the ``pipeline`` package and the
   ``baselines`` module; migration data-path components must be built
@@ -42,7 +46,7 @@ catch those bugs when they change a result (see
 ``docs/static-analysis.md``).
 
 The rules live in the shared framework (:mod:`repro.sanitize.rules`):
-each has a stable id (``LNT001``–``LNT007``, ``SIM301``, ``MET###``), a
+each has a stable id (``LNT001``–``LNT008``, ``SIM301``, ``MET###``), a
 severity, and inline ``# repro: noqa[RULE-ID]`` suppression support,
 applied once per file to the combined findings.
 """
@@ -217,7 +221,7 @@ class _EmitSiteVisitor(ast.NodeVisitor):
     def _check_required(self, call: ast.Call, kind: str,
                         required: Tuple[str, ...], given: Set[str]) -> None:
         if self._has_splat(call):
-            return  # dynamic fields: the SchemaRule checks these at runtime
+            return  # dynamic fields: validate_trace checks these at run time
         missing = [f for f in required if f not in given]
         if missing:
             self._find(call, "missing-field",
@@ -269,6 +273,15 @@ class _EmitSiteVisitor(ast.NodeVisitor):
         elif attr == "link" and len(node.args) >= 3:
             # tracer.link(src, dst, kind) emits a flow.link record.
             self.emitted.append("flow.link")
+
+        if attr in ("span", "annotate"):
+            reserved = [kw.arg for kw in node.keywords
+                        if kw.arg in _SPAN_AUTO_FIELDS]
+            if reserved:
+                self._find(node, "reserved-field",
+                           f"{attr}() passes reserved field(s) {reserved}; "
+                           f"a span writes span, parent, duration and error "
+                           f"itself (NullTracer accepts them silently)")
 
         callee = func.id if isinstance(func, ast.Name) else attr
         if callee in _REGISTRY_ONLY and not self._registry_exempt:
@@ -445,10 +458,7 @@ def _lint(modules: List[ModuleInfo], broken: List[Finding]) -> LintResult:
     for mod in modules:
         file_findings, kinds = _file_findings(mod)
         findings.extend(file_findings)
-        # The fault injectors forge emits; they must not mask a kind that
-        # lost its real emitter.
-        if f"{os.sep}sanitize{os.sep}" not in mod.path:
-            emitted.extend(kinds)
+        emitted.extend(kinds)
     findings.extend(check_spans(modules))
     for mod in modules:
         if mod.name == _SCHEMA_MODULE:

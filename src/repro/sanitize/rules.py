@@ -83,6 +83,8 @@ register_rule("LNT006", "emitter-drift", "error",
               "schema kind with no emitter, or emit of an undeclared kind")
 register_rule("LNT007", "syntax-error", "error",
               "file does not parse; nothing else can be checked")
+register_rule("LNT008", "reserved-field", "error",
+              "span()/annotate() passes a field the span writes itself")
 # Span balance (every path that starts a span ends it).
 register_rule("SIM301", "span-unbalanced", "error",
               "a started span is not closed on every code path")

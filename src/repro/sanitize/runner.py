@@ -6,23 +6,18 @@ One :func:`sanitize_scenario` call replays the runs of one experiment of
 memory restart) — with a live :class:`TraceChecker` attached
 to the tracer, runs the application to completion, and folds in the
 end-of-run :func:`live_checks`.  Each sub-run gets a fresh checker so
-per-entity state (rkeys, chunk seqs, span ids) cannot bleed between
-independent simulations.
-
-A named fault from :mod:`~repro.sanitize.faults` can be injected into
-every sub-run; the checker is attached *first* so it observes records in
-true emission order.
+per-entity state (QP numbers, sessions, pipeline runs) cannot bleed
+between independent simulations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..experiments import FIG4, FIG6, FIG7, PIPELINE, Run
 from ..simulate.trace import Tracer
 from .checker import TraceChecker, live_checks
-from .faults import make_injector
 from .invariants import Violation
 
 __all__ = ["RunResult", "SanitizeResult", "sanitize_scenario",
@@ -58,18 +53,15 @@ class SanitizeResult:
         return not self.violations
 
 
-def _checked_run(name: str, run: Run, seed: int,
-                 fault: Optional[str]) -> RunResult:
+def _checked_run(name: str, run: Run, seed: int) -> RunResult:
     tracer = Tracer()
     checker = TraceChecker()
-    checker.attach(tracer)          # before the injector: true record order
-    if fault is not None:
-        make_injector(fault).attach(tracer)
+    checker.attach(tracer)
     sc = run.scenario(seed, trace=tracer)
     run.drive(sc)
     sc.run_to_completion()
     violations = checker.finish()
-    violations.extend(live_checks(sc.sim, sc.cluster, sc.backplane))
+    violations.extend(live_checks(sc.sim, sc.cluster))
     return RunResult(name, len(tracer), violations)
 
 
@@ -83,8 +75,7 @@ SCENARIOS: Dict[str, Dict[str, Run]] = {
 }
 
 
-def sanitize_scenario(name: str, seed: int = 0,
-                      fault: Optional[str] = None) -> SanitizeResult:
+def sanitize_scenario(name: str, seed: int = 0) -> SanitizeResult:
     """Run one named bench scenario under the sanitizer."""
     try:
         runs = SCENARIOS[name]
@@ -94,7 +85,7 @@ def sanitize_scenario(name: str, seed: int = 0,
         ) from None
     result = SanitizeResult(name)
     for run_name, run in runs.items():
-        result.runs.append(_checked_run(run_name, run, seed, fault))
+        result.runs.append(_checked_run(run_name, run, seed))
     return result
 
 

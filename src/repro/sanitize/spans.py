@@ -20,9 +20,9 @@ each ``.span(...)`` call site for one of the sanctioned shapes:
 
 Anything else — a bare ``tracer.span(...)`` expression statement, an
 assignment that is never entered, or an ``__enter__`` without a
-``finally``-guarded ``__exit__`` — is a SIM301 finding.  The runtime
-``SpanRule`` only sees the paths a run takes; this sees the exception
-paths no test drives.
+``finally``-guarded ``__exit__`` — is a SIM301 finding.  A run only
+shows the paths it takes; this sees the exception paths no test
+drives.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ import pytest
 from repro.cluster import ClusterScale
 from repro.sched.jobs import BatchJobSpec
 from repro.simulate import Tracer
+from repro.simulate.metrics import MetricsRegistry
 from repro.simulate.schema import layers_covered, validate_trace
 
 HOP = 0.5
@@ -132,6 +133,19 @@ def test_trace_validates_and_covers_cluster_layers():
     for rec in restarts:
         assert {rec.get("src"), rec.get("dst")} <= rack_names
         assert rec.get("src") != rec.get("dst")
+
+
+def test_ftb_counters_match_their_records():
+    """The FTB instruments resolved at construction count exactly the
+    hops and publishes the trace records."""
+    tracer, metrics = Tracer(), MetricsRegistry()
+    ClusterScale(n_nodes=128, n_jobs=8, nodes_per_rack=16, seed=0,
+                 trace=tracer, metrics=metrics).run()
+    for name, kind in (("ftb.forwarded", "ftb.forward"),
+                       ("ftb.published", "ftb.publish")):
+        n = len(tracer.of_kind(kind))
+        assert n > 0
+        assert metrics.get(name).value == n, name
 
 
 def test_no_spares_still_completes_via_repair_wait():

@@ -205,21 +205,6 @@ def test_flood_spawns_no_process():
     assert len(list(sim.trace.of_kind("ftb.forward"))) == len(nodes) - 1
 
 
-def test_live_checks_flag_an_agent_holding_events():
-    from repro.sanitize.checker import live_checks
-
-    sim, fab, bp = make()
-    agent = bp.agent("node0")
-    agent._routing = True  # mid-route: a new event has to wait its turn
-    FTBClient(bp, "node0", name="x").publish_nowait("FTB.TEST.STUCK")
-    messages = [v.message for v in live_checks(sim, backplane=bp)]
-    assert messages == ["FTB agent on node0 still holds 1 undelivered "
-                        "event(s) in its inbox"]
-    agent.fail()
-    assert not [m for m in (v.message for v in live_checks(sim, backplane=bp))
-                if "inbox" in m]
-
-
 # ----------------------------------------------------------------- healing
 def test_agent_failure_reparents_children():
     sim, fab, bp = make(n_nodes=7, fanout=2)

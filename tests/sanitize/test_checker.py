@@ -1,7 +1,7 @@
 """Checker-machinery tests: containment, live attachment, idempotence."""
 
 from repro.sanitize import TraceChecker
-from repro.sanitize.invariants import Rule, SchemaRule
+from repro.sanitize.invariants import QPLifecycleRule, Rule
 from repro.simulate.trace import Tracer
 
 
@@ -48,15 +48,17 @@ def test_broken_rule_is_detached_not_fatal():
 
 def test_live_and_offline_paths_agree():
     tracer = Tracer()
-    tracer.record(0.0, "undeclared.kind", x=1)
+    tracer.record(0.0, "qp.destroy", qp=1)
+    tracer.record(1.0, "qp.destroy", qp=1)
 
-    live = TraceChecker(rules=[SchemaRule()])
+    live = TraceChecker(rules=[QPLifecycleRule()])
     sub = live.attach(Tracer())  # fresh tracer; replay manually below
     for rec in tracer:
         live.feed(rec)
     sub.unsubscribe()
 
-    offline = TraceChecker.check_trace(tracer, rules=[SchemaRule()])
+    offline = TraceChecker.check_trace(tracer, rules=[QPLifecycleRule()])
+    assert offline
     assert [v.message for v in live.finish()] == \
         [v.message for v in offline]
 
@@ -79,8 +81,9 @@ def test_nan_finish_time_replaced_with_last_record_time():
 
 
 def test_attach_sees_records_emitted_after_subscription():
-    checker = TraceChecker(rules=[SchemaRule()])
+    checker = TraceChecker(rules=[QPLifecycleRule()])
     tracer = Tracer()
     checker.attach(tracer)
-    tracer.record(0.0, "not.a.kind")
+    tracer.record(0.0, "qp.destroy", qp=1)
+    tracer.record(1.0, "qp.destroy", qp=1)
     assert checker.finish()

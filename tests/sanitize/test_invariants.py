@@ -7,24 +7,16 @@ just the records the rule's state machine consumes.
 
 import pytest
 
-from repro.core.protocol import PHASE_ORDER
 from repro.ftb.events import FTB_MIGRATE_PIIC, FTB_RESTART
 from repro.sanitize import TraceChecker
 from repro.sanitize.invariants import (
-    ChunkLifecycleRule,
     PhaseOrderRule,
     PipelineStageOrderRule,
     QPLifecycleRule,
-    RkeyRule,
-    SchemaRule,
     SessionRule,
-    SinkExclusivityRule,
-    SpanRule,
-    StallSilenceRule,
+    default_rules,
 )
 from repro.simulate.trace import Tracer
-
-PHASES = [p.value for p in PHASE_ORDER]
 
 
 def check(rule, records):
@@ -35,40 +27,9 @@ def check(rule, records):
     return TraceChecker.check_trace(tracer, rules=[rule])
 
 
-def rules_hit(violations):
-    return {v.rule for v in violations}
-
-
 # ---------------------------------------------------------------------------
 # PhaseOrderRule
 # ---------------------------------------------------------------------------
-
-def migration_records(phases, span=1):
-    recs = [(0.0, "migration.start", {"span": span})]
-    t = 0.1
-    for phase in phases:
-        recs.append((t, "phase.start", {"parent": span, "phase": phase,
-                                        "span": 100 + int(t * 10)}))
-        t += 0.1
-    recs.append((t, "migration.end", {"span": span}))
-    return recs
-
-
-def test_phase_order_clean():
-    assert check(PhaseOrderRule(), migration_records(PHASES)) == []
-
-
-def test_phase_order_out_of_order():
-    swapped = [PHASES[1], PHASES[0]] + PHASES[2:]
-    violations = check(PhaseOrderRule(), migration_records(swapped))
-    assert violations
-    assert "out of order" in violations[0].message
-
-
-def test_phase_order_missing_phase():
-    violations = check(PhaseOrderRule(), migration_records(PHASES[:-1]))
-    assert any("closed after phases" in v.message for v in violations)
-
 
 def test_phase_order_restart_before_piic():
     violations = check(PhaseOrderRule(), [
@@ -84,12 +45,6 @@ def test_phase_order_piic_then_restart_clean():
         (0.0, "ftb.publish", {"event": FTB_MIGRATE_PIIC}),
         (0.1, "ftb.publish", {"event": FTB_RESTART}),
     ]) == []
-
-
-def test_phase_order_migration_never_closed():
-    violations = check(PhaseOrderRule(),
-                       [(0.0, "migration.start", {"span": 7})])
-    assert any("never closed" in v.message for v in violations)
 
 
 # ---------------------------------------------------------------------------
@@ -151,257 +106,6 @@ def test_qp_asymmetric_teardown():
 
 
 # ---------------------------------------------------------------------------
-# RkeyRule
-# ---------------------------------------------------------------------------
-
-def test_rkey_registered_pull_clean():
-    assert check(RkeyRule(), [
-        (0.0, "mr.register", {"node": "node1", "rkey": 7, "name": "pool"}),
-        (0.1, "migration.rdma_pull.start", {"src": "node1", "rkey": 7,
-                                            "seq": 0}),
-        (0.2, "mr.deregister", {"node": "node1", "rkey": 7}),
-    ]) == []
-
-
-def test_rkey_stale_after_deregister():
-    violations = check(RkeyRule(), [
-        (0.0, "mr.register", {"node": "node1", "rkey": 7, "name": "pool"}),
-        (0.1, "mr.deregister", {"node": "node1", "rkey": 7}),
-        (0.2, "migration.rdma_pull.start", {"src": "node1", "rkey": 7,
-                                            "seq": 0}),
-    ])
-    assert any("stale or revoked" in v.message for v in violations)
-
-
-def test_rkey_is_scoped_per_node():
-    # The same rkey integer on a *different* node is a different MR.
-    violations = check(RkeyRule(), [
-        (0.0, "mr.register", {"node": "node1", "rkey": 7, "name": "pool"}),
-        (0.1, "migration.rdma_pull.start", {"src": "node2", "rkey": 7,
-                                            "seq": 0}),
-    ])
-    assert any("not a registered MR" in v.message for v in violations)
-
-
-def test_rkey_deregister_unknown():
-    violations = check(RkeyRule(),
-                       [(0.0, "mr.deregister", {"node": "node1", "rkey": 9})])
-    assert any("unknown MR" in v.message for v in violations)
-
-
-# ---------------------------------------------------------------------------
-# ChunkLifecycleRule
-# ---------------------------------------------------------------------------
-
-def chunk_cycle(seq=0, node="node1", off=0, t0=0.0):
-    return [
-        (t0, "pool.chunk.fill", {"seq": seq, "node": node,
-                                 "pool_offset": off}),
-        (t0 + 0.1, "migration.rdma_pull.start", {"seq": seq}),
-        (t0 + 0.2, "migration.rdma_pull.end", {"seq": seq}),
-        (t0 + 0.3, "pool.chunk.release", {"node": node, "pool_offset": off}),
-    ]
-
-
-def test_chunk_lifecycle_clean():
-    assert check(ChunkLifecycleRule(),
-                 chunk_cycle(0) + chunk_cycle(1, t0=1.0)) == []
-
-
-def test_chunk_double_fill():
-    recs = chunk_cycle(0)
-    recs.append((1.0, "pool.chunk.fill", {"seq": 0, "node": "node1",
-                                          "pool_offset": 0}))
-    violations = check(ChunkLifecycleRule(), recs)
-    assert any("filled twice" in v.message for v in violations)
-
-
-def test_chunk_fill_into_occupied_slot():
-    violations = check(ChunkLifecycleRule(), [
-        (0.0, "pool.chunk.fill", {"seq": 0, "node": "n", "pool_offset": 0}),
-        (0.1, "pool.chunk.fill", {"seq": 1, "node": "n", "pool_offset": 0}),
-    ])
-    assert any("occupied pool slot" in v.message for v in violations)
-
-
-def test_chunk_pull_never_filled():
-    violations = check(ChunkLifecycleRule(),
-                       [(0.0, "migration.rdma_pull.start", {"seq": 5})])
-    assert any("never-filled" in v.message for v in violations)
-
-
-def test_chunk_double_pull():
-    recs = chunk_cycle(0)[:3]  # fill, pull.start, pull.end
-    recs.append((0.5, "migration.rdma_pull.start", {"seq": 0}))
-    violations = check(ChunkLifecycleRule(), recs)
-    assert any("pulled twice" in v.message for v in violations)
-
-
-def test_chunk_release_free_slot():
-    violations = check(ChunkLifecycleRule(), [
-        (0.0, "pool.chunk.release", {"node": "n", "pool_offset": 0}),
-    ])
-    assert any("double" in v.message for v in violations)
-
-
-def test_chunk_stuck_at_end_of_trace():
-    violations = check(ChunkLifecycleRule(), [
-        (0.0, "pool.chunk.fill", {"seq": 0, "node": "n", "pool_offset": 0}),
-        (0.1, "pool.chunk.release", {"node": "n", "pool_offset": 0}),
-    ])
-    assert any("never successfully pulled" in v.message for v in violations)
-
-
-def test_chunk_teardown_frees_slots_wholesale():
-    # Releases in flight when the session dies are not double-frees.
-    assert check(ChunkLifecycleRule(), [
-        (0.0, "pool.chunk.fill", {"seq": 0, "node": "n", "pool_offset": 0}),
-        (0.1, "migration.rdma_pull.start", {"seq": 0}),
-        (0.2, "migration.rdma_pull.end", {"seq": 0}),
-        (0.3, "session.teardown", {"source": "n", "target": "spare"}),
-    ]) == []
-
-
-def test_chunk_proc_reassembled_twice():
-    violations = check(ChunkLifecycleRule(), [
-        (0.0, "pool.proc.complete", {"proc": "rank0"}),
-        (0.1, "pool.proc.complete", {"proc": "rank0"}),
-    ])
-    assert any("reassembled twice" in v.message for v in violations)
-
-
-# ---------------------------------------------------------------------------
-# StallSilenceRule
-# ---------------------------------------------------------------------------
-
-def test_stall_silence_clean():
-    assert check(StallSilenceRule(), [
-        (0.0, "msg.send", {"src": 3, "dst": 4, "nbytes": 10, "flush": False}),
-        (1.0, "rank.stall.end", {"rank": 3}),
-        (2.0, "rank.resume.start", {"rank": 3}),
-        (3.0, "msg.send", {"src": 3, "dst": 4, "nbytes": 10, "flush": False}),
-    ]) == []
-
-
-def test_stall_silence_send_inside_window():
-    violations = check(StallSilenceRule(), [
-        (1.0, "rank.stall.end", {"rank": 3}),
-        (1.5, "msg.send", {"src": 3, "dst": 4, "nbytes": 10, "flush": False}),
-        (2.0, "rank.resume.start", {"rank": 3}),
-    ])
-    assert any("inside its stall window" in v.message for v in violations)
-
-
-def test_stall_silence_recv_inside_window():
-    violations = check(StallSilenceRule(), [
-        (1.0, "rank.stall.end", {"rank": 4}),
-        (1.5, "msg.recv", {"src": 3, "dst": 4, "nbytes": 10, "flush": False}),
-        (2.0, "rank.resume.start", {"rank": 4}),
-    ])
-    assert any("received" in v.message for v in violations)
-
-
-def test_stall_silence_flush_markers_exempt():
-    assert check(StallSilenceRule(), [
-        (1.0, "rank.stall.end", {"rank": 3}),
-        (1.5, "msg.send", {"src": 3, "dst": 4, "nbytes": 0, "flush": True}),
-        (2.0, "rank.resume.start", {"rank": 3}),
-    ]) == []
-
-
-def test_stall_silence_resume_without_stall():
-    violations = check(StallSilenceRule(),
-                       [(0.0, "rank.resume.start", {"rank": 9})])
-    assert any("without a preceding stall" in v.message for v in violations)
-
-
-def test_stall_silence_never_resumed():
-    violations = check(StallSilenceRule(),
-                       [(0.0, "rank.stall.end", {"rank": 9})])
-    assert any("never resumed" in v.message for v in violations)
-
-
-# ---------------------------------------------------------------------------
-# SpanRule
-# ---------------------------------------------------------------------------
-
-def test_span_well_formed_clean():
-    assert check(SpanRule(), [
-        (0.0, "blcr.checkpoint.start", {"span": 1}),
-        (1.0, "blcr.checkpoint.end", {"span": 1, "duration": 1.0}),
-    ]) == []
-
-
-def test_span_id_reuse():
-    violations = check(SpanRule(), [
-        (0.0, "blcr.checkpoint.start", {"span": 1}),
-        (1.0, "blcr.checkpoint.end", {"span": 1}),
-        (2.0, "nla.restart.start", {"span": 1}),
-        (3.0, "nla.restart.end", {"span": 1}),
-    ])
-    assert any("reused" in v.message for v in violations)
-
-
-def test_span_end_without_start():
-    violations = check(SpanRule(),
-                       [(0.0, "blcr.checkpoint.end", {"span": 1})])
-    assert any("not" in v.message and "open" in v.message
-               for v in violations)
-
-
-def test_span_base_mismatch():
-    violations = check(SpanRule(), [
-        (0.0, "blcr.checkpoint.start", {"span": 1}),
-        (1.0, "nla.restart.end", {"span": 1}),
-    ])
-    assert any("opened as" in v.message for v in violations)
-
-
-def test_span_negative_duration():
-    violations = check(SpanRule(), [
-        (0.0, "blcr.checkpoint.start", {"span": 1}),
-        (1.0, "blcr.checkpoint.end", {"span": 1, "duration": -0.5}),
-    ])
-    assert any("negative duration" in v.message for v in violations)
-
-
-def test_span_unclosed_at_end():
-    violations = check(SpanRule(),
-                       [(0.0, "blcr.checkpoint.start", {"span": 1})])
-    assert any("never closed" in v.message for v in violations)
-
-
-def test_span_flow_edge_unknown_endpoint():
-    violations = check(SpanRule(), [
-        (0.0, "blcr.checkpoint.start", {"span": 1}),
-        (1.0, "blcr.checkpoint.end", {"span": 1}),
-        (1.5, "flow.link", {"src": 1, "dst": 999, "edge": "image.ready"}),
-    ])
-    assert len(violations) == 1
-    assert "999" in violations[0].message
-
-
-# ---------------------------------------------------------------------------
-# SchemaRule
-# ---------------------------------------------------------------------------
-
-def test_schema_undeclared_kind():
-    violations = check(SchemaRule(), [(0.0, "bogus.kind", {})])
-    assert violations
-
-
-def test_schema_missing_required_field():
-    violations = check(SchemaRule(),
-                       [(0.0, "qp.destroy", {})])  # requires qp
-    assert violations
-
-
-def test_schema_valid_record_clean():
-    assert check(SchemaRule(),
-                 [(0.0, "qp.destroy", {"qp": 1, "node": "n"})]) == []
-
-
-# ---------------------------------------------------------------------------
 # SessionRule
 # ---------------------------------------------------------------------------
 
@@ -452,12 +156,9 @@ def test_violation_render_names_rule_law_and_record():
     assert "t=0.2" in text
 
 
-@pytest.mark.parametrize("rule_cls", [
-    PhaseOrderRule, QPLifecycleRule, RkeyRule, ChunkLifecycleRule,
-    StallSilenceRule, SpanRule, SchemaRule, SessionRule,
-])
-def test_every_rule_has_a_one_line_law(rule_cls):
-    rule = rule_cls()
+@pytest.mark.parametrize("rule", default_rules(),
+                         ids=lambda rule: rule.name)
+def test_every_rule_has_a_one_line_law(rule):
     assert rule.doc, f"{rule.name} must document its law"
     assert "\n" not in rule.doc
 
@@ -536,63 +237,3 @@ def test_pipeline_run_never_closed():
     violations = check(PipelineStageOrderRule(),
                        pipeline_records(close=False))
     assert any("never closed" in v.message for v in violations)
-
-
-# ---------------------------------------------------------------------------
-# SinkExclusivityRule
-# ---------------------------------------------------------------------------
-
-def test_sink_exclusivity_clean_memory_run():
-    assert check(SinkExclusivityRule(), [
-        (0.0, "pipeline.run.start", {"span": 1, "source": "n0",
-                                     "target": "spare0", "transport": "rdma",
-                                     "sink": "memory"}),
-        (0.1, "blcr.restart.start", {"span": 2, "proc": "r0",
-                                     "node": "spare0", "mode": "memory"}),
-        (0.2, "pipeline.run.end", {"span": 1}),
-    ]) == []
-
-
-def test_sink_exclusivity_file_restart_inside_memory_run():
-    violations = check(SinkExclusivityRule(), [
-        (0.0, "pipeline.run.start", {"span": 1, "source": "n0",
-                                     "target": "spare0", "transport": "rdma",
-                                     "sink": "memory"}),
-        (0.1, "blcr.restart.start", {"span": 2, "proc": "r0",
-                                     "node": "spare0", "mode": "file"}),
-    ])
-    assert any("mode 'file'" in v.message and "'memory'" in v.message
-               for v in violations)
-
-
-def test_sink_exclusivity_tmp_file_inside_memory_run():
-    violations = check(SinkExclusivityRule(), [
-        (0.0, "pipeline.run.start", {"span": 1, "source": "n0",
-                                     "target": "spare0", "transport": "rdma",
-                                     "sink": "memory"}),
-        (0.1, "fs.create", {"node": "spare0",
-                            "path": "/tmp/migrate/r0.ckpt"}),
-    ])
-    assert any("file barrier" in v.message for v in violations)
-
-
-def test_sink_exclusivity_restart_outside_any_run_ignored():
-    # The CR baseline restarts without a pipeline run: none of this
-    # rule's business.
-    assert check(SinkExclusivityRule(), [
-        (0.0, "blcr.restart.start", {"span": 2, "proc": "r0",
-                                     "node": "spare0", "mode": "file"}),
-    ]) == []
-
-
-def test_sink_exclusivity_file_run_allows_tmp_files():
-    assert check(SinkExclusivityRule(), [
-        (0.0, "pipeline.run.start", {"span": 1, "source": "n0",
-                                     "target": "spare0", "transport": "rdma",
-                                     "sink": "file"}),
-        (0.1, "fs.create", {"node": "spare0",
-                            "path": "/tmp/migrate/r0.ckpt"}),
-        (0.2, "blcr.restart.start", {"span": 2, "proc": "r0",
-                                     "node": "spare0", "mode": "file"}),
-        (0.3, "pipeline.run.end", {"span": 1}),
-    ]) == []

@@ -72,7 +72,7 @@ def test_record_with_all_required_fields_is_clean():
 
 
 def test_splatted_fields_are_skipped():
-    # **fields is dynamic; the runtime SchemaRule owns that case.
+    # **fields is dynamic; validate_trace owns that case.
     assert codes("""
         def go(trace, t, fields):
             trace.record(t, "qp.destroy", **fields)
@@ -95,6 +95,32 @@ def test_span_missing_required_field():
                 pass
     """)
     assert [f.code for f in found] == ["missing-field"]
+
+
+def test_reserved_field_at_span_and_annotate_sites():
+    """A literal span/parent/duration/error keyword is flagged at every
+    span() and annotate() call: NullTracer and _NullSpan accept them
+    silently, so only a traced run would raise."""
+    found = findings_for("""
+        def go(tracer):
+            with tracer.span("blcr.checkpoint", proc="p", node="n",
+                             incremental=False, parent=7) as sp:
+                sp.annotate(nbytes=1, error="late")
+            tracer.span(name, duration=0.0).annotate(span=3)
+    """)
+    assert [(f.rule_id, f.line) for f in found] == [
+        ("LNT008", 3), ("LNT008", 5), ("LNT008", 6), ("LNT008", 6)]
+    assert "['parent']" in found[0].message
+
+
+def test_unreserved_span_and_annotate_fields_are_clean():
+    assert codes("""
+        def go(tracer, trace, t):
+            with tracer.span("blcr.checkpoint", proc="p", node="n",
+                             incremental=False) as sp:
+                sp.annotate(nbytes=1)
+            trace.record(t, "qp.destroy", qp=3, node="n", span=1)
+    """) == []
 
 
 def test_dynamic_kind_is_not_checked():

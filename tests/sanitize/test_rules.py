@@ -26,7 +26,7 @@ def test_rule_ids_are_stable_and_unique():
     # suppressions and SARIF consumers.
     assert sorted(RULES) == [
         "LNT001", "LNT002", "LNT003", "LNT004", "LNT005", "LNT006",
-        "LNT007", "MET001", "MET002", "SIM301"]
+        "LNT007", "LNT008", "MET001", "MET002", "SIM301"]
 
 
 def test_every_rule_has_severity_and_summary():
