@@ -24,8 +24,10 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.blcr`     — checkpoint images, engines, restart;
 * :mod:`repro.ftb`      — the CIFTS Fault Tolerance Backplane;
 * :mod:`repro.launch`   — Job Manager, NLAs, spawn tree;
-* :mod:`repro.pipeline` — staged Phase-2/3 data path (sinks, transports);
-* :mod:`repro.core`     — the migration framework itself + baselines;
+* :mod:`repro.pipeline` — staged Phase-2/3 data path: the one table of
+  transport and sink names, the reassembly sinks, ``MigrationPipeline``;
+* :mod:`repro.core`     — the migration framework, the RDMA session and
+  the baseline transports;
 * :mod:`repro.workloads`— NPB LU/BT/SP skeletons;
 * :mod:`repro.sched`    — batch scheduler (cluster-throughput study);
 * :mod:`repro.analysis` — metrics, paper-shaped reports, interval models.

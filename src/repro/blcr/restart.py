@@ -158,6 +158,7 @@ class RestartEngine:
             yield self.sim.timeout(self.params.restart_proc_overhead)
             proc = yield from self._restore(fs, chain, client, chunk_bytes)
             sp.annotate(links=len(chain), nbytes=proc.image_bytes)
+            self._m_bytes_read.inc(sum(meta.nbytes for _, meta in chain))
         return proc
 
     def restart_from_memory(self, image: CheckpointImage) -> Generator:

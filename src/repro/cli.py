@@ -62,7 +62,7 @@ from .experiments import (
 )
 from .mpi.job import MPIJob
 from .params import NPB_TABLE
-from .pipeline.registry import sink_names, transport_names
+from .pipeline.pipeline import SINKS, TRANSPORTS
 from .sanitize.runner import SCENARIOS
 from .simulate.metrics import MetricsRegistry
 from .simulate.telemetry import DEFAULT_INTERVAL, TelemetryProbe
@@ -109,8 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(run)
     run.add_argument("--source", default="node3")
     run.add_argument("--transport", default="rdma",
-                     choices=transport_names())
-    run.add_argument("--restart-mode", default="file", choices=sink_names())
+                     choices=tuple(TRANSPORTS))
+    run.add_argument("--restart-mode", default="file", choices=tuple(SINKS))
     runs_dir(run)
     progress(run)
 
@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(cmp_)
     registry_flags(cmp_)
     cmp_.add_argument("--restart-mode", default="file",
-                      choices=sink_names(),
+                      choices=tuple(SINKS),
                       help="migration restart path: file barrier or "
                            "pipelined memory restart")
 

@@ -12,7 +12,6 @@ from .baselines import (
     IPoIBMigrationSession,
     StagingMigrationSession,
     TCPMigrationSession,
-    make_baseline_session,
 )
 from .checkpoint_restart import CheckpointRestartStrategy
 from .framework import JobMigrationFramework, MigrationError
@@ -35,7 +34,6 @@ __all__ = [
     "TCPMigrationSession",
     "IPoIBMigrationSession",
     "StagingMigrationSession",
-    "make_baseline_session",
     "CheckpointRestartStrategy",
     "LiveMigrationStrategy",
     "LiveMigrationReport",

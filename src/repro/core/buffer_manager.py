@@ -26,18 +26,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Dict, Generator, List, Optional
 
 import numpy as np
 
 from ..params import MigrationParams
-from ..pipeline.stages import FileReassemblySink, ReassemblySink
 from ..simulate.core import Event, Process, Simulator
 from ..simulate.resources import Store
 from ..network.fluid import Link
 from ..network.qp import QueuePair, WorkCompletion
 from ..blcr.image import CheckpointImage
 from ..cluster.node import Cluster, Node
+
+if TYPE_CHECKING:  # the pipeline package builds sessions: import types only
+    from ..pipeline.stages import ReassemblySink
 
 __all__ = ["RDMAMigrationSession", "AggregatingSink", "ChunkDescriptor"]
 
@@ -120,9 +122,8 @@ class RDMAMigrationSession:
     """Source/target buffer-manager pair for one migration."""
 
     def __init__(self, sim: Simulator, cluster: Cluster, source: Node,
-                 target: Node, params: Optional[MigrationParams] = None,
-                 tmp_prefix: str = "/tmp/migrate",
-                 target_sink: Optional[ReassemblySink] = None):
+                 target: Node, target_sink: ReassemblySink,
+                 params: Optional[MigrationParams] = None):
         self.sim = sim
         self.cluster = cluster
         self.source = source
@@ -131,7 +132,6 @@ class RDMAMigrationSession:
         if self.params.chunk_size > self.params.buffer_pool_size:
             raise ValueError("chunk size larger than the buffer pool")
         self.net = cluster.net
-        self.tmp_prefix = tmp_prefix
         self.n_chunks = max(1, self.params.buffer_pool_size // self.params.chunk_size)
         #: Source-side aggregation pipeline limit (kernel write hook +
         #: request handling), the calibrated Phase-2 bottleneck.
@@ -149,8 +149,7 @@ class RDMAMigrationSession:
         self.done: Event = Event(sim, name="migration-transfer-done")
         #: Where reassembled bytes land at the target (file sink = the
         #: paper's temp checkpoint files; memory sink = resident images).
-        self.target_sink: ReassemblySink = target_sink or FileReassemblySink(
-            sim, target.fs, tmp_prefix=tmp_prefix)
+        self.target_sink = target_sink
         #: Per-process completion stream: a proc's name is put here the
         #: instant its image is sealed, so a pipelined restart stage can
         #: start it without waiting for ``done``.
@@ -262,15 +261,6 @@ class RDMAMigrationSession:
         if stuck:
             raise RuntimeError(
                 f"migration pumps leaked after teardown: {stuck}")
-
-    # -- reassembled outputs (delegated to the sink stage) -----------------------
-    @property
-    def images(self) -> Dict[str, CheckpointImage]:
-        return self.target_sink.images
-
-    @property
-    def paths(self) -> Dict[str, str]:
-        return self.target_sink.paths
 
     # -- target side ------------------------------------------------------------
     def _target_pump(self) -> Generator:

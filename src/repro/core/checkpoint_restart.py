@@ -21,7 +21,7 @@ from typing import Dict, Generator, List, Optional
 from ..simulate.core import Simulator
 from ..ftb.events import FTB_CKPT_BEGIN, FTB_CKPT_DONE
 from ..blcr.checkpoint import CheckpointEngine, FileSink
-from ..pipeline.registry import make_restart_engine
+from ..blcr.restart import RestartEngine
 from .protocol import CheckpointReport, RestartReport
 
 __all__ = ["CheckpointRestartStrategy"]
@@ -164,8 +164,8 @@ class CheckpointRestartStrategy:
         ]
         yield self.sim.all_of(launchers)
 
-        engines = {name: make_restart_engine(self.sim, name,
-                                             params=self.cluster.testbed.blcr)
+        engines = {name: RestartEngine(self.sim, name,
+                                       params=self.cluster.testbed.blcr)
                    for name in per_node}
 
         def reload(rank) -> Generator:

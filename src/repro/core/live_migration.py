@@ -24,6 +24,8 @@ from typing import Generator, List, Optional
 
 from ..simulate.core import Simulator
 from ..network.fluid import Link
+from ..blcr.image import CheckpointImage
+from ..blcr.restart import RestartEngine
 from ..ftb.events import FTB_MIGRATE
 from ..cluster.node import NodeState
 from .framework import JobMigrationFramework
@@ -133,12 +135,8 @@ class LiveMigrationStrategy:
             if to_send > 0:
                 yield self._transfer(source_node, target_node, to_send, pipe)
             # State is resident at the target: memory-based restore.
-            from ..pipeline.registry import make_restart_engine
-
-            engine = make_restart_engine(self.sim, target,
-                                         params=self.cluster.testbed.blcr)
-            from ..blcr.image import CheckpointImage
-
+            engine = RestartEngine(self.sim, target,
+                                   params=self.cluster.testbed.blcr)
             workers = []
             for rank in victims:
                 image = CheckpointImage.snapshot(rank.osproc)

@@ -14,6 +14,7 @@ stays connected.
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from typing import Callable, Deque, Dict, Generator, List, Optional, Set
 
 from ..params import FTBParams
@@ -77,7 +78,12 @@ class FTBAgent:
         metrics = self.sim.metrics
         self._m_deduped = metrics.counter("ftb.deduped", unit="events")
         self._m_delivered = metrics.counter("ftb.delivered", unit="events")
-        self._m_forwarded = metrics.counter("ftb.forwarded", unit="events")
+
+    # Resolved on first forward: most agents (leaves of the tree with no
+    # live unseen neighbour) never forward an event.
+    @cached_property
+    def _m_forwarded(self):
+        return self.sim.metrics.counter("ftb.forwarded", unit="events")
 
     # -- tree maintenance ----------------------------------------------------
     def attach_child(self, child: "FTBAgent") -> None:

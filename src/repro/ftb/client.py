@@ -9,6 +9,7 @@ optional callback for push-style delivery.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Generator, Optional
 
 from ..simulate.core import Event, Simulator
@@ -27,8 +28,11 @@ class FTBClient:
         self.node = node
         self.name = name
         self.agent: FTBAgent = backplane.agent(node)
-        self._m_published = self.sim.metrics.counter("ftb.published",
-                                                     unit="events")
+
+    # Resolved on first publish: most clients only subscribe.
+    @cached_property
+    def _m_published(self):
+        return self.sim.metrics.counter("ftb.published", unit="events")
 
     def _live_agent(self) -> FTBAgent:
         """Detect a dead local daemon and reconnect to a live one (clients

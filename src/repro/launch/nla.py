@@ -15,14 +15,19 @@ from enum import Enum
 from typing import Dict, Generator, Iterable, Optional
 
 from ..params import LaunchParams
-from ..pipeline.registry import make_restart_engine
-from ..pipeline.stages import RestartSetMismatch
 from ..simulate.core import Simulator
 from ..blcr.image import CheckpointImage
+from ..blcr.restart import RestartEngine
 from ..cluster.node import Node
 from ..ftb.client import FTBClient
 
-__all__ = ["NLAState", "NodeLaunchAgent"]
+__all__ = ["NLAState", "NodeLaunchAgent", "RestartSetMismatch"]
+
+
+class RestartSetMismatch(RuntimeError):
+    """The set of images handed to restart does not match the expected
+    process set — a short dict would otherwise silently restart fewer
+    ranks than were migrated."""
 
 
 class NLAState(Enum):
@@ -42,7 +47,7 @@ class NodeLaunchAgent:
         self.ftb = ftb_client
         self.params = params or LaunchParams()
         self.state = NLAState.MIGRATION_SPARE if spare else NLAState.MIGRATION_READY
-        self.restart_engine = make_restart_engine(sim, node.name)
+        self.restart_engine = RestartEngine(sim, node.name)
 
     # -- state machine ---------------------------------------------------------
     def to_ready(self) -> None:
@@ -57,21 +62,23 @@ class NodeLaunchAgent:
         launcher does)."""
         yield self.sim.timeout(n * self.params.proc_launch_cost)
 
-    def _check_restartable(self, mode: str) -> None:
+    def _check_restartable(self) -> None:
         if self.state is not NLAState.MIGRATION_SPARE \
                 and self.state is not NLAState.MIGRATION_READY:
             raise RuntimeError(f"NLA on {self.node.name} cannot restart in "
                                f"state {self.state.name}")
-        if mode not in ("file", "memory"):
-            raise ValueError(f"unknown restart mode {mode!r}")
 
     def restart_one(self, name: str, image: CheckpointImage,
                     path: Optional[str] = None,
                     mode: str = "file") -> Generator:
         """Generator: restart a single migrated process (the pipelined
         path — the caller owns completion tracking and the state flip to
-        ``MIGRATION_READY`` once the whole set is back)."""
-        self._check_restartable(mode)
+        ``MIGRATION_READY`` once the whole set is back).
+
+        ``mode`` is ``"memory"`` (restore the resident image) or
+        ``"file"`` (read ``path`` back); the pipeline has checked it.
+        """
+        self._check_restartable()
         if mode == "memory":
             proc = yield from self.restart_engine.restart_from_memory(image)
         else:
@@ -81,15 +88,14 @@ class NodeLaunchAgent:
 
     def restart_processes(self, images: Dict[str, CheckpointImage],
                           paths: Dict[str, str],
-                          mode: str = "file",
                           flow_from: Optional[Iterable[int]] = None,
                           expected_procs: Optional[int] = None
                           ) -> Generator:
-        """Generator: restart migrated processes from reassembled images.
+        """Generator: the file barrier — restart migrated processes by
+        reading the Phase-2 temp files back (the paper's implementation,
+        and the dominant cost).  Pipelined memory restart goes through
+        :meth:`restart_one` instead.
 
-        ``mode='file'`` reads the Phase-2 temp files back (the paper's
-        implementation — the dominant cost); ``mode='memory'`` restores
-        straight from the resident images (the Sec. VI extension).
         Returns ``{proc_name: OSProcess}``.  All restarts run concurrently
         and contend on the local disk's read link.
 
@@ -100,27 +106,26 @@ class NodeLaunchAgent:
         writes); each is linked to the ``nla.restart`` span so the trace
         shows image-complete -> restart-start causality.
         """
-        self._check_restartable(mode)
+        self._check_restartable()
         if expected_procs is None:
             expected_procs = len(images)
         if len(images) != expected_procs:
             raise RestartSetMismatch(
                 f"NLA on {self.node.name} handed {len(images)} images but "
                 f"{expected_procs} processes were migrated")
-        if mode == "file":
-            missing = sorted(set(images) - set(paths))
-            if missing:
-                raise RestartSetMismatch(
-                    f"file-mode restart on {self.node.name} lacks checkpoint "
-                    f"paths for {missing}")
+        missing = sorted(set(images) - set(paths))
+        if missing:
+            raise RestartSetMismatch(
+                f"file-mode restart on {self.node.name} lacks checkpoint "
+                f"paths for {missing}")
 
         def one(name: str) -> Generator:
             proc = yield from self.restart_one(name, images[name],
-                                               paths.get(name), mode=mode)
+                                               paths[name])
             return (name, proc)
 
         with self.sim.tracer.span("nla.restart", node=self.node.name,
-                                  mode=mode, procs=len(images)) as nsp:
+                                  mode="file", procs=len(images)) as nsp:
             trace = self.sim.trace
             if trace is not None:
                 for src in (flow_from or ()):

@@ -18,6 +18,7 @@ switch); contention happens at the HCA ports.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import count
 from typing import Dict, Generator, Optional
 
@@ -111,10 +112,16 @@ class HCA:
         self.rx = Link(f"ib.{node}.rx", bw)
         self._mrs: Dict[int, MemoryRegion] = {}
         self._key_seq = count(start=1)
-        metrics = fabric.sim.metrics
-        self._m_registered = metrics.counter("ib.mr.registered",
-                                             unit="regions")
-        self._m_pinned_bytes = metrics.gauge("ib.mr.pinned_bytes",
+
+    # Resolved on first registration: most HCAs never pin a region.
+    @cached_property
+    def _m_registered(self):
+        return self.fabric.sim.metrics.counter("ib.mr.registered",
+                                               unit="regions")
+
+    @cached_property
+    def _m_pinned_bytes(self):
+        return self.fabric.sim.metrics.gauge("ib.mr.pinned_bytes",
                                              unit="bytes")
 
     # -- memory registration -------------------------------------------------

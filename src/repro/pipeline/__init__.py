@@ -1,12 +1,10 @@
 """Staged migration pipeline: pluggable Phase-2/3 data path."""
 
 from .stages import (FileReassemblySink, MemoryReassemblySink, ReassemblyError,
-                     ReassemblySink, RestartSetMismatch)
-from .registry import (make_reassembly_sink, make_restart_engine,
-                       make_transport, sink_names, transport_names)
-from .pipeline import MigrationPipeline
+                     ReassemblySink)
+from .pipeline import (SINKS, TRANSPORTS, MigrationPipeline,
+                       RestartSetMismatch, check_stage_names)
 
 __all__ = ["MigrationPipeline", "ReassemblySink", "FileReassemblySink",
            "MemoryReassemblySink", "ReassemblyError", "RestartSetMismatch",
-           "make_transport", "make_reassembly_sink", "make_restart_engine",
-           "transport_names", "sink_names"]
+           "TRANSPORTS", "SINKS", "check_stage_names"]

@@ -1,7 +1,9 @@
 """The staged migration pipeline: checkpoint -> transport -> sink -> restart.
 
 One :class:`MigrationPipeline` owns the whole Phase-2/3 data path of a
-migration.  The stages are pluggable through :mod:`.registry`:
+migration.  This module is the only place the stage names are spelled
+out: :data:`TRANSPORTS` and :data:`SINKS` map each name to its class, and
+the CLI's ``choices`` read the same tables.  The stages:
 
 * **source** — the extended BLCR :class:`CheckpointEngine` scanning every
   victim process into the transport's aggregating sink;
@@ -25,11 +27,38 @@ from typing import Dict, Generator, List, Optional
 from ..params import MigrationParams
 from ..simulate.core import Process, Simulator
 from ..blcr.checkpoint import CheckpointEngine
-from .registry import (make_reassembly_sink, make_transport, sink_names,
-                       transport_names)
-from .stages import ReassemblySink, RestartSetMismatch
+from ..core.baselines import (IPoIBMigrationSession, StagingMigrationSession,
+                              TCPMigrationSession)
+from ..core.buffer_manager import RDMAMigrationSession
+from ..launch.nla import RestartSetMismatch
+from .stages import FileReassemblySink, MemoryReassemblySink, ReassemblySink
 
-__all__ = ["MigrationPipeline"]
+__all__ = ["MigrationPipeline", "TRANSPORTS", "SINKS", "check_stage_names"]
+
+#: Phase-2 transport sessions by name: the paper's buffer-pool session
+#: and the Sec. III-B baselines.
+TRANSPORTS = {
+    "rdma": RDMAMigrationSession,
+    "tcp": TCPMigrationSession,
+    "ipoib": IPoIBMigrationSession,
+    "staging": StagingMigrationSession,
+}
+
+#: Target-side reassembly sinks by restart mode.
+SINKS = {
+    "file": FileReassemblySink,
+    "memory": MemoryReassemblySink,
+}
+
+
+def check_stage_names(transport: str, restart_mode: str) -> None:
+    """Raise :class:`ValueError` unless both names are in the tables."""
+    if transport not in TRANSPORTS:
+        raise ValueError(f"unknown transport {transport!r}; choose "
+                         f"{'|'.join(TRANSPORTS)}")
+    if restart_mode not in SINKS:
+        raise ValueError(f"unknown restart mode {restart_mode!r}; "
+                         f"choose {'|'.join(SINKS)}")
 
 
 class MigrationPipeline:
@@ -50,20 +79,13 @@ class MigrationPipeline:
 
     def __init__(self, sim: Simulator, cluster, transport: str = "rdma",
                  restart_mode: str = "file",
-                 params: Optional[MigrationParams] = None,
-                 tmp_prefix: str = "/tmp/migrate"):
-        if transport not in transport_names():
-            raise ValueError(f"unknown transport {transport!r}; choose "
-                             f"{'|'.join(transport_names())}")
-        if restart_mode not in sink_names():
-            raise ValueError(f"unknown restart mode {restart_mode!r}; "
-                             f"choose {'|'.join(sink_names())}")
+                 params: Optional[MigrationParams] = None):
+        check_stage_names(transport, restart_mode)
         self.sim = sim
         self.cluster = cluster
         self.transport = transport
         self.restart_mode = restart_mode
         self.params = params or cluster.testbed.migration
-        self.tmp_prefix = tmp_prefix
         self.tracer = cluster.trace
         self.session = None
         self.sink: Optional[ReassemblySink] = None
@@ -96,11 +118,10 @@ class MigrationPipeline:
             "pipeline.run", source=source.name, target=target.name,
             transport=self.transport, sink=self.restart_mode)
         self._run_span.__enter__()
-        self.sink = make_reassembly_sink(self.restart_mode, self.sim, target,
-                                         tmp_prefix=self.tmp_prefix)
-        self.session = make_transport(self.transport, self.sim, self.cluster,
-                                      source, target, self.params,
-                                      target_sink=self.sink)
+        self.sink = SINKS[self.restart_mode](self.sim, target)
+        self.session = TRANSPORTS[self.transport](
+            self.sim, self.cluster, source, target, self.sink,
+            params=self.params)
 
     def start(self) -> Generator:
         """Generator: establish the transport session (MRs, QPs, pumps)
@@ -167,7 +188,7 @@ class MigrationPipeline:
             nla.to_ready()
             return dict(self._restarted)
         restarted = yield from nla.restart_processes(
-            self.sink.images, self.sink.paths, mode=self.restart_mode,
+            self.sink.images, self.sink.paths,
             expected_procs=self.expected_procs,
             flow_from=getattr(self.session, "reassembly_spans", {}).values())
         return restarted
@@ -185,14 +206,6 @@ class MigrationPipeline:
             self._run_span = None
 
     # -- accounting passthrough --------------------------------------------
-    @property
-    def images(self):
-        return self.sink.images
-
-    @property
-    def paths(self):
-        return self.sink.paths
-
     @property
     def bytes_pulled(self) -> float:
         return self.session.bytes_pulled

@@ -24,23 +24,21 @@ from ..simulate.core import Event, Simulator
 from ..blcr.image import CheckpointImage
 
 __all__ = ["ReassemblySink", "FileReassemblySink", "MemoryReassemblySink",
-           "ReassemblyError", "RestartSetMismatch"]
+           "ReassemblyError"]
 
 
 class ReassemblyError(RuntimeError):
     """A process finished reassembly with bytes missing or inconsistent."""
 
 
-class RestartSetMismatch(RuntimeError):
-    """The set of images handed to restart does not match the expected
-    process set — a short dict would otherwise silently restart fewer
-    ranks than were migrated."""
-
-
 class ReassemblySink(Protocol):
-    """Target-side stage interface every sink implements."""
+    """Target-side stage interface every sink implements.
 
-    #: Registry name (``"file"`` or ``"memory"``): what the pipeline
+    A sink is built as ``cls(sim, target)``, ``target`` being the node the
+    images are reassembled on.
+    """
+
+    #: Restart mode (``"file"`` or ``"memory"``): what the pipeline
     #: advertises on its ``pipeline.run`` span.
     kind: str
     #: Reassembled image (header-only in sized mode) per finished process.
@@ -62,22 +60,23 @@ class ReassemblySink(Protocol):
 
 
 class FileReassemblySink:
-    """Chunks concatenate into ``{tmp_prefix}/{proc}.ckpt`` on the target
+    """Chunks concatenate into ``/tmp/migrate/{proc}.ckpt`` on the target
     filesystem (through the page cache — no fsync), exactly the paper's
     implementation."""
 
     kind = "file"
+    #: Directory of the temporary checkpoint files on the target.
+    tmp_dir = "/tmp/migrate"
 
-    def __init__(self, sim: Simulator, fs, tmp_prefix: str = "/tmp/migrate"):
+    def __init__(self, sim: Simulator, target):
         self.sim = sim
-        self.fs = fs
-        self.tmp_prefix = tmp_prefix
+        self.fs = target.fs
         self.images: Dict[str, Optional[CheckpointImage]] = {}
         self.paths: Dict[str, str] = {}
         self._handles: Dict[str, object] = {}
 
     def path_for(self, proc_name: str) -> str:
-        return f"{self.tmp_prefix}/{proc_name}.ckpt"
+        return f"{self.tmp_dir}/{proc_name}.ckpt"
 
     def _get_or_create(self, proc_name: str) -> Generator:
         """Race-free get-or-create of the proc's file handle.
@@ -124,8 +123,9 @@ class MemoryReassemblySink:
 
     kind = "memory"
 
-    def __init__(self, sim: Simulator):
+    def __init__(self, sim: Simulator, target):
         self.sim = sim
+        self.node = target.name
         self.images: Dict[str, Optional[CheckpointImage]] = {}
         #: Present for interface parity; a memory sink never has paths.
         self.paths: Dict[str, str] = {}
@@ -148,8 +148,8 @@ class MemoryReassemblySink:
         buf = self._buffers.pop(proc_name, None)
         if got != total:
             raise ReassemblyError(
-                f"memory reassembly of {proc_name!r} incomplete: received "
-                f"{got} of {total} bytes")
+                f"memory reassembly of {proc_name!r} on {self.node} "
+                f"incomplete: received {got} of {total} bytes")
         image = meta
         if meta is not None and buf is not None:
             image = CheckpointImage(meta.proc_name, meta.origin_node,

@@ -24,12 +24,7 @@ pure ``ast`` visitors (no third-party dependencies):
 * ``reserved-field`` — a literal ``span``, ``parent``, ``duration`` or
   ``error`` keyword at a ``span(...)`` or ``annotate(...)`` call: the
   real ``Tracer`` rejects it at run time, the untraced ``NullTracer``
-  accepts it silently;
-* ``direct-construction`` — instantiating ``RDMAMigrationSession`` or
-  ``RestartEngine`` outside the ``pipeline`` package and the
-  ``baselines`` module; migration data-path components must be built
-  through the stage registry (``repro.pipeline.registry``) so the
-  pipeline remains the single composition point.
+  accepts it silently.
 
 The span-balance check (:mod:`repro.sanitize.spans`, SIM301) walks the
 functions each parse lists.  When the linted modules include
@@ -46,9 +41,10 @@ catch those bugs when they change a result (see
 ``docs/static-analysis.md``).
 
 The rules live in the shared framework (:mod:`repro.sanitize.rules`):
-each has a stable id (``LNT001``–``LNT008``, ``SIM301``, ``MET###``), a
-severity, and inline ``# repro: noqa[RULE-ID]`` suppression support,
-applied once per file to the combined findings.
+each has a stable id (``LNT001``–``LNT008`` without the retired
+``LNT005``, ``SIM301``, ``MET###``), a severity, and inline
+``# repro: noqa[RULE-ID]`` suppression support, applied once per file
+to the combined findings.
 """
 
 from __future__ import annotations
@@ -170,17 +166,6 @@ _RNG_CONSTRUCTORS = {"Random", "default_rng", "RandomState", "SeedSequence",
                      "Generator", "PCG64", "PCG64DXSM", "MT19937", "Philox",
                      "SFC64"}
 
-#: Data-path classes that must be built via ``repro.pipeline.registry``.
-_REGISTRY_ONLY = {"RDMAMigrationSession", "RestartEngine"}
-
-
-def _registry_exempt(path: str) -> bool:
-    """Is ``path`` allowed to construct registry-only classes directly?"""
-    norm = path.replace(os.sep, "/")
-    return ("/pipeline/" in norm or norm.startswith("pipeline/")
-            or norm.endswith("/baselines.py") or norm == "baselines.py")
-
-
 def _wallclock_exempt(path: str) -> bool:
     """Is ``path`` host-side code that legitimately reads the wall clock?
 
@@ -205,7 +190,6 @@ class _EmitSiteVisitor(ast.NodeVisitor):
         self.path = path
         self.findings: List[Finding] = []
         self.emitted: List[str] = []
-        self._registry_exempt = _registry_exempt(path)
         self._wallclock_exempt = _wallclock_exempt(path)
         #: {bound name: dotted target} of the imports seen so far.
         self._imports: Dict[str, str] = {}
@@ -282,14 +266,6 @@ class _EmitSiteVisitor(ast.NodeVisitor):
                            f"{attr}() passes reserved field(s) {reserved}; "
                            f"a span writes span, parent, duration and error "
                            f"itself (NullTracer accepts them silently)")
-
-        callee = func.id if isinstance(func, ast.Name) else attr
-        if callee in _REGISTRY_ONLY and not self._registry_exempt:
-            self._find(node, "direct-construction",
-                       f"direct construction of {callee}; build it via "
-                       f"repro.pipeline.registry (make_transport / "
-                       f"make_restart_engine) so the staged pipeline stays "
-                       f"the single composition point")
 
         self._check_wall_clock(node)
         self.generic_visit(node)

@@ -68,7 +68,8 @@ def rule_by_code(code: str) -> Optional[RuleSpec]:
 
 
 # -- the rule catalog --------------------------------------------------------
-# Per-file checks (emit sites, wall clock, imports, construction).
+# Per-file checks (emit sites, wall clock, imports, syntax).
+# LNT005 (direct-construction) is retired; its id is not reused.
 register_rule("LNT001", "unknown-kind", "error",
               "record()/span() of a kind not declared in TRACE_SCHEMA")
 register_rule("LNT002", "missing-field", "error",
@@ -77,8 +78,6 @@ register_rule("LNT003", "wall-clock", "error",
               "simulation code calls a wall-clock or unseeded-RNG API")
 register_rule("LNT004", "unused-import", "warning",
               "imported name never referenced in the module")
-register_rule("LNT005", "direct-construction", "error",
-              "data-path class built outside the pipeline registry")
 register_rule("LNT006", "emitter-drift", "error",
               "schema kind with no emitter, or emit of an undeclared kind")
 register_rule("LNT007", "syntax-error", "error",

@@ -27,12 +27,7 @@ from .metrics import (
 )
 from .resources import Container, Resource, Store
 from .rng import RandomStreams
-from .telemetry import (
-    NULL_PROBE,
-    NullTelemetryProbe,
-    TelemetryProbe,
-    TimeSeries,
-)
+from .telemetry import TelemetryProbe, TimeSeries
 from .schema import (
     LAYERS,
     TRACE_SCHEMA,
@@ -70,8 +65,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "TelemetryProbe",
-    "NullTelemetryProbe",
-    "NULL_PROBE",
     "TimeSeries",
     "TRACE_SCHEMA",
     "LAYERS",

@@ -525,9 +525,6 @@ class Simulator:
             self.trace.record(self._now, "spawn", name=proc.name)
         return proc
 
-    # aliased for readers used to SimPy
-    process = spawn
-
     def live_processes(self) -> List[Process]:
         """Every spawned process that has not yet terminated.
 

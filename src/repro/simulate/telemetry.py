@@ -30,18 +30,14 @@ observation, no events pushed, no callbacks attached, no sequence
 numbers consumed.  The determinism suite pins the trace byte-identical with
 the probe on, and with no probe attached the run loop pays one float
 comparison per event.
-
-:data:`NULL_PROBE` is the inert counterpart for code written against the
-probe surface on untelemetered runs; the parity test introspects the
-real class so the two cannot drift apart silently.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-__all__ = ["TimeSeries", "TelemetryProbe", "NullTelemetryProbe",
-           "NULL_PROBE", "DEFAULT_INTERVAL", "KERNEL_SERIES_UNITS"]
+__all__ = ["TimeSeries", "TelemetryProbe", "DEFAULT_INTERVAL",
+           "KERNEL_SERIES_UNITS"]
 
 #: Unit of each kernel series, in the order :meth:`TelemetryProbe.on_advance`
 #: samples them.  ``telemetry.sample`` trace records carry no unit, so a
@@ -221,46 +217,3 @@ class TelemetryProbe:
         return {name: self.series[name].as_dict()
                 for name in sorted(self.series)}
 
-
-class NullTelemetryProbe:
-    """Inert probe: the full surface, no samples, ``next_time`` is inf.
-
-    Attaching it is equivalent to attaching nothing — the kernel's
-    ``now >= next_time`` guard never fires.
-    """
-
-    enabled = False
-    interval = _INF
-    on_sample = None
-    samples_taken = 0
-    series: Dict[str, TimeSeries] = {}
-    sim = None
-
-    def bind(self, sim: Any) -> "NullTelemetryProbe":
-        return self
-
-    @property
-    def next_time(self) -> float:
-        return _INF
-
-    def on_advance(self, now: float) -> float:
-        return _INF
-
-    def names(self) -> List[str]:
-        return []
-
-    def get(self, name: str) -> None:
-        return None
-
-    def __len__(self) -> int:
-        return 0
-
-    def __iter__(self):
-        return iter(())
-
-    def as_dict(self) -> Dict[str, Dict[str, Any]]:
-        return {}
-
-
-#: Shared inert probe for the untelemetered fast path.
-NULL_PROBE = NullTelemetryProbe()

@@ -64,16 +64,15 @@ def test_baseline_byte_fidelity():
 
 
 def test_unknown_transport_rejected():
-    sc = small_scenario(transport="pigeon")
+    """A bad name fails the build itself, not the migration seconds into
+    the simulated run."""
+    with pytest.raises(ValueError, match="unknown transport 'pigeon'"):
+        small_scenario(transport="pigeon")
 
-    def fire(sim):
-        yield sim.timeout(0.5)
-        with pytest.raises(ValueError, match="unknown transport"):
-            yield from sc.framework.migrate("node1")
-        return True
 
-    p = sc.sim.spawn(fire(sc.sim))
-    assert sc.sim.run(until=p) is True
+def test_unknown_restart_mode_rejected():
+    with pytest.raises(ValueError, match="unknown restart mode 'tape'"):
+        small_scenario(restart_mode="tape")
 
 
 # ------------------------------------------------------------------- trigger

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Scenario
+from repro.simulate import MetricsRegistry
 
 
 def small_scenario(**kw):
@@ -32,6 +33,17 @@ def test_cr_checkpoints_all_ranks_bytes():
     assert ckpt.bytes_written == pytest.approx(expected)
     assert res.bytes_read == pytest.approx(expected)
     assert ckpt.n_ranks == 8
+
+
+@pytest.mark.parametrize("destination", ["ext3", "pvfs"])
+def test_cr_restart_bytes_read_metric_matches_report(destination):
+    """Every file of every rank's chain is read in full, and the restart
+    counter says so."""
+    sc = small_scenario(metrics=MetricsRegistry())
+    _, res = run_cycle(sc, destination)
+    counter = sc.sim.metrics.get("blcr.restart.bytes_read")
+    assert res.bytes_read > 0
+    assert counter.value == res.bytes_read
 
 
 def test_cr_files_land_on_each_node_for_ext3():

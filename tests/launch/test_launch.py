@@ -79,7 +79,7 @@ def test_nla_restart_from_tmp_files_roundtrip():
         image = yield from engine.checkpoint(proc, sink)
         path = sink.path_for(image)
         restarted = yield from nla.restart_processes(
-            {"rank5": image}, {"rank5": path}, mode="file")
+            {"rank5": image}, {"rank5": path})
         return restarted["rank5"]
 
     p = sim.spawn(run(sim))
@@ -91,30 +91,38 @@ def test_nla_restart_from_tmp_files_roundtrip():
 
 
 def test_nla_restart_memory_mode():
+    """Memory restart is per process (the pipelined path): it leaves the
+    state flip to the caller, who owns the whole set."""
     sim, cluster, bp, jm = make()
     nla = jm.nla("spare0")
     proc = OSProcess.synthetic("r", "node0", image_bytes=10_000, record_data=True)
     image = CheckpointImage.snapshot(proc)
+    src_sum = image.checksum()
 
     def run(sim):
-        out = yield from nla.restart_processes({"r": image}, {}, mode="memory")
-        return out["r"]
+        return (yield from nla.restart_one("r", image, mode="memory"))
 
     p = sim.spawn(run(sim))
     sim.run()
     assert p.value.node == "spare0"
+    assert CheckpointImage.snapshot(p.value).checksum() == src_sum
+    assert nla.state is NLAState.MIGRATION_SPARE
 
 
 def test_nla_restart_mode_validation():
+    """Neither restart path runs on an NLA that left the restartable
+    states."""
     sim, cluster, bp, jm = make()
     nla = jm.nla("spare0")
+    image = CheckpointImage.snapshot(
+        OSProcess.synthetic("r", "node0", image_bytes=10_000))
 
     def run(sim):
-        with pytest.raises(ValueError):
-            yield from nla.restart_processes({}, {}, mode="teleport")
         nla.to_inactive()
-        with pytest.raises(RuntimeError):
-            yield from nla.restart_processes({}, {}, mode="file")
+        with pytest.raises(RuntimeError, match="MIGRATION_INACTIVE"):
+            yield from nla.restart_processes({}, {})
+        with pytest.raises(RuntimeError, match="MIGRATION_INACTIVE"):
+            yield from nla.restart_one("r", image, mode="memory")
 
     sim.spawn(run(sim))
     sim.run()
@@ -158,7 +166,7 @@ def test_nla_restart_expected_procs_mismatch():
 
     def run(sim):
         with pytest.raises(RestartSetMismatch, match="2 processes"):
-            yield from nla.restart_processes({"r": image}, {}, mode="memory",
+            yield from nla.restart_processes({"r": image}, {},
                                              expected_procs=2)
         yield sim.timeout(0)
 
@@ -179,7 +187,7 @@ def test_nla_restart_file_mode_missing_paths():
 
     def run(sim):
         with pytest.raises(RestartSetMismatch, match="'r'"):
-            yield from nla.restart_processes({"r": image}, {}, mode="file")
+            yield from nla.restart_processes({"r": image}, {})
         yield sim.timeout(0)
 
     sim.spawn(run(sim))
@@ -189,14 +197,16 @@ def test_nla_restart_file_mode_missing_paths():
 def test_nla_restart_matching_expected_procs_succeeds():
     sim, cluster, bp, jm = make()
     nla = jm.nla("spare0")
+    engine = CheckpointEngine(sim, "spare0")
     proc = OSProcess.synthetic("r", "node0", image_bytes=10_000,
                                record_data=True)
-    image = CheckpointImage.snapshot(proc)
 
     def run(sim):
-        out = yield from nla.restart_processes({"r": image}, {},
-                                               mode="memory",
-                                               expected_procs=1)
+        sink = FileSink(sim, cluster.node("spare0").fs, "/tmp/mig",
+                        fsync=False, through_cache=True)
+        image = yield from engine.checkpoint(proc, sink)
+        out = yield from nla.restart_processes(
+            {"r": image}, {"r": sink.path_for(image)}, expected_procs=1)
         return out
 
     p = sim.spawn(run(sim))

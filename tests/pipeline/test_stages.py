@@ -1,4 +1,4 @@
-"""Unit tests for the reassembly sinks and the stage registry."""
+"""Unit tests for the reassembly sinks and the pipeline's stage tables."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,12 @@ import pytest
 from repro.blcr import CheckpointImage
 from repro.cluster import Cluster, OSProcess
 from repro.pipeline import (
+    SINKS,
+    TRANSPORTS,
     FileReassemblySink,
     MemoryReassemblySink,
+    MigrationPipeline,
     ReassemblyError,
-    make_reassembly_sink,
-    make_restart_engine,
-    make_transport,
-    sink_names,
-    transport_names,
 )
 from repro.simulate import Simulator
 
@@ -24,10 +22,15 @@ def drive(sim, gen):
     return p.value
 
 
+def spare(sim, record_data=False):
+    cluster = Cluster(sim, n_compute=1, n_spare=1, record_data=record_data)
+    return cluster.node("spare0")
+
+
 # ----------------------------------------------------------- memory sink
 def test_memory_sink_reassembles_payload_from_shuffled_chunks():
     sim = Simulator()
-    sink = MemoryReassemblySink(sim)
+    sink = MemoryReassemblySink(sim, spare(sim))
     proc = OSProcess.synthetic("r0", "node0", image_bytes=3000,
                                record_data=True)
     meta = CheckpointImage.snapshot(proc)
@@ -50,7 +53,7 @@ def test_memory_sink_reassembles_payload_from_shuffled_chunks():
 
 def test_memory_sink_missing_bytes_raise_reassembly_error():
     sim = Simulator()
-    sink = MemoryReassemblySink(sim)
+    sink = MemoryReassemblySink(sim, spare(sim))
     proc = OSProcess.synthetic("r0", "node0", image_bytes=2000)
     meta = CheckpointImage.snapshot(proc)
 
@@ -65,7 +68,7 @@ def test_memory_sink_missing_bytes_raise_reassembly_error():
 
 def test_memory_sink_sized_only_keeps_header_image():
     sim = Simulator()
-    sink = MemoryReassemblySink(sim)
+    sink = MemoryReassemblySink(sim, spare(sim))
     proc = OSProcess.synthetic("r0", "node0", image_bytes=1000)
     meta = CheckpointImage.snapshot(proc)
     assert meta.payload is None
@@ -81,9 +84,8 @@ def test_memory_sink_sized_only_keeps_header_image():
 # ------------------------------------------------------------- file sink
 def test_file_sink_writes_each_proc_to_its_own_tmp_file():
     sim = Simulator()
-    cluster = Cluster(sim, n_compute=1, n_spare=1, record_data=True)
-    target = cluster.node("spare0")
-    sink = FileReassemblySink(sim, target.fs, tmp_prefix="/tmp/migrate")
+    target = spare(sim, record_data=True)
+    sink = FileReassemblySink(sim, target)
     proc = OSProcess.synthetic("r0", "node0", image_bytes=2000,
                                record_data=True)
     meta = CheckpointImage.snapshot(proc)
@@ -99,36 +101,47 @@ def test_file_sink_writes_each_proc_to_its_own_tmp_file():
     assert target.fs.size("/tmp/migrate/r0.ckpt") == 2000
 
 
-# -------------------------------------------------------------- registry
+# -------------------------------------------------------- stage tables
 def test_registry_names():
-    assert set(sink_names()) == {"file", "memory"}
-    assert set(transport_names()) == {"rdma", "tcp", "ipoib", "staging"}
+    assert list(SINKS) == ["file", "memory"]
+    assert list(TRANSPORTS) == ["rdma", "tcp", "ipoib", "staging"]
+    assert all(cls.kind == name for name, cls in SINKS.items())
 
 
 def test_registry_rejects_unknown_sink():
     sim = Simulator()
     cluster = Cluster(sim, n_compute=1, n_spare=1)
-    with pytest.raises(ValueError, match="unknown.*sink"):
-        make_reassembly_sink("tape", sim, cluster.node("spare0"))
+    with pytest.raises(ValueError, match="unknown restart mode 'tape'"):
+        MigrationPipeline(sim, cluster, restart_mode="tape")
 
 
 def test_registry_rejects_unknown_transport():
     sim = Simulator()
     cluster = Cluster(sim, n_compute=1, n_spare=1)
-    with pytest.raises(ValueError, match="unknown transport"):
-        make_transport("pigeon", sim, cluster, cluster.node("node0"),
-                       cluster.node("spare0"), cluster.testbed.migration)
+    with pytest.raises(ValueError, match="unknown transport 'pigeon'"):
+        MigrationPipeline(sim, cluster, transport="pigeon")
 
 
 def test_registry_builds_each_sink_kind():
-    sim = Simulator()
-    cluster = Cluster(sim, n_compute=1, n_spare=1)
-    target = cluster.node("spare0")
-    assert make_reassembly_sink("file", sim, target).kind == "file"
-    assert make_reassembly_sink("memory", sim, target).kind == "memory"
+    for mode in ("file", "memory"):
+        sim = Simulator()
+        cluster = Cluster(sim, n_compute=1, n_spare=1)
+        pipeline = MigrationPipeline(sim, cluster, restart_mode=mode)
+        pipeline.open(cluster.node("node0"), cluster.node("spare0"), 1)
+        assert pipeline.sink.kind == mode
 
 
 def test_registry_builds_restart_engine():
+    """The restart stage is the target NLA's own engine, built for its
+    node when the Job Manager starts the NLA."""
+    from repro.blcr.restart import RestartEngine
+    from repro.ftb import FTBBackplane
+    from repro.launch import JobManager
+
     sim = Simulator()
-    engine = make_restart_engine(sim, "spare0")
+    cluster = Cluster(sim, n_compute=1, n_spare=1)
+    backplane = FTBBackplane(sim, cluster.eth, list(cluster.nodes),
+                             root_node="login")
+    engine = JobManager(sim, cluster, backplane).nla("spare0").restart_engine
+    assert type(engine) is RestartEngine
     assert engine.node_name == "spare0"

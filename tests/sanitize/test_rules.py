@@ -25,8 +25,8 @@ def test_rule_ids_are_stable_and_unique():
     # The published catalog: renumbering any of these breaks
     # suppressions and SARIF consumers.
     assert sorted(RULES) == [
-        "LNT001", "LNT002", "LNT003", "LNT004", "LNT005", "LNT006",
-        "LNT007", "LNT008", "MET001", "MET002", "SIM301"]
+        "LNT001", "LNT002", "LNT003", "LNT004", "LNT006", "LNT007",
+        "LNT008", "MET001", "MET002", "SIM301"]
 
 
 def test_every_rule_has_severity_and_summary():

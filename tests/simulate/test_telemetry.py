@@ -1,8 +1,7 @@
 """TelemetryProbe: cadenced sampling without schedule perturbation,
-plus the null-object parity contract for the whole observability
-surface."""
+plus the null-object parity contract of the tracer and the metrics
+registry."""
 
-import inspect
 import json
 
 import pytest
@@ -11,8 +10,6 @@ from repro.scenario import Scenario
 from repro.simulate import (
     MetricsRegistry,
     NULL_METRICS,
-    NULL_PROBE,
-    NullTelemetryProbe,
     Simulator,
     TelemetryProbe,
     Tracer,
@@ -155,7 +152,6 @@ def _public_surface(cls):
 @pytest.mark.parametrize("real,null", [
     (Tracer, NullTracer),
     (MetricsRegistry, NullMetricsRegistry),
-    (TelemetryProbe, NullTelemetryProbe),
 ])
 def test_null_objects_mirror_the_full_real_surface(real, null):
     """Every public attribute of the real class exists on its null
@@ -171,31 +167,6 @@ def test_null_instrument_mirrors_every_instrument_method():
         union |= _public_surface(cls)
     missing = union - _public_surface(_NullInstrument)
     assert not missing, f"_NullInstrument lacks {sorted(missing)}"
-
-
-def test_null_probe_is_inert():
-    sim = Simulator()
-    probe = sim.attach_probe(NullTelemetryProbe())
-    _tick_sim(sim, until=2.0)
-    assert probe.samples_taken == 0
-    assert len(probe) == 0
-    assert probe.next_time == float("inf")
-    assert probe.on_advance(5.0) == float("inf")
-    assert probe.names() == [] and probe.get("x") is None
-    assert probe.as_dict() == {} and list(probe) == []
-    assert NULL_PROBE.sim is None
-
-
-def test_null_probe_methods_take_same_arguments():
-    for name, fn in inspect.getmembers(TelemetryProbe,
-                                       predicate=inspect.isfunction):
-        if name.startswith("_"):
-            continue
-        null_fn = getattr(NullTelemetryProbe, name, None)
-        assert null_fn is not None, name
-        real_params = list(inspect.signature(fn).parameters)
-        null_params = list(inspect.signature(null_fn).parameters)
-        assert real_params == null_params, name
 
 
 def test_null_metrics_sample_values_empty():

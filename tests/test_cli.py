@@ -269,7 +269,7 @@ def test_bad_scenario_arguments_are_one_line_errors(capsys, tmp_path, argv,
 
 def test_choice_lists_come_from_their_owners():
     from benchmarks.harness import BENCHES
-    from repro.pipeline.registry import sink_names, transport_names
+    from repro.pipeline.pipeline import SINKS, TRANSPORTS
     from repro.sanitize.runner import SCENARIOS
 
     def option(command, flag):
@@ -277,11 +277,9 @@ def test_choice_lists_come_from_their_owners():
                    if a.dest == "command").choices[command]
         return next(a for a in sub._actions if flag in a.option_strings)
 
-    assert list(option("run", "--transport").choices) == \
-        list(transport_names())
+    assert list(option("run", "--transport").choices) == list(TRANSPORTS)
     for command in ("run", "compare"):
-        assert list(option(command, "--restart-mode").choices) == \
-            list(sink_names())
+        assert list(option(command, "--restart-mode").choices) == list(SINKS)
     assert list(option("sanitize", "--scenario").choices) == list(SCENARIOS)
     assert set(BENCHES) <= set(re.findall(r"\w+", option("bench", "--only").help))
 
