@@ -85,12 +85,6 @@ class MemoryRegion:
                 f"outside region of {self.nbytes} bytes"
             )
 
-    def read(self, offset: int, nbytes: int) -> Optional[np.ndarray]:
-        self.check_range(offset, nbytes)
-        if self.data is None:
-            return None
-        return self.data[offset:offset + nbytes].copy()
-
     def write(self, offset: int, payload: Optional[np.ndarray], nbytes: int) -> None:
         self.check_range(offset, nbytes)
         if self.data is not None and payload is not None:

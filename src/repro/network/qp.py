@@ -313,9 +313,12 @@ class QueuePair:
             yield self.fabric.move(remote_hca.node, self.hca.node, nbytes,
                                    "rdma_read",
                                    extra_latency=self.fabric.params.latency)
-            data = remote_mr.read(roffset, nbytes)
-            if local_mr is not None:
-                local_mr.write(loffset, data, nbytes)
+            # The HCA moves bytes between registered buffers: one copy,
+            # from a view of the remote region into the local one.
+            if local_mr is not None and remote_mr.data is not None:
+                local_mr.write(loffset,
+                               remote_mr.data[roffset:roffset + nbytes],
+                               nbytes)
             self.cq.push(WorkCompletion(wr_id, "RDMA_READ", ok=True,
                                         nbytes=nbytes))
 

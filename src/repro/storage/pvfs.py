@@ -29,7 +29,8 @@ from ..simulate.core import Simulator
 from ..simulate.resources import Resource
 from ..network.fluid import Link, stream_efficiency
 from ..network.infiniband import HCA, IBFabric
-from .filesystem import FileExists, FileHandle, FileNotFoundInFS, SimFile
+from .filesystem import (FileExists, FileHandle, FileNotFoundInFS, Places,
+                         SimFile)
 
 __all__ = ["PVFS", "PVFSServer"]
 
@@ -177,7 +178,11 @@ class PVFS:
         handle.pos += nbytes
 
     def read(self, handle: _PVFSHandle, nbytes: Optional[int] = None,
-             offset: Optional[int] = None) -> Generator:
+             offset: Optional[int] = None,
+             into: Optional[Places] = None) -> Generator:
+        """Generator: striped read; returns what :meth:`LocalFS.read
+        <repro.storage.filesystem.LocalFS.read>` returns, and copies into
+        ``into`` the same way."""
         handle._check()
         pos = handle.pos if offset is None else offset
         n = handle.file.size - pos if nbytes is None else nbytes
@@ -205,7 +210,10 @@ class PVFS:
                          stripes=len(flows))
         if offset is None:
             handle.pos += n
-        return handle.file.read_at(pos, n)
+        if into is None:
+            return handle.file.read_at(pos, n)
+        handle.file.read_into(pos, n, into)
+        return None
 
     def fsync(self, handle: _PVFSHandle) -> Generator:
         """Generator: durability barrier — metadata-serialized sync."""

@@ -129,6 +129,27 @@ def test_fs_create_write_read_roundtrip_bytes():
     np.testing.assert_array_equal(p.value, payload)
 
 
+def test_fs_read_into_places_copies_in_place():
+    sim, disk, fs = make_fs(record_data=True)
+    payload = np.arange(4096, dtype=np.uint8) % 251
+    dest = bytearray(1000)
+
+    def proc(sim):
+        h = yield from fs.create("/tmp/ckpt.0")
+        yield from fs.write(h, payload.nbytes, data=payload)
+        h2 = yield from fs.open("/tmp/ckpt.0")
+        got = yield from fs.read(h2, nbytes=2048,
+                                 into=[(1500, 1000, memoryview(dest))])
+        return got, h2.pos
+
+    p = sim.spawn(proc(sim))
+    sim.run()
+    assert p.value == (None, 2048)
+    # Only the part of the place inside the read window is filled.
+    assert dest[:548] == payload[1500:2048].tobytes()
+    assert dest[548:] == bytes(452)
+
+
 def test_fs_sized_only_mode_returns_none():
     sim, disk, fs = make_fs(record_data=False)
 

@@ -41,6 +41,24 @@ def test_create_write_read_roundtrip_bytes():
     np.testing.assert_array_equal(p.value, payload)
 
 
+def test_read_into_places_copies_in_place():
+    sim, fab, pvfs = make(record_data=True)
+    payload = (np.arange(8 * 1024) % 256).astype(np.uint8)
+    dest = bytearray(payload.nbytes)
+
+    def proc(sim):
+        h = yield from pvfs.create("/scratch/ckpt.0", client="c0")
+        yield from pvfs.write(h, payload.nbytes, data=payload)
+        h2 = yield from pvfs.open("/scratch/ckpt.0", client="c0")
+        return (yield from pvfs.read(
+            h2, into=[(0, payload.nbytes, memoryview(dest))]))
+
+    p = sim.spawn(proc(sim))
+    sim.run()
+    assert p.value is None
+    assert dest == payload.tobytes()
+
+
 def test_striping_spreads_bytes_evenly():
     sim, fab, pvfs = make()
 
