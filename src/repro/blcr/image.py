@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..cluster.osproc import MemorySegment, OSProcess
+from ..cluster.osproc import MemorySegment, OSProcess, anon_pages
 
 __all__ = ["CheckpointImage"]
 
@@ -129,14 +129,20 @@ class CheckpointImage:
         """Rebuild a live process on ``node`` from this image.
 
         Copy semantics: the process gets its own address space — one
-        buffer copied from the payload — so the image stays intact.
+        :func:`~repro.cluster.osproc.anon_pages` buffer copied from the
+        payload — so the image stays intact.
         """
-        buffer = None if self.payload is None else bytearray(self.payload)
+        if self.payload is None:
+            return self.rebuild(node, None)
+        buffer = anon_pages(self.nbytes)
+        buffer[:] = np.frombuffer(self.payload, dtype=np.uint8)
         return self.rebuild(node, buffer)
 
-    def rebuild(self, node: str, buffer: Optional[bytearray]) -> OSProcess:
+    def rebuild(self, node: str,
+                buffer: Optional[Union[bytearray, np.ndarray]]) -> OSProcess:
         """Rebuild a live process on ``node`` around ``buffer``, a fresh
-        buffer holding this image's stream (``None`` in sized-only mode).
+        writable buffer (a ``bytearray`` or a ``uint8`` array) holding
+        this image's stream (``None`` in sized-only mode).
 
         The process takes the buffer over: its segments are views of it,
         so nothing is copied.  The caller must not keep using ``buffer``.

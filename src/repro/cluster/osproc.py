@@ -16,14 +16,44 @@ of the ranks it moves.
 
 from __future__ import annotations
 
+import mmap
 from itertools import count
 from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
-__all__ = ["MemorySegment", "OSProcess"]
+__all__ = ["MemorySegment", "OSProcess", "anon_pages"]
 
 _pids = count(start=1000)
+
+#: Bytes drawn per generator call when filling a segment.  A multiple of
+#: 4: a ``uint8`` draw hands out the bytes of successive 32-bit outputs,
+#: so draws of whole 32-bit words, then the rest, give the bytes (and
+#: leave the generator in the state) of one draw of the lot.
+_DRAW_STEP = 1 << 20
+
+
+def anon_pages(nbytes: int) -> np.ndarray:
+    """A zero-filled, writable ``uint8`` array of ``nbytes`` on its own
+    private anonymous mapping.
+
+    An address space's bytes live here rather than on the allocator's
+    heap: the pages fault in as they are first written and go back to
+    the OS when the array and its last view are dropped.  Heap buffers of
+    this size stay resident after they are freed, wherever the allocator
+    placed them, so a later run's peak would depend on that placement.
+    Every caller fills the whole array, so the mapping asks for huge
+    pages where the OS offers them, as numpy does for its large arrays:
+    one fault per 2 MiB instead of one per 4 KiB page.
+    """
+    if nbytes == 0:
+        return np.zeros(0, dtype=np.uint8)
+    pages = mmap.mmap(-1, nbytes, mmap.MAP_PRIVATE)
+    try:
+        pages.madvise(mmap.MADV_HUGEPAGE)
+    except (AttributeError, OSError):  # no transparent huge pages here
+        pass
+    return np.frombuffer(pages, dtype=np.uint8)
 
 
 class MemorySegment:
@@ -144,7 +174,7 @@ class OSProcess:
         bytes from ``rng`` (default: a generator seeded with the pid, fresh
         per segment).  They are drawn on the first read of any segment's
         ``data``, all at once and in segment order, so they equal a draw
-        made here.
+        made here; each segment's bytes live in :func:`anon_pages`.
         """
         image_bytes = int(image_bytes)
         text = min(4 << 20, image_bytes // 10)
@@ -161,8 +191,11 @@ class OSProcess:
             def draw() -> None:
                 for seg in pending:
                     gen = rng or np.random.default_rng(proc.pid)
-                    payload = gen.integers(0, 256, size=seg.nbytes,
-                                           dtype=np.uint8)
+                    payload = anon_pages(seg.nbytes)
+                    for lo in range(0, seg.nbytes, _DRAW_STEP):
+                        hi = min(lo + _DRAW_STEP, seg.nbytes)
+                        payload[lo:hi] = gen.integers(0, 256, size=hi - lo,
+                                                      dtype=np.uint8)
                     # An assigned segment keeps its value; its bytes are
                     # still drawn so later segments see the stream in order.
                     if seg._draw is draw:

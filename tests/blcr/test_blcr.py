@@ -1,5 +1,7 @@
 """Tests for checkpoint images, the checkpoint engine and restart engines."""
 
+import mmap
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,16 @@ from repro.storage import Disk, LocalFS
 
 def data_proc(name="rank0", node="node0", nbytes=50_000):
     return OSProcess.synthetic(name, node, image_bytes=nbytes, record_data=True)
+
+
+def on_mappings(proc):
+    """Whether every segment's bytes are an anonymous page mapping."""
+    def mapped(array):
+        while isinstance(array, np.ndarray):
+            array = array.base
+        return isinstance(array, memoryview) and isinstance(array.obj,
+                                                            mmap.mmap)
+    return all(mapped(seg.data) for seg in proc.segments if seg.nbytes)
 
 
 # -------------------------------------------------------------------- image
@@ -44,6 +56,7 @@ def test_snapshot_materialize_roundtrip():
     assert clone.image_bytes == proc.image_bytes
     for a, b in zip(proc.segments, clone.segments):
         np.testing.assert_array_equal(a.data, b.data)
+    assert on_mappings(clone)
 
 
 def test_image_slice_and_bounds():
@@ -187,6 +200,7 @@ def test_checkpoint_file_restart_roundtrip():
     clone = p.value
     assert clone.app_state["step"] == 41
     assert CheckpointImage.snapshot(clone).checksum() == src_sum
+    assert on_mappings(clone)
 
 
 def test_restart_missing_file_raises():

@@ -7,6 +7,7 @@ only the bytes of the ranks it reads, and a process killed unread never
 draws.
 """
 
+import mmap
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 
 from repro import Scenario
 from repro.cluster import Cluster, OSProcess
+from repro.cluster.osproc import anon_pages
 from repro.mpi import MPIJob
 from repro.params import MB
 from repro.simulate import Simulator
@@ -68,6 +70,36 @@ def pending_process():
     return OSProcess.synthetic("r0", "node0", image_bytes=8 * MB,
                                record_data=True,
                                rng=np.random.default_rng(SEED))
+
+
+def on_mapping(array):
+    """Whether ``array``'s bytes are an anonymous page mapping."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return isinstance(array, memoryview) and isinstance(array.obj, mmap.mmap)
+
+
+def test_anon_pages_are_zeroed_writable_mappings():
+    pages = anon_pages(3 * MB)
+    assert pages.dtype == np.uint8 and pages.nbytes == 3 * MB
+    assert on_mapping(pages) and not pages.any()
+    pages[-1] = 7
+    assert pages[-1] == 7
+    assert anon_pages(0).nbytes == 0
+
+
+def test_drawn_bytes_live_on_page_mappings_not_the_heap():
+    proc = pending_process()
+    tracemalloc.start()
+    try:
+        datas = [seg.data for seg in proc.segments]
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(on_mapping(data) for data in datas if data.nbytes)
+    # Only one draw step at a time passes through the heap.
+    assert max(data.nbytes for data in datas) > 4 * MB
+    assert peak < 2 * MB and held < MB
 
 
 def test_size_and_dirty_reads_do_not_draw():
