@@ -2,8 +2,8 @@
 
 Each generated table sits between a pair of marker comments,
 ``<!-- pinned:NAME -->`` and ``<!-- /pinned:NAME -->``.  The text between
-them is rendered from ``benchmarks/baselines.json`` and
-``benchmarks/paper_reference.py`` alone, so the document quotes exactly
+them is rendered from ``benchmarks/baselines.json`` and the ``PAPER_*``
+tables of :mod:`repro.experiments` alone, so the document quotes exactly
 what ``repro bench`` pins.  After re-pinning, regenerate with::
 
     PYTHONPATH=src python -m benchmarks.experiments_doc
@@ -17,17 +17,18 @@ import re
 from typing import Callable, Dict, List
 
 from repro.analysis import atomic_write
-from repro.experiments import APPS, PPNS
+from repro.experiments import (
+    APPS,
+    PAPER_CKPT_ONLY_SPEEDUP_PVFS,
+    PAPER_FIG4_TOTAL_S,
+    PAPER_FIG6_TOTAL_S,
+    PAPER_SPEEDUP_EXT3,
+    PAPER_SPEEDUP_PVFS,
+    PAPER_TABLE1_MB,
+    PPNS,
+)
 
 from .harness import default_baselines_path
-from .paper_reference import (
-    CKPT_ONLY_SPEEDUP_PVFS,
-    FIG4_TOTAL_S,
-    FIG6_TOTAL_S,
-    HEADLINE_SPEEDUP_EXT3,
-    HEADLINE_SPEEDUP_PVFS,
-    TABLE1_MB,
-)
 
 __all__ = ["MARKER", "RENDERERS", "EXPERIMENTS_MD", "render", "main"]
 
@@ -67,12 +68,12 @@ def _migrations(pins: Dict[str, float], first: str,
 
 def _fig4(pins: Pins) -> str:
     return _migrations(pins["fig4"], "", [
-        (f"{app}.64", app, FIG4_TOTAL_S[app]) for app in APPS])
+        (f"{app}.64", app, PAPER_FIG4_TOTAL_S[app]) for app in APPS])
 
 
 def _fig6(pins: Pins) -> str:
     return _migrations(pins["fig6"], "ranks/node", [
-        (f"{ppn} ({8 * ppn} ranks)", f"ppn{ppn}", FIG6_TOTAL_S[ppn])
+        (f"{ppn} ({8 * ppn} ranks)", f"ppn{ppn}", PAPER_FIG6_TOTAL_S[ppn])
         for ppn in PPNS])
 
 
@@ -95,13 +96,13 @@ def _headline(pins: Pins) -> str:
     rows = [
         ["Migration vs full CR(PVFS) cycle",
          f"**{fig7['LU.C.speedup_pvfs']:.2f}×**",
-         f"{HEADLINE_SPEEDUP_PVFS}×"],
+         f"{PAPER_SPEEDUP_PVFS}×"],
         ["Migration vs full CR(ext3) cycle",
          f"**{fig7['LU.C.speedup_ext3']:.2f}×**",
-         f"{HEADLINE_SPEEDUP_EXT3}×"],
+         f"{PAPER_SPEEDUP_EXT3}×"],
         ["Migration vs checkpoint-to-PVFS only",
          f"**{ckpt_only / fig7['LU.C.migration.Total']:.2f}×**",
-         f"{CKPT_ONLY_SPEEDUP_PVFS}×"],
+         f"{PAPER_CKPT_ONLY_SPEEDUP_PVFS}×"],
     ]
     return _table(["", "measured", "paper"], rows)
 
@@ -110,9 +111,9 @@ def _table1(pins: Pins) -> str:
     table1 = pins["table1"]
     rows = [[f"{app}.64",
              f"{table1[f'{app}.migration_mb']:.1f}",
-             f"{TABLE1_MB[app]['migration']:.1f}",
+             f"{PAPER_TABLE1_MB[app]['migration']:.1f}",
              f"{table1[f'{app}.cr_mb']:.1f}",
-             f"{TABLE1_MB[app]['cr']:.1f}"] for app in APPS]
+             f"{PAPER_TABLE1_MB[app]['cr']:.1f}"] for app in APPS]
     return _table(["", "Job Migration (MB)", "paper", "CR (MB)", "paper"],
                   rows)
 

@@ -1,25 +1,26 @@
-"""Benchmark regression harness: machine-readable BENCH_*.json artifacts.
+"""Benchmark regression harness: pinned results in BENCH_*.json artifacts.
 
 Each bench replays one of the paper's measurements (Fig. 4 phase
 breakdown, Fig. 6 ranks/node sweep, Fig. 7 migration-vs-CR, Table I data
-movement) on the seeded simulator and emits a schema-versioned JSON
-artifact containing
+movement) or a kernel/cluster workload on the seeded simulator and emits
+a schema-versioned JSON artifact holding its ``title``, its ``results``
+(sim-time numbers and counts, deterministic for a fixed seed) and the
+``wall_seconds`` the bench took.
 
-* ``results`` — the sim-time numbers (deterministic for a fixed seed),
-* ``paper_deltas`` — measured / paper-reference ratios,
-* ``critical_path`` — per-phase per-component blame from the causal
-  profiler, plus the dominant component,
-* ``wall_seconds`` — how long the bench itself took to run.
-
-``run_benches`` additionally compares every numeric leaf of ``results``
-with the committed ``benchmarks/baselines.json`` and reports each one that
+``run_benches`` compares every numeric leaf of ``results`` with the
+committed ``benchmarks/baselines.json`` and reports each one that
 differs — the contract behind the CI ``bench-regression`` job and the
 ``repro bench`` subcommand.  The simulator is deterministic and every
 result is rounded before it is pinned (6 decimals; 4 for speedups), so
-the comparison is exact.
+the comparison is exact.  Benches run untraced; ``--update-baselines``
+also pins the trace of the Fig. 4 LU.C run, which
+``repro explain <pinned trace> <run_id>`` diffs against a recorded run
+when a pin moves.
 
 The runs themselves are defined in :mod:`repro.experiments`; each bench
-here is a view of their results.
+here is a view of their results.  How far they are from the paper is
+``repro validate``'s question, where the time went is ``repro report``'s,
+and wall time is ``python -m bench``'s.
 """
 
 from __future__ import annotations
@@ -31,49 +32,40 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.analysis import (
     atomic_write,
-    build_span_dag,
-    critical_path,
-    diff_traces,
-    dominant_component,
     migration_phase_breakdown,
-    read_jsonl,
-    render_explanation,
     speedup,
     write_jsonl,
 )
-from repro.experiments import (
-    FIG4,
-    FIG6,
-    FIG7,
-    PIPELINE,
-    STORES,
-    TABLE1,
-    Run,
-    fig7_row,
-)
+from repro.experiments import FIG4, FIG6, FIG7, PIPELINE, TABLE1, Run, fig7_row
 from repro.obs import start_clock, stop_clock
 from repro.simulate import Tracer
 
-from .paper_reference import (
-    FIG4_TOTAL_S,
-    FIG6_TOTAL_S,
-    FIG7 as FIG7_PAPER,
-    HEADLINE_SPEEDUP_EXT3,
-    HEADLINE_SPEEDUP_PVFS,
-    TABLE1_MB,
-)
-
-__all__ = ["BENCH_SCHEMA_VERSION", "BENCHES",
-           "EXPLAIN_SCENARIOS", "run_bench", "run_benches",
-           "compare_to_baselines", "flatten_results",
-           "default_baselines_path", "baseline_trace_path"]
+__all__ = ["BENCH_SCHEMA_VERSION", "BENCHES", "PINNED_RUN", "PINNED_TRACE",
+           "run_bench", "run_benches", "compare_to_baselines",
+           "flatten_results", "default_baselines_path",
+           "baseline_trace_path"]
 
 BENCH_SCHEMA_VERSION = 1
+
+#: The run whose trace ``--update-baselines`` pins: the Fig. 4 LU.C
+#: migration with a file restart.
+PINNED_RUN = FIG4["LU.C"]
+#: Where that trace lives, relative to the baselines file.
+PINNED_TRACE = os.path.join("baseline_traces",
+                            "migration_LU.C_file.jsonl.gz")
 
 
 def default_baselines_path() -> str:
     return os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "baselines.json")
+
+
+def baseline_trace_path(baselines_path: Optional[str] = None) -> str:
+    """The pinned trace next to ``baselines_path`` (default: the
+    committed baselines)."""
+    root = os.path.dirname(os.path.abspath(
+        baselines_path or default_baselines_path()))
+    return os.path.join(root, PINNED_TRACE)
 
 
 # -- building blocks ---------------------------------------------------------
@@ -83,7 +75,7 @@ def default_baselines_path() -> str:
 #: LU.C.64 file-mode migration alone feeds fig4, fig6 ppn8, fig7, table1
 #: and pipeline) and a seeded run is deterministic, so each distinct run
 #: is simulated once per call.
-_memo: Optional[Dict[Run, Tuple[Any, Optional[Tracer]]]] = None
+_memo: Optional[Dict[Run, Any]] = None
 
 
 def _memoizing(fn: Callable) -> Callable:
@@ -101,121 +93,64 @@ def _memoizing(fn: Callable) -> Callable:
     return wrapper
 
 
-def _result(run: Run) -> Tuple[Any, Optional[Tracer]]:
-    """``run``'s result, and its trace if it is a migration: the
-    critical-path blame is read off migration traces only."""
+def _result(run: Run) -> Any:
+    """``run``'s result, simulated unless this call has simulated it
+    already."""
     if _memo is not None and run in _memo:
         return _memo[run]
-    tracer = Tracer() if run.cr is None else None
-    out = (run.execute(trace=tracer), tracer)
+    out = run.execute()
     if _memo is not None:
         _memo[run] = out
     return out
 
 
-def _blame(tracer: Tracer) -> Tuple[Dict[str, Dict[str, float]],
-                                    Dict[str, float]]:
-    cp = critical_path(build_span_dag(tracer))
-    blame = {phase: {comp: round(sec, 6) for comp, sec in comps.items()}
-             for phase, comps in cp.blame().items()}
-    name, sec = dominant_component(cp)
-    return blame, {"component": name, "seconds": round(sec, 6),
-                   "share": round(sec / max(cp.total, 1e-12), 4)}
-
-
-def _delta(measured: float, paper: float) -> Dict[str, float]:
-    return {"measured": round(measured, 6), "paper": paper,
-            "ratio": round(measured / paper, 4) if paper else float("inf")}
-
-
 # -- the benches -------------------------------------------------------------
-
-def _artifact(title: str, rows: Dict[Any, Tuple[Dict[str, Any], Any, Tracer]],
-              paper: Optional[Dict[Any, Any]] = None) -> Dict[str, Any]:
-    """A bench body from ``{key: (results, paper deltas, migration trace)}``:
-    each key's results and deltas, and the critical-path blame of its
-    trace."""
-    blames = {key: _blame(tracer) for key, (_, _, tracer) in rows.items()}
-    body = {"title": title,
-            "results": {key: row for key, (row, _, _) in rows.items()},
-            "critical_path": {key: blame for key, (blame, _) in blames.items()},
-            "dominant": {key: dom for key, (_, dom) in blames.items()}}
-    if paper is not None:
-        body["paper_reference"] = paper
-        body["paper_deltas"] = {key: d for key, (_, d, _) in rows.items()}
-    return body
-
 
 def _phases(report) -> Dict[str, float]:
     return {k: round(v, 6)
             for k, v in migration_phase_breakdown(report).items()}
 
 
-def _migrations(runs: Dict[str, Run], paper_totals: Dict[str, float]
-                ) -> Dict[str, Tuple[Dict, Dict, Tracer]]:
-    rows = {}
-    for key, run in runs.items():
-        report, tracer = _result(run)
-        rows[key] = (_phases(report),
-                     {"total": _delta(report.total_seconds,
-                                      paper_totals[key])}, tracer)
-    return rows
+def _migrations(title: str, runs: Dict[str, Run]) -> Dict[str, Any]:
+    return {"title": title,
+            "results": {key: _phases(_result(run))
+                        for key, run in runs.items()}}
 
 
 def bench_fig4() -> Dict[str, Any]:
     """Fig. 4: migration phase breakdown, 64 ranks on 8 nodes, per app."""
-    return _artifact("Fig. 4 — migration phase breakdown (64 ranks)",
-                     _migrations(FIG4, FIG4_TOTAL_S),
-                     FIG4_TOTAL_S)
+    return _migrations("Fig. 4 — migration phase breakdown (64 ranks)", FIG4)
 
 
 def bench_fig6() -> Dict[str, Any]:
     """Fig. 6: LU.C ranks/node sweep on 8 compute nodes."""
-    runs = {f"ppn{ppn}": run for ppn, run in FIG6.items()}
-    paper = {f"ppn{ppn}": total for ppn, total in FIG6_TOTAL_S.items()}
-    return _artifact("Fig. 6 — migration scalability (LU.C, ranks/node)",
-                     _migrations(runs, paper), paper)
+    return _migrations("Fig. 6 — migration scalability (LU.C, ranks/node)",
+                       {f"ppn{ppn}": run for ppn, run in FIG6.items()})
 
 
 def bench_fig7() -> Dict[str, Any]:
     """Fig. 7: one migration cycle vs full CR to ext3 and to PVFS."""
-    rows = {}
+    results = {}
     for app, runs in FIG7.items():
-        row = fig7_row({kind: _result(run)[0] for kind, run in runs.items()})
+        row = fig7_row({kind: _result(run) for kind, run in runs.items()})
         # Pinning precision: speedups to 4 decimals, seconds to 6.
-        row = {k: round(v, 4) if k.startswith("speedup")
-               else {kk: round(vv, 6) for kk, vv in v.items()}
-               for k, v in row.items()}
-        ref = FIG7_PAPER.get(app, {})
-        deltas = {f"ckpt_{store}": _delta(
-                      row[f"cr_{store}"]["Checkpoint(Migration)"],
-                      ref[f"ckpt_{store}"])
-                  for store in STORES if f"ckpt_{store}" in ref}
-        if app == "LU.C":
-            deltas["speedup_pvfs"] = _delta(row["speedup_pvfs"],
-                                            HEADLINE_SPEEDUP_PVFS)
-            deltas["speedup_ext3"] = _delta(row["speedup_ext3"],
-                                            HEADLINE_SPEEDUP_EXT3)
-        rows[app] = (row, deltas, _result(runs["migration"])[1])
-    return _artifact("Fig. 7 — migration vs checkpoint/restart", rows,
-                     FIG7_PAPER)
+        results[app] = {k: round(v, 4) if k.startswith("speedup")
+                        else {kk: round(vv, 6) for kk, vv in v.items()}
+                        for k, v in row.items()}
+    return {"title": "Fig. 7 — migration vs checkpoint/restart",
+            "results": results}
 
 
 def bench_table1() -> Dict[str, Any]:
     """Table I: MB moved by migration vs dumped by CR, per app (exact)."""
-    rows = {}
+    results = {}
     for app, runs in TABLE1.items():
-        report, tracer = _result(runs["migration"])
-        (ckpt, _), _ = _result(runs["cr"])
-        mig_mb = report.bytes_migrated / 1e6
-        cr_mb = ckpt.bytes_written / 1e6
-        rows[app] = (
-            {"migration_mb": round(mig_mb, 6), "cr_mb": round(cr_mb, 6)},
-            {"migration_mb": _delta(mig_mb, TABLE1_MB[app]["migration"]),
-             "cr_mb": _delta(cr_mb, TABLE1_MB[app]["cr"])},
-            tracer)
-    return _artifact("Table I — amount of data movement (MB)", rows,
-                     TABLE1_MB)
+        report = _result(runs["migration"])
+        ckpt, _ = _result(runs["cr"])
+        results[app] = {"migration_mb": round(report.bytes_migrated / 1e6, 6),
+                        "cr_mb": round(ckpt.bytes_written / 1e6, 6)}
+    return {"title": "Table I — amount of data movement (MB)",
+            "results": results}
 
 
 def bench_pipeline() -> Dict[str, Any]:
@@ -227,40 +162,32 @@ def bench_pipeline() -> Dict[str, Any]:
     reports the per-mode phase breakdown plus the memory-mode speedup.
     """
     reports = {mode: _result(run) for mode, run in PIPELINE.items()}
-    body = _artifact("Pipelined restart — file barrier vs memory sink "
+    results: Dict[str, Any] = {mode: _phases(report)
+                               for mode, report in reports.items()}
+    results["memory_speedup"] = round(
+        speedup(reports["file"].total_seconds,
+                reports["memory"].total_seconds), 4)
+    return {"title": "Pipelined restart — file barrier vs memory sink "
                      "(LU.C, 64 ranks)",
-                     {mode: (_phases(report), None, tracer)
-                      for mode, (report, tracer) in reports.items()})
-    body["results"]["memory_speedup"] = round(
-        speedup(reports["file"][0].total_seconds,
-                reports["memory"][0].total_seconds), 4)
-    return body
+            "results": results}
 
 
-def _kernel_sweep() -> Tuple[Dict[str, float], float]:
-    """Untraced Fig. 6 ranks/node sweep.
-
-    Returns deterministic kernel counters (pinnable) and the wall time of
-    the simulation runs alone (build excluded — scenario assembly is not
-    what this family measures).
-    """
+def _kernel_sweep() -> Dict[str, float]:
+    """Kernel counters of the untraced Fig. 6 ranks/node sweep."""
     processed = cancelled = 0
     final_time = 0.0
-    wall = 0.0
     for run in FIG6.values():
         sc = run.scenario()
-        t0 = start_clock()
         run.drive(sc)
-        wall += stop_clock(t0)
         processed += sc.sim.events_processed
         cancelled += sc.sim.events_cancelled
         final_time += sc.sim.now
-    return ({"events_processed": float(processed),
-             "events_cancelled": float(cancelled),
-             "final_time": round(final_time, 6)}, wall)
+    return {"events_processed": float(processed),
+            "events_cancelled": float(cancelled),
+            "final_time": round(final_time, 6)}
 
 
-def _kernel_churn() -> Tuple[Dict[str, float], float]:
+def _kernel_churn() -> Dict[str, float]:
     """Synthetic kernel-churn workload: timer races + store ping-pong.
 
     Every ``fast | slow`` race leaves a losing timeout that the kernel
@@ -299,52 +226,31 @@ def _kernel_churn() -> Tuple[Dict[str, float], float]:
         sim.spawn(racer(i), name=f"racer-{i}")
     sim.spawn(pinger(), name="pinger")
     sim.spawn(ponger(), name="ponger")
-    t0 = start_clock()
     sim.run()
-    wall = stop_clock(t0)
-    return ({"events_processed": float(sim.events_processed),
-             "events_cancelled": float(sim.events_cancelled),
-             "final_time": round(sim.now, 6)}, wall)
+    return {"events_processed": float(sim.events_processed),
+            "events_cancelled": float(sim.events_cancelled),
+            "final_time": round(sim.now, 6)}
 
 
 def bench_events_per_sec() -> Dict[str, Any]:
-    """Kernel throughput family: Fig. 6 sweep + synthetic churn.
+    """Kernel event counts: the Fig. 6 sweep and a synthetic churn.
 
-    The deterministic counters (events processed / cancelled, final sim
-    time) go under ``results`` and are pinned in the baselines.
-    Wall-clock throughput goes under ``throughput`` (outside the diffed
-    section: wall time is hardware-dependent, not a regression).
+    Pins events processed and cancelled and the final sim time of each
+    workload.  The family keeps its name, but events per second are wall
+    time, which ``python -m bench`` measures.
     """
-    results: Dict[str, Any] = {}
-    throughput: Dict[str, Any] = {}
-    for workload, runner in (("fig6_sweep", _kernel_sweep),
-                             ("churn", _kernel_churn)):
-        counts, wall = runner()
-        results[workload] = counts
-        throughput[workload] = {
-            "wall_seconds": round(wall, 4),
-            "events_per_sec": round(counts["events_processed"]
-                                    / max(wall, 1e-9)),
-        }
-    return {"title": "Kernel throughput — events/sec",
-            "results": results, "throughput": throughput}
+    return {"title": "Kernel event counts — Fig. 6 sweep and churn",
+            "results": {"fig6_sweep": _kernel_sweep(),
+                        "churn": _kernel_churn()}}
 
 
 def _cluster_run(n_nodes: int, n_jobs: int, title: str) -> Dict[str, Any]:
-    """One seeded cluster-scale run: every scenario counter pinned, wall
-    time under ``throughput`` (informational, never diffed)."""
+    """One seeded cluster-scale run with every scenario counter pinned."""
     from repro.cluster.scale import ClusterScale
 
     cs = ClusterScale(n_nodes=n_nodes, n_jobs=n_jobs, seed=0)
-    t0 = start_clock()
-    counters = {k: float(v) for k, v in cs.run().items()}
-    wall = stop_clock(t0)
-    return {"title": title, "results": counters,
-            "throughput": {
-                "wall_seconds": round(wall, 4),
-                "events_per_sec": round(counters["events_processed"]
-                                        / max(wall, 1e-9)),
-            }}
+    return {"title": title,
+            "results": {k: float(v) for k, v in cs.run().items()}}
 
 
 def bench_cluster_scale() -> Dict[str, Any]:
@@ -354,11 +260,8 @@ def bench_cluster_scale() -> Dict[str, Any]:
 
 
 def bench_cluster_smoke() -> Dict[str, Any]:
-    """CI-sized cluster scenario: 256 nodes / 16 jobs.
-
-    The ``cluster-scale-smoke`` CI job runs exactly this family; it pins
-    the same counters as ``cluster_scale`` at a fraction of the work.
-    """
+    """CI-sized cluster scenario: 256 nodes / 16 jobs, the same counters
+    as ``cluster_scale`` at a fraction of the work."""
     return _cluster_run(256, 16, "Cluster smoke — 256 nodes / 16 jobs")
 
 
@@ -372,77 +275,6 @@ BENCHES: Dict[str, Callable[[], Dict[str, Any]]] = {
     "cluster_scale": bench_cluster_scale,
     "cluster_smoke": bench_cluster_smoke,
 }
-
-
-#: Canonical traced run behind each migration bench.  When a bench
-#: regresses, the regression explainer replays this run and diffs its
-#: trace against the pinned baseline trace — the kernel-throughput family
-#: has no span trace, so it is absent here and never explained.
-EXPLAIN_SCENARIOS: Dict[str, Run] = {
-    bench: FIG4["LU.C"]
-    for bench in ("fig4", "fig6", "fig7", "table1", "pipeline")}
-
-
-def baseline_trace_path(bench: str,
-                        baselines_path: Optional[str] = None
-                        ) -> Optional[str]:
-    """Where the bench's pinned baseline trace lives (``None``: no trace).
-
-    Traces are keyed by canonical run, not bench name — benches sharing
-    one run share one pinned ``.jsonl.gz`` next to the baselines file,
-    under ``baseline_traces/``.
-    """
-    run = EXPLAIN_SCENARIOS.get(bench)
-    if run is None:
-        return None
-    root = os.path.dirname(os.path.abspath(
-        baselines_path or default_baselines_path()))
-    return os.path.join(root, "baseline_traces",
-                        f"migration_{run.app}_{run.restart_mode}.jsonl.gz")
-
-
-def _explain_headline(text: str) -> str:
-    for line in text.splitlines():
-        if line.startswith("dominant delta component:"):
-            return line
-    return "(no dominant delta component)"
-
-
-def _explain_regressions(regressed: List[str], out_dir: str,
-                         baselines_path: str,
-                         lines: List[str]) -> List[str]:
-    """Render ``EXPLAIN_<bench>.md`` for each regressed bench with a
-    pinned baseline trace; returns the paths written.
-
-    The canonical run is replayed at most once (benches sharing a run
-    share the replay), and the diff's headline is appended to the summary
-    so CI logs name the guilty component without opening the artifact.
-    """
-    written: List[str] = []
-    for bench in regressed:
-        pin = baseline_trace_path(bench, baselines_path)
-        if pin is None:
-            continue
-        if not os.path.exists(pin):
-            lines.append(f"  explain {bench}: no pinned baseline trace at "
-                         f"{pin} (re-run with --update-baselines)")
-            continue
-        _, tracer = _result(EXPLAIN_SCENARIOS[bench])
-        try:
-            diff = diff_traces(read_jsonl(pin), tracer,
-                               label_a="pinned baseline",
-                               label_b="current")
-        except ValueError as exc:
-            lines.append(f"  explain {bench}: diff failed ({exc})")
-            continue
-        text = render_explanation(diff)
-        path = os.path.join(out_dir, f"EXPLAIN_{bench}.md")
-        with atomic_write(path) as fh:
-            fh.write(text)
-        written.append(path)
-        lines.append(f"  explain {bench}: {_explain_headline(text)} "
-                     f"-> {path}")
-    return written
 
 
 # -- artifacts and baselines -------------------------------------------------
@@ -511,7 +343,9 @@ def run_benches(names: Optional[List[str]] = None, out_dir: str = ".",
 
     Returns ``(artifact paths, regression messages, summary text)``.
     ``progress_cb`` (if given) is called with each bench's name just
-    before it runs — the CLI's ``--progress`` heartbeat.
+    before it runs — the CLI's ``--progress`` heartbeat.  With
+    ``update_baselines`` the results are pinned instead of diffed, and
+    :data:`PINNED_RUN`'s trace is pinned at :func:`baseline_trace_path`.
     """
     names = list(names) if names else list(BENCHES)
     unknown = [n for n in names if n not in BENCHES]
@@ -520,6 +354,14 @@ def run_benches(names: Optional[List[str]] = None, out_dir: str = ".",
                          f"available: {sorted(BENCHES)}")
     baselines_path = baselines_path or default_baselines_path()
     os.makedirs(out_dir, exist_ok=True)
+
+    tracer = None
+    if update_baselines:
+        # Simulated before any bench: the trace records process-wide
+        # allocation ids (QP numbers, PIDs, ...), so in a fresh process
+        # they start where the pin's do whichever benches are re-pinned.
+        tracer = Tracer()
+        _memo[PINNED_RUN] = PINNED_RUN.execute(trace=tracer)
 
     paths: List[str] = []
     measured: Dict[str, Dict[str, float]] = {}
@@ -538,7 +380,7 @@ def run_benches(names: Optional[List[str]] = None, out_dir: str = ".",
                      f"{artifact['wall_seconds']:.1f}s wall)")
 
     regressions: List[str] = []
-    if update_baselines:
+    if tracer is not None:
         benches: Dict[str, Any] = {}
         if os.path.exists(baselines_path):
             with open(baselines_path, "r", encoding="utf-8") as fh:
@@ -551,15 +393,10 @@ def run_benches(names: Optional[List[str]] = None, out_dir: str = ".",
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
         lines.append(f"updated baselines: {baselines_path}")
-        pins = sorted({p for p in (baseline_trace_path(n, baselines_path)
-                                   for n in names) if p is not None})
-        for pin in pins:
-            os.makedirs(os.path.dirname(pin), exist_ok=True)
-            bench = next(n for n in names
-                         if baseline_trace_path(n, baselines_path) == pin)
-            _, tracer = _result(EXPLAIN_SCENARIOS[bench])
-            n_rows = write_jsonl(tracer, pin)
-            lines.append(f"pinned baseline trace: {pin} ({n_rows} records)")
+        pin = baseline_trace_path(baselines_path)
+        os.makedirs(os.path.dirname(pin), exist_ok=True)
+        n_rows = write_jsonl(tracer, pin)
+        lines.append(f"pinned baseline trace: {pin} ({n_rows} records)")
     elif os.path.exists(baselines_path):
         with open(baselines_path, "r", encoding="utf-8") as fh:
             baselines = json.load(fh)
@@ -567,12 +404,6 @@ def run_benches(names: Optional[List[str]] = None, out_dir: str = ".",
         if regressions:
             lines.append(f"REGRESSIONS ({len(regressions)}):")
             lines.extend(f"  {msg}" for msg in regressions)
-            # Regression messages lead with "<bench>: ", so the set of
-            # regressed benches falls out of the messages themselves.
-            regressed = sorted({msg.split(":", 1)[0] for msg in regressions
-                                if ":" in msg})
-            paths.extend(_explain_regressions(regressed, out_dir,
-                                              baselines_path, lines))
         else:
             lines.append(f"all results match {baselines_path}")
     else:

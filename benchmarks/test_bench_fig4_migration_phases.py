@@ -9,9 +9,12 @@ import pytest
 
 from repro import MigrationPhase
 from repro.analysis import migration_phase_breakdown, render_stacked, render_table
-from repro.experiments import APPS, FIG4
-
-from .paper_reference import FIG4_PHASE2_RANGE_S, FIG4_TOTAL_S
+from repro.experiments import (
+    APPS,
+    FIG4,
+    PAPER_FIG4_PHASE2_RANGE_S,
+    PAPER_FIG4_TOTAL_S,
+)
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +28,7 @@ def test_bench_fig4(benchmark, reports):
     rows = {f"{app}.64": migration_phase_breakdown(r)
             for app, r in reports.items()}
     for app in APPS:
-        rows[f"{app}.64"]["paper total"] = FIG4_TOTAL_S[app]
+        rows[f"{app}.64"]["paper total"] = PAPER_FIG4_TOTAL_S[app]
     print()
     print(render_table("Figure 4 — migration cycle phases", rows))
     print(render_stacked("Figure 4 — stacked (ms-scale bars)", {
@@ -37,14 +40,14 @@ def test_bench_fig4(benchmark, reports):
         # Phase 1 completes in tens of milliseconds.
         assert phases[MigrationPhase.STALL] < 0.15, app
         # Phase 2 sits in the paper's 0.4-0.8 s band (±50 %).
-        lo, hi = FIG4_PHASE2_RANGE_S
+        lo, hi = PAPER_FIG4_PHASE2_RANGE_S
         assert lo * 0.5 <= phases[MigrationPhase.MIGRATION] <= hi * 1.5, app
         # Phase 3 (file-based restart) dominates the cycle.
         assert phases[MigrationPhase.RESTART] == max(phases.values()), app
         # Totals land within 2x of the paper's bars.
-        assert (FIG4_TOTAL_S[app] / 2
+        assert (PAPER_FIG4_TOTAL_S[app] / 2
                 <= report.total_seconds
-                <= FIG4_TOTAL_S[app] * 2), app
+                <= PAPER_FIG4_TOTAL_S[app] * 2), app
 
     # Cross-app ordering: BT (largest images) costs the most, LU the least.
     assert reports["LU.C"].total_seconds < reports["SP.C"].total_seconds

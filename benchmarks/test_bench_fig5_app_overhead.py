@@ -9,8 +9,7 @@ import pytest
 
 from repro import Scenario
 from repro.analysis import render_table
-
-from .paper_reference import FIG5_BASE_RUNTIME_S, FIG5_OVERHEAD_PCT
+from repro.experiments import PAPER_FIG5_BASE_RUNTIME_S, PAPER_FIG5_OVERHEAD_PCT
 
 APPS = ["LU.C", "BT.C", "SP.C"]
 
@@ -40,7 +39,7 @@ def test_bench_fig5(benchmark, results):
             "no migration (s)": t_base,
             "1 migration (s)": t_mig,
             "overhead %": pct,
-            "paper overhead %": FIG5_OVERHEAD_PCT[app],
+            "paper overhead %": PAPER_FIG5_OVERHEAD_PCT[app],
         }
     print()
     print(render_table("Figure 5 — execution time with/without migration",
@@ -51,10 +50,11 @@ def test_bench_fig5(benchmark, results):
         # Marginal overhead: single digits, never more.
         assert 0.5 < pct < 12.0, app
         # Within a factor of ~1.8 of the paper's quoted percentage.
-        assert FIG5_OVERHEAD_PCT[app] / 1.8 <= pct <= FIG5_OVERHEAD_PCT[app] * 1.8, app
+        paper_pct = PAPER_FIG5_OVERHEAD_PCT[app]
+        assert paper_pct / 1.8 <= pct <= paper_pct * 1.8, app
         # Base runtimes land near the paper's bars.
-        assert (FIG5_BASE_RUNTIME_S[app] * 0.7
-                <= t_base <= FIG5_BASE_RUNTIME_S[app] * 1.3), app
+        assert (PAPER_FIG5_BASE_RUNTIME_S[app] * 0.7
+                <= t_base <= PAPER_FIG5_BASE_RUNTIME_S[app] * 1.3), app
 
 
 def test_bench_fig5_overhead_tracks_migration_cost(results):

@@ -11,9 +11,7 @@ import pytest
 
 from repro import MigrationPhase
 from repro.analysis import migration_phase_breakdown, render_table
-from repro.experiments import FIG6, PPNS
-
-from .paper_reference import FIG6_TOTAL_S
+from repro.experiments import FIG6, PAPER_FIG6_TOTAL_S, PPNS
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +25,7 @@ def test_bench_fig6(benchmark, reports):
     rows = {}
     for ppn, report in reports.items():
         row = migration_phase_breakdown(report)
-        row["paper total"] = FIG6_TOTAL_S[ppn]
+        row["paper total"] = PAPER_FIG6_TOTAL_S[ppn]
         rows[f"{ppn} ranks/node"] = row
     print()
     print(render_table("Figure 6 — migration time vs ranks per node "
@@ -43,9 +41,9 @@ def test_bench_fig6(benchmark, reports):
         # Phase 3 dominates at every scale.
         assert phases[MigrationPhase.RESTART] == max(phases.values()), ppn
         # Within 2x of the plot.
-        assert (FIG6_TOTAL_S[ppn] / 2
+        assert (PAPER_FIG6_TOTAL_S[ppn] / 2
                 <= reports[ppn].total_seconds
-                <= FIG6_TOTAL_S[ppn] * 2), ppn
+                <= PAPER_FIG6_TOTAL_S[ppn] * 2), ppn
 
 
 def test_bench_fig6_restart_proportional_to_scale(reports):

@@ -9,12 +9,12 @@ LU.C.64).
 import pytest
 
 from repro.analysis import render_stacked, render_table
-from repro.experiments import FIG7, fig7_row
-
-from .paper_reference import (
-    FIG7 as FIG7_PAPER,
-    HEADLINE_SPEEDUP_EXT3,
-    HEADLINE_SPEEDUP_PVFS,
+from repro.experiments import (
+    FIG7,
+    PAPER_FIG7,
+    PAPER_SPEEDUP_EXT3,
+    PAPER_SPEEDUP_PVFS,
+    fig7_row,
 )
 
 
@@ -47,7 +47,7 @@ def test_bench_fig7(benchmark, results):
         # Ordering: migration < CR(ext3) < CR(PVFS).
         assert mig_total < total_ext3 < total_pvfs, app
         # Checkpoint phases land near the paper's text-quoted values.
-        ref = FIG7_PAPER.get(app, {})
+        ref = PAPER_FIG7.get(app, {})
         ckpt_ext3 = rows["CR(ext3)"]["Checkpoint(Migration)"]
         ckpt_pvfs = rows["CR(pvfs)"]["Checkpoint(Migration)"]
         if "ckpt_ext3" in ref:
@@ -62,10 +62,10 @@ def test_bench_fig7_headline_speedup(results):
     s_pvfs = row["speedup_pvfs"]
     s_ext3 = row["speedup_ext3"]
     print(f"\nHeadline: speedup over CR(PVFS) = {s_pvfs:.2f}x "
-          f"(paper {HEADLINE_SPEEDUP_PVFS}x), over CR(ext3) = {s_ext3:.2f}x "
-          f"(paper {HEADLINE_SPEEDUP_EXT3}x)")
-    assert HEADLINE_SPEEDUP_PVFS / 1.5 <= s_pvfs <= HEADLINE_SPEEDUP_PVFS * 1.5
-    assert HEADLINE_SPEEDUP_EXT3 / 1.5 <= s_ext3 <= HEADLINE_SPEEDUP_EXT3 * 1.5
+          f"(paper {PAPER_SPEEDUP_PVFS}x), over CR(ext3) = {s_ext3:.2f}x "
+          f"(paper {PAPER_SPEEDUP_EXT3}x)")
+    assert PAPER_SPEEDUP_PVFS / 1.5 <= s_pvfs <= PAPER_SPEEDUP_PVFS * 1.5
+    assert PAPER_SPEEDUP_EXT3 / 1.5 <= s_ext3 <= PAPER_SPEEDUP_EXT3 * 1.5
 
 
 def test_bench_fig7_ckpt_only_comparison(results):

@@ -9,9 +9,7 @@ image-size model was fitted to it — this bench is the closing of that loop.
 import pytest
 
 from repro.analysis import render_table
-from repro.experiments import TABLE1
-
-from .paper_reference import TABLE1_MB
+from repro.experiments import PAPER_TABLE1_MB, TABLE1
 
 
 def measure(app: str):
@@ -34,16 +32,17 @@ def test_bench_table1(benchmark, results):
     for app, (mig_mb, cr_mb) in results.items():
         rows[f"{app}.64"] = {
             "Job Migration (MB)": mig_mb,
-            "paper": TABLE1_MB[app]["migration"],
+            "paper": PAPER_TABLE1_MB[app]["migration"],
             "CR (MB)": cr_mb,
-            "paper CR": TABLE1_MB[app]["cr"],
+            "paper CR": PAPER_TABLE1_MB[app]["cr"],
         }
     print()
     print(render_table("Table I — amount of data movement", rows, unit="MB",
                        digits=1))
 
     for app, (mig_mb, cr_mb) in results.items():
-        assert mig_mb == pytest.approx(TABLE1_MB[app]["migration"], rel=1e-3), app
-        assert cr_mb == pytest.approx(TABLE1_MB[app]["cr"], rel=1e-3), app
+        paper = PAPER_TABLE1_MB[app]
+        assert mig_mb == pytest.approx(paper["migration"], rel=1e-3), app
+        assert cr_mb == pytest.approx(paper["cr"], rel=1e-3), app
         # CR dumps 8x the data (64 ranks vs the 8 on the failing node).
         assert cr_mb / mig_mb == pytest.approx(8.0, rel=1e-3), app

@@ -151,11 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--update-baselines", action="store_true",
                        help="rewrite the baselines from this run instead "
                             "of diffing")
-    bench.add_argument("--profile-out", default=None, metavar="PATH",
-                       help="also run the benches under cProfile and "
-                            "write the aggregated stats (pstats dump) "
-                            "there, with a .txt top-function summary "
-                            "next to it")
 
     san = sub.add_parser(
         "sanitize",
@@ -306,7 +301,7 @@ def _source_error(run: Run, source: str) -> Optional[str]:
 #: argparse dest names that are run plumbing, not experiment configuration
 #: — excluded from the manifest's config dict (and hence its hash).
 _NON_CONFIG_ARGS = frozenset({
-    "command", "runs_dir", "no_manifest", "progress", "profile_out",
+    "command", "runs_dir", "no_manifest", "progress",
     "out_dir", "baselines", "update_baselines",
 })
 
@@ -471,10 +466,6 @@ def _cmd_bench(args):
     if unknown:
         return (f"error: unknown benches {unknown}; "
                 f"available: {sorted(BENCHES)}"), 2
-    if args.profile_out:
-        err = _out_path_error(args.profile_out, "--profile-out")
-        if err is not None:
-            return err, 2
     err = _out_dir_error(args.out_dir, "--out-dir")
     if err is not None:
         return err, 2
@@ -483,13 +474,6 @@ def _cmd_bench(args):
     if reporter is not None:
         def progress_cb(name: str) -> None:
             reporter.tick(detail=f"bench {name}")
-    if args.profile_out:
-        import cProfile
-        import io
-        import pstats
-
-        profiler = cProfile.Profile()
-        profiler.enable()
     t0 = start_clock()
     paths, regressions, text = run_benches(
         names=args.only, out_dir=args.out_dir,
@@ -497,17 +481,6 @@ def _cmd_bench(args):
         update_baselines=args.update_baselines,
         progress_cb=progress_cb)
     wall = stop_clock(t0)
-    if args.profile_out:
-        profiler.disable()
-        profiler.dump_stats(args.profile_out)
-        buf = io.StringIO()
-        stats = pstats.Stats(profiler, stream=buf)
-        stats.sort_stats("cumulative").print_stats(40)
-        summary_path = args.profile_out + ".txt"
-        with open(summary_path, "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
-        text += (f"\nprofile: {args.profile_out} "
-                 f"(summary: {summary_path})")
     if reporter is not None:
         reporter.done(f"{len(paths)} bench artifact(s)")
     extra: List[str] = []
@@ -597,10 +570,12 @@ def _cmd_lint(args):
     return "\n".join(lines), code
 
 
-def _cmd_validate(args) -> str:
+def _cmd_validate(args):
     from .validation import render_validation, run_validation
 
-    return render_validation(run_validation())
+    checks = run_validation()
+    return (render_validation(checks),
+            1 if any(not c.passed for c in checks) else 0)
 
 
 def _cmd_report(args):

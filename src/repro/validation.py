@@ -3,7 +3,9 @@
 ``python -m repro validate`` runs the Fig. 7 LU.C.64 runs of
 :mod:`repro.experiments` (one migration, one CR cycle to each storage
 target, with the Table I byte accounting) and prints a PASS/FAIL row per
-claim with the tolerance it was checked at.  Useful after touching any
+claim against the paper's value in the ``PAPER_*`` tables of
+:mod:`repro.experiments`, with the tolerance it was checked at; it exits
+1 when any check fails.  Useful after touching any
 calibrated constant — it answers "did I break the reproduction?" in about
 a minute.
 """
@@ -13,7 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from .experiments import FIG7, fig7_row
+from .experiments import (
+    FIG7,
+    PAPER_FIG4_JOB_STALL_S,
+    PAPER_FIG4_PHASE2_RANGE_S,
+    PAPER_FIG4_TOTAL_S,
+    PAPER_FIG7,
+    PAPER_SPEEDUP_EXT3,
+    PAPER_SPEEDUP_PVFS,
+    PAPER_TABLE1_MB,
+    fig7_row,
+)
 
 __all__ = ["Check", "run_validation", "render_validation"]
 
@@ -46,29 +58,34 @@ def run_validation() -> List[Check]:
     migration = results["migration"]
     ckpt_e, _ = results["cr_ext3"]
 
+    paper = PAPER_FIG7["LU.C"]
+    table1 = PAPER_TABLE1_MB["LU.C"]
+
     return [
         Check("migration total (Fig.4 LU)", row["migration"]["Total"],
-              6.3, rel_tol=0.25),
+              PAPER_FIG4_TOTAL_S["LU.C"], rel_tol=0.25),
         Check("phase 2 / RDMA migration",
-              row["migration"]["Checkpoint(Migration)"], 0.4, rel_tol=0.5),
+              row["migration"]["Checkpoint(Migration)"],
+              PAPER_FIG4_PHASE2_RANGE_S[0], rel_tol=0.5),
         Check("phase 1 / job stall (<=0.1s band)",
-              row["migration"]["Job Stall"], 0.04, rel_tol=1.5),
+              row["migration"]["Job Stall"], PAPER_FIG4_JOB_STALL_S,
+              rel_tol=1.5),
         Check("data migrated (Table I LU)", migration.bytes_migrated / 1e6,
-              170.4, rel_tol=0.001, unit="MB"),
+              table1["migration"], rel_tol=0.001, unit="MB"),
         Check("CR data dumped (Table I LU)", ckpt_e.bytes_written / 1e6,
-              1363.2, rel_tol=0.001, unit="MB"),
+              table1["cr"], rel_tol=0.001, unit="MB"),
         Check("CR(ext3) checkpoint", row["cr_ext3"]["Checkpoint(Migration)"],
-              6.4, rel_tol=0.30),
+              paper["ckpt_ext3"], rel_tol=0.30),
         Check("CR(pvfs) checkpoint", row["cr_pvfs"]["Checkpoint(Migration)"],
-              16.3, rel_tol=0.35),
-        Check("CR(ext3) full cycle", row["cr_ext3"]["Total"], 12.9,
-              rel_tol=0.30),
-        Check("CR(pvfs) full cycle", row["cr_pvfs"]["Total"], 28.3,
-              rel_tol=0.30),
+              paper["ckpt_pvfs"], rel_tol=0.35),
+        Check("CR(ext3) full cycle", row["cr_ext3"]["Total"],
+              paper["cycle_ext3"], rel_tol=0.30),
+        Check("CR(pvfs) full cycle", row["cr_pvfs"]["Total"],
+              paper["cycle_pvfs"], rel_tol=0.30),
         Check("speedup vs CR(pvfs)", row["speedup_pvfs"],
-              4.49, rel_tol=0.30, unit="x"),
+              PAPER_SPEEDUP_PVFS, rel_tol=0.30, unit="x"),
         Check("speedup vs CR(ext3)", row["speedup_ext3"],
-              2.03, rel_tol=0.30, unit="x"),
+              PAPER_SPEEDUP_EXT3, rel_tol=0.30, unit="x"),
     ]
 
 

@@ -5,6 +5,7 @@ from the repository root, exactly as CI and ``repro bench`` run it).
 """
 
 import json
+import os
 
 import pytest
 
@@ -14,13 +15,14 @@ pytest.importorskip("benchmarks.harness",
 from benchmarks.harness import (  # noqa: E402
     BENCH_SCHEMA_VERSION,
     BENCHES,
-    EXPLAIN_SCENARIOS,
+    PINNED_RUN,
     baseline_trace_path,
     compare_to_baselines,
     default_baselines_path,
     flatten_results,
     run_benches,
 )
+from repro.analysis import open_trace_text  # noqa: E402
 
 
 def test_flatten_results_dotted_numeric_leaves():
@@ -79,21 +81,42 @@ def test_bench_artifact_shape_and_baseline_agreement(tmp_path):
     assert doc["schema_version"] == BENCH_SCHEMA_VERSION
     assert doc["name"] == "fig4"
     assert doc["wall_seconds"] > 0
-    for section in ("results", "paper_deltas", "critical_path",
-                    "dominant", "paper_reference", "title"):
-        assert section in doc, f"artifact missing {section!r}"
     lu = doc["results"]["LU.C"]
     assert lu["Total"] == pytest.approx(
         sum(v for k, v in lu.items() if k != "Total"))
-    delta = doc["paper_deltas"]["LU.C"]["total"]
-    assert delta["measured"] == pytest.approx(lu["Total"])
-    assert delta["ratio"] == pytest.approx(
-        delta["measured"] / delta["paper"], abs=1e-3)
-    # Fig. 4's headline claim, straight from the causal profiler.
-    assert doc["dominant"]["LU.C"]["component"] == "blcr.restart"
-    assert doc["dominant"]["LU.C"]["share"] > 0.5
-    assert "blcr.restart" in doc["critical_path"]["LU.C"]["phase:Restart"]
     assert "all results match" in summary
+
+
+def test_every_artifact_holds_only_pins(tmp_path):
+    """An artifact is the pinned results, named and titled, and the wall
+    time of the bench; every bench reproduces its pins untraced."""
+    paths, regressions, _ = run_benches(out_dir=str(tmp_path))
+    assert regressions == [], regressions
+    assert len(paths) == len(BENCHES)
+    for path in paths:
+        assert set(json.load(open(path))) == {
+            "schema_version", "name", "title", "results", "wall_seconds"}
+
+
+def test_only_pinning_builds_a_tracer(tmp_path, monkeypatch):
+    """Benches run untraced; --update-baselines traces the pinned run
+    alone."""
+    from repro.simulate import Tracer
+
+    built = []
+    real_init = Tracer.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tracer, "__init__", counting_init)
+    run_benches(["fig4", "pipeline"], out_dir=str(tmp_path))
+    assert built == []
+    run_benches(["fig4", "pipeline"], out_dir=str(tmp_path),
+                baselines_path=str(tmp_path / "baselines.json"),
+                update_baselines=True)
+    assert len(built) == 1
 
 
 def test_update_baselines_writes_merged_doc(tmp_path):
@@ -120,14 +143,18 @@ def test_update_baselines_writes_merged_doc(tmp_path):
     assert regressions == []
 
 
-def test_baseline_trace_paths_shared_by_scenario(tmp_path):
-    base = str(tmp_path / "baselines.json")
-    # All migration benches run the same canonical scenario, so they
-    # share one pinned trace; the kernel family has none.
-    paths = {baseline_trace_path(n, base) for n in EXPLAIN_SCENARIOS}
-    assert paths == {str(tmp_path / "baseline_traces" /
-                         "migration_LU.C_file.jsonl.gz")}
-    assert baseline_trace_path("events_per_sec", base) is None
+def test_single_pinned_trace_path():
+    """One trace is pinned, the Fig. 4 LU.C file-restart migration's,
+    next to whichever baselines file is in use."""
+    from repro.experiments import FIG4
+
+    assert PINNED_RUN == FIG4["LU.C"]
+    assert baseline_trace_path() == os.path.join(
+        os.path.dirname(default_baselines_path()), "baseline_traces",
+        "migration_LU.C_file.jsonl.gz")
+    assert os.path.exists(baseline_trace_path())
+    assert baseline_trace_path("/x/baselines.json") == (
+        "/x/baseline_traces/migration_LU.C_file.jsonl.gz")
 
 
 def test_update_baselines_pins_canonical_trace(tmp_path):
@@ -136,42 +163,27 @@ def test_update_baselines_pins_canonical_trace(tmp_path):
                                 baselines_path=str(base),
                                 update_baselines=True)
     assert "pinned baseline trace" in summary
-    pin = baseline_trace_path("fig4", str(base))
-    assert pin is not None
-    with open(pin, "rb") as fh:
+    with open(baseline_trace_path(str(base)), "rb") as fh:
         assert fh.read(2) == b"\x1f\x8b"
 
 
-def test_regression_renders_explain_artifact(tmp_path):
+def test_repinning_a_subset_writes_the_committed_trace(
+        tmp_path, reset_global_counters):
+    """fig6 simulates ppn1, ppn2 and ppn4 before the pinned ppn8 run; the
+    pin is simulated first all the same, so its allocation ids (QP
+    numbers, PIDs, ...) match the committed trace."""
+    reset_global_counters()
     base = tmp_path / "baselines.json"
-    _, _, _ = run_benches(["fig4"], out_dir=str(tmp_path),
-                          baselines_path=str(base), update_baselines=True)
-    doc = json.loads(base.read_text())
-    key = next(k for k in doc["benches"]["fig4"] if k.endswith("Total"))
-    doc["benches"]["fig4"][key] *= 2
-    base.write_text(json.dumps(doc))
-    paths, regressions, summary = run_benches(
-        ["fig4"], out_dir=str(tmp_path), baselines_path=str(base))
-    assert regressions
-    explain = str(tmp_path / "EXPLAIN_fig4.md")
-    assert explain in paths, "explanation must ride along as an artifact"
-    text = open(explain).read()
-    assert "## Differential trace analysis" in text
-    assert "dominant delta component:" in text
-    assert "explain fig4: dominant delta component:" in summary
+    run_benches(["fig6"], out_dir=str(tmp_path), baselines_path=str(base),
+                update_baselines=True)
+    written, committed = (_records(path) for path in (
+        baseline_trace_path(str(base)), baseline_trace_path()))
+    assert written == committed
 
 
-def test_regression_without_pinned_trace_notes_gap(tmp_path):
-    base = tmp_path / "baselines.json"
-    base.write_text(json.dumps({
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "benches": {"fig4": {"LU.C.Total": 1e6}},
-    }))
-    paths, regressions, summary = run_benches(
-        ["fig4"], out_dir=str(tmp_path), baselines_path=str(base))
-    assert regressions
-    assert "no pinned baseline trace" in summary
-    assert not [p for p in paths if "EXPLAIN" in p]
+def _records(path):
+    with open_trace_text(path) as fh:
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 def test_run_benches_simulates_each_scenario_once(tmp_path, monkeypatch):

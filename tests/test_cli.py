@@ -149,6 +149,19 @@ def test_bench_command_clean_and_regressing(capsys, tmp_path):
     assert "drifted" in out
 
 
+def test_validate_exits_1_when_a_check_fails(capsys, monkeypatch):
+    import repro.validation as validation
+
+    monkeypatch.setattr(validation, "run_validation", lambda: [
+        validation.Check("within", 1.0, 1.0, rel_tol=0.1),
+        validation.Check("outside", 9.0, 1.0, rel_tol=0.1)])
+    rc = main(["validate"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "[PASS] within" in out
+    assert "[FAIL] outside" in out
+
+
 def test_bad_app_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "--app", "FT.C"])
@@ -215,6 +228,7 @@ def test_empty_trace_file_is_one_line_error(capsys, tmp_path, command):
 @pytest.mark.parametrize("argv", [
     ["bench", "--restart-mode", "file"],
     ["bench", "--family", "fig4"],
+    ["bench", "--profile-out", "p.pstats"],
     ["simcheck"],
     ["lint", "--format", "sarif"],
     ["lint", "--no-emitter-coverage"],
@@ -424,8 +438,6 @@ def test_report_from_unknown_run_is_one_line_error(capsys, tmp_path):
      "--out directory does not exist"),
     (["lint", "--sarif-out", "/no/such/dir/s.sarif"],
      "--sarif-out directory does not exist"),
-    (["bench", "--profile-out", "/no/such/dir/p.pstats"],
-     "--profile-out directory does not exist"),
 ])
 def test_unwritable_output_paths_fail_fast_with_exit_2(capsys, argv,
                                                        fragment):

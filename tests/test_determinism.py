@@ -16,14 +16,7 @@ scenario that borrows spares across racks and denies some requests.
 import hashlib
 import json
 import os
-from itertools import count
 
-import repro.blcr.image as blcr_image
-import repro.cluster.osproc as osproc
-import repro.core.buffer_manager as buffer_manager
-import repro.ftb.events as ftb_events
-import repro.mpi.transport as transport
-import repro.network.qp as qp
 from repro.analysis import open_trace_text
 from repro.experiments import FIG4, FIG7
 from repro.simulate import Tracer
@@ -46,27 +39,13 @@ FIG7_CR_PVFS_RECORDS = 25741
 FIG7_CR_PVFS_CYCLE_S = 26.91683
 
 
-def _reset_global_counters(monkeypatch):
-    """Rewind the process-global allocation counters (QP numbers, image
-    ids, PIDs, ...) so back-to-back runs in one interpreter label their
-    objects identically.  The ids are allocation bookkeeping, not
-    simulation state — but they appear in trace fields, so byte-exact
-    comparison needs them pinned."""
-    monkeypatch.setattr(qp.QueuePair, "_ids", count())
-    monkeypatch.setattr(ftb_events, "_seq", count())
-    monkeypatch.setattr(blcr_image, "_image_ids", count(start=1))
-    monkeypatch.setattr(transport, "_wr_ids", count())
-    monkeypatch.setattr(osproc, "_pids", count(start=1000))
-    monkeypatch.setattr(buffer_manager, "_chunk_seq", count())
-
-
-def _fig4_records(monkeypatch, telemetry=False):
+def _fig4_records(reset_counters, telemetry=False):
     """Run Fig. 4 LU.C file mode -> (total seconds, JSON-normalised records).
 
     Records go through a JSON round trip (tuples become lists) so they
     compare equal to rows read back from the pinned ``.jsonl.gz``.
     """
-    _reset_global_counters(monkeypatch)
+    reset_counters()
     tracer = Tracer()
     run = FIG4["LU.C"]
     sc = run.scenario(trace=tracer)
@@ -87,29 +66,29 @@ def _assert_matches_pin(records):
     assert len(records) == len(pinned)
 
 
-def test_fig4_trace_matches_pinned_artifact(monkeypatch):
+def test_fig4_trace_matches_pinned_artifact(reset_global_counters):
     """The Fig. 4 LU.C migration replays the committed baseline trace
     record for record."""
-    total, records = _fig4_records(monkeypatch)
+    total, records = _fig4_records(reset_global_counters)
     assert round(total, 6) == FIG4_TOTAL_S
     _assert_matches_pin(records)
 
 
-def test_trace_is_identical_with_telemetry_enabled(monkeypatch):
+def test_trace_is_identical_with_telemetry_enabled(reset_global_counters):
     """The telemetry probe is pure observation: stripping its own records
     recovers the pinned probe-less trace exactly."""
-    total, records = _fig4_records(monkeypatch, telemetry=True)
+    total, records = _fig4_records(reset_global_counters, telemetry=True)
     assert round(total, 6) == FIG4_TOTAL_S
     kept = [rec for rec in records if rec["kind"] != "telemetry.sample"]
     assert len(kept) < len(records), "probe must actually have sampled"
     _assert_matches_pin(kept)
 
 
-def test_fig7_cr_pvfs_trace_matches_pinned_digest(monkeypatch):
+def test_fig7_cr_pvfs_trace_matches_pinned_digest(reset_global_counters):
     """The Fig. 7 LU.C CR(PVFS) checkpoint and restart, driven by
     ``Scenario.run_cr_cycle``, replay the pinned trace digest, with every
     float in its exact repr."""
-    _reset_global_counters(monkeypatch)
+    reset_global_counters()
     tracer = Tracer()
     run = FIG7["LU.C"]["cr_pvfs"]
     ckpt, restart = run.scenario(trace=tracer).run_cr_cycle("pvfs")
@@ -127,11 +106,11 @@ def test_fig7_cr_pvfs_trace_matches_pinned_digest(monkeypatch):
     assert digest.hexdigest() == FIG7_CR_PVFS_TRACE_SHA256
 
 
-def _cluster_trace_jsonl(monkeypatch):
+def _cluster_trace_jsonl(reset_counters):
     """One seeded cluster-scale run -> (results dict, trace JSONL)."""
     from repro.cluster import ClusterScale
 
-    _reset_global_counters(monkeypatch)
+    reset_counters()
     tracer = Tracer()
     cs = ClusterScale(n_nodes=256, n_jobs=16, seed=0, trace=tracer)
     results = cs.run()
@@ -140,11 +119,11 @@ def _cluster_trace_jsonl(monkeypatch):
     return results, lines
 
 
-def test_cluster_trace_is_stable_across_runs(monkeypatch):
+def test_cluster_trace_is_stable_across_runs(reset_global_counters):
     """Back-to-back cluster runs replay identically: same counters, same
     trace bytes, with spares borrowed over the rack ring and denied."""
-    res_a, lines_a = _cluster_trace_jsonl(monkeypatch)
-    res_b, lines_b = _cluster_trace_jsonl(monkeypatch)
+    res_a, lines_a = _cluster_trace_jsonl(reset_global_counters)
+    res_b, lines_b = _cluster_trace_jsonl(reset_global_counters)
     assert res_a == res_b
     assert lines_a == lines_b
     assert res_a["jobs_completed"] == 16
