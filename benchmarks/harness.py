@@ -70,12 +70,12 @@ def baseline_trace_path(baselines_path: Optional[str] = None) -> str:
 
 # -- building blocks ---------------------------------------------------------
 
-#: Results of the runs simulated so far in one :func:`run_benches` call,
-#: keyed by run; ``None`` outside a call.  The benches share runs (the
-#: LU.C.64 file-mode migration alone feeds fig4, fig6 ppn8, fig7, table1
-#: and pipeline) and a seeded run is deterministic, so each distinct run
-#: is simulated once per call.
-_memo: Optional[Dict[Run, Any]] = None
+#: ``(result, kernel counters)`` of the runs simulated so far in one
+#: :func:`run_benches` call, keyed by run; ``None`` outside a call.  The
+#: benches share runs (the LU.C.64 file-mode migration alone feeds fig4,
+#: fig6 ppn8, fig7, table1 and pipeline) and a seeded run is
+#: deterministic, so each distinct run is simulated once per call.
+_memo: Optional[Dict[Run, Tuple[Any, Dict[str, float]]]] = None
 
 
 def _memoizing(fn: Callable) -> Callable:
@@ -93,15 +93,28 @@ def _memoizing(fn: Callable) -> Callable:
     return wrapper
 
 
-def _result(run: Run) -> Any:
-    """``run``'s result, simulated unless this call has simulated it
-    already."""
+def _simulate(run: Run, trace=None) -> Tuple[Any, Dict[str, float]]:
+    """``run``'s result and its simulator's kernel counters."""
+    sc = run.scenario(trace=trace)
+    out = run.drive(sc)
+    sim = sc.sim
+    return out, {"events_processed": sim.events_processed,
+                 "events_cancelled": sim.events_cancelled,
+                 "final_time": sim.now}
+
+
+def _simulated(run: Run) -> Tuple[Any, Dict[str, float]]:
+    """:func:`_simulate` unless this call has simulated ``run`` already."""
     if _memo is not None and run in _memo:
         return _memo[run]
-    out = run.execute()
+    entry = _simulate(run)
     if _memo is not None:
-        _memo[run] = out
-    return out
+        _memo[run] = entry
+    return entry
+
+
+def _result(run: Run) -> Any:
+    return _simulated(run)[0]
 
 
 # -- the benches -------------------------------------------------------------
@@ -177,11 +190,10 @@ def _kernel_sweep() -> Dict[str, float]:
     processed = cancelled = 0
     final_time = 0.0
     for run in FIG6.values():
-        sc = run.scenario()
-        run.drive(sc)
-        processed += sc.sim.events_processed
-        cancelled += sc.sim.events_cancelled
-        final_time += sc.sim.now
+        kernel = _simulated(run)[1]
+        processed += kernel["events_processed"]
+        cancelled += kernel["events_cancelled"]
+        final_time += kernel["final_time"]
     return {"events_processed": float(processed),
             "events_cancelled": float(cancelled),
             "final_time": round(final_time, 6)}
@@ -361,7 +373,7 @@ def run_benches(names: Optional[List[str]] = None, out_dir: str = ".",
         # allocation ids (QP numbers, PIDs, ...), so in a fresh process
         # they start where the pin's do whichever benches are re-pinned.
         tracer = Tracer()
-        _memo[PINNED_RUN] = PINNED_RUN.execute(trace=tracer)
+        _memo[PINNED_RUN] = _simulate(PINNED_RUN, trace=tracer)
 
     paths: List[str] = []
     measured: Dict[str, Dict[str, float]] = {}

@@ -260,8 +260,11 @@ class TraceDiff:
         return self.total_b - self.total_a
 
     def dominant_shift(self) -> Optional[BlameShift]:
-        """The non-orchestration component whose blame moved the most."""
+        """The non-orchestration component whose blame moved the most, or
+        ``None`` when no component's blame moved."""
         for shift in self.shifts:
+            if abs(shift.delta) <= _EPS:
+                return None  # ranked by |delta|: none after this moved
             if shift.component not in ORCHESTRATION_SPANS:
                 return shift
         return None
@@ -419,7 +422,10 @@ def render_explanation(diff: TraceDiff, top: int = 12) -> str:
         lines.append(f"dominant delta component: {dom.component} "
                      f"({_signed(dom.delta)}s critical-path blame, "
                      f"{dom.status})")
-        lines.append("")
+    else:
+        lines.append("no component moved: every critical-path blame is "
+                     "unchanged")
+    lines.append("")
 
     shown = [s for s in diff.shifts if abs(s.delta) > 1e-9][:top]
     if shown:
@@ -473,29 +479,36 @@ def render_explanation(diff: TraceDiff, top: int = 12) -> str:
             lines.append(f"spans only in {label}: {sample}{more}")
             lines.append("")
 
+    # Only series both runs sampled compare; a run recorded without a
+    # telemetry probe has none, so one-sided series get one note line.
+    one_sided = []
+    for label, names in (
+            (diff.label_a, [s.name for s in diff.series if s.b is None]),
+            (diff.label_b, [s.name for s in diff.series if s.a is None])):
+        if names:
+            more = f" (+{len(names) - 3} more)" if len(names) > 3 else ""
+            sample = ", ".join(f"`{n}`" for n in sorted(names)[:3])
+            one_sided.append(f"{len(names)} only in {label}: {sample}{more}")
+    if one_sided:
+        lines.append("telemetry series not compared, "
+                     + "; ".join(one_sided))
+        lines.append("")
+
     shown_s = [s for s in diff.series
-               if s.a is None or s.b is None
-               or any(abs(s.delta(k)) > 1e-9
-                      for k in ("peak", "mean", "auc"))][:top]
+               if s.a is not None and s.b is not None
+               and any(abs(s.delta(k)) > _EPS
+                       for k in ("peak", "mean", "auc"))][:top]
     if shown_s:
         lines.append("### Telemetry series deltas")
         lines.append("")
-        lines.append("| series | peak A→B | mean A→B | AUC A→B | note |")
-        lines.append("| --- | --- | --- | --- | --- |")
+        lines.append("| series | peak A→B | mean A→B | AUC A→B |")
+        lines.append("| --- | --- | --- | --- |")
         for s in shown_s:
-            if s.a is None:
-                note = f"only in {diff.label_b}"
-            elif s.b is None:
-                note = f"only in {diff.label_a}"
-            else:
-                note = ""
-            pa = s.a or {"peak": 0.0, "mean": 0.0, "auc": 0.0}
-            pb = s.b or {"peak": 0.0, "mean": 0.0, "auc": 0.0}
             lines.append(
                 f"| `{s.name}` "
-                f"| {pa['peak']:g} → {pb['peak']:g} "
-                f"| {pa['mean']:.4g} → {pb['mean']:.4g} "
-                f"| {pa['auc']:.4g} → {pb['auc']:.4g} | {note} |")
+                f"| {s.a['peak']:g} → {s.b['peak']:g} "
+                f"| {s.a['mean']:.4g} → {s.b['mean']:.4g} "
+                f"| {s.a['auc']:.4g} → {s.b['auc']:.4g} |")
         lines.append("")
 
     return "\n".join(lines).rstrip() + "\n"

@@ -19,10 +19,10 @@ links (two flows are connected when their paths share a link).  Each
 component carries its own sync clock, rate allocation, generation counter
 and next-completion guard event:
 
-* starting flows syncs and merges only the components their paths touch;
-* a completion syncs and refills only its own component; it re-partitions
-  the component only when the finished flows' links, walked through the
-  surviving flows, no longer reach each other;
+* starting flows merges only the components their paths touch;
+* a completion drains and refills only its own component; it
+  re-partitions the component only when the finished flows' links, walked
+  through the surviving flows, no longer reach each other;
 * all other components keep draining linearly at their unchanged rates.
 
 Because the max-min fair allocation decomposes exactly over connected
@@ -37,10 +37,13 @@ quantify the win.
 **Water-level fill.**  The fill walks the component's links, not every
 flow's path: a link's flow count is ``len(link.flows)``, one water level
 rises by the smallest increment that saturates a live link, and each flow
-takes the level at which its first link saturates.  Each round visits only
-links that still carry unfrozen flows.  The level is the same running sum
-of increments a per-flow ``rate += inc`` fill computes, so the rates are
-bit-identical to it.
+takes the level at which its first link saturates.  The level is the same
+running sum of increments a per-flow ``rate += inc`` fill computes, so the
+rates are bit-identical to it.  Freezing a flow is its one visit per fill:
+in the same step the flow drains the time since the component's last sync
+at its old rate, and the fill keeps the least ``remaining / rate``, which
+arms the completion guard.  Most fills freeze every flow in the first
+round; a later round visits only links that still carry unfrozen flows.
 
 **One fill per component per instant.**  A start, completion or split
 marks its component dirty (generation bumped, old guard cancelled).  At
@@ -48,7 +51,10 @@ the end of the instant (:meth:`Simulator.at_instant_end`, not an event)
 each dirty component still alive is filled, in last-touched order, and
 gets its guard.  No simulated time passes in between, so rates and
 completion times are those of an immediate fill, but a component changed
-several times at one instant is filled once.
+several times at one instant is filled once.  Until that fill a
+component's flows keep their old rates and undrained byte counts; only a
+merge drains first, because the merged components' clocks differ, and a
+completion drains its component in the loop that finds the finished flows.
 
 A :class:`Link` may declare an *efficiency curve*: a multiplier on its raw
 capacity as a function of the number of flows crossing it.  Disks use this
@@ -71,6 +77,7 @@ __all__ = ["Link", "Flow", "FluidNetwork", "FluidEngineStats",
 _EPS_BYTES = 1e-3
 #: Residual capacity below which a link counts as saturated.
 _EPS_RATE = 1e-9
+_INF = float("inf")
 
 def stream_efficiency(per_stream: float, floor: float) -> Callable[[int], float]:
     """Linear-decay efficiency curve: ``max(floor, 1 - per_stream*(n-1))``.
@@ -205,7 +212,7 @@ class _Component:
     """
 
     __slots__ = ("flows", "links", "last_sync", "generation", "alive",
-                 "guard")
+                 "guard", "next_done")
 
     def __init__(self, now: float):
         self.flows: Set[Flow] = set()
@@ -218,6 +225,8 @@ class _Component:
         #: The pending completion-guard event, cancelled when superseded so
         #: the calendar drops it instead of dispatching a no-op callback.
         self.guard: Optional[Event] = None
+        #: Time to the first completion, as the last fill found it.
+        self.next_done: float = _INF
 
     def absorb(self, other: "_Component") -> None:
         self.flows |= other.flows
@@ -305,15 +314,17 @@ class FluidNetwork:
         for link in flow.path:
             comp = link.component
             if comp is not None and comp not in touched:
-                self._sync(comp)
                 touched.append(comp)
         if not touched:
             merged = _Component(now)
             self._components.add(merged)
         elif len(touched) == 1:
-            merged = touched[0]
+            merged = touched[0]  # its fill drains it
         else:
-            # The largest component absorbs the others.
+            # The largest component absorbs the others.  Their clocks
+            # differ, so each drains to now before they share one.
+            for comp in touched:
+                self._drain(comp)
             merged = max(touched, key=lambda c: len(c.flows))
             for comp in touched:
                 if comp is not merged:
@@ -335,7 +346,7 @@ class FluidNetwork:
         return len(self._components)
 
     # -- engine -------------------------------------------------------------
-    def _sync(self, comp: _Component) -> None:
+    def _drain(self, comp: _Component) -> None:
         """Drain elapsed time into the component's remaining-byte counters."""
         now = self.sim.now
         dt = now - comp.last_sync
@@ -355,41 +366,77 @@ class FluidNetwork:
         as raising every unfrozen flow's rate by each increment.  Headroom
         and unfrozen counts live on link slots, and a flow is frozen when
         its stamp equals this fill's.
+
+        Freezing a flow also drains the time since the component's last
+        sync at the flow's old rate, and the least remaining byte count of
+        each round, over that round's level, feeds ``comp.next_done``.
+        Division by a positive level is monotone, so that is the least
+        ``remaining / rate`` bit for bit.
         """
         self._fill_stamp = stamp = self._fill_stamp + 1
-        live = list(comp.links)  # links still carrying unfrozen flows
-        for link in live:
-            link._headroom = link.effective_capacity()
-            link._unfrozen = len(link.flows)
+        now = self.sim.now
+        dt = now - comp.last_sync
+        comp.last_sync = now
+        inc = _INF  # round 1's increment, found while setting up
+        for link in comp.links:
+            n = len(link.flows)
+            curve = link.efficiency
+            headroom = (link.capacity if curve is None
+                        else link.capacity * curve(n))
+            link._headroom = headroom
+            link._unfrozen = n
+            share = headroom / n
+            if share < inc:
+                inc = share
+        live = comp.links  # links still carrying unfrozen flows
         unfrozen = len(comp.flows)
         level = 0.0
+        next_done = _INF
         while True:
-            # Smallest equal increment that saturates some link.
-            inc = min(link._headroom / link._unfrozen for link in live)
             level += inc
-            frozen_now: List[Flow] = []
+            frozen = 0
+            low = _INF  # least remaining bytes among this round's flows
             for link in live:
                 link._headroom = left = link._headroom - inc * link._unfrozen
                 if left <= _EPS_RATE * link.capacity + _EPS_RATE:
                     for flow in link.flows:
                         if flow._frozen != stamp:
                             flow._frozen = stamp
+                            flow.remaining = rem = (flow.remaining
+                                                    - flow.rate * dt)
                             flow.rate = level
-                            frozen_now.append(flow)
-            if not frozen_now:
+                            if rem < low:
+                                low = rem
+                            frozen += 1
+            if level > 0.0 and low / level < next_done:
+                next_done = low / level
+            unfrozen -= frozen
+            if not unfrozen:
+                break
+            if not frozen:
                 # All remaining links have infinite headroom relative to the
                 # computed increment — cannot happen with finite capacities.
+                for flow in comp.flows:
+                    if flow._frozen != stamp:
+                        flow.remaining -= flow.rate * dt
+                        flow.rate = level
+                        if level > 0.0 and flow.remaining / level < next_done:
+                            next_done = flow.remaining / level
                 break
-            unfrozen -= len(frozen_now)
-            if not unfrozen:
-                return
-            for flow in frozen_now:
-                for link in flow.path:
-                    link._unfrozen -= 1
-            live = [link for link in live if link._unfrozen]
-        for flow in comp.flows:
-            if flow._frozen != stamp:
-                flow.rate = level
+            # Most fills end in round 1; a later round recounts the flows
+            # each live link still carries unfrozen.
+            still = []
+            for link in live:
+                n = 0
+                for flow in link.flows:
+                    if flow._frozen != stamp:
+                        n += 1
+                if n:
+                    link._unfrozen = n
+                    still.append(link)
+            live = still
+            inc = min(link._headroom / link._unfrozen for link in live)
+        comp.next_done = next_done
 
     def _mark_dirty(self, comp: _Component) -> None:
         """Drop the component's guard now and fill it at the end of the
@@ -430,15 +477,8 @@ class FluidNetwork:
                          components=len(self._components))
         self._fill(comp)
         gen = comp.generation
-        next_done = float("inf")
-        for flow in comp.flows:
-            if flow.rate > 0:
-                eta = flow.remaining / flow.rate
-                if eta < next_done:
-                    next_done = eta
-            # rate == 0 leaves next_done alone (infinite ETA)
-        next_done = max(next_done, 0.0)
-        if next_done == float("inf"):
+        next_done = max(comp.next_done, 0.0)  # zero-rate flows never finish
+        if next_done == _INF:
             raise RuntimeError("fluid network stalled: a flow has zero rate")
         guard = Event(self.sim, name="fluid-complete")
         guard.callbacks.append(lambda ev: self._on_completion(comp, gen))
@@ -449,8 +489,14 @@ class FluidNetwork:
     def _on_completion(self, comp: _Component, generation: int) -> None:
         if not comp.alive or generation != comp.generation:
             return  # superseded by a later population change or a merge
-        self._sync(comp)
-        done = [f for f in comp.flows if f.remaining <= _EPS_BYTES]
+        now = self.sim.now
+        dt = now - comp.last_sync
+        comp.last_sync = now
+        done = []
+        for flow in comp.flows:
+            flow.remaining = rem = flow.remaining - flow.rate * dt
+            if rem <= _EPS_BYTES:
+                done.append(flow)
         # comp.flows iterates by id-hash, which varies run to run; flows
         # finishing at the same instant must succeed in start order or the
         # trace (and any same-time tie-break downstream) goes
@@ -485,7 +531,6 @@ class FluidNetwork:
         comp.alive = False
         self._components.discard(comp)
         self.stats.splits += len(pieces) - 1
-        now = self.sim.now
         for flows, links in pieces:
             piece = _Component(now)
             piece.flows = flows

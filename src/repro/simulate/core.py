@@ -231,7 +231,7 @@ class Initialize(Event):
 
     def __init__(self, sim: "Simulator", process: "Process"):
         super().__init__(sim, name="Initialize")
-        self.callbacks = [process._resume]
+        self.callbacks = [process._resume_cb]
         self._ok = True
         self._value = None
         sim._schedule(self, URGENT, 0.0)
@@ -260,7 +260,7 @@ class Process(Event):
     other simply by yielding them.
     """
 
-    __slots__ = ("_generator", "_target", "_wait_token", "_wait_attached",
+    __slots__ = ("_generator", "_target", "_waiting", "_resume_cb",
                  "__weakref__")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
@@ -269,15 +269,12 @@ class Process(Event):
         super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
         self._generator: Optional[Generator] = generator
         self._target: Optional[Event] = None
-        #: The ``(event, callback)`` pair of the current wait — lets an
-        #: abandoned wait (interrupt landed first) be detached eagerly
-        #: instead of leaving a stale no-op callback in the calendar.
-        self._wait_attached: Optional[tuple] = None
-        # Monotonic token distinguishing successive waits; a stale callback
-        # (from an event the process stopped waiting on after an interrupt)
-        # carries an old token and is ignored.
-        self._wait_token = 0
-        Initialize(sim, self)
+        #: The one callback every wait attaches, bound once here.
+        self._resume_cb: Any = self._resume
+        #: The event whose callbacks hold ``_resume_cb`` now: the event
+        #: yielded, or the bridge to it when it had already been processed.
+        #: A wake-up from any other event is stale (an abandoned wait).
+        self._waiting: Optional[Event] = Initialize(sim, self)
 
     @property
     def is_alive(self) -> bool:
@@ -297,45 +294,36 @@ class Process(Event):
         _InterruptEvent(self.sim, self, cause)
 
     # -- resumption machinery ----------------------------------------------
-    def _resume(self, event: Event) -> None:
-        self._step(event, token=self._wait_token)
-
     def _resume_interrupt(self, event: Event) -> None:
-        # Interrupts bypass the token check: they must land regardless of
-        # what the process is waiting on.  A process that terminated between
-        # scheduling and delivery simply drops the interrupt — the cause is
-        # moot once the target is gone.
+        # Interrupts land whatever the process is waiting on.  A process
+        # that terminated between scheduling and delivery simply drops the
+        # interrupt — the cause is moot once the target is gone.
         if not self.is_alive:
             return
-        self._step(event, token=None)
-
-    def _step(self, event: Event, token: Optional[int]) -> None:
-        if token is not None and token != self._wait_token:
-            return  # stale wake-up from an abandoned wait
-        if not self.is_alive:
-            return
-        # Consume the current wait: any other callback still pointing at it
-        # (e.g. the event we were waiting on when an interrupt landed) is
-        # now stale and will fail the token check above.  Detach it eagerly
-        # — and if that leaves an already-triggered straggler with no
-        # waiters (a timeout we no longer care about), cancel it so the
-        # calendar drops it instead of firing a no-op.
-        self._wait_token += 1
-        attached = self._wait_attached
-        if attached is not None:
-            self._wait_attached = None
-            waited, stale_cb = attached
+        # Abandon the current wait: detach its callback eagerly, and if
+        # that leaves an already-triggered straggler with no waiters (a
+        # timeout we no longer care about), cancel it so the calendar
+        # drops it instead of firing a no-op.
+        waited = self._waiting
+        if waited is not None:
             cbs = waited.callbacks
-            if waited is not event and cbs:
+            if cbs:
                 try:
-                    cbs.remove(stale_cb)
+                    cbs.remove(self._resume_cb)
                 except ValueError:
                     pass
                 else:
                     if not cbs and waited.triggered:
                         waited.cancel()
-        self._target = None
-        self.sim._active = self
+        self._waiting = event
+        self._resume(event)
+
+    def _resume(self, event: Event) -> None:
+        if event is not self._waiting:
+            return  # stale wake-up from an abandoned wait
+        self._waiting = self._target = None
+        sim = self.sim
+        sim._active = self
         try:
             if event._ok:
                 result = self._generator.send(event._value if event._value is not PENDING else None)
@@ -343,21 +331,23 @@ class Process(Event):
                 event._defused = True
                 result = self._generator.throw(event._value)
         except StopIteration as stop:
-            self.sim._active = None
-            # Drop the generator: its frame holds references back into the
-            # event graph (closures over self), forming cycles that pile up
-            # as cyclic garbage across repeated runs in one interpreter.
-            self._generator = None
+            sim._active = None
+            # Drop the generator and the bound callback: the generator's
+            # frame holds references back into the event graph (closures
+            # over self) and the callback holds self, forming cycles that
+            # pile up as cyclic garbage across repeated runs in one
+            # interpreter.
+            self._generator = self._resume_cb = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            self.sim._active = None
+            sim._active = None
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
-            self._generator = None
+            self._generator = self._resume_cb = None
             self.fail(exc)
             return
-        self.sim._active = None
+        sim._active = None
 
         if not isinstance(result, Event):
             self._generator.close()
@@ -371,22 +361,18 @@ class Process(Event):
         if result.callbacks is None:
             # Already processed: resume immediately in the same timestep via
             # an urgent bridge event so that ordering stays deterministic.
-            bridge = Event(self.sim, name="bridge")
+            bridge = Event(sim, name="bridge")
             bridge._ok = result._ok
             bridge._value = result._value
             if not result._ok:
                 bridge._defused = True
                 result._defused = True
-            tok = self._wait_token
-            cb = lambda ev, tok=tok: self._step(ev, tok)  # noqa: E731
-            bridge.callbacks = [cb]
-            self._wait_attached = (bridge, cb)
-            self.sim._schedule(bridge, URGENT, 0.0)
+            bridge.callbacks = [self._resume_cb]
+            self._waiting = bridge
+            sim._schedule(bridge, URGENT, 0.0)
         else:
-            tok = self._wait_token
-            cb = lambda ev, tok=tok: self._step(ev, tok)  # noqa: E731
-            result.callbacks.append(cb)
-            self._wait_attached = (result, cb)
+            result.callbacks.append(self._resume_cb)
+            self._waiting = result
 
 
 class Simulator:

@@ -230,6 +230,34 @@ def test_render_explanation_has_greppable_dominant_line():
     assert "spans only in file: `migration/blcr.checkpoint`" in text
 
 
+def test_explaining_a_trace_against_itself_names_no_component():
+    t = _migration_trace()
+    diff = diff_traces(t, t)
+    assert diff.end_to_end_delta == 0.0
+    assert diff.dominant_shift() is None
+    text = render_explanation(diff)
+    assert "dominant delta component" not in text
+    assert "no component moved" in text
+    assert "### Critical-path blame shifts" not in text
+
+
+def test_one_sided_telemetry_series_get_one_note_line():
+    """A run recorded without a telemetry probe has no series: the series
+    only the other run carries are noted once, not tabulated."""
+    probed = _migration_trace()
+    for name in ("kernel.queue_depth", "ib.bytes_moved", "fluid.flows",
+                 "pool.free"):
+        probed.record(0.0, "telemetry.sample", metric=name, value=1.0)
+        probed.record(1.0, "telemetry.sample", metric=name, value=2.0)
+    text = render_explanation(diff_traces(_migration_trace(), probed,
+                                          label_a="pin", label_b="run"))
+    assert "### Telemetry series deltas" not in text
+    notes = [ln for ln in text.splitlines() if "only in run" in ln]
+    assert notes == ["telemetry series not compared, 4 only in run: "
+                     "`fluid.flows`, `ib.bytes_moved`, `kernel.queue_depth`"
+                     " (+1 more)"]
+
+
 def test_render_explanation_top_caps_table_rows():
     a = _concurrent_trace([1.0 + 0.1 * i for i in range(8)])
     b = _concurrent_trace([2.0 + 0.2 * i for i in range(8)])

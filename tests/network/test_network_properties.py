@@ -248,3 +248,102 @@ def test_checked_fills_cover_multi_round_components():
     sim.run()
     assert net.fills >= 3
     assert net.multi_round >= 2
+
+
+# -- the drain inside the fill ------------------------------------------------
+
+class _DrainFirstNetwork(FluidNetwork):
+    """The engine's order before the drain moved into the fill: a start or
+    completion drains every component it touches first, the fill is the
+    per-flow progressive fill, and a second walk over the component finds
+    the next completion."""
+
+    def transfer(self, path, nbytes, latency=0.0, label=""):
+        for link in path:
+            if link.component is not None:
+                self._drain(link.component)
+        return super().transfer(path, nbytes, latency, label)
+
+    def _on_completion(self, comp, generation):
+        if comp.alive and generation == comp.generation:
+            self._drain(comp)
+        super()._on_completion(comp, generation)
+
+    def _fill(self, comp):
+        self._drain(comp)
+        next_done = float("inf")
+        for flow, rate in reference_global_rates(comp.flows).items():
+            flow.rate = rate
+            if rate > 0:
+                next_done = min(next_done, flow.remaining / rate)
+        comp.next_done = next_done
+
+
+def _completion_instants(engine, spec):
+    """Run ``spec`` on ``engine``: each flow's completion time as
+    ``float.hex``, keyed by label, and the engine's stats."""
+    link_specs, flow_specs = spec
+    sim = Simulator()
+    net = engine(sim)
+    links = [Link(f"l{i}", capacity,
+                  None if curve is None else stream_efficiency(*curve))
+             for i, (capacity, curve) in enumerate(link_specs)]
+    done = {}
+
+    def flow(start, path, nbytes, label):
+        yield sim.timeout(start)
+        yield net.transfer([links[i] for i in path], nbytes, label=label)
+        done[label] = sim.now.hex()
+
+    for k, (start, path, nbytes) in enumerate(flow_specs):
+        sim.spawn(flow(start, path, nbytes, f"f{k}"))
+    sim.run()
+    assert len(done) == len(flow_specs)
+    return done, net.stats
+
+
+@st.composite
+def _timed_populations(draw):
+    """Links, some with efficiency curves, and flows starting at a few
+    shared instants: same-instant batches, flows joining components that
+    are draining, paths that bridge components (merges) and bridges that
+    finish before the flows they joined (splits)."""
+    link_specs = [
+        (draw(st.floats(min_value=10.0, max_value=1e4)),
+         draw(st.one_of(st.none(), st.tuples(
+             st.floats(min_value=0.01, max_value=0.3),
+             st.floats(min_value=0.2, max_value=0.9)))))
+        for _ in range(draw(st.integers(min_value=2, max_value=7)))]
+    flow_specs = draw(st.lists(st.tuples(
+        st.sampled_from([0.0, 0.0, 0.25, 0.7, 1.3]),
+        st.lists(st.sampled_from(range(len(link_specs))), min_size=1,
+                 max_size=3, unique=True),
+        st.floats(min_value=1.0, max_value=1e4)),
+        min_size=1, max_size=20))
+    return link_specs, flow_specs
+
+
+@given(spec=_timed_populations())
+@settings(max_examples=80, deadline=None)
+def test_fused_drain_matches_drain_before_fill_bit_for_bit(spec):
+    """Draining each flow as the fill freezes it, and taking the next
+    completion from the same walk, finishes every flow at the same float
+    instant as draining every touched component before its fill."""
+    got, stats = _completion_instants(FluidNetwork, spec)
+    want, ref = _completion_instants(_DrainFirstNetwork, spec)
+    assert got == want
+    assert (stats.recomputes, stats.merges, stats.splits) == \
+        (ref.recomputes, ref.merges, ref.splits)
+
+
+def test_fused_drain_guard_covers_a_merge_and_a_split():
+    """Two islands that a short bridge flow merges mid-drain; the bridge
+    finishes first and splits them again."""
+    curve = (0.1, 0.5)
+    spec = ([(100.0, None), (40.0, None), (100.0, curve)],
+            [(0.0, [0], 1000.0), (0.0, [2], 800.0), (0.25, [2], 300.0),
+             (0.25, [0, 1, 2], 10.0), (0.7, [1], 50.0)])
+    got, stats = _completion_instants(FluidNetwork, spec)
+    want, _ = _completion_instants(_DrainFirstNetwork, spec)
+    assert got == want
+    assert stats.merges >= 1 and stats.splits >= 1

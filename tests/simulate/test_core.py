@@ -526,3 +526,40 @@ def test_live_processes_tracks_parked_and_prunes_dead():
     assert sim.live_processes() == []
     # Dead entries were pruned from the registry, not just filtered.
     assert len(sim._spawned) == 0
+
+
+@pytest.mark.parametrize("make_wait", [
+    lambda sim: sim.timeout(5.0),  # triggered: sits in the calendar
+    lambda sim: sim.event(),       # pending until the attacker fires it
+], ids=["timeout", "event"])
+def test_rewaiting_after_interrupt_resumes_once(make_wait):
+    """A process that yields the event it waited on again after an
+    Interrupt resumes exactly once, and the abandoned wait left no
+    callback on the event."""
+    sim = Simulator()
+    log = []
+
+    def victim(sim, ev):
+        try:
+            yield ev
+        except Interrupt:
+            log.append(("interrupted", sim.now, list(ev.callbacks)))
+        value = yield ev
+        log.append(("resumed", sim.now, value))
+        yield sim.timeout(10.0)
+        log.append(("done", sim.now))
+
+    def attacker(sim, v, ev):
+        yield sim.timeout(1.0)
+        v.interrupt()
+        yield sim.timeout(4.0)
+        if not ev.triggered:
+            ev.succeed()
+
+    ev = make_wait(sim)
+    v = sim.spawn(victim(sim, ev))
+    sim.spawn(attacker(sim, v, ev))
+    sim.run()
+    assert log == [("interrupted", 1.0, []), ("resumed", 5.0, None),
+                   ("done", 15.0)]
+    assert ev.processed and sim.events_cancelled == 0

@@ -208,6 +208,26 @@ def test_run_benches_simulates_each_scenario_once(tmp_path, monkeypatch):
     assert harness._memo is None
 
 
+def test_run_benches_simulates_each_run_once(tmp_path, monkeypatch):
+    """The kernel-count sweep reads the Fig. 6 runs that fig6 already
+    simulated: one ``run_benches`` call drives each ``Run`` once, and the
+    pinned kernel counts still match."""
+    from repro.experiments import Run
+
+    drives = []
+    real_drive = Run.drive
+
+    def counting_drive(self, sc):
+        drives.append(self)
+        return real_drive(self, sc)
+
+    monkeypatch.setattr(Run, "drive", counting_drive)
+    _, regressions, _ = run_benches(["fig6", "events_per_sec"],
+                                    out_dir=str(tmp_path))
+    assert regressions == []
+    assert len(drives) == len(set(drives)) == 4
+
+
 def test_committed_baselines_cover_every_bench():
     """The committed baselines.json must have an entry per bench, so the
     CI job actually guards all four artifacts."""

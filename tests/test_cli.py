@@ -493,6 +493,27 @@ def test_explain_from_run_ids(capsys, recorded):
     assert "dominant delta component: blcr.restart" in out
 
 
+def test_explain_against_itself_and_the_unprobed_pin(capsys, recorded):
+    """A run against itself moves no component; against the pinned Fig. 4
+    trace (recorded without a telemetry probe) its series get one note
+    line instead of a table row each."""
+    import os
+
+    same = run_cli(capsys, "explain", recorded["file"], recorded["file"],
+                   "--runs-dir", str(recorded["dir"]))
+    assert "no component moved" in same
+    assert "dominant delta component" not in same
+    pin = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks",
+                       "baseline_traces", "migration_LU.C_file.jsonl.gz")
+    out = run_cli(capsys, "explain", pin, recorded["file"],
+                  "--runs-dir", str(recorded["dir"]))
+    assert "### Telemetry series deltas" not in out
+    notes = [ln for ln in out.splitlines() if "only in" in ln
+             and "series" in ln]
+    assert len(notes) == 1
+    assert notes[0].startswith("telemetry series not compared, ")
+
+
 def test_explain_writes_out_file(capsys, tmp_path, recorded):
     dest = tmp_path / "explain.md"
     out = run_cli(capsys, "explain", recorded["file"], recorded["memory"],
