@@ -369,9 +369,8 @@ def run_benches(names: Optional[List[str]] = None, out_dir: str = ".",
 
     tracer = None
     if update_baselines:
-        # Simulated before any bench: the trace records process-wide
-        # allocation ids (QP numbers, PIDs, ...), so in a fresh process
-        # they start where the pin's do whichever benches are re-pinned.
+        # Traced here and memoized: the benches that share the pinned
+        # run reuse it rather than simulate it again untraced.
         tracer = Tracer()
         _memo[PINNED_RUN] = _simulate(PINNED_RUN, trace=tracer)
 

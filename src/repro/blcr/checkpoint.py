@@ -64,26 +64,26 @@ class MemorySink:
 
     def __init__(self, sim: Simulator):
         self.sim = sim
-        self._buffers: Dict[int, bytearray] = {}
-        self._received: Dict[int, int] = {}
+        #: By image object: ``write`` and ``finalize`` get the same one.
+        self._buffers: Dict[CheckpointImage, bytearray] = {}
+        self._received: Dict[CheckpointImage, int] = {}
         self.images: Dict[str, CheckpointImage] = {}
         self.bytes_received = 0
 
     def write(self, image: CheckpointImage, offset: int, nbytes: int,
               data: Optional[np.ndarray]) -> Generator:
-        key = image.image_id
         if data is not None:
-            buf = self._buffers.get(key)
+            buf = self._buffers.get(image)
             if buf is None:
-                buf = self._buffers[key] = bytearray(image.nbytes)
+                buf = self._buffers[image] = bytearray(image.nbytes)
             buf[offset:offset + nbytes] = memoryview(data)
-        self._received[key] = self._received.get(key, 0) + nbytes
+        self._received[image] = self._received.get(image, 0) + nbytes
         self.bytes_received += nbytes
         yield self.sim.timeout(0)
 
     def finalize(self, image: CheckpointImage) -> Generator:
-        got = self._received.pop(image.image_id, 0)
-        buf = self._buffers.pop(image.image_id, None)
+        got = self._received.pop(image, 0)
+        buf = self._buffers.pop(image, None)
         if got != image.nbytes:
             raise RuntimeError(
                 f"incomplete stream for {image!r}: {got}/{image.nbytes}")
@@ -113,7 +113,7 @@ class FileSink:
         self.client = client
         self.fsync = fsync
         self.through_cache = through_cache
-        self._handles: Dict[int, object] = {}
+        self._handles: Dict[CheckpointImage, object] = {}
         #: image metadata parked alongside the file (BLCR header stand-in).
         self.metadata: Dict[str, CheckpointImage] = {}
 
@@ -125,12 +125,12 @@ class FileSink:
             handle = yield from self.fs.create(self.path_for(image), self.client)
         else:
             handle = yield from self.fs.create(self.path_for(image))
-        self._handles[image.image_id] = handle
+        self._handles[image] = handle
         return handle
 
     def write(self, image: CheckpointImage, offset: int, nbytes: int,
               data: Optional[np.ndarray]) -> Generator:
-        handle = self._handles.get(image.image_id)
+        handle = self._handles.get(image)
         if handle is None:
             handle = yield from self._create(image)
         if self.client is not None:  # PVFS signature
@@ -140,12 +140,12 @@ class FileSink:
                                      through_cache=self.through_cache)
 
     def finalize(self, image: CheckpointImage) -> Generator:
-        handle = self._handles.get(image.image_id)
+        handle = self._handles.get(image)
         if handle is None:  # zero-length image: still create the file
             handle = yield from self._create(image)
         yield from self.fs.close(handle, sync=self.fsync)
         self.metadata[self.path_for(image)] = image
-        del self._handles[image.image_id]
+        del self._handles[image]
 
 
 def _frozen_pages(segments: List[MemorySegment],
@@ -230,7 +230,7 @@ class CheckpointEngine:
             if any(seg.data is not None for seg in proc.segments):
                 pages = _frozen_pages(segments, chunk_bytes)
             proc.mark_clean()
-            scan_limit = Link(f"blcr.{self.node_name}.{proc.pid}.scan",
+            scan_limit = Link(f"blcr.{self.node_name}.{proc.name}.scan",
                               self.params.image_scan_bandwidth)
             offset = 0
             while offset < image.nbytes:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import copy
 import zlib
-from itertools import count
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -27,8 +26,6 @@ import numpy as np
 from ..cluster.osproc import MemorySegment, OSProcess, anon_pages
 
 __all__ = ["CheckpointImage"]
-
-_image_ids = count(start=1)
 
 #: A contiguous byte buffer: ``bytes`` from a snapshot, or the
 #: ``bytearray`` a reassembly or restart filled.
@@ -38,13 +35,12 @@ Payload = Union[bytes, bytearray]
 class CheckpointImage:
     """One process snapshot, self-contained enough to restart from."""
 
-    __slots__ = ("image_id", "proc_name", "origin_node", "layout",
-                 "app_state", "nbytes", "payload")
+    __slots__ = ("proc_name", "origin_node", "layout", "app_state",
+                 "nbytes", "payload")
 
     def __init__(self, proc_name: str, origin_node: str,
                  layout: List[Tuple[str, int]], app_state: Dict[str, Any],
                  payload: Optional[Payload]):
-        self.image_id = next(_image_ids)
         self.proc_name = proc_name
         self.origin_node = origin_node
         self.layout = list(layout)
@@ -184,5 +180,4 @@ class CheckpointImage:
 
     def __repr__(self) -> str:
         mode = "bytes" if self.payload is not None else "sized"
-        return (f"<CheckpointImage #{self.image_id} {self.proc_name} "
-                f"{self.nbytes}B {mode}>")
+        return f"<CheckpointImage {self.proc_name} {self.nbytes}B {mode}>"

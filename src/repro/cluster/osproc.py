@@ -17,14 +17,11 @@ of the ranks it moves.
 from __future__ import annotations
 
 import mmap
-from itertools import count
 from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
 __all__ = ["MemorySegment", "OSProcess", "anon_pages"]
-
-_pids = count(start=1000)
 
 #: Bytes drawn per generator call when filling a segment.  A multiple of
 #: 4: a ``uint8`` draw hands out the bytes of successive 32-bit outputs,
@@ -114,7 +111,6 @@ class OSProcess:
     def __init__(self, name: str, node: str,
                  segments: Optional[List[MemorySegment]] = None,
                  app_state: Optional[Dict[str, Any]] = None):
-        self.pid = next(_pids)
         self.name = name
         self.node = node
         self.segments: List[MemorySegment] = segments or []
@@ -171,11 +167,14 @@ class OSProcess:
         ``image_bytes`` (text/data/stack fixed-ish, heap takes the rest).
 
         With ``record_data`` the non-empty segments carry uniform random
-        bytes from ``rng`` (default: a generator seeded with the pid, fresh
-        per segment).  They are drawn on the first read of any segment's
-        ``data``, all at once and in segment order, so they equal a draw
-        made here; each segment's bytes live in :func:`anon_pages`.
+        bytes from ``rng``, which is then required.  They are drawn on the
+        first read of any segment's ``data``, all at once and in segment
+        order, so they equal a draw made here; each segment's bytes live
+        in :func:`anon_pages`.
         """
+        if record_data and rng is None:
+            raise ValueError(f"{name}: record_data needs an rng to draw "
+                             f"its segment bytes from")
         image_bytes = int(image_bytes)
         text = min(4 << 20, image_bytes // 10)
         stack = min(1 << 20, image_bytes // 20)
@@ -190,11 +189,10 @@ class OSProcess:
 
             def draw() -> None:
                 for seg in pending:
-                    gen = rng or np.random.default_rng(proc.pid)
                     payload = anon_pages(seg.nbytes)
                     for lo in range(0, seg.nbytes, _DRAW_STEP):
                         hi = min(lo + _DRAW_STEP, seg.nbytes)
-                        payload[lo:hi] = gen.integers(0, 256, size=hi - lo,
+                        payload[lo:hi] = rng.integers(0, 256, size=hi - lo,
                                                       dtype=np.uint8)
                     # An assigned segment keeps its value; its bytes are
                     # still drawn so later segments see the stream in order.
@@ -206,4 +204,4 @@ class OSProcess:
         return proc
 
     def __repr__(self) -> str:
-        return f"<OSProcess {self.name} pid={self.pid} on {self.node}>"
+        return f"<OSProcess {self.name} on {self.node}>"

@@ -43,8 +43,6 @@ if TYPE_CHECKING:  # the pipeline package builds sessions: import types only
 
 __all__ = ["RDMAMigrationSession", "AggregatingSink", "ChunkDescriptor"]
 
-_chunk_seq = count()
-
 _DESCRIPTOR_BYTES = 64
 _RELEASE_BYTES = 32
 
@@ -91,7 +89,7 @@ class AggregatingSink:
         yield s.net.transfer([s.fill_link], nbytes, label="mig-fill")
         if s.src_pool is not None and data is not None:
             s.src_pool[pool_offset:pool_offset + nbytes] = data
-        desc = ChunkDescriptor(next(_chunk_seq), image.proc_name, offset,
+        desc = ChunkDescriptor(next(s._chunk_seq), image.proc_name, offset,
                                nbytes, pool_offset,
                                src_span=s.tracer.current_span())
         s.bytes_offered += nbytes
@@ -112,7 +110,7 @@ class AggregatingSink:
         s = self.session
         meta = CheckpointImage(image.proc_name, image.origin_node,
                                image.layout, image.app_state, payload=None)
-        desc = ChunkDescriptor(next(_chunk_seq), image.proc_name,
+        desc = ChunkDescriptor(next(s._chunk_seq), image.proc_name,
                                image.nbytes, 0, 0, final=True, image_meta=meta)
         s.src_qp.post_send(("fin", desc.seq), _DESCRIPTOR_BYTES, payload=desc)
         yield self.sim.timeout(0)
@@ -161,6 +159,8 @@ class RDMAMigrationSession:
         self._expected_total: Dict[str, int] = {}
         self._all_received: Dict[str, Event] = {}
         self._pumps: List[Process] = []
+        #: Descriptor seqs and reposted receive ids of this migration.
+        self._chunk_seq = count()
         # accounting
         self.bytes_offered = 0.0
         self.bytes_pulled = 0.0
@@ -269,7 +269,7 @@ class RDMAMigrationSession:
                 lambda w: w.opcode == "RECV")
             if not wc.ok:
                 return  # QP flushed at teardown
-            self.dst_qp.post_recv(("rx", next(_chunk_seq)))  # restore credit
+            self.dst_qp.post_recv(("rx", next(self._chunk_seq)))  # restore credit
             desc: ChunkDescriptor = wc.payload
             if desc.final:
                 self.sim.spawn(self._finish_proc(desc),
@@ -360,7 +360,7 @@ class RDMAMigrationSession:
                 lambda w: w.opcode == "RECV")
             if not wc.ok:
                 return
-            self.src_qp.post_recv(("rel", next(_chunk_seq)))
+            self.src_qp.post_recv(("rel", next(self._chunk_seq)))
             self.free_slots.put(wc.payload)
             self._sample_occupancy()
             trace = self.sim.trace

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
+from itertools import count
 from typing import Callable, Deque, Dict, Generator, List, Optional, Set
 
 from ..params import FTBParams
@@ -220,6 +221,8 @@ class FTBBackplane:
             fabric.attach(n)
         self.agents: Dict[str, FTBAgent] = {}
         self.root = self._build_tree(nodes, root_node, fanout)
+        #: Event ids, in this backplane's publish order.
+        self._event_ids = count()
 
     def _build_tree(self, nodes: List[str], root_node: str, fanout: int) -> FTBAgent:
         ordered = [root_node] + [n for n in nodes if n != root_node]

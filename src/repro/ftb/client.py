@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Callable, Generator, Optional
 
-from ..simulate.core import Event, Simulator
+from ..simulate.core import Simulator
 from .agent import FTBAgent, FTBBackplane, Subscription
 from .events import FTBEvent
 
@@ -41,34 +41,34 @@ class FTBClient:
             self.agent = self.backplane.live_agent(self.node)
         return self.agent
 
-    def _note_publish(self, event: FTBEvent) -> None:
+    def _new_event(self, event_name: str, payload: Optional[dict],
+                   severity: str) -> FTBEvent:
+        return FTBEvent(name=event_name, source=self.name,
+                        event_id=next(self.backplane._event_ids),
+                        payload=payload or {}, severity=severity,
+                        src_span=self.sim.tracer.current_span())
+
+    def _submit(self, event: FTBEvent) -> FTBEvent:
+        self._live_agent().submit(event)
         self._m_published.inc()
         trace = self.sim.trace
         if trace is not None:
             trace.record(self.sim.now, "ftb.publish", node=self.node,
                          client=self.name, event=event.name,
                          severity=event.severity)
+        return event
 
     def publish(self, event_name: str, payload: Optional[dict] = None,
                 severity: str = "INFO") -> Generator:
         """Generator: publish an event into the backplane."""
-        event = FTBEvent(name=event_name, source=self.name,
-                         payload=payload or {}, severity=severity,
-                         src_span=self.sim.tracer.current_span())
+        event = self._new_event(event_name, payload, severity)
         yield self.sim.timeout(self.backplane.params.publish_cost)
-        self._live_agent().submit(event)
-        self._note_publish(event)
-        return event
+        return self._submit(event)
 
     def publish_nowait(self, event_name: str, payload: Optional[dict] = None,
                        severity: str = "INFO") -> FTBEvent:
         """Fire-and-forget publish from non-process context (callbacks)."""
-        event = FTBEvent(name=event_name, source=self.name,
-                         payload=payload or {}, severity=severity,
-                         src_span=self.sim.tracer.current_span())
-        self._live_agent().submit(event)
-        self._note_publish(event)
-        return event
+        return self._submit(self._new_event(event_name, payload, severity))
 
     def subscribe(self, mask: str,
                   callback: Optional[Callable[[FTBEvent], None]] = None
@@ -82,11 +82,6 @@ class FTBClient:
             self.agent.subscriptions.remove(sub)
         except ValueError:
             pass
-
-    @staticmethod
-    def next_event(sub: Subscription) -> Event:
-        """Event for the next delivery on a subscription queue."""
-        return sub.queue.get()
 
     def __repr__(self) -> str:
         return f"<FTBClient {self.name}@{self.node}>"

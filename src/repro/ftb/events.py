@@ -9,7 +9,6 @@ constants so every component spells them identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
 from typing import Any, Dict, Optional
 
 __all__ = [
@@ -31,8 +30,6 @@ FTB_HEALTH_ALARM = "FTB.HW.IPMI.ALARM"
 FTB_CKPT_BEGIN = "FTB.MPI.MVAPICH2.CKPT_BEGIN"
 FTB_CKPT_DONE = "FTB.MPI.MVAPICH2.CKPT_DONE"
 
-_seq = count()
-
 
 @dataclass(frozen=True)
 class FTBEvent:
@@ -40,9 +37,9 @@ class FTBEvent:
 
     name: str
     source: str
+    event_id: int
     payload: Dict[str, Any] = field(default_factory=dict)
     severity: str = "INFO"
-    event_id: int = field(default_factory=lambda: next(_seq))
     #: Span open in the publisher's task at publish time; agents link it
     #: to their ``ftb.deliver`` span so traces show publish->deliver arrows.
     src_span: Optional[int] = field(default=None, compare=False)

@@ -32,16 +32,14 @@ __all__ = ["Channel", "ChannelManager", "EAGER_THRESHOLD", "steadfast_wait"]
 #: MVAPICH2's default RDMA eager/rendezvous switch-over region.
 EAGER_THRESHOLD = 256 * 1024
 
-_wr_ids = count()
-
 
 def steadfast_wait(ev: Event) -> Generator:
     """Generator: wait on ``ev``, absorbing C/R suspension interrupts.
 
     A posted work request always runs to completion; the suspension is
     honoured at the rank's next MPI-call gate instead.  Re-yielding the
-    same event after an interrupt is safe: the kernel's wait-token machinery
-    ignores the stale callback and the fresh one resumes us exactly once.
+    same event after an interrupt is safe: the kernel drops a wake-up from
+    any event but the one the process waits on (``Process._waiting``).
     """
     while True:
         try:
@@ -65,6 +63,8 @@ class Channel:
         #: Set by the receiving rank's controller when the FLUSH marker of
         #: the current drain epoch arrives.
         self.flush_received: Event = Event(sim, name="flush-recv")
+        #: Work-request ids; every CQ this channel polls is its own QPs'.
+        self._wr_ids = count()
 
     # -- lifecycle -----------------------------------------------------------
     def establish(self) -> Generator:
@@ -75,7 +75,7 @@ class Channel:
         self.qp_dst = QueuePair(self.sim, hca_dst)
         yield from self.qp_src.connect(self.qp_dst)
         self.alive = True
-        self.qp_dst.post_recv(next(_wr_ids))
+        self.qp_dst.post_recv(next(self._wr_ids))
         self.sim.spawn(self._demux(), name=f"demux:{self.src.rank}->{self.dst.rank}")
 
     def teardown(self) -> None:
@@ -93,7 +93,7 @@ class Channel:
             if not wc.ok:
                 return  # QP flushed at teardown
             if self.alive:
-                self.qp_dst.post_recv(next(_wr_ids))
+                self.qp_dst.post_recv(next(self._wr_ids))
             tag, payload = wc.payload
             msg = Message(src=self.src.rank, dst=self.dst.rank, tag=tag,
                           nbytes=wc.nbytes, payload=payload)
@@ -126,7 +126,7 @@ class Channel:
                 yield from steadfast_wait(
                     self.sim.timeout(4 * fabric.params.latency
                                      + 2 * fabric.params.wqe_overhead))
-            wr = next(_wr_ids)
+            wr = next(self._wr_ids)
             self.qp_src.post_send(wr, nbytes, payload=(tag, payload))
             wc = yield from steadfast_wait(self.qp_src.cq.poll(match=wr))
             wc.raise_on_error()
@@ -145,9 +145,6 @@ class Channel:
         else:
             self._idle_waiters.append(ev)
         return ev
-
-    def reset_flush(self) -> None:
-        self.flush_received = Event(self.sim, name="flush-recv")
 
     def __repr__(self) -> str:
         state = "up" if self.alive else "down"

@@ -191,6 +191,8 @@ class IBFabric:
                                                   unit="bytes")
         #: Instruments shared by every QP and CQ on this fabric.
         self.verbs_counters = VerbsCounters(sim.metrics)
+        #: QP numbers, handed out in this fabric's allocation order.
+        self._qp_nums = count()
 
     def attach(self, node: str) -> HCA:
         hca = self.hcas.get(node)

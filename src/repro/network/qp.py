@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count
 from typing import Any, Generator, Optional
 
 from ..simulate.core import Event, Simulator
@@ -67,22 +66,22 @@ class WorkCompletion:
 
 
 class CompletionQueue:
-    """FIFO of work completions, pollable by a sim process."""
+    """FIFO of work completions, pollable by a sim process.
 
-    def __init__(self, sim: Simulator, name: str = "cq",
-                 owner_qp: Optional[int] = None,
-                 counters: Optional[VerbsCounters] = None):
+    Every QP has its own CQ, so a completion is attributed to its QP and
+    a work-request id need only be unique among that QP's requests.
+    """
+
+    def __init__(self, sim: Simulator, name: str, owner_qp: int,
+                 counters: VerbsCounters):
         self.sim = sim
         self.name = name
-        #: qp_num of the QP this CQ serves, when dedicated to one — lets a
-        #: completion be attributed to its QP (shared CQs leave it None).
+        #: qp_num of the QP this CQ serves.
         self.owner_qp = owner_qp
         self._entries: Store = Store(sim)
-        # A QP passes its fabric's counters; a standalone CQ resolves its own.
-        c = counters if counters is not None else VerbsCounters(sim.metrics)
-        self._m_completed = c.wqe_completed
-        self._m_errors = c.wqe_errors
-        self._m_bytes = c.bytes_by_opcode
+        self._m_completed = counters.wqe_completed
+        self._m_errors = counters.wqe_errors
+        self._m_bytes = counters.bytes_by_opcode
 
     def push(self, wc: WorkCompletion) -> None:
         self._m_completed.inc()
@@ -122,17 +121,14 @@ class _PostedRecv:
 class QueuePair:
     """One endpoint of a reliable connection."""
 
-    _ids = count()
-
-    def __init__(self, sim: Simulator, hca: HCA, cq: Optional[CompletionQueue] = None):
+    def __init__(self, sim: Simulator, hca: HCA):
         self.sim = sim
         self.hca = hca
         self.fabric: IBFabric = hca.fabric
-        self.qp_num = next(self._ids)
+        self.qp_num = next(self.fabric._qp_nums)
         counters = self.fabric.verbs_counters
-        self.cq = cq or CompletionQueue(sim, name=f"cq.{hca.node}",
-                                        owner_qp=self.qp_num,
-                                        counters=counters)
+        self.cq = CompletionQueue(sim, f"cq.{hca.node}", self.qp_num,
+                                  counters)
         self.state = QPState.RESET
         self.peer: Optional["QueuePair"] = None
         self._destroyed = False

@@ -244,7 +244,7 @@ class QPLifecycleRule(Rule):
         elif rec.kind == "qp.complete":
             qp = rec.get("qp")
             if qp is None or not rec.get("ok"):
-                return  # shared CQ (unattributable) or a legitimate flush
+                return  # no QP attributed, or a legitimate flush
             when = self._destroyed.get(qp)
             if when is not None:
                 self.report(

@@ -15,8 +15,9 @@ pure ``ast`` visitors (no third-party dependencies):
   ``datetime.now``-family, any function of the global ``random`` module
   or of numpy's global ``np.random`` state, however imported, or an RNG
   constructor — ``default_rng``, ``Random``, ``RandomState``, … — with
-  no seed or a ``None`` seed) — simulated time comes from ``sim.now``
-  and randomness from a seeded generator, or runs stop being
+  no seed or a ``None`` seed, or an ``itertools.count()`` at module or
+  class scope) — simulated time comes from ``sim.now``, randomness from
+  a seeded generator and ids from their owner, or runs stop being
   reproducible (the host-side ``obs`` package — run manifests and the
   ``--progress`` heartbeat — is exempt: its job *is* wall time);
 * ``unused-import`` — an imported name never referenced in the module
@@ -193,6 +194,8 @@ class _EmitSiteVisitor(ast.NodeVisitor):
         self._wallclock_exempt = _wallclock_exempt(path)
         #: {bound name: dotted target} of the imports seen so far.
         self._imports: Dict[str, str] = {}
+        #: How many function bodies (defs, lambdas) enclose the node.
+        self._fn_depth = 0
 
     # -- helpers ------------------------------------------------------------
     def _find(self, node: ast.AST, code: str, message: str) -> None:
@@ -213,6 +216,13 @@ class _EmitSiteVisitor(ast.NodeVisitor):
                        f"{missing} (schema: {sorted(required)})")
 
     # -- visitors -----------------------------------------------------------
+    def _visit_function(self, node: ast.AST) -> None:
+        self._fn_depth += 1
+        self.generic_visit(node)
+        self._fn_depth -= 1
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_Lambda = _visit_function
+
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
             if alias.asname:
@@ -279,7 +289,11 @@ class _EmitSiteVisitor(ast.NodeVisitor):
         head, dot, rest = dotted.partition(".")
         resolved = self._imports.get(head, head) + dot + rest
         module, _, func = resolved.rpartition(".")
-        if (module.rpartition(".")[2], func) in _WALL_CLOCK_CALLS:
+        if resolved == "itertools.count" and not self._fn_depth:
+            self._find(node, "wall-clock",
+                       f"{dotted}() at module or class scope — ids must "
+                       f"come from an object that holds the simulation")
+        elif (module.rpartition(".")[2], func) in _WALL_CLOCK_CALLS:
             self._find(node, "wall-clock",
                        f"call to {dotted}() — simulation code must take "
                        f"time from sim.now, not the wall clock")

@@ -75,7 +75,8 @@ register_rule("LNT001", "unknown-kind", "error",
 register_rule("LNT002", "missing-field", "error",
               "emit site lacks a field the kind's schema requires")
 register_rule("LNT003", "wall-clock", "error",
-              "simulation code calls a wall-clock or unseeded-RNG API")
+              "simulation code calls a wall-clock or unseeded-RNG API, "
+              "or keeps a process-global id counter")
 register_rule("LNT004", "unused-import", "warning",
               "imported name never referenced in the module")
 register_rule("LNT006", "emitter-drift", "error",

@@ -20,7 +20,8 @@ from repro.storage import Disk, LocalFS
 
 
 def data_proc(name="rank0", node="node0", nbytes=50_000):
-    return OSProcess.synthetic(name, node, image_bytes=nbytes, record_data=True)
+    return OSProcess.synthetic(name, node, image_bytes=nbytes, record_data=True,
+                               rng=np.random.default_rng(1))
 
 
 def on_mappings(proc):
@@ -77,6 +78,9 @@ def test_sized_only_image():
     assert image.nbytes == 10_000
     assert image.slice(0, 100) is None
     assert image.checksum() is None
+    # Real bytes need a stream to draw from: there is no default.
+    with pytest.raises(ValueError, match="rng"):
+        OSProcess.synthetic("r0", "n0", image_bytes=10_000, record_data=True)
 
 
 def test_checksum_order_sensitive():

@@ -67,7 +67,8 @@ def test_osprocess_segments_and_image_size():
 
 def test_killed_process_holds_no_segment_bytes():
     proc = OSProcess.synthetic("rank0", "node0", image_bytes=100_000,
-                               record_data=True)
+                               record_data=True,
+                               rng=np.random.default_rng(5))
     assert all(seg.data is not None for seg in proc.segments)
     proc.kill()
     assert all(seg.data is None for seg in proc.segments)
@@ -85,10 +86,11 @@ def test_osprocess_synthetic_layout():
 
 def test_osprocess_synthetic_with_data():
     proc = OSProcess.synthetic("rank0", "node0", image_bytes=100_000,
-                               record_data=True)
+                               record_data=True,
+                               rng=np.random.default_rng(4))
     assert proc.image_bytes == 100_000
     assert all(s.data is not None for s in proc.segments if s.nbytes)
-    # Deterministic per pid seed: content exists and is non-trivial.
+    # Drawn from the seeded stream: content exists and is non-trivial.
     heap = next(s for s in proc.segments if s.name == "heap")
     assert heap.data.std() > 0
 

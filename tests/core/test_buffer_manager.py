@@ -42,7 +42,8 @@ def migrate_procs(sim, cluster, session, procs):
 def test_single_process_byte_exact_reassembly():
     sim, cluster, session = make(record_data=True)
     proc = OSProcess.synthetic("rank0", "node0", image_bytes=3 * MB + 12345,
-                               record_data=True)
+                               record_data=True,
+                               rng=np.random.default_rng(9))
     proc.app_state["iteration"] = 42
     src_sum = CheckpointImage.snapshot(proc).checksum()
     migrate_procs(sim, cluster, session, [proc])
@@ -66,7 +67,8 @@ def test_multi_process_aggregation_interleaves_without_mixing():
     must reassemble byte-exactly — the paper's aggregation correctness."""
     sim, cluster, session = make(record_data=True)
     procs = [OSProcess.synthetic(f"rank{i}", "node0",
-                                 image_bytes=MB + i * 7777, record_data=True)
+                                 image_bytes=MB + i * 7777, record_data=True,
+                                 rng=np.random.default_rng(i))
              for i in range(4)]
     sums = {p.name: CheckpointImage.snapshot(p).checksum() for p in procs}
     migrate_procs(sim, cluster, session, procs)
@@ -194,7 +196,7 @@ def test_finish_proc_parks_instead_of_polling():
 
     p = sim.spawn(drive(sim))
     sim.run(until=p)
-    events_processed = next(sim._seq)
+    events_processed = sim.events_processed
     assert sim.now > 10.0
     assert events_processed < 5000, (
         f"{events_processed} events for one chunk + a 10 s finalize wait "

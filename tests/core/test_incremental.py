@@ -24,7 +24,8 @@ def test_segments_born_dirty_and_mark_clean():
 
 def test_delta_snapshot_captures_only_dirty():
     proc = OSProcess.synthetic("p", "n0", image_bytes=200_000,
-                               record_data=True)
+                               record_data=True,
+                               rng=np.random.default_rng(7))
     proc.mark_clean()
     proc.touch(["stack"])
     delta = CheckpointImage.snapshot(proc, dirty_only=True)
@@ -35,7 +36,8 @@ def test_delta_snapshot_captures_only_dirty():
 
 def test_merge_folds_delta_over_base():
     proc = OSProcess.synthetic("p", "n0", image_bytes=50_000,
-                               record_data=True)
+                               record_data=True,
+                               rng=np.random.default_rng(6))
     base = CheckpointImage.snapshot(proc)
     # Mutate the heap, capture the delta, merge.
     heap = next(s for s in proc.segments if s.name == "heap")

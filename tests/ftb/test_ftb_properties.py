@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ftb import FTBBackplane, FTBClient, match_mask
-from repro.ftb.events import FTBEvent
 from repro.network import EthernetFabric
 from repro.simulate import Simulator
 
@@ -92,6 +91,27 @@ def test_tree_survives_any_single_agent_failure(kill_idx):
     assert len(sub.queue) == 1
 
 
+def _published_ids(n):
+    """Ids of ``n`` events published through a fresh backplane."""
+    sim = Simulator()
+    bp = FTBBackplane(sim, EthernetFabric(sim), ["n0", "n1"])
+    cl = FTBClient(bp, "n1", name="pub")
+    ids = [cl.publish_nowait("FTB.X").event_id for _ in range(n // 2)]
+
+    def publisher(sim):
+        for _ in range(n - n // 2):
+            event = yield from cl.publish("FTB.X")
+            ids.append(event.event_id)
+
+    sim.spawn(publisher(sim))
+    sim.run()
+    return ids
+
+
 def test_event_ids_unique():
-    ids = {FTBEvent("FTB.X", "s").event_id for _ in range(100)}
-    assert len(ids) == 100
+    """Ids published through one backplane are distinct, and a backplane
+    in a fresh simulation numbers its events from 0 again."""
+    ids = _published_ids(100)
+    assert len(set(ids)) == 100
+    assert _published_ids(100) == ids
+    assert min(ids) == 0

@@ -1,5 +1,6 @@
 """Tests for the spawn tree, NLAs and the Job Manager."""
 
+import numpy as np
 import pytest
 
 from repro.blcr import CheckpointEngine, CheckpointImage, FileSink
@@ -69,7 +70,8 @@ def test_nla_restart_from_tmp_files_roundtrip():
     nla = jm.nla("spare0")
     engine = CheckpointEngine(sim, "spare0")
     proc = OSProcess.synthetic("rank5", "node0", image_bytes=40_000,
-                               record_data=True)
+                               record_data=True,
+                               rng=np.random.default_rng(14))
     proc.app_state["iter"] = 17
     src_sum = CheckpointImage.snapshot(proc).checksum()
 
@@ -95,7 +97,8 @@ def test_nla_restart_memory_mode():
     state flip to the caller, who owns the whole set."""
     sim, cluster, bp, jm = make()
     nla = jm.nla("spare0")
-    proc = OSProcess.synthetic("r", "node0", image_bytes=10_000, record_data=True)
+    proc = OSProcess.synthetic("r", "node0", image_bytes=10_000, record_data=True,
+                               rng=np.random.default_rng(13))
     image = CheckpointImage.snapshot(proc)
     src_sum = image.checksum()
 
@@ -161,7 +164,8 @@ def test_nla_restart_expected_procs_mismatch():
     sim, cluster, bp, jm = make()
     nla = jm.nla("spare0")
     proc = OSProcess.synthetic("r", "node0", image_bytes=10_000,
-                               record_data=True)
+                               record_data=True,
+                               rng=np.random.default_rng(12))
     image = CheckpointImage.snapshot(proc)
 
     def run(sim):
@@ -182,7 +186,8 @@ def test_nla_restart_file_mode_missing_paths():
     sim, cluster, bp, jm = make()
     nla = jm.nla("spare0")
     proc = OSProcess.synthetic("r", "node0", image_bytes=10_000,
-                               record_data=True)
+                               record_data=True,
+                               rng=np.random.default_rng(11))
     image = CheckpointImage.snapshot(proc)
 
     def run(sim):
@@ -199,7 +204,8 @@ def test_nla_restart_matching_expected_procs_succeeds():
     nla = jm.nla("spare0")
     engine = CheckpointEngine(sim, "spare0")
     proc = OSProcess.synthetic("r", "node0", image_bytes=10_000,
-                               record_data=True)
+                               record_data=True,
+                               rng=np.random.default_rng(10))
 
     def run(sim):
         sink = FileSink(sim, cluster.node("spare0").fs, "/tmp/mig",

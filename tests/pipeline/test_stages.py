@@ -32,7 +32,8 @@ def test_memory_sink_reassembles_payload_from_shuffled_chunks():
     sim = Simulator()
     sink = MemoryReassemblySink(sim, spare(sim))
     proc = OSProcess.synthetic("r0", "node0", image_bytes=3000,
-                               record_data=True)
+                               record_data=True,
+                               rng=np.random.default_rng(3))
     meta = CheckpointImage.snapshot(proc)
     payload = meta.payload
     chunks = [(0, 1000), (1000, 1000), (2000, 1000)]
@@ -87,7 +88,8 @@ def test_file_sink_writes_each_proc_to_its_own_tmp_file():
     target = spare(sim, record_data=True)
     sink = FileReassemblySink(sim, target)
     proc = OSProcess.synthetic("r0", "node0", image_bytes=2000,
-                               record_data=True)
+                               record_data=True,
+                               rng=np.random.default_rng(2))
     meta = CheckpointImage.snapshot(proc)
 
     def run(sim):

@@ -224,6 +224,31 @@ def test_sim_now_is_clean():
     """) == []
 
 
+@pytest.mark.parametrize("source", [
+    """
+        from itertools import count
+        _ids = count()
+    """,
+    """
+        import itertools
+        class QP:
+            _ids = itertools.count(start=1)
+    """,
+])
+def test_process_global_id_counter(source):
+    assert codes(source) == ["wall-clock"]
+
+
+def test_id_counter_owned_by_an_object_is_clean():
+    assert codes("""
+        from itertools import count
+        class Fabric:
+            def __init__(self, sim):
+                self.sim = sim
+                self._qp_nums = count()
+    """) == []
+
+
 # ---------------------------------------------------------------------------
 # unused-import
 # ---------------------------------------------------------------------------

@@ -167,12 +167,10 @@ def test_update_baselines_pins_canonical_trace(tmp_path):
         assert fh.read(2) == b"\x1f\x8b"
 
 
-def test_repinning_a_subset_writes_the_committed_trace(
-        tmp_path, reset_global_counters):
-    """fig6 simulates ppn1, ppn2 and ppn4 before the pinned ppn8 run; the
-    pin is simulated first all the same, so its allocation ids (QP
-    numbers, PIDs, ...) match the committed trace."""
-    reset_global_counters()
+def test_repinning_a_subset_writes_the_committed_trace(tmp_path):
+    """fig6 simulates ppn1, ppn2 and ppn4 as well as the pinned ppn8 run;
+    each run allocates its own ids (QP numbers, descriptor seqs, ...), so
+    the re-pinned trace matches the committed one."""
     base = tmp_path / "baselines.json"
     run_benches(["fig6"], out_dir=str(tmp_path), baselines_path=str(base),
                 update_baselines=True)

@@ -39,13 +39,12 @@ FIG7_CR_PVFS_RECORDS = 25741
 FIG7_CR_PVFS_CYCLE_S = 26.91683
 
 
-def _fig4_records(reset_counters, telemetry=False):
+def _fig4_records(telemetry=False):
     """Run Fig. 4 LU.C file mode -> (total seconds, JSON-normalised records).
 
     Records go through a JSON round trip (tuples become lists) so they
     compare equal to rows read back from the pinned ``.jsonl.gz``.
     """
-    reset_counters()
     tracer = Tracer()
     run = FIG4["LU.C"]
     sc = run.scenario(trace=tracer)
@@ -66,29 +65,40 @@ def _assert_matches_pin(records):
     assert len(records) == len(pinned)
 
 
-def test_fig4_trace_matches_pinned_artifact(reset_global_counters):
+def test_fig4_trace_matches_pinned_artifact():
     """The Fig. 4 LU.C migration replays the committed baseline trace
     record for record."""
-    total, records = _fig4_records(reset_global_counters)
+    total, records = _fig4_records()
     assert round(total, 6) == FIG4_TOTAL_S
     _assert_matches_pin(records)
 
 
-def test_trace_is_identical_with_telemetry_enabled(reset_global_counters):
+def test_trace_is_identical_with_telemetry_enabled():
     """The telemetry probe is pure observation: stripping its own records
     recovers the pinned probe-less trace exactly."""
-    total, records = _fig4_records(reset_global_counters, telemetry=True)
+    total, records = _fig4_records(telemetry=True)
     assert round(total, 6) == FIG4_TOTAL_S
     kept = [rec for rec in records if rec["kind"] != "telemetry.sample"]
     assert len(kept) < len(records), "probe must actually have sampled"
     _assert_matches_pin(kept)
 
 
-def test_fig7_cr_pvfs_trace_matches_pinned_digest(reset_global_counters):
+def test_fig4_trace_is_identical_when_run_twice_in_one_process():
+    """Ids come from the simulation that allocates them (QP numbers from
+    the fabric, descriptor seqs from the session, ...), so a second
+    traced run in the same interpreter replays the first record for
+    record."""
+    _, first = _fig4_records()
+    _, second = _fig4_records()
+    for i, (a, b) in enumerate(zip(first, second)):
+        assert a == b, f"second run diverges at record {i}"
+    assert len(first) == len(second)
+
+
+def test_fig7_cr_pvfs_trace_matches_pinned_digest():
     """The Fig. 7 LU.C CR(PVFS) checkpoint and restart, driven by
     ``Scenario.run_cr_cycle``, replay the pinned trace digest, with every
     float in its exact repr."""
-    reset_global_counters()
     tracer = Tracer()
     run = FIG7["LU.C"]["cr_pvfs"]
     ckpt, restart = run.scenario(trace=tracer).run_cr_cycle("pvfs")
@@ -106,11 +116,10 @@ def test_fig7_cr_pvfs_trace_matches_pinned_digest(reset_global_counters):
     assert digest.hexdigest() == FIG7_CR_PVFS_TRACE_SHA256
 
 
-def _cluster_trace_jsonl(reset_counters):
+def _cluster_trace_jsonl():
     """One seeded cluster-scale run -> (results dict, trace JSONL)."""
     from repro.cluster import ClusterScale
 
-    reset_counters()
     tracer = Tracer()
     cs = ClusterScale(n_nodes=256, n_jobs=16, seed=0, trace=tracer)
     results = cs.run()
@@ -119,11 +128,11 @@ def _cluster_trace_jsonl(reset_counters):
     return results, lines
 
 
-def test_cluster_trace_is_stable_across_runs(reset_global_counters):
+def test_cluster_trace_is_stable_across_runs():
     """Back-to-back cluster runs replay identically: same counters, same
     trace bytes, with spares borrowed over the rack ring and denied."""
-    res_a, lines_a = _cluster_trace_jsonl(reset_global_counters)
-    res_b, lines_b = _cluster_trace_jsonl(reset_global_counters)
+    res_a, lines_a = _cluster_trace_jsonl()
+    res_b, lines_b = _cluster_trace_jsonl()
     assert res_a == res_b
     assert lines_a == lines_b
     assert res_a["jobs_completed"] == 16
