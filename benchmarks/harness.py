@@ -32,7 +32,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.analysis import (
     atomic_write,
-    migration_phase_breakdown,
     speedup,
     write_jsonl,
 )
@@ -121,7 +120,7 @@ def _result(run: Run) -> Any:
 
 def _phases(report) -> Dict[str, float]:
     return {k: round(v, 6)
-            for k, v in migration_phase_breakdown(report).items()}
+            for k, v in report.as_row().items()}
 
 
 def _migrations(title: str, runs: Dict[str, Run]) -> Dict[str, Any]:

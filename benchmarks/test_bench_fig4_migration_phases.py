@@ -8,7 +8,7 @@ into Job Stall / Job Migration / Restart / Resume.
 import pytest
 
 from repro import MigrationPhase
-from repro.analysis import migration_phase_breakdown, render_stacked, render_table
+from repro.analysis import render_stacked, render_table
 from repro.experiments import (
     APPS,
     FIG4,
@@ -25,8 +25,7 @@ def reports():
 def test_bench_fig4(benchmark, reports):
     benchmark.pedantic(FIG4["LU.C"].execute, rounds=1, iterations=1)
 
-    rows = {f"{app}.64": migration_phase_breakdown(r)
-            for app, r in reports.items()}
+    rows = {f"{app}.64": r.as_row() for app, r in reports.items()}
     for app in APPS:
         rows[f"{app}.64"]["paper total"] = PAPER_FIG4_TOTAL_S[app]
     print()

@@ -10,7 +10,7 @@ rises with task scale.
 import pytest
 
 from repro import MigrationPhase
-from repro.analysis import migration_phase_breakdown, render_table
+from repro.analysis import render_table
 from repro.experiments import FIG6, PAPER_FIG6_TOTAL_S, PPNS
 
 
@@ -24,7 +24,7 @@ def test_bench_fig6(benchmark, reports):
 
     rows = {}
     for ppn, report in reports.items():
-        row = migration_phase_breakdown(report)
+        row = report.as_row()
         row["paper total"] = PAPER_FIG6_TOTAL_S[ppn]
         rows[f"{ppn} ranks/node"] = row
     print()

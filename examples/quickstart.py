@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import Scenario
-from repro.analysis import migration_phase_breakdown, render_table
+from repro.analysis import render_table
 
 
 def main() -> None:
@@ -25,7 +25,7 @@ def main() -> None:
 
     print(render_table(
         "Migration cycle (cf. paper Figure 4, LU.C.64)",
-        {"LU.C.64": migration_phase_breakdown(report)}))
+        {"LU.C.64": report.as_row()}))
     print()
     print(f"Data migrated : {report.bytes_migrated / 1e6:8.1f} MB "
           f"(paper Table I: 170.4 MB)")

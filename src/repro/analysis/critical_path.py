@@ -222,25 +222,16 @@ class CriticalPath:
     def total(self) -> float:
         return sum(seg.duration for seg in self.segments)
 
-    def blame(self, phases=None) -> Dict[str, Dict[str, float]]:
+    def blame(self) -> Dict[str, Dict[str, float]]:
         """``{phase -> {component -> seconds on the critical path}}``.
 
         The phase of a segment is the nearest ``phase`` span on its
         ancestor chain (``(outside phases)`` when there is none), so the
         breakdown works on any trace without separate interval input.
-        ``phases`` optionally restricts/labels by explicit
-        :class:`~repro.analysis.timeline.PhaseInterval` objects instead.
         """
         out: Dict[str, Dict[str, float]] = {}
         for seg in self.segments:
-            if phases is not None:
-                mid = (seg.start + seg.end) / 2
-                phase = next((iv.name for iv in phases
-                              if iv.start - _EPS <= mid <= iv.end + _EPS),
-                             "(outside phases)")
-            else:
-                phase = self._phase_of(seg.node)
-            bucket = out.setdefault(phase, {})
+            bucket = out.setdefault(self._phase_of(seg.node), {})
             label = seg.node.label
             bucket[label] = bucket.get(label, 0.0) + seg.duration
         return out

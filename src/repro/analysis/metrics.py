@@ -8,13 +8,7 @@ from ..core.protocol import (
     CheckpointReport, MigrationPhase, MigrationReport, RestartReport,
 )
 
-__all__ = ["migration_phase_breakdown", "cr_cycle_breakdown",
-           "migration_cycle_breakdown", "speedup"]
-
-
-def migration_phase_breakdown(report: MigrationReport) -> Dict[str, float]:
-    """Ordered {phase name: seconds} plus the total (Figure 4/6 rows)."""
-    return report.as_row()
+__all__ = ["cr_cycle_breakdown", "migration_cycle_breakdown", "speedup"]
 
 
 def cr_cycle_breakdown(ckpt: CheckpointReport,

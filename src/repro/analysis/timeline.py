@@ -1,20 +1,20 @@
-"""Timeline extraction from a simulation trace.
+"""Phase timeline of a simulation trace.
 
-Turns the ``phase.start``/``phase.end`` records that the migration
-framework writes into a :class:`Tracer` into ordered intervals, and renders
-them as an ASCII Gantt chart — useful for eyeballing where a cycle's time
-actually went and for regression checks on phase boundaries.
+The migration framework brackets each protocol phase in a ``phase``
+span.  :func:`extract_phases` reads those spans off the span DAG as
+ordered intervals, and :func:`render_timeline` draws them as an ASCII
+Gantt chart — useful for eyeballing where a cycle's time actually went
+and for regression checks on phase boundaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
-from ..simulate.trace import Tracer
+from .critical_path import SpanDAG, build_span_dag
 
-__all__ = ["PhaseInterval", "extract_phases", "phase_totals",
-           "render_timeline"]
+__all__ = ["PhaseInterval", "extract_phases", "render_timeline"]
 
 
 @dataclass(frozen=True)
@@ -36,61 +36,25 @@ class PhaseInterval:
         return self.end - self.start
 
 
-def extract_phases(trace: Tracer,
-                   allow_open: bool = False) -> List[PhaseInterval]:
-    """Pair up phase.start / phase.end records, in start order.
+def extract_phases(trace, allow_open: bool = False) -> List[PhaseInterval]:
+    """The trace's ``phase`` spans as intervals, in start order.
 
-    Records carrying a ``span`` id (the span API) are keyed on
-    ``(name, span)``, so two migrations running the same-named phase
-    concurrently pair up correctly instead of tripping the consistency
-    check; span-less legacy records key on ``(name, None)`` and keep the
-    strict one-open-instance semantics.
-
-    Raises if the trace is inconsistent (an end without a start, a double
-    start, or a phase left open) — that would indicate a framework bug,
-    not a data problem.  For post-mortems of aborted/failed runs, pass
-    ``allow_open=True``: dangling phases are closed at the last recorded
-    trace time and marked ``truncated`` instead of raising.
+    Accepts a :class:`SpanDAG` or anything :func:`build_span_dag`
+    accepts.  Each span is its own interval, so two migrations running
+    the same-named phase concurrently stay apart.  A phase still open
+    when the trace stops raises ``ValueError`` — that would indicate a
+    framework bug, not a data problem.  For post-mortems of
+    aborted/failed runs, pass ``allow_open=True``: such a phase ends at
+    the last recorded trace time, marked ``truncated``.
     """
-    open_phases: Dict[tuple, float] = {}
-    intervals: List[PhaseInterval] = []
-    t_last = 0.0
-    for rec in trace.records:
-        t_last = max(t_last, rec.time)
-        if rec.kind == "phase.start":
-            key = (rec["phase"], rec.get("span"))
-            if key in open_phases:
-                raise ValueError(
-                    f"phase {key[0]!r} started twice without end")
-            open_phases[key] = rec.time
-        elif rec.kind == "phase.end":
-            key = (rec["phase"], rec.get("span"))
-            if key not in open_phases:
-                raise ValueError(f"phase {key[0]!r} ended without start")
-            intervals.append(PhaseInterval(key[0], open_phases.pop(key),
-                                           rec.time))
-    if open_phases:
-        if not allow_open:
-            raise ValueError(
-                f"phases never ended: {sorted(k[0] for k in open_phases)}")
-        for (name, _), start in open_phases.items():
-            intervals.append(PhaseInterval(name, start, max(t_last, start),
-                                           truncated=True))
-    intervals.sort(key=lambda iv: iv.start)
-    return intervals
-
-
-def phase_totals(intervals: List[PhaseInterval]) -> Dict[str, float]:
-    """Total seconds per phase name (concurrent same-name intervals sum).
-
-    The differential analyzer compares runs phase-by-phase through this
-    aggregation: interval *counts* may differ across runs (a retried
-    phase, an extra migration), but the per-name totals still line up.
-    """
-    out: Dict[str, float] = {}
-    for iv in intervals:
-        out[iv.name] = out.get(iv.name, 0.0) + iv.duration
-    return out
+    dag = trace if isinstance(trace, SpanDAG) else build_span_dag(trace)
+    nodes = sorted((n for n in dag.nodes.values() if n.name == "phase"),
+                   key=lambda n: (n.start, n.span_id))
+    dangling = sorted(n.attrs["phase"] for n in nodes if n.truncated)
+    if dangling and not allow_open:
+        raise ValueError(f"phases never ended: {dangling}")
+    return [PhaseInterval(n.attrs["phase"], n.start, n.end, n.truncated)
+            for n in nodes]
 
 
 def render_timeline(intervals: List[PhaseInterval], width: int = 60,

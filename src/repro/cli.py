@@ -28,7 +28,6 @@ from .analysis import (
     atomic_write,
     diff_traces,
     extract_phases,
-    migration_phase_breakdown,
     read_jsonl,
     render_explanation,
     render_table,
@@ -194,8 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser(
         "explain",
-        help="differential trace analysis of two runs: span-tree deltas, "
-             "critical-path blame shifts, telemetry diffs")
+        help="differential trace analysis of two runs: first differing "
+             "record, critical-path blame shifts, span deltas by "
+             "component")
     exp.add_argument("a", metavar="RUN_A",
                      help="baseline: a recorded run id or a trace "
                           ".jsonl/.jsonl.gz path")
@@ -361,7 +361,7 @@ def _cmd_run(args):
     if reporter is not None:
         reporter.done(f"{sc.sim.events_processed} events, "
                       f"{probe.samples_taken} samples")
-    phases = migration_phase_breakdown(report)
+    phases = report.as_row()
     lines = [render_table(
         f"Migration {args.source} -> {report.target} ({args.app}.{args.nprocs}, "
         f"{args.transport}/{args.restart_mode})",
@@ -430,7 +430,7 @@ def _cmd_scale(args):
     if err is not None:
         return err, 2
     rows = {f"{ppn} ranks/node":
-            migration_phase_breakdown(run.execute(seed=args.seed))
+            run.execute(seed=args.seed).as_row()
             for ppn, run in runs.items()}
     return render_table("Migration scalability, LU.C on 8 nodes (Fig. 6)",
                         rows)

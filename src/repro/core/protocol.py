@@ -51,6 +51,7 @@ class MigrationReport:
         return self.phase_seconds.get(phase, 0.0)
 
     def as_row(self) -> Dict[str, float]:
+        """Ordered {phase name: seconds} plus the total (Fig. 4/6 rows)."""
         row = {p.value: self.phase_seconds.get(p, 0.0) for p in PHASE_ORDER}
         row["Total"] = self.total_seconds
         return row

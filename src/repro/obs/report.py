@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.critical_path import (
+    build_span_dag,
     critical_path,
     dominant_component,
     render_blame,
@@ -82,10 +83,10 @@ def _config_section(manifest) -> List[str]:
     return lines
 
 
-def _critical_path_sections(records) -> List[str]:
+def _critical_path_sections(dag) -> List[str]:
     lines: List[str] = []
     try:
-        cp = critical_path(records)
+        cp = critical_path(dag)
     except ValueError:
         return ["_(no spans in trace — waterfall and blame skipped)_", ""]
     lines.append("## Phase waterfall")
@@ -104,19 +105,10 @@ def _critical_path_sections(records) -> List[str]:
     return lines
 
 
-class _RecordsView:
-    """Minimal trace shim: ``extract_phases`` wants a ``.records`` attr."""
-
-    __slots__ = ("records",)
-
-    def __init__(self, records):
-        self.records = records
-
-
-def _timeline_section(records) -> List[str]:
+def _timeline_section(dag) -> List[str]:
     try:
-        phases = extract_phases(_RecordsView(records), allow_open=True)
-    except (ValueError, KeyError):
+        phases = extract_phases(dag, allow_open=True)
+    except KeyError:
         return []
     if not phases:
         return []
@@ -182,8 +174,9 @@ def render_run_report(manifest=None, records=None, telemetry=None,
 
     recs = list(records) if records is not None else []
     if recs:
-        lines.extend(_critical_path_sections(recs))
-        lines.extend(_timeline_section(recs))
+        dag = build_span_dag(recs)
+        lines.extend(_critical_path_sections(dag))
+        lines.extend(_timeline_section(dag))
 
     series: Dict[str, List[Tuple[float, float]]] = {}
     units: Dict[str, str] = {}

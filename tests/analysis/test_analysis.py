@@ -6,7 +6,6 @@ from repro.analysis import (
     cr_cycle_breakdown,
     fmt_seconds,
     migration_cycle_breakdown,
-    migration_phase_breakdown,
     render_stacked,
     render_table,
     speedup,
@@ -34,7 +33,7 @@ def sample_migration():
 
 
 def test_phase_breakdown_row():
-    row = migration_phase_breakdown(sample_migration())
+    row = sample_migration().as_row()
     assert row["Job Stall"] == 0.03
     assert row["Total"] == pytest.approx(6.13)
 

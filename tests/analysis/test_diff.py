@@ -1,13 +1,18 @@
-"""Differential trace analysis: alignment edge cases and attribution."""
+"""Differential trace analysis: first differing record, component rows
+and critical-path attribution."""
+
+import json
+import os
 
 import pytest
 
 from repro.analysis import (
-    align_span_trees,
-    build_span_dag,
     diff_traces,
+    first_difference,
+    open_trace_text,
+    read_jsonl,
     render_explanation,
-    series_stats,
+    write_jsonl,
 )
 from repro.simulate import Simulator, Tracer
 
@@ -49,42 +54,97 @@ def _concurrent_trace(durations):
     return t
 
 
-# -- alignment edge cases ----------------------------------------------------
+# -- first differing record -------------------------------------------------
 
-def test_align_concurrent_same_name_pairs_in_start_order():
+PINNED_FIG4_TRACE = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, os.pardir,
+    "benchmarks", "baseline_traces", "migration_LU.C_file.jsonl.gz")
+
+
+def test_first_difference_names_index_kind_key_and_values():
+    a = [{"t": 0.0, "kind": "x", "n": 1},
+         {"t": 1.0, "kind": "y", "n": 2, "m": 3}]
+    assert first_difference(a, [dict(r) for r in a]) is None
+    # t first, then kind, then A's keys in order, then B-only keys.
+    b = [a[0], {"t": 1.0, "kind": "y", "n": 5, "m": 4}]
+    diff = first_difference(a, b)
+    assert (diff.index, diff.kind, diff.t, diff.key, diff.old, diff.new) \
+        == (1, "y", 1.0, "n", 2, 5)
+    assert str(diff) == "#1 y (t=1.000000): n 2 -> 5"
+    diff = first_difference(a, [a[0], {"t": 1.0, "kind": "y", "n": 2,
+                                       "m": 3, "extra": True}])
+    assert (diff.key, repr(diff.old), diff.new) == ("extra", "(absent)", True)
+    diff = first_difference(a, [a[0], {"t": 1.5, "kind": "z"}])
+    assert (diff.key, diff.old, diff.new) == ("t", 1.0, 1.5)
+
+
+def test_first_difference_when_one_run_is_a_prefix_of_the_other():
+    rows = [{"t": float(i), "kind": "step", "i": i} for i in range(5)]
+    diff = first_difference(rows[:3], rows)
+    assert (diff.index, diff.kind, diff.t, diff.key) == (3, "step", 3.0, None)
+    assert (diff.old, diff.new) == (3, 5)
+    assert str(diff) == ("#3 step (t=3.000000): only in B, which has 2 "
+                         "more records")
+    diff = first_difference(rows, rows[:4])
+    assert (diff.index, diff.kind) == (4, "step")
+    assert str(diff).endswith("only in A, which has 1 more records")
+
+
+def test_first_difference_skips_telemetry_samples():
+    rows = [{"t": 0.0, "kind": "a"}, {"t": 1.0, "kind": "b"}]
+    probed = [rows[0], {"t": 0.5, "kind": "telemetry.sample",
+                        "metric": "m", "value": 1.0}, rows[1]]
+    assert first_difference(rows, probed) is None
+    diff = first_difference(probed, [rows[0], {"t": 1.0, "kind": "c"}])
+    assert (diff.index, diff.kind, diff.key) == (1, "b", "kind")
+
+
+def test_a_live_trace_and_its_reload_have_identical_records(tmp_path):
+    live = _migration_trace()
+    live.record(3.0, "msg.send", tag=("it", 0, 1))  # a list once reloaded
+    path = tmp_path / "live.jsonl"
+    write_jsonl(live, str(path))
+    diff = diff_traces(live, read_jsonl(str(path)))
+    assert diff.first_record is None
+    assert diff.records == len(live)
+
+
+def test_explain_names_the_record_a_moved_pin_differs_at(tmp_path):
+    """A copy of the pinned Fig. 4 trace with one field changed: the
+    explanation opens with that record."""
+    with open_trace_text(PINNED_FIG4_TRACE) as fh:
+        rows = [json.loads(line) for line in fh if line.strip()]
+    assert (rows[5000]["kind"], rows[5000]["nbytes"]) == ("msg.recv", 200000)
+    rows[5000]["nbytes"] = 200001
+    moved = tmp_path / "moved.jsonl"
+    moved.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    text = render_explanation(diff_traces(read_jsonl(PINNED_FIG4_TRACE),
+                                          read_jsonl(str(moved))))
+    first = [ln for ln in text.splitlines() if ln.startswith("first ")]
+    assert first == ["first differing record: #5000 msg.recv "
+                     "(t=3.843229): nbytes 200000 -> 200001"]
+    assert "no component moved" in text
+
+
+# -- component rows ----------------------------------------------------------
+
+def test_concurrent_same_name_phases_sum_per_component():
     a = _concurrent_trace([2.0, 3.0])
     b = _concurrent_trace([2.5, 3.0])
-    matches = align_span_trees(build_span_dag(a), build_span_dag(b))
-    compute = [m for m in matches if m.path.endswith("phase:Compute")]
-    assert [m.status for m in compute] == ["both", "both"]
-    # First-starter pairs with first-starter: 2.0 -> 2.5, 3.0 -> 3.0.
-    assert [round(m.delta, 6) for m in compute] == [0.5, 0.0]
+    comp = {c.label: c for c in diff_traces(a, b).components}
+    compute = comp["phase:Compute"]
+    assert (compute.n_a, compute.n_b) == (2, 2)
+    assert compute.delta == pytest.approx(0.5)
 
 
-def test_align_count_mismatch_leaves_one_sided_tail():
+def test_count_mismatch_shows_in_component_counts():
     a = _concurrent_trace([2.0, 3.0, 4.0])
     b = _concurrent_trace([2.0, 3.0])
-    matches = align_span_trees(build_span_dag(a), build_span_dag(b))
-    compute = [m for m in matches if m.path.endswith("phase:Compute")]
-    assert [m.status for m in compute] == ["both", "both", "only-A"]
-    # A one-sided span counts its full duration as disappearing time.
-    assert compute[-1].delta == pytest.approx(-4.0)
+    text = render_explanation(diff_traces(a, b))
+    assert "| `phase:Compute` | 3 | 2 | 9.000 | 5.000 | -4.000 |" in text
 
 
-def test_align_span_in_only_one_run_does_not_recurse():
-    a = _migration_trace(with_checkpoint=True)
-    b = _migration_trace(with_checkpoint=False)
-    matches = align_span_trees(build_span_dag(a), build_span_dag(b))
-    by_path = {m.path: m for m in matches}
-    ckpt = next(m for m in matches if m.path.endswith("blcr.checkpoint"))
-    assert ckpt.status == "only-A"
-    # The unique subtree is reported once, at its top.
-    assert not any(p.endswith("blcr.write") for p in by_path)
-    assert next(m for m in matches
-                if m.path.endswith("/setup")).status == "both"
-
-
-def test_align_truncated_open_span_closes_at_last_trace_time():
+def test_truncated_root_closes_at_last_trace_time():
     t = Tracer()
     clock = [0.0]
     t.bind(lambda: clock[0])
@@ -100,13 +160,14 @@ def test_align_truncated_open_span_closes_at_last_trace_time():
             clock2[0] = 2.0
         clock2[0] = 3.0
     diff = diff_traces(closed, t)
-    root = next(m for m in diff.matches if m.path == "migration")
-    assert root.b is not None and root.b.truncated
-    assert root.b.duration == pytest.approx(2.0)  # last trace time
+    assert diff.total_b == pytest.approx(2.0)  # last trace time
     assert any("trace-truncated" in n for n in diff.notes)
+    root = {c.label: c for c in diff.components}["migration"]
+    assert root.truncated
+    assert "| `migration` † | 1 | 1 |" in render_explanation(diff)
 
 
-def test_align_zero_duration_spans():
+def test_zero_duration_span_in_one_run_gets_a_component_row():
     def mk(with_extra):
         t = Tracer(clock=lambda: 0.0)
         with t.span("migration"):
@@ -117,38 +178,9 @@ def test_align_zero_duration_spans():
                     pass
         return t
 
-    matches = align_span_trees(build_span_dag(mk(True)),
-                               build_span_dag(mk(False)))
-    noop = next(m for m in matches if m.path.endswith("/noop"))
-    assert noop.status == "both" and noop.delta == 0.0
-    flash = next(m for m in matches if m.path.endswith("/flash"))
-    assert flash.status == "only-A" and flash.delta == 0.0
-
-
-def test_align_pairs_by_lane_then_relaxes_to_label():
-    def mk(nodes):
-        sim = Simulator(trace=Tracer())
-        t = sim.trace
-
-        def run(sim):
-            with t.span("migration"):
-                for i, node in enumerate(nodes):
-                    with t.span("rank.restart", node=node):
-                        yield sim.timeout(1.0 + i)
-
-        sim.run(until=sim.spawn(run(sim)))
-        return t
-
-    # Shared lanes pair exactly; the moved lane (n2 -> n3) still pairs
-    # by label instead of showing up as one-sided noise.
-    matches = align_span_trees(build_span_dag(mk(["n1", "n2"])),
-                               build_span_dag(mk(["n3", "n1"])))
-    restarts = [m for m in matches if m.path.endswith("rank.restart")]
-    assert all(m.status == "both" for m in restarts)
-    lanes = {(m.a.attrs.get("node"), m.b.attrs.get("node"))
-             for m in restarts}
-    assert ("n1", "n1") in lanes
-    assert ("n2", "n3") in lanes
+    text = render_explanation(diff_traces(mk(True), mk(False)))
+    assert "| `flash` | 1 | 0 | 0.000 | 0.000 | +0.000 |" in text
+    assert "`noop`" not in text            # same count, same duration
 
 
 # -- diff_traces and rendering -----------------------------------------------
@@ -173,9 +205,12 @@ def test_diff_traces_attributes_structural_delta():
     assert shift.delta == pytest.approx(-2.0)
     dom = diff.dominant_shift()
     assert dom is not None and dom.component == "blcr.write"
-    assert [m.path for m in diff.only_in("a")] == \
-        ["migration/blcr.checkpoint"]
-    assert diff.only_in("b") == []
+    ckpt = {c.label: c for c in diff.components}["blcr.checkpoint"]
+    assert (ckpt.n_a, ckpt.n_b) == (1, 0)
+    # At t=1 run A opens the checkpoint where run B opens the restart.
+    first = diff.first_record
+    assert (first.t, first.key, first.old, first.new) == \
+        (1.0, "kind", "blcr.checkpoint.start", "restart.start")
 
 
 def test_diff_traces_duration_shift_without_structure_change():
@@ -191,32 +226,17 @@ def test_diff_traces_duration_shift_without_structure_change():
     assert comp.delta == pytest.approx(2.5)
 
 
-def test_diff_traces_compares_telemetry_series():
-    def mk(scale):
-        t = _migration_trace()
-        for i in range(5):
-            t.record(float(i), "telemetry.sample",
-                     metric="kernel.queue_depth", value=scale * (i + 1))
-        t.record(0.0, "telemetry.sample", metric=f"only.{scale}", value=1.0)
-        return t
-
-    diff = diff_traces(mk(1.0), mk(2.0))
-    by_name = {s.name: s for s in diff.series}
-    qd = by_name["kernel.queue_depth"]
-    assert qd.a["peak"] == 5.0 and qd.b["peak"] == 10.0
-    assert qd.delta("peak") == pytest.approx(5.0)
-    assert by_name["only.1.0"].b is None
-    assert by_name["only.2.0"].a is None
-
-
-def test_series_stats_values():
-    stats = series_stats([(0.0, 1.0), (1.0, 3.0), (2.0, 2.0)])
-    assert stats["n"] == 3
-    assert stats["peak"] == 3.0
-    assert stats["mean"] == pytest.approx(2.0)
-    assert stats["auc"] == pytest.approx(4.5)  # trapezoid over [0, 2]
-    assert series_stats([]) == {"n": 0, "peak": 0.0, "mean": 0.0,
-                                "auc": 0.0}
+def test_diff_traces_does_not_compare_telemetry_samples():
+    probed = _migration_trace()
+    for i in range(5):
+        probed.record(float(i), "telemetry.sample",
+                      metric="kernel.queue_depth", value=i + 1)
+    diff = diff_traces(_migration_trace(), probed, label_a="pin",
+                       label_b="run")
+    assert diff.first_record is None
+    assert (diff.records, diff.samples) == (len(probed) - 5, 5)
+    assert (f"records: all {diff.records} identical (5 telemetry samples "
+            "not compared)") in render_explanation(diff).splitlines()
 
 
 def test_render_explanation_has_greppable_dominant_line():
@@ -227,7 +247,9 @@ def test_render_explanation_has_greppable_dominant_line():
     assert "dominant delta component: blcr.write" in text
     assert "run A: `file`" in text
     assert "### Critical-path blame shifts" in text
-    assert "spans only in file: `migration/blcr.checkpoint`" in text
+    assert "| `blcr.checkpoint` | 1 | 0 |" in text
+    lines = text.splitlines()
+    assert lines[5].startswith("first differing record: #")
 
 
 def test_explaining_a_trace_against_itself_names_no_component():
@@ -239,23 +261,7 @@ def test_explaining_a_trace_against_itself_names_no_component():
     assert "dominant delta component" not in text
     assert "no component moved" in text
     assert "### Critical-path blame shifts" not in text
-
-
-def test_one_sided_telemetry_series_get_one_note_line():
-    """A run recorded without a telemetry probe has no series: the series
-    only the other run carries are noted once, not tabulated."""
-    probed = _migration_trace()
-    for name in ("kernel.queue_depth", "ib.bytes_moved", "fluid.flows",
-                 "pool.free"):
-        probed.record(0.0, "telemetry.sample", metric=name, value=1.0)
-        probed.record(1.0, "telemetry.sample", metric=name, value=2.0)
-    text = render_explanation(diff_traces(_migration_trace(), probed,
-                                          label_a="pin", label_b="run"))
-    assert "### Telemetry series deltas" not in text
-    notes = [ln for ln in text.splitlines() if "only in run" in ln]
-    assert notes == ["telemetry series not compared, 4 only in run: "
-                     "`fluid.flows`, `ib.bytes_moved`, `kernel.queue_depth`"
-                     " (+1 more)"]
+    assert f"records: all {len(t)} identical" in text
 
 
 def test_render_explanation_top_caps_table_rows():

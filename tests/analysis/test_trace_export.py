@@ -217,19 +217,3 @@ def test_extract_phases_concurrent_same_name():
     ivs = extract_phases(t)
     assert [iv.duration for iv in ivs] == [2.0, 3.0]
     assert all(iv.name == "Job Stall" for iv in ivs)
-
-
-def test_extract_phases_legacy_records_still_strict():
-    t = Tracer()
-    t.record(0.0, "phase.start", phase="p")
-    with pytest.raises(ValueError, match="started twice"):
-        t.record(0.5, "phase.start", phase="p")
-        extract_phases(t)
-    t2 = Tracer()
-    t2.record(0.0, "phase.end", phase="p")
-    with pytest.raises(ValueError, match="without start"):
-        extract_phases(t2)
-    t3 = Tracer()
-    t3.record(0.0, "phase.start", phase="p")
-    with pytest.raises(ValueError, match="never ended"):
-        extract_phases(t3)

@@ -493,25 +493,32 @@ def test_explain_from_run_ids(capsys, recorded):
     assert "dominant delta component: blcr.restart" in out
 
 
-def test_explain_against_itself_and_the_unprobed_pin(capsys, recorded):
-    """A run against itself moves no component; against the pinned Fig. 4
-    trace (recorded without a telemetry probe) its series get one note
-    line instead of a table row each."""
+def test_explain_against_itself_and_the_unprobed_pin(capsys, tmp_path,
+                                                    recorded):
+    """A run against itself moves no component.  A default ``repro run``
+    (the pinned Fig. 4 run, with a telemetry probe) against the pin,
+    recorded without one: every other record is identical."""
     import os
+    import re
 
     same = run_cli(capsys, "explain", recorded["file"], recorded["file"],
                    "--runs-dir", str(recorded["dir"]))
     assert "no component moved" in same
     assert "dominant delta component" not in same
+    assert re.search(r"^records: all \d+ identical \(\d+ telemetry "
+                     r"samples not compared\)$", same, re.M)
     pin = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks",
                        "baseline_traces", "migration_LU.C_file.jsonl.gz")
-    out = run_cli(capsys, "explain", pin, recorded["file"],
-                  "--runs-dir", str(recorded["dir"]))
-    assert "### Telemetry series deltas" not in out
-    notes = [ln for ln in out.splitlines() if "only in" in ln
-             and "series" in ln]
-    assert len(notes) == 1
-    assert notes[0].startswith("telemetry series not compared, ")
+    run_cli(capsys, "run", "--runs-dir", str(tmp_path))
+    (run_id,) = [p.name for p in tmp_path.iterdir()]
+    out = run_cli(capsys, "explain", pin, run_id,
+                  "--runs-dir", str(tmp_path))
+    assert re.search(r"^records: all 13802 identical \([1-9]\d* telemetry "
+                     r"samples not compared\)$", out, re.M)
+    assert "no component moved" in out
+    moved = run_cli(capsys, "explain", pin, recorded["file"],
+                    "--runs-dir", str(recorded["dir"]))
+    assert re.search(r"^first differing record: #\d+ ", moved, re.M)
 
 
 def test_explain_writes_out_file(capsys, tmp_path, recorded):

@@ -17,7 +17,7 @@ import hashlib
 import json
 import os
 
-from repro.analysis import open_trace_text
+from repro.analysis import first_difference, open_trace_text
 from repro.experiments import FIG4, FIG7
 from repro.simulate import Tracer
 
@@ -58,11 +58,12 @@ def _fig4_records(telemetry=False):
 
 
 def _assert_matches_pin(records):
+    """Telemetry samples aside, ``records`` equal the pin's; a failure
+    names the first differing record (A = the pin, B = this run)."""
     with open_trace_text(PINNED_FIG4_TRACE) as fh:
         pinned = [json.loads(line) for line in fh if line.strip()]
-    for i, (got, want) in enumerate(zip(records, pinned)):
-        assert got == want, f"trace diverges from the pin at record {i}"
-    assert len(records) == len(pinned)
+    moved = first_difference(pinned, records)
+    assert moved is None, f"trace differs from the pin at {moved}"
 
 
 def test_fig4_trace_matches_pinned_artifact():
@@ -74,13 +75,13 @@ def test_fig4_trace_matches_pinned_artifact():
 
 
 def test_trace_is_identical_with_telemetry_enabled():
-    """The telemetry probe is pure observation: stripping its own records
-    recovers the pinned probe-less trace exactly."""
+    """The telemetry probe is pure observation: its own records aside,
+    the probed trace is the pinned probe-less trace exactly."""
     total, records = _fig4_records(telemetry=True)
     assert round(total, 6) == FIG4_TOTAL_S
-    kept = [rec for rec in records if rec["kind"] != "telemetry.sample"]
-    assert len(kept) < len(records), "probe must actually have sampled"
-    _assert_matches_pin(kept)
+    assert any(rec["kind"] == "telemetry.sample" for rec in records), \
+        "probe must actually have sampled"
+    _assert_matches_pin(records)
 
 
 def test_fig4_trace_is_identical_when_run_twice_in_one_process():
@@ -90,9 +91,8 @@ def test_fig4_trace_is_identical_when_run_twice_in_one_process():
     record."""
     _, first = _fig4_records()
     _, second = _fig4_records()
-    for i, (a, b) in enumerate(zip(first, second)):
-        assert a == b, f"second run diverges at record {i}"
-    assert len(first) == len(second)
+    moved = first_difference(first, second)
+    assert moved is None, f"second run differs at {moved}"
 
 
 def test_fig7_cr_pvfs_trace_matches_pinned_digest():
