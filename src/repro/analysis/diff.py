@@ -32,6 +32,9 @@ __all__ = ["RecordDifference", "ComponentDelta", "BlameShift", "TraceDiff",
            "first_difference", "diff_traces", "render_explanation"]
 
 _EPS = 1e-9
+#: Least critical-path blame shift reported anywhere: half the last digit
+#: the tables print (3 decimals), so a shown shift never reads ±0.000.
+_SHIFT_FLOOR = 5e-4
 
 
 class _Absent:
@@ -164,9 +167,9 @@ class TraceDiff:
 
     def dominant_shift(self) -> Optional[BlameShift]:
         """The non-orchestration component whose blame moved the most, or
-        ``None`` when no component's blame moved."""
+        ``None`` when no component's blame moved by the shift floor."""
         for shift in self.shifts:
-            if abs(shift.delta) <= _EPS:
+            if abs(shift.delta) < _SHIFT_FLOOR:
                 return None  # ranked by |delta|: none after this moved
             if shift.component not in ORCHESTRATION_SPANS:
                 return shift
@@ -264,7 +267,7 @@ def _attribution_sentence(diff: TraceDiff, limit: int = 3) -> str:
     for shift in diff.shifts:
         if shift.component in ORCHESTRATION_SPANS:
             continue
-        if abs(shift.delta) < 1e-6 or len(parts) >= limit:
+        if abs(shift.delta) < _SHIFT_FLOOR or len(parts) >= limit:
             continue
         if shift.status == "entered":
             how = "entered the critical path"
@@ -317,7 +320,7 @@ def render_explanation(diff: TraceDiff, top: int = 12) -> str:
                      "unchanged")
     lines.append("")
 
-    shown = [s for s in diff.shifts if abs(s.delta) > 1e-9][:top]
+    shown = [s for s in diff.shifts if abs(s.delta) >= _SHIFT_FLOOR][:top]
     if shown:
         lines.append("### Critical-path blame shifts")
         lines.append("")

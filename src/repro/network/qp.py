@@ -126,6 +126,10 @@ class QueuePair:
         self.hca = hca
         self.fabric: IBFabric = hca.fabric
         self.qp_num = next(self.fabric._qp_nums)
+        # Process names of this QP's posts, formatted on its first post
+        # (most QPs never post a SEND or a READ).
+        self._send_name: Optional[str] = None
+        self._read_name: Optional[str] = None
         counters = self.fabric.verbs_counters
         self.cq = CompletionQueue(sim, f"cq.{hca.node}", self.qp_num,
                                   counters)
@@ -233,8 +237,10 @@ class QueuePair:
         if err is not None:
             self._fail(wr_id, "SEND", err)
             return
-        self.sim.spawn(self._do_send(wr_id, nbytes, payload),
-                       name=f"qp{self.qp_num}.send")
+        name = self._send_name
+        if name is None:
+            name = self._send_name = f"qp{self.qp_num}.send"
+        self.sim.spawn(self._do_send(wr_id, nbytes, payload), name)
 
     def _do_send(self, wr_id: Any, nbytes: int, payload: Any) -> Generator:
         with self._send_lock.request() as req:  # RC in-order WQE processing
@@ -278,10 +284,13 @@ class QueuePair:
         if err is not None:
             self._fail(wr_id, "RDMA_READ", err)
             return
+        name = self._read_name
+        if name is None:
+            name = self._read_name = f"qp{self.qp_num}.read"
         self.sim.spawn(
             self._do_rdma_read(wr_id, remote_rkey, remote_offset, nbytes,
                                local_mr, local_offset),
-            name=f"qp{self.qp_num}.read",
+            name,
         )
 
     def _do_rdma_read(self, wr_id: Any, rkey: int, roffset: int, nbytes: int,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from .core import Event, Simulator
+from .core import PENDING, Event, Simulator
 
 __all__ = ["Condition", "AnyOf", "AllOf", "ConditionValue"]
 
@@ -53,8 +53,9 @@ class Condition(Event):
 
     __slots__ = ("_events", "_done")
 
-    def __init__(self, sim: Simulator, events: List[Event], name: str = "Condition"):
-        super().__init__(sim, name=name)
+    def __init__(self, sim: Simulator, events: List[Event]):
+        self.sim, self.name, self.callbacks, self._value = sim, type(self).__name__, [], PENDING
+        self._ok, self._defused, self._cancelled = True, False, False
         self._events = list(events)
         self._done = 0
         for ev in self._events:
@@ -67,7 +68,7 @@ class Condition(Event):
         for ev in self._events:
             if ev.callbacks is None:
                 self._check(ev)
-                if self.triggered:
+                if self._value is not PENDING:
                     return
             else:
                 ev.callbacks.append(self._check)
@@ -82,12 +83,12 @@ class Condition(Event):
         for ev in self._events:
             # A Timeout carries its value from birth, so "triggered" would
             # over-collect; only events whose callbacks already ran count.
-            if ev.processed:
+            if ev.callbacks is None:
                 value.events.append(ev)
         return value
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not PENDING:
             if not event._ok:
                 event._defused = True  # condition already resolved; absorb
             return
@@ -114,7 +115,7 @@ class Condition(Event):
         """
         for ev in self._events:
             cbs = ev.callbacks
-            if cbs is None or not ev.triggered:
+            if cbs is None or ev._value is PENDING:
                 continue
             try:
                 cbs.remove(self._check)
@@ -129,9 +130,6 @@ class AnyOf(Condition):
 
     __slots__ = ()
 
-    def __init__(self, sim: Simulator, events: List[Event]):
-        super().__init__(sim, events, name="AnyOf")
-
     def _satisfied(self) -> bool:
         return len(self._events) == 0 or self._done >= 1
 
@@ -140,9 +138,6 @@ class AllOf(Condition):
     """Triggers once every constituent event has succeeded."""
 
     __slots__ = ()
-
-    def __init__(self, sim: Simulator, events: List[Event]):
-        super().__init__(sim, events, name="AllOf")
 
     def _satisfied(self) -> bool:
         return self._done == len(self._events)

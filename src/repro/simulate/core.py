@@ -88,6 +88,8 @@ class Event:
     events by ``yield``\\ ing them.
     """
 
+    #: The per-event subclasses set these in their own constructors
+    #: without calling ``Event.__init__``; a new slot must be set there too.
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_defused",
                  "_cancelled", "name")
 
@@ -152,7 +154,11 @@ class Event:
         # Open-coded succeed_later(value, 0.0): this is the hottest trigger
         # path in the kernel (store grants, flow completions, process
         # termination all land here), so skip the delegation and the
-        # delay-validation branch.
+        # delay-validation branch.  The constructors of the per-event
+        # classes (Timeout, Initialize, Process, the store and resource
+        # requests, AnyOf/AllOf) are open-coded the same way: each fills
+        # Event's slots itself and Timeout/Initialize push onto the heap
+        # directly, with no super() chain and no _schedule hop.
         if self._value is not PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
@@ -173,7 +179,9 @@ class Event:
             raise ValueError(f"negative delay {delay}")
         self._ok = True
         self._value = value
-        self.sim._schedule(self, NORMAL, delay)
+        sim = self.sim
+        heapq.heappush(sim._queue,
+                       (sim._now + delay, NORMAL, next(sim._seq), self))
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -217,11 +225,15 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        super().__init__(sim, name=f"Timeout({delay:.6g})")
-        self.delay = delay
-        self._ok = True
-        self._value = value
-        sim._schedule(self, NORMAL, delay)
+        self.sim, self.callbacks, self._value, self.delay = sim, [], value, delay
+        self._ok, self._defused, self._cancelled = True, False, False
+        heapq.heappush(sim._queue,
+                       (sim._now + delay, NORMAL, next(sim._seq), self))
+
+    @property
+    def name(self) -> str:
+        # Formatted on read: only repr and debugging look at it.
+        return f"Timeout({self.delay:.6g})"
 
 
 class Initialize(Event):
@@ -230,11 +242,11 @@ class Initialize(Event):
     __slots__ = ()
 
     def __init__(self, sim: "Simulator", process: "Process"):
-        super().__init__(sim, name="Initialize")
-        self.callbacks = [process._resume_cb]
-        self._ok = True
-        self._value = None
-        sim._schedule(self, URGENT, 0.0)
+        self.sim, self.callbacks, self._value = sim, [process._resume_cb], None
+        self.name = "Initialize"
+        self._ok, self._defused, self._cancelled = True, False, False
+        heapq.heappush(sim._queue,
+                       (sim._now, URGENT, next(sim._seq), self))
 
 
 class _InterruptEvent(Event):
@@ -243,11 +255,8 @@ class _InterruptEvent(Event):
     __slots__ = ()
 
     def __init__(self, sim: "Simulator", process: "Process", cause: Any):
-        super().__init__(sim, name="Interrupt")
-        self.callbacks = [process._resume_interrupt]
-        self._ok = False
-        self._value = Interrupt(cause)
-        self._defused = True
+        self.sim, self.name, self.callbacks = sim, "Interrupt", [process._resume_interrupt]
+        self._value, self._ok, self._defused, self._cancelled = Interrupt(cause), False, True, False
         sim._schedule(self, URGENT, 0.0)
 
 
@@ -266,7 +275,9 @@ class Process(Event):
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         if not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator — did you forget to call it?")
-        super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
+        self.sim, self.callbacks, self._value = sim, [], PENDING
+        self.name = name or getattr(generator, "__name__", "process")
+        self._ok, self._defused, self._cancelled = True, False, False
         self._generator: Optional[Generator] = generator
         self._target: Optional[Event] = None
         #: The one callback every wait attaches, bound once here.
@@ -507,8 +518,9 @@ class Simulator:
     def spawn(self, generator: Generator, name: str = "") -> Process:
         proc = Process(self, generator, name)
         self._spawned.append(weakref.ref(proc))
-        if self.trace is not None:
-            self.trace.record(self._now, "spawn", name=proc.name)
+        trace = self._trace
+        if trace is not None:
+            trace.record(self._now, "spawn", name=proc.name)
         return proc
 
     def live_processes(self) -> List[Process]:
@@ -609,9 +621,12 @@ class Simulator:
         probe = self._probe
         probe_next = probe.next_time if probe is not None else float("inf")
         instant_end = self._instant_end
+        # The clock lives in a local; self._now is written only when it
+        # advances (callbacks read it through sim.now).
+        now = self._now
         try:
             while True:
-                if instant_end and (not queue or queue[0][0] > self._now):
+                if instant_end and (not queue or queue[0][0] > now):
                     while instant_end:
                         instant_end.pop(0)()
                     continue
@@ -632,10 +647,11 @@ class Simulator:
                 if when > stop_at:
                     break
                 heappop(queue)
-                if when < self._now:
-                    raise SimulationError(
-                        f"time went backwards: {when} < {self._now}")
-                self._now = when
+                if when != now:
+                    if when < now:
+                        raise SimulationError(
+                            f"time went backwards: {when} < {now}")
+                    self._now = now = when
                 if when >= probe_next:
                     probe_next = probe.on_advance(when)
                 callbacks = event.callbacks

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Generic, List, Optional, TypeVar
 
-from .core import Event, Simulator
+from .core import PENDING, Event, Simulator
 
 __all__ = ["Resource", "Store", "Container"]
 
@@ -25,7 +25,8 @@ class _Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource"):
-        super().__init__(resource.sim, name="Request")
+        self.sim, self.name, self.callbacks, self._value = resource.sim, "Request", [], PENDING
+        self._ok, self._defused, self._cancelled = True, False, False
         self.resource = resource
 
     def __enter__(self) -> "_Request":
@@ -98,7 +99,8 @@ class _StoreGet(Event):
     __slots__ = ("filter",)
 
     def __init__(self, sim: Simulator, filt: Optional[Callable[[Any], bool]]):
-        super().__init__(sim, name="StoreGet")
+        self.sim, self.name, self.callbacks, self._value = sim, "StoreGet", [], PENDING
+        self._ok, self._defused, self._cancelled = True, False, False
         self.filter = filt
 
     def cancel(self) -> None:
@@ -110,7 +112,8 @@ class _StorePut(Event):
     __slots__ = ("item",)
 
     def __init__(self, sim: Simulator, item: Any):
-        super().__init__(sim, name="StorePut")
+        self.sim, self.name, self.callbacks, self._value = sim, "StorePut", [], PENDING
+        self._ok, self._defused, self._cancelled = True, False, False
         self.item = item
 
 
@@ -146,7 +149,7 @@ class Store(Generic[T]):
     def get(self, filter: Optional[Callable[[T], bool]] = None) -> _StoreGet:
         ev = _StoreGet(self.sim, filter)
         self._try_get(ev)
-        if not ev.triggered:
+        if ev._value is PENDING:
             self._getters.append(ev)
         return ev
 
@@ -194,7 +197,7 @@ class Store(Generic[T]):
         while self._getters:
             ev = self._getters.popleft()
             self._try_get(ev)
-            if not ev.triggered:
+            if ev._value is PENDING:
                 remaining.append(ev)
         self._getters = remaining
 

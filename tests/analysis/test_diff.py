@@ -7,6 +7,8 @@ import os
 import pytest
 
 from repro.analysis import (
+    BlameShift,
+    TraceDiff,
     diff_traces,
     first_difference,
     open_trace_text,
@@ -250,6 +252,29 @@ def test_render_explanation_has_greppable_dominant_line():
     assert "| `blcr.checkpoint` | 1 | 0 |" in text
     lines = text.splitlines()
     assert lines[5].startswith("first differing record: #")
+
+
+def test_blame_shifts_below_the_printed_precision_are_not_reported():
+    """A shift the 3-decimal tables would print as ±0.000 is no row, no
+    part of the attribution sentence and never the dominant shift."""
+    diff = TraceDiff(
+        label_a="a", label_b="b", root="migration", total_a=1.0,
+        total_b=1.001, first_record=None, records=0, samples=0,
+        components=[],
+        shifts=[BlameShift("blcr.write", 1.0, 1.001, "shifted"),
+                BlameShift("rdma_pull", 0.5, 0.5 - 1e-7, "shifted")])
+    assert diff.dominant_shift().component == "blcr.write"
+    text = render_explanation(diff)
+    assert "| `blcr.write` | 1.000 | 1.001 | +0.001 |  |" in text
+    assert "rdma_pull" not in text
+    assert "0.000 |  |" not in text
+    tiny = TraceDiff(
+        label_a="a", label_b="b", root="migration", total_a=1.0,
+        total_b=1.0, first_record=None, records=0, samples=0,
+        components=[], shifts=[BlameShift("rdma_pull", 0.5, 0.5 - 1e-7,
+                                          "shifted")])
+    assert tiny.dominant_shift() is None
+    assert "### Critical-path blame shifts" not in render_explanation(tiny)
 
 
 def test_explaining_a_trace_against_itself_names_no_component():

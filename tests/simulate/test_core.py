@@ -5,8 +5,10 @@ import pytest
 from repro.simulate import (
     Event,
     Interrupt,
+    Resource,
     Simulator,
     SimulationError,
+    Store,
     Timeout,
 )
 
@@ -563,3 +565,57 @@ def test_rewaiting_after_interrupt_resumes_once(make_wait):
     assert log == [("interrupted", 1.0, []), ("resumed", 5.0, None),
                    ("done", 15.0)]
     assert ev.processed and sim.events_cancelled == 0
+
+
+def _interrupt_event(sim):
+    def sleeper(sim):
+        try:
+            yield sim.timeout(10.0)
+        except Interrupt:
+            pass
+
+    proc = sim.spawn(sleeper(sim))
+    sim.run(until=1.0)
+    proc.interrupt("why")
+    return max(sim._queue, key=lambda entry: entry[2])[3]
+
+
+def _pending_request(sim):
+    res = Resource(sim)
+    res.request()
+    return res.request()
+
+
+# Every event class whose constructor fills Event's slots itself instead
+# of calling Event.__init__.
+@pytest.mark.parametrize("cls_name, make", [
+    ("Timeout", lambda sim: sim.timeout(1.5)),
+    ("Initialize", lambda sim: sim.spawn(x for x in ())._waiting),
+    ("_InterruptEvent", _interrupt_event),
+    ("Process", lambda sim: sim.spawn(x for x in ())),
+    ("_StorePut", lambda sim: Store(sim).put("item")),
+    ("_StoreGet", lambda sim: Store(sim).get()),
+    ("_Request", _pending_request),
+    ("AnyOf", lambda sim: sim.any_of([sim.event()])),
+    ("AllOf", lambda sim: sim.all_of([sim.event()])),
+])
+def test_every_event_class_sets_every_slot(cls_name, make):
+    sim = Simulator()
+    ev = make(sim)
+    assert type(ev).__name__ == cls_name
+    for slot in Event.__slots__:
+        getattr(ev, slot)  # an unset slot raises AttributeError
+    assert ev.sim is sim
+    assert ev._cancelled is False
+    assert isinstance(ev.name, str) and ev.name
+    assert repr(ev).startswith(f"<{ev.name} at t=")
+    ev.defuse()
+    assert ev._defused
+    ev.cancel()
+    sim.run()  # a cancelled or defused entry still leaves a clean calendar
+
+
+def test_timeout_name_formats_its_delay_on_read():
+    sim = Simulator()
+    assert "Timeout(1.5)" in repr(sim.timeout(1.5))
+    assert sim.timeout(0.25).name == "Timeout(0.25)"
