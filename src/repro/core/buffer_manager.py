@@ -254,7 +254,7 @@ class RDMAMigrationSession:
                            name="mig-teardown-check")
 
     def _assert_pumps_exit(self) -> Generator:
-        # The flush completions are already in the CQ stores; one calendar
+        # The flush completions are already in the CQs; one calendar
         # step later both pumps must have observed them and returned.
         yield self.sim.timeout(0)
         stuck = [p.name for p in self._pumps if p.is_alive]
@@ -265,8 +265,7 @@ class RDMAMigrationSession:
     # -- target side ------------------------------------------------------------
     def _target_pump(self) -> Generator:
         while self._alive:
-            wc: WorkCompletion = yield self.dst_qp.cq.poll_where(
-                lambda w: w.opcode == "RECV")
+            wc: WorkCompletion = yield self.dst_qp.cq.poll(opcode="RECV")
             if not wc.ok:
                 return  # QP flushed at teardown
             self.dst_qp.post_recv(("rx", next(self._chunk_seq)))  # restore credit
@@ -294,7 +293,7 @@ class RDMAMigrationSession:
             self.dst_qp.post_rdma_read(wr, self.src_mr.rkey, desc.pool_offset,
                                        desc.nbytes, self.dst_mr,
                                        desc.pool_offset)
-            wc = yield self.dst_qp.cq.poll(match=wr)
+            wc = yield self.dst_qp.cq.poll(wr_id=wr)
             wc.raise_on_error()
             data = None
             if self.dst_pool is not None:
@@ -356,8 +355,7 @@ class RDMAMigrationSession:
     # -- source side -----------------------------------------------------------
     def _source_release_pump(self) -> Generator:
         while self._alive:
-            wc: WorkCompletion = yield self.src_qp.cq.poll_where(
-                lambda w: w.opcode == "RECV")
+            wc: WorkCompletion = yield self.src_qp.cq.poll(opcode="RECV")
             if not wc.ok:
                 return
             self.src_qp.post_recv(("rel", next(self._chunk_seq)))

@@ -128,7 +128,7 @@ class Channel:
                                      + 2 * fabric.params.wqe_overhead))
             wr = next(self._wr_ids)
             self.qp_src.post_send(wr, nbytes, payload=(tag, payload))
-            wc = yield from steadfast_wait(self.qp_src.cq.poll(match=wr))
+            wc = yield from steadfast_wait(self.qp_src.cq.poll(wr_id=wr))
             wc.raise_on_error()
         finally:
             self.pending_sends -= 1

@@ -167,7 +167,8 @@ class Flow:
         self.size = float(nbytes)
         self.remaining = float(nbytes)
         self.rate = 0.0
-        self.event = event
+        #: The transfer's event; ``None`` once the flow has completed.
+        self.event: Optional[Event] = event
         self.latency = latency
         self.started_at = started_at
         self.label = label
@@ -516,7 +517,10 @@ class FluidNetwork:
                     comp.links.discard(link)
             self._m_completed.inc()
             self._m_bytes.inc(flow.size)
-            flow.event.succeed_later(flow, flow.latency)
+            # The event's value is the flow; unlinking the flow's side
+            # leaves no Flow <-> Event cycle for the cyclic collector.
+            event, flow.event = flow.event, None
+            event.succeed_later(flow, flow.latency)
         if not comp.flows:
             comp.alive = False
             self._components.discard(comp)

@@ -14,12 +14,14 @@ failed operation, as real RC QPs do.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Generator, Optional
+from itertools import count
+from typing import Any, Deque, Dict, Generator, List, Optional, Tuple
 
 from ..simulate.core import Event, Simulator
-from ..simulate.resources import Resource, Store
+from ..simulate.resources import Resource, Store, _StoreGet, _StorePut
 from .infiniband import (HCA, IBFabric, MemoryRegion, RemoteKeyError,
                          VerbsCounters)
 
@@ -70,6 +72,15 @@ class CompletionQueue:
 
     Every QP has its own CQ, so a completion is attributed to its QP and
     a work-request id need only be unique among that QP's requests.
+
+    A poll takes the oldest completion overall (``poll()``), the oldest
+    with one work-request id (``poll(wr_id=...)``) or the oldest with one
+    opcode (``poll(opcode=...)``).  The queue keeps an index per wr_id and
+    per opcode beside its global order, so a poll finds its entry without
+    scanning completions nobody polls (a session's SEND completions pile
+    up unread).  A new completion goes to the first waiting poller it
+    matches.  Each push makes one ``_StorePut`` event and each poll one
+    ``_StoreGet``, in the order a filtered :class:`Store` made them.
     """
 
     def __init__(self, sim: Simulator, name: str, owner_qp: int,
@@ -78,7 +89,17 @@ class CompletionQueue:
         self.name = name
         #: qp_num of the QP this CQ serves.
         self.owner_qp = owner_qp
-        self._entries: Store = Store(sim)
+        self._ticket = count()
+        #: ticket -> completion, in push order; the per-wr_id and
+        #: per-opcode lanes hold the same entries and drop a lane once
+        #: its last entry is taken.
+        self._entries: Dict[int, WorkCompletion] = {}
+        self._by_wr: Dict[Any, Dict[int, WorkCompletion]] = {}
+        self._by_op: Dict[str, Dict[int, WorkCompletion]] = {}
+        #: Parked polls, ``(ticket, event)`` in poll order per lane.
+        self._any_waiters: Deque[Tuple[int, _StoreGet]] = deque()
+        self._wr_waiters: Dict[Any, Deque[Tuple[int, _StoreGet]]] = {}
+        self._op_waiters: Dict[str, Deque[Tuple[int, _StoreGet]]] = {}
         self._m_completed = counters.wqe_completed
         self._m_errors = counters.wqe_errors
         self._m_bytes = counters.bytes_by_opcode
@@ -91,25 +112,99 @@ class CompletionQueue:
                 ctr.inc(wc.nbytes)
         else:
             self._m_errors.inc()
-        trace = self.sim.trace
+        sim = self.sim
+        trace = sim.trace
         if trace is not None:
-            trace.record(self.sim.now, "qp.complete", cq=self.name,
+            trace.record(sim.now, "qp.complete", cq=self.name,
                          opcode=wc.opcode, ok=wc.ok, nbytes=wc.nbytes,
                          qp=self.owner_qp)
-        self._entries.put(wc)
+        put = _StorePut(sim, wc)
+        waiter = self._claim_waiter(wc)
+        if waiter is not None:
+            waiter.succeed(wc)
+        else:
+            ticket = next(self._ticket)
+            self._entries[ticket] = wc
+            lane = self._by_wr.get(wc.wr_id)
+            if lane is None:
+                self._by_wr[wc.wr_id] = {ticket: wc}
+            else:
+                lane[ticket] = wc
+            lane = self._by_op.get(wc.opcode)
+            if lane is None:
+                self._by_op[wc.opcode] = {ticket: wc}
+            else:
+                lane[ticket] = wc
+        put.succeed()
 
-    def poll(self, match: Optional[Any] = None) -> Event:
-        """Event yielding the next completion (optionally for one wr_id)."""
-        if match is None:
-            return self._entries.get()
-        return self._entries.get(filter=lambda wc: wc.wr_id == match)
+    def poll(self, wr_id: Any = None, opcode: Optional[str] = None) -> Event:
+        """Event yielding the oldest completion, or the oldest for one
+        ``wr_id`` or of one ``opcode`` (at most one of the two)."""
+        ev = _StoreGet(self.sim, None)
+        if wr_id is not None:
+            if opcode is not None:
+                raise ValueError("poll() takes a wr_id or an opcode, not both")
+            lane = self._by_wr.get(wr_id)
+            waiters = self._wr_waiters
+            key = wr_id
+        elif opcode is not None:
+            lane = self._by_op.get(opcode)
+            waiters = self._op_waiters
+            key = opcode
+        else:
+            lane = self._entries
+            waiters = None
+            key = None
+        if lane:
+            ticket = next(iter(lane))
+            wc = lane[ticket]
+            self._take(ticket, wc)
+            ev.succeed(wc)
+        elif waiters is None:
+            self._any_waiters.append((next(self._ticket), ev))
+        else:
+            queue = waiters.get(key)
+            if queue is None:
+                waiters[key] = deque([(next(self._ticket), ev)])
+            else:
+                queue.append((next(self._ticket), ev))
+        return ev
 
-    def poll_where(self, predicate) -> Event:
-        """Event yielding the next completion satisfying ``predicate``."""
-        return self._entries.get(filter=predicate)
+    def pending(self) -> List[WorkCompletion]:
+        """The unpolled completions, oldest first."""
+        return list(self._entries.values())
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def _take(self, ticket: int, wc: WorkCompletion) -> None:
+        del self._entries[ticket]
+        lane = self._by_wr[wc.wr_id]
+        del lane[ticket]
+        if not lane:
+            del self._by_wr[wc.wr_id]
+        lane = self._by_op[wc.opcode]
+        del lane[ticket]
+        if not lane:
+            del self._by_op[wc.opcode]
+
+    def _claim_waiter(self, wc: WorkCompletion) -> Optional[_StoreGet]:
+        """Dequeue and return the earliest parked poll ``wc`` satisfies."""
+        best = self._any_waiters or None
+        owner: Any = None
+        key: Any = None
+        queue = self._wr_waiters.get(wc.wr_id)
+        if queue is not None and (best is None or queue[0][0] < best[0][0]):
+            best, owner, key = queue, self._wr_waiters, wc.wr_id
+        queue = self._op_waiters.get(wc.opcode)
+        if queue is not None and (best is None or queue[0][0] < best[0][0]):
+            best, owner, key = queue, self._op_waiters, wc.opcode
+        if best is None:
+            return None
+        waiter = best.popleft()[1]
+        if owner is not None and not best:
+            del owner[key]  # no lane outlives its last parked poll
+        return waiter
 
 
 @dataclass

@@ -28,7 +28,6 @@ Example
 from __future__ import annotations
 
 import heapq
-import weakref
 from itertools import count
 from typing import Any, Generator, Iterable, List, Optional
 
@@ -269,8 +268,7 @@ class Process(Event):
     other simply by yielding them.
     """
 
-    __slots__ = ("_generator", "_target", "_waiting", "_resume_cb",
-                 "__weakref__")
+    __slots__ = ("_generator", "_target", "_waiting", "_resume_cb")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         if not hasattr(generator, "throw"):
@@ -349,6 +347,7 @@ class Process(Event):
             # pile up as cyclic garbage across repeated runs in one
             # interpreter.
             self._generator = self._resume_cb = None
+            sim._live.pop(self, None)
             self.succeed(stop.value)
             return
         except BaseException as exc:
@@ -356,12 +355,15 @@ class Process(Event):
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
             self._generator = self._resume_cb = None
+            sim._live.pop(self, None)
             self.fail(exc)
             return
         sim._active = None
 
         if not isinstance(result, Event):
             self._generator.close()
+            self._generator = self._resume_cb = None
+            sim._live.pop(self, None)
             self.fail(
                 SimulationError(
                     f"process {self.name!r} yielded {result!r}; processes must yield Event objects"
@@ -429,9 +431,10 @@ class Simulator:
         self._seq = count()
         self._active: Optional[Process] = None
         self._unhandled: list = []
-        #: Weak refs to every spawned process — lets leak tests enumerate
-        #: still-alive (parked) processes without pinning dead ones.
-        self._spawned: list = []
+        #: Every spawned process whose generator has not ended, in spawn
+        #: order (dict keys; the values are unused).  A process leaves it
+        #: when it returns or raises, so it holds live state only.
+        self._live: dict = {}
         self._trace: Any = None
         self._metrics: Any = None
         #: Optional telemetry probe; ``None`` keeps the run loop at one
@@ -517,29 +520,21 @@ class Simulator:
 
     def spawn(self, generator: Generator, name: str = "") -> Process:
         proc = Process(self, generator, name)
-        self._spawned.append(weakref.ref(proc))
+        self._live[proc] = None
         trace = self._trace
         if trace is not None:
             trace.record(self._now, "spawn", name=proc.name)
         return proc
 
     def live_processes(self) -> List[Process]:
-        """Every spawned process that has not yet terminated.
+        """Every spawned process that has not yet terminated, in spawn order.
 
         A process that outlives the work it was spawned for is a leak (the
-        pump-loop regression tests assert on this); dead or collected
-        entries are pruned as a side effect, so the registry stays small
-        even across very long runs.
+        pump-loop regression tests assert on this).  The registry holds
+        only these: a process leaves it when its generator ends, so it
+        stays as small as the live state however long the run.
         """
-        alive: List[Process] = []
-        kept: list = []
-        for ref in self._spawned:
-            proc = ref()
-            if proc is not None and proc.is_alive:
-                alive.append(proc)
-                kept.append(ref)
-        self._spawned = kept
-        return alive
+        return list(self._live)
 
     def any_of(self, events: Iterable[Event]) -> "Event":
         from .conditions import AnyOf

@@ -64,7 +64,7 @@ def test_destroy_flushes_peer_posted_receives():
     woken = []
 
     def peer_poller(sim):
-        wc = yield qb.cq.poll_where(lambda w: w.opcode == "RECV")
+        wc = yield qb.cq.poll(opcode="RECV")
         woken.append(wc)
 
     p = sim.spawn(peer_poller(sim))
@@ -93,7 +93,7 @@ def test_send_in_rnr_wait_is_flushed_when_peer_destroyed():
     qb.destroy()
     sim.run()
     assert len(qa.cq) == 1
-    wc = qa.cq._entries.items[0]
+    wc = qa.cq.pending()[0]
     assert (wc.wr_id, wc.opcode, wc.ok) == ("s", "SEND", False)
     assert "flushed" in str(wc.error)
     assert not any(p.name.startswith("qp") for p in sim.live_processes())
@@ -109,7 +109,7 @@ def test_send_in_flight_is_flushed_when_own_qp_destroyed():
     sim.run(until=sim.now + 1e-4)
     qa.destroy()
     sim.run()
-    wc = qa.cq._entries.items[-1]
+    wc = qa.cq.pending()[-1]
     assert (wc.wr_id, wc.opcode, wc.ok) == ("s", "SEND", False)
     assert not any(p.name.startswith("qp") for p in sim.live_processes())
 
@@ -171,7 +171,7 @@ def test_many_small_messages_throughput_sane():
         for i in range(100):
             qb.post_recv(("r", i))
             qa.post_send(("s", i), 64)
-            wc = yield qa.cq.poll(match=("s", i))
+            wc = yield qa.cq.poll(wr_id=("s", i))
             assert wc.ok
 
     sim.run(until=sim.spawn(driver(sim)))

@@ -1,5 +1,7 @@
 """Unit tests for the DES kernel: events, processes, interrupts, run()."""
 
+import sys
+
 import pytest
 
 from repro.simulate import (
@@ -518,16 +520,18 @@ def test_live_processes_tracks_parked_and_prunes_dead():
         yield sim.timeout(1)
 
     p1 = sim.spawn(parked(sim), name="parked")
-    for _ in range(10):
-        sim.spawn(quick(sim))
+    done = [sim.spawn(quick(sim)) for _ in range(10)]
     sim.run(until=sim.timeout(5))
     live = sim.live_processes()
     assert live == [p1]
+    # The registry dropped the dead processes, not just filtered them:
+    # only this test's list (and getrefcount's argument) refers to one.
+    assert all(sys.getrefcount(done[i]) == 2 for i in range(10))
+    del live
     gate.succeed()
     sim.run()
     assert sim.live_processes() == []
-    # Dead entries were pruned from the registry, not just filtered.
-    assert len(sim._spawned) == 0
+    assert sys.getrefcount(p1) == 2
 
 
 @pytest.mark.parametrize("make_wait", [
