@@ -196,7 +196,10 @@ class OSProcess:
                                                       dtype=np.uint8)
                     # An assigned segment keeps its value; its bytes are
                     # still drawn so later segments see the stream in order.
-                    if seg._draw is draw:
+                    # A segment's only draw is this one, so the test needs
+                    # no reference back to ``draw`` (which would make the
+                    # closure, and every segment it holds, a cycle).
+                    if seg._draw is not None:
                         seg.data = payload
 
             for seg in pending:

@@ -4,11 +4,11 @@
 one document: run identity + configuration, the critical-path phase
 waterfall, per-component blame and the dominant component with its share
 of the path, the phase timeline, sparkline tables of every sampled
-telemetry series, and the final metrics summary.  It
-works from a live run (records + probe in memory) or from a recorded
-run directory (``trace.jsonl.gz`` re-read, ``metrics.json`` loaded), and
-both render the same sections, units included, so ``repro report RUN``
-needs nothing but the runs directory.
+telemetry series, and the final metrics summary.  It reads the trace
+alone — a live tracer or a recorded run directory's ``trace.jsonl.gz``
+re-read — plus the ``metrics.json`` summary, so both render the same
+sections, units included, and ``repro report RUN`` needs nothing but the
+runs directory.
 
 Everything degrades gracefully: a trace with no spans skips the
 waterfall instead of failing, a run without telemetry skips the series
@@ -117,10 +117,9 @@ def _timeline_section(dag) -> List[str]:
 
 
 def _telemetry_section(series: Dict[str, List[Tuple[float, float]]],
-                       units: Optional[Dict[str, str]] = None) -> List[str]:
+                       units: Dict[str, str]) -> List[str]:
     if not series:
         return []
-    units = units or {}
     lines = ["## Telemetry time-series", "",
              f"{len(series)} sampled series.", "",
              "| series | unit | n | min | mean | max | last | trend |",
@@ -162,11 +161,10 @@ def render_run_report(manifest=None, records=None, telemetry=None,
     """Assemble the markdown report from whatever evidence is present.
 
     ``records`` is an iterable of :class:`TraceRecord` (live tracer or
-    ``read_jsonl`` reload); ``telemetry`` is either a probe (iterated
-    for its :class:`TimeSeries`) or a ``{name: [(t, v), ...]}`` mapping
-    as returned by :func:`repro.analysis.trace_export.telemetry_series`,
-    whose units come from the kernel series table and from
-    ``metrics_summary``.
+    ``read_jsonl`` reload); ``telemetry`` is a ``{name: [(t, v), ...]}``
+    mapping as returned by
+    :func:`repro.analysis.trace_export.telemetry_series`, whose units come
+    from the kernel series table and from ``metrics_summary``.
     """
     lines: List[str] = [f"# {title}", ""]
     if manifest is not None:
@@ -178,19 +176,10 @@ def render_run_report(manifest=None, records=None, telemetry=None,
         lines.extend(_critical_path_sections(dag))
         lines.extend(_timeline_section(dag))
 
-    series: Dict[str, List[Tuple[float, float]]] = {}
-    units: Dict[str, str] = {}
-    if telemetry is not None:
-        if isinstance(telemetry, dict):
-            series = dict(telemetry)
-            units = dict(KERNEL_SERIES_UNITS)
-            units.update((name, d["unit"]) for name, d
-                         in (metrics_summary or {}).items() if "unit" in d)
-        else:
-            for ts in telemetry:
-                series[ts.name] = list(ts.points)
-                units[ts.name] = ts.unit
-    lines.extend(_telemetry_section(series, units))
+    units = dict(KERNEL_SERIES_UNITS)
+    units.update((name, d["unit"]) for name, d
+                 in (metrics_summary or {}).items() if "unit" in d)
+    lines.extend(_telemetry_section(telemetry or {}, units))
     lines.extend(_metrics_section(metrics_summary or {}))
 
     if manifest is not None and manifest.results:

@@ -4,7 +4,8 @@ Two halves:
 
 * the **dynamic trace checker** (:mod:`~repro.sanitize.invariants`,
   :mod:`~repro.sanitize.checker`) — per-entity state machines enforcing
-  the paper's protocol laws over a live or replayed trace.  Each law
+  the paper's protocol laws over a finished trace, from a scenario run
+  or a recorded run's JSONL.  Each law
   stays only while a model bug seeded into production code breaks it
   and no other test notices; ``tests/sanitize/test_seeded_bugs.py``
   holds those seeds;

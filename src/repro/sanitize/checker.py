@@ -1,23 +1,18 @@
-"""The trace checker: runs the invariant rules live or offline.
+"""The trace checker: runs the invariant rules over a finished trace.
 
-Live::
+One path for every source — a tracer after its run, or a recorded run's
+reload::
 
-    checker = TraceChecker()
-    sub = checker.attach(tracer)         # before the simulation runs
-    ... run ...
-    violations = checker.finish()
-
-Offline::
-
+    violations = TraceChecker.check_trace(tracer)
     violations = TraceChecker.check_trace(read_jsonl("runs/<run_id>/trace.jsonl.gz"))
 
-Both paths drive the identical :mod:`~repro.sanitize.invariants` state
-machines, so a violation caught in CI replay reproduces live and vice
-versa.  :meth:`TraceChecker.feed` never raises — a rule that blows up
-is recorded as its *own* violation (``rule-internal-error``) and
-detached while the other rules run on.  Left to the ``Tracer``, the
-first exception would detach the whole checker and the run would read
-as clean.
+Both read the same records in the same order through the identical
+:mod:`~repro.sanitize.invariants` state machines, so a violation found
+in a scenario run reproduces from its archived trace and vice versa.
+:meth:`TraceChecker.feed` never raises — a rule that blows up is
+recorded as its *own* violation (``rule-internal-error``) and detached
+while the other rules run on.  Without that, the first exception would
+abort the whole check and hide every other rule's verdict.
 
 :func:`live_checks` adds the one end-of-run leak law that needs the
 simulation's object graph rather than the trace: no memory region may
@@ -29,7 +24,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Iterable, List, Optional
 
-from ..simulate.trace import TraceRecord, TraceSubscription
+from ..simulate.trace import TraceRecord
 from .invariants import Rule, Violation, default_rules
 
 __all__ = ["TraceChecker", "live_checks"]
@@ -55,7 +50,7 @@ class TraceChecker:
 
     # -- driving ------------------------------------------------------------
     def feed(self, rec: TraceRecord) -> None:
-        """Run one record through every live rule.  Never raises."""
+        """Run one record through every rule not yet detached.  Never raises."""
         self._last_time = rec.time
         for rule in self.rules:
             if rule in self._broken:
@@ -67,10 +62,6 @@ class TraceChecker:
                 self.violations.append(Violation(
                     "rule-internal-error", rule.doc, rec.time,
                     f"{rule.name}.feed raised {exc!r}; rule detached", rec))
-
-    def attach(self, tracer) -> TraceSubscription:
-        """Subscribe to a live tracer; returns the subscription handle."""
-        return tracer.subscribe(self.feed)
 
     def finish(self) -> List[Violation]:
         """Run every rule's end-of-trace checks; returns all violations."""
@@ -90,7 +81,7 @@ class TraceChecker:
     @classmethod
     def check_trace(cls, trace: Iterable[TraceRecord],
                     rules: Optional[Iterable[Rule]] = None) -> List[Violation]:
-        """Offline replay: feed a whole trace and finish."""
+        """Feed a whole finished trace and finish."""
         checker = cls(rules)
         for rec in trace:
             checker.feed(rec)

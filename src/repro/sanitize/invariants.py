@@ -2,8 +2,8 @@
 
 Each :class:`Rule` is a small per-entity state machine fed one
 :class:`~repro.simulate.trace.TraceRecord` at a time — the same code path
-whether the trace is live (``tracer.subscribe``) or replayed from a JSONL
-file.  A rule that observes a contradiction emits a :class:`Violation`
+whether the trace is a scenario run's finished tracer or replayed from a
+JSONL file.  A rule that observes a contradiction emits a :class:`Violation`
 carrying the offending record, its sim-time, and the rule's own doc
 string, so a report reads as *what law was broken, by which event, when*.
 

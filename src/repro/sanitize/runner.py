@@ -3,11 +3,12 @@
 One :func:`sanitize_scenario` call replays the runs of one experiment of
 :mod:`repro.experiments` — ``fig4`` (phase breakdown migrations), ``fig6``
 (ranks/node sweep), ``fig7`` (migration vs CR), ``pipeline`` (file vs
-memory restart) — with a live :class:`TraceChecker` attached
-to the tracer, runs the application to completion, and folds in the
-end-of-run :func:`live_checks`.  Each sub-run gets a fresh checker so
-per-entity state (QP numbers, sessions, pipeline runs) cannot bleed
-between independent simulations.
+memory restart) — with a plain :class:`~repro.simulate.trace.Tracer`,
+runs the application to completion, checks the finished trace with
+:meth:`TraceChecker.check_trace` (the path :func:`check_jsonl` takes for
+a recorded run) and folds in the end-of-run :func:`live_checks`.  Each
+sub-run gets a fresh checker so per-entity state (QP numbers, sessions,
+pipeline runs) cannot bleed between independent simulations.
 """
 
 from __future__ import annotations
@@ -55,12 +56,10 @@ class SanitizeResult:
 
 def _checked_run(name: str, run: Run, seed: int) -> RunResult:
     tracer = Tracer()
-    checker = TraceChecker()
-    checker.attach(tracer)
     sc = run.scenario(seed, trace=tracer)
     run.drive(sc)
     sc.run_to_completion()
-    violations = checker.finish()
+    violations = TraceChecker.check_trace(tracer)
     violations.extend(live_checks(sc.sim, sc.cluster))
     return RunResult(name, len(tracer), violations)
 

@@ -27,7 +27,7 @@ from .metrics import (
 )
 from .resources import Container, Resource, Store
 from .rng import RandomStreams
-from .telemetry import TelemetryProbe, TimeSeries
+from .telemetry import TelemetryProbe
 from .schema import (
     LAYERS,
     TRACE_SCHEMA,
@@ -65,7 +65,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "TelemetryProbe",
-    "TimeSeries",
     "TRACE_SCHEMA",
     "LAYERS",
     "validate_record",

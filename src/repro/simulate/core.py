@@ -485,7 +485,7 @@ class Simulator:
         outcome.  Attach before :meth:`run`; returns the probe.
         """
         self._probe = probe
-        if probe is not None and hasattr(probe, "bind"):
+        if probe is not None:
             probe.bind(self)
         return probe
 

@@ -36,7 +36,3 @@ class RandomStreams:
 
     def __contains__(self, name: str) -> bool:
         return name in self._streams
-
-    def reset(self) -> None:
-        """Drop all streams; subsequent use re-derives them from the root seed."""
-        self._streams.clear()

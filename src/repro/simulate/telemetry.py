@@ -16,12 +16,14 @@ cadence —
   occupancy, live QPs, pinned bytes, byte counters, ...) at its
   current value
 
-— into named :class:`TimeSeries`.  Each sample also lands in the trace
-as a ``telemetry.sample`` record (one per series per tick), so the
-JSONL archive, the Chrome-trace ``C`` counter tracks, and the run-report
-sparklines are all views of the same data and survive a
-``read_jsonl()`` round trip.  The probe is the only time-series source:
-instruments hold a current value, not a history.
+— as ``telemetry.sample`` records in the bound tracer (one per series
+per tick).  The probe keeps no copy: the JSONL archive, the Chrome-trace
+``C`` counter tracks and the run-report sparklines all read the samples
+back from the trace (:func:`~repro.analysis.trace_export.telemetry_series`),
+live or after a ``read_jsonl()`` round trip.  The probe is the only
+time-series source: instruments hold a current value, not a history.
+With no tracer attached the probe only counts ticks and calls its
+``on_sample`` hook (the ``--progress`` heartbeat).
 
 The probe must not perturb the schedule.  It therefore schedules
 *nothing*: the kernel's run loop checks ``now >= probe.next_time`` after
@@ -34,10 +36,9 @@ comparison per event.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
-__all__ = ["TimeSeries", "TelemetryProbe", "DEFAULT_INTERVAL",
-           "KERNEL_SERIES_UNITS"]
+__all__ = ["TelemetryProbe", "DEFAULT_INTERVAL", "KERNEL_SERIES_UNITS"]
 
 #: Unit of each kernel series, in the order :meth:`TelemetryProbe.on_advance`
 #: samples them.  ``telemetry.sample`` trace records carry no unit, so a
@@ -57,46 +58,6 @@ KERNEL_SERIES_UNITS: Dict[str, str] = {
 DEFAULT_INTERVAL = 0.25
 
 _INF = float("inf")
-
-
-class TimeSeries:
-    """One named, unit-tagged sequence of ``(sim_time, value)`` samples."""
-
-    __slots__ = ("name", "unit", "points")
-
-    def __init__(self, name: str, unit: str = ""):
-        self.name = name
-        self.unit = unit
-        self.points: List[Tuple[float, float]] = []
-
-    def append(self, t: float, v: float) -> None:
-        self.points.append((t, v))
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    @property
-    def values(self) -> List[float]:
-        return [v for _, v in self.points]
-
-    def stats(self) -> Dict[str, float]:
-        """min/mean/max/last over the sampled values (empty-safe)."""
-        vals = self.values
-        if not vals:
-            return {"n": 0, "min": 0.0, "mean": 0.0, "max": 0.0, "last": 0.0}
-        return {"n": len(vals), "min": min(vals),
-                "mean": sum(vals) / len(vals), "max": max(vals),
-                "last": vals[-1]}
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {"unit": self.unit,
-                "points": [[t, v] for t, v in self.points], **self.stats()}
-
-    def __repr__(self) -> str:
-        return f"<TimeSeries {self.name} n={len(self.points)}>"
 
 
 class TelemetryProbe:
@@ -119,8 +80,6 @@ class TelemetryProbe:
         hook must not touch simulation state.
     """
 
-    enabled = True
-
     def __init__(self, interval: float = DEFAULT_INTERVAL,
                  on_sample: Optional[Callable[["TelemetryProbe", float],
                                               None]] = None):
@@ -128,11 +87,10 @@ class TelemetryProbe:
             raise ValueError(f"telemetry interval must be > 0, got {interval}")
         self.interval = float(interval)
         self.on_sample = on_sample
-        self.series: Dict[str, TimeSeries] = {}
         self.samples_taken = 0
         self._sim: Any = None
         self._next = _INF
-        self._last_t: Optional[float] = None
+        self._last_t = 0.0
         self._last_processed = 0
 
     # -- binding ------------------------------------------------------------
@@ -156,64 +114,35 @@ class TelemetryProbe:
         return self._next
 
     # -- sampling -----------------------------------------------------------
-    def _series(self, name: str, unit: str = "") -> TimeSeries:
-        ts = self.series.get(name)
-        if ts is None:
-            ts = self.series[name] = TimeSeries(name, unit)
-        return ts
-
     def on_advance(self, now: float) -> float:
         """Take one sample at ``now``; returns the next boundary time.
 
         Called by the kernel run loop after the clock advanced to ``now``
-        with ``now >= next_time``.  Never schedules anything.
+        with ``now >= next_time``.  Never schedules anything.  A sample is
+        its ``telemetry.sample`` records; with no tracer attached the probe
+        only counts the tick and calls ``on_sample``.
         """
         sim = self._sim
-        processed = sim.events_processed
-        cancelled = sim.events_cancelled
-        dt = now - self._last_t if self._last_t is not None else 0.0
-        rate = ((processed - self._last_processed) / dt) if dt > 0 else 0.0
-        handled = processed + cancelled
-        kernel = (float(sim.queue_depth()), float(processed), rate,
-                  cancelled / handled if handled else 0.0,
-                  float(len(sim.live_processes())))
-        take: List[Tuple[str, str, float]] = [
-            (name, unit, value)
-            for (name, unit), value in zip(KERNEL_SERIES_UNITS.items(),
-                                           kernel)]
-        metrics = sim.metrics
-        if metrics is not None and getattr(metrics, "enabled", False):
-            for name, unit, value in metrics.sample_values():
-                take.append((name, unit, value))
         trace = sim.trace
-        for name, unit, value in take:
-            self._series(name, unit).append(now, value)
-            if trace is not None:
+        if trace is not None:
+            processed = sim.events_processed
+            cancelled = sim.events_cancelled
+            dt = now - self._last_t
+            rate = ((processed - self._last_processed) / dt) if dt > 0 else 0.0
+            handled = processed + cancelled
+            kernel = (float(sim.queue_depth()), float(processed), rate,
+                      cancelled / handled if handled else 0.0,
+                      float(len(sim.live_processes())))
+            for name, value in zip(KERNEL_SERIES_UNITS, kernel):
                 trace.record(now, "telemetry.sample", metric=name,
                              value=value)
+            for name, _unit, value in sim.metrics.sample_values():
+                trace.record(now, "telemetry.sample", metric=name,
+                             value=value)
+            self._last_t = now
+            self._last_processed = processed
         self.samples_taken += 1
-        self._last_t = now
-        self._last_processed = processed
         self._next = (now // self.interval + 1) * self.interval
         if self.on_sample is not None:
             self.on_sample(self, now)
         return self._next
-
-    # -- export -------------------------------------------------------------
-    def names(self) -> List[str]:
-        return sorted(self.series)
-
-    def get(self, name: str) -> Optional[TimeSeries]:
-        return self.series.get(name)
-
-    def __len__(self) -> int:
-        return len(self.series)
-
-    def __iter__(self):
-        return iter(self.series.values())
-
-    def as_dict(self) -> Dict[str, Dict[str, Any]]:
-        """``{series name: {unit, points, stats}}`` (JSON-friendly)."""
-        return {name: self.series[name].as_dict()
-                for name in sorted(self.series)}
-

@@ -5,6 +5,12 @@ turns into phase decompositions (Figure 4/6/7) and byte accounting
 (Table I).  Tracing is opt-in: components call ``trace(...)`` through a
 no-op guard so untraced runs pay almost nothing.
 
+``Tracer.records`` is a run's one record of what it observed: recording
+only appends, nothing watches it live, and every reader (``of_kind`` and
+``between`` are filters over it, the exporters, ``repro explain`` and
+``report``, the sanitizer) reads it after the run or from its
+``read_jsonl`` reload.
+
 On top of raw records the tracer offers a **span API**: paired
 ``<name>.start`` / ``<name>.end`` records carrying a monotonically
 increasing span id and the id of the enclosing span, so nested and
@@ -36,8 +42,7 @@ from __future__ import annotations
 from itertools import count
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-__all__ = ["TraceRecord", "Tracer", "NullTracer", "Span", "TraceSubscription",
-           "NULL_TRACER"]
+__all__ = ["TraceRecord", "Tracer", "NullTracer", "Span", "NULL_TRACER"]
 
 
 class TraceRecord:
@@ -98,24 +103,6 @@ def _reject_reserved(name: str, fields: Dict[str, Any]) -> None:
         raise ValueError(
             f"span {name!r}: reserved field name {clash} (a span writes"
             " span, parent, duration and error itself)")
-
-
-class TraceSubscription:
-    """Handle returned by :meth:`Tracer.subscribe`; call to detach."""
-
-    __slots__ = ("_tracer", "fn", "active")
-
-    def __init__(self, tracer: "Tracer", fn: Callable[[TraceRecord], None]):
-        self._tracer = tracer
-        self.fn = fn
-        self.active = True
-
-    def unsubscribe(self) -> None:
-        if self.active:
-            self.active = False
-            self._tracer._detach(self)
-
-    __call__ = unsubscribe
 
 
 class Span:
@@ -202,20 +189,10 @@ class Span:
 
 
 class Tracer:
-    """Append-only in-memory trace with kind-indexed retrieval."""
+    """Append-only in-memory trace; retrieval filters :attr:`records`."""
 
     def __init__(self, clock: Optional[Callable[[], float]] = None):
         self.records: List[TraceRecord] = []
-        #: Kind index, built lazily: ``record()`` only appends, and the
-        #: retrieval APIs fold any records appended since the last lookup
-        #: into the index.  Keeps the per-record hot path to one append.
-        self._by_kind: Dict[str, List[TraceRecord]] = {}
-        self._indexed_upto = 0
-        self._subscribers: List[TraceSubscription] = []
-        #: Exceptions raised (and contained) by live subscribers, as
-        #: ``(record, subscription, exception)`` — a bad callback is
-        #: detached after its first failure instead of aborting record().
-        self.subscriber_errors: List[tuple] = []
         self._clock = clock
         self._task_key: Optional[Callable[[], Any]] = None
         self._span_ids = count(1)
@@ -259,23 +236,7 @@ class Tracer:
 
     # -- recording ----------------------------------------------------------
     def record(self, time: float, kind: str, **fields: Any) -> None:
-        rec = TraceRecord(time, kind, fields)
-        self.records.append(rec)
-        if self._subscribers:
-            self._notify(rec)
-
-    def _notify(self, rec: TraceRecord) -> None:
-        # Iterate over a copy: a subscriber may unsubscribe (itself or
-        # another) from inside its callback.
-        for sub in list(self._subscribers):
-            if not sub.active:
-                continue
-            try:
-                sub.fn(rec)
-            except Exception as exc:  # noqa: BLE001 — isolation is the point
-                sub.active = False
-                self._detach(sub)
-                self.subscriber_errors.append((rec, sub, exc))
+        self.records.append(TraceRecord(time, kind, fields))
 
     def span(self, name: str, **attrs: Any) -> Span:
         """A context manager emitting paired ``.start``/``.end`` records.
@@ -315,45 +276,12 @@ class Tracer:
                     flow=flow_id, src=src_id, dst=dst_id, edge=kind)
         return flow_id
 
-    def subscribe(self, fn: Callable[[TraceRecord], None]) -> TraceSubscription:
-        """Register a live callback invoked on every new record.
-
-        Returns a :class:`TraceSubscription`; call it (or its
-        ``unsubscribe()``) to detach.  A callback that raises is detached
-        after its first failure and the error parked in
-        :attr:`subscriber_errors` — one bad observer cannot abort the
-        simulation mid-``record()``.
-        """
-        sub = TraceSubscription(self, fn)
-        self._subscribers.append(sub)
-        return sub
-
-    def _detach(self, sub: TraceSubscription) -> None:
-        try:
-            self._subscribers.remove(sub)
-        except ValueError:
-            pass
-
     # -- retrieval ----------------------------------------------------------
-    def _index(self) -> Dict[str, List[TraceRecord]]:
-        """Fold not-yet-indexed records into the kind index and return it."""
-        records = self.records
-        upto = self._indexed_upto
-        if upto < len(records):
-            by_kind = self._by_kind
-            for rec in records[upto:]:
-                bucket = by_kind.get(rec.kind)
-                if bucket is None:
-                    bucket = by_kind[rec.kind] = []
-                bucket.append(rec)
-            self._indexed_upto = len(records)
-        return self._by_kind
-
     def of_kind(self, kind: str) -> List[TraceRecord]:
-        return list(self._index().get(kind, []))
+        return [r for r in self.records if r.kind == kind]
 
     def kinds(self) -> List[str]:
-        return sorted(self._index())
+        return sorted({r.kind for r in self.records})
 
     def __len__(self) -> int:
         return len(self.records)
@@ -362,8 +290,8 @@ class Tracer:
         return iter(self.records)
 
     def between(self, t0: float, t1: float, kind: Optional[str] = None) -> List[TraceRecord]:
-        src = self._index().get(kind, []) if kind is not None else self.records
-        return [r for r in src if t0 <= r.time <= t1]
+        return [r for r in self.records if t0 <= r.time <= t1
+                and (kind is None or r.kind == kind)]
 
 
 class _NullSpan:
@@ -388,33 +316,17 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
-class _NullSubscription:
-    __slots__ = ()
-    active = False
-
-    def unsubscribe(self) -> None:
-        pass
-
-    __call__ = unsubscribe
-
-
-_NULL_SUBSCRIPTION = _NullSubscription()
-
-
 class NullTracer:
     """Drop-in tracer that discards everything (the fast default).
 
     Mirrors the full :class:`Tracer` surface — ``records``, ``kinds()``,
-    ``between()``, iteration, spans, subscriptions — so helpers written
+    ``between()``, iteration, spans — so helpers written
     against a real tracer (``extract_phases``, exporters) run unchanged
     on an untraced simulation and simply see an empty trace.
     """
 
     #: Always-empty record list (shared; record() never appends).
     records: Tuple[TraceRecord, ...] = ()
-    #: Parity with :attr:`Tracer.subscriber_errors` — always empty, no
-    #: subscriber can ever run against a null tracer.
-    subscriber_errors: Tuple = ()
 
     def record(self, time: float, kind: str, **fields: Any) -> None:
         pass
@@ -430,9 +342,6 @@ class NullTracer:
 
     def bind(self, clock: Any) -> "NullTracer":
         return self
-
-    def subscribe(self, fn: Callable[[TraceRecord], None]) -> _NullSubscription:
-        return _NULL_SUBSCRIPTION
 
     def of_kind(self, kind: str) -> List[TraceRecord]:
         return []

@@ -14,6 +14,7 @@ from repro.analysis import (
     write_jsonl,
 )
 from repro.simulate import MetricsRegistry, Simulator, TelemetryProbe, Tracer
+from repro.simulate.telemetry import KERNEL_SERIES_UNITS
 
 
 @pytest.fixture()
@@ -53,9 +54,10 @@ def test_telemetry_samples_become_chrome_counter_events(probed_trace):
 def test_telemetry_series_survives_jsonl_round_trip(probed_trace, tmp_path):
     tracer, probe = probed_trace
     live = telemetry_series(tracer)
-    assert set(probe.names()) == set(live)
-    for name in probe.names():
-        assert live[name] == list(probe.get(name).points)
+    # Every kernel series and the registry's gauge, one point per tick.
+    assert set(live) == set(KERNEL_SERIES_UNITS) | {"pool.occupancy"}
+    assert all(len(points) == probe.samples_taken
+               for points in live.values())
 
     path = tmp_path / "trace.jsonl"
     write_jsonl(tracer, str(path))

@@ -78,13 +78,11 @@ def test_render_timeline():
     assert render_timeline([]) == "== timeline ==\n(no phases)"
 
 
-def test_tracer_subscribe_live():
+def test_tracer_retrieval_filters_records():
     t = Tracer()
-    seen = []
-    t.subscribe(lambda rec: seen.append(rec.kind))
     t.record(0.0, "a", x=1)
     t.record(1.0, "b")
-    assert seen == ["a", "b"]
+    assert [r.kind for r in t] == ["a", "b"]
     assert t.kinds() == ["a", "b"]
     assert len(t.between(0.5, 1.5)) == 1
     assert t.records[0].get("x") == 1

@@ -3,6 +3,7 @@
 import io
 import time
 
+from repro.analysis import read_jsonl, telemetry_series, write_jsonl
 from repro.obs import (
     ProgressReporter,
     RunManifest,
@@ -28,18 +29,18 @@ def _observed_run():
     tracer, registry = Tracer(), MetricsRegistry()
     sc = Scenario.build(app="LU.C", nprocs=8, n_compute=2, n_spare=1,
                         iterations=20, trace=tracer, metrics=registry)
-    probe = sc.sim.attach_probe(TelemetryProbe())
+    sc.sim.attach_probe(TelemetryProbe())
     report = sc.run_migration("node1", at=2.0)
-    return tracer, registry, probe, report
+    return tracer, registry, report
 
 
 def test_full_report_renders_all_sections():
-    tracer, registry, probe, _ = _observed_run()
+    tracer, registry, _ = _observed_run()
     manifest = RunManifest.new("report", {"app": "LU.C"}, seed=0)
     manifest.results = {"total_seconds": 6.1}
     manifest.artifacts = ["trace.jsonl"]
     text = render_run_report(manifest=manifest, records=list(tracer.records),
-                             telemetry=probe,
+                             telemetry=telemetry_series(tracer),
                              metrics_summary=registry.as_dict())
     for section in ("## Run", "## Configuration", "## Phase waterfall",
                     "## Critical-path blame", "## Timeline",
@@ -54,14 +55,19 @@ def test_full_report_renders_all_sections():
     assert "Dominant component:" in text
 
 
-def test_report_accepts_series_dict_from_archived_trace():
-    from repro.analysis import telemetry_series
-
-    tracer, _, probe, _ = _observed_run()
-    series = telemetry_series(tracer)
-    text = render_run_report(records=list(tracer.records), telemetry=series)
+def test_report_accepts_series_dict_from_archived_trace(tmp_path):
+    tracer, registry, _ = _observed_run()
+    path = str(tmp_path / "trace.jsonl")
+    write_jsonl(tracer, path)
+    archived = read_jsonl(path)
+    series = telemetry_series(archived)
+    text = render_run_report(records=list(archived), telemetry=series,
+                             metrics_summary=registry.as_dict())
     assert "## Telemetry time-series" in text
     assert f"{len(series)} sampled series." in text
+    assert text == render_run_report(records=list(tracer.records),
+                                     telemetry=telemetry_series(tracer),
+                                     metrics_summary=registry.as_dict())
 
 
 def test_report_degrades_without_spans_or_telemetry():

@@ -1,5 +1,7 @@
-"""Checker-machinery tests: containment, live attachment, idempotence."""
+"""Checker-machinery tests: containment, one path for a run's tracer and
+its JSONL reload, idempotence."""
 
+from repro.analysis import read_jsonl, write_jsonl
 from repro.sanitize import TraceChecker
 from repro.sanitize.invariants import QPLifecycleRule, Rule
 from repro.simulate.trace import Tracer
@@ -32,12 +34,11 @@ class _FinishOnlyRule(Rule):
 
 def test_broken_rule_is_detached_not_fatal():
     counting = _CountingRule()
-    checker = TraceChecker(rules=[_ExplodingRule(), counting])
     tracer = Tracer()
-    checker.attach(tracer)
     tracer.record(0.0, "qp.destroy", qp=1)
     tracer.record(1.0, "qp.destroy", qp=2)
-    violations = checker.finish()
+    violations = TraceChecker.check_trace(tracer,
+                                          rules=[_ExplodingRule(), counting])
     # One rule-internal-error for the first record; then detached.
     internal = [v for v in violations if v.rule == "rule-internal-error"]
     assert len(internal) == 1
@@ -46,21 +47,25 @@ def test_broken_rule_is_detached_not_fatal():
     assert counting.n == 2
 
 
-def test_live_and_offline_paths_agree():
+def test_live_and_offline_paths_agree(tmp_path):
+    """A run's own tracer, fed record by record or checked whole, and its
+    JSONL reload give the same verdict."""
     tracer = Tracer()
     tracer.record(0.0, "qp.destroy", qp=1)
     tracer.record(1.0, "qp.destroy", qp=1)
 
-    live = TraceChecker(rules=[QPLifecycleRule()])
-    sub = live.attach(Tracer())  # fresh tracer; replay manually below
+    fed = TraceChecker(rules=[QPLifecycleRule()])
     for rec in tracer:
-        live.feed(rec)
-    sub.unsubscribe()
+        fed.feed(rec)
 
-    offline = TraceChecker.check_trace(tracer, rules=[QPLifecycleRule()])
-    assert offline
-    assert [v.message for v in live.finish()] == \
-        [v.message for v in offline]
+    live = TraceChecker.check_trace(tracer, rules=[QPLifecycleRule()])
+    path = str(tmp_path / "trace.jsonl")
+    write_jsonl(tracer, path)
+    offline = TraceChecker.check_trace(read_jsonl(path),
+                                       rules=[QPLifecycleRule()])
+    assert live
+    assert [v.render() for v in fed.finish()] == \
+        [v.render() for v in live] == [v.render() for v in offline]
 
 
 def test_finish_is_idempotent():
@@ -72,18 +77,7 @@ def test_finish_is_idempotent():
 
 
 def test_nan_finish_time_replaced_with_last_record_time():
-    checker = TraceChecker(rules=[_FinishOnlyRule()])
     tracer = Tracer()
-    checker.attach(tracer)
     tracer.record(42.5, "qp.destroy", qp=1)
-    violations = checker.finish()
+    violations = TraceChecker.check_trace(tracer, rules=[_FinishOnlyRule()])
     assert violations[0].time == 42.5  # not NaN: renderable and JSON-safe
-
-
-def test_attach_sees_records_emitted_after_subscription():
-    checker = TraceChecker(rules=[QPLifecycleRule()])
-    tracer = Tracer()
-    checker.attach(tracer)
-    tracer.record(0.0, "qp.destroy", qp=1)
-    tracer.record(1.0, "qp.destroy", qp=1)
-    assert checker.finish()

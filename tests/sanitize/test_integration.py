@@ -14,26 +14,24 @@ from .test_seeded_bugs import SEEDS
 
 @pytest.fixture(scope="module")
 def migrated():
-    """One completed LU.C migration with the checker attached live."""
+    """One completed, traced LU.C migration."""
     tracer = Tracer()
-    checker = TraceChecker()
-    checker.attach(tracer)
     sc = Scenario.build(app="LU.C", nprocs=16, n_compute=4, n_spare=1,
                         iterations=20, seed=0, trace=tracer)
     sc.run_migration("node2", at=5.0)
     sc.run_to_completion()
-    return sc, tracer, checker
+    return sc, tracer
 
 
 def test_full_migration_is_clean_live(migrated):
-    sc, tracer, checker = migrated
-    violations = list(checker.finish())
+    sc, tracer = migrated
+    violations = TraceChecker.check_trace(tracer)
     violations.extend(live_checks(sc.sim, sc.cluster))
     assert violations == [], "\n".join(v.render() for v in violations)
 
 
 def test_exported_trace_replays_clean_offline(migrated, tmp_path):
-    _, tracer, _ = migrated
+    _, tracer = migrated
     path = str(tmp_path / "trace.jsonl")
     n = write_jsonl(tracer, path)
     assert n == len(tracer)
@@ -43,18 +41,16 @@ def test_exported_trace_replays_clean_offline(migrated, tmp_path):
 
 
 def test_injected_fault_reproduces_offline(monkeypatch, tmp_path):
-    """A seeded bug's violations replay offline word for word — the
-    property that makes CI replay trustworthy."""
+    """A seeded bug's violations in a run's own tracer replay from its
+    JSONL word for word — the property that makes CI replay trustworthy."""
     cls, attr, seeded, _, _ = SEEDS["QPLifecycleRule"]
     monkeypatch.setattr(cls, attr, seeded)
     tracer = Tracer()
-    live = TraceChecker()
-    live.attach(tracer)
     sc = Scenario.build(app="LU.C", nprocs=8, n_compute=2, n_spare=1,
                         iterations=10, seed=0, trace=tracer)
     sc.run_migration("node1", at=5.0)
     sc.run_to_completion()
-    live_verdict = [v.render() for v in live.finish()]
+    live_verdict = [v.render() for v in TraceChecker.check_trace(tracer)]
     assert live_verdict
 
     path = str(tmp_path / "trace.jsonl")

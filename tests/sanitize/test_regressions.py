@@ -66,13 +66,11 @@ def test_migration_session_teardown_is_symmetric():
     before the fix the session's destination QP was never torn down and
     QPLifecycleRule flagged the pair."""
     tracer = Tracer()
-    checker = TraceChecker(rules=[QPLifecycleRule()])
-    checker.attach(tracer)
     sc = Scenario.build(app="LU.C", nprocs=8, n_compute=2, n_spare=1,
                         iterations=10, seed=0, trace=tracer)
     sc.run_migration("node1", at=5.0)
     sc.run_to_completion()
-    violations = checker.finish()
+    violations = TraceChecker.check_trace(tracer, rules=[QPLifecycleRule()])
     assert violations == [], "\n".join(v.render() for v in violations)
 
     connects = [r for r in tracer if r.kind == "qp.connect"]

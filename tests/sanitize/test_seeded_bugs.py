@@ -77,14 +77,12 @@ def test_law_catches_its_seeded_bug(law, monkeypatch, tmp_path):
     cls, attr, seeded, restart_mode, replays = SEEDS[law]
     monkeypatch.setattr(cls, attr, seeded)
     tracer = Tracer()
-    checker = TraceChecker()
-    checker.attach(tracer)
     sc = Scenario.build(app="LU.C", nprocs=8, n_compute=2, n_spare=1,
                         iterations=10, seed=0, trace=tracer,
                         restart_mode=restart_mode)
     sc.run_migration("node1", at=5.0)
     sc.run_to_completion()
-    live = checker.finish() + live_checks(sc.sim, sc.cluster)
+    live = TraceChecker.check_trace(tracer) + live_checks(sc.sim, sc.cluster)
     assert law in {v.rule for v in live}, \
         "\n".join(v.render() for v in live)
 

@@ -1,7 +1,8 @@
-"""Span API, metrics registry, subscriptions, and NullTracer parity."""
+"""Span API, metrics registry, and NullTracer parity."""
 
 import pytest
 
+from repro.analysis import telemetry_series
 from repro.simulate import (
     Counter,
     Gauge,
@@ -165,54 +166,18 @@ def test_simulator_binds_tracer_clock():
 
 
 # ---------------------------------------------------------------------------
-# Subscriptions
-# ---------------------------------------------------------------------------
-
-def test_subscribe_returns_unsubscribe_handle():
-    t = Tracer()
-    got = []
-    sub = t.subscribe(got.append)
-    t.record(0.0, "a")
-    sub.unsubscribe()
-    t.record(1.0, "b")
-    assert [r.kind for r in got] == ["a"]
-    sub.unsubscribe()  # idempotent
-
-
-def test_bad_subscriber_is_isolated_and_detached():
-    t = Tracer()
-    good = []
-
-    def bad(rec):
-        raise ValueError("observer bug")
-
-    t.subscribe(bad)
-    t.subscribe(good.append)
-    t.record(0.0, "x")  # must not raise
-    t.record(1.0, "y")
-    assert [r.kind for r in good] == ["x", "y"]
-    assert len(t.subscriber_errors) == 1  # detached after first failure
-    rec, sub, exc = t.subscriber_errors[0]
-    assert rec.kind == "x" and isinstance(exc, ValueError)
-    assert not sub.active
-
-
-# ---------------------------------------------------------------------------
 # NullTracer parity
 # ---------------------------------------------------------------------------
 
 def test_null_tracer_full_surface_parity():
     real, null = Tracer(clock=lambda: 0.0), NullTracer()
-    for api in ("record", "span", "bind", "subscribe", "of_kind", "kinds",
+    for api in ("record", "span", "bind", "of_kind", "kinds",
                 "between", "records", "__len__", "__iter__"):
         assert hasattr(null, api), f"NullTracer missing {api}"
     # Same call patterns, empty results.
     null.record(0.0, "k", a=1)
     with null.span("op", rank=1) as sp:
         sp.annotate(n=2)
-    sub = null.subscribe(lambda r: None)
-    sub.unsubscribe()
-    sub()
     assert null.bind(object()) is null
     assert list(null) == []
     assert len(null) == 0
@@ -241,12 +206,14 @@ def test_null_tracer_spans_run_without_clock():
 
 def _probed(body):
     """Run the process ``body(sim)`` under a 1 s telemetry probe; the
-    probe samples each boundary before that instant's events run."""
+    probe samples each boundary before that instant's events run.
+    Returns the registry and the sampled ``{name: points}`` series."""
     m = MetricsRegistry()
-    sim = Simulator(metrics=m)
-    probe = sim.attach_probe(TelemetryProbe(interval=1.0))
+    tracer = Tracer()
+    sim = Simulator(trace=tracer, metrics=m)
+    sim.attach_probe(TelemetryProbe(interval=1.0))
     sim.run(until=sim.spawn(body(sim)))
-    return m, probe
+    return m, telemetry_series(tracer)
 
 
 def test_counter_monotonic_and_sampled():
@@ -257,11 +224,11 @@ def test_counter_monotonic_and_sampled():
         c.inc(5)
         yield sim.timeout(1.0)
 
-    m, probe = _probed(body)
+    m, series = _probed(body)
     c = m.counter("bytes")
     assert c.value == 15
-    assert probe.get("bytes").points == [(1.0, 10.0), (2.0, 15.0)]
-    assert probe.get("bytes").unit == "B"
+    assert series["bytes"] == [(1.0, 10.0), (2.0, 15.0)]
+    assert m.as_dict()["bytes"]["unit"] == "B"
     with pytest.raises(ValueError):
         c.inc(-1)
 
@@ -276,9 +243,9 @@ def test_gauge_set_inc_dec():
         g.dec(2)
         yield sim.timeout(1.0)
 
-    m, probe = _probed(body)
+    m, series = _probed(body)
     assert m.gauge("depth").value == 3
-    assert probe.get("depth").values == [4, 5, 3]
+    assert [v for _, v in series["depth"]] == [4, 5, 3]
 
 
 def test_histogram_buckets_and_time_series():
@@ -356,10 +323,11 @@ def test_null_metrics_is_inert():
 
 def test_simulator_attaches_metrics_registry():
     m = MetricsRegistry()
-    sim = Simulator(metrics=m)
+    tracer = Tracer()
+    sim = Simulator(trace=tracer, metrics=m)
     assert sim.metrics is m
 
-    probe = sim.attach_probe(TelemetryProbe(interval=1.0))
+    sim.attach_probe(TelemetryProbe(interval=1.0))
 
     def run(sim):
         yield sim.timeout(3.0)
@@ -368,7 +336,7 @@ def test_simulator_attaches_metrics_registry():
 
     sim.run(until=sim.spawn(run(sim)))
     assert m.counter("ticks").value == 1.0
-    assert probe.get("ticks").points == [(4.0, 1.0)]
+    assert telemetry_series(tracer)["ticks"] == [(4.0, 1.0)]
 
 
 def test_untraced_simulator_uses_null_registry():

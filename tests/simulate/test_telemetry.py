@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.analysis import telemetry_series
 from repro.scenario import Scenario
 from repro.simulate import (
     MetricsRegistry,
@@ -16,7 +17,7 @@ from repro.simulate import (
     validate_trace,
 )
 from repro.simulate.metrics import NullMetricsRegistry, _NullInstrument
-from repro.simulate.telemetry import DEFAULT_INTERVAL, TimeSeries
+from repro.simulate.telemetry import DEFAULT_INTERVAL, KERNEL_SERIES_UNITS
 from repro.simulate.trace import NullTracer
 
 
@@ -30,10 +31,11 @@ def _tick_sim(sim, until=10.0, step=0.1):
 
 
 def test_probe_samples_on_cadence_with_monotonic_timestamps():
-    sim = Simulator()
+    tracer = Tracer()
+    sim = Simulator(trace=tracer)
     probe = sim.attach_probe(TelemetryProbe(interval=0.5))
     _tick_sim(sim, until=10.0)
-    depth = probe.get("kernel.queue_depth")
+    depth = telemetry_series(tracer).get("kernel.queue_depth")
     assert depth is not None and len(depth) >= 18
     times = [t for t, _ in depth]
     assert times == sorted(times)
@@ -44,18 +46,34 @@ def test_probe_samples_on_cadence_with_monotonic_timestamps():
 
 
 def test_probe_counts_kernel_state():
-    sim = Simulator()
-    probe = sim.attach_probe(TelemetryProbe(interval=1.0))
+    tracer = Tracer()
+    sim = Simulator(trace=tracer)
+    sim.attach_probe(TelemetryProbe(interval=1.0))
     _tick_sim(sim, until=5.0)
-    processed = probe.get("kernel.events_processed")
-    vals = processed.values
+    series = telemetry_series(tracer)
+    vals = [v for _, v in series["kernel.events_processed"]]
     assert vals == sorted(vals), "events_processed is monotonic"
     assert vals[-1] > 0
-    rate = probe.get("kernel.events_per_sec")
-    assert any(v > 0 for v in rate.values)
-    for name in ("kernel.queue_depth", "kernel.cancelled_ratio",
-                 "kernel.live_processes"):
-        assert probe.get(name) is not None, name
+    assert any(v > 0 for _, v in series["kernel.events_per_sec"])
+    # Every kernel series, and (with no registry bound) nothing else.
+    assert sorted(series) == sorted(KERNEL_SERIES_UNITS)
+
+
+def test_probe_without_a_tracer_only_counts_and_calls_its_hook():
+    """Untraced, the probe ticks when a traced one samples."""
+    ticks = []
+    sim = Simulator()
+    probe = sim.attach_probe(TelemetryProbe(
+        interval=1.0, on_sample=lambda p, now: ticks.append((p, now))))
+    _tick_sim(sim, until=5.0)
+    tracer = Tracer()
+    traced = Simulator(trace=tracer)
+    traced.attach_probe(TelemetryProbe(interval=1.0))
+    _tick_sim(traced, until=5.0)
+    sampled = telemetry_series(tracer)["kernel.queue_depth"]
+    assert [now for _, now in ticks] == [t for t, _ in sampled]
+    assert probe.samples_taken == len(ticks) > 0
+    assert all(p is probe for p, _ in ticks)
 
 
 def test_probe_interval_must_be_positive():
@@ -66,7 +84,8 @@ def test_probe_interval_must_be_positive():
 
 
 def test_probe_samples_metric_instruments():
-    sim = Simulator(metrics=MetricsRegistry())
+    tracer = Tracer()
+    sim = Simulator(trace=tracer, metrics=MetricsRegistry())
     gauge = sim.metrics.gauge("test.level", unit="widgets")
 
     def setter():
@@ -76,12 +95,13 @@ def test_probe_samples_metric_instruments():
         yield sim.timeout(5.0)
 
     sim.spawn(setter())
-    probe = sim.attach_probe(TelemetryProbe(interval=1.0))
+    sim.attach_probe(TelemetryProbe(interval=1.0))
     _tick_sim(sim, until=3.0, step=0.2)
-    series = probe.get("test.level")
+    series = telemetry_series(tracer).get("test.level")
     assert series is not None
-    assert series.unit == "widgets"
-    assert 3.0 in series.values and 7.0 in series.values
+    assert sim.metrics.as_dict()["test.level"]["unit"] == "widgets"
+    values = [v for _, v in series]
+    assert 3.0 in values and 7.0 in values
 
 
 def test_probe_emits_trace_records_that_validate():
@@ -120,26 +140,6 @@ def test_probe_does_not_perturb_the_event_sequence():
     total_on, lines_on = run(with_probe=True)
     assert total_on == total_off
     assert len(lines_on) == len(lines_off)
-
-
-def test_probe_as_dict_round_trips_json():
-    sim = Simulator(metrics=MetricsRegistry())
-    probe = sim.attach_probe(TelemetryProbe(interval=1.0))
-    _tick_sim(sim, until=2.0)
-    doc = json.loads(json.dumps(probe.as_dict()))
-    assert "kernel.queue_depth" in doc
-    entry = doc["kernel.queue_depth"]
-    assert entry["n"] == len(entry["points"])
-    assert {"unit", "min", "mean", "max", "last"} <= set(entry)
-
-
-def test_timeseries_stats_empty_safe():
-    ts = TimeSeries("x", unit="u")
-    assert ts.stats()["n"] == 0
-    ts.append(1.0, 2.0)
-    ts.append(2.0, 4.0)
-    assert ts.stats() == {"n": 2, "min": 2.0, "mean": 3.0, "max": 4.0,
-                          "last": 4.0}
 
 
 # -- null-object parity ------------------------------------------------------

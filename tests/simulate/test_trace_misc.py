@@ -17,7 +17,6 @@ from repro.analysis import read_jsonl, write_jsonl
 def test_null_tracer_is_inert():
     t = NullTracer()
     t.record(0.0, "x", a=1)
-    t.subscribe(lambda rec: None)
     assert len(t) == 0
     assert t.of_kind("x") == []
 

@@ -381,6 +381,7 @@ def test_report_command_live_renders_sections(capsys, recorded):
 def test_report_matches_live_render(capsys, recorded):
     """``report RUN`` renders what an in-process render of the same run
     does, from the waterfall through the metrics summary."""
+    from repro.analysis import telemetry_series
     from repro.experiments import FAILURE_AT, Run
     from repro.obs import render_run_report
     from repro.simulate import MetricsRegistry, TelemetryProbe, Tracer
@@ -392,7 +393,8 @@ def test_report_matches_live_render(capsys, recorded):
                                                metrics=registry)
     sc.sim.attach_probe(probe)
     sc.run_migration("node1", at=FAILURE_AT)
-    live = render_run_report(records=tracer, telemetry=probe,
+    live = render_run_report(records=tracer,
+                             telemetry=telemetry_series(tracer),
                              metrics_summary=registry.as_dict())
     out = run_cli(capsys, "report", recorded["file"],
                   "--runs-dir", str(recorded["dir"]))

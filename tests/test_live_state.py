@@ -10,6 +10,7 @@ import gc
 
 import pytest
 
+from repro import Scenario
 from repro.experiments import FIG4, FIG7
 from repro.simulate import Process
 
@@ -18,11 +19,23 @@ from repro.simulate import Process
                          ids=["migrate", "cr_pvfs"])
 def test_run_leaves_no_cyclic_garbage(run):
     sc = run.scenario()
+    assert_no_cyclic_garbage(lambda: run.drive(sc))
+
+
+def test_record_data_migration_leaves_no_cyclic_garbage():
+    """The migrated ranks' source processes are killed and dropped; their
+    segments, drawn or not, go with them by reference counting."""
+    sc = Scenario.build(app="LU.C", nprocs=8, n_compute=2, iterations=10,
+                        record_data=True)
+    assert_no_cyclic_garbage(lambda: sc.run_migration("node1", at=2.0))
+
+
+def assert_no_cyclic_garbage(body):
     gc.collect()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        result = run.drive(sc)
+        result = body()
         unreachable = gc.collect()
         saved = list(gc.garbage)
     finally:
