@@ -25,7 +25,7 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.ftb`      — the CIFTS Fault Tolerance Backplane;
 * :mod:`repro.launch`   — Job Manager, NLAs, spawn tree;
 * :mod:`repro.pipeline` — staged Phase-2/3 data path: the one table of
-  transport and sink names, the reassembly sinks, ``MigrationPipeline``;
+  transport and sink names and the reassembly sinks;
 * :mod:`repro.core`     — the migration framework, the RDMA session and
   the baseline transports;
 * :mod:`repro.workloads`— NPB LU/BT/SP skeletons;
@@ -48,7 +48,6 @@ from .core import (
     RDMAMigrationSession,
     RestartReport,
 )
-from .pipeline import MigrationPipeline
 from .workloads import NPBApplication
 
 __version__ = "1.0.0"
@@ -58,7 +57,6 @@ __all__ = [
     "JobMigrationFramework",
     "MigrationTrigger",
     "MigrationError",
-    "MigrationPipeline",
     "RDMAMigrationSession",
     "CheckpointRestartStrategy",
     "LiveMigrationStrategy",

@@ -18,7 +18,7 @@ from ..params import Testbed, DEFAULT_TESTBED
 from ..simulate.core import Simulator
 from ..simulate.resources import Resource
 from ..simulate.rng import RandomStreams
-from ..simulate.trace import NullTracer, Tracer
+from ..simulate.trace import Tracer
 from ..network.ethernet import EthernetFabric
 from ..network.fluid import FluidNetwork
 from ..network.infiniband import HCA, IBFabric
@@ -37,7 +37,7 @@ class NodeState(Enum):
 
 
 class Node:
-    """One host: cores, memory, local storage, network attachments."""
+    """One host: cores, local storage, network attachments."""
 
     def __init__(self, sim: Simulator, name: str, testbed: Testbed,
                  ib: IBFabric, eth: EthernetFabric, net: FluidNetwork,
@@ -47,7 +47,6 @@ class Node:
         self.testbed = testbed
         self.state = NodeState.HEALTHY
         self.cores = Resource(sim, capacity=testbed.cores_per_node)
-        self.memory_bytes = testbed.memory_per_node
         self.disk = Disk(sim, name, params=testbed.disk, net=net)
         self.cache = BufferCache(sim, self.disk)
         self.fs = LocalFS(sim, self.disk, cache=self.cache,
@@ -86,7 +85,9 @@ class Cluster:
             raise ValueError("n_spare must be non-negative")
         self.sim = sim
         self.testbed = testbed
-        self.trace = trace if trace is not None else NullTracer()
+        #: The tracer this cluster was built with, or ``None``; code under
+        #: the cluster traces through ``sim.tracer``.
+        self.trace = trace
         if trace is not None and sim.trace is None:
             # Kernel-level records (spawns, fluid.recompute) share the same
             # tracer; ``sim.trace`` stays None on the untraced fast path.

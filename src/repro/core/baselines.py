@@ -27,7 +27,7 @@ from ..network.ipoib import IPoIBFabric
 from ..blcr.image import CheckpointImage
 from ..cluster.node import Cluster, Node
 
-if TYPE_CHECKING:  # the pipeline package builds sessions: import types only
+if TYPE_CHECKING:  # the pipeline package imports sessions: types only
     from ..pipeline.stages import ReassemblySink
 
 __all__ = ["TCPMigrationSession", "IPoIBMigrationSession",
@@ -53,6 +53,8 @@ class _BaselineSession:
         self.completions: Store = Store(sim)
         #: Source-side staging handles only; target files belong to the sink.
         self._handles: Dict[str, object] = {}
+        #: No reassembly spans: restarts have no image -> restart flow.
+        self.reassembly_spans: Dict[str, int] = {}
         self.bytes_pulled = 0.0
         self.chunks_pulled = 0
 

@@ -38,7 +38,7 @@ from ..network.qp import QueuePair, WorkCompletion
 from ..blcr.image import CheckpointImage
 from ..cluster.node import Cluster, Node
 
-if TYPE_CHECKING:  # the pipeline package builds sessions: import types only
+if TYPE_CHECKING:  # the pipeline package imports sessions: types only
     from ..pipeline.stages import ReassemblySink
 
 __all__ = ["RDMAMigrationSession", "AggregatingSink", "ChunkDescriptor"]
@@ -91,7 +91,7 @@ class AggregatingSink:
             s.src_pool[pool_offset:pool_offset + nbytes] = data
         desc = ChunkDescriptor(next(s._chunk_seq), image.proc_name, offset,
                                nbytes, pool_offset,
-                               src_span=s.tracer.current_span())
+                               src_span=s.sim.tracer.current_span())
         s.bytes_offered += nbytes
         s._m_fill_seconds.observe(self.sim.now - t_req)
         s._m_fill_bytes.inc(nbytes)
@@ -167,7 +167,6 @@ class RDMAMigrationSession:
         self.chunks_pulled = 0
         self._alive = False
         # observability
-        self.tracer = cluster.trace
         #: ``pool.reassemble`` span id per reassembled process — the flow
         #: sources the framework hands to NLA restart (image -> restart).
         self.reassembly_spans: Dict[str, int] = {}
@@ -279,10 +278,10 @@ class RDMAMigrationSession:
 
     def _pull_chunk(self, desc: ChunkDescriptor) -> Generator:
         t0 = self.sim.now
-        with self.tracer.span("migration.rdma_pull", seq=desc.seq,
-                              proc=desc.proc_name, node=self.target.name,
-                              src=self.source.name,
-                              rkey=self.src_mr.rkey) as sp:
+        with self.sim.tracer.span("migration.rdma_pull", seq=desc.seq,
+                                  proc=desc.proc_name, node=self.target.name,
+                                  src=self.source.name,
+                                  rkey=self.src_mr.rkey) as sp:
             trace = self.sim.trace
             if trace is not None:
                 if desc.src_span is not None:
@@ -328,8 +327,8 @@ class RDMAMigrationSession:
         # The final marker may overtake in-flight pulls (they run
         # concurrently); park on an event that the last chunk pull signals
         # instead of polling the calendar at sub-millisecond resolution.
-        with self.tracer.span("pool.reassemble", proc=desc.proc_name,
-                              node=self.target.name) as rsp:
+        with self.sim.tracer.span("pool.reassemble", proc=desc.proc_name,
+                                  node=self.target.name) as rsp:
             expected = desc.stream_offset  # finalize carries total size here
             if self._received.get(desc.proc_name, 0) < expected:
                 gate = Event(self.sim, name=f"mig-complete.{desc.proc_name}")

@@ -15,11 +15,11 @@ in MVAPICH2 both designs share this infrastructure [14].
 from __future__ import annotations
 
 from collections import deque
-from typing import Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional, Tuple
 
 from ..params import MigrationParams
-from ..pipeline.pipeline import MigrationPipeline, check_stage_names
-from ..simulate.core import Simulator
+from ..pipeline.pipeline import SINKS, TRANSPORTS, check_stage_names
+from ..simulate.core import Process, Simulator
 from ..simulate.resources import Resource, Store
 from ..cluster.node import Cluster, Node, NodeState
 from ..ftb.agent import FTBBackplane
@@ -30,7 +30,9 @@ from ..ftb.events import (
     FTB_MIGRATE_PIIC,
     FTB_RESTART,
 )
+from ..blcr.checkpoint import CheckpointEngine
 from ..launch.job_manager import JobManager
+from ..launch.nla import NLAState, RestartSetMismatch
 from ..mpi.job import MPIJob
 from ..mpi.rank import MPIRank
 from .protocol import MigrationPhase, MigrationReport
@@ -202,7 +204,7 @@ class JobMigrationFramework:
         # ``*.start``/``*.end`` records with span ids, so two overlapping
         # migrations (or nested sub-operations) stay distinguishable in
         # the trace; NullTracer makes the whole thing a no-op.
-        trace = self.cluster.trace
+        trace = self.sim.tracer
         t0 = self.sim.now
         with trace.span("migration", source=source, target=target,
                         reason=reason) as mig_span:
@@ -213,66 +215,93 @@ class JobMigrationFramework:
             t1 = self.sim.now
             report.phase_seconds[MigrationPhase.STALL] = t1 - t0
 
-            # ---- Phase 2+3: the staged pipeline ----------------------------
-            # The pipeline owns the Phase-2/3 data path: checkpoint source,
-            # transport, reassembly sink and restart stage.  Its
-            # ``pipeline.run`` span parents both phase spans; with the
+            # ---- Phase 2+3: checkpoint -> transport -> sink -> restart ----
+            # The ``pipeline.run`` span parents both phase spans; with the
             # memory sink, restarts begin inside Phase 2 as images complete.
             target_nla = self.jm.nla(target)
-            pipeline = MigrationPipeline(self.sim, self.cluster,
-                                         transport=self.transport,
-                                         restart_mode=self.restart_mode,
-                                         params=self.params)
-            pipeline.open(source_node, target_node,
-                          expected_procs=len(victims),
-                          target_nla=target_nla)
-            with trace.span("phase",
-                            phase=MigrationPhase.MIGRATION.value) as p2:
-                yield from pipeline.start()
-                yield from pipeline.transfer([r.osproc for r in victims])
-                # Source NLA announces process-images-in-place, goes inactive.
-                source_nla = self.jm.nla(source)
-                yield from source_nla.ftb.publish(
-                    FTB_MIGRATE_PIIC, {"source": source, "target": target})
-                # The images are in place at the target: the source
-                # processes terminate and release their address spaces.
-                for rank in victims:
-                    rank.osproc.kill()
-                source_nla.to_inactive()
-                p2.annotate(bytes=pipeline.bytes_pulled)
-            t2 = self.sim.now
-            report.phase_seconds[MigrationPhase.MIGRATION] = t2 - t1
-            report.bytes_migrated = pipeline.bytes_pulled
-            report.chunks_transferred = pipeline.chunks_pulled
+            n = len(victims)
+            self.sim.metrics.gauge("pipeline.procs.pending",
+                                   unit="processes").set(float(n))
+            with trace.span("pipeline.run", source=source, target=target,
+                            transport=self.transport,
+                            sink=self.restart_mode):
+                sink = SINKS[self.restart_mode](self.sim, target_node)
+                session = TRANSPORTS[self.transport](
+                    self.sim, self.cluster, source_node, target_node, sink,
+                    params=self.params)
+                with trace.span("phase",
+                                phase=MigrationPhase.MIGRATION.value) as p2:
+                    yield from session.setup(expected_procs=n)
+                    watcher = self.sim.spawn(
+                        self._watch_completions(session, sink, target_nla, n),
+                        name="pipeline-watch")
+                    engine = CheckpointEngine(self.sim, source,
+                                              params=self.cluster.testbed.blcr,
+                                              net=self.cluster.net)
+                    ckpt_sink = session.sink()
+                    yield self.sim.all_of([
+                        self.sim.spawn(engine.checkpoint(
+                            r.osproc, ckpt_sink,
+                            chunk_bytes=self.params.chunk_size),
+                            name=f"ckpt.{r.osproc.name}")
+                        for r in victims])
+                    yield session.done
+                    # Source NLA announces process-images-in-place, goes
+                    # inactive.
+                    source_nla = self.jm.nla(source)
+                    yield from source_nla.ftb.publish(
+                        FTB_MIGRATE_PIIC, {"source": source, "target": target})
+                    # The images are in place at the target: the source
+                    # processes terminate and release their address spaces.
+                    for rank in victims:
+                        rank.osproc.kill()
+                    source_nla.to_inactive()
+                    p2.annotate(bytes=session.bytes_pulled)
+                t2 = self.sim.now
+                report.phase_seconds[MigrationPhase.MIGRATION] = t2 - t1
+                report.bytes_migrated = session.bytes_pulled
+                report.chunks_transferred = session.chunks_pulled
 
-            # ---- Phase 3: Restart on the spare -----------------------------
-            with trace.span("phase", phase=MigrationPhase.RESTART.value):
-                yield from self.jm.repair_tree(source, target)
-                yield from self.jm.ftb.publish(
-                    FTB_RESTART, {"target": target,
-                                  "ranks": [r.rank for r in victims]})
-                restarted = yield from pipeline.restart(target_nla)
-                for rank in victims:
-                    rank.relocate(target_node)
-                    rank.osproc = restarted[rank.osproc.name]
-                if target_node in self.cluster.spares:
-                    self.cluster.promote_spare(target_node)
-                if reason != "user":
-                    self.cluster.retire(source_node)
-                else:
-                    # Maintenance drain: the node is healthy, so it re-arms
-                    # as a hot spare (its NLA goes back to MIGRATION_SPARE)
-                    # once serviced.
-                    source_node.mark(NodeState.HEALTHY)
-                    if source_node in self.cluster.compute:
-                        self.cluster.compute.remove(source_node)
-                        self.cluster.spares.append(source_node)
-                    from ..launch.nla import NLAState
-
-                    source_nla.state = NLAState.MIGRATION_SPARE
-            # Close outside the phase span: ``pipeline.run`` sits below the
-            # phase spans on the span stack.
-            pipeline.close()
+                # ---- Phase 3: Restart on the spare -------------------------
+                with trace.span("phase", phase=MigrationPhase.RESTART.value):
+                    yield from self.jm.repair_tree(source, target)
+                    yield from self.jm.ftb.publish(
+                        FTB_RESTART, {"target": target,
+                                      "ranks": [r.rank for r in victims]})
+                    if self.restart_mode == "memory":
+                        # Join the pipelined restarts that began as images
+                        # completed.
+                        workers = yield watcher
+                        yield self.sim.all_of(workers.values())
+                        if len(workers) != n:
+                            raise RestartSetMismatch(
+                                f"pipelined restart finished {len(workers)} "
+                                f"of {n} expected processes")
+                        target_nla.to_ready()
+                        restarted = {proc: w.value
+                                     for proc, w in workers.items()}
+                    else:
+                        # The file barrier: the NLA reads every image back.
+                        restarted = yield from target_nla.restart_processes(
+                            sink.images, sink.paths, expected_procs=n,
+                            flow_from=session.reassembly_spans.values())
+                    for rank in victims:
+                        rank.relocate(target_node)
+                        rank.osproc = restarted[rank.osproc.name]
+                    if target_node in self.cluster.spares:
+                        self.cluster.promote_spare(target_node)
+                    if reason != "user":
+                        self.cluster.retire(source_node)
+                    else:
+                        # Maintenance drain: the node is healthy, so it
+                        # re-arms as a hot spare (its NLA goes back to
+                        # MIGRATION_SPARE) once serviced.
+                        source_node.mark(NodeState.HEALTHY)
+                        if source_node in self.cluster.compute:
+                            self.cluster.compute.remove(source_node)
+                            self.cluster.spares.append(source_node)
+                        source_nla.state = NLAState.MIGRATION_SPARE
+                session.teardown()
             t3 = self.sim.now
             report.phase_seconds[MigrationPhase.RESTART] = t3 - t2
 
@@ -285,3 +314,39 @@ class JobMigrationFramework:
 
         self.reports.append(report)
         return report
+
+    def _watch_completions(self, session, sink, target_nla,
+                           n: int) -> Generator:
+        """Generator: declare each process ready as the transport seals
+        its image; with the memory sink, start its restart at once.
+        Returns the ``pipeline-restart`` workers by process name."""
+        pending = self.sim.metrics.gauge("pipeline.procs.pending",
+                                         unit="processes")
+        workers: Dict[str, Process] = {}
+        for _ in range(n):
+            proc = yield session.completions.get()
+            pending.dec()
+            trace = self.sim.trace
+            if trace is not None:
+                trace.record(self.sim.now, "pipeline.proc.ready", proc=proc,
+                             node=target_nla.node.name,
+                             sink=self.restart_mode)
+            if self.restart_mode == "memory":
+                workers[proc] = self.sim.spawn(
+                    self._restart_one(session, sink, target_nla, proc),
+                    name=f"pipeline-restart.{proc}")
+        return workers
+
+    def _restart_one(self, session, sink, target_nla,
+                     proc: str) -> Generator:
+        """Generator: restart one process from its resident image."""
+        with self.sim.tracer.span("pipeline.restart", proc=proc,
+                                  node=target_nla.node.name,
+                                  mode=self.restart_mode) as sp:
+            trace = self.sim.trace
+            if trace is not None:
+                trace.link(session.reassembly_spans.get(proc), sp,
+                           "image.ready")
+            osproc = yield from target_nla.restart_one(
+                proc, sink.images[proc], mode="memory")
+        return osproc

@@ -76,7 +76,7 @@ class NodeLaunchAgent:
         ``MIGRATION_READY`` once the whole set is back).
 
         ``mode`` is ``"memory"`` (restore the resident image) or
-        ``"file"`` (read ``path`` back); the pipeline has checked it.
+        ``"file"`` (read ``path`` back); the framework has checked it.
         """
         self._check_restartable()
         if mode == "memory":

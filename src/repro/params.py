@@ -189,12 +189,6 @@ class MigrationParams:
 
     buffer_pool_size: int = 10 * MB
     chunk_size: int = 1 * MB
-    #: Per-chunk RDMA-Read request/reply control message cost (IB send).
-    chunk_request_overhead: float = 3.0e-5
-    #: Writing reassembled chunks into target temp files goes through the
-    #: page cache; the *restart* read-back is the expensive part.  Fitted to
-    #: Phase 3: LU 170.4 MB -> ~4.3 s, BT 308.8 MB -> ~8.0 s at 8 streams.
-    tmpfile_write_bandwidth: float = 9.0e8
 
 
 @dataclass(frozen=True)
@@ -268,7 +262,6 @@ class Testbed:
     ftb: FTBParams = field(default_factory=FTBParams)
     migration: MigrationParams = field(default_factory=MigrationParams)
     cores_per_node: int = 8
-    memory_per_node: float = 8e9
 
 
 DEFAULT_TESTBED = Testbed()

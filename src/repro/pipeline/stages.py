@@ -38,8 +38,8 @@ class ReassemblySink(Protocol):
     images are reassembled on.
     """
 
-    #: Restart mode (``"file"`` or ``"memory"``): what the pipeline
-    #: advertises on its ``pipeline.run`` span.
+    #: Restart mode (``"file"`` or ``"memory"``): this sink's key in
+    #: :data:`repro.pipeline.pipeline.SINKS`.
     kind: str
     #: Reassembled image (header-only in sized mode) per finished process.
     images: Dict[str, Optional[CheckpointImage]]

@@ -97,7 +97,6 @@ class FunctionInfo:
     """One module-level function or method (nested defs belong to it)."""
 
     qualname: str                #: "mod.Class.name" / "mod.name"
-    class_name: Optional[str]
     node: ast.AST
 
 
@@ -117,8 +116,8 @@ def _collect_functions(info: ModuleInfo, node: ast.AST,
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = f"{info.name}.{class_name}" if class_name else info.name
-            info.functions.append(FunctionInfo(
-                f"{owner}.{child.name}", class_name, child))
+            info.functions.append(FunctionInfo(f"{owner}.{child.name}",
+                                               child))
         elif isinstance(child, ast.ClassDef):
             _collect_functions(info, child, child.name)
         else:

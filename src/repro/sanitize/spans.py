@@ -1,4 +1,4 @@
-"""Span balance (SIM301), the one cross-function rule of ``repro lint``.
+"""Span balance (SIM301): every span is scoped inside one function.
 
 Tracer spans are context managers: ``Span.__enter__`` records the
 ``span.start`` trace record and ``__exit__`` the ``span.end``.  A span
@@ -13,14 +13,12 @@ each ``.span(...)`` call site for one of the sanctioned shapes:
   itself does);
 * passed to ``contextlib``'s ``enter_context`` (an ExitStack owns it);
 * manually entered via ``__enter__`` *with* a matching ``__exit__``
-  inside a ``finally`` block;
-* stored on ``self`` with some method of the same class calling
-  ``self.<attr>.__exit__`` — the cross-method lifetime pattern the
-  migration pipeline uses for its ``pipeline.run`` span.
+  inside a ``finally`` block.
 
 Anything else — a bare ``tracer.span(...)`` expression statement, an
-assignment that is never entered, or an ``__enter__`` without a
-``finally``-guarded ``__exit__`` — is a SIM301 finding.  A run only
+assignment that is never entered, a span stored on an attribute, or an
+``__enter__`` without a ``finally``-guarded ``__exit__`` — is a SIM301
+finding.  A run only
 shows the paths it takes; this sees the exception paths no test
 drives.
 """
@@ -28,7 +26,7 @@ drives.
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Dict, Iterable, List, Set
+from typing import TYPE_CHECKING, Iterable, List, Set
 
 from .rules import Finding
 
@@ -58,17 +56,8 @@ def _is_span_call(node: ast.AST) -> bool:
             and node.func.attr == "span")
 
 
-def _self_attr(node: ast.AST) -> str:
-    """``"X"`` for a ``self.X`` expression, else ``""``."""
-    if (isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"):
-        return node.attr
-    return ""
-
-
-def _check_function(fn: "FunctionInfo", path: str, nodes: List[ast.AST],
-                    class_exited: Set[str]) -> List[Finding]:
+def _check_function(fn: "FunctionInfo", path: str,
+                    nodes: List[ast.AST]) -> List[Finding]:
     span_calls = [n for n in nodes if _is_span_call(n)]
     if not span_calls:
         return []
@@ -78,7 +67,6 @@ def _check_function(fn: "FunctionInfo", path: str, nodes: List[ast.AST],
     returned: Set[int] = set()         # span calls handed to the caller
     wrapped: Set[int] = set()          # enter_context(tracer.span(...))
     assigned_to = {}                   # id(span call) -> local name
-    assigned_attr = {}                 # id(span call) -> self attr name
     entered: Set[str] = set()          # names with .__enter__() called
     exited_finally: Set[str] = set()   # names .__exit__-ed in a finally
 
@@ -105,12 +93,9 @@ def _check_function(fn: "FunctionInfo", path: str, nodes: List[ast.AST],
                     and isinstance(node.func.value, ast.Name):
                 entered.add(node.func.value.id)
         elif isinstance(node, ast.Assign) and _is_span_call(node.value):
-            if len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name):
-                    assigned_to[id(node.value)] = target.id
-                elif _self_attr(target):
-                    assigned_attr[id(node.value)] = _self_attr(target)
+            if len(node.targets) == 1 and isinstance(node.targets[0],
+                                                     ast.Name):
+                assigned_to[id(node.value)] = node.targets[0].id
         elif isinstance(node, ast.Try):
             for sub in node.finalbody:
                 for call in ast.walk(sub):
@@ -124,16 +109,6 @@ def _check_function(fn: "FunctionInfo", path: str, nodes: List[ast.AST],
     for call in span_calls:
         key = id(call)
         if key in with_calls or key in returned or key in wrapped:
-            continue
-        attr = assigned_attr.get(key)
-        if attr is not None:
-            if attr in class_exited:
-                continue
-            findings.append(Finding(
-                path, call.lineno, call.col_offset, "span-unbalanced",
-                f"{fn.qualname} stores a span on self.{attr} but no "
-                f"method of the class calls self.{attr}.__exit__ — the "
-                f"span.start record is never balanced"))
             continue
         name = assigned_to.get(key)
         if name is not None:
@@ -151,9 +126,9 @@ def _check_function(fn: "FunctionInfo", path: str, nodes: List[ast.AST],
                            f"it with 'with' — the span.start record is "
                            f"never balanced by span.end")
         else:
-            message = ("starts a span but discards the context manager — "
-                       "wrap the call in 'with' (or return it) so "
-                       "span.start/span.end records pair")
+            message = ("starts a span outside a 'with' block — wrap the "
+                       "call in 'with' (or return it) so span.start/"
+                       "span.end records pair")
         findings.append(Finding(
             path, call.lineno, call.col_offset, "span-unbalanced",
             f"{fn.qualname} {message}"))
@@ -162,23 +137,5 @@ def _check_function(fn: "FunctionInfo", path: str, nodes: List[ast.AST],
 
 def check_spans(modules: Iterable["ModuleInfo"]) -> List[Finding]:
     """Check every function's ``.span(...)`` sites for balanced scoping."""
-    findings: List[Finding] = []
-    for mod in modules:
-        bodies = [(fn, _own_nodes(fn.node)) for fn in mod.functions]
-        # Class-level pairing: which self attributes does *some* method
-        # of each class call ``.__exit__`` on?
-        exited: Dict[str, Set[str]] = {}
-        for fn, nodes in bodies:
-            if fn.class_name is None:
-                continue
-            for node in nodes:
-                if (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr == "__exit__"
-                        and _self_attr(node.func.value)):
-                    exited.setdefault(fn.class_name, set()).add(
-                        _self_attr(node.func.value))
-        for fn, nodes in bodies:
-            findings.extend(_check_function(
-                fn, mod.path, nodes, exited.get(fn.class_name or "", set())))
-    return findings
+    return [finding for mod in modules for fn in mod.functions
+            for finding in _check_function(fn, mod.path, _own_nodes(fn.node))]

@@ -139,3 +139,18 @@ def test_untraced_scenario_still_runs():
                         iterations=20)
     report = sc.run_migration("node1", at=2.0)
     assert report.total_seconds > 0
+
+
+def test_tracer_bound_to_simulator_records_framework_spans():
+    """A tracer given to the simulator alone (not to the cluster) still
+    sees the framework's phase and pipeline spans, not only the spans of
+    the layers below it: every span site reads ``sim.tracer``."""
+    sc = Scenario.build(app="LU.C", nprocs=8, n_compute=2, n_spare=1,
+                        iterations=20)
+    assert sc.cluster.trace is None
+    tracer = Tracer()
+    sc.sim.trace = tracer
+    sc.run_migration("node1", at=2.0)
+    assert {"migration.start", "phase.start", "pipeline.run.start",
+            "pool.reassemble.start", "nla.restart.start"} <= set(
+                tracer.kinds())

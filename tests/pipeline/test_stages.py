@@ -10,8 +10,8 @@ from repro.pipeline import (
     TRANSPORTS,
     FileReassemblySink,
     MemoryReassemblySink,
-    MigrationPipeline,
     ReassemblyError,
+    check_stage_names,
 )
 from repro.simulate import Simulator
 
@@ -111,26 +111,19 @@ def test_registry_names():
 
 
 def test_registry_rejects_unknown_sink():
-    sim = Simulator()
-    cluster = Cluster(sim, n_compute=1, n_spare=1)
     with pytest.raises(ValueError, match="unknown restart mode 'tape'"):
-        MigrationPipeline(sim, cluster, restart_mode="tape")
+        check_stage_names("rdma", "tape")
 
 
 def test_registry_rejects_unknown_transport():
-    sim = Simulator()
-    cluster = Cluster(sim, n_compute=1, n_spare=1)
     with pytest.raises(ValueError, match="unknown transport 'pigeon'"):
-        MigrationPipeline(sim, cluster, transport="pigeon")
+        check_stage_names("pigeon", "file")
 
 
 def test_registry_builds_each_sink_kind():
     for mode in ("file", "memory"):
         sim = Simulator()
-        cluster = Cluster(sim, n_compute=1, n_spare=1)
-        pipeline = MigrationPipeline(sim, cluster, restart_mode=mode)
-        pipeline.open(cluster.node("node0"), cluster.node("spare0"), 1)
-        assert pipeline.sink.kind == mode
+        assert SINKS[mode](sim, spare(sim)).kind == mode
 
 
 def test_registry_builds_restart_engine():

@@ -12,9 +12,9 @@ import pytest
 
 from repro.analysis import write_jsonl
 from repro.core.buffer_manager import RDMAMigrationSession
+from repro.core.framework import JobMigrationFramework
 from repro.ftb.client import FTBClient
 from repro.ftb.events import FTB_MIGRATE_PIIC, FTB_RESTART
-from repro.pipeline.pipeline import MigrationPipeline
 from repro.sanitize import TraceChecker, check_jsonl, live_checks
 from repro.scenario import Scenario
 from repro.simulate.trace import Tracer
@@ -41,18 +41,20 @@ def _announcements_swapped():
     return seeded
 
 
-def _restart_spawned_before_ready(self):
-    """``MigrationPipeline._watch_completions`` with the pipelined
+def _restart_spawned_before_ready(self, session, sink, target_nla, n):
+    """``JobMigrationFramework._watch_completions`` with the pipelined
     restart spawned a step before its process is declared ready."""
-    for _ in range(self.expected_procs):
-        proc = yield self.session.completions.get()
-        self._m_pending.dec()
-        self._restart_workers.append(
-            self.sim.spawn(self._restart_one(proc),
-                           name=f"pipeline-restart.{proc}"))
+    workers = {}
+    for _ in range(n):
+        proc = yield session.completions.get()
+        workers[proc] = self.sim.spawn(
+            self._restart_one(session, sink, target_nla, proc),
+            name=f"pipeline-restart.{proc}")
         yield self.sim.timeout(0)
         self.sim.trace.record(self.sim.now, "pipeline.proc.ready", proc=proc,
-                              node=self.target.name, sink=self.restart_mode)
+                              node=target_nla.node.name,
+                              sink=self.restart_mode)
+    return workers
 
 
 #: law -> (patched class, attribute, seeded replacement, restart mode,
@@ -62,7 +64,7 @@ SEEDS = {
                         _teardown_without("dst_qp"), "file", True),
     "PhaseOrderRule": (FTBClient, "publish", _announcements_swapped(),
                        "file", True),
-    "PipelineStageOrderRule": (MigrationPipeline, "_watch_completions",
+    "PipelineStageOrderRule": (JobMigrationFramework, "_watch_completions",
                                _restart_spawned_before_ready, "memory", True),
     "SessionRule": (RDMAMigrationSession, "teardown", lambda self: None,
                     "file", True),

@@ -6,7 +6,8 @@ record, down to the last bit of every float — with or without a
 telemetry probe attached.  That pin catches a trace change across
 commits, not only between two runs of the same tree.  The Fig. 7
 CR(PVFS) checkpoint+restart, where 64 writers share large max-min
-components, is pinned the same way by a digest of its trace.
+components, is pinned the same way by a digest of its trace, and so are
+the pipelined memory restart and the staging baseline transport.
 
 The cluster-scale scenario's contract is run-to-run stability: the same
 seed replays the same JSONL and the same counters on every run, in a
@@ -18,7 +19,7 @@ import json
 import os
 
 from repro.analysis import first_difference, open_trace_text
-from repro.experiments import FIG4, FIG7
+from repro.experiments import FIG4, FIG7, PIPELINE, Run
 from repro.simulate import Tracer
 
 #: The pinned Fig. 4 trace (LU.C, 64 ranks, file restart), as written by
@@ -37,6 +38,18 @@ FIG7_CR_PVFS_TRACE_SHA256 = (
     "b58ab480d442df2679b9e542736d1cfa9341ddb6647c9b5d94b59198acaff32f")
 FIG7_CR_PVFS_RECORDS = 25741
 FIG7_CR_PVFS_CYCLE_S = 26.91683
+
+#: The same digest for the LU.C migration with the pipelined memory
+#: restart (Sec. VI), and for the staging baseline transport: the Fig. 4
+#: pin covers only the file restart over the RDMA buffer pool.
+PIPELINE_MEMORY_TRACE_SHA256 = (
+    "bb19d79a12065a3bb779ebb0eae71d6a0b60148ebadd50df02fa252e9cb803c3")
+PIPELINE_MEMORY_RECORDS = 11735
+PIPELINE_MEMORY_CYCLE_S = 1.782784
+STAGING_TRACE_SHA256 = (
+    "b113186ac9da45951906678f75cb49663a02927c9fb4e8149ae0db97e57e08a9")
+STAGING_RECORDS = 9105
+STAGING_CYCLE_S = 12.314102
 
 
 def _fig4_records(telemetry=False):
@@ -95,6 +108,20 @@ def test_fig4_trace_is_identical_when_run_twice_in_one_process():
     assert moved is None, f"second run differs at {moved}"
 
 
+def _digest(tracer):
+    """``(records kept, SHA-256)`` of a trace: one sorted-key JSON line
+    per record, ``fluid.recompute`` records dropped."""
+    digest = hashlib.sha256()
+    kept = 0
+    for rec in tracer.records:
+        if rec.kind == "fluid.recompute":
+            continue
+        kept += 1
+        digest.update(json.dumps(rec.as_dict(), sort_keys=True,
+                                 default=str).encode() + b"\n")
+    return kept, digest.hexdigest()
+
+
 def test_fig7_cr_pvfs_trace_matches_pinned_digest():
     """The Fig. 7 LU.C CR(PVFS) checkpoint and restart, driven by
     ``Scenario.run_cr_cycle``, replay the pinned trace digest, with every
@@ -104,16 +131,30 @@ def test_fig7_cr_pvfs_trace_matches_pinned_digest():
     ckpt, restart = run.scenario(trace=tracer).run_cr_cycle("pvfs")
     cycle = ckpt.total_seconds + restart.restart_seconds
     assert round(cycle, 6) == FIG7_CR_PVFS_CYCLE_S
-    digest = hashlib.sha256()
-    kept = 0
-    for rec in tracer.records:
-        if rec.kind == "fluid.recompute":
-            continue
-        kept += 1
-        digest.update(json.dumps(rec.as_dict(), sort_keys=True,
-                                 default=str).encode() + b"\n")
-    assert kept == FIG7_CR_PVFS_RECORDS
-    assert digest.hexdigest() == FIG7_CR_PVFS_TRACE_SHA256
+    assert _digest(tracer) == (FIG7_CR_PVFS_RECORDS,
+                               FIG7_CR_PVFS_TRACE_SHA256)
+
+
+def _migration_digest(run):
+    """Drive one migration run traced -> (cycle seconds, kept, SHA-256)."""
+    tracer = Tracer()
+    report = run.drive(run.scenario(trace=tracer))
+    return (round(report.total_seconds, 6),) + _digest(tracer)
+
+
+def test_pipelined_memory_restart_trace_matches_pinned_digest():
+    """The memory sink restarts each process inside Phase 2 as its image
+    completes; that interleaving replays the pinned digest."""
+    assert _migration_digest(PIPELINE["memory"]) == (
+        PIPELINE_MEMORY_CYCLE_S, PIPELINE_MEMORY_RECORDS,
+        PIPELINE_MEMORY_TRACE_SHA256)
+
+
+def test_staging_transport_trace_matches_pinned_digest():
+    """A baseline transport (staged through the source's local disk)
+    replays the pinned digest."""
+    assert _migration_digest(Run(transport="staging")) == (
+        STAGING_CYCLE_S, STAGING_RECORDS, STAGING_TRACE_SHA256)
 
 
 def _cluster_trace_jsonl():
