@@ -17,6 +17,7 @@ of the ranks it moves.
 from __future__ import annotations
 
 import mmap
+import weakref
 from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
@@ -65,7 +66,7 @@ class MemorySegment:
     cancels this segment's share of that draw.
     """
 
-    __slots__ = ("name", "nbytes", "_data", "_draw", "dirty")
+    __slots__ = ("name", "nbytes", "_data", "_draw", "dirty", "__weakref__")
 
     def __init__(self, name: str, nbytes: int, data: Optional[np.ndarray] = None,
                  dirty: bool = True):
@@ -185,25 +186,29 @@ class OSProcess:
                                  ("heap", heap), ("stack", stack)):
             proc.add_segment(seg_name, nbytes)
         if record_data:
-            pending = [seg for seg in proc.segments if seg.nbytes]
+            # Each segment holds ``draw``; ``draw`` reaches the segments
+            # only weakly, so an unread process is freed by reference
+            # counting, not left as a cycle.
+            pending = [(weakref.ref(seg), seg.nbytes)
+                       for seg in proc.segments if seg.nbytes]
 
             def draw() -> None:
-                for seg in pending:
-                    payload = anon_pages(seg.nbytes)
-                    for lo in range(0, seg.nbytes, _DRAW_STEP):
-                        hi = min(lo + _DRAW_STEP, seg.nbytes)
+                for ref, nbytes in pending:
+                    payload = anon_pages(nbytes)
+                    for lo in range(0, nbytes, _DRAW_STEP):
+                        hi = min(lo + _DRAW_STEP, nbytes)
                         payload[lo:hi] = rng.integers(0, 256, size=hi - lo,
                                                       dtype=np.uint8)
-                    # An assigned segment keeps its value; its bytes are
-                    # still drawn so later segments see the stream in order.
-                    # A segment's only draw is this one, so the test needs
-                    # no reference back to ``draw`` (which would make the
-                    # closure, and every segment it holds, a cycle).
-                    if seg._draw is not None:
+                    # A dropped segment, or one assigned a value, keeps
+                    # none of these bytes; they are still drawn so later
+                    # segments see the stream in order.
+                    seg = ref()
+                    if seg is not None and seg._draw is not None:
                         seg.data = payload
 
-            for seg in pending:
-                seg._draw = draw
+            for seg in proc.segments:
+                if seg.nbytes:
+                    seg._draw = draw
         return proc
 
     def __repr__(self) -> str:

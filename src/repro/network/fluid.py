@@ -556,10 +556,24 @@ class FluidNetwork:
         link -> flows -> path links; the walk stops once it has.  Anchors
         are read only after the whole batch has left, since a link may go
         idle on the batch's last flow.
+
+        Before the walk, an exact shortcut: the *hub* is the anchor the
+        most finished flows crossed.  When every other anchor carries a
+        flow whose path holds the hub, each anchor is one flow from the
+        hub and the survivors are connected; otherwise the walk decides.
         """
-        anchors = {link for flow in done for link in flow.path if link.flows}
-        if len(anchors) <= 1:
+        crossings: Dict[Link, int] = {}
+        for flow in done:
+            for link in flow.path:
+                if link.flows:
+                    crossings[link] = crossings.get(link, 0) + 1
+        if len(crossings) <= 1:
             return True
+        hub = max(crossings, key=crossings.__getitem__)
+        if all(link is hub or any(hub in f.path for f in link.flows)
+               for link in crossings):
+            return True
+        anchors = set(crossings)
         start = anchors.pop()
         seen_links = {start}
         seen_flows: Set[Flow] = set()

@@ -4,12 +4,17 @@ This is the foundation of the whole reproduction: every modelled entity
 (MPI rank, Node Launch Agent, FTB agent, disk, HCA, buffer manager) is a
 coroutine :class:`Process` driven by a single :class:`Simulator` event loop.
 
-The design follows the classic event-calendar architecture (a binary heap
-keyed by ``(time, priority, sequence)``) with SimPy-style generator-based
-processes: a process is a Python generator that ``yield``\\ s :class:`Event`
-objects and is resumed when the event fires.  Unlike wall-clock concurrency,
-everything is deterministic: two runs with the same seeds produce identical
-traces, which the test suite relies on heavily.
+The design follows the classic event-calendar architecture with
+SimPy-style generator-based processes: a process is a Python generator that
+``yield``\\ s :class:`Event` objects and is resumed when the event fires.
+The calendar orders events by ``(time, priority, scheduling order)`` in two
+parts: a binary heap keyed by ``(time, priority, sequence)`` holds only the
+events due after the current time, and two FIFO lanes (one per priority)
+hold the events due now.  Most events are due the instant they are
+scheduled (store grants, completions, process starts), and a lane takes
+those without a heap operation or a sequence number.  Unlike wall-clock
+concurrency, everything is deterministic: two runs with the same seeds
+produce identical traces, which the test suite relies on heavily.
 
 Example
 -------
@@ -28,6 +33,7 @@ Example
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from itertools import count
 from typing import Any, Generator, Iterable, List, Optional
 
@@ -136,8 +142,8 @@ class Event:
     def cancel(self) -> None:
         """Mark a triggered-but-unprocessed event as obsolete.
 
-        The calendar drops cancelled entries lazily when they reach the
-        head of the queue — their callbacks never run and they never count
+        The calendar drops cancelled entries lazily when they come up for
+        processing — their callbacks never run and they never count
         as unhandled failures.  Used for stragglers nobody waits on any
         more, e.g. the losing :class:`Timeout` of an ``any_of`` race.
 
@@ -153,17 +159,17 @@ class Event:
         # Open-coded succeed_later(value, 0.0): this is the hottest trigger
         # path in the kernel (store grants, flow completions, process
         # termination all land here), so skip the delegation and the
-        # delay-validation branch.  The constructors of the per-event
-        # classes (Timeout, Initialize, Process, the store and resource
-        # requests, AnyOf/AllOf) are open-coded the same way: each fills
-        # Event's slots itself and Timeout/Initialize push onto the heap
-        # directly, with no super() chain and no _schedule hop.
+        # delay-validation branch: the event is due now, so it joins the
+        # NORMAL lane.  The constructors of the per-event classes (Timeout,
+        # Initialize, Process, the store and resource requests, AnyOf/AllOf)
+        # are open-coded the same way: each fills Event's slots itself and
+        # Timeout/Initialize enter the calendar directly, with no super()
+        # chain and no _schedule hop.
         if self._value is not PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        sim = self.sim
-        heapq.heappush(sim._queue, (sim._now, NORMAL, next(sim._seq), self))
+        self.sim._normal.append(self)
         return self
 
     def succeed_later(self, value: Any = None, delay: float = 0.0) -> "Event":
@@ -179,8 +185,12 @@ class Event:
         self._ok = True
         self._value = value
         sim = self.sim
-        heapq.heappush(sim._queue,
-                       (sim._now + delay, NORMAL, next(sim._seq), self))
+        now = sim._now
+        when = now + delay
+        if when == now:
+            sim._normal.append(self)
+        else:
+            heapq.heappush(sim._queue, (when, NORMAL, next(sim._seq), self))
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -190,7 +200,7 @@ class Event:
             raise TypeError(f"fail() needs an exception, got {exc!r}")
         self._ok = False
         self._value = exc
-        self.sim._schedule(self, NORMAL, 0.0)
+        self.sim._normal.append(self)
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -226,8 +236,12 @@ class Timeout(Event):
             raise ValueError(f"negative delay {delay}")
         self.sim, self.callbacks, self._value, self.delay = sim, [], value, delay
         self._ok, self._defused, self._cancelled = True, False, False
-        heapq.heappush(sim._queue,
-                       (sim._now + delay, NORMAL, next(sim._seq), self))
+        now = sim._now
+        when = now + delay
+        if when == now:
+            sim._normal.append(self)
+        else:
+            heapq.heappush(sim._queue, (when, NORMAL, next(sim._seq), self))
 
     @property
     def name(self) -> str:
@@ -244,8 +258,7 @@ class Initialize(Event):
         self.sim, self.callbacks, self._value = sim, [process._resume_cb], None
         self.name = "Initialize"
         self._ok, self._defused, self._cancelled = True, False, False
-        heapq.heappush(sim._queue,
-                       (sim._now, URGENT, next(sim._seq), self))
+        sim._urgent.append(self)
 
 
 class _InterruptEvent(Event):
@@ -256,7 +269,7 @@ class _InterruptEvent(Event):
     def __init__(self, sim: "Simulator", process: "Process", cause: Any):
         self.sim, self.name, self.callbacks = sim, "Interrupt", [process._resume_interrupt]
         self._value, self._ok, self._defused, self._cancelled = Interrupt(cause), False, True, False
-        sim._schedule(self, URGENT, 0.0)
+        sim._urgent.append(self)
 
 
 class Process(Event):
@@ -382,7 +395,7 @@ class Process(Event):
                 result._defused = True
             bridge.callbacks = [self._resume_cb]
             self._waiting = bridge
-            sim._schedule(bridge, URGENT, 0.0)
+            sim._urgent.append(bridge)
         else:
             result.callbacks.append(self._resume_cb)
             self._waiting = result
@@ -420,9 +433,15 @@ class Simulator:
     def __init__(self, start: float = 0.0, trace: Any = None,
                  metrics: Any = None):
         self._now = float(start)
-        #: The calendar: a :mod:`heapq` list of ``(time, priority, seq,
-        #: event)`` entries.
+        #: The calendar.  ``_queue`` is a :mod:`heapq` list of ``(time,
+        #: priority, seq, event)`` entries, all due after ``now``; the
+        #: events due at ``now`` wait in the two lanes in scheduling order,
+        #: ``_urgent`` served before ``_normal``.  When both lanes are
+        #: empty the run loop advances the clock to the heap's head and
+        #: moves every entry for that time into its lane, in heap order.
         self._queue: list = []
+        self._urgent: deque = deque()
+        self._normal: deque = deque()
         #: Events whose callbacks ran / cancelled entries dropped unpopped.
         #: Plain counters, cheap enough to keep on the hot path; the
         #: events_per_sec bench family pins them as deterministic results.
@@ -553,8 +572,14 @@ class Simulator:
         self._instant_end.append(callback)
 
     def _schedule(self, event: Event, priority: int, delay: float) -> None:
-        heapq.heappush(self._queue,
-                       (self._now + delay, priority, next(self._seq), event))
+        now = self._now
+        when = now + delay
+        if when == now:
+            # Due now (also a delay too small to move the clock).
+            (self._urgent if priority == URGENT else self._normal).append(event)
+        else:
+            heapq.heappush(self._queue,
+                           (when, priority, next(self._seq), event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if the calendar is empty.
@@ -565,6 +590,15 @@ class Simulator:
         """
         if self._instant_end:
             return self._now
+        for lane in (self._urgent, self._normal):
+            while lane:
+                event = lane[0]
+                if event._cancelled and not event.callbacks:
+                    lane.popleft()
+                    event.callbacks = None
+                    self.events_cancelled += 1
+                    continue
+                return self._now
         queue = self._queue
         while queue:
             event = queue[0][3]
@@ -577,8 +611,9 @@ class Simulator:
         return float("inf")
 
     def queue_depth(self) -> int:
-        """Entries currently in the calendar (cancelled stragglers included)."""
-        return len(self._queue)
+        """Entries currently in the calendar, the heap and both lanes
+        (cancelled stragglers included)."""
+        return len(self._queue) + len(self._urgent) + len(self._normal)
 
     def run(self, until: Any = None) -> Any:
         """Run until the calendar drains, ``until`` (a time or an Event) is
@@ -608,11 +643,15 @@ class Simulator:
                 raise ValueError(f"until={stop_at} is in the past (now={self._now})")
 
         queue = self._queue
+        urgent = self._urgent
+        normal = self._normal
+        pop_urgent = urgent.popleft
+        pop_normal = normal.popleft
         heappop = heapq.heappop
         unhandled = self._unhandled
-        # Telemetry: one float compare per event when no probe is attached
-        # (probe_next stays +inf).  Sampling happens after the clock
-        # advance and before the event's callbacks.
+        # Telemetry: one float compare per clock advance when no probe is
+        # attached (probe_next stays +inf).  Sampling happens after the
+        # clock advance and before the first event's callbacks.
         probe = self._probe
         probe_next = probe.next_time if probe is not None else float("inf")
         instant_end = self._instant_end
@@ -621,34 +660,50 @@ class Simulator:
         now = self._now
         try:
             while True:
-                if instant_end and (not queue or queue[0][0] > now):
+                if urgent:
+                    event = pop_urgent()
+                elif normal:
+                    event = pop_normal()
+                elif instant_end:
                     while instant_end:
                         instant_end.pop(0)()
                     continue
-                if not queue:
-                    break
-                entry = queue[0]
-                event = entry[3]
+                else:
+                    # The instant is over: advance the clock to the heap's
+                    # first live entry.
+                    if not queue:
+                        break
+                    entry = queue[0]
+                    event = entry[3]
+                    if event._cancelled and not event.callbacks:
+                        heappop(queue)
+                        event.callbacks = None
+                        self.events_cancelled += 1
+                        continue
+                    when = entry[0]
+                    if when > stop_at:
+                        break
+                    heappop(queue)
+                    if when < now:
+                        raise SimulationError(
+                            f"time went backwards: {when} < {now}")
+                    self._now = now = when
+                    if when >= probe_next:
+                        probe_next = probe.on_advance(when)
+                    # The rest due at `when` were scheduled before the clock
+                    # got here, so they go ahead of anything queued from now
+                    # on: into the lanes, in heap order.
+                    while queue and queue[0][0] == when:
+                        entry = heappop(queue)
+                        (urgent if entry[1] == URGENT else normal).append(entry[3])
                 # A cancelled entry with no callbacks is dropped without
                 # running anything; it is marked processed so a late waiter
                 # that yields it afterwards still resumes through the
                 # already-processed bridge.
                 if event._cancelled and not event.callbacks:
-                    heappop(queue)
                     event.callbacks = None
                     self.events_cancelled += 1
                     continue
-                when = entry[0]
-                if when > stop_at:
-                    break
-                heappop(queue)
-                if when != now:
-                    if when < now:
-                        raise SimulationError(
-                            f"time went backwards: {when} < {now}")
-                    self._now = now = when
-                if when >= probe_next:
-                    probe_next = probe.on_advance(when)
                 callbacks = event.callbacks
                 if callbacks is None:
                     raise SimulationError(

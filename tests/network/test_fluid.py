@@ -358,6 +358,49 @@ def test_connectivity_check_agrees_with_partition(case):
         assert net._still_connected(done) == (len(pieces) == 1)
 
 
+def _finish(paths, done_paths):
+    """One component of flows over ``paths``; the ``done_paths`` flows
+    leave it the way a completion removes them.  Returns the finished
+    flows and the component."""
+    sim, net = make()
+    names = sorted({name for path in paths + done_paths for name in path})
+    links = {name: Link(name, 100.0) for name in names}
+    flows = [net.transfer([links[n] for n in path], 1e6, label=str(k))
+             for k, path in enumerate(paths + done_paths)]
+    (comp,) = net._components
+    done = [f for f in comp.flows if int(f.label) >= len(paths)]
+    assert len(done) == len(done_paths) and len(flows) == len(comp.flows)
+    for flow in done:
+        comp.flows.discard(flow)
+        for link in flow.path:
+            link.flows.discard(flow)
+    return done, comp
+
+
+def test_connectivity_walk_decides_when_no_survivor_crosses_the_hub():
+    """The finished flow crossed anchors a and c once each; no survivor
+    on the other anchor crosses the hub, so the shortcut cannot answer,
+    and the walk finds a -> b -> c connected."""
+    done, comp = _finish([["a", "b"], ["b", "c"]], [["a", "c"]])
+    assert FluidNetwork._still_connected(done)
+    assert len(FluidNetwork._partition(comp)) == 1
+
+
+def test_connectivity_check_finds_a_split():
+    done, comp = _finish([["a"], ["c"]], [["a", "c"]])
+    assert not FluidNetwork._still_connected(done)
+    assert len(FluidNetwork._partition(comp)) == 2
+
+
+def test_connectivity_shortcut_through_the_hub():
+    """Three finished flows crossed b; a survivor on each other anchor
+    crosses b too."""
+    done, comp = _finish([["a", "b"], ["b", "c"], ["b", "d"]],
+                         [["a", "b"], ["b", "c"], ["b", "d"]])
+    assert FluidNetwork._still_connected(done)
+    assert len(FluidNetwork._partition(comp)) == 1
+
+
 def test_disjoint_recomputes_do_not_visit_other_components():
     """Work scoping: events in one component never walk the other's flows."""
     sim, net = make()

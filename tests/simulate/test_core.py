@@ -581,7 +581,7 @@ def _interrupt_event(sim):
     proc = sim.spawn(sleeper(sim))
     sim.run(until=1.0)
     proc.interrupt("why")
-    return max(sim._queue, key=lambda entry: entry[2])[3]
+    return sim._urgent[-1]
 
 
 def _pending_request(sim):
