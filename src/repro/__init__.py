@@ -25,7 +25,7 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.ftb`      — the CIFTS Fault Tolerance Backplane;
 * :mod:`repro.launch`   — Job Manager, NLAs, spawn tree;
 * :mod:`repro.pipeline` — staged Phase-2/3 data path: the one table of
-  transport and sink names and the reassembly sinks;
+  transport and sink names;
 * :mod:`repro.core`     — the migration framework, the RDMA session and
   the baseline transports;
 * :mod:`repro.workloads`— NPB LU/BT/SP skeletons;

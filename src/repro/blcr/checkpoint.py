@@ -6,11 +6,16 @@ boundary to aggregate writes into a buffer pool.  We model the boundary as
 the :class:`CheckpointSink` protocol:
 
 * :class:`FileSink` — per-process checkpoint files on a local or parallel
-  filesystem, optionally fsync'd (the CR strategy);
-* :class:`MemorySink` — reassemble the image in memory (tests, and the
-  memory-based restart extension);
+  filesystem: the CR strategy's fsync'd files, the staging transport's
+  source file, and the migration target's temp files (the paper's
+  Phase-2/3 barrier), which chunks reach in any order;
+* :class:`MemorySink` — reassemble the image in memory: the migration
+  target's resident images for the memory-based restart extension
+  (Sec. VI);
 * the migration buffer-pool sink lives in :mod:`repro.core.buffer_manager`
-  (it *is* the paper's contribution).
+  (it *is* the paper's contribution).  Each transport session feeds a
+  :class:`FileSink` or :class:`MemorySink` at the target with the same
+  image object the engine streamed, so both ends speak one protocol.
 
 The engine charges the per-process quiesce overhead, then streams the image
 in chunks: each chunk's generation crosses the per-process scan limit and
@@ -33,7 +38,7 @@ from typing import Dict, Generator, Iterator, List, Optional, Protocol
 import numpy as np
 
 from ..params import BLCRParams
-from ..simulate.core import Simulator
+from ..simulate.core import Event, Simulator
 from ..network.fluid import FluidNetwork, Link
 from ..cluster.osproc import MemorySegment, OSProcess
 from .image import CheckpointImage
@@ -102,6 +107,10 @@ class FileSink:
     node name.  ``fsync=True`` gives CR durability (pays the journal /
     metadata sync); the migration target's temp files use ``fsync=False``.
     ``through_cache`` is honoured by LocalFS only.
+
+    LocalFS chunks land at their stream offset, so a transport may deliver
+    them in any order and from concurrent writers: the first writer of an
+    image creates its file while later ones wait on its gate.
     """
 
     def __init__(self, sim: Simulator, fs, path_prefix: str,
@@ -113,36 +122,45 @@ class FileSink:
         self.client = client
         self.fsync = fsync
         self.through_cache = through_cache
+        #: Open handle per image, or the creation gate while it is opening.
         self._handles: Dict[CheckpointImage, object] = {}
-        #: image metadata parked alongside the file (BLCR header stand-in).
+        #: image header parked alongside each closed file, by path (BLCR
+        #: header stand-in): what a restart reads the file back with.
         self.metadata: Dict[str, CheckpointImage] = {}
 
     def path_for(self, image: CheckpointImage) -> str:
         return f"{self.path_prefix}/{image.proc_name}.ckpt"
 
-    def _create(self, image: CheckpointImage) -> Generator:
+    def _handle(self, image: CheckpointImage) -> Generator:
+        """Generator: the image's file handle, created by its first caller."""
+        entry = self._handles.get(image)
+        if isinstance(entry, Event):
+            yield entry
+            entry = self._handles[image]
+        if entry is not None:
+            return entry
+        gate = Event(self.sim, name=f"create.{image.proc_name}")
+        self._handles[image] = gate
         if self.client is not None:
             handle = yield from self.fs.create(self.path_for(image), self.client)
         else:
             handle = yield from self.fs.create(self.path_for(image))
         self._handles[image] = handle
+        gate.succeed()
         return handle
 
     def write(self, image: CheckpointImage, offset: int, nbytes: int,
               data: Optional[np.ndarray]) -> Generator:
-        handle = self._handles.get(image)
-        if handle is None:
-            handle = yield from self._create(image)
+        handle = yield from self._handle(image)
         if self.client is not None:  # PVFS signature
             yield from self.fs.write(handle, nbytes, data=data)
         else:
             yield from self.fs.write(handle, nbytes, data=data,
-                                     through_cache=self.through_cache)
+                                     through_cache=self.through_cache,
+                                     offset=offset)
 
     def finalize(self, image: CheckpointImage) -> Generator:
-        handle = self._handles.get(image)
-        if handle is None:  # zero-length image: still create the file
-            handle = yield from self._create(image)
+        handle = yield from self._handle(image)  # zero-length: creates it
         yield from self.fs.close(handle, sync=self.fsync)
         self.metadata[self.path_for(image)] = image
         del self._handles[image]

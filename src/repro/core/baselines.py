@@ -16,7 +16,7 @@ can swap them in for the transport ablation:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Generator, Optional
+from typing import Dict, Generator, Optional
 
 import numpy as np
 
@@ -24,21 +24,19 @@ from ..params import MigrationParams
 from ..simulate.core import Event, Simulator
 from ..simulate.resources import Resource, Store
 from ..network.ipoib import IPoIBFabric
+from ..blcr.checkpoint import CheckpointSink, FileSink
 from ..blcr.image import CheckpointImage
 from ..cluster.node import Cluster, Node
-
-if TYPE_CHECKING:  # the pipeline package imports sessions: types only
-    from ..pipeline.stages import ReassemblySink
 
 __all__ = ["TCPMigrationSession", "IPoIBMigrationSession",
            "StagingMigrationSession"]
 
 
 class _BaselineSession:
-    """Shared bookkeeping: reassembly, completion tracking, accounting."""
+    """Shared bookkeeping: target writes, completion tracking, accounting."""
 
     def __init__(self, sim: Simulator, cluster: Cluster, source: Node,
-                 target: Node, target_sink: ReassemblySink,
+                 target: Node, target_sink: CheckpointSink,
                  params: Optional[MigrationParams] = None):
         self.sim = sim
         self.cluster = cluster
@@ -51,8 +49,6 @@ class _BaselineSession:
         self.target_sink = target_sink
         #: Per-process completion stream (see buffer_manager).
         self.completions: Store = Store(sim)
-        #: Source-side staging handles only; target files belong to the sink.
-        self._handles: Dict[str, object] = {}
         #: No reassembly spans: restarts have no image -> restart flow.
         self.reassembly_spans: Dict[str, int] = {}
         self.bytes_pulled = 0.0
@@ -70,33 +66,14 @@ class _BaselineSession:
     def teardown(self) -> None:
         pass
 
-    # -- source-side staging helpers --------------------------------------------
-    def _get_or_create(self, key: str, fs, path: str) -> Generator:
-        """Race-free get-or-create of a file handle (see buffer_manager)."""
-        entry = self._handles.get(key)
-        if isinstance(entry, Event):
-            yield entry
-            entry = self._handles[key]
-        if entry is not None:
-            return entry
-        gate = Event(self.sim, name=f"create.{key}")
-        self._handles[key] = gate
-        handle = yield from fs.create(path)
-        self._handles[key] = handle
-        gate.succeed()
-        return handle
-
-    def _write_target(self, proc_name: str, offset: int, nbytes: int,
+    def _write_target(self, image: CheckpointImage, offset: int, nbytes: int,
                       data: Optional[np.ndarray]) -> Generator:
-        yield from self.target_sink.write(proc_name, offset, nbytes, data)
+        yield from self.target_sink.write(image, offset, nbytes, data)
         self.bytes_pulled += nbytes
         self.chunks_pulled += 1
 
     def _finish(self, image: CheckpointImage) -> Generator:
-        meta = CheckpointImage(image.proc_name, image.origin_node,
-                               image.layout, image.app_state, payload=None)
-        yield from self.target_sink.finish(image.proc_name, meta,
-                                           image.nbytes)
+        yield from self.target_sink.finalize(image)
         self._finals_seen += 1
         self.completions.put(image.proc_name)
         if self._finals_seen == self.expected_procs:
@@ -121,7 +98,7 @@ class TCPMigrationSession(_BaselineSession):
             yield req
             yield self.fabric.transfer(self.source.name, self.target.name,
                                        nbytes, label="mig-tcp")
-        yield from self._write_target(image.proc_name, offset, nbytes, data)
+        yield from self._write_target(image, offset, nbytes, data)
 
     def finalize(self, image: CheckpointImage) -> Generator:
         yield from self._finish(image)
@@ -137,22 +114,20 @@ class IPoIBMigrationSession(TCPMigrationSession):
 class StagingMigrationSession(_BaselineSession):
     """Checkpoint to a local file, then copy the file to the target."""
 
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        #: Stage 1: BLCR's normal behaviour, a durable checkpoint file on
+        #: the *source* disk.
+        self._stage = FileSink(self.sim, self.source.fs, "/tmp/stage",
+                               fsync=True, through_cache=True)
+
     def write(self, image: CheckpointImage, offset: int, nbytes: int,
               data: Optional[np.ndarray]) -> Generator:
-        # Stage 1: local checkpoint file on the *source* disk.
-        handle = yield from self._get_or_create(
-            f"src:{image.proc_name}", self.source.fs,
-            f"/tmp/stage/{image.proc_name}.ckpt")
-        yield from self.source.fs.write(handle, nbytes, data=data,
-                                        through_cache=True, offset=offset)
+        yield from self._stage.write(image, offset, nbytes, data)
 
     def finalize(self, image: CheckpointImage) -> Generator:
-        handle = yield from self._get_or_create(
-            f"src:{image.proc_name}", self.source.fs,
-            f"/tmp/stage/{image.proc_name}.ckpt")
-        # BLCR's normal behaviour: a durable checkpoint file.
-        yield from self.source.fs.close(handle, sync=True)
-        self.sim.spawn(self._copy_over(image, handle.file.path),
+        yield from self._stage.finalize(image)
+        self.sim.spawn(self._copy_over(image, self._stage.path_for(image)),
                        name=f"stage-copy.{image.proc_name}")
         yield self.sim.timeout(0)
 
@@ -166,7 +141,7 @@ class StagingMigrationSession(_BaselineSession):
             data = yield from self.source.fs.read(read_handle, nbytes=n)
             yield self.cluster.ib.move(self.source.name, self.target.name,
                                        n, kind="stage-copy")
-            yield from self._write_target(image.proc_name, offset, n, data)
+            yield from self._write_target(image, offset, n, data)
             offset += n
         yield from self.source.fs.close(read_handle)
         yield from self._finish(image)

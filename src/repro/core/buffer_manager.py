@@ -9,7 +9,8 @@ One :class:`RDMAMigrationSession` spans a (source node, target node) pair:
 * the **target buffer manager** pulls each chunk with an RDMA Read (the
   source CPU is not involved in the data movement), reassembles the chunks
   of each process — keyed by ``(process, stream offset, size)`` exactly as
-  in the paper — into a per-process temporary checkpoint file, and returns a
+  in the paper — into a per-process temporary checkpoint file (a BLCR
+  ``FileSink``; a ``MemorySink`` for the memory restart), and returns a
   release message so the source can reuse the chunk slot.
 
 Backpressure is physical: a checkpointing process blocks when no free chunk
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional
+from typing import Dict, Generator, List, Optional
 
 import numpy as np
 
@@ -35,11 +36,9 @@ from ..simulate.core import Event, Process, Simulator
 from ..simulate.resources import Store
 from ..network.fluid import Link
 from ..network.qp import QueuePair, WorkCompletion
+from ..blcr.checkpoint import CheckpointSink
 from ..blcr.image import CheckpointImage
 from ..cluster.node import Cluster, Node
-
-if TYPE_CHECKING:  # the pipeline package imports sessions: types only
-    from ..pipeline.stages import ReassemblySink
 
 __all__ = ["RDMAMigrationSession", "AggregatingSink", "ChunkDescriptor"]
 
@@ -53,16 +52,17 @@ class ChunkDescriptor:
 
     Carries the two kinds of information the paper lists: (1) the RDMA
     coordinates for the pull (pool offset; the rkey rides on the session),
-    and (2) the reassembly key (process, stream offset, size).
+    and (2) the reassembly key (process, stream offset, size).  The
+    process is the engine's header-only ``image`` itself, which the target
+    sink keys its file or buffer by and restarts from.
     """
 
     seq: int
-    proc_name: str
+    image: CheckpointImage
     stream_offset: int
     nbytes: int
     pool_offset: int
     final: bool = False
-    image_meta: Optional[CheckpointImage] = None
     #: Span open in the producer task when the chunk was filled (the
     #: ``blcr.checkpoint`` span), so the target can link fill->pull.
     src_span: Optional[int] = None
@@ -89,7 +89,7 @@ class AggregatingSink:
         yield s.net.transfer([s.fill_link], nbytes, label="mig-fill")
         if s.src_pool is not None and data is not None:
             s.src_pool[pool_offset:pool_offset + nbytes] = data
-        desc = ChunkDescriptor(next(s._chunk_seq), image.proc_name, offset,
+        desc = ChunkDescriptor(next(s._chunk_seq), image, offset,
                                nbytes, pool_offset,
                                src_span=s.sim.tracer.current_span())
         s.bytes_offered += nbytes
@@ -99,7 +99,7 @@ class AggregatingSink:
         trace = self.sim.trace
         if trace is not None:
             trace.record(self.sim.now, "pool.chunk.fill", seq=desc.seq,
-                         proc=desc.proc_name, nbytes=nbytes,
+                         proc=image.proc_name, nbytes=nbytes,
                          node=s.source.name, wait=self.sim.now - t_req,
                          pool_offset=pool_offset)
         s.src_qp.post_send(("desc", desc.seq), _DESCRIPTOR_BYTES, payload=desc)
@@ -108,10 +108,8 @@ class AggregatingSink:
 
     def finalize(self, image: CheckpointImage) -> Generator:
         s = self.session
-        meta = CheckpointImage(image.proc_name, image.origin_node,
-                               image.layout, image.app_state, payload=None)
-        desc = ChunkDescriptor(next(s._chunk_seq), image.proc_name,
-                               image.nbytes, 0, 0, final=True, image_meta=meta)
+        desc = ChunkDescriptor(next(s._chunk_seq), image, image.nbytes, 0, 0,
+                               final=True)
         s.src_qp.post_send(("fin", desc.seq), _DESCRIPTOR_BYTES, payload=desc)
         yield self.sim.timeout(0)
 
@@ -120,7 +118,7 @@ class RDMAMigrationSession:
     """Source/target buffer-manager pair for one migration."""
 
     def __init__(self, sim: Simulator, cluster: Cluster, source: Node,
-                 target: Node, target_sink: ReassemblySink,
+                 target: Node, target_sink: CheckpointSink,
                  params: Optional[MigrationParams] = None):
         self.sim = sim
         self.cluster = cluster
@@ -270,24 +268,24 @@ class RDMAMigrationSession:
             self.dst_qp.post_recv(("rx", next(self._chunk_seq)))  # restore credit
             desc: ChunkDescriptor = wc.payload
             if desc.final:
-                self.sim.spawn(self._finish_proc(desc),
-                               name=f"mig-fin.{desc.proc_name}")
+                self.sim.spawn(self._finish_proc(desc.image),
+                               name=f"mig-fin.{desc.image.proc_name}")
             else:
                 self.sim.spawn(self._pull_chunk(desc),
                                name=f"mig-pull.{desc.seq}")
 
     def _pull_chunk(self, desc: ChunkDescriptor) -> Generator:
         t0 = self.sim.now
+        proc = desc.image.proc_name
         with self.sim.tracer.span("migration.rdma_pull", seq=desc.seq,
-                                  proc=desc.proc_name, node=self.target.name,
+                                  proc=proc, node=self.target.name,
                                   src=self.source.name,
                                   rkey=self.src_mr.rkey) as sp:
             trace = self.sim.trace
             if trace is not None:
                 if desc.src_span is not None:
                     trace.link(desc.src_span, sp, "rdma.pull")
-                self._pull_spans.setdefault(desc.proc_name, []).append(
-                    sp.span_id)
+                self._pull_spans.setdefault(proc, []).append(sp.span_id)
             wr = ("pull", desc.seq)
             self.dst_qp.post_rdma_read(wr, self.src_mr.rkey, desc.pool_offset,
                                        desc.nbytes, self.dst_mr,
@@ -302,8 +300,7 @@ class RDMAMigrationSession:
             # as in the paper — (process, stream offset, size).  ``data``
             # is a view of the pinned pool; the slot is released only after
             # the sink has copied it.
-            yield from self.target_sink.write(desc.proc_name,
-                                              desc.stream_offset,
+            yield from self.target_sink.write(desc.image, desc.stream_offset,
                                               desc.nbytes, data)
             sp.annotate(nbytes=desc.nbytes)
         self.bytes_pulled += desc.nbytes
@@ -311,43 +308,42 @@ class RDMAMigrationSession:
         self._m_drain_seconds.observe(self.sim.now - t0)
         self._m_pull_bytes.inc(desc.nbytes)
         self._m_chunks.inc()
-        got = self._received.get(desc.proc_name, 0) + desc.nbytes
-        self._received[desc.proc_name] = got
+        got = self._received.get(proc, 0) + desc.nbytes
+        self._received[proc] = got
         # If the finalize marker already overtook us, it parked an event
         # with the proc's total byte count; signal it once we cross it.
-        expected = self._expected_total.get(desc.proc_name)
+        expected = self._expected_total.get(proc)
         if expected is not None and got >= expected:
-            self._all_received.pop(desc.proc_name).succeed()
-            del self._expected_total[desc.proc_name]
+            self._all_received.pop(proc).succeed()
+            del self._expected_total[proc]
         # Release the chunk slot back to the source pool.
         self.dst_qp.post_send(("release", desc.seq), _RELEASE_BYTES,
                               payload=desc.pool_offset)
 
-    def _finish_proc(self, desc: ChunkDescriptor) -> Generator:
+    def _finish_proc(self, image: CheckpointImage) -> Generator:
         # The final marker may overtake in-flight pulls (they run
         # concurrently); park on an event that the last chunk pull signals
         # instead of polling the calendar at sub-millisecond resolution.
-        with self.sim.tracer.span("pool.reassemble", proc=desc.proc_name,
+        proc = image.proc_name
+        with self.sim.tracer.span("pool.reassemble", proc=proc,
                                   node=self.target.name) as rsp:
-            expected = desc.stream_offset  # finalize carries total size here
-            if self._received.get(desc.proc_name, 0) < expected:
-                gate = Event(self.sim, name=f"mig-complete.{desc.proc_name}")
-                self._expected_total[desc.proc_name] = expected
-                self._all_received[desc.proc_name] = gate
+            if self._received.get(proc, 0) < image.nbytes:
+                gate = Event(self.sim, name=f"mig-complete.{proc}")
+                self._expected_total[proc] = image.nbytes
+                self._all_received[proc] = gate
                 yield gate
-            yield from self.target_sink.finish(desc.proc_name,
-                                               desc.image_meta, expected)
-            rsp.annotate(nbytes=self._received.get(desc.proc_name, 0))
+            yield from self.target_sink.finalize(image)
+            rsp.annotate(nbytes=self._received.get(proc, 0))
         self._finals_seen += 1
         trace = self.sim.trace
         if trace is not None:
-            for pull_span in self._pull_spans.pop(desc.proc_name, ()):
+            for pull_span in self._pull_spans.pop(proc, ()):
                 trace.link(pull_span, rsp, "reassembly")
-            self.reassembly_spans[desc.proc_name] = rsp.span_id
+            self.reassembly_spans[proc] = rsp.span_id
             trace.record(self.sim.now, "pool.proc.complete",
-                         proc=desc.proc_name, node=self.target.name,
-                         nbytes=self._received.get(desc.proc_name, 0))
-        self.completions.put(desc.proc_name)
+                         proc=proc, node=self.target.name,
+                         nbytes=self._received.get(proc, 0))
+        self.completions.put(proc)
         if self._finals_seen == self.expected_procs:
             self.done.succeed()
 

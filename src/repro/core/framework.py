@@ -4,8 +4,10 @@ Wires together everything below it: the FTB backplane carries the protocol
 messages (``FTB_MIGRATE`` → ``FTB_MIGRATE_PIIC`` → ``FTB_RESTART``), the
 per-rank C/R threads drain and tear down MPI channels, the extended BLCR
 checkpoints the source node's processes into the RDMA buffer-pool session,
-the spare's NLA restarts them, and the Job Manager repairs the spawn tree
-and re-runs the PMI exchange.
+which lands each image on the spare through BLCR's own ``FileSink`` (temp
+checkpoint files) or ``MemorySink`` (resident images), the spare's NLA
+restarts them, and the Job Manager repairs the spawn tree and re-runs the
+PMI exchange.
 
 The framework also exposes the *stall/resume* primitives that the
 Checkpoint/Restart strategy (the baseline being compared against) reuses —
@@ -61,8 +63,9 @@ class JobMigrationFramework:
         :data:`repro.pipeline.pipeline.TRANSPORTS`: the paper's RDMA
         buffer pool or one of the baselines in :mod:`repro.core.baselines`.
     restart_mode:
-        Reassembly sink, a key of :data:`repro.pipeline.pipeline.SINKS`:
-        the paper's temp-file barrier or the Sec. VI memory restart.
+        Target sink, a key of :data:`repro.pipeline.pipeline.SINKS`: the
+        paper's temp-file barrier (a BLCR ``FileSink`` on the spare) or
+        the Sec. VI memory restart (a ``MemorySink``).
 
     Both names are checked here, so a bad name fails at build time
     rather than when a migration starts.
@@ -283,7 +286,7 @@ class JobMigrationFramework:
                     else:
                         # The file barrier: the NLA reads every image back.
                         restarted = yield from target_nla.restart_processes(
-                            sink.images, sink.paths, expected_procs=n,
+                            sink.metadata, expected_procs=n,
                             flow_from=session.reassembly_spans.values())
                     for rank in victims:
                         rank.relocate(target_node)
@@ -348,5 +351,5 @@ class JobMigrationFramework:
                 trace.link(session.reassembly_spans.get(proc), sp,
                            "image.ready")
             osproc = yield from target_nla.restart_one(
-                proc, sink.images[proc], mode="memory")
+                sink.images[proc], mode="memory")
         return osproc

@@ -68,7 +68,7 @@ class NodeLaunchAgent:
             raise RuntimeError(f"NLA on {self.node.name} cannot restart in "
                                f"state {self.state.name}")
 
-    def restart_one(self, name: str, image: CheckpointImage,
+    def restart_one(self, image: CheckpointImage,
                     path: Optional[str] = None,
                     mode: str = "file") -> Generator:
         """Generator: restart a single migrated process (the pipelined
@@ -87,13 +87,14 @@ class NodeLaunchAgent:
         return proc
 
     def restart_processes(self, images: Dict[str, CheckpointImage],
-                          paths: Dict[str, str],
                           flow_from: Optional[Iterable[int]] = None,
                           expected_procs: Optional[int] = None
                           ) -> Generator:
         """Generator: the file barrier — restart migrated processes by
         reading the Phase-2 temp files back (the paper's implementation,
-        and the dominant cost).  Pipelined memory restart goes through
+        and the dominant cost).  ``images`` maps each file's path to its
+        image header, as :attr:`~repro.blcr.checkpoint.FileSink.metadata`
+        holds them.  Pipelined memory restart goes through
         :meth:`restart_one` instead.
 
         Returns ``{proc_name: OSProcess}``.  All restarts run concurrently
@@ -113,16 +114,10 @@ class NodeLaunchAgent:
             raise RestartSetMismatch(
                 f"NLA on {self.node.name} handed {len(images)} images but "
                 f"{expected_procs} processes were migrated")
-        missing = sorted(set(images) - set(paths))
-        if missing:
-            raise RestartSetMismatch(
-                f"file-mode restart on {self.node.name} lacks checkpoint "
-                f"paths for {missing}")
 
-        def one(name: str) -> Generator:
-            proc = yield from self.restart_one(name, images[name],
-                                               paths[name])
-            return (name, proc)
+        def one(path: str, image: CheckpointImage) -> Generator:
+            proc = yield from self.restart_one(image, path)
+            return (image.proc_name, proc)
 
         with self.sim.tracer.span("nla.restart", node=self.node.name,
                                   mode="file", procs=len(images)) as nsp:
@@ -130,8 +125,9 @@ class NodeLaunchAgent:
             if trace is not None:
                 for src in (flow_from or ()):
                     trace.link(src, nsp, "image.ready")
-            workers = [self.sim.spawn(one(name), name=f"restart.{name}")
-                       for name in images]
+            workers = [self.sim.spawn(one(path, image),
+                                      name=f"restart.{image.proc_name}")
+                       for path, image in images.items()]
             results = yield self.sim.all_of(workers)
         restarted = dict(results.values())
         self.to_ready()

@@ -1,10 +1,6 @@
-"""Staged migration pipeline: pluggable Phase-2/3 data path."""
+"""The migration's Phase-2/3 stage tables: transports and target sinks."""
 
 from ..launch.nla import RestartSetMismatch
-from .stages import (FileReassemblySink, MemoryReassemblySink, ReassemblyError,
-                     ReassemblySink)
 from .pipeline import SINKS, TRANSPORTS, check_stage_names
 
-__all__ = ["ReassemblySink", "FileReassemblySink", "MemoryReassemblySink",
-           "ReassemblyError", "RestartSetMismatch", "TRANSPORTS", "SINKS",
-           "check_stage_names"]
+__all__ = ["RestartSetMismatch", "TRANSPORTS", "SINKS", "check_stage_names"]

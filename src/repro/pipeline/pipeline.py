@@ -1,8 +1,9 @@
 """The stage tables of the migration's Phase-2/3 data path.
 
 This module is the only place the stage names are spelled out:
-:data:`TRANSPORTS` and :data:`SINKS` map each name to its class, and the
-CLI's ``choices`` read the same tables.
+:data:`TRANSPORTS` maps each transport name to its session class and
+:data:`SINKS` each restart mode to its sink factory, and the CLI's
+``choices`` read the same tables.
 :meth:`~repro.core.framework.JobMigrationFramework.migrate` drives the
 stages in order inside its ``pipeline.run`` span:
 
@@ -11,7 +12,10 @@ stages in order inside its ``pipeline.run`` span:
 * **transport** — ``rdma`` (the paper's buffer-pool session) or one of the
   socket/staging baselines, all feeding chunks to the target;
 * **sink** — ``file`` (temp checkpoint files, the paper's Phase-2/3
-  barrier) or ``memory`` (resident images, Sec. VI future work);
+  barrier) or ``memory`` (resident images, Sec. VI future work): BLCR's
+  own :class:`~repro.blcr.checkpoint.FileSink` or
+  :class:`~repro.blcr.checkpoint.MemorySink` at the target, fed the same
+  image stream the source's engine wrote;
 * **restart** — the NLA/BLCR rebuild.  With the memory sink the framework
   restarts each process *the instant its last chunk lands*, while other
   processes are still checkpointing — pipelined restart.
@@ -23,10 +27,11 @@ session's ``completions`` store so the restart stage never polls.
 
 from __future__ import annotations
 
+from ..blcr.checkpoint import FileSink, MemorySink
 from ..core.baselines import (IPoIBMigrationSession, StagingMigrationSession,
                               TCPMigrationSession)
 from ..core.buffer_manager import RDMAMigrationSession
-from .stages import FileReassemblySink, MemoryReassemblySink
+from ..simulate.core import Simulator
 
 __all__ = ["TRANSPORTS", "SINKS", "check_stage_names"]
 
@@ -39,10 +44,24 @@ TRANSPORTS = {
     "staging": StagingMigrationSession,
 }
 
-#: Target-side reassembly sinks by restart mode.
+
+def _file_sink(sim: Simulator, target) -> FileSink:
+    """The paper's temp checkpoint files, through the target's page cache
+    (no fsync): Phase 3 reads them back."""
+    return FileSink(sim, target.fs, "/tmp/migrate", fsync=False,
+                    through_cache=True)
+
+
+def _memory_sink(sim: Simulator, target) -> MemorySink:
+    """Resident images on the target, restarted as each completes."""
+    return MemorySink(sim)
+
+
+#: Target-side sink factories by restart mode, each called as
+#: ``factory(sim, target_node)``.
 SINKS = {
-    "file": FileReassemblySink,
-    "memory": MemoryReassemblySink,
+    "file": _file_sink,
+    "memory": _memory_sink,
 }
 
 

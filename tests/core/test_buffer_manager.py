@@ -6,7 +6,7 @@ import pytest
 from repro.blcr import CheckpointEngine, CheckpointImage
 from repro.cluster import Cluster, OSProcess
 from repro.core import RDMAMigrationSession
-from repro.pipeline import FileReassemblySink
+from repro.pipeline import SINKS
 from repro.network import RemoteKeyError
 from repro.params import MigrationParams, MB
 from repro.simulate import Simulator
@@ -17,7 +17,7 @@ def make(record_data=True, params=None):
     cluster = Cluster(sim, n_compute=1, n_spare=1, record_data=record_data)
     target = cluster.node("spare0")
     session = RDMAMigrationSession(sim, cluster, cluster.node("node0"),
-                                   target, FileReassemblySink(sim, target),
+                                   target, SINKS["file"](sim, target),
                                    params=params)
     return sim, cluster, session
 
@@ -49,11 +49,11 @@ def test_single_process_byte_exact_reassembly():
     migrate_procs(sim, cluster, session, [proc])
 
     # Metadata (BLCR header) arrives with the final marker.
-    meta = session.target_sink.images["rank0"]
+    path = "/tmp/migrate/rank0.ckpt"
+    meta = session.target_sink.metadata[path]
     assert meta.nbytes == proc.image_bytes
     assert meta.app_state["iteration"] == 42
     # The temp file at the target holds the exact bytes.
-    path = session.target_sink.paths["rank0"]
     target_fs = cluster.node("spare0").fs
     assert target_fs.size(path) == proc.image_bytes
     payload = bytes(target_fs.files[path].data)
@@ -74,8 +74,9 @@ def test_multi_process_aggregation_interleaves_without_mixing():
     migrate_procs(sim, cluster, session, procs)
     target_fs = cluster.node("spare0").fs
     for p in procs:
-        meta = session.target_sink.images[p.name]
-        payload = bytes(target_fs.files[session.target_sink.paths[p.name]].data)
+        path = f"/tmp/migrate/{p.name}.ckpt"
+        meta = session.target_sink.metadata[path]
+        payload = bytes(target_fs.files[path].data)
         rebuilt = CheckpointImage(meta.proc_name, meta.origin_node,
                                   meta.layout, meta.app_state, payload)
         assert rebuilt.checksum() == sums[p.name], f"corrupt stream {p.name}"
@@ -109,7 +110,7 @@ def test_chunk_size_must_fit_pool():
     target = cluster.node("spare0")
     with pytest.raises(ValueError):
         RDMAMigrationSession(sim, cluster, cluster.node("node0"), target,
-                             FileReassemblySink(sim, target),
+                             SINKS["file"](sim, target),
                              params=MigrationParams(buffer_pool_size=MB,
                                                     chunk_size=2 * MB))
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.blcr import CheckpointEngine, CheckpointImage
 from repro.cluster import Cluster, OSProcess, MemorySegment
 from repro.core import RDMAMigrationSession
-from repro.pipeline import FileReassemblySink
+from repro.pipeline import SINKS
 from repro.params import MB, MigrationParams
 from repro.simulate import Simulator
 
@@ -17,7 +17,7 @@ def migrate(procs, params=None, record_data=True):
     cluster = Cluster(sim, n_compute=1, n_spare=1, record_data=record_data)
     target = cluster.node("spare0")
     session = RDMAMigrationSession(sim, cluster, cluster.node("node0"),
-                                   target, FileReassemblySink(sim, target),
+                                   target, SINKS["file"](sim, target),
                                    params=params)
     engine = CheckpointEngine(sim, "node0", net=cluster.net)
 
@@ -57,8 +57,9 @@ def test_arbitrary_layouts_reassemble_byte_exact(layouts, chunk_kb):
     sim, cluster, session = migrate(procs, params=params)
     fs = cluster.node("spare0").fs
     for p in procs:
-        meta = session.target_sink.images[p.name]
-        payload = bytes(fs.files[session.target_sink.paths[p.name]].data)
+        path = f"/tmp/migrate/{p.name}.ckpt"
+        meta = session.target_sink.metadata[path]
+        payload = bytes(fs.files[path].data)
         rebuilt = CheckpointImage(meta.proc_name, meta.origin_node,
                                   meta.layout, meta.app_state, payload)
         assert rebuilt.checksum() == snaps[p.name]

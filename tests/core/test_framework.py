@@ -100,11 +100,15 @@ def test_migration_preserves_process_state_exactly():
         assert rank.osproc.node == "spare0"
 
 
-def test_migration_state_fidelity_when_app_frozen():
+@pytest.mark.parametrize("restart_mode", ["file", "memory"])
+@pytest.mark.parametrize("transport", ["rdma", "tcp", "ipoib", "staging"])
+def test_migration_state_fidelity_when_app_frozen(transport, restart_mode):
     """With the app finished (quiescent), the migrated images must be
-    byte-identical before and after the move."""
+    byte-identical before and after the move, whichever transport carries
+    them and whichever sink they land in."""
     sc = small_scenario(record_data=True, nprocs=4, n_compute=2,
-                        iterations=2)
+                        iterations=2, transport=transport,
+                        restart_mode=restart_mode)
     sc.sim.run(until=sc.job.completion())
     victims = sc.job.ranks_on("node1")
     sums = {r.rank: CheckpointImage.snapshot(r.osproc).checksum()

@@ -78,10 +78,8 @@ def test_nla_restart_from_tmp_files_roundtrip():
     def run(sim):
         sink = FileSink(sim, spare.fs, "/tmp/mig", fsync=False,
                         through_cache=True)
-        image = yield from engine.checkpoint(proc, sink)
-        path = sink.path_for(image)
-        restarted = yield from nla.restart_processes(
-            {"rank5": image}, {"rank5": path})
+        yield from engine.checkpoint(proc, sink)
+        restarted = yield from nla.restart_processes(sink.metadata)
         return restarted["rank5"]
 
     p = sim.spawn(run(sim))
@@ -103,7 +101,7 @@ def test_nla_restart_memory_mode():
     src_sum = image.checksum()
 
     def run(sim):
-        return (yield from nla.restart_one("r", image, mode="memory"))
+        return (yield from nla.restart_one(image, mode="memory"))
 
     p = sim.spawn(run(sim))
     sim.run()
@@ -123,9 +121,9 @@ def test_nla_restart_mode_validation():
     def run(sim):
         nla.to_inactive()
         with pytest.raises(RuntimeError, match="MIGRATION_INACTIVE"):
-            yield from nla.restart_processes({}, {})
+            yield from nla.restart_processes({})
         with pytest.raises(RuntimeError, match="MIGRATION_INACTIVE"):
-            yield from nla.restart_one("r", image, mode="memory")
+            yield from nla.restart_one(image, mode="memory")
 
     sim.spawn(run(sim))
     sim.run()
@@ -170,7 +168,7 @@ def test_nla_restart_expected_procs_mismatch():
 
     def run(sim):
         with pytest.raises(RestartSetMismatch, match="2 processes"):
-            yield from nla.restart_processes({"r": image}, {},
+            yield from nla.restart_processes({"/tmp/mig/r.ckpt": image},
                                              expected_procs=2)
         yield sim.timeout(0)
 
@@ -178,25 +176,6 @@ def test_nla_restart_expected_procs_mismatch():
     sim.run()
     # Validation fires before any restart work: the spare stays a spare.
     assert nla.state is NLAState.MIGRATION_SPARE
-
-
-def test_nla_restart_file_mode_missing_paths():
-    from repro.pipeline import RestartSetMismatch
-
-    sim, cluster, bp, jm = make()
-    nla = jm.nla("spare0")
-    proc = OSProcess.synthetic("r", "node0", image_bytes=10_000,
-                               record_data=True,
-                               rng=np.random.default_rng(11))
-    image = CheckpointImage.snapshot(proc)
-
-    def run(sim):
-        with pytest.raises(RestartSetMismatch, match="'r'"):
-            yield from nla.restart_processes({"r": image}, {})
-        yield sim.timeout(0)
-
-    sim.spawn(run(sim))
-    sim.run()
 
 
 def test_nla_restart_matching_expected_procs_succeeds():
@@ -210,9 +189,9 @@ def test_nla_restart_matching_expected_procs_succeeds():
     def run(sim):
         sink = FileSink(sim, cluster.node("spare0").fs, "/tmp/mig",
                         fsync=False, through_cache=True)
-        image = yield from engine.checkpoint(proc, sink)
-        out = yield from nla.restart_processes(
-            {"r": image}, {"r": sink.path_for(image)}, expected_procs=1)
+        yield from engine.checkpoint(proc, sink)
+        out = yield from nla.restart_processes(sink.metadata,
+                                               expected_procs=1)
         return out
 
     p = sim.spawn(run(sim))

@@ -7,7 +7,8 @@ telemetry probe attached.  That pin catches a trace change across
 commits, not only between two runs of the same tree.  The Fig. 7
 CR(PVFS) checkpoint+restart, where 64 writers share large max-min
 components, is pinned the same way by a digest of its trace, and so are
-the pipelined memory restart and the staging baseline transport.
+the pipelined memory restart, every baseline transport into each
+restart mode's sink, and the Fig. 7 CR(ext3) cycle.
 
 The cluster-scale scenario's contract is run-to-run stability: the same
 seed replays the same JSONL and the same counters on every run, in a
@@ -17,6 +18,8 @@ scenario that borrows spares across racks and denies some requests.
 import hashlib
 import json
 import os
+
+import pytest
 
 from repro.analysis import first_difference, open_trace_text
 from repro.experiments import FIG4, FIG7, PIPELINE, Run
@@ -40,17 +43,38 @@ FIG7_CR_PVFS_RECORDS = 25741
 FIG7_CR_PVFS_CYCLE_S = 26.91683
 
 #: The same digest for the LU.C migration with the pipelined memory
-#: restart (Sec. VI), and for the staging baseline transport: the Fig. 4
-#: pin covers only the file restart over the RDMA buffer pool.
+#: restart (Sec. VI): the Fig. 4 pin covers only the file restart over
+#: the RDMA buffer pool.
 PIPELINE_MEMORY_TRACE_SHA256 = (
     "bb19d79a12065a3bb779ebb0eae71d6a0b60148ebadd50df02fa252e9cb803c3")
 PIPELINE_MEMORY_RECORDS = 11735
 PIPELINE_MEMORY_CYCLE_S = 1.782784
-STAGING_TRACE_SHA256 = (
-    "b113186ac9da45951906678f75cb49663a02927c9fb4e8149ae0db97e57e08a9")
-STAGING_RECORDS = 9105
-STAGING_CYCLE_S = 12.314102
 
+#: ``(cycle seconds, records kept, SHA-256)`` of runs whose checkpoint
+#: bytes reach a sink the pins above do not cover: each baseline
+#: transport (through the source's local disk for staging, over a
+#: socket for tcp and ipoib) into each restart mode's sink, and the
+#: Fig. 7 CR cycle through the node-local ext3 files.
+PINNED_DIGESTS = {
+    "staging": (Run(transport="staging"), (
+        12.314102, 9105,
+        "b113186ac9da45951906678f75cb49663a02927c9fb4e8149ae0db97e57e08a9")),
+    "tcp": (Run(transport="tcp"), (
+        7.160705, 9049,
+        "e7958a15eceb4f4aa10a20a93116591592f0bc013ded903aed647bcd16d25875")),
+    "ipoib": (Run(transport="ipoib"), (
+        6.163645, 8873,
+        "85e68ff903afacc7cf6779c94776fe5b1c449ba7457f64bbf18537bf55e10158")),
+    "tcp-memory": (Run(transport="tcp", restart_mode="memory"), (
+        2.851938, 8639,
+        "1633b1df201a65dcb1159188f5c22ce410fe04923f674157b354d6d2fea49e7f")),
+    "staging-memory": (Run(transport="staging", restart_mode="memory"), (
+        7.994584, 8951,
+        "31431d4d99f05ba1a9ff76b1c37d5ab02e1c6ff091cd4c9fc86e654dddeafd69")),
+    "cr_ext3": (FIG7["LU.C"]["cr_ext3"], (
+        13.37163, 18671,
+        "3d918d1049cd99ac908d1734c93cff11d92db3d640ed9f7ce709be3df847be84")),
+}
 
 def _fig4_records(telemetry=False):
     """Run Fig. 4 LU.C file mode -> (total seconds, JSON-normalised records).
@@ -135,26 +159,32 @@ def test_fig7_cr_pvfs_trace_matches_pinned_digest():
                                FIG7_CR_PVFS_TRACE_SHA256)
 
 
-def _migration_digest(run):
-    """Drive one migration run traced -> (cycle seconds, kept, SHA-256)."""
+def _run_digest(run):
+    """Drive one run traced -> (cycle seconds, kept, SHA-256)."""
     tracer = Tracer()
-    report = run.drive(run.scenario(trace=tracer))
-    return (round(report.total_seconds, 6),) + _digest(tracer)
+    result = run.drive(run.scenario(trace=tracer))
+    if run.cr is None:
+        cycle = result.total_seconds
+    else:
+        ckpt, restart = result
+        cycle = ckpt.total_seconds + restart.restart_seconds
+    return (round(cycle, 6),) + _digest(tracer)
 
 
 def test_pipelined_memory_restart_trace_matches_pinned_digest():
     """The memory sink restarts each process inside Phase 2 as its image
     completes; that interleaving replays the pinned digest."""
-    assert _migration_digest(PIPELINE["memory"]) == (
+    assert _run_digest(PIPELINE["memory"]) == (
         PIPELINE_MEMORY_CYCLE_S, PIPELINE_MEMORY_RECORDS,
         PIPELINE_MEMORY_TRACE_SHA256)
 
 
-def test_staging_transport_trace_matches_pinned_digest():
-    """A baseline transport (staged through the source's local disk)
-    replays the pinned digest."""
-    assert _migration_digest(Run(transport="staging")) == (
-        STAGING_CYCLE_S, STAGING_RECORDS, STAGING_TRACE_SHA256)
+@pytest.mark.parametrize("name", list(PINNED_DIGESTS))
+def test_run_trace_matches_pinned_digest(name):
+    """Each baseline transport into either sink, and the CR(ext3) cycle,
+    replay their pinned digests."""
+    run, pinned = PINNED_DIGESTS[name]
+    assert _run_digest(run) == pinned
 
 
 def _cluster_trace_jsonl():
